@@ -1,8 +1,8 @@
 # BTR reproduction — build / test / benchmark entry points.
 #
 # `make ci` is the gate every PR must pass (and exactly what
-# .github/workflows/ci.yml runs): gofmt diff check, vet, build, and the
-# full test suite under the race detector. `make bench-json` regenerates
+# .github/workflows/ci.yml runs): gofmt diff check, vet, build, the full
+# test suite under the race detector, and the benchmark smoke. `make bench-json` regenerates
 # BENCH_campaign.json, the tracked perf trajectory of the experiment
 # table and the plan cache; `make bench-check` regenerates it to a
 # scratch file and gates against the committed baseline via
@@ -13,7 +13,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race bench-smoke ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -116,9 +116,18 @@ smoke-client:
 		-period 500ms -margin 200ms -horizon 10 -at 3 -seed 7 \
 		-fault kill-restart -clients 8 -ops 200
 
-ci: fmt-check vet build race
+# The repository's benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so `./...` above never reaches it: vet it, run its own tests,
+# and run every workload at smoke size (0.3 s each, correctness wired to
+# the exit code), so an internal API change that breaks it fails the
+# gate instead of the next measured PR.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test ./... && $(GO) run . -short
+
+ci: fmt-check vet build race bench-smoke
 	@echo "ci: OK"
 
 clean:
 	$(GO) clean ./...
 	rm -f BENCH_new.json cover.out
+	rm -rf benchmark/out

@@ -259,8 +259,8 @@ func Decode(b []byte) (Evidence, error) {
 	e.Accused = network.NodeID(int32(rd.u32()))
 	e.Reporter = network.NodeID(int32(rd.u32()))
 	e.DetectedAt = sim.Time(rd.i64())
-	pb := rd.bytes()
-	sb := rd.bytes()
+	pb := rd.lenView()
+	sb := rd.lenView()
 	if rd.err != nil {
 		return Evidence{}, rd.err
 	}

@@ -63,7 +63,7 @@ func (w *buf) u32(v uint32)   { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *buf) u64(v uint64)   { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *buf) i64(v int64)    { w.u64(uint64(v)) }
 func (w *buf) bytes(v []byte) { w.u32(uint32(len(v))); w.b = append(w.b, v...) }
-func (w *buf) str(v string)   { w.bytes([]byte(v)) }
+func (w *buf) str(v string)   { w.u32(uint32(len(v))); w.b = append(w.b, v...) }
 func (w *buf) raw(v []byte)   { w.b = append(w.b, v...) }
 
 type reader struct {
@@ -105,30 +105,24 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) i64() int64 { return int64(r.u64()) }
 
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
+// view returns the next n bytes without copying. The result aliases the
+// input: decoders copy it exactly once, into the value they return.
+func (r *reader) view(n int) []byte {
 	if r.err != nil || n < 0 || len(r.b) < n {
 		r.err = errShort
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b[:n])
+	v := r.b[:n]
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+// lenView is view for a u32-length-prefixed field.
+func (r *reader) lenView() []byte { return r.view(int(r.u32())) }
 
-func (r *reader) raw(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = errShort
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
+func (r *reader) bytes() []byte { return bytes.Clone(r.lenView()) }
+
+func (r *reader) str() string { return string(r.lenView()) }
 
 func (r *reader) done() error {
 	if r.err != nil {
@@ -140,9 +134,11 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Encode serializes the record.
+// Encode serializes the record into one exactly sized buffer.
 func (r Record) Encode() []byte {
-	var w buf
+	size := 4 + len(r.Producer) + 4 + len(r.Logical) + 4 + 8 + 8 +
+		4 + len(r.Value) + len(r.InputsDigest)
+	w := buf{b: make([]byte, 0, size)}
 	w.str(string(r.Producer))
 	w.str(string(r.Logical))
 	w.u32(uint32(r.Node))
@@ -153,7 +149,8 @@ func (r Record) Encode() []byte {
 	return w.b
 }
 
-// DecodeRecord parses an encoded record, rejecting malformed input.
+// DecodeRecord parses an encoded record, rejecting malformed input. The
+// record owns its fields; nothing aliases b.
 func DecodeRecord(b []byte) (Record, error) {
 	rd := &reader{b: b}
 	var r Record
@@ -163,7 +160,7 @@ func DecodeRecord(b []byte) (Record, error) {
 	r.Period = rd.u64()
 	r.SendOff = sim.Time(rd.i64())
 	r.Value = rd.bytes()
-	copy(r.InputsDigest[:], rd.raw(32))
+	copy(r.InputsDigest[:], rd.view(len(r.InputsDigest)))
 	if err := rd.done(); err != nil {
 		return Record{}, err
 	}
@@ -225,7 +222,12 @@ func EncodeEnvelopes(envs []sig.Envelope) []byte {
 	return AppendEnvelopes(make([]byte, 0, EnvelopesSize(envs)), envs)
 }
 
-// DecodeEnvelopes parses a count-prefixed envelope list.
+// minEnvelopeWire is the smallest encoding of one list entry: length
+// prefix, envelope header, empty body, signature.
+const minEnvelopeWire = 4 + 8 + sig.SignatureSize
+
+// DecodeEnvelopes parses a count-prefixed envelope list. The envelopes
+// own their bytes; nothing aliases b.
 func DecodeEnvelopes(b []byte) ([]sig.Envelope, error) {
 	rd := &reader{b: b}
 	n := int(rd.u32())
@@ -235,9 +237,11 @@ func DecodeEnvelopes(b []byte) ([]sig.Envelope, error) {
 	if n > 1<<16 {
 		return nil, fmt.Errorf("evidence: implausible envelope count %d", n)
 	}
-	envs := make([]sig.Envelope, 0, n)
+	// The count is unauthenticated: reserve only what the remaining bytes
+	// could actually hold.
+	envs := make([]sig.Envelope, 0, min(n, len(rd.b)/minEnvelopeWire))
 	for i := 0; i < n; i++ {
-		eb := rd.bytes()
+		eb := rd.lenView()
 		if rd.err != nil {
 			return nil, rd.err
 		}

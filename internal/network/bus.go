@@ -399,12 +399,12 @@ func (b *Bus) Send(src, dst NodeID, class Class, payload []byte) bool {
 	if src == dst {
 		panic("network: Send to self")
 	}
-	path, ok := b.Topology().Path(src, dst)
+	next, ok := b.Topology().NextHop(src, dst)
 	if !ok {
 		return false
 	}
 	m := b.newMessage(src, dst, class, payload)
-	m.From, m.To = path[0], path[1]
+	m.From, m.To = src, next
 	return b.transmit(m)
 }
 

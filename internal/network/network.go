@@ -306,12 +306,12 @@ func (n *Network) Send(src, dst NodeID, class Class, payload []byte) bool {
 	if src == dst {
 		panic("network: Send to self")
 	}
-	path, ok := n.topo.Path(src, dst)
+	next, ok := n.topo.NextHop(src, dst)
 	if !ok {
 		return false
 	}
 	m := n.newMessage(src, dst, class, payload)
-	m.From, m.To = path[0], path[1]
+	m.From, m.To = src, next
 	return n.transmit(m)
 }
 

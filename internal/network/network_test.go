@@ -269,3 +269,24 @@ func BenchmarkNetworkOneHop(b *testing.B) {
 		k.RunAll()
 	}
 }
+
+// TestSendRoutingAllocatesNothing pins that a routed send reads its next
+// hop from the topology's route table: once the source's row is warm,
+// Send costs exactly the allocations of SendDirect to that neighbor.
+func TestSendRoutingAllocatesNothing(t *testing.T) {
+	payload := []byte("x")
+	measure := func(send func(*Network)) float64 {
+		k, nw := testNet(t, Grid(3, 3, 1_000_000, 0), DefaultConfig())
+		send(nw) // warm the route row and the per-channel state
+		k.RunAll()
+		return testing.AllocsPerRun(100, func() {
+			send(nw)
+			k.RunAll()
+		})
+	}
+	direct := measure(func(nw *Network) { nw.SendDirect(0, 1, ClassForeground, payload) })
+	routed := measure(func(nw *Network) { nw.Send(0, 1, ClassForeground, payload) })
+	if routed > direct {
+		t.Errorf("Send allocates %.0f per message, SendDirect %.0f: routing must be free on a warm topology", routed, direct)
+	}
+}

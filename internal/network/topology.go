@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"btr/internal/sim"
 )
@@ -28,14 +29,31 @@ type Link struct {
 	Prop      sim.Time
 }
 
-// Topology is a static node/link graph. Construct with one of the
-// generators or assemble manually and call Validate.
+// Topology is a static node/link graph. Construct with NewTopology, one
+// of the generators, or WithDelta.
+//
+// A Topology is immutable after construction: N and Links must not be
+// changed, and a new wiring is a new Topology (WithDelta). Because of
+// that, every static routing question — Path, NextHop, Hops, Diameter —
+// is answered from one all-pairs route table that is filled lazily, one
+// source row on first use, and is safe for concurrent use. Path and
+// Neighbors return slices shared with the topology; callers must not
+// mutate them. Only PathAvoiding and DiameterWithin, whose answers depend
+// on a caller-supplied filter (run-time node health, epoch membership),
+// search the graph afresh on every call.
 type Topology struct {
 	N     int
 	Links []Link
 
 	adj map[NodeID][]NodeID // neighbor lists, sorted
 	lnk map[[2]NodeID]int   // directed endpoint pair -> Links index
+
+	// routes[src] is src's row of the route table, nil until first use:
+	// the unfiltered bfsFrom(src) materialised as one shortest path
+	// src..dst per destination (nil if unreachable). Racing builders
+	// compute identical rows and the first one published wins, so a path
+	// handed out once stays the path handed out always.
+	routes []atomic.Pointer[[][]NodeID]
 }
 
 // NewTopology builds a topology over n nodes with the given links and
@@ -43,6 +61,7 @@ type Topology struct {
 // static configuration, so errors are programmer errors.
 func NewTopology(n int, links []Link) *Topology {
 	t := &Topology{N: n, Links: links}
+	t.routes = make([]atomic.Pointer[[][]NodeID], n)
 	t.adj = make(map[NodeID][]NodeID, n)
 	t.lnk = make(map[[2]NodeID]int, 2*len(links))
 	for i, l := range links {
@@ -122,10 +141,10 @@ func (t *Topology) bfsFrom(src NodeID, skip func(NodeID) bool) (dist []int, pare
 		parent[i] = -1
 	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue := make([]NodeID, 1, t.N) // every node is enqueued at most once
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range t.adj[v] { // sorted ⇒ deterministic parents
 			if dist[w] != -1 || (skip != nil && skip(w)) {
 				continue
@@ -138,15 +157,57 @@ func (t *Topology) bfsFrom(src NodeID, skip func(NodeID) bool) (dist []int, pare
 	return dist, parent
 }
 
-// Path returns a shortest path from a to b (inclusive of both endpoints),
-// choosing deterministically among equals (lowest neighbor IDs first).
-// ok is false if no path exists.
-func (t *Topology) Path(a, b NodeID) (path []NodeID, ok bool) {
-	return t.PathAvoiding(a, b, nil)
+// row returns src's row of the route table, building it on first use.
+func (t *Topology) row(src NodeID) [][]NodeID {
+	if r := t.routes[src].Load(); r != nil {
+		return *r
+	}
+	dist, parent := t.bfsFrom(src, nil)
+	total := 0
+	for _, d := range dist {
+		total += d + 1 // unreachable: -1 + 1 = 0
+	}
+	backing := make([]NodeID, total)
+	paths := make([][]NodeID, t.N)
+	for dst, d := range dist {
+		if d == -1 {
+			continue
+		}
+		// Cap each path at its length so a caller's append reallocates
+		// instead of writing into the next path.
+		paths[dst] = backing[: d+1 : d+1]
+		backing = backing[d+1:]
+		tracePath(paths[dst], parent, NodeID(dst))
+	}
+	t.routes[src].CompareAndSwap(nil, &paths)
+	return *t.routes[src].Load()
 }
 
+// Path returns a shortest path from a to b (inclusive of both endpoints),
+// choosing deterministically among equals (lowest neighbor IDs first).
+// ok is false if no path exists. The slice is shared; do not mutate.
+func (t *Topology) Path(a, b NodeID) (path []NodeID, ok bool) {
+	path = t.row(a)[b]
+	return path, path != nil
+}
+
+// NextHop returns the neighbor of a that Path(a, b) goes through. ok is
+// false if no path exists or a == b.
+func (t *Topology) NextHop(a, b NodeID) (next NodeID, ok bool) {
+	path := t.row(a)[b]
+	if len(path) < 2 {
+		return -1, false
+	}
+	return path[1], true
+}
+
+// Hops returns the hop count of Path(a, b): 0 for a == b, -1 if no path
+// exists.
+func (t *Topology) Hops(a, b NodeID) int { return len(t.row(a)[b]) - 1 }
+
 // PathAvoiding is Path but refuses to route through nodes for which avoid
-// returns true (the endpoints are always allowed).
+// returns true (the endpoints are always allowed). It searches afresh on
+// every call and returns a slice the caller owns.
 func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID, bool) {
 	if a == b {
 		return []NodeID{a}, true
@@ -156,14 +217,17 @@ func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID,
 	if dist[b] == -1 {
 		return nil, false
 	}
-	path := []NodeID{b}
-	for v := b; v != a; v = parent[v] {
-		path = append(path, parent[v])
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	path := make([]NodeID, dist[b]+1)
+	tracePath(path, parent, b)
 	return path, true
+}
+
+// tracePath fills path, whose length is dst's hop count plus one, with
+// the parent chain from the BFS source to dst.
+func tracePath(path, parent []NodeID, dst NodeID) {
+	for v, i := dst, len(path)-1; i >= 0; v, i = parent[v], i-1 {
+		path[i] = v
+	}
 }
 
 // Diameter returns the maximum shortest-path hop count over all connected
@@ -171,12 +235,11 @@ func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID,
 func (t *Topology) Diameter() int {
 	max := 0
 	for s := 0; s < t.N; s++ {
-		dist, _ := t.bfsFrom(NodeID(s), nil)
-		for _, d := range dist {
-			if d == -1 {
+		for _, path := range t.row(NodeID(s)) {
+			if path == nil {
 				return -1
 			}
-			if d > max {
+			if d := len(path) - 1; d > max {
 				max = d
 			}
 		}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -266,4 +268,175 @@ func TestWithDelta(t *testing.T) {
 		}
 	}()
 	line.WithDelta(nil, [][2]NodeID{{0, 2}})
+}
+
+// refPath is the allocate-per-call routing the route table replaced, kept
+// verbatim as the reference: an unfiltered BFS from a with sorted
+// adjacency, then the parent chain from b reversed.
+func refPath(t *Topology, a, b NodeID) ([]NodeID, bool) {
+	if a == b {
+		return []NodeID{a}, true
+	}
+	dist := make([]int, t.N)
+	parent := make([]NodeID, t.N)
+	for i := range dist {
+		dist[i] = -1
+		parent[i] = -1
+	}
+	dist[a] = 0
+	queue := []NodeID{a}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range t.Neighbors(v) {
+			if dist[w] != -1 {
+				continue
+			}
+			dist[w] = dist[v] + 1
+			parent[w] = v
+			queue = append(queue, w)
+		}
+	}
+	if dist[b] == -1 {
+		return nil, false
+	}
+	path := []NodeID{b}
+	for v := b; v != a; v = parent[v] {
+		path = append(path, parent[v])
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, true
+}
+
+// checkRoutesAgainstReference asserts that every routing answer the table
+// serves equals the reference BFS for all ordered pairs, including
+// unreachable pairs and a == b, and that PathAvoiding with no filter
+// agrees too.
+func checkRoutesAgainstReference(t *testing.T, name string, topo *Topology) {
+	t.Helper()
+	diam := 0
+	for a := NodeID(0); int(a) < topo.N; a++ {
+		for b := NodeID(0); int(b) < topo.N; b++ {
+			want, wantOK := refPath(topo, a, b)
+			got, ok := topo.Path(a, b)
+			if ok != wantOK || !slices.Equal(got, want) {
+				t.Fatalf("%s: Path(%d,%d) = %v,%v, reference %v,%v", name, a, b, got, ok, want, wantOK)
+			}
+			if fresh, fok := topo.PathAvoiding(a, b, nil); fok != wantOK || !slices.Equal(fresh, want) {
+				t.Fatalf("%s: PathAvoiding(%d,%d,nil) = %v,%v, reference %v,%v", name, a, b, fresh, fok, want, wantOK)
+			}
+			wantHops := len(want) - 1 // -1 when unreachable
+			if h := topo.Hops(a, b); h != wantHops {
+				t.Fatalf("%s: Hops(%d,%d) = %d, reference %d", name, a, b, h, wantHops)
+			}
+			next, nok := topo.NextHop(a, b)
+			if wantNOK := len(want) >= 2; nok != wantNOK || (nok && next != want[1]) {
+				t.Fatalf("%s: NextHop(%d,%d) = %d,%v, reference path %v", name, a, b, next, nok, want)
+			}
+			if !wantOK {
+				diam = -1
+			} else if diam >= 0 && wantHops > diam {
+				diam = wantHops
+			}
+		}
+	}
+	if d := topo.Diameter(); d != diam {
+		t.Fatalf("%s: Diameter = %d, reference %d", name, d, diam)
+	}
+}
+
+func TestRouteTableEqualsReferenceBFS(t *testing.T) {
+	rng := sim.NewRNG(17)
+	topos := map[string]*Topology{
+		"single":       NewTopology(1, nil),
+		"line":         Line(7, 1000, 0),
+		"ring":         Ring(9, 1000, 0),
+		"star":         Star(6, 1000, 0),
+		"mesh":         FullMesh(8, 1000, 0),
+		"grid":         Grid(4, 3, 1000, 0),
+		"dualbus":      DualBus(7, 1000, 0),
+		"random":       RandomConnected(rng, 12, 0.2, 1000, 0),
+		"disconnected": NewTopology(5, []Link{{0, 1, 1000, 0}, {2, 3, 1000, 0}}),
+	}
+	for name, topo := range topos {
+		checkRoutesAgainstReference(t, name, topo)
+	}
+}
+
+// TestRouteTableAcrossWithDeltaChains walks seeded random chains of link
+// drops and adds (drops may disconnect the graph) and checks each derived
+// topology against the reference, and that deriving it left its parent's
+// already-filled table alone.
+func TestRouteTableAcrossWithDeltaChains(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		topo := RandomConnected(rng, 10, 0.15, 1000, 0)
+		for step := 0; step < 12; step++ {
+			checkRoutesAgainstReference(t, "parent", topo)
+			var add []Link
+			var drop [][2]NodeID
+			if len(topo.Links) > 0 && rng.Bool(0.6) {
+				l := topo.Links[rng.Intn(len(topo.Links))]
+				drop = append(drop, [2]NodeID{l.B, l.A})
+			}
+			a, b := NodeID(rng.Intn(topo.N)), NodeID(rng.Intn(topo.N))
+			if _, linked := topo.LinkBetween(a, b); a != b && !linked {
+				add = append(add, Link{a, b, 1000, 0})
+			}
+			next := topo.WithDelta(add, drop)
+			checkRoutesAgainstReference(t, "child", next)
+			checkRoutesAgainstReference(t, "parent after WithDelta", topo)
+			topo = next
+		}
+	}
+}
+
+func TestReturnedPathAppendDoesNotCorruptTable(t *testing.T) {
+	topo := Line(6, 1000, 0)
+	for b := NodeID(0); b < 6; b++ {
+		p, _ := topo.Path(0, b)
+		_ = append(p, 99, 98, 97) // must reallocate, not spill into the next path
+	}
+	checkRoutesAgainstReference(t, "line after appends", topo)
+}
+
+// TestRouteTableConcurrentFirstUse has 32 goroutines hit a fresh
+// topology's first Path at once (run under -race): all must see the same
+// slices, and those must be the reference paths.
+func TestRouteTableConcurrentFirstUse(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		topo := Grid(5, 5, 1000, 0)
+		const workers = 32
+		got := make([][][]NodeID, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				paths := make([][]NodeID, topo.N)
+				for b := 0; b < topo.N; b++ {
+					paths[b], _ = topo.Path(3, NodeID(b))
+				}
+				got[w] = paths
+				_ = topo.Diameter()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			for b := range got[w] {
+				// Same backing array, not merely equal contents: the
+				// first published row is the only one ever handed out.
+				if &got[w][b][0] != &got[0][b][0] || len(got[w][b]) != len(got[0][b]) {
+					t.Fatalf("round %d: worker %d got a different Path(3,%d) slice than worker 0", round, w, b)
+				}
+			}
+		}
+		checkRoutesAgainstReference(t, "grid after concurrent first use", topo)
+	}
 }

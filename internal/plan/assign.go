@@ -44,37 +44,6 @@ type assignOptions struct {
 	// locality prefers placing consumers near their producers
 	// ("putting replicas close to each other may save bandwidth", §4.1).
 	locality bool
-	// hops is an optional precomputed all-pairs hop matrix for topo
-	// (see hopMatrix); nil recomputes it per call.
-	hops [][]int
-}
-
-// hopMatrix precomputes all-pairs hop distances.
-func hopMatrix(topo *network.Topology) [][]int {
-	m := make([][]int, topo.N)
-	for s := 0; s < topo.N; s++ {
-		m[s] = make([]int, topo.N)
-		// BFS per source; reuse Path for simplicity would be O(n^3), so
-		// do a local BFS over neighbors.
-		dist := make([]int, topo.N)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		q := []network.NodeID{network.NodeID(s)}
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			for _, w := range topo.Neighbors(v) {
-				if dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					q = append(q, w)
-				}
-			}
-		}
-		copy(m[s], dist)
-	}
-	return m
 }
 
 // assign maps every replica in aug to a non-faulty node. Hard constraint:
@@ -101,10 +70,6 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 		}
 	}
 
-	hops := o.hops
-	if hops == nil {
-		hops = hopMatrix(topo)
-	}
 	load := make(map[network.NodeID]sim.Time, len(eligible))
 	used := map[flow.TaskID]map[network.NodeID]bool{} // logical -> occupied nodes
 	out := Assignment{}
@@ -168,7 +133,7 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 						if pn == n {
 							score += 0.75
 						} else {
-							score += 0.25 * float64(hops[pn][n])
+							score += 0.25 * float64(topo.Hops(pn, n))
 						}
 					}
 				}

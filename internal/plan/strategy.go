@@ -234,16 +234,16 @@ func NewStrategyForMembers(base *flow.Graph, topo *network.Topology, opts Option
 
 // Synth is a reusable plan-synthesis context for one (workload, topology,
 // options) triple. It memoizes the fault-set-independent work — the
-// all-pairs hop matrix and the pruned/augmented graphs per shed set — so
-// that building many plans (one per fault set during Build, or many delta
-// repairs in the incremental engine) does not redo it. A Synth is not
-// safe for concurrent use; callers that synthesize from multiple
-// goroutines must serialize (see internal/plan/cache).
+// pruned/augmented graphs per shed set; hop distances come from the
+// topology's own route table — so that building many plans (one per
+// fault set during Build, or many delta repairs in the incremental
+// engine) does not redo it. A Synth is not safe for concurrent use;
+// callers that synthesize from multiple goroutines must serialize (see
+// internal/plan/cache).
 type Synth struct {
 	base *flow.Graph
 	topo *network.Topology
 	opts Options
-	hops [][]int
 	augs map[string]synthGraphs
 }
 
@@ -255,7 +255,6 @@ func NewSynth(base *flow.Graph, topo *network.Topology, opts Options) *Synth {
 		base: base,
 		topo: topo,
 		opts: opts.Normalized(),
-		hops: hopMatrix(topo),
 		augs: map[string]synthGraphs{},
 	}
 }
@@ -313,7 +312,6 @@ func (s *Synth) DeltaPlan(prior *Plan, fs FaultSet) (*Plan, error) {
 			faults:   fs,
 			parent:   prior.Assign,
 			locality: s.opts.Locality,
-			hops:     s.hops,
 		})
 		if err == nil {
 			table, terr := sched.Build(aug, asn, s.topo, s.opts.Sched)
@@ -345,7 +343,6 @@ func (s *Synth) buildFrom(fs FaultSet, parent Assignment, shed []flow.TaskID) (*
 			faults:   fs,
 			parent:   parent,
 			locality: s.opts.Locality,
-			hops:     s.hops,
 		})
 		if err == nil {
 			var table *sched.Table

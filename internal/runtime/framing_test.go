@@ -37,6 +37,9 @@ func TestDataPayloadRejectsMalformed(t *testing.T) {
 		{msgData},
 		good[:len(good)-1],
 		append([]byte{msgEvidence}, good[1:]...), // wrong kind byte
+		// Valid envelope, then an attachment count of 65536 with nothing
+		// behind it: rejected, and without reserving room for the count.
+		append(append([]byte{}, good[:len(good)-4]...), 0x00, 0x00, 0x01, 0x00),
 	}
 	for i, c := range cases {
 		if _, _, err := parseDataPayload(c); err == nil {

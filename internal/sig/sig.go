@@ -225,7 +225,8 @@ func (e Envelope) AppendTo(dst []byte) []byte {
 
 // DecodeEnvelope parses an encoded envelope. It is strict: trailing bytes
 // or a short signature are errors, so malformed (possibly adversarial)
-// input is rejected cheaply before any signature check.
+// input is rejected cheaply before any signature check. The envelope
+// owns its bytes; nothing aliases b.
 func DecodeEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 8 {
 		return Envelope{}, errTruncated
@@ -235,9 +236,8 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	if n < 0 || n > MaxBody || len(b) != 8+n+SignatureSize {
 		return Envelope{}, fmt.Errorf("sig: bad envelope framing (body %d, total %d)", n, len(b))
 	}
-	body := make([]byte, n)
-	copy(body, b[8:8+n])
-	s := make([]byte, SignatureSize)
-	copy(s, b[8+n:])
-	return Envelope{Signer: signer, Body: body, Sig: s}, nil
+	// One backing array for body and signature; Body's capacity stops at
+	// its length so appending to it cannot run into Sig.
+	buf := append(make([]byte, 0, n+SignatureSize), b[8:]...)
+	return Envelope{Signer: signer, Body: buf[:n:n], Sig: buf[n:]}, nil
 }

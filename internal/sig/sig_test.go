@@ -203,3 +203,29 @@ func TestOperatorKeyDeterministicAndNodeKeysUnchanged(t *testing.T) {
 		t.Fatal("node keys depend on registry size")
 	}
 }
+
+// TestDecodeEnvelopeOneAllocationNoAlias pins the decode contract: one
+// backing allocation for body and signature, nothing aliasing the input,
+// and a Body whose capacity stops short of Sig.
+func TestDecodeEnvelopeOneAllocationNoAlias(t *testing.T) {
+	r := NewRegistry(1, 3)
+	e := r.Seal(2, []byte("body bytes"))
+	enc := e.Encode()
+	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeEnvelope(enc) }); got != 1 {
+		t.Errorf("DecodeEnvelope allocates %.0f, want 1", got)
+	}
+	d, err := DecodeEnvelope(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] ^= 0xff
+	}
+	if d.Signer != 2 || !bytes.Equal(d.Body, e.Body) || !bytes.Equal(d.Sig, e.Sig) {
+		t.Error("decoded envelope changed when the input was mutated")
+	}
+	_ = append(d.Body, 0xee)
+	if !bytes.Equal(d.Sig, e.Sig) || !r.Check(d) {
+		t.Error("appending to Body overwrote Sig")
+	}
+}
