@@ -297,14 +297,11 @@ type campaignBench struct {
 	// gates; the latencies themselves are wall-clock and machine-bound.
 	LiveProc []liveProcBenchRow `json:"liveproc"`
 
-	// Saturation records the throughput fast path (schema v8): the
-	// cofactored ed25519 batch-verify speedup over the frozen sequential
-	// sweep (same process, same working set — the ratio is
-	// machine-independent and gated >=2x at batch >= 16 by
-	// cmd/btrcheckbench), plus the C9 saturation probe: per topology,
-	// the sustainable flood events/sec the live transport absorbs
-	// without material shedding, and a recovery-under-load run at >=80%
-	// of that rate whose within_r invariant the comparator gates.
+	// Saturation records the C9 saturation probe (schema v8; v11 dropped
+	// its batch-verify ratios with batch verification itself): per
+	// topology, the sustainable flood events/sec the live transport
+	// absorbs without material shedding, and a recovery-under-load run at
+	// >=80% of that rate whose within_r invariant the comparator gates.
 	Saturation saturationBench `json:"saturation"`
 
 	// FaultRate records the C8 high-fault-rate sweep (schema v7):
@@ -382,18 +379,9 @@ type cryptoBench struct {
 	E4WorkShare float64 `json:"e4_work_share"`
 }
 
-// saturationBench is the v8 saturation section: batch-verify ratios at
-// the ingest batch sizes plus the C9 probe rows.
+// saturationBench is the saturation section: the C9 probe rows.
 type saturationBench struct {
-	BatchVerify []batchVerifyBench   `json:"batch_verify"`
-	Rows        []saturationBenchRow `json:"rows"`
-}
-
-type batchVerifyBench struct {
-	BatchSize      int     `json:"batch_size"`
-	BatchNsOp      float64 `json:"batch_ns_op"`
-	SequentialNsOp float64 `json:"sequential_ns_op"`
-	Speedup        float64 `json:"speedup"`
+	Rows []saturationBenchRow `json:"rows"`
 }
 
 type saturationBenchRow struct {
@@ -411,20 +399,9 @@ type saturationBenchRow struct {
 	Shed           uint64  `json:"shed"`
 }
 
-// measureSaturation records the batch-verify ratios at the two ingest
-// batch shapes (the gate floor applies at >=16; 64 is the flood-ingest
-// coalescing size) and runs the full C9 probe per topology.
+// measureSaturation runs the full C9 probe per topology.
 func measureSaturation(t *testing.T) saturationBench {
 	var out saturationBench
-	for _, batch := range []int{16, 64} {
-		batchNs, seqNs := sig.MeasureBatchSpeedup(batch)
-		out.BatchVerify = append(out.BatchVerify, batchVerifyBench{
-			BatchSize:      batch,
-			BatchNsOp:      batchNs,
-			SequentialNsOp: seqNs,
-			Speedup:        seqNs / batchNs,
-		})
-	}
 	for _, kind := range exp.SaturationKinds() {
 		row, err := exp.RunSaturationBench(kind, 1)
 		if err != nil {
@@ -778,7 +755,7 @@ func TestEmitCampaignBench(t *testing.T) {
 	cachedNs, uncachedNs := sig.MeasureVerifySpeedup(64)
 	curTP, legacyTP := sim.MeasureKernelThroughput(1 << 19)
 	bench := campaignBench{
-		Schema: "btr-campaign-bench/v10",
+		Schema: "btr-campaign-bench/v11",
 		Seed:   1, Quick: quick,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		HostCores:  runtime.NumCPU(),
@@ -850,12 +827,11 @@ func TestEmitCampaignBench(t *testing.T) {
 	if err := enc.Encode(bench); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	t.Logf("wrote %s: serial %.0fms (uncached %.0fms, crypto %.2fx, memo hit rate %.1f%%), workers=4 %.0fms, speedup %.2fx (GOMAXPROCS=%d, %d host core(s)); plan cache warm %.2fms vs cold %.2fms (%.1fx); kernel %.2fx vs legacy; verify memo %.1fx; batch verify %.2fx@%d; %d live soak row(s); %d multi-process row(s); %d churn row(s); %d fault-rate row(s) across %d knee(s); %d saturation row(s); %d multifault row(s) + %d storm(s); %d clientslo row(s)",
+	t.Logf("wrote %s: serial %.0fms (uncached %.0fms, crypto %.2fx, memo hit rate %.1f%%), workers=4 %.0fms, speedup %.2fx (GOMAXPROCS=%d, %d host core(s)); plan cache warm %.2fms vs cold %.2fms (%.1fx); kernel %.2fx vs legacy; verify memo %.1fx; %d live soak row(s); %d multi-process row(s); %d churn row(s); %d fault-rate row(s) across %d knee(s); %d saturation row(s); %d multifault row(s) + %d storm(s); %d clientslo row(s)",
 		out, bench.SerialMS, bench.Crypto.UncachedSerialMS, bench.Crypto.CampaignSpeedup,
 		bench.Crypto.MemoHitRate*100, bench.Par4MS, bench.Speedup, bench.GOMAXPROCS, bench.HostCores,
 		bench.PlanCache.WarmMS, bench.PlanCache.ColdMS, bench.PlanCache.Speedup,
 		bench.Kernel.Speedup, bench.Crypto.VerifySpeedup,
-		bench.Saturation.BatchVerify[0].Speedup, bench.Saturation.BatchVerify[0].BatchSize,
 		len(bench.Live), len(bench.LiveProc), len(bench.Churn),
 		len(bench.FaultRate.Rows), len(bench.FaultRate.Knees), len(bench.Saturation.Rows),
 		len(bench.MultiFault.Rows), len(bench.MultiFault.Storms), len(bench.ClientSLO))

@@ -5,7 +5,7 @@
 //	btrcheckbench -baseline BENCH_campaign.json -new BENCH_new.json
 //	              [-tolerance 0.20] [-min-warm-speedup 5]
 //	              [-min-kernel-speedup 2] [-min-crypto-speedup 2]
-//	              [-min-batch-speedup 2] [-max-warm-replans 0]
+//	              [-max-warm-replans 0]
 //
 // Rules:
 //
@@ -25,12 +25,9 @@
 //     R, churn clean with zero warm replans, the fault-rate sweep
 //     (schema v7) non-empty with a positive knee per topology and zero
 //     untolerated periods (reconciled windows) at and below each knee,
-//     and the saturation section (schema v8): the ed25519 batch-verify
-//     speedup over the frozen sequential sweep — same process, same
-//     working set, so the ratio is machine-independent — must stay at
-//     or above -min-batch-speedup for every batch size >= 16, and every
-//     C9 row must carry a positive sustainable event rate with its
-//     loaded recovery (flood at >= 80% of that rate) still within R;
+//     and the saturation section (schema v8): every C9 row must carry a
+//     positive sustainable event rate with its loaded recovery (flood at
+//     >= 80% of that rate) still within R;
 //     the multi-fault section (schema v9) repeats the sweep invariants
 //     over the extended catalog and requires every > f storm flagged,
 //     confined and reconnected; the client-SLO section (schema v10)
@@ -118,20 +115,11 @@ type clientsloRow struct {
 	Within       bool    `json:"within"`
 }
 
-// saturationSection is the throughput fast path (schema v8): the
-// batch-verify speedup at the ingest batch sizes plus the C9 saturation
-// probe — sustainable events/sec per topology and a recovery measurement
-// under flood at >= 80% of it.
+// saturationSection is the C9 saturation probe (schema v8): sustainable
+// events/sec per topology and a recovery measurement under flood at
+// >= 80% of it.
 type saturationSection struct {
-	BatchVerify []batchVerifyEntry  `json:"batch_verify"`
-	Rows        []saturationRowFile `json:"rows"`
-}
-
-type batchVerifyEntry struct {
-	BatchSize      int     `json:"batch_size"`
-	BatchNsOp      float64 `json:"batch_ns_op"`
-	SequentialNsOp float64 `json:"sequential_ns_op"`
-	Speedup        float64 `json:"speedup"`
+	Rows []saturationRowFile `json:"rows"`
 }
 
 type saturationRowFile struct {
@@ -258,7 +246,7 @@ const minCampaignCryptoSpeedup = 1.5
 
 // compare returns the list of regressions (empty = pass) and the list
 // of informational notices.
-func compare(base, cur benchFile, tol, minWarmSpeedup, minKernelSpeedup, minCryptoSpeedup, minBatchSpeedup float64, maxWarmReplans int, wall bool) (failures, notices []string) {
+func compare(base, cur benchFile, tol, minWarmSpeedup, minKernelSpeedup, minCryptoSpeedup float64, maxWarmReplans int, wall bool) (failures, notices []string) {
 	failf := func(format string, args ...any) {
 		failures = append(failures, fmt.Sprintf(format, args...))
 	}
@@ -421,29 +409,12 @@ func compare(base, cur benchFile, tol, minWarmSpeedup, minKernelSpeedup, minCryp
 		}
 	}
 
-	// Throughput fast path (schema v8): the batch-vs-sequential verify
-	// ratio is same-process/same-working-set and therefore
-	// machine-independent; it gates everywhere. The floor applies at the
-	// ingest batch shapes (>= 16); smaller probe sizes are informational.
-	// The C9 rows are wall-clock, so only their invariants gate: a
-	// positive sustainable rate must exist, the loaded recovery must have
-	// run at >= 80% of it, and recovery must land within R.
-	if len(cur.Saturation.BatchVerify) == 0 || len(cur.Saturation.Rows) == 0 {
+	// Saturation (schema v8): the C9 rows are wall-clock, so only their
+	// invariants gate: a positive sustainable rate must exist, the loaded
+	// recovery must have run at >= 80% of it, and recovery must land
+	// within R.
+	if len(cur.Saturation.Rows) == 0 {
 		failf("new bundle carries no saturation section")
-	}
-	gatedBatches := 0
-	for _, b := range cur.Saturation.BatchVerify {
-		if b.BatchSize < 16 {
-			continue
-		}
-		gatedBatches++
-		if b.Speedup < minBatchSpeedup {
-			failf("batch verify at batch=%d only %.2fx over the sequential sweep, below the %.1fx floor",
-				b.BatchSize, b.Speedup, minBatchSpeedup)
-		}
-	}
-	if len(cur.Saturation.BatchVerify) > 0 && gatedBatches == 0 {
-		failf("saturation section carries no batch-verify entry at batch >= 16 (nothing to gate)")
 	}
 	for _, row := range cur.Saturation.Rows {
 		if row.SustainableEPS <= 0 {
@@ -627,7 +598,6 @@ func main() {
 	minWarm := flag.Float64("min-warm-speedup", 5, "minimum warm-plan-cache speedup (acceptance floor)")
 	minKernel := flag.Float64("min-kernel-speedup", 2, "minimum kernel throughput over the legacy baseline (acceptance floor)")
 	minCrypto := flag.Float64("min-crypto-speedup", 2, "minimum cached-vs-uncached verify speedup (acceptance floor)")
-	minBatch := flag.Float64("min-batch-speedup", 2, "minimum batch-vs-sequential verify speedup at batch >= 16 (acceptance floor)")
 	maxWarmReplans := flag.Int("max-warm-replans", 0, "maximum plan syntheses a warm churn replay may perform (acceptance ceiling)")
 	wall := flag.Bool("wall", false, "also gate absolute wall-clock times (same-host comparisons only)")
 	flag.Parse()
@@ -642,7 +612,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btrcheckbench: %v\n", err)
 		os.Exit(2)
 	}
-	failures, notices := compare(base, cur, *tol, *minWarm, *minKernel, *minCrypto, *minBatch, *maxWarmReplans, *wall)
+	failures, notices := compare(base, cur, *tol, *minWarm, *minKernel, *minCrypto, *maxWarmReplans, *wall)
 	for _, n := range notices {
 		fmt.Printf("note: %s\n", n)
 	}
@@ -652,17 +622,9 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	batchAt := func(size int) float64 {
-		for _, b := range cur.Saturation.BatchVerify {
-			if b.BatchSize == size {
-				return b.Speedup
-			}
-		}
-		return 0
-	}
-	fmt.Printf("bench check OK: %d scenario(s), serial %.0fms, plan-cache warm %.2fx, kernel %.2fx, verify memo %.2fx, crypto campaign %.2fx (E4 share %.1f%%), batch verify %.2fx@16, %d live row(s) within R, %d multi-process row(s) within R, %d churn row(s) within R (warm replans 0), %d fault-rate row(s) clean at/below %d knee(s), %d saturation row(s) within R under load, %d multifault row(s) + %d storm(s) flagged+confined, %d client-SLO row(s) error-free within bound\n",
+	fmt.Printf("bench check OK: %d scenario(s), serial %.0fms, plan-cache warm %.2fx, kernel %.2fx, verify memo %.2fx, crypto campaign %.2fx (E4 share %.1f%%), %d live row(s) within R, %d multi-process row(s) within R, %d churn row(s) within R (warm replans 0), %d fault-rate row(s) clean at/below %d knee(s), %d saturation row(s) within R under load, %d multifault row(s) + %d storm(s) flagged+confined, %d client-SLO row(s) error-free within bound\n",
 		len(cur.Scenarios), cur.SerialMS, cur.PlanCache.Speedup, cur.Kernel.Speedup,
-		cur.Crypto.VerifySpeedup, cur.Crypto.CampaignSpeedup, cur.Crypto.E4WorkShare*100, batchAt(16),
+		cur.Crypto.VerifySpeedup, cur.Crypto.CampaignSpeedup, cur.Crypto.E4WorkShare*100,
 		len(cur.Live), len(cur.LiveProc), len(cur.Churn), len(cur.FaultRate.Rows), len(cur.FaultRate.Knees),
 		len(cur.Saturation.Rows), len(cur.MultiFault.Rows), len(cur.MultiFault.Storms), len(cur.ClientSLO))
 }

@@ -8,8 +8,8 @@ package live
 // The probe is deliberately adversarial — the load generator is the §4.3
 // bogus-evidence flooder, whose junk is unverifiable and convicts the
 // flooder almost immediately. The flood keeps running after conviction,
-// so the transport's class-aware shedding and the batched signature
-// ingest (not the conviction machinery) are what carry the deployment:
+// so the transport's class-aware shedding and the per-neighbor evidence
+// budget (not the conviction machinery) are what carry the deployment:
 // the sustained rate is a transport/crypto capacity number, not a
 // detector quality number. Every quantity here is wall-clock and
 // machine-bound; the invariants (a positive sustained rate, recovery

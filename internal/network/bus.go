@@ -43,11 +43,6 @@ type Bus struct {
 	filters  []ForwardFilter
 	down     []bool
 
-	// pv, when non-nil, is handed coalesced evidence batches on lane
-	// goroutines before delivery is scheduled (see PreVerifier). Guarded
-	// by stateMu like the rest of the control plane.
-	pv PreVerifier
-
 	lanes  map[chanKey]*busLane
 	nextID uint64
 	rng    *sim.RNG
@@ -66,9 +61,8 @@ type Bus struct {
 // busLane is one shaped FIFO pipe: a directed link direction carrying one
 // traffic class. The class is recorded so the worker and the shedding
 // policy can tell evidence lanes (drop-oldest: the freshest evidence is
-// the most valuable, and batch verification downstream wants recent
-// records) from foreground lanes (tail-drop: stale sensor frames are
-// superseded anyway).
+// the most valuable) from foreground lanes (tail-drop: stale sensor
+// frames are superseded anyway).
 type busLane struct {
 	ch       chan busFrame
 	capacity int64
@@ -200,11 +194,9 @@ const shapeSleepSlack = 500 * sim.Microsecond
 // shape is the lane worker: serialize (account each frame's tx time
 // against the lane's busy-until credit), then schedule delivery at the
 // modeled arrival instant. It coalesces: each wakeup drains the whole
-// lane backlog, hands an evidence batch to the pre-verifier (bulk
-// crypto, concurrent with the executor), schedules every frame at its
-// exact modeled instant, and sleeps at most once per batch — under
-// saturation the worker wakes O(1) times per backlog instead of once
-// per frame. Modeled arrival times are identical to the one-frame-per-
+// lane backlog, schedules every frame at its exact modeled instant, and
+// sleeps at most once per batch — under saturation the worker wakes O(1)
+// times per backlog instead of once per frame. Modeled arrival times are identical to the one-frame-per-
 // iteration loop: busy-until accounting is per frame either way, and
 // the scheduler dispatches events at their modeled instants regardless
 // of how early they enter the heap. Exits when the lane channel closes.
@@ -224,15 +216,6 @@ func (b *Bus) shape(lane *busLane) {
 				batch = append(batch, g)
 			default:
 				break drain
-			}
-		}
-		if lane.class == ClassEvidence && len(batch) > 1 {
-			if pv := b.preVerifier(); pv != nil {
-				ms := make([]*Message, len(batch))
-				for i := range batch {
-					ms[i] = batch[i].m
-				}
-				pv(ms)
 			}
 		}
 		for i := range batch {
@@ -298,20 +281,6 @@ func (b *Bus) filterFor(id NodeID) ForwardFilter {
 	b.stateMu.RLock()
 	defer b.stateMu.RUnlock()
 	return b.filters[id]
-}
-
-// SetPreVerifier installs pv (nil uninstalls). Safe from any goroutine;
-// lanes pick the change up on their next batch.
-func (b *Bus) SetPreVerifier(pv PreVerifier) {
-	b.stateMu.Lock()
-	b.pv = pv
-	b.stateMu.Unlock()
-}
-
-func (b *Bus) preVerifier() PreVerifier {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.pv
 }
 
 // SetWiring replaces the active wiring at runtime: lanes for removed
@@ -422,9 +391,9 @@ func (b *Bus) newMessage(src, dst NodeID, class Class, payload []byte) *Message 
 
 // transmit enqueues m on its hop's lane. A full lane sheds by class
 // policy instead of silently tail-dropping: evidence lanes evict their
-// oldest queued frame so the newest evidence still gets through (batch
-// verification and conviction want fresh records; under sustained flood
-// the stale backlog is the right victim), foreground lanes shed the
+// oldest queued frame so the newest evidence still gets through
+// (conviction wants fresh records; under sustained flood the stale
+// backlog is the right victim), foreground lanes shed the
 // arriving frame (periodic dataflow supersedes itself). Every shed is
 // surfaced in MsgsShed as well as MsgsDropped.
 func (b *Bus) transmit(m *Message) bool {

@@ -153,17 +153,6 @@ func (s Stats) TotalShed() uint64 {
 	return t
 }
 
-// PreVerifier, when installed on a live transport, is handed every
-// coalesced inbound batch of evidence-class messages on the transport's
-// own reader/lane goroutine, before the batch re-enters the scheduler
-// for delivery. The runtime installs a signature pre-verifier here so
-// bulk crypto (the batched cofactored verify) runs concurrently with the
-// executor and primes the verify memo; by the time the handler sees each
-// message, its signatures are memo hits. Implementations MUST be
-// thread-safe and MUST NOT mutate the messages: delivery semantics are
-// identical with or without a pre-verifier.
-type PreVerifier func(ms []*Message)
-
 // Config tunes the transport.
 type Config struct {
 	// EvidenceShare is the fraction of every link's per-direction

@@ -75,9 +75,6 @@ type TCPBus struct {
 	handlers []Handler
 	filters  []ForwardFilter
 	down     []bool
-	// pv, when non-nil, is handed coalesced inbound evidence batches on
-	// connection reader goroutines before delivery (see PreVerifier).
-	pv PreVerifier
 
 	// mu guards the link plane: outgoing supervisors, registered inbound
 	// connections (latest per peer — a new Hello supersedes and closes
@@ -285,13 +282,25 @@ func (b *TCPBus) runLink(l *tcpLink) {
 			continue
 		}
 		backoff = b.cfg.DialMin
-		l.mu.Lock()
-		if l.everConnected {
-			l.reconnects++
+		// Install the connection under b.mu, re-checking the partition: a
+		// SetPeerRefused that landed while this dial was in flight found
+		// no connection to close, so the refusal must be honored here.
+		b.mu.Lock()
+		refused := b.refused[l.peer]
+		if !refused {
+			l.mu.Lock()
+			if l.everConnected {
+				l.reconnects++
+			}
+			l.everConnected = true
+			l.conn = conn
+			l.mu.Unlock()
 		}
-		l.everConnected = true
-		l.conn = conn
-		l.mu.Unlock()
+		b.mu.Unlock()
+		if refused {
+			conn.Close()
+			continue
+		}
 		b.writeLoop(l, conn)
 		conn.Close()
 		l.mu.Lock()
@@ -429,6 +438,7 @@ func (b *TCPBus) serveConn(conn net.Conn) {
 		}
 		b.mu.Unlock()
 	}()
+	var last sim.Time // dispatch time of this connection's previous frame
 	for {
 		conn.SetReadDeadline(time.Now().Add(b.cfg.Liveness))
 		typ, body, err := wire.ReadFrame(r)
@@ -450,7 +460,7 @@ func (b *TCPBus) serveConn(conn net.Conn) {
 			if m == nil {
 				continue // misrouted; drop
 			}
-			b.dispatchInbound(peer, conn, []*Message{m})
+			b.dispatchInbound(peer, conn, []*Message{m}, &last)
 		case wire.TypeBatch:
 			wms, err := wire.ParseBatch(body)
 			if err != nil {
@@ -470,7 +480,7 @@ func (b *TCPBus) serveConn(conn net.Conn) {
 			if len(ms) == 0 {
 				continue
 			}
-			b.dispatchInbound(peer, conn, ms)
+			b.dispatchInbound(peer, conn, ms, &last)
 		default:
 			return
 		}
@@ -507,29 +517,18 @@ func (b *TCPBus) inboundMessage(wm wire.Msg) (*Message, bool) {
 
 // dispatchInbound hands one read batch to the scheduler as ONE event so
 // handlers serialize with every other runtime callback. Per-(link,
-// class) FIFO holds because one connection's reader schedules in read
-// order, the scheduler dispatches same-time events in insertion order,
-// a batch event delivers its entries in order, and a frame from a
-// superseded connection is dropped at dispatch rather than delivered
-// behind its replacement's. Before scheduling, a coalesced evidence
-// batch is handed to the pre-verifier on this reader goroutine: the
-// bulk crypto runs concurrently with the executor and primes the verify
-// memo, so by dispatch time the handler's signature checks are hits.
-func (b *TCPBus) dispatchInbound(peer NodeID, conn net.Conn, ms []*Message) {
-	if len(ms) > 1 {
-		if pv := b.preVerifier(); pv != nil {
-			ev := make([]*Message, 0, len(ms))
-			for _, m := range ms {
-				if m.Class == ClassEvidence {
-					ev = append(ev, m)
-				}
-			}
-			if len(ev) > 1 {
-				pv(ev)
-			}
-		}
-	}
-	b.sched.At(b.sched.Now(), func() {
+// class) FIFO holds because one connection's reader schedules at
+// non-decreasing times (*last clamps them: a wall scheduler's Now reads
+// the executor's logical cursor while a callback dispatches, which can
+// lie behind the wall time the previous frame was scheduled at), the
+// scheduler dispatches same-time events in insertion order, a batch
+// event delivers its entries in order, and a frame from a superseded
+// connection is dropped at dispatch rather than delivered behind its
+// replacement's. No payload is inspected here: signature checks happen
+// only in the handler, after its per-neighbor budget.
+func (b *TCPBus) dispatchInbound(peer NodeID, conn net.Conn, ms []*Message, last *sim.Time) {
+	*last = max(*last, b.sched.Now())
+	b.sched.At(*last, func() {
 		if b.staleInbound(peer, conn) {
 			for _, m := range ms {
 				b.countDropped(m.Class)
@@ -606,20 +605,6 @@ func (b *TCPBus) filterFor(id NodeID) ForwardFilter {
 	return b.filters[id]
 }
 
-// SetPreVerifier installs pv (nil uninstalls). Safe from any goroutine;
-// readers pick the change up on their next batch.
-func (b *TCPBus) SetPreVerifier(pv PreVerifier) {
-	b.stateMu.Lock()
-	b.pv = pv
-	b.stateMu.Unlock()
-}
-
-func (b *TCPBus) preVerifier() PreVerifier {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.pv
-}
-
 // SetWiring replaces the active wiring: supervisors for links self lost
 // are torn down (connections closed, goroutines exit), supervisors for
 // new adjacencies are spun up and start dialing. Safe from any
@@ -657,6 +642,13 @@ func (b *TCPBus) SetWiring(t *Topology) {
 // peer in userspace: existing connections both ways are closed, inbound
 // Hellos from peer are rejected, and the outgoing supervisor idles until
 // healed. Safe from any goroutine.
+//
+// The refusal is one-sided: it does not stop peer's own supervisor,
+// which keeps redialing self every DialMin. The peer's dial and Hello
+// write succeed before self's reader rejects the Hello, so on the
+// peer's side each accepted dial counts as connected (ConnectedCount,
+// Reconnects) until the refusal closes it and a write fails. A clean
+// partition refuses on both ends.
 func (b *TCPBus) SetPeerRefused(peer NodeID, refused bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -860,7 +852,7 @@ func (b *TCPBus) transmit(m *Message) bool {
 //     shared ceiling it first evicts the OLDEST queued foreground
 //     message, and only when the entire budget is evidence does it evict
 //     the oldest evidence (drop-oldest: the freshest records are the
-//     ones conviction and batch verification want).
+//     ones conviction wants).
 //
 // Every shed is counted on the link (drops, shed) and, for evicted
 // victims, against the victim's own class in the transport stats; the

@@ -163,9 +163,12 @@ func TestTCPBusReconnectsAfterSever(t *testing.T) {
 	send("before")
 	waitFor("before")
 
-	// Partition at the receiver: it closes inbound conns and refuses new
-	// ones, so node 0's supervisor enters its redial loop.
+	// Partition both ends. Refusing at the receiver alone is not enough:
+	// node 0's supervisor would keep redialing, and each accepted dial
+	// counts as connected until node 1 rejects the Hello (see
+	// SetPeerRefused), so ConnectedCount would flicker above zero.
 	buses[1].SetPeerRefused(0, true)
+	buses[0].SetPeerRefused(1, true)
 	deadline := time.Now().Add(5 * time.Second)
 	for buses[0].ConnectedCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -175,6 +178,7 @@ func TestTCPBusReconnectsAfterSever(t *testing.T) {
 	}
 
 	buses[1].SetPeerRefused(0, false)
+	buses[0].SetPeerRefused(1, false)
 	deadline = time.Now().Add(10 * time.Second)
 	for buses[0].ConnectedCount() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -57,7 +57,10 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 		return // isolate convicted nodes: no further verification work
 	}
 	// Rate limit per neighbor per period: bounded verification work no
-	// matter how hard a neighbor floods.
+	// matter how hard a neighbor floods. This is the only place evidence
+	// signatures are checked on every transport (no transport verifies
+	// ahead of it), so the bound holds on Network, Bus, and TCPBus alike;
+	// TestFloodVerificationBudgetedOnBus pins it live.
 	n.evBudget[m.From]++
 	if n.evBudget[m.From] > n.cfg.EvidenceRateLimit {
 		n.EvidenceDropped++

@@ -162,50 +162,10 @@ func New(cfg Config) *System {
 		nd.sys = s
 		cfg.Net.Handle(nd.id, nd.onMessage)
 	}
-	// Live transports that coalesce inbound traffic (Bus lanes, TCPBus
-	// batch frames) expose a pre-verifier seam; wire the batched
-	// signature verifier into it so flood bursts are bulk-verified off
-	// the executor. The simulated Network has no such seam — its
-	// deterministic schedules are untouched.
-	if t, ok := cfg.Net.(interface{ SetPreVerifier(network.PreVerifier) }); ok {
-		t.SetPreVerifier(batchPreVerifier(cfg.Registry))
-	}
 	if cfg.Epochs != nil {
 		s.initEpochs()
 	}
 	return s
-}
-
-// batchPreVerifier adapts the registry's batched cofactored verification
-// to the transport PreVerifier seam: it decodes the endorsement envelope
-// of every evidence-flood message in a coalesced inbound batch and runs
-// them through Registry.CheckBatch on the transport's own goroutine.
-// The point is purely to PRIME the shared verify memo concurrently with
-// the executor — by the time the handler re-checks each envelope
-// (distributor endorsement validation), the signature is a memo hit.
-// Verdicts are deliberately ignored here: a batch containing bogus
-// signatures falls back to per-envelope memoized verification inside
-// CheckBatch, and the handler path remains the sole authority on
-// accept/convict decisions. Registry.CheckBatch is safe for concurrent
-// use (sharded memo locks, atomic per-signer tables), which this seam
-// requires.
-func batchPreVerifier(reg *sig.Registry) network.PreVerifier {
-	return func(ms []*network.Message) {
-		envs := make([]sig.Envelope, 0, len(ms))
-		for _, m := range ms {
-			if len(m.Payload) < 2 || m.Payload[0] != msgEvidence {
-				continue
-			}
-			env, err := sig.DecodeEnvelope(m.Payload[1:])
-			if err != nil {
-				continue
-			}
-			envs = append(envs, env)
-		}
-		if len(envs) >= 2 {
-			reg.CheckBatch(envs)
-		}
-	}
 }
 
 // Node returns the runtime for node id.

@@ -57,54 +57,3 @@ func MeasureVerifySpeedup(msgs int) (cachedNsOp, uncachedNsOp float64) {
 	})
 	return cachedNsOp, uncachedNsOp
 }
-
-// MeasureBatchSpeedup times the cofactored batch equation against the
-// sequential per-signature sweep over a batch of first-sight envelopes
-// (distinct signers and bodies — the memo cannot help either path),
-// returning the best-of-3 ns/op for each. The ratio
-// sequentialNsOp/batchNsOp is the batch-verify speedup the v8
-// `saturation` bench section records and cmd/btrcheckbench gates
-// (acceptance floor: 2x at batch >= 16).
-func MeasureBatchSpeedup(batch int) (batchNsOp, sequentialNsOp float64) {
-	if batch <= 0 {
-		batch = 16
-	}
-	r := NewRegistry(0xfeed, batch)
-	r.UseMemos(nil, nil) // both paths measured cold, no memo interference
-	envs := make([]Envelope, batch)
-	idx := make([]int, batch)
-	for i := 0; i < batch; i++ {
-		envs[i] = r.Seal(network.NodeID(i), []byte(fmt.Sprintf("saturation batch record %d", i)))
-		idx[i] = i
-	}
-	// Warm the per-signer tables once: steady state is what the flood
-	// ingest path sees (tables are built once per registry, batches
-	// arrive every period).
-	if !r.batchVerifyCached(envs, idx) {
-		panic("sig: batch verify rejected a valid batch")
-	}
-	best := func(f func()) float64 {
-		b := 0.0
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			f()
-			if s := time.Since(start).Seconds(); b == 0 || s < b {
-				b = s
-			}
-		}
-		return b * 1e9 / float64(batch)
-	}
-	batchNsOp = best(func() {
-		if !r.batchVerifyCached(envs, idx) {
-			panic("sig: batch verify rejected a valid batch")
-		}
-	})
-	sequentialNsOp = best(func() {
-		for i := 0; i < batch; i++ {
-			if !r.VerifyUncached(network.NodeID(i), envs[i].Body, envs[i].Sig) {
-				panic("sig: sequential verify rejected a valid envelope")
-			}
-		}
-	})
-	return batchNsOp, sequentialNsOp
-}

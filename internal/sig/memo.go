@@ -116,45 +116,6 @@ func (m *VerifyMemo) Stats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
 
-// makeVerifyKey builds the full-triple memo key for (pub, msg, sig).
-// Callers must have length-checked pub and sig.
-func makeVerifyKey(pub ed25519.PublicKey, msg, sig []byte) verifyKey {
-	var k verifyKey
-	copy(k.pub[:], pub)
-	k.dig = sha256.Sum256(msg)
-	copy(k.sig[:], sig)
-	return k
-}
-
-// lookup reports whether the triple is already cached, without verifying
-// on a miss. The batch path (batch.go) uses it to split a batch into
-// memo hits and the miss set one batch equation covers.
-func (m *VerifyMemo) lookup(k verifyKey) bool {
-	sh := &m.shards[k.dig[0]&memoShardMask]
-	sh.mu.RLock()
-	_, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return ok
-}
-
-// insert records a triple that verified outside the memo (as part of a
-// successful batch equation). The positive-entries-only rule carries
-// over: only accepted triples are ever inserted.
-func (m *VerifyMemo) insert(k verifyKey) {
-	sh := &m.shards[k.dig[0]&memoShardMask]
-	sh.mu.Lock()
-	if len(sh.m) >= verifyShardCap {
-		clear(sh.m)
-	}
-	sh.m[k] = struct{}{}
-	sh.mu.Unlock()
-}
-
 // sealKey identifies a deterministic seal: signer public key, payload
 // prefix byte, and message digest.
 type sealKey struct {

@@ -2,6 +2,8 @@ package sig
 
 import (
 	"crypto/ed25519"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -221,6 +223,171 @@ func TestCheckBatch(t *testing.T) {
 	if i, ok := r.CheckBatch(nil); !ok || i != -1 {
 		t.Fatalf("empty batch: got (i=%d ok=%v)", i, ok)
 	}
+}
+
+const batchTestNodes = 8
+
+// batchTestRegistry returns a registry with an isolated verify memo, so
+// hit counts are not disturbed by other tests sharing the process memo.
+func batchTestRegistry() *Registry {
+	r := NewRegistry(0xba7c4, batchTestNodes)
+	r.UseMemos(NewVerifyMemo(), nil)
+	return r
+}
+
+func validBatch(r *Registry, n int, tag string) []Envelope {
+	envs := make([]Envelope, n)
+	for i := range envs {
+		envs[i] = r.Seal(network.NodeID(i%batchTestNodes), []byte(fmt.Sprintf("%s record %d", tag, i)))
+	}
+	return envs
+}
+
+// corruptBatch applies one adversarial corruption class — flipped
+// signature bit, wrong (real) signer, truncated message, truncated
+// signature — to envelope i of a valid batch.
+func corruptBatch(envs []Envelope, i int, class uint8, bit uint16) {
+	e := &envs[i]
+	switch class % 4 {
+	case 0:
+		if len(e.Sig) > 0 {
+			s := append([]byte(nil), e.Sig...)
+			s[int(bit)%len(s)] ^= 1 << (bit % 8)
+			e.Sig = s
+		}
+	case 1:
+		e.Signer = (e.Signer + 1 + network.NodeID(bit)%(batchTestNodes-1)) % batchTestNodes
+	case 2:
+		if len(e.Body) > 0 {
+			e.Body = e.Body[:int(bit)%len(e.Body)]
+		}
+	case 3:
+		if len(e.Sig) > 0 {
+			e.Sig = e.Sig[:int(bit)%len(e.Sig)]
+		}
+	}
+}
+
+// TestQuickBatchEquivalentToSequential is the differential property: on
+// randomly corrupted batches, the memoized CheckBatch returns the same
+// (index, ok) as an uncached per-envelope crypto/ed25519 sweep, and
+// re-running it against the memo it just primed does not change the
+// verdict.
+func TestQuickBatchEquivalentToSequential(t *testing.T) {
+	property := func(n uint8, corrupt []uint32) bool {
+		size := 1 + int(n)%48
+		r := batchTestRegistry()
+		envs := validBatch(r, size, "quick")
+		for _, c := range corrupt {
+			corruptBatch(envs, int(c>>16)%size, uint8(c>>8), uint16(c))
+		}
+		want := -1
+		for i, e := range envs {
+			if !r.VerifyUncached(e.Signer, e.Body, e.Sig) {
+				want = i
+				break
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			if i, ok := r.CheckBatch(envs); i != want || ok != (want < 0) {
+				t.Logf("size=%d corrupt=%v pass=%d: CheckBatch=(%d,%v), uncached first failure %d",
+					size, corrupt, pass, i, ok, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckBatchPrimesMemo: a batch sweep leaves every accepted envelope
+// in the memo, so the handler's later per-envelope Check calls hit.
+func TestCheckBatchPrimesMemo(t *testing.T) {
+	r := batchTestRegistry()
+	envs := validBatch(r, 24, "prime")
+	if i, ok := r.CheckBatch(envs); !ok {
+		t.Fatalf("CheckBatch rejected valid batch at %d", i)
+	}
+	hits0, _ := r.memo.Stats()
+	for _, e := range envs {
+		if !r.Check(e) {
+			t.Fatalf("memoized Check rejected an envelope CheckBatch accepted")
+		}
+	}
+	hits, _ := r.memo.Stats()
+	if hits-hits0 != uint64(len(envs)) {
+		t.Fatalf("CheckBatch did not prime the memo: %d hits for %d envelopes", hits-hits0, len(envs))
+	}
+}
+
+func TestCheckBatchLocatesFirstCulprit(t *testing.T) {
+	r := batchTestRegistry()
+	envs := validBatch(r, 24, "culprit")
+	for _, idx := range []int{0, 11, 23} {
+		bad := make([]Envelope, len(envs))
+		copy(bad, envs)
+		s := append([]byte(nil), bad[idx].Sig...)
+		s[0] ^= 1
+		bad[idx].Sig = s
+		if i, ok := r.CheckBatch(bad); ok || i != idx {
+			t.Fatalf("CheckBatch(bad@%d) = (%d, %v), want (%d, false)", idx, i, ok, idx)
+		}
+	}
+}
+
+func TestCheckBatchOutOfRangeSigner(t *testing.T) {
+	r := batchTestRegistry()
+	envs := validBatch(r, 8, "range")
+	envs[5].Signer = batchTestNodes + 3
+	if i, ok := r.CheckBatch(envs); ok || i != 5 {
+		t.Fatalf("CheckBatch with out-of-range signer = (%d, %v), want (5, false)", i, ok)
+	}
+}
+
+// TestConcurrentBatchIngest is the -race stress: many goroutines sweeping
+// overlapping envelope sets, valid and poisoned, against one shared memo,
+// mixed with per-envelope Check calls.
+func TestConcurrentBatchIngest(t *testing.T) {
+	r := batchTestRegistry()
+	envs := validBatch(r, 64, "stress")
+	poison := make([]Envelope, len(envs))
+	copy(poison, envs)
+	s := append([]byte(nil), poison[31].Sig...)
+	s[10] ^= 4
+	poison[31].Sig = s
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for it := 0; it < 30; it++ {
+				lo := rng.Intn(32)
+				hi := lo + 8 + rng.Intn(24)
+				if i, ok := r.CheckBatch(envs[lo:hi]); !ok {
+					t.Errorf("goroutine %d: valid slice [%d:%d) rejected at %d", g, lo, hi, i)
+					return
+				}
+				if i, ok := r.CheckBatch(poison[lo:hi]); 31 >= lo && 31 < hi {
+					if ok || i != 31-lo {
+						t.Errorf("goroutine %d: poisoned slice [%d:%d) = (%d,%v)", g, lo, hi, i, ok)
+						return
+					}
+				} else if !ok {
+					t.Errorf("goroutine %d: clean poison slice [%d:%d) rejected at %d", g, lo, hi, i)
+					return
+				}
+				if !r.Check(envs[rng.Intn(len(envs))]) {
+					t.Errorf("goroutine %d: concurrent Check rejected valid envelope", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSetMemos: registries built while memos are disabled run uncached

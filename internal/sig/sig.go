@@ -13,6 +13,13 @@
 // to make Verify a memoized pure function (see memo.go for the soundness
 // argument: positive-only entries keyed by the full signer/digest/signature
 // triple).
+//
+// There is one verification path, Check (and CheckBatch, its in-order
+// sweep), and it accepts exactly what crypto/ed25519 accepts. No
+// transport verifies anything: every signature check runs in the
+// runtime's handlers, after the per-neighbor evidence rate limit, so
+// verification work per (neighbor, period) is bounded on the simulated
+// Network, Bus, and TCPBus alike.
 package sig
 
 import (
@@ -20,10 +27,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"btr/internal/network"
-	edwards "btr/internal/sig/edwards25519"
 	"btr/internal/sim"
 )
 
@@ -57,11 +62,6 @@ type Registry struct {
 	// controls node keys of compromised nodes, never the operator key.
 	opPriv ed25519.PrivateKey
 	opPub  ed25519.PublicKey
-	// btabs lazily caches each node key's decompressed point as a
-	// precomputed NAF table for the batch-verification equation
-	// (batch.go). Built at most once per node per registry; a racing
-	// double build is harmless (both results are identical).
-	btabs []atomic.Pointer[edwards.AffineNafTable]
 }
 
 // NewRegistry creates keypairs for nodes 0..n-1, derived from seed.
@@ -69,7 +69,6 @@ func NewRegistry(seed uint64, n int) *Registry {
 	r := &Registry{
 		privs: make([]ed25519.PrivateKey, n),
 		pubs:  make([]ed25519.PublicKey, n),
-		btabs: make([]atomic.Pointer[edwards.AffineNafTable], n),
 		Costs: DefaultCosts(),
 	}
 	if memosEnabled.Load() {
@@ -174,6 +173,19 @@ func (r *Registry) Seal(signer network.NodeID, body []byte) Envelope {
 // Check verifies the envelope's signature.
 func (r *Registry) Check(e Envelope) bool {
 	return r.Verify(e.Signer, e.Body, e.Sig)
+}
+
+// CheckBatch verifies envelopes in order through the memoized Check,
+// stopping at the first failure. It returns (-1, true) when every
+// envelope verifies, or (i, false) for the first one that does not.
+// Acceptance is exactly crypto/ed25519's, envelope by envelope.
+func (r *Registry) CheckBatch(envs []Envelope) (int, bool) {
+	for i := range envs {
+		if !r.Check(envs[i]) {
+			return i, false
+		}
+	}
+	return -1, true
 }
 
 // SealedPayload returns prefix || Seal(signer, body).Encode() — the framed
