@@ -87,10 +87,8 @@ import (
 	"strings"
 	"time"
 
-	"btr/internal/adversary"
 	"btr/internal/cliflag"
 	"btr/internal/evidence"
-	"btr/internal/flow"
 	"btr/internal/live"
 	"btr/internal/member"
 	"btr/internal/network"
@@ -98,17 +96,6 @@ import (
 	"btr/internal/prof"
 	"btr/internal/sim"
 )
-
-// buildTopology and buildFault delegate to the shared live-package
-// builders so the orchestrator, node processes, and this CLI agree on
-// the deployment shape by construction.
-func buildTopology(kind string, nodes int) (*network.Topology, error) {
-	return live.BuildTopology(kind, nodes)
-}
-
-func buildFault(kind string, victim network.NodeID, sink flow.TaskID, at sim.Time) (adversary.Attack, bool, error) {
-	return live.BuildAttack(kind, victim, sink, at)
-}
 
 // churnEvent is one scripted reconfiguration.
 type churnEvent struct {
@@ -390,7 +377,7 @@ func runNode(fs *flag.FlagSet, nodeID int, peers, topoKind string, nodes, f int,
 		if err := cliflag.OneOf("fault", faultKind, live.FaultKinds); err != nil {
 			return fail(err)
 		}
-		// ProcTopology, not buildTopology: the victim must be computed from
+		// ProcTopology, not BuildTopology: the victim must be computed from
 		// the same strategy every node process plans with.
 		topo, err := live.ProcTopology(topoKind, nodes)
 		if err != nil {
@@ -561,7 +548,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 		return 2
 	}
 
-	topo, err := buildTopology(topoKind, nodes)
+	topo, err := live.BuildTopology(topoKind, nodes)
 	if err != nil {
 		return fail(err)
 	}
@@ -638,7 +625,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	sink := cfg.Workload.Sinks()[0]
 	victim := live.FirstSinkNode(d)
 	at := sim.Time(atPeriod) * p
-	attack, injected, err := buildFault(faultKind, victim, sink, at)
+	attack, injected, err := live.BuildAttack(faultKind, victim, sink, at)
 	if err != nil {
 		return fail(err)
 	}

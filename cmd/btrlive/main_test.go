@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"btr/internal/live"
 	"btr/internal/network"
 )
 
@@ -33,10 +34,10 @@ func TestFailingRunStillWritesProfile(t *testing.T) {
 }
 
 func TestBuildTopologyListsValidChoices(t *testing.T) {
-	if _, err := buildTopology("full-mesh", 6); err != nil {
+	if _, err := live.BuildTopology("full-mesh", 6); err != nil {
 		t.Fatalf("valid topo rejected: %v", err)
 	}
-	_, err := buildTopology("mesh", 6)
+	_, err := live.BuildTopology("mesh", 6)
 	if err == nil {
 		t.Fatal("unknown -topo silently accepted")
 	}
@@ -48,13 +49,13 @@ func TestBuildTopologyListsValidChoices(t *testing.T) {
 }
 
 func TestBuildFaultListsValidChoices(t *testing.T) {
-	if _, injected, err := buildFault("crash", 0, "c2", 100); err != nil || !injected {
+	if _, injected, err := live.BuildAttack("crash", 0, "c2", 100); err != nil || !injected {
 		t.Fatalf("valid fault rejected: %v", err)
 	}
-	if _, injected, err := buildFault("none", 0, "c2", 100); err != nil || injected {
+	if _, injected, err := live.BuildAttack("none", 0, "c2", 100); err != nil || injected {
 		t.Fatalf("none fault mishandled: %v injected=%v", err, injected)
 	}
-	_, _, err := buildFault("corupt-all", 0, "c2", 100)
+	_, _, err := live.BuildAttack("corupt-all", 0, "c2", 100)
 	if err == nil {
 		t.Fatal("unknown -fault silently accepted")
 	}

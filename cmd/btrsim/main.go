@@ -66,7 +66,7 @@ func main() {
 	case "corrupt":
 		adversary.CorruptTask(base.Assign[plan.ReplicaID(midTask, 0)], midTask, at).Install(sys)
 	case "corrupt-sink":
-		adversary.CorruptTask(firstSinkNode(sys, sinkTask), sinkTask, at).Install(sys)
+		adversary.CorruptTask(base.FirstSinkHost(sinkTask), sinkTask, at).Install(sys)
 	case "omit":
 		adversary.Omit(base.Assign[plan.ReplicaID(midTask, 0)], midTask, at).Install(sys)
 	case "timing":
@@ -173,22 +173,4 @@ func pipelineTargets(g *flow.Graph) (mid, sink flow.TaskID) {
 		}
 	}
 	return sink, sink
-}
-
-func firstSinkNode(sys *core.System, sink flow.TaskID) network.NodeID {
-	base := sys.Strategy.Plans[""]
-	bestNode := network.NodeID(-1)
-	var bestFinish sim.Time
-	for _, id := range base.Aug.TaskIDs() {
-		logical, _ := plan.SplitReplica(id)
-		if logical != sink {
-			continue
-		}
-		fin := base.Table.Finish[id]
-		node := base.Assign[id]
-		if bestNode == -1 || fin < bestFinish || (fin == bestFinish && node < bestNode) {
-			bestNode, bestFinish = node, fin
-		}
-	}
-	return bestNode
 }

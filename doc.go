@@ -51,9 +51,9 @@
 // Start with README.md, the runnable examples under examples/, or the
 // experiment harness:
 //
-//	go run ./cmd/btrbench        # regenerate every experiment table
-//	go run ./examples/quickstart # smallest complete deployment
-//	go run ./cmd/btrlive         # live wall-clock deployment + fault injection
+//	go run ./cmd/btrcampaign -family paper # regenerate every experiment table
+//	go run ./examples/quickstart           # smallest complete deployment
+//	go run ./cmd/btrlive                   # live wall-clock deployment + fault injection
 //
 // The library surface lives under internal/ (this is a research
 // reproduction, not a stable API); cmd/ and examples/ show every intended

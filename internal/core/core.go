@@ -1,13 +1,18 @@
 // Package core assembles a complete BTR deployment — workload, topology,
 // offline strategy, per-node runtimes, and the correctness monitor — and
-// turns simulation runs into Reports.
+// turns runs into Reports.
+//
+// Assemble is the one deployment builder: it is parameterised by the
+// executor (sim.Scheduler + network.Transport), so the discrete-event
+// simulator (NewSystem) and the wall-clock live mode (internal/live) build,
+// inject, and judge a deployment through the very same code.
 //
 // The monitor operationalizes Definition 3.1: the system's outputs (first
 // actuation command per logical sink per period) are compared against an
 // oracle ("the outputs of a system in which all nodes are correct") and
-// checked against their deadlines; the resulting per-sink correctness
-// timelines yield measured recovery intervals that experiments compare
-// with the strategy's provable bound R.
+// checked against their deadlines by a Plant; the resulting per-sink
+// correctness timelines yield measured recovery intervals that experiments
+// compare with the strategy's provable bound R.
 package core
 
 import (
@@ -59,7 +64,7 @@ type Config struct {
 	Source  runtime.SourceFunc
 	Oracle  Oracle
 
-	// Horizon is the number of periods to simulate.
+	// Horizon is the number of periods to run.
 	Horizon uint64
 
 	// EvidenceRateLimit forwards to the runtime (0 = default).
@@ -75,13 +80,16 @@ type Config struct {
 	// plant subscribes here; it should apply first-command-per-period
 	// semantics itself, as plant.Loop.Apply does).
 	OnActuation runtime.ActuationFunc
+	// OnEvidence and OnSwitch, if set, observe evidence acceptance and
+	// mode switches (for streaming progress; report counters are kept
+	// either way).
+	OnEvidence runtime.EvidenceFunc
+	OnSwitch   runtime.SwitchFunc
 }
 
-// System is an assembled deployment ready to run.
-type System struct {
+// Deployment is an assembled deployment on some executor, ready to start.
+type Deployment struct {
 	Cfg      Config
-	Kernel   *sim.Kernel
-	Net      *network.Network
 	Registry *sig.Registry
 	Strategy *plan.Strategy
 	Runtime  *runtime.System
@@ -93,8 +101,9 @@ type System struct {
 	// unless Config.Members was set).
 	MemberPlanner *member.Planner
 
-	oracle Oracle
-	report *Report
+	sched sim.Scheduler
+	net   network.Transport
+	plant *Plant
 
 	// Degradation tracking (high-fault-rate regime): which reporters have
 	// an open over-budget declaration, and when the current globally
@@ -103,6 +112,14 @@ type System struct {
 	// so first observations arrive in emission order.
 	degradedBy map[network.NodeID]bool
 	degradedAt sim.Time
+}
+
+// System is a deployment on the discrete-event kernel and simulated
+// network.
+type System struct {
+	*Deployment
+	Kernel *sim.Kernel
+	Net    *network.Network
 }
 
 // Report aggregates everything a run measured.
@@ -140,7 +157,7 @@ type Report struct {
 }
 
 // EpochRow is one membership epoch's lifecycle measurements (recorded
-// by the runtime operator; shared with the live report layer).
+// by the runtime operator).
 type EpochRow = runtime.EpochRow
 
 // RBoundFor returns the recovery bound to hold a fault at time t
@@ -156,88 +173,63 @@ func (r *Report) MaxEpochR() sim.Time {
 	return runtime.EpochMaxR(r.RNeeded, r.Epochs)
 }
 
-// NewSystem validates the config, runs the offline planner, and wires the
-// runtime. It does not start the clock; install faults, then call Run.
-func NewSystem(cfg Config) (*System, error) {
+// Assemble validates the config, runs the offline planner, builds the
+// executor with exec, and wires the runtime and the plant's per-period
+// deadline checks onto it. Nothing moves until the caller starts the
+// runtime and the executor.
+func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) (*Deployment, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 40
 	}
 	if cfg.Net.EvidenceShare == 0 && cfg.Net.LossProb == 0 {
 		cfg.Net = network.DefaultConfig()
 	}
-	var strategy *plan.Strategy
+	d := &Deployment{Cfg: cfg, degradedBy: map[network.NodeID]bool{}}
 	var planner runtime.PlanSource
-	var eng *cache.Engine
-	var mplanner *member.Planner
 	var epochCfg *runtime.EpochConfig
+	var err error
 	switch {
 	case cfg.Members != nil:
 		// Membership epochs: all planning goes through the epoch planner
 		// (which shares PlanCache when provided).
-		mplanner = member.NewPlanner(cfg.Workload, cfg.PlanOpts, cfg.PlanCache)
+		d.MemberPlanner = member.NewPlanner(cfg.Workload, cfg.PlanOpts, cfg.PlanCache)
 		genesis := member.Genesis(cfg.Members)
 		glog, err := member.NewLog(cfg.Topology, genesis)
 		if err != nil {
 			return nil, fmt.Errorf("core: invalid initial membership: %w", err)
 		}
-		ep0, err := mplanner.ForEpoch(genesis, glog.Wiring())
+		ep0, err := d.MemberPlanner.ForEpoch(genesis, glog.Wiring())
 		if err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
-		strategy = ep0.Strategy
-		planner = ep0.Resolve
-		epochCfg = &runtime.EpochConfig{Genesis: genesis, Resolve: runtime.PlannerResolve(mplanner)}
+		d.Strategy, planner = ep0.Strategy, ep0.Resolve
+		epochCfg = &runtime.EpochConfig{Genesis: genesis, Resolve: runtime.PlannerResolve(d.MemberPlanner)}
 	case cfg.PlanCache != nil:
-		eng = cache.NewEngine(cfg.Workload, cfg.Topology, cfg.PlanOpts, cfg.PlanCache)
-		s, err := eng.BuildStrategy()
-		if err != nil {
+		d.PlanEngine = cache.NewEngine(cfg.Workload, cfg.Topology, cfg.PlanOpts, cfg.PlanCache)
+		if d.Strategy, err = d.PlanEngine.BuildStrategy(); err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
-		strategy = s
-		planner = eng.Resolve
+		planner = d.PlanEngine.Resolve
 	default:
-		s, err := plan.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts)
-		if err != nil {
+		if d.Strategy, err = plan.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts); err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
-		strategy = s
 	}
-	k := sim.NewKernel(cfg.Seed)
-	nw := network.New(k, cfg.Topology, cfg.Net)
-	reg := sig.NewRegistry(cfg.Seed, cfg.Topology.N)
+	d.sched, d.net = exec(cfg)
+	d.Registry = sig.NewRegistry(cfg.Seed, cfg.Topology.N)
 
-	s := &System{
-		Cfg: cfg, Kernel: k, Net: nw, Registry: reg, Strategy: strategy,
-		PlanEngine: eng, MemberPlanner: mplanner,
-		degradedBy: map[network.NodeID]bool{},
-	}
 	source := cfg.Source
 	if source == nil {
 		source = evidence.SourceValue
 	}
-	s.oracle = cfg.Oracle
-	if s.oracle == nil {
-		s.oracle = HashOracle(cfg.Workload, source)
+	oracle := cfg.Oracle
+	if oracle == nil {
+		oracle = HashOracle(cfg.Workload, source)
 	}
-	rep := &Report{
-		Horizon:         sim.Time(cfg.Horizon) * cfg.Workload.Period,
-		Period:          cfg.Workload.Period,
-		PerSink:         map[flow.TaskID]*metrics.Timeline{},
-		SinkCrit:        map[flow.TaskID]flow.Criticality{},
-		EvidenceByKind:  map[evidence.Kind]int{},
-		FirstEvidenceAt: sim.Never,
-		RNeeded:         strategy.RNeeded,
-	}
-	for _, sk := range cfg.Workload.Sinks() {
-		rep.PerSink[sk] = metrics.NewTimeline(0, true)
-		rep.SinkCrit[sk] = cfg.Workload.Tasks[sk].Crit
-	}
-	s.report = rep
-
-	first := map[string]bool{} // first actuation per (sink, period)
-	got := map[string][]byte{}
-	s.Runtime = runtime.New(runtime.Config{
-		Kernel: k, Net: nw, Registry: reg, Strategy: strategy, Planner: planner, Epochs: epochCfg,
+	d.plant = NewPlant(cfg.Workload, cfg.Horizon, d.Strategy.RNeeded, oracle)
+	rep := d.plant.Report()
+	d.Runtime = runtime.New(runtime.Config{
+		Kernel: d.sched, Net: d.net, Registry: d.Registry, Strategy: d.Strategy, Planner: planner, Epochs: epochCfg,
 		Compute: cfg.Compute, Source: source,
 		EvidenceRateLimit: cfg.EvidenceRateLimit,
 		ForgiveAfter:      cfg.ForgiveAfter,
@@ -246,111 +238,131 @@ func NewSystem(cfg Config) (*System, error) {
 			if cfg.OnActuation != nil {
 				cfg.OnActuation(node, sink, period, value, at)
 			}
-			key := fmt.Sprintf("%s|%d", sink, period)
-			if first[key] {
-				return // the plant acts on the first command only
-			}
-			first[key] = true
-			got[key] = append([]byte(nil), value...)
+			d.plant.Actuate(sink, period, value, at)
 		},
 		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			rep.EvidenceByKind[ev.Kind]++
-			if at < rep.FirstEvidenceAt {
-				rep.FirstEvidenceAt = at
-			}
-			// Degradation windows open on the first over-budget
-			// observation from a reporter and close when every open
-			// declaration has been matched by a reconciled one.
-			switch ev.Kind {
-			case evidence.KindOverBudget:
-				if !s.degradedBy[ev.Reporter] {
-					if len(s.degradedBy) == 0 {
-						s.degradedAt = at
-					}
-					s.degradedBy[ev.Reporter] = true
-				}
-			case evidence.KindReconciled:
-				if s.degradedBy[ev.Reporter] {
-					delete(s.degradedBy, ev.Reporter)
-					if len(s.degradedBy) == 0 {
-						rep.Degraded = append(rep.Degraded, metrics.Interval{Start: s.degradedAt, End: at})
-					}
-				}
+			d.observeEvidence(ev, at)
+			if cfg.OnEvidence != nil {
+				cfg.OnEvidence(node, ev, at)
 			}
 		},
 		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) {
 			rep.SwitchTimes = append(rep.SwitchTimes, at)
+			if cfg.OnSwitch != nil {
+				cfg.OnSwitch(node, from, to, at)
+			}
 		},
 	})
 
-	// Schedule the per-period deadline checks for every sink.
+	// Schedule the per-period deadline checks for every sink, on the same
+	// executor as everything else so they serialize with actuations;
+	// presence at the deadline event is the cutoff.
 	period := cfg.Workload.Period
 	for p := uint64(0); p < cfg.Horizon; p++ {
 		p := p
 		for _, sk := range cfg.Workload.Sinks() {
 			sk := sk
 			deadline := sim.Time(p)*period + cfg.Workload.Tasks[sk].Deadline
-			k.At(deadline, func() {
-				key := fmt.Sprintf("%s|%d", sk, p)
-				v, present := got[key]
-				ok := present && string(v) == string(s.oracle(sk, p))
-				if !present {
-					rep.MissedPeriods++
-				} else if !ok {
-					rep.WrongValues++
-				}
-				rep.PerSink[sk].Set(deadline, ok)
-			})
+			d.sched.At(deadline, func() { d.plant.Judge(sk, p, deadline, sim.Never) })
 		}
 	}
+	return d, nil
+}
+
+// observeEvidence counts one accepted evidence observation and tracks
+// the degradation windows: a window opens on the first over-budget
+// observation from a reporter and closes when every open declaration has
+// been matched by a reconciled one.
+func (d *Deployment) observeEvidence(ev evidence.Evidence, at sim.Time) {
+	rep := d.plant.rep
+	rep.EvidenceByKind[ev.Kind]++
+	if at < rep.FirstEvidenceAt {
+		rep.FirstEvidenceAt = at
+	}
+	switch ev.Kind {
+	case evidence.KindOverBudget:
+		if !d.degradedBy[ev.Reporter] {
+			if len(d.degradedBy) == 0 {
+				d.degradedAt = at
+			}
+			d.degradedBy[ev.Reporter] = true
+		}
+	case evidence.KindReconciled:
+		if d.degradedBy[ev.Reporter] {
+			delete(d.degradedBy, ev.Reporter)
+			if len(d.degradedBy) == 0 {
+				rep.Degraded = append(rep.Degraded, metrics.Interval{Start: d.degradedAt, End: at})
+			}
+		}
+	}
+}
+
+// NewSystem assembles the deployment on a fresh simulation kernel and
+// simulated network. It does not start the clock; install faults, then
+// call Run.
+func NewSystem(cfg Config) (*System, error) {
+	s := &System{}
+	d, err := Assemble(cfg, func(cfg Config) (sim.Scheduler, network.Transport) {
+		s.Kernel = sim.NewKernel(cfg.Seed)
+		s.Net = network.New(s.Kernel, cfg.Topology, cfg.Net)
+		return s.Kernel, s.Net
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.Deployment = d
 	return s, nil
 }
 
 // InjectAt schedules a fault injection and records its time for recovery
 // attribution. The callback receives the runtime to install behaviors or
 // crashes.
-func (s *System) InjectAt(t sim.Time, f func(*runtime.System)) {
-	s.report.FaultTimes = append(s.report.FaultTimes, t)
-	s.Kernel.At(t, func() { f(s.Runtime) })
+func (d *Deployment) InjectAt(t sim.Time, f func(*runtime.System)) {
+	d.plant.rep.FaultTimes = append(d.plant.rep.FaultTimes, t)
+	d.sched.At(t, func() { f(d.Runtime) })
 }
 
 // Reconfigure schedules a membership reconfiguration (join / retire /
 // replace, with optional link delta) to be proposed at time t. Requires
 // Config.Members.
-func (s *System) Reconfigure(t sim.Time, d member.Delta) {
-	s.Runtime.ScheduleReconfig(t, d)
+func (d *Deployment) Reconfigure(t sim.Time, delta member.Delta) {
+	d.Runtime.ScheduleReconfig(t, delta)
+}
+
+// Finish completes the report once the executor has stopped: a degraded
+// window still open is closed at the horizon, and the transport counters
+// and epoch rows are filled in.
+func (d *Deployment) Finish() *Report {
+	rep := d.plant.rep
+	if len(d.degradedBy) > 0 {
+		// Still degraded at the horizon: close the window there so the
+		// unreconciled span is visible rather than dropped.
+		rep.Degraded = append(rep.Degraded, metrics.Interval{Start: d.degradedAt, End: rep.Horizon})
+		d.degradedBy = map[network.NodeID]bool{}
+	}
+	rep.NetStats = d.net.Snapshot()
+	if d.MemberPlanner != nil {
+		rep.EpochReplans = d.MemberPlanner.Replans()
+		rep.Epochs = d.Runtime.EpochRows()
+	}
+	return rep
 }
 
 // Run starts the runtime and simulates the configured horizon, returning
 // the report.
 func (s *System) Run() *Report {
 	s.Runtime.Start()
-	s.Kernel.Run(s.report.Horizon)
-	if len(s.degradedBy) > 0 {
-		// Still degraded at the horizon: close the window there so the
-		// unreconciled span is visible rather than dropped.
-		s.report.Degraded = append(s.report.Degraded, metrics.Interval{Start: s.degradedAt, End: s.report.Horizon})
-		s.degradedBy = map[network.NodeID]bool{}
-	}
-	s.report.NetStats = s.Net.Snapshot()
-	if s.MemberPlanner != nil {
-		s.report.EpochReplans = s.MemberPlanner.Replans()
-		s.report.Epochs = s.Runtime.EpochRows()
-	}
-	return s.report
+	s.Kernel.Run(s.plant.rep.Horizon)
+	return s.Finish()
 }
 
 // HashOracle builds the default oracle by recursively evaluating the base
 // dataflow graph on the (deterministic) environment samples.
 func HashOracle(g *flow.Graph, source runtime.SourceFunc) Oracle {
-	type key struct {
-		task   flow.TaskID
-		period uint64
-	}
-	memo := map[key][]byte{}
+	memo := map[taskPeriod][]byte{}
 	var eval func(task flow.TaskID, p uint64) []byte
 	eval = func(task flow.TaskID, p uint64) []byte {
-		k := key{task, p}
+		k := taskPeriod{task, p}
 		if v, ok := memo[k]; ok {
 			return v
 		}
@@ -419,6 +431,10 @@ func (r *Report) MaxRecovery(sinks ...flow.TaskID) sim.Time {
 	}
 	return max
 }
+
+// WithinBound reports whether every measured recovery met the strategy's
+// provable bound R.
+func (r *Report) WithinBound() bool { return r.MaxRecovery() <= r.RNeeded }
 
 // TotalBadTime sums incorrect-output time across the given sinks' merged
 // intervals.

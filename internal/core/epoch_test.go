@@ -129,7 +129,7 @@ func TestEpochRecoveryWithinBoundAcrossBoundary(t *testing.T) {
 	}
 	period := s.Cfg.Workload.Period
 	s.Reconfigure(6*period, member.Delta{Join: []network.NodeID{6}})
-	victim := firstSinkHost(s)
+	victim := s.Strategy.Plans[""].FirstSinkHost()
 	at := 8 * period // lands in the middle of the switch window
 	adversary.CorruptTask(victim, s.Cfg.Workload.Sinks()[0], at).Install(s)
 	rep := s.Run()
@@ -159,7 +159,7 @@ func TestEpochRetireConvictedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	period := s.Cfg.Workload.Period
-	victim := firstSinkHost(s)
+	victim := s.Strategy.Plans[""].FirstSinkHost()
 	adversary.CorruptEverything(victim, 5*period).Install(s)
 	// After conviction settles, replace the faulty node with slot 6.
 	s.Reconfigure(20*period, member.Delta{Join: []network.NodeID{6}, Retire: []network.NodeID{victim}})
@@ -177,24 +177,4 @@ func TestEpochRetireConvictedNode(t *testing.T) {
 			t.Errorf("bad output after churn repair: %v", iv)
 		}
 	}
-}
-
-// firstSinkHost mirrors exp.firstActuatingSinkNode for the chain's sink.
-func firstSinkHost(s *System) network.NodeID {
-	sink := s.Cfg.Workload.Sinks()[0]
-	base := s.Strategy.Plans[""]
-	best := network.NodeID(-1)
-	var bestFin sim.Time
-	for _, id := range base.Aug.TaskIDs() {
-		logical, _ := plan.SplitReplica(id)
-		if logical != sink {
-			continue
-		}
-		fin := base.Table.Finish[id]
-		node := base.Assign[id]
-		if best == -1 || fin < bestFin || (fin == bestFin && node < best) {
-			best, bestFin = node, fin
-		}
-	}
-	return best
 }

@@ -220,7 +220,7 @@ func runChurnCase(c c6Case, seed uint64, pc *cache.Cache) (C6Row, error) {
 	if err != nil {
 		return C6Row{}, err
 	}
-	victim := firstSinkHostOfPlan(ep1.Strategy.Plans[""], "c2")
+	victim := ep1.Strategy.Plans[""].FirstSinkHost("c2")
 
 	// The maintenance plan: join, fault, repair-by-
 	// retire, replace, then (budget free again) a crash.

@@ -196,7 +196,7 @@ func pickColluders(s *core.System, rng *sim.RNG, k int) []colluder {
 	// The first colluder is always the first-actuating sink replica's node
 	// — the only single victim whose corruption is externally visible (the
 	// E4 worst case); the rest are drawn uniformly.
-	visible := firstActuatingSinkNode(s, "c2")
+	visible := s.Strategy.Plans[""].FirstSinkHost("c2")
 	out := []colluder{{node: visible, logicals: byNode[visible]}}
 	for _, i := range rng.Perm(len(hosts)) {
 		if len(out) >= k {
@@ -279,7 +279,7 @@ func c2Topology() campaign.Scenario {
 							return c2Row{Sched: false, PlanErr: campaign.FirstLine(err.Error())}, nil
 						}
 						period := sys.Cfg.Workload.Period
-						victim := firstActuatingSinkNode(sys, "c2")
+						victim := sys.Strategy.Plans[""].FirstSinkHost("c2")
 						adversary.CorruptTask(victim, "c2", 5*period).Install(sys)
 						rep := sys.Run()
 						return c2Row{

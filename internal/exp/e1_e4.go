@@ -29,7 +29,7 @@ func e1Cases() []e1Case {
 			return adversary.CorruptTask(s.Strategy.Plans[""].Assign["c1#0"], "c1", at)
 		}},
 		{"commission (sink)", evidence.KindWrongOutput, func(s *core.System, at sim.Time) adversary.Attack {
-			return adversary.CorruptTask(firstActuatingSinkNode(s, "c2"), "c2", at)
+			return adversary.CorruptTask(s.Strategy.Plans[""].FirstSinkHost("c2"), "c2", at)
 		}},
 		{"omission", evidence.KindPathAccusation, func(s *core.System, at sim.Time) adversary.Attack {
 			return adversary.Omit(s.Strategy.Plans[""].Assign["c1#0"], "c1", at)
@@ -196,7 +196,7 @@ func pickVictims(s *core.System, k int) []network.NodeID {
 			out = append(out, n)
 		}
 	}
-	add(firstActuatingSinkNode(s, "c2"))
+	add(s.Strategy.Plans[""].FirstSinkHost("c2"))
 	for _, id := range base.Aug.TaskIDs() {
 		add(base.Assign[id])
 	}

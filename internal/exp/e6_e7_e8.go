@@ -272,7 +272,7 @@ type e8Case struct {
 func e8Cases(p campaign.Params) []e8Case {
 	cases := []e8Case{
 		{"commission (sink)", func(s *core.System, at sim.Time) adversary.Attack {
-			return adversary.CorruptTask(firstActuatingSinkNode(s, "c2"), "c2", at)
+			return adversary.CorruptTask(s.Strategy.Plans[""].FirstSinkHost("c2"), "c2", at)
 		}},
 		{"omission", func(s *core.System, at sim.Time) adversary.Attack {
 			return adversary.Omit(s.Strategy.Plans[""].Assign["c1#0"], "c1", at)

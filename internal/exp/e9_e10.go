@@ -104,7 +104,7 @@ func e9Scenario() campaign.Scenario {
 				// The attacker corrupts the first-actuating sink replica's
 				// command; a corrupted command decodes to valve-shut
 				// (pressure climbs 1 bar/s).
-				victim := firstActuatingSinkNode(sys, "actuator")
+				victim := sys.Strategy.Plans[""].FirstSinkHost("actuator")
 				adversary.CorruptTask(victim, "actuator", 40*period).Install(sys)
 				rep := sys.Run()
 				return e9bRow{
@@ -264,7 +264,7 @@ func e10Scenario() campaign.Scenario {
 					}
 					period := sys.Cfg.Workload.Period
 					_, util := sys.Strategy.Plans[""].Table.MaxUtilization()
-					victim := firstActuatingSinkNode(sys, "c2")
+					victim := sys.Strategy.Plans[""].FirstSinkHost("c2")
 					adversary.CorruptTask(victim, "c2", 5*period).Install(sys)
 					rep := sys.Run()
 					return e10BtrRun{

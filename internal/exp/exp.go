@@ -9,9 +9,10 @@
 // independent trials (each owning its own deterministic simulation
 // kernel) plus an aggregation fold into plain-text tables. The scenario
 // table (Scenarios) is the single source of truth; the serial path
-// (RunAll, cmd/btrbench) and the parallel path (cmd/btrcampaign,
-// RunAllWorkers) run the very same trials, so their tables are
-// byte-identical for any worker count.
+// (All) and the parallel path (cmd/btrcampaign, RunAllWorkers) run the
+// very same trials, so their tables are byte-identical for any worker
+// count. `btrcampaign -family paper` prints the E1–E10 tables, `-only E6`
+// one of them.
 package exp
 
 import (
@@ -122,12 +123,6 @@ func All() []Experiment {
 	return out
 }
 
-// RunAll executes every paper experiment serially and writes the tables
-// to w.
-func RunAll(w io.Writer, seed uint64, quick bool) {
-	RunAllWorkers(w, seed, quick, 1)
-}
-
 // RunAllWorkers executes every paper experiment through the campaign
 // runner with the given worker count and writes the tables to w in
 // experiment order. Output is identical for every worker count.
@@ -141,7 +136,8 @@ func RunAllWorkers(w io.Writer, seed uint64, quick bool, workers int) {
 	}
 }
 
-// WriteResult renders one scenario result in the btrbench text format.
+// WriteResult renders one scenario result as text: a header line, then
+// its tables.
 func WriteResult(w io.Writer, r campaign.ScenarioResult) {
 	fmt.Fprintf(w, "---- %s: %s ----\n", r.ID, r.Claim)
 	for _, t := range r.Tables {
@@ -160,32 +156,6 @@ func chainSystem(seed uint64, f, nodes int, horizon uint64) (*core.System, error
 		PlanOpts: plan.DefaultOptions(f, 500*sim.Millisecond),
 		Horizon:  horizon,
 	})
-}
-
-// firstActuatingSinkNode returns the node whose sink replica actuates
-// first in the base plan (ties resolved by node scheduling order) — the
-// replica whose corruption is externally visible.
-func firstActuatingSinkNode(s *core.System, sink flow.TaskID) network.NodeID {
-	return firstSinkHostOfPlan(s.Strategy.Plans[""], sink)
-}
-
-// firstSinkHostOfPlan returns the node hosting the earliest-finishing
-// replica of the given sink in the plan.
-func firstSinkHostOfPlan(base *plan.Plan, sink flow.TaskID) network.NodeID {
-	bestNode := network.NodeID(-1)
-	var bestFinish sim.Time
-	for _, id := range base.Aug.TaskIDs() {
-		logical, _ := plan.SplitReplica(id)
-		if logical != sink {
-			continue
-		}
-		fin := base.Table.Finish[id]
-		node := base.Assign[id]
-		if bestNode == -1 || fin < bestFinish || (fin == bestFinish && node < bestNode) {
-			bestNode, bestFinish = node, fin
-		}
-	}
-	return bestNode
 }
 
 func boolMark(ok bool) string {

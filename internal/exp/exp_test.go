@@ -178,11 +178,11 @@ func TestRunAllProducesOutput(t *testing.T) {
 		t.Skip("full harness in -short mode")
 	}
 	var b bytes.Buffer
-	RunAll(&b, 1, true)
+	RunAllWorkers(&b, 1, true, 1)
 	out := b.String()
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
 		if !strings.Contains(out, "---- "+id+":") {
-			t.Errorf("RunAll missing %s", id)
+			t.Errorf("RunAllWorkers missing %s", id)
 		}
 	}
 }

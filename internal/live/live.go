@@ -2,7 +2,9 @@
 // engine, detectors, evidence distribution, and mode switcher that run
 // under the discrete-event simulator execute here on a sim.WallScheduler
 // with the channel-based network.Bus transport. Nothing in the runtime
-// changes between the two modes — that is the point. The paper's claim is
+// changes between the two modes — that is the point: a live Deployment is
+// assembled, injected and judged by core.Assemble exactly as a simulated
+// core.System is, with only the executor swapped. The paper's claim is
 // that bounded-time recovery is a *runtime* property; this package is
 // where the claim meets real asynchrony: goroutine shaping lanes, timer
 // jitter, and crypto that costs actual CPU, with recovery measured in
@@ -17,99 +19,39 @@
 // process per node over the real-socket network.TCPBus. RunNodeProc is
 // the child side (one node slot, driven over stdin/stdout by a parent),
 // RunOrchestrator the parent side — it spawns the node processes, acts
-// as the physical plant, injects process-level faults (SIGKILL,
-// SIGKILL-and-restart, SIGSTOP/SIGCONT, userspace partitions) alongside
-// the in-process catalog, and judges measured recovery against the same
-// provable bound R. MaybeRunNodeProc is the re-exec hook every
+// as the physical plant (a core.Plant), injects process-level faults
+// (SIGKILL, SIGKILL-and-restart, SIGSTOP/SIGCONT, userspace partitions)
+// alongside the in-process catalog, and judges measured recovery against
+// the same provable bound R. MaybeRunNodeProc is the re-exec hook every
 // orchestrating binary must call at startup.
 package live
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"btr/internal/evidence"
-	"btr/internal/flow"
-	"btr/internal/member"
-	"btr/internal/metrics"
+	"btr/internal/core"
 	"btr/internal/network"
 	"btr/internal/plan"
-	"btr/internal/plan/cache"
-	"btr/internal/runtime"
-	"btr/internal/sig"
 	"btr/internal/sim"
 )
 
-// Oracle returns the expected (correct) output value for a sink at a
-// period (same contract as core.Oracle).
-type Oracle func(sink flow.TaskID, period uint64) []byte
-
-// Config describes one live deployment. It mirrors core.Config minus the
-// simulation-only knobs; the Horizon is real wall-clock time
-// (Horizon × workload period).
-type Config struct {
-	Seed     uint64
-	Workload *flow.Graph
-	Topology *network.Topology
-	PlanOpts plan.Options
-	Net      network.Config
-
-	// PlanCache, when set, builds the strategy through the incremental
-	// plan engine and wires it into node failover, exactly as in core.
-	PlanCache *cache.Cache
-
-	// Members, when non-nil, enables online membership reconfiguration
-	// (same contract as core.Config.Members): Topology is the slot
-	// universe, the listed slots are the genesis epoch's active members,
-	// and Reconfigure schedules join/retire/replace epochs on the wall
-	// clock. The Bus opens and closes shaping lanes as epochs activate.
-	Members []network.NodeID
-
-	// Optional semantic overrides (plants install their own).
-	Compute runtime.TaskFunc
-	Source  runtime.SourceFunc
-	Oracle  Oracle
-
-	// Horizon is the number of periods to run on the wall clock.
-	Horizon uint64
-
-	// EvidenceRateLimit forwards to the runtime (0 = default).
-	EvidenceRateLimit int
-
-	// OnActuation, if set, observes every actuation command.
-	OnActuation runtime.ActuationFunc
-	// OnEvidence and OnSwitch, if set, observe evidence acceptance and
-	// mode switches (for streaming progress; report counters are kept
-	// either way).
-	OnEvidence runtime.EvidenceFunc
-	OnSwitch   runtime.SwitchFunc
-}
+// Oracle, Config, Report and EpochRow are core's: a live deployment is
+// described, and its run reported, exactly as a simulated one. In Config
+// the Horizon is real wall-clock time (Horizon × workload period); in a
+// Report all times are wall-clock microseconds since the start.
+type (
+	Oracle   = core.Oracle
+	Config   = core.Config
+	Report   = core.Report
+	EpochRow = core.EpochRow
+)
 
 // Deployment is an assembled live system ready to Run.
 type Deployment struct {
-	Cfg      Config
-	Sched    *sim.WallScheduler
-	Bus      *network.Bus
-	Registry *sig.Registry
-	Strategy *plan.Strategy
-	Runtime  *runtime.System
-	// PlanEngine is the incremental plan engine backing this deployment
-	// (nil unless Config.PlanCache was set).
-	PlanEngine *cache.Engine
-	// MemberPlanner is the epoch planner backing this deployment (nil
-	// unless Config.Members was set).
-	MemberPlanner *member.Planner
-
-	oracle Oracle
-	report *Report
-
-	// Monitor state, mutated only from scheduler callbacks; the report is
-	// read after Close, so no locking is needed (the executor join in
-	// Close is the synchronization point).
-	first map[string]bool
-	got   map[string][]byte
+	*core.Deployment
+	Sched *sim.WallScheduler
+	Bus   *network.Bus
 
 	// drained closes when the end-of-horizon marker event fires — because
 	// dispatch is in (time, insertion) order, every deadline check has
@@ -118,199 +60,29 @@ type Deployment struct {
 	startRun sync.Once
 }
 
-// Report aggregates what a live run measured. All times are wall-clock
-// microseconds since the deployment started.
-type Report struct {
-	Horizon sim.Time
-	Period  sim.Time
-	RNeeded sim.Time // the strategy's provable recovery bound
-
-	PerSink    map[flow.TaskID]*metrics.Timeline
-	FaultTimes []sim.Time
-
-	Actuations    int
-	WrongValues   int
-	MissedPeriods int
-
-	EvidenceByKind  map[evidence.Kind]int
-	FirstEvidenceAt sim.Time
-	SwitchTimes     []sim.Time
-	NetStats        network.Stats
-
-	// Epochs records every membership reconfiguration (empty without
-	// Config.Members; rejected proposals appear with Err set);
-	// EpochReplans counts epoch-planner syntheses.
-	Epochs       []EpochRow
-	EpochReplans uint64
-}
-
-// EpochRow is one membership epoch's wall-clock lifecycle (recorded by
-// the runtime operator; the same rows core exposes).
-type EpochRow = runtime.EpochRow
-
-// MaxEpochR returns the largest provable recovery bound across every
-// epoch of the run (RNeeded without epochs).
-func (r *Report) MaxEpochR() sim.Time {
-	return runtime.EpochMaxR(r.RNeeded, r.Epochs)
-}
-
-// RBoundFor returns the recovery bound for a fault whose recovery
-// window is [t, end]: the largest R among the epochs active in that
-// window (genesis included).
-func (r *Report) RBoundFor(t, end sim.Time) sim.Time {
-	return runtime.EpochRBound(r.RNeeded, r.Epochs, t, end)
-}
-
-// New validates the config, runs the offline planner, and wires a
-// runtime onto a wall scheduler and live bus. Nothing moves until Run.
+// New assembles the deployment on a wall scheduler and live bus. Nothing
+// moves until Run.
 func New(cfg Config) (*Deployment, error) {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 40
-	}
-	if cfg.Net.EvidenceShare == 0 && cfg.Net.LossProb == 0 {
-		cfg.Net = network.DefaultConfig()
-	}
-	var strategy *plan.Strategy
-	var planner runtime.PlanSource
-	var eng *cache.Engine
-	var mplanner *member.Planner
-	var epochCfg *runtime.EpochConfig
-	switch {
-	case cfg.Members != nil:
-		mplanner = member.NewPlanner(cfg.Workload, cfg.PlanOpts, cfg.PlanCache)
-		genesis := member.Genesis(cfg.Members)
-		glog, err := member.NewLog(cfg.Topology, genesis)
-		if err != nil {
-			return nil, fmt.Errorf("live: invalid initial membership: %w", err)
-		}
-		ep0, err := mplanner.ForEpoch(genesis, glog.Wiring())
-		if err != nil {
-			return nil, fmt.Errorf("live: planning failed: %w", err)
-		}
-		strategy = ep0.Strategy
-		planner = ep0.Resolve
-		epochCfg = &runtime.EpochConfig{Genesis: genesis, Resolve: runtime.PlannerResolve(mplanner)}
-	case cfg.PlanCache != nil:
-		eng = cache.NewEngine(cfg.Workload, cfg.Topology, cfg.PlanOpts, cfg.PlanCache)
-		s, err := eng.BuildStrategy()
-		if err != nil {
-			return nil, fmt.Errorf("live: planning failed: %w", err)
-		}
-		strategy = s
-		planner = eng.Resolve
-	default:
-		s, err := plan.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts)
-		if err != nil {
-			return nil, fmt.Errorf("live: planning failed: %w", err)
-		}
-		strategy = s
-	}
-
-	w := sim.NewWallScheduler(cfg.Seed)
-	bus := network.NewBus(w, cfg.Topology, cfg.Net)
-	reg := sig.NewRegistry(cfg.Seed, cfg.Topology.N)
-
-	d := &Deployment{
-		Cfg: cfg, Sched: w, Bus: bus, Registry: reg, Strategy: strategy,
-		PlanEngine:    eng,
-		MemberPlanner: mplanner,
-		first:         map[string]bool{},
-		got:           map[string][]byte{},
-		drained:       make(chan struct{}),
-	}
-	source := cfg.Source
-	if source == nil {
-		source = evidence.SourceValue
-	}
-	d.oracle = cfg.Oracle
-	if d.oracle == nil {
-		d.oracle = Oracle(hashOracle(cfg.Workload, source))
-	}
-	rep := &Report{
-		Horizon:         sim.Time(cfg.Horizon) * cfg.Workload.Period,
-		Period:          cfg.Workload.Period,
-		RNeeded:         strategy.RNeeded,
-		PerSink:         map[flow.TaskID]*metrics.Timeline{},
-		EvidenceByKind:  map[evidence.Kind]int{},
-		FirstEvidenceAt: sim.Never,
-	}
-	for _, sk := range cfg.Workload.Sinks() {
-		rep.PerSink[sk] = metrics.NewTimeline(0, true)
-	}
-	d.report = rep
-
-	d.Runtime = runtime.New(runtime.Config{
-		Kernel: w, Net: bus, Registry: reg, Strategy: strategy, Planner: planner, Epochs: epochCfg,
-		Compute: cfg.Compute, Source: source,
-		EvidenceRateLimit: cfg.EvidenceRateLimit,
-		OnActuation: func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time) {
-			rep.Actuations++
-			if cfg.OnActuation != nil {
-				cfg.OnActuation(node, sink, period, value, at)
-			}
-			key := fmt.Sprintf("%s|%d", sink, period)
-			if d.first[key] {
-				return // the plant acts on the first command only
-			}
-			d.first[key] = true
-			d.got[key] = append([]byte(nil), value...)
-		},
-		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			rep.EvidenceByKind[ev.Kind]++
-			if at < rep.FirstEvidenceAt {
-				rep.FirstEvidenceAt = at
-			}
-			if cfg.OnEvidence != nil {
-				cfg.OnEvidence(node, ev, at)
-			}
-		},
-		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) {
-			rep.SwitchTimes = append(rep.SwitchTimes, at)
-			if cfg.OnSwitch != nil {
-				cfg.OnSwitch(node, from, to, at)
-			}
-		},
+	d := &Deployment{drained: make(chan struct{})}
+	cd, err := core.Assemble(cfg, func(cfg Config) (sim.Scheduler, network.Transport) {
+		d.Sched = sim.NewWallScheduler(cfg.Seed)
+		d.Bus = network.NewBus(d.Sched, cfg.Topology, cfg.Net)
+		return d.Sched, d.Bus
 	})
-
-	// End-of-horizon marker: it sorts after every deadline check below,
-	// so when it fires the run is fully measured.
-	w.At(rep.Horizon+rep.Period, func() { close(d.drained) })
-
-	// Per-period deadline checks for every sink, scheduled on the wall
-	// clock like everything else so they serialize with actuations.
-	period := cfg.Workload.Period
-	for p := uint64(0); p < cfg.Horizon; p++ {
-		p := p
-		for _, sk := range cfg.Workload.Sinks() {
-			sk := sk
-			deadline := sim.Time(p)*period + cfg.Workload.Tasks[sk].Deadline
-			w.At(deadline, func() {
-				key := fmt.Sprintf("%s|%d", sk, p)
-				v, present := d.got[key]
-				ok := present && string(v) == string(d.oracle(sk, p))
-				if !present {
-					rep.MissedPeriods++
-				} else if !ok {
-					rep.WrongValues++
-				}
-				rep.PerSink[sk].Set(deadline, ok)
-			})
-		}
+	if err != nil {
+		return nil, err
 	}
+	d.Deployment = cd
+	// End-of-horizon marker: it sorts after every deadline check, so when
+	// it fires the run is fully measured.
+	d.Sched.At(d.end(), func() { close(d.drained) })
 	return d, nil
 }
 
-// InjectAt schedules a fault injection at wall time t and records it for
-// recovery attribution (adversary.Injector).
-func (d *Deployment) InjectAt(t sim.Time, f func(*runtime.System)) {
-	d.report.FaultTimes = append(d.report.FaultTimes, t)
-	d.Sched.At(t, func() { f(d.Runtime) })
-}
-
-// Reconfigure schedules a membership reconfiguration (join / retire /
-// replace) to be proposed at wall time t. Requires Config.Members.
-func (d *Deployment) Reconfigure(t sim.Time, delta member.Delta) {
-	d.Runtime.ScheduleReconfig(t, delta)
+// end is the wall time of the end-of-horizon marker: one period past the
+// horizon.
+func (d *Deployment) end() sim.Time {
+	return sim.Time(d.Cfg.Horizon+1) * d.Cfg.Workload.Period
 }
 
 // Run starts the executive, lets the deployment run its horizon of real
@@ -326,15 +98,10 @@ func (d *Deployment) Run() *Report {
 	// the time it fires. The timeout is a hung-deployment backstop only.
 	select {
 	case <-d.drained:
-	case <-time.After(time.Duration(d.report.Horizon+d.report.Period)*time.Microsecond + 30*time.Second):
+	case <-time.After(time.Duration(d.end())*time.Microsecond + 30*time.Second):
 	}
 	d.Close()
-	d.report.NetStats = d.Bus.Snapshot()
-	if d.MemberPlanner != nil {
-		d.report.EpochReplans = d.MemberPlanner.Replans()
-		d.report.Epochs = d.Runtime.EpochRows()
-	}
-	return d.report
+	return d.Finish()
 }
 
 // Close stops dispatch and joins every goroutine the deployment started
@@ -356,119 +123,5 @@ func FirstSinkNode(d *Deployment) network.NodeID {
 // (the orchestrator, per-node btrlive) compute the victim before any
 // deployment exists.
 func VictimOf(s *plan.Strategy) network.NodeID {
-	base := s.Plans[""]
-	best := network.NodeID(-1)
-	var bestFin sim.Time
-	for _, id := range base.Aug.TaskIDs() {
-		logical, _ := plan.SplitReplica(id)
-		if lt, ok := base.Pruned.Tasks[logical]; !ok || !lt.Sink {
-			continue
-		}
-		fin := base.Table.Finish[id]
-		node := base.Assign[id]
-		if best == -1 || fin < bestFin || (fin == bestFin && node < best) {
-			best, bestFin = node, fin
-		}
-	}
-	return best
-}
-
-// --- Report analysis (mirrors core.Report) ----------------------------------
-
-// BadIntervals returns the merged wall-clock intervals during which any
-// sink produced incorrect output.
-func (r *Report) BadIntervals() []metrics.Interval {
-	var sinks []flow.TaskID
-	for sk := range r.PerSink {
-		sinks = append(sinks, sk)
-	}
-	sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
-	var all []metrics.Interval
-	for _, sk := range sinks {
-		all = append(all, r.PerSink[sk].FalseIntervals(r.Horizon)...)
-	}
-	return mergeIntervals(all)
-}
-
-// Recoveries pairs the run's fault injections with measured wall-clock
-// bad-output intervals.
-func (r *Report) Recoveries() []metrics.Recovery {
-	return metrics.MatchRecoveries(append([]sim.Time(nil), r.FaultTimes...), r.BadIntervals())
-}
-
-// MaxRecovery returns the worst measured wall-clock recovery.
-func (r *Report) MaxRecovery() sim.Time {
-	var max sim.Time
-	for _, rec := range r.Recoveries() {
-		if rec.Duration() > max {
-			max = rec.Duration()
-		}
-	}
-	return max
-}
-
-// WithinBound reports whether every measured recovery met the strategy's
-// provable bound R.
-func (r *Report) WithinBound() bool { return r.MaxRecovery() <= r.RNeeded }
-
-// EvidenceTotal counts all evidence observations.
-func (r *Report) EvidenceTotal() int {
-	n := 0
-	for _, c := range r.EvidenceByKind {
-		n += c
-	}
-	return n
-}
-
-func mergeIntervals(ivs []metrics.Interval) []metrics.Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := append([]metrics.Interval(nil), ivs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	out := []metrics.Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// hashOracle recursively evaluates the base dataflow graph on the
-// deterministic environment samples (same construction as core.HashOracle;
-// duplicated to keep live free of a core dependency, so core and live
-// stay sibling drivers over the same runtime).
-func hashOracle(g *flow.Graph, source runtime.SourceFunc) func(flow.TaskID, uint64) []byte {
-	type key struct {
-		task   flow.TaskID
-		period uint64
-	}
-	memo := map[key][]byte{}
-	var eval func(task flow.TaskID, p uint64) []byte
-	eval = func(task flow.TaskID, p uint64) []byte {
-		k := key{task, p}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		t := g.Tasks[task]
-		var v []byte
-		if t.Source {
-			v = source(task, p)
-		} else {
-			var ins []evidence.Record
-			for _, e := range g.Inputs(task) {
-				ins = append(ins, evidence.Record{Logical: e.From, Value: eval(e.From, p)})
-			}
-			v = evidence.HashCompute(task, p, ins)
-		}
-		memo[k] = v
-		return v
-	}
-	return func(sink flow.TaskID, p uint64) []byte { return eval(sink, p) }
+	return s.Plans[""].FirstSinkHost()
 }

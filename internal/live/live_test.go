@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"btr/internal/adversary"
+	"btr/internal/core"
 	"btr/internal/flow"
 	"btr/internal/network"
 	"btr/internal/plan"
@@ -100,6 +101,58 @@ func TestLiveDeploymentRecoversWithinBoundOnWallClock(t *testing.T) {
 		t.Errorf("wall-clock recovery %v exceeded bound R=%v", max, rep.RNeeded)
 	}
 	waitNoLeak(t, before)
+}
+
+// TestExecutorsAgreeOnVerdicts runs one Config through both executors
+// core.Assemble serves — the simulation kernel (core.NewSystem) and the
+// wall clock (New) — and requires the same logical verdicts: every node's
+// fault set, the converged plan, and recovery within R. Whether the wall
+// clock side saw bad output at all is not asserted: jitter can mask the
+// fault at the plant.
+func TestExecutorsAgreeOnVerdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock soak in -short mode")
+	}
+	cfg := liveConfig(10)
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("core.NewSystem: %v", err)
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+	victim := FirstSinkNode(d)
+	if v := VictimOf(sys.Strategy); v != victim {
+		t.Fatalf("victims differ: sim %d, live %d", v, victim)
+	}
+	at := 3 * cfg.Workload.Period
+	adversary.CorruptEverything(victim, at).Install(sys)
+	adversary.CorruptEverything(victim, at).Install(d)
+	simRep, liveRep := sys.Run(), d.Run()
+	t.Logf("recovery: sim %v, live %v, R = %v", simRep.MaxRecovery(), liveRep.MaxRecovery(), simRep.RNeeded)
+
+	for n := 0; n < cfg.Topology.N; n++ {
+		id := network.NodeID(n)
+		if s, l := sys.Runtime.FaultSetOf(id).Key(), d.Runtime.FaultSetOf(id).Key(); s != l {
+			t.Errorf("node %d fault set: sim %q, live %q", n, s, l)
+		}
+	}
+	exclude := plan.NewFaultSet(victim)
+	simKey, simOK := sys.Runtime.Converged(exclude)
+	liveKey, liveOK := d.Runtime.Converged(exclude)
+	if !simOK || !liveOK || simKey != liveKey {
+		t.Errorf("converged plan: sim %q (%v), live %q (%v)", simKey, simOK, liveKey, liveOK)
+	}
+	if rec := simRep.MaxRecovery(); rec == 0 || !simRep.WithinBound() {
+		t.Errorf("simulated recovery %v against R = %v", rec, simRep.RNeeded)
+	}
+	if bad := liveRep.BadIntervals(); len(bad) > 0 && bad[len(bad)-1].End >= liveRep.Horizon {
+		t.Errorf("live never recovered: bad output extends to the horizon (%v)", bad)
+	}
+	if !liveRep.WithinBound() {
+		t.Errorf("wall-clock recovery %v exceeded bound R=%v", liveRep.MaxRecovery(), liveRep.RNeeded)
+	}
 }
 
 func waitNoLeak(t *testing.T, before int) {

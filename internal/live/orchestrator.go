@@ -23,9 +23,9 @@ import (
 
 	"btr/internal/client"
 	"btr/internal/cliflag"
+	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/flow"
-	"btr/internal/metrics"
 	"btr/internal/network"
 	"btr/internal/plan"
 	"btr/internal/sim"
@@ -182,12 +182,6 @@ type ProcResult struct {
 	SLO *client.SLOReport
 }
 
-// plantAct is the plant's accepted command for one (sink, period).
-type plantAct struct {
-	value   string   // hex
-	arrival sim.Time // orchestrator clock, microseconds since "go"
-}
-
 // procMsg is one child event or exit on the orchestrator's merged stream.
 type procMsg struct {
 	node int
@@ -308,7 +302,6 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		return nil, fmt.Errorf("live: planning failed: %w", err)
 	}
 	victim := VictimOf(strategy)
-	oracle := hashOracle(workload, evidence.SourceValue)
 	exe := cfg.Exe
 	if exe == "" {
 		if exe, err = os.Executable(); err != nil {
@@ -567,7 +560,10 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	}
 	actionCh := arm()
 
-	plant := map[string]plantAct{}
+	// The orchestrator is the plant: the first command to arrive per
+	// (sink, period) wins, stamped on the orchestrator clock (microseconds
+	// since "go").
+	plant := core.NewPlant(workload, cfg.Horizon, strategy.RNeeded, core.HashOracle(workload, evidence.SourceValue))
 	res := &ProcResult{
 		Victim: victim, Injected: injected,
 		Dones: map[int]ProcEvent{}, Exits: map[int]string{},
@@ -590,15 +586,15 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 					}
 				}
 			case m.ev.Ev == "act":
-				key := m.ev.Sink + "|" + fmt.Sprint(m.ev.Period)
-				if _, taken := plant[key]; !taken {
-					a := plantAct{
-						value:   m.ev.Value,
-						arrival: sim.Time(m.at.Sub(goTime) / time.Microsecond),
-					}
-					plant[key] = a
+				// An undecodable value still takes the period, judged wrong.
+				value, err := hex.DecodeString(m.ev.Value)
+				if err != nil {
+					value = nil
+				}
+				arrival := sim.Time(m.at.Sub(goTime) / time.Microsecond)
+				if plant.Actuate(flow.TaskID(m.ev.Sink), m.ev.Period, value, arrival) {
 					fmt.Fprintf(logw, "plant: %s period %d from node %d at %v (logical %v)\n",
-						m.ev.Sink, m.ev.Period, m.node, a.arrival, sim.Time(m.ev.AtUS))
+						m.ev.Sink, m.ev.Period, m.node, arrival, sim.Time(m.ev.AtUS))
 				}
 			case m.ev.Ev == "done":
 				res.Dones[m.node] = *m.ev
@@ -674,37 +670,17 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		res.SLO = out.rep
 	}
 
-	// Judge the merged actuation stream as the plant: a command counts
-	// for its period iff it arrived by the sink deadline (plus a pipe-
-	// jitter allowance — commands cross a pipe that in-process monitors
-	// do not pay) and carried the oracle value.
-	rep := &Report{
-		Horizon: sim.Time(cfg.Horizon) * period, Period: period,
-		RNeeded:         strategy.RNeeded,
-		PerSink:         map[flow.TaskID]*metrics.Timeline{},
-		EvidenceByKind:  map[evidence.Kind]int{},
-		FirstEvidenceAt: sim.Never,
-	}
-	for _, sk := range workload.Sinks() {
-		rep.PerSink[sk] = metrics.NewTimeline(0, true)
-	}
-	slack := cfg.Margin
+	// Judge the merged actuation stream: a command counts for its period
+	// iff it arrived by the sink deadline (plus a pipe-jitter allowance —
+	// commands cross a pipe that in-process monitors do not pay) and
+	// carried the oracle value.
 	for p := uint64(0); p < cfg.Horizon; p++ {
 		for _, sk := range workload.Sinks() {
 			deadline := sim.Time(p)*period + workload.Tasks[sk].Deadline
-			a, present := plant[string(sk)+"|"+fmt.Sprint(p)]
-			ok := false
-			switch {
-			case !present || a.arrival > deadline+slack:
-				rep.MissedPeriods++
-			case a.value != hex.EncodeToString(oracle(sk, p)):
-				rep.WrongValues++
-			default:
-				ok = true
-			}
-			rep.PerSink[sk].Set(deadline, ok)
+			plant.Judge(sk, p, deadline, deadline+cfg.Margin)
 		}
 	}
+	rep := plant.Report()
 	if injected {
 		if catalogFault != "" {
 			rep.FaultTimes = []sim.Time{sim.Time(cfg.FaultAt) * period}
@@ -828,11 +804,9 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		}
 		res.ConfineEnd = lastRepair + cfg.Forgive + strategy.RNeeded + 2*period + cfg.Margin
 		res.Confined = true
-		for _, tl := range rep.PerSink {
-			for _, iv := range tl.FalseIntervals(rep.Horizon) {
-				if iv.Start < res.FirstFaultAt || iv.End > res.ConfineEnd {
-					res.Confined = false
-				}
+		for _, iv := range rep.BadIntervals() {
+			if iv.Start < res.FirstFaultAt || iv.End > res.ConfineEnd {
+				res.Confined = false
 			}
 		}
 	}

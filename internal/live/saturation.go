@@ -115,6 +115,14 @@ func floodNode(d *Deployment) network.NodeID {
 	return victim
 }
 
+// startFlood schedules the bogus flood from flooder at time at. The flood
+// is load, not the fault under test, so it bypasses InjectAt: recovery
+// attribution stays about catalog faults.
+func startFlood(d *Deployment, flooder network.NodeID, perPeriod int, at sim.Time) {
+	flood := adversary.FloodBogus(flooder, perPeriod, at)
+	d.Sched.At(flood.At, func() { flood.Apply(d.Runtime) })
+}
+
 // offeredEPS converts a per-period spray count into offered messages per
 // second across the flooder's links.
 func offeredEPS(topo *network.Topology, flooder network.NodeID, perPeriod int, period sim.Time) float64 {
@@ -140,10 +148,7 @@ func MeasureSaturation(cfg SaturationConfig) (*SaturationResult, error) {
 			return nil, err
 		}
 		flooder := floodNode(d)
-		adversary.FloodBogus(flooder, perPeriod, cfg.Period).Install(d)
-		// The flood is load, not the fault under test: drop the injection
-		// record so recovery attribution stays about catalog faults.
-		d.report.FaultTimes = nil
+		startFlood(d, flooder, perPeriod, cfg.Period)
 		rep := d.Run()
 		wallSecs := float64(rep.Horizon) / float64(sim.Second)
 		delivered := totalDelivered(rep.NetStats)
@@ -186,8 +191,7 @@ func MeasureRecoveryUnderLoad(cfg SaturationConfig, perPeriod int) (*LoadedRecov
 	}
 	flooder := floodNode(d)
 	victim := FirstSinkNode(d)
-	adversary.FloodBogus(flooder, perPeriod, cfg.Period).Install(d)
-	d.report.FaultTimes = nil // the flood is load; only the fault below is judged
+	startFlood(d, flooder, perPeriod, cfg.Period)
 	adversary.CorruptEverything(victim, 4*cfg.Period).Install(d)
 	rep := d.Run()
 	return &LoadedRecovery{

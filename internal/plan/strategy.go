@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"btr/internal/flow"
@@ -74,6 +75,31 @@ func (p *Plan) Key() string { return p.Faults.Key() }
 func (p *Plan) RunsTask(id flow.TaskID) bool {
 	_, ok := p.Pruned.Tasks[id]
 	return ok
+}
+
+// FirstSinkHost returns the node hosting the plan's earliest-finishing
+// sink replica (ties broken by lowest node ID): the replica whose command
+// reaches the plant first, so the one whose corruption is externally
+// visible. With sinks given, only replicas of those logical sinks count.
+func (p *Plan) FirstSinkHost(sinks ...flow.TaskID) network.NodeID {
+	best := network.NodeID(-1)
+	var bestFin sim.Time
+	for _, id := range p.Aug.TaskIDs() {
+		logical, _ := SplitReplica(id)
+		if len(sinks) == 0 {
+			if lt, ok := p.Pruned.Tasks[logical]; !ok || !lt.Sink {
+				continue
+			}
+		} else if !slices.Contains(sinks, logical) {
+			continue
+		}
+		fin := p.Table.Finish[id]
+		node := p.Assign[id]
+		if best == -1 || fin < bestFin || (fin == bestFin && node < best) {
+			best, bestFin = node, fin
+		}
+	}
+	return best
 }
 
 // Transition describes switching from one plan to a successor.

@@ -1,5 +1,5 @@
 // Package prof wires the standard -cpuprofile/-memprofile flags into the
-// BTR command-line tools (cmd/btrcampaign, cmd/btrbench), so perf work
+// BTR command-line tools (cmd/btrcampaign, cmd/btrlive), so perf work
 // can profile the parallel campaign path directly:
 //
 //	btrcampaign -workers 4 -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -19,11 +19,8 @@ type Flags struct {
 	cpu, mem *string
 }
 
-// Register adds -cpuprofile and -memprofile to the default flag set.
-// Call before flag.Parse.
-func Register() *Flags { return RegisterOn(flag.CommandLine) }
-
-// RegisterOn adds the profiling flags to an explicit flag set.
+// RegisterOn adds -cpuprofile and -memprofile to a flag set. Call before
+// parsing it.
 func RegisterOn(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		cpu: fs.String("cpuprofile", "", "write a CPU profile of the run to `file`"),
