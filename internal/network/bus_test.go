@@ -19,15 +19,21 @@ func busFixture(t *testing.T, topo *Topology, cfg Config) (*sim.WallScheduler, *
 	t.Cleanup(func() {
 		w.Close()
 		b.Close()
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > before {
-			t.Errorf("goroutine leak after bus shutdown: %d before, %d after", before, g)
-		}
+		checkNoLeak(t, before, "bus")
 	})
 	return w, b
+}
+
+// checkNoLeak fails t if the goroutine count does not settle back to
+// before within a few seconds of a transport's shutdown.
+func checkNoLeak(t *testing.T, before int, what string) {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutine leak after %s shutdown: %d before, %d after", what, before, g)
+	}
 }
 
 func TestBusDeliversDirect(t *testing.T) {
@@ -61,61 +67,6 @@ func TestBusDeliversDirect(t *testing.T) {
 	st := b.Snapshot()
 	if st.MsgsSent[ClassForeground] != 1 || st.MsgsDelivered[ClassForeground] != 1 {
 		t.Errorf("stats wrong: %+v", st)
-	}
-}
-
-func TestBusRoutesMultiHop(t *testing.T) {
-	// Ring of 4: 0 -> 2 must store-and-forward through an intermediate.
-	topo := Ring(4, 20_000_000, 50*sim.Microsecond)
-	w, b := busFixture(t, topo, DefaultConfig())
-	done := make(chan *Message, 1)
-	b.Handle(2, func(m *Message) { done <- m })
-	w.At(0, func() {
-		if !b.Send(0, 2, ClassForeground, []byte("x")) {
-			t.Error("Send failed")
-		}
-	})
-	w.Start()
-	select {
-	case m := <-done:
-		if m.Hops < 2 {
-			t.Errorf("expected multi-hop delivery, got %d hops", m.Hops)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("multi-hop delivery never arrived")
-	}
-}
-
-func TestBusDropsForDownNodes(t *testing.T) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	w, b := busFixture(t, topo, DefaultConfig())
-	delivered := make(chan struct{}, 1)
-	b.Handle(1, func(m *Message) { delivered <- struct{}{} })
-	sentinel := make(chan struct{})
-	w.At(0, func() {
-		b.SetDown(1, true)
-		if b.SendDirect(0, 1, ClassForeground, []byte("x")) {
-			// Accepted at the sender: the receiver drops on arrival.
-			t.Log("send accepted; receiver-side drop expected")
-		}
-	})
-	// The sentinel also repairs the node and checks IsDown, so the
-	// assertion is synchronized with the select below rather than racing
-	// the cleanup's Close.
-	w.At(20*sim.Millisecond, func() {
-		b.SetDown(1, false)
-		if b.IsDown(1) {
-			t.Error("IsDown after repair")
-		}
-		close(sentinel)
-	})
-	w.Start()
-	select {
-	case <-delivered:
-		t.Fatal("down node received a message")
-	case <-sentinel:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sentinel never fired")
 	}
 }
 

@@ -1,9 +1,8 @@
 package network
 
 import (
+	"encoding/binary"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,60 +14,57 @@ import (
 // as batch frames when the link heals — evidence first, FIFO within each
 // class.
 func TestTCPBusCoalescedFlushDelivers(t *testing.T) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	scheds, buses := tcpCluster(t, topo, nil)
-
 	const nFg, nEv = 30, 10
-	var mu sync.Mutex
-	var order []string
-	done := make(chan struct{}, nFg+nEv)
-	buses[1].Handle(1, func(m *Message) {
-		mu.Lock()
-		order = append(order, string(m.Payload))
-		mu.Unlock()
-		done <- struct{}{}
-	})
-
+	f := tcpBusTransportFixture(t, FullMesh(2, contractBW, contractProp))
+	b := f.hosts[0].(*TCPBus)
 	// Partition the outgoing direction so the backlog piles up in pend.
-	buses[0].SetPeerRefused(1, true)
-	sent := make(chan struct{})
-	scheds[0].At(0, func() {
+	b.SetPeerRefused(1, true)
+	f.run(func() {
 		for i := 0; i < nFg; i++ {
-			if !buses[0].SendDirect(0, 1, ClassForeground, []byte(fmt.Sprintf("f%02d", i))) {
+			if !b.SendDirect(0, 1, ClassForeground, []byte(fmt.Sprintf("f%02d", i))) {
 				t.Errorf("foreground send %d refused", i)
 			}
 		}
 		for i := 0; i < nEv; i++ {
-			if !buses[0].SendDirect(0, 1, ClassEvidence, []byte(fmt.Sprintf("e%02d", i))) {
+			if !b.SendDirect(0, 1, ClassEvidence, []byte(fmt.Sprintf("e%02d", i))) {
 				t.Errorf("evidence send %d refused", i)
 			}
 		}
-		close(sent)
 	})
-	for _, w := range scheds {
-		w.Start()
-	}
-	<-sent
-	buses[0].SetPeerRefused(1, false) // heal: the flush is one coalesced write
-
-	for i := 0; i < nFg+nEv; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/%d messages arrived", i, nFg+nEv)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	b.SetPeerRefused(1, false) // heal: the flush is one coalesced write
 	// Evidence drains ahead of the foreground backlog, FIFO within class.
-	for i := 0; i < nEv; i++ {
-		if want := fmt.Sprintf("e%02d", i); order[i] != want {
-			t.Fatalf("order[%d] = %q, want %q (evidence first, FIFO): %v", i, order[i], want, order)
+	for i, d := range f.awaitDeliveries(t, nFg+nEv) {
+		want := fmt.Sprintf("e%02d", i)
+		if i >= nEv {
+			want = fmt.Sprintf("f%02d", i-nEv)
+		}
+		if string(d.m.Payload) != want {
+			t.Fatalf("delivery %d = %q, want %q (evidence first, FIFO within class)", i, d.m.Payload, want)
 		}
 	}
-	for i := 0; i < nFg; i++ {
-		if want := fmt.Sprintf("f%02d", i); order[nEv+i] != want {
-			t.Fatalf("order[%d] = %q, want %q (foreground FIFO): %v", nEv+i, order[nEv+i], want, order)
+}
+
+// TestTCPBusBacklogSurvivesFailedWrite is the write-failure regression: a
+// partition closes an established connection under an idle write loop,
+// so the next batch's write fails having sent nothing. That batch must go
+// back to the backlog and arrive, in order, once the link heals.
+func TestTCPBusBacklogSurvivesFailedWrite(t *testing.T) {
+	const n = 40
+	f := tcpBusTransportFixture(t, FullMesh(2, contractBW, contractProp))
+	b := f.hosts[0].(*TCPBus)
+	if !f.await(func() bool { return b.ConnectedCount() == 1 }) {
+		t.Fatal("link never connected")
+	}
+	b.SetPeerRefused(1, true)
+	f.run(func() {
+		for i := 0; i < n; i++ {
+			b.SendDirect(0, 1, ClassForeground, seqPayload(i))
+		}
+	})
+	b.SetPeerRefused(1, false)
+	for i, d := range f.awaitDeliveries(t, n) {
+		if s := binary.LittleEndian.Uint32(d.m.Payload); int(s) != i {
+			t.Fatalf("position %d got seq %d: backlog reordered", i, s)
 		}
 	}
 }
@@ -79,25 +75,9 @@ func TestTCPBusCoalescedFlushDelivers(t *testing.T) {
 // all-evidence backlog makes evidence evict evidence. Every shed is
 // surfaced in MsgsShed (a subset of MsgsDropped) and per-link counters.
 func TestTCPBusShedsClassAware(t *testing.T) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	w := sim.NewWallScheduler(1)
 	cfg := DefaultTCPConfig(1)
 	cfg.QueueDepth = 4 // budget: 4 foreground + 4 borrowed by evidence
-	b := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), deadAddr}, lis, cfg)
-	defer func() {
-		w.Close()
-		b.Close()
-	}()
+	w, b, _ := soloTCPBus(t, cfg)
 	w.Start()
 	done := make(chan struct{})
 	send := func(class Class, n int) (accepted int) {
@@ -255,23 +235,7 @@ func TestBusEvidenceCoalescedFIFO(t *testing.T) {
 // per-message cost the coalescing write loop amortizes syscalls over),
 // including the class-aware shed policy once the backlog saturates.
 func BenchmarkTCPBusEnqueue(b *testing.B) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatalf("listen: %v", err)
-	}
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatalf("listen: %v", err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	w := sim.NewWallScheduler(1)
-	bus := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), deadAddr}, lis, DefaultTCPConfig(1))
-	defer func() {
-		w.Close()
-		bus.Close()
-	}()
+	_, bus, _ := soloTCPBus(b, DefaultTCPConfig(1))
 	payload := make([]byte, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,14 +1,17 @@
 // Package network provides BTR's communication substrate behind a single
 // seam: the Transport interface. Three implementations exist — the
-// deterministic simulated Network (single-threaded, driven by any
-// sim.Scheduler, historically the discrete-event kernel), the live Bus
-// (bus.go), a channel-based in-process transport whose per-link shaping
-// goroutines model serialization on the wall clock, and the TCPBus
-// (tcpbus.go), which carries the same traffic over real TCP sockets
-// between node processes. Runtime code depends only on Transport, so the
-// same node executive runs under simulation, live in-process deployment,
-// and multi-process deployment unchanged. Topology (topology.go)
-// describes the static wiring all implementations share.
+// deterministic simulated Network (driven by any sim.Scheduler,
+// historically the discrete-event kernel), the live Bus (bus.go), a
+// channel-based in-process transport whose per-link shaping goroutines
+// model serialization on the wall clock, and the TCPBus (tcpbus.go),
+// which carries the same traffic over real TCP sockets between node
+// processes. All three embed one transport core, the plane (plane.go):
+// control plane, counters, message creation, delivery, relay filtering
+// and forwarding are written once, and each implementation supplies only
+// how a single hop is carried. Runtime code depends only on Transport, so
+// the same node executive runs under simulation, live in-process
+// deployment, and multi-process deployment unchanged. Topology
+// (topology.go) describes the static wiring all implementations share.
 package network
 
 import (
@@ -32,20 +35,20 @@ import (
 //     transmission order. The runtime's period machinery assumes this —
 //     e.g. an output for period p sent before an output for p+1 on the
 //     same adjacency never overtakes it. No ordering is promised across
-//     different links, directions, or classes. TestTransportFIFOPerLink
-//     asserts this for every implementation.
+//     different links, directions, or classes. The transport contract
+//     suite (transport_test.go) asserts this, with the rest of the shared
+//     behaviour, on every implementation.
 //
 // Concurrency contract per method: Send and SendDirect must be called
 // from scheduler callbacks (or before dispatch starts) — they stamp Sent
-// from the logical clock and, on the simulated Network, touch unlocked
-// kernel state. Snapshot is safe from any goroutine. For the remaining
-// control-plane methods (Handle, SetDown, IsDown, SetForwardFilter,
-// SetWiring, Topology) the implementations differ: the simulated Network
-// is single-threaded and requires scheduler-callback context for them
-// too, while the live Bus and TCPBus guard that state with a lock so
-// adversary drivers and supervision goroutines may call them from any
-// goroutine. Code written against the Transport seam (rather than a
-// concrete implementation) must assume the stricter contract.
+// from the logical clock and use unlocked sequence and loss-RNG state.
+// Handle, SetDown, IsDown, SetForwardFilter, Topology and Snapshot are
+// locked in the shared plane and safe from any goroutine on every
+// implementation, so adversary drivers and supervision goroutines may
+// call them directly. SetWiring is safe from any goroutine on the live
+// Bus and TCPBus; on the simulated Network, whose channel state and
+// event queue are single-threaded, it too must run in a scheduler
+// callback.
 type Transport interface {
 	// Topology returns the static wiring.
 	Topology() *Topology
@@ -175,26 +178,15 @@ type chanKey struct {
 	class    Class
 }
 
-// Network is the simulated transport. It is single-goroutine (driven by
-// its scheduler's serialized callbacks) and therefore needs no locking:
-// every method except Snapshot — including Handle, SetDown, and
-// SetForwardFilter — must be called from scheduler callbacks or before
-// dispatch starts. (The live Bus and TCPBus lock this state instead; see
-// the Transport contract.)
+// Network is the simulated transport, driven by its scheduler's
+// serialized callbacks. It embeds the shared plane (control plane,
+// counters, Send/SendDirect, relay path) and carries each hop as
+// busy-until bookkeeping per channel plus one scheduler event at the
+// modeled arrival instant.
 type Network struct {
-	k    sim.Scheduler
-	topo *Topology
+	plane
 	cfg  Config
-
-	handlers []Handler
-	filters  []ForwardFilter
-	down     []bool // crashed nodes neither receive nor forward
-
-	free   map[chanKey]sim.Time // next time the channel is idle
-	nextID uint64
-	rng    *sim.RNG
-
-	Stats Stats
+	free map[chanKey]sim.Time // next time the channel is idle
 }
 
 // Network implements Transport.
@@ -203,69 +195,46 @@ var _ Transport = (*Network)(nil)
 // New creates a transport over topo driven by scheduler k (usually the
 // discrete-event kernel; any sim.Scheduler works).
 func New(k sim.Scheduler, topo *Topology, cfg Config) *Network {
-	if cfg.EvidenceShare < 0 || cfg.EvidenceShare >= 1 {
-		panic("network: EvidenceShare must be in [0,1)")
-	}
-	return &Network{
-		k:        k,
-		topo:     topo,
-		cfg:      cfg,
-		handlers: make([]Handler, topo.N),
-		filters:  make([]ForwardFilter, topo.N),
-		down:     make([]bool, topo.N),
-		free:     make(map[chanKey]sim.Time),
-		rng:      k.RNG().Fork(),
-	}
+	checkShare(cfg.EvidenceShare)
+	n := &Network{cfg: cfg, free: make(map[chanKey]sim.Time)}
+	n.init(k, topo, cfg.LossProb, n.hop)
+	return n
 }
 
-// Topology returns the static wiring.
-func (n *Network) Topology() *Topology { return n.topo }
-
-// Handle installs the delivery handler for node id.
-func (n *Network) Handle(id NodeID, h Handler) { n.handlers[id] = h }
-
-// SetForwardFilter installs a Byzantine relay filter on node id.
-func (n *Network) SetForwardFilter(id NodeID, f ForwardFilter) { n.filters[id] = f }
-
-// SetDown marks node id as crashed (true) or repaired (false). A down node
-// does not receive, send, or forward.
-func (n *Network) SetDown(id NodeID, down bool) { n.down[id] = down }
+func checkShare(share float64) {
+	if share < 0 || share >= 1 {
+		panic("network: EvidenceShare must be in [0,1)")
+	}
+}
 
 // SetWiring replaces the active wiring. Channel busy-until state for
 // links present in both wirings carries over (same chanKey); state for
 // removed links is simply never consulted again.
-func (n *Network) SetWiring(t *Topology) {
-	if t.N != n.topo.N {
-		panic("network: SetWiring must keep the node-slot count")
+func (n *Network) SetWiring(t *Topology) { n.setTopology(t) }
+
+// ClassCapacity returns the bytes/second class gets on one direction of a
+// link of bandwidth bw when share of it is reserved for evidence. With no
+// reservation (share 0) both classes share the whole link. The result is
+// at least 1, so it is always a valid TxTime divisor.
+func ClassCapacity(bw int64, share float64, class Class) int64 {
+	frac := 1.0
+	switch {
+	case share == 0:
+	case class == ClassForeground:
+		frac = 1 - share
+	default:
+		frac = share
 	}
-	n.topo = t
+	return max(int64(float64(bw)*frac), 1)
 }
 
-// IsDown reports whether id is crashed.
-func (n *Network) IsDown(id NodeID) bool { return n.down[id] }
-
-// Snapshot returns the traffic counters accumulated so far.
-func (n *Network) Snapshot() Stats { return n.Stats }
-
-// capacity returns the bytes/second available to class on one direction of
-// link l.
-func (n *Network) capacity(l Link, class Class) int64 {
-	share := n.cfg.EvidenceShare
+// channelKey maps m's hop to its virtual channel; with no evidence
+// reservation both classes share one channel per link direction.
+func channelKey(m *Message, share float64) chanKey {
 	if share == 0 {
-		return l.Bandwidth // single shared channel; class is ignored
+		return chanKey{m.From, m.To, ClassForeground}
 	}
-	if class == ClassEvidence {
-		c := int64(float64(l.Bandwidth) * share)
-		if c < 1 {
-			c = 1
-		}
-		return c
-	}
-	c := int64(float64(l.Bandwidth) * (1 - share))
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return chanKey{m.From, m.To, m.Class}
 }
 
 // txTime returns the serialization delay of size bytes at cap bytes/second,
@@ -278,137 +247,22 @@ func txTime(size, capacity int64) sim.Time {
 // TxTime exposes serialization delay for planner worst-case analysis.
 func TxTime(size, capacity int64) sim.Time { return txTime(size, capacity) }
 
-// SendDirect transmits payload one hop from to to an adjacent neighbor.
-// It returns false if the nodes are not adjacent or the sender is down.
-// Delivery (or forwarding) happens asynchronously via kernel events.
-func (n *Network) SendDirect(from, to NodeID, class Class, payload []byte) bool {
-	m := n.newMessage(from, to, class, payload)
-	m.From, m.To = from, to
-	return n.transmit(m)
-}
-
-// Send routes payload from src to dst along the static shortest path.
-// Intermediate hops store-and-forward; a down or malicious intermediate
-// may drop it (that is the point — omission faults on paths are part of
-// the threat model, §4.2).
-func (n *Network) Send(src, dst NodeID, class Class, payload []byte) bool {
-	if src == dst {
-		panic("network: Send to self")
-	}
-	next, ok := n.topo.NextHop(src, dst)
+// hop serializes m behind its channel's backlog and schedules its arrival
+// one transmission time plus propagation later.
+func (n *Network) hop(m *Message) bool {
+	link, ok := n.Topology().LinkBetween(m.From, m.To)
 	if !ok {
+		n.countDropped(m.Class)
 		return false
 	}
-	m := n.newMessage(src, dst, class, payload)
-	m.From, m.To = src, next
-	return n.transmit(m)
-}
-
-func (n *Network) newMessage(src, dst NodeID, class Class, payload []byte) *Message {
-	n.nextID++
-	return &Message{
-		ID:      n.nextID,
-		Src:     src,
-		Dst:     dst,
-		Class:   class,
-		Payload: payload,
-		Sent:    n.k.Now(),
-	}
-}
-
-// transmit puts m on the wire for its current (From, To) hop.
-func (n *Network) transmit(m *Message) bool {
-	if n.down[m.From] {
-		n.Stats.MsgsDropped[m.Class]++
-		return false
-	}
-	link, ok := n.topo.LinkBetween(m.From, m.To)
-	if !ok {
-		n.Stats.MsgsDropped[m.Class]++
-		return false
-	}
-	key := chanKey{m.From, m.To, m.Class}
-	if n.cfg.EvidenceShare == 0 {
-		key.class = ClassForeground // single shared channel
-	}
-	now := n.k.Now()
-	start := now
+	key := channelKey(m, n.cfg.EvidenceShare)
+	start := n.sched.Now()
 	if f := n.free[key]; f > start {
 		start = f
 	}
-	tt := txTime(m.Size(), n.capacity(link, m.Class))
+	tt := txTime(m.Size(), ClassCapacity(link.Bandwidth, n.cfg.EvidenceShare, m.Class))
 	n.free[key] = start + tt
-	n.Stats.MsgsSent[m.Class]++
-	n.Stats.BytesSent[m.Class] += uint64(m.Size())
-	arrival := start + tt + link.Prop
-	n.k.At(arrival, func() { n.arrive(m) })
+	n.countSent(m.Class, m.Size())
+	n.sched.At(start+tt+link.Prop, func() { n.arrive(m) })
 	return true
-}
-
-// arrive handles a message reaching m.To: deliver if final, else forward.
-func (n *Network) arrive(m *Message) {
-	if n.down[m.To] {
-		n.Stats.MsgsDropped[m.Class]++
-		return
-	}
-	if n.cfg.LossProb > 0 && n.rng.Bool(n.cfg.LossProb) {
-		n.Stats.MsgsDropped[m.Class]++
-		return
-	}
-	m.Hops++
-	if m.To == m.Dst {
-		n.Stats.MsgsDelivered[m.Class]++
-		if h := n.handlers[m.To]; h != nil {
-			h(m)
-		}
-		return
-	}
-	// Forwarding hop. A Byzantine relay may interfere.
-	relay := m.To
-	if f := n.filters[relay]; f != nil {
-		fm, delay, fwd := f(m)
-		if !fwd {
-			n.Stats.MsgsDropped[m.Class]++
-			return
-		}
-		m = fm
-		if delay > 0 {
-			n.k.After(delay, func() { n.forward(relay, m) })
-			return
-		}
-	}
-	n.forward(relay, m)
-}
-
-// forward advances m one hop along the current shortest path from relay,
-// avoiding known-down intermediates when an alternative exists.
-func (n *Network) forward(relay NodeID, m *Message) {
-	path, ok := n.topo.PathAvoiding(relay, m.Dst, func(x NodeID) bool { return n.down[x] })
-	if !ok || len(path) < 2 {
-		n.Stats.MsgsDropped[m.Class]++
-		return
-	}
-	m.From, m.To = relay, path[1]
-	n.transmit(m)
-}
-
-// WorstCaseOneHop bounds the latency of a single-hop message of size bytes
-// in class c assuming the channel is found busy with a maximal backlog of
-// backlogMsgs messages of maxMsg bytes. Planners use this to derive
-// detection and distribution bounds.
-func (n *Network) WorstCaseOneHop(size int64, c Class, backlogMsgs int, maxMsg int64) sim.Time {
-	capMin := n.topo.MinBandwidth()
-	if n.cfg.EvidenceShare > 0 {
-		if c == ClassEvidence {
-			capMin = int64(float64(capMin) * n.cfg.EvidenceShare)
-		} else {
-			capMin = int64(float64(capMin) * (1 - n.cfg.EvidenceShare))
-		}
-		if capMin < 1 {
-			capMin = 1
-		}
-	}
-	t := txTime(size+headerBytes, capMin) + n.topo.MaxProp()
-	t += sim.Time(backlogMsgs) * txTime(maxMsg+headerBytes, capMin)
-	return t
 }

@@ -115,95 +115,6 @@ func TestNoIsolationWithoutReservation(t *testing.T) {
 	}
 }
 
-func TestMultiHopRouting(t *testing.T) {
-	topo := Line(4, 1_000_000, sim.Millisecond)
-	k, nw := testNet(t, topo, DefaultConfig())
-	var got *Message
-	nw.Handle(3, func(m *Message) { got = m })
-	if !nw.Send(0, 3, ClassForeground, []byte("x")) {
-		t.Fatal("Send failed")
-	}
-	k.RunAll()
-	if got == nil {
-		t.Fatal("multi-hop message not delivered")
-	}
-	if got.Hops != 3 {
-		t.Errorf("hops = %d, want 3", got.Hops)
-	}
-}
-
-func TestCrashedDestinationDrops(t *testing.T) {
-	k, nw := testNet(t, Line(2, 1000, 0), DefaultConfig())
-	delivered := false
-	nw.Handle(1, func(m *Message) { delivered = true })
-	nw.SetDown(1, true)
-	nw.SendDirect(0, 1, ClassForeground, nil)
-	k.RunAll()
-	if delivered {
-		t.Error("crashed node received a message")
-	}
-	if nw.Stats.MsgsDropped[ClassForeground] != 1 {
-		t.Errorf("dropped = %d, want 1", nw.Stats.MsgsDropped[ClassForeground])
-	}
-}
-
-func TestCrashedSenderCannotSend(t *testing.T) {
-	k, nw := testNet(t, Line(2, 1000, 0), DefaultConfig())
-	nw.SetDown(0, true)
-	if nw.SendDirect(0, 1, ClassForeground, nil) {
-		t.Error("crashed node sent a message")
-	}
-	k.RunAll()
-}
-
-func TestForwardingAvoidsDownIntermediate(t *testing.T) {
-	// Ring 0-1-2-3-4: route 0->2 normally via 1; crash 1 after the message
-	// is in flight to it — drop. But a fresh send reroutes 0->4->3->2.
-	topo := Ring(5, 1_000_000, 0)
-	k, nw := testNet(t, topo, DefaultConfig())
-	var got *Message
-	nw.Handle(2, func(m *Message) { got = m })
-	nw.SetDown(1, true)
-	// Static path 0->1->2 is chosen at send time; the first hop goes to 1,
-	// which is down, so it drops. Senders route around *known* down nodes
-	// only at forwarding time; test the forward-reroute by sending from 4.
-	nw.Send(4, 2, ClassForeground, []byte("via 3"))
-	k.RunAll()
-	if got == nil {
-		t.Fatal("message not delivered around down node")
-	}
-}
-
-func TestByzantineForwardFilterDrop(t *testing.T) {
-	topo := Line(3, 1_000_000, 0)
-	k, nw := testNet(t, topo, DefaultConfig())
-	delivered := false
-	nw.Handle(2, func(m *Message) { delivered = true })
-	nw.SetForwardFilter(1, func(m *Message) (*Message, sim.Time, bool) {
-		return nil, 0, false // drop everything
-	})
-	nw.Send(0, 2, ClassForeground, []byte("x"))
-	k.RunAll()
-	if delivered {
-		t.Error("dropped message was delivered")
-	}
-}
-
-func TestByzantineForwardFilterDelay(t *testing.T) {
-	topo := Line(3, 1_000_000, 0)
-	k, nw := testNet(t, topo, DefaultConfig())
-	var at sim.Time
-	nw.Handle(2, func(m *Message) { at = k.Now() })
-	nw.SetForwardFilter(1, func(m *Message) (*Message, sim.Time, bool) {
-		return m, 50 * sim.Millisecond, true
-	})
-	nw.Send(0, 2, ClassForeground, []byte("x"))
-	k.RunAll()
-	if at < 50*sim.Millisecond {
-		t.Errorf("delayed message arrived at %v, want >= 50ms", at)
-	}
-}
-
 func TestLossModel(t *testing.T) {
 	topo := Line(2, 1_000_000, 0)
 	k := sim.NewKernel(7)
@@ -227,27 +138,15 @@ func TestStatsAccounting(t *testing.T) {
 	nw.SendDirect(0, 1, ClassForeground, make([]byte, 100))
 	nw.SendDirect(0, 1, ClassEvidence, make([]byte, 50))
 	k.RunAll()
-	if nw.Stats.MsgsSent[ClassForeground] != 1 || nw.Stats.MsgsSent[ClassEvidence] != 1 {
-		t.Errorf("sent stats wrong: %+v", nw.Stats.MsgsSent)
+	st := nw.Snapshot()
+	if st.MsgsSent[ClassForeground] != 1 || st.MsgsSent[ClassEvidence] != 1 {
+		t.Errorf("sent stats wrong: %+v", st.MsgsSent)
 	}
-	if nw.Stats.BytesSent[ClassForeground] != 132 {
-		t.Errorf("foreground bytes = %d, want 132", nw.Stats.BytesSent[ClassForeground])
+	if st.BytesSent[ClassForeground] != 132 {
+		t.Errorf("foreground bytes = %d, want 132", st.BytesSent[ClassForeground])
 	}
-	if nw.Stats.MsgsDelivered[ClassForeground] != 1 {
+	if st.MsgsDelivered[ClassForeground] != 1 {
 		t.Errorf("delivered stats wrong")
-	}
-}
-
-func TestWorstCaseOneHopMonotonic(t *testing.T) {
-	topo := Line(2, 1_000_000, sim.Millisecond)
-	_, nw := testNet(t, topo, DefaultConfig())
-	a := nw.WorstCaseOneHop(100, ClassEvidence, 0, 0)
-	b := nw.WorstCaseOneHop(100, ClassEvidence, 5, 200)
-	if b <= a {
-		t.Errorf("backlog did not increase bound: %v vs %v", a, b)
-	}
-	if a <= sim.Millisecond {
-		t.Errorf("bound %v should exceed propagation alone", a)
 	}
 }
 

@@ -57,24 +57,17 @@ import (
 // existing connections both ways are closed, inbound Hellos from the
 // peer are refused, and the outgoing supervisor idles until healed.
 //
-// Concurrency: same contract as Bus — Send/SendDirect from scheduler
-// callbacks; control plane (Handle, SetDown, IsDown, SetForwardFilter,
-// SetWiring, Topology) locked and safe from any goroutine; Snapshot,
-// LinkCount, ConnectedCount, LinkStats safe from any goroutine. Close
-// joins every supervisor, reader, and the accept loop.
+// Everything but the links — control plane, counters, Send/SendDirect,
+// delivery and relaying — is the shared plane, with the concurrency
+// contract the Transport doc states; SetWiring, SetPeerRefused,
+// LinkCount, ConnectedCount and LinkStats are safe from any goroutine
+// too. Close joins every supervisor, reader, and the accept loop.
 type TCPBus struct {
-	sched sim.Scheduler
+	plane
 	cfg   TCPConfig
 	self  NodeID
 	addrs []string
 	lis   net.Listener
-
-	// stateMu guards the control plane, exactly as on Bus.
-	stateMu  sync.RWMutex
-	topo     *Topology
-	handlers []Handler
-	filters  []ForwardFilter
-	down     []bool
 
 	// mu guards the link plane: outgoing supervisors, registered inbound
 	// connections (latest per peer — a new Hello supersedes and closes
@@ -84,12 +77,6 @@ type TCPBus struct {
 	inbound map[NodeID]net.Conn
 	refused map[NodeID]bool
 	closed  bool
-
-	nextID uint64
-	rng    *sim.RNG
-
-	statsMu sync.Mutex
-	stats   Stats
 
 	wg sync.WaitGroup
 }
@@ -179,20 +166,15 @@ func NewTCPBus(sched sim.Scheduler, topo *Topology, self NodeID, addrs []string,
 		panic("network: incomplete TCPConfig (use DefaultTCPConfig)")
 	}
 	b := &TCPBus{
-		sched:    sched,
-		cfg:      cfg,
-		self:     self,
-		addrs:    addrs,
-		lis:      lis,
-		topo:     topo,
-		handlers: make([]Handler, topo.N),
-		filters:  make([]ForwardFilter, topo.N),
-		down:     make([]bool, topo.N),
-		links:    map[NodeID]*tcpLink{},
-		inbound:  map[NodeID]net.Conn{},
-		refused:  map[NodeID]bool{},
-		rng:      sched.RNG().Fork(),
+		cfg:     cfg,
+		self:    self,
+		addrs:   addrs,
+		lis:     lis,
+		links:   map[NodeID]*tcpLink{},
+		inbound: map[NodeID]net.Conn{},
+		refused: map[NodeID]bool{},
 	}
+	b.init(sched, topo, cfg.LossProb, b.hop)
 	b.mu.Lock()
 	b.syncLinks(topo)
 	b.mu.Unlock()
@@ -325,7 +307,8 @@ var heartbeatFrame = wire.AppendHeartbeat(nil)
 // wakeup: under saturation the syscall and frame-header cost amortize
 // over the whole backlog instead of being paid per message. Heartbeats
 // are only ever written when the backlog is empty — the keepalive is the
-// first traffic shed under load, by construction.
+// first traffic shed under load, by construction. A failed write hands
+// its batch to writeFailed.
 func (b *TCPBus) writeLoop(l *tcpLink, conn net.Conn) {
 	hb := time.NewTicker(b.cfg.Heartbeat)
 	defer hb.Stop()
@@ -338,6 +321,7 @@ func (b *TCPBus) writeLoop(l *tcpLink, conn net.Conn) {
 		default:
 		}
 		l.mu.Lock()
+		nEv := len(l.pend[ClassEvidence])
 		batch = append(batch[:0], l.pend[ClassEvidence]...)
 		batch = append(batch, l.pend[ClassForeground]...)
 		l.pend[ClassEvidence] = l.pend[ClassEvidence][:0]
@@ -377,9 +361,31 @@ func (b *TCPBus) writeLoop(l *tcpLink, conn net.Conn) {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(b.cfg.Liveness))
-		if _, err := conn.Write(buf); err != nil {
+		if n, err := conn.Write(buf); err != nil {
+			b.writeFailed(l, batch, nEv, n)
 			return
 		}
+	}
+}
+
+// writeFailed settles a batch (its first nEv messages evidence) whose
+// write failed after written bytes. If none reached the socket, the batch
+// goes back to the head of the backlog, ahead of anything queued since
+// and in class order, for the next connection to send: the backlog
+// survives reconnects. If some did, the peer may already hold part of
+// the batch and requeueing could duplicate it, so every message of the
+// batch is counted dropped instead.
+func (b *TCPBus) writeFailed(l *tcpLink, batch []wire.Msg, nEv, written int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if written == 0 {
+		l.pend[ClassEvidence] = append(append([]wire.Msg(nil), batch[:nEv]...), l.pend[ClassEvidence]...)
+		l.pend[ClassForeground] = append(append([]wire.Msg(nil), batch[nEv:]...), l.pend[ClassForeground]...)
+		return
+	}
+	l.drops += uint64(len(batch))
+	for _, wm := range batch {
+		b.countDropped(Class(wm.Class))
 	}
 }
 
@@ -553,71 +559,13 @@ func (b *TCPBus) staleInbound(peer NodeID, conn net.Conn) bool {
 	return b.inbound[peer] != conn
 }
 
-// Topology returns the active wiring.
-func (b *TCPBus) Topology() *Topology {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.topo
-}
-
-// Handle installs the delivery handler for node id (only self's handler
-// is ever invoked in-process). Safe from any goroutine.
-func (b *TCPBus) Handle(id NodeID, h Handler) {
-	b.stateMu.Lock()
-	b.handlers[id] = h
-	b.stateMu.Unlock()
-}
-
-// SetForwardFilter installs a Byzantine relay filter on node id. Safe
-// from any goroutine.
-func (b *TCPBus) SetForwardFilter(id NodeID, f ForwardFilter) {
-	b.stateMu.Lock()
-	b.filters[id] = f
-	b.stateMu.Unlock()
-}
-
-// SetDown marks node id as crashed or repaired — local knowledge only:
-// it silences self (id == self) or steers forwarding around a peer this
-// process believes is down. Safe from any goroutine.
-func (b *TCPBus) SetDown(id NodeID, down bool) {
-	b.stateMu.Lock()
-	b.down[id] = down
-	b.stateMu.Unlock()
-}
-
-// IsDown reports whether id is locally believed crashed. Safe from any
-// goroutine.
-func (b *TCPBus) IsDown(id NodeID) bool {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.down[id]
-}
-
-func (b *TCPBus) handlerFor(id NodeID) Handler {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.handlers[id]
-}
-
-func (b *TCPBus) filterFor(id NodeID) ForwardFilter {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	return b.filters[id]
-}
-
 // SetWiring replaces the active wiring: supervisors for links self lost
 // are torn down (connections closed, goroutines exit), supervisors for
 // new adjacencies are spun up and start dialing. Safe from any
 // goroutine; traffic already queued completes or is dropped with the
 // connection.
 func (b *TCPBus) SetWiring(t *Topology) {
-	b.stateMu.Lock()
-	if t.N != b.topo.N {
-		b.stateMu.Unlock()
-		panic("network: SetWiring must keep the node-slot count")
-	}
-	b.topo = t
-	b.stateMu.Unlock()
+	b.setTopology(t)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -720,86 +668,12 @@ func (b *TCPBus) LinkStats() []LinkStat {
 	return out
 }
 
-// Snapshot returns the traffic counters accumulated so far.
-func (b *TCPBus) Snapshot() Stats {
-	b.statsMu.Lock()
-	defer b.statsMu.Unlock()
-	return b.stats
-}
-
-func (b *TCPBus) countSent(class Class, size int64) {
-	b.statsMu.Lock()
-	b.stats.MsgsSent[class]++
-	b.stats.BytesSent[class] += uint64(size)
-	b.statsMu.Unlock()
-}
-
-func (b *TCPBus) countDropped(class Class) {
-	b.statsMu.Lock()
-	b.stats.MsgsDropped[class]++
-	b.statsMu.Unlock()
-}
-
-// countShed records a queue-full backpressure shed: a drop that is
-// additionally surfaced as shedding.
-func (b *TCPBus) countShed(class Class) {
-	b.statsMu.Lock()
-	b.stats.MsgsDropped[class]++
-	b.stats.MsgsShed[class]++
-	b.statsMu.Unlock()
-}
-
-func (b *TCPBus) countDelivered(class Class) {
-	b.statsMu.Lock()
-	b.stats.MsgsDelivered[class]++
-	b.statsMu.Unlock()
-}
-
-// SendDirect transmits payload one hop to an adjacent neighbor.
-func (b *TCPBus) SendDirect(from, to NodeID, class Class, payload []byte) bool {
-	m := b.newMessage(from, to, class, payload)
-	m.From, m.To = from, to
-	return b.transmit(m)
-}
-
-// Send routes payload from src to dst along the shortest path with
-// store-and-forward at intermediate hops (self forwards traffic it
-// relays, like every other implementation).
-func (b *TCPBus) Send(src, dst NodeID, class Class, payload []byte) bool {
-	if src == dst {
-		panic("network: Send to self")
-	}
-	next, ok := b.Topology().NextHop(src, dst)
-	if !ok {
-		return false
-	}
-	m := b.newMessage(src, dst, class, payload)
-	m.From, m.To = src, next
-	return b.transmit(m)
-}
-
-func (b *TCPBus) newMessage(src, dst NodeID, class Class, payload []byte) *Message {
-	b.nextID++ // callback-serialized, like every send path
-	return &Message{
-		ID:      b.nextID,
-		Src:     src,
-		Dst:     dst,
-		Class:   class,
-		Payload: payload,
-		Sent:    b.sched.Now(),
-	}
-}
-
-// transmit enqueues m on the outgoing link to m.To for the coalescing
-// write loop to encode. A missing link (not adjacent / not wired) or an
+// hop enqueues m on the outgoing link to m.To for the coalescing write
+// loop to encode. A missing link (not adjacent / not wired) or an
 // oversize payload (the wire codec's encode-side guard, applied here
 // because encoding is deferred past the queue) drops with accounting; a
 // full queue sheds by class policy (see enqueue).
-func (b *TCPBus) transmit(m *Message) bool {
-	if b.IsDown(m.From) {
-		b.countDropped(m.Class)
-		return false
-	}
+func (b *TCPBus) hop(m *Message) bool {
 	if m.From != b.self {
 		// Only self's traffic leaves this process.
 		b.countDropped(m.Class)
@@ -833,7 +707,6 @@ func (b *TCPBus) transmit(m *Message) bool {
 		b.countShed(m.Class)
 		return false
 	}
-	b.countSent(m.Class, m.Size())
 	return true
 }
 
@@ -856,7 +729,10 @@ func (b *TCPBus) transmit(m *Message) bool {
 //
 // Every shed is counted on the link (drops, shed) and, for evicted
 // victims, against the victim's own class in the transport stats; the
-// caller accounts the rejected message itself.
+// caller accounts the rejected message itself. An accepted message is
+// counted as sent here, while l.mu still hides it from the write loop:
+// counted any later, the peer could deliver it before the sender's
+// Snapshot shows it sent.
 func (b *TCPBus) enqueue(l *tcpLink, qc Class, wm wire.Msg) bool {
 	budget := b.cfg.QueueDepth
 	if b.cfg.EvidenceShare != 0 {
@@ -882,6 +758,7 @@ func (b *TCPBus) enqueue(l *tcpLink, qc Class, wm wire.Msg) bool {
 	}
 	if accepted {
 		l.pend[qc] = append(l.pend[qc], wm)
+		b.countSent(Class(wm.Class), int64(len(wm.Payload))+headerBytes)
 	}
 	if !accepted || evicted != nil {
 		l.drops++
@@ -898,54 +775,6 @@ func (b *TCPBus) enqueue(l *tcpLink, qc Class, wm wire.Msg) bool {
 		}
 	}
 	return accepted
-}
-
-// arrive runs on the scheduler for every message read off a socket:
-// deliver if final, else forward — the same semantics as the other
-// implementations, including Byzantine relay filters and residual loss.
-func (b *TCPBus) arrive(m *Message) {
-	if b.IsDown(m.To) {
-		b.countDropped(m.Class)
-		return
-	}
-	if b.cfg.LossProb > 0 && b.rng.Bool(b.cfg.LossProb) {
-		b.countDropped(m.Class)
-		return
-	}
-	m.Hops++
-	if m.To == m.Dst {
-		b.countDelivered(m.Class)
-		if h := b.handlerFor(m.To); h != nil {
-			h(m)
-		}
-		return
-	}
-	relay := m.To
-	if f := b.filterFor(relay); f != nil {
-		fm, delay, fwd := f(m)
-		if !fwd {
-			b.countDropped(m.Class)
-			return
-		}
-		m = fm
-		if delay > 0 {
-			b.sched.After(delay, func() { b.forwardFrom(relay, m) })
-			return
-		}
-	}
-	b.forwardFrom(relay, m)
-}
-
-// forwardFrom advances m one hop along the current shortest path from
-// relay (always self), avoiding locally-known-down intermediates.
-func (b *TCPBus) forwardFrom(relay NodeID, m *Message) {
-	path, ok := b.Topology().PathAvoiding(relay, m.Dst, func(x NodeID) bool { return b.IsDown(x) })
-	if !ok || len(path) < 2 {
-		b.countDropped(m.Class)
-		return
-	}
-	m.From, m.To = relay, path[1]
-	b.transmit(m)
 }
 
 // Close shuts the transport down: the listener stops accepting, every

@@ -16,9 +16,20 @@ import (
 
 // tcpCluster boots one TCPBus + WallScheduler per node slot of topo on
 // loopback (dynamic ports), the in-test analogue of an n-process
-// deployment: the instances share no state except the sockets. Cleanup
-// asserts leak-free shutdown.
+// deployment: the instances share no state except the sockets.
 func tcpCluster(t *testing.T, topo *Topology, cfg func(TCPConfig) TCPConfig) ([]*sim.WallScheduler, []*TCPBus) {
+	t.Helper()
+	scheds := make([]*sim.WallScheduler, topo.N)
+	for i := range scheds {
+		scheds[i] = sim.NewWallScheduler(uint64(i + 1))
+	}
+	return scheds, tcpBuses(t, topo, cfg, scheds)
+}
+
+// tcpBuses boots one TCPBus per node slot of topo on loopback, node i
+// driven by scheds[i] (the same scheduler may drive several). Cleanup
+// closes them all and asserts leak-free shutdown.
+func tcpBuses(t *testing.T, topo *Topology, cfg func(TCPConfig) TCPConfig, scheds []*sim.WallScheduler) []*TCPBus {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	liss := make([]net.Listener, topo.N)
@@ -31,14 +42,12 @@ func tcpCluster(t *testing.T, topo *Topology, cfg func(TCPConfig) TCPConfig) ([]
 		liss[i] = lis
 		addrs[i] = lis.Addr().String()
 	}
-	scheds := make([]*sim.WallScheduler, topo.N)
 	buses := make([]*TCPBus, topo.N)
 	c := DefaultTCPConfig(0xbeef)
 	if cfg != nil {
 		c = cfg(c)
 	}
 	for i := range buses {
-		scheds[i] = sim.NewWallScheduler(uint64(i + 1))
 		buses[i] = NewTCPBus(scheds[i], topo, NodeID(i), addrs, liss[i], c)
 	}
 	t.Cleanup(func() {
@@ -48,15 +57,9 @@ func tcpCluster(t *testing.T, topo *Topology, cfg func(TCPConfig) TCPConfig) ([]
 		for _, b := range buses {
 			b.Close()
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > before {
-			t.Errorf("goroutine leak after tcpbus shutdown: %d before, %d after", before, g)
-		}
+		checkNoLeak(t, before, "tcpbus")
 	})
-	return scheds, buses
+	return buses
 }
 
 func TestTCPBusDeliversDirect(t *testing.T) {
@@ -94,31 +97,6 @@ func TestTCPBusDeliversDirect(t *testing.T) {
 	}
 	if st := buses[1].Snapshot(); st.MsgsDelivered[ClassForeground] != 1 {
 		t.Errorf("receiver stats wrong: %+v", st)
-	}
-}
-
-func TestTCPBusRoutesMultiHop(t *testing.T) {
-	// Ring of 4: 0 -> 2 must store-and-forward through a neighbor's
-	// process (its bus re-transmits on its own outgoing link).
-	topo := Ring(4, 20_000_000, 50*sim.Microsecond)
-	scheds, buses := tcpCluster(t, topo, nil)
-	done := make(chan *Message, 1)
-	buses[2].Handle(2, func(m *Message) { done <- m })
-	scheds[0].At(0, func() {
-		if !buses[0].Send(0, 2, ClassEvidence, []byte("multi")) {
-			t.Error("Send failed")
-		}
-	})
-	for _, w := range scheds {
-		w.Start()
-	}
-	select {
-	case m := <-done:
-		if m.Hops != 2 || string(m.Payload) != "multi" || m.Src != 0 {
-			t.Fatalf("delivery wrong: %+v", m)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("multi-hop delivery never arrived")
 	}
 }
 
@@ -196,27 +174,9 @@ func TestTCPBusReconnectsAfterSever(t *testing.T) {
 // drain the link, a tiny queue overflows and the overflow is counted
 // both globally and per link.
 func TestTCPBusBoundedQueueDrops(t *testing.T) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	// addrs[1] points at a port nothing listens on, so the supervisor
-	// can never connect and the queue never drains.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	w := sim.NewWallScheduler(1)
 	cfg := DefaultTCPConfig(1)
 	cfg.QueueDepth = 2
-	b := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), deadAddr}, lis, cfg)
-	defer func() {
-		w.Close()
-		b.Close()
-	}()
+	w, b, _ := soloTCPBus(t, cfg)
 	w.Start()
 	done := make(chan int, 1)
 	w.At(0, func() {
@@ -281,24 +241,25 @@ func TestTCPBusRejectsForeignHello(t *testing.T) {
 }
 
 // soloTCPBus boots one TCPBus for node 0 of a 2-slot topology whose peer
-// address is dead (a reserved-then-closed port), so inbound connections
-// come only from the test's raw dials.
-func soloTCPBus(t *testing.T, cluster uint64) (*sim.WallScheduler, *TCPBus, string) {
-	t.Helper()
+// address is dead (a reserved-then-closed port): its link never connects,
+// so the send backlog never drains and inbound connections come only from
+// the test's raw dials.
+func soloTCPBus(tb testing.TB, cfg TCPConfig) (*sim.WallScheduler, *TCPBus, string) {
+	tb.Helper()
 	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		tb.Fatalf("listen: %v", err)
 	}
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		tb.Fatalf("listen: %v", err)
 	}
 	deadAddr := dead.Addr().String()
 	dead.Close()
 	w := sim.NewWallScheduler(1)
-	b := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), deadAddr}, lis, DefaultTCPConfig(cluster))
-	t.Cleanup(func() {
+	b := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), deadAddr}, lis, cfg)
+	tb.Cleanup(func() {
 		w.Close()
 		b.Close()
 	})
@@ -313,7 +274,7 @@ func soloTCPBus(t *testing.T, cluster uint64) (*sim.WallScheduler, *TCPBus, stri
 // rejections are the validation firing rather than harness breakage.
 func TestTCPBusRejectsMalformedMsgFields(t *testing.T) {
 	const cluster = 0xbeef
-	w, b, addr := soloTCPBus(t, cluster)
+	w, b, addr := soloTCPBus(t, DefaultTCPConfig(cluster))
 	delivered := make(chan *Message, 8)
 	b.Handle(0, func(m *Message) { delivered <- m })
 	w.Start()
@@ -372,7 +333,7 @@ func TestTCPBusRejectsMalformedMsgFields(t *testing.T) {
 // its replacement (the FIFO-across-reconnect hazard).
 func TestTCPBusInboundCloseOnReplace(t *testing.T) {
 	const cluster = 0xbeef
-	w, b, addr := soloTCPBus(t, cluster)
+	w, b, addr := soloTCPBus(t, DefaultTCPConfig(cluster))
 	delivered := make(chan *Message, 2)
 	b.Handle(0, func(m *Message) { delivered <- m })
 	w.Start()
@@ -439,115 +400,6 @@ func TestTCPBusSetWiringConverges(t *testing.T) {
 	if got := buses[0].LinkCount(); got != 3 {
 		t.Fatalf("restored LinkCount = %d, want 3", got)
 	}
-}
-
-// transportFIFOCheck sends seq-stamped messages 0..n-1 on one (link,
-// class) channel and asserts arrival order at the destination handler.
-func seqPayload(i int) []byte {
-	return binary.LittleEndian.AppendUint32(nil, uint32(i))
-}
-
-// TestTransportFIFOPerLink asserts the Transport ordering contract — two
-// messages transmitted on the same directed link in the same class are
-// delivered in transmission order — on all three implementations.
-func TestTransportFIFOPerLink(t *testing.T) {
-	const n = 200
-	topo := func() *Topology { return FullMesh(2, 20_000_000, 50*sim.Microsecond) }
-
-	check := func(t *testing.T, got []uint32) {
-		t.Helper()
-		if len(got) != n {
-			t.Fatalf("delivered %d of %d", len(got), n)
-		}
-		for i, s := range got {
-			if int(s) != i {
-				t.Fatalf("position %d got seq %d: FIFO violated", i, s)
-			}
-		}
-	}
-
-	t.Run("network", func(t *testing.T) {
-		k := sim.NewKernel(1)
-		nw := New(k, topo(), DefaultConfig())
-		var got []uint32
-		nw.Handle(1, func(m *Message) { got = append(got, binary.LittleEndian.Uint32(m.Payload)) })
-		k.At(0, func() {
-			for i := 0; i < n; i++ {
-				nw.SendDirect(0, 1, ClassForeground, seqPayload(i))
-			}
-		})
-		k.RunAll()
-		check(t, got)
-	})
-
-	t.Run("bus", func(t *testing.T) {
-		w, b := busFixture(t, topo(), DefaultConfig())
-		var mu sync.Mutex
-		var got []uint32
-		done := make(chan struct{}, 1)
-		b.Handle(1, func(m *Message) {
-			mu.Lock()
-			got = append(got, binary.LittleEndian.Uint32(m.Payload))
-			if len(got) == n {
-				done <- struct{}{}
-			}
-			mu.Unlock()
-		})
-		w.At(0, func() {
-			for i := 0; i < n; i++ {
-				if !b.SendDirect(0, 1, ClassForeground, seqPayload(i)) {
-					t.Errorf("send %d failed", i)
-				}
-			}
-		})
-		w.Start()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("bus FIFO deliveries incomplete")
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		check(t, got)
-	})
-
-	t.Run("tcpbus", func(t *testing.T) {
-		scheds, buses := tcpCluster(t, topo(), nil)
-		var mu sync.Mutex
-		var got []uint32
-		done := make(chan struct{}, 1)
-		buses[1].Handle(1, func(m *Message) {
-			mu.Lock()
-			got = append(got, binary.LittleEndian.Uint32(m.Payload))
-			if len(got) == n {
-				done <- struct{}{}
-			}
-			mu.Unlock()
-		})
-		for _, w := range scheds {
-			w.Start()
-		}
-		// Wait for the link so none of the sequence is dropped pre-connect.
-		deadline := time.Now().Add(10 * time.Second)
-		for buses[0].ConnectedCount() == 0 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		scheds[0].At(scheds[0].Now(), func() {
-			for i := 0; i < n; i++ {
-				if !buses[0].SendDirect(0, 1, ClassForeground, seqPayload(i)) {
-					t.Errorf("send %d failed", i)
-				}
-			}
-		})
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("tcpbus FIFO deliveries incomplete")
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		check(t, got)
-	})
 }
 
 // TestBusSetWiringRaceStress swaps wiring from a non-scheduler goroutine
@@ -681,14 +533,7 @@ func TestTCPBusSetWiringRaceStress(t *testing.T) {
 
 // TestTCPBusCloseIsIdempotent mirrors the Bus shutdown contract.
 func TestTCPBusCloseIsIdempotent(t *testing.T) {
-	topo := FullMesh(2, 20_000_000, 50*sim.Microsecond)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	w := sim.NewWallScheduler(1)
-	defer w.Close()
-	b := NewTCPBus(w, topo, 0, []string{lis.Addr().String(), "127.0.0.1:1"}, lis, DefaultTCPConfig(1))
+	w, b, _ := soloTCPBus(t, DefaultTCPConfig(1))
 	b.Close()
 	b.Close()
 	w.Start()

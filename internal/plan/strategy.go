@@ -518,7 +518,7 @@ func TransitionWithin(a, b *Plan, topo *network.Topology, opts Options, members 
 	}
 	// Worst-case transfer: all state crosses the slowest foreground
 	// share sequentially plus one diameter of propagation. Conservative.
-	capMin := fgShare(minBW, opts.Sched.EvidenceShare)
+	capMin := network.ClassCapacity(minBW, opts.Sched.EvidenceShare, network.ClassForeground)
 	transfer := network.TxTime(bytes, capMin) + sim.Time(diam)*maxProp
 	return Transition{
 		From: a.Key(), To: b.Key(),
@@ -534,14 +534,6 @@ func memberFunc(members []network.NodeID) func(network.NodeID) bool {
 		in[m] = true
 	}
 	return func(n network.NodeID) bool { return in[n] }
-}
-
-func fgShare(bw int64, evidenceShare float64) int64 {
-	c := int64(float64(bw) * (1 - evidenceShare))
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // deriveBounds computes the strategy-wide timing constants.

@@ -195,7 +195,7 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 			for h := 0; h+1 < len(path); h++ {
 				a, b := path[h], path[h+1]
 				link, _ := topo.LinkBetween(a, b)
-				cap := fgCapacity(link.Bandwidth, p.EvidenceShare)
+				cap := network.ClassCapacity(link.Bandwidth, p.EvidenceShare, network.ClassForeground)
 				tx := network.TxTime(e.Bytes, cap)
 				ls := links[dirLink{a, b}]
 				if ls == nil {
@@ -224,16 +224,6 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 		t.Slots[node] = cpu.iv
 	}
 	return t, nil
-}
-
-// fgCapacity is the foreground share of a link's bandwidth (the rest is
-// reserved for evidence).
-func fgCapacity(bw int64, evidenceShare float64) int64 {
-	c := int64(float64(bw) * (1 - evidenceShare))
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // Violation describes a missed deadline in a candidate table.
