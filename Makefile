@@ -13,7 +13,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race bench-smoke ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race bench-smoke profile-allocs ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -126,10 +126,22 @@ smoke-client:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test ./... && $(GO) run . -short
 
+# Where sim_campaign's allocations come from: one quick serial pass of each
+# deterministic campaign family with every allocation sampled, merged into
+# one table of the top 25 sites by allocated objects. The profiles
+# (alloc-*.pprof) are gitignored and removed by `make clean`.
+PROFILE_FAMILIES = paper campaign churn faultrate
+profile-allocs:
+	@for f in $(PROFILE_FAMILIES); do \
+		GODEBUG=memprofilerate=1 $(GO) run ./cmd/btrcampaign -quick -workers 1 -family $$f \
+			-memprofile alloc-$$f.pprof > /dev/null || exit 1; \
+	done
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
+
 ci: fmt-check vet build race bench-smoke
 	@echo "ci: OK"
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_new.json cover.out
+	rm -f BENCH_new.json cover.out alloc-*.pprof
 	rm -rf benchmark/out

@@ -127,6 +127,11 @@ func replicate(g *flow.Graph, nonSrc, src int, withAudit bool) *flow.Graph {
 		for i := 0; i < reps(t); i++ {
 			rt := *t
 			rt.ID = plan.ReplicaID(id, i)
+			if withAudit && rt.Sink && i == 0 {
+				// The audited sink replica feeds its audit task below, so
+				// it is no sink of the augmented graph (as in plan.Augment).
+				rt.Sink, rt.Deadline = false, 0
+			}
 			a.AddTask(rt)
 		}
 	}
@@ -149,13 +154,6 @@ func replicate(g *flow.Graph, nonSrc, src int, withAudit bool) *flow.Graph {
 				Crit: g.Tasks[s].Crit, Sink: true, Deadline: g.Period, StateBytes: 64,
 			})
 			a.Connect(plan.ReplicaID(s, 0), plan.ReplicaID(id, 0), 64)
-		}
-		// The audited sinks now have outputs; clear their sink flag like
-		// plan.Augment does.
-		for _, s := range g.Sinks() {
-			rt := a.Tasks[plan.ReplicaID(s, 0)]
-			rt.Sink = false
-			rt.Deadline = 0
 		}
 	}
 	return a

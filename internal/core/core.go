@@ -258,9 +258,10 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 	// executor as everything else so they serialize with actuations;
 	// presence at the deadline event is the cutoff.
 	period := cfg.Workload.Period
+	sinks := cfg.Workload.Sinks()
 	for p := uint64(0); p < cfg.Horizon; p++ {
 		p := p
-		for _, sk := range cfg.Workload.Sinks() {
+		for _, sk := range sinks {
 			sk := sk
 			deadline := sim.Time(p)*period + cfg.Workload.Tasks[sk].Deadline
 			d.sched.At(deadline, func() { d.plant.Judge(sk, p, deadline, sim.Never) })

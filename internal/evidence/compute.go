@@ -1,9 +1,10 @@
 package evidence
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"btr/internal/flow"
 )
@@ -15,32 +16,38 @@ import (
 // (to execute tasks) and validators (to re-execute them for wrong-output
 // proofs) use this same function, which is what makes commission faults
 // attributable.
+//
+// It allocates only its 16-byte result: the inputs are ordered through a
+// stack array of pointers and hashed from a pooled buffer.
 func HashCompute(task flow.TaskID, period uint64, inputs []Record) []byte {
-	sorted := append([]Record(nil), inputs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Logical != sorted[j].Logical {
-			return sorted[i].Logical < sorted[j].Logical
+	var pbuf [16]*Record
+	sorted := pbuf[:0]
+	for i := range inputs {
+		sorted = append(sorted, &inputs[i])
+	}
+	slices.SortFunc(sorted, func(a, b *Record) int {
+		if c := cmp.Compare(a.Logical, b.Logical); c != 0 {
+			return c
 		}
-		return sorted[i].Producer < sorted[j].Producer
+		return cmp.Compare(a.Producer, b.Producer)
 	})
-	h := sha256.New()
-	h.Write([]byte(task))
-	var pb [8]byte
-	binary.LittleEndian.PutUint64(pb[:], period)
-	h.Write(pb[:])
+	sp := scratchPool.Get().(*[]byte)
+	msg := append((*sp)[:0], task...)
+	msg = binary.LittleEndian.AppendUint64(msg, period)
 	// Deduplicate replicas of the same logical input: replicas carry the
 	// same value when correct, and the consumer computes from one value
 	// per logical input.
-	var lastLogical flow.TaskID
 	for i, in := range sorted {
-		if i > 0 && in.Logical == lastLogical {
+		if i > 0 && in.Logical == sorted[i-1].Logical {
 			continue
 		}
-		lastLogical = in.Logical
-		h.Write([]byte(in.Logical))
-		h.Write(in.Value)
+		msg = append(msg, in.Logical...)
+		msg = append(msg, in.Value...)
 	}
-	return h.Sum(nil)[:16]
+	sum := sha256.Sum256(msg)
+	*sp = msg
+	scratchPool.Put(sp)
+	return append([]byte(nil), sum[:16]...)
 }
 
 // SourceValue is the canonical deterministic environment sample: all

@@ -8,6 +8,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"btr/internal/sim"
@@ -82,7 +83,10 @@ type Graph struct {
 	Edges  []Edge
 
 	ins, outs map[TaskID][]Edge
-	topo      []TaskID
+	// Sorted query results, computed on first use and dropped by AddTask
+	// (topo also by Connect). Callers share them read-only.
+	topo                []TaskID
+	ids, sources, sinks []TaskID
 }
 
 // NewGraph returns an empty graph with the given period.
@@ -97,7 +101,8 @@ func NewGraph(name string, period sim.Time) *Graph {
 }
 
 // AddTask inserts t. It panics on duplicate IDs (workloads are static
-// configuration).
+// configuration). The returned pointer may adjust the task only until the
+// graph is first queried: TaskIDs, Sources and Sinks cache their result.
 func (g *Graph) AddTask(t Task) *Task {
 	if t.ID == "" {
 		panic("flow: empty task ID")
@@ -107,7 +112,7 @@ func (g *Graph) AddTask(t Task) *Task {
 	}
 	cp := t
 	g.Tasks[t.ID] = &cp
-	g.topo = nil
+	g.topo, g.ids, g.sources, g.sinks = nil, nil, nil, nil
 	return &cp
 }
 
@@ -132,29 +137,54 @@ func (g *Graph) Inputs(id TaskID) []Edge { return g.ins[id] }
 // Outputs returns the edges leaving id.
 func (g *Graph) Outputs(id TaskID) []Edge { return g.outs[id] }
 
-// Sources returns source task IDs, sorted.
-func (g *Graph) Sources() []TaskID { return g.filter(func(t *Task) bool { return t.Source }) }
+// Sources returns source task IDs, sorted. The slice is shared: read it,
+// do not modify it.
+func (g *Graph) Sources() []TaskID {
+	if g.sources == nil {
+		g.sources = g.filter(func(t *Task) bool { return t.Source })
+	}
+	return g.sources
+}
 
-// Sinks returns sink task IDs, sorted.
-func (g *Graph) Sinks() []TaskID { return g.filter(func(t *Task) bool { return t.Sink }) }
+// Sinks returns sink task IDs, sorted. The slice is shared: read it, do
+// not modify it.
+func (g *Graph) Sinks() []TaskID {
+	if g.sinks == nil {
+		g.sinks = g.filter(func(t *Task) bool { return t.Sink })
+	}
+	return g.sinks
+}
 
+// filter returns the IDs of the tasks pred selects, sorted, in one
+// allocation. The result has no spare capacity, so appending to a shared
+// copy cannot write into another caller's view.
 func (g *Graph) filter(pred func(*Task) bool) []TaskID {
 	var out []TaskID
 	for id, t := range g.Tasks {
 		if pred(t) {
+			if out == nil {
+				out = make([]TaskID, 0, len(g.Tasks))
+			}
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Clip(out)
 }
 
 // TaskIDs returns all task IDs, sorted (deterministic iteration order).
-func (g *Graph) TaskIDs() []TaskID { return g.filter(func(*Task) bool { return true }) }
+// The slice is shared: read it, do not modify it.
+func (g *Graph) TaskIDs() []TaskID {
+	if g.ids == nil {
+		g.ids = g.filter(func(*Task) bool { return true })
+	}
+	return g.ids
+}
 
 // TopoOrder returns tasks in a deterministic topological order (Kahn's
 // algorithm with lexicographic tie-break). It panics if the graph has a
-// cycle; call Validate first on untrusted input.
+// cycle; call Validate first on untrusted input. The slice is shared:
+// read it, do not modify it.
 func (g *Graph) TopoOrder() []TaskID {
 	if g.topo != nil {
 		return g.topo

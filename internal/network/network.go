@@ -57,9 +57,16 @@ type Transport interface {
 	// Send routes payload from src to dst along the (dynamic) shortest
 	// path with store-and-forward at intermediate hops. It reports false
 	// if no path exists or the sender is down.
+	//
+	// A payload is read-only once sent: neither the sender, the
+	// transport, relays nor handlers may modify it, so one payload may be
+	// shared across any number of sends. Evidence flooding sends one
+	// encoding to every neighbor, and a task sends one sealed record on
+	// every output edge.
 	Send(src, dst NodeID, class Class, payload []byte) bool
 	// SendDirect transmits payload one hop to an adjacent neighbor,
 	// reporting false if the nodes are not adjacent or the sender is down.
+	// The payload is read-only once sent, as for Send.
 	SendDirect(from, to NodeID, class Class, payload []byte) bool
 	// SetDown marks node id as crashed (true) or repaired (false). A down
 	// node does not receive, send, or forward.
@@ -127,7 +134,9 @@ type Handler func(m *Message)
 
 // ForwardFilter lets a (Byzantine) node interfere with traffic it relays:
 // return (msg, 0, true) to forward unchanged, (msg, d, true) to delay by d,
-// or (nil, 0, false) to drop. Correct nodes have no filter installed.
+// or (nil, 0, false) to drop. Correct nodes have no filter installed. A
+// filter that alters what it relays returns a new Message with its own
+// payload: m.Payload may be shared with other sends (see Transport.Send).
 type ForwardFilter func(m *Message) (*Message, sim.Time, bool)
 
 // Stats aggregates per-class traffic counters.

@@ -51,72 +51,73 @@ type assignOptions struct {
 // balance, producer locality, and (in minimal-diff mode) stickiness to the
 // parent plan's placement.
 func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignment, error) {
-	var eligible []network.NodeID
+	eligible := make([]network.NodeID, 0, topo.N)
 	for n := 0; n < topo.N; n++ {
 		if !o.faults.Contains(network.NodeID(n)) {
 			eligible = append(eligible, network.NodeID(n))
 		}
 	}
-	// Feasibility: the widest replica group must fit on distinct nodes.
-	groupSize := map[flow.TaskID]int{}
-	for _, id := range aug.TaskIDs() {
+	// Group replicas by logical task, numbering the groups in topological
+	// order of their first replica (replicas of one logical task share a
+	// precedence level): group[i] is the group of ids[i].
+	ids := aug.TopoOrder()
+	groupOf := make(map[flow.TaskID]int, len(ids))
+	group := make([]int, len(ids))
+	var logicals []flow.TaskID // group -> logical task
+	var size []int             // group -> replica count
+	for i, id := range ids {
 		logical, _ := SplitReplica(id)
-		groupSize[logical]++
+		g, ok := groupOf[logical]
+		if !ok {
+			g = len(logicals)
+			groupOf[logical] = g
+			logicals = append(logicals, logical)
+			size = append(size, 0)
+		}
+		group[i] = g
+		size[g]++
 	}
-	for logical, sz := range groupSize {
+	// Feasibility: the widest replica group must fit on distinct nodes.
+	for g, sz := range size {
 		if sz > len(eligible) {
 			return nil, fmt.Errorf("plan: %d replicas of %q need distinct nodes but only %d are healthy",
-				sz, logical, len(eligible))
+				sz, logicals[g], len(eligible))
 		}
 	}
 
-	load := make(map[network.NodeID]sim.Time, len(eligible))
-	used := map[flow.TaskID]map[network.NodeID]bool{} // logical -> occupied nodes
-	out := Assignment{}
-
-	// Group replicas by logical task (preserving topological order of the
-	// groups; replicas of one logical task share a precedence level).
-	// Within a group, replicas whose parent placement is still eligible go
-	// first: otherwise a displaced replica could steal a sibling's sticky
-	// node and trigger a cascade of unnecessary moves.
-	var logicals []flow.TaskID
-	groups := map[flow.TaskID][]flow.TaskID{}
-	for _, id := range aug.TopoOrder() {
-		logical, _ := SplitReplica(id)
-		if _, ok := groups[logical]; !ok {
-			logicals = append(logicals, logical)
-		}
-		groups[logical] = append(groups[logical], id)
+	// Placement order: group by group, and within a group the replicas
+	// whose parent placement is still eligible first: otherwise a
+	// displaced replica could steal a sibling's sticky node and trigger a
+	// cascade of unnecessary moves. next[g] is group g's next free
+	// position in order.
+	next := make([]int, len(size))
+	for g := 1; g < len(size); g++ {
+		next[g] = next[g-1] + size[g-1]
 	}
-	var order []flow.TaskID
-	for _, logical := range logicals {
-		members := groups[logical]
-		var sticky, displaced []flow.TaskID
-		for _, id := range members {
-			if o.parent != nil {
-				if prev, ok := o.parent[id]; ok && !o.faults.Contains(prev) {
-					sticky = append(sticky, id)
-					continue
-				}
+	order := make([]int, len(ids)) // position -> index into ids
+	for _, wantSticky := range [2]bool{true, false} {
+		for i, id := range ids {
+			prev, ok := o.parent[id]
+			if (ok && !o.faults.Contains(prev)) == wantSticky {
+				order[next[group[i]]] = i
+				next[group[i]]++
 			}
-			displaced = append(displaced, id)
 		}
-		order = append(order, sticky...)
-		order = append(order, displaced...)
 	}
 
-	for _, id := range order {
-		logical, _ := SplitReplica(id)
+	load := make([]sim.Time, topo.N)
+	// occupied[g*topo.N+n]: a replica of group g already sits on node n.
+	occupied := make([]bool, len(size)*topo.N)
+	out := make(Assignment, len(ids))
+
+	for _, i := range order {
+		id := ids[i]
 		task := aug.Tasks[id]
-		occupied := used[logical]
-		if occupied == nil {
-			occupied = map[network.NodeID]bool{}
-			used[logical] = occupied
-		}
+		occ := occupied[group[i]*topo.N:]
 		var best network.NodeID = -1
 		var bestScore float64
 		for _, n := range eligible {
-			if occupied[n] {
+			if occ[n] {
 				continue
 			}
 			// Load term: current committed execution time, in ms.
@@ -153,7 +154,7 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 			return nil, fmt.Errorf("plan: no eligible node for %q", id)
 		}
 		out[id] = best
-		occupied[best] = true
+		occ[best] = true
 		load[best] += task.WCET
 	}
 	return out, nil

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -14,7 +13,7 @@ import (
 
 // ReplicaID builds the replica instance name.
 func ReplicaID(logical flow.TaskID, idx int) flow.TaskID {
-	return flow.TaskID(fmt.Sprintf("%s#%d", logical, idx))
+	return flow.TaskID(string(logical) + "#" + strconv.Itoa(idx))
 }
 
 // CheckerID builds the checker logical-task name for sink s.
@@ -104,12 +103,18 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 	}
 
 	a := flow.NewGraph(g.Name+"+btr", g.Period)
-	// Replicate workload tasks.
+	// Replicate workload tasks. The first nonSrcReps replicas of a sink
+	// feed the checkers below, so they are no sinks of the augmented
+	// graph; the runtime keeps actuating semantics via the logical graph.
+	// The checker replicas are the augmented graph's sinks.
 	for _, id := range g.TaskIDs() {
 		t := g.Tasks[id]
 		for i := 0; i < reps(t); i++ {
 			rt := *t
 			rt.ID = ReplicaID(id, i)
+			if rt.Sink && i < nonSrcReps {
+				rt.Sink, rt.Deadline = false, 0
+			}
 			a.AddTask(rt)
 		}
 	}
@@ -137,22 +142,13 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 			}
 		}
 	}
-	// Sink -> checker audit edges. Sink replicas lose their "no outputs"
-	// property in the augmented graph; flip Sink off for the original
-	// sink replicas and keep actuating semantics in the runtime via the
-	// logical graph. The checker replicas are the augmented graph's
-	// sinks.
+	// Sink -> checker audit edges.
 	for _, s := range g.Sinks() {
 		bytes := WireBytes(checkerMsgBytes, g.Inputs(s))
 		for i := 0; i < nonSrcReps; i++ {
 			for j := 0; j < nonSrcReps; j++ {
 				a.Connect(ReplicaID(s, i), ReplicaID(CheckerID(s), j), bytes)
 			}
-		}
-		for i := 0; i < nonSrcReps; i++ {
-			rt := a.Tasks[ReplicaID(s, i)]
-			rt.Sink = false
-			rt.Deadline = 0
 		}
 	}
 	return a

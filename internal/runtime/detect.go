@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -63,12 +64,26 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	// Equivocation tracking for the record itself...
 	n.trackEquivocation(a.env, rec)
 	// ...and for each well-signed attachment (another producer's record).
+	// Each attachment is checked and decoded once, here; the audit below
+	// re-executes from the same records. badInput notes an attachment
+	// that is badly signed or malformed.
+	var inputs []evidence.Record
+	if len(a.atts) > 0 {
+		inputs = make([]evidence.Record, 0, len(a.atts))
+	}
+	badInput := false
 	for _, att := range a.atts {
-		if n.cfg.Registry.Check(att) {
-			if ar, err := evidence.DecodeRecord(att.Body); err == nil && ar.Node == att.Signer {
-				n.trackEquivocation(att, ar)
-			}
+		if !n.cfg.Registry.Check(att) {
+			badInput = true
+			continue
 		}
+		ar, err := evidence.DecodeRecord(att.Body)
+		if err != nil || ar.Node != att.Signer {
+			badInput = true
+			continue
+		}
+		n.trackEquivocation(att, ar)
+		inputs = append(inputs, ar)
 	}
 
 	// Timing: the claimed send offset must lie inside the producer's
@@ -96,27 +111,14 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	if evidence.DigestEnvelopes(a.atts) != rec.InputsDigest {
 		return false
 	}
-	inputs := make([]evidence.Record, 0, len(a.atts))
-	for _, att := range a.atts {
-		if !n.cfg.Registry.Check(att) {
-			// The producer committed to a garbage input: bad-input proof.
-			n.raiseEvidence(evidence.Evidence{
-				Kind: evidence.KindBadInput, Accused: rec.Node, Reporter: n.id,
-				DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts,
-			})
-			a.audited, a.consistent = true, false
-			return true
-		}
-		ar, err := evidence.DecodeRecord(att.Body)
-		if err != nil || ar.Node != att.Signer {
-			n.raiseEvidence(evidence.Evidence{
-				Kind: evidence.KindBadInput, Accused: rec.Node, Reporter: n.id,
-				DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts,
-			})
-			a.audited, a.consistent = true, false
-			return true
-		}
-		inputs = append(inputs, ar)
+	if badInput {
+		// The producer committed to a garbage input: bad-input proof.
+		n.raiseEvidence(evidence.Evidence{
+			Kind: evidence.KindBadInput, Accused: rec.Node, Reporter: n.id,
+			DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts,
+		})
+		a.audited, a.consistent = true, false
+		return true
 	}
 	want := n.cfg.Compute(rec.Logical, rec.Period, inputs)
 	a.audited = true
@@ -134,8 +136,11 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 // replica, period) and emits an equivocation proof when a conflicting
 // second version appears.
 func (n *Node) trackEquivocation(env sig.Envelope, rec evidence.Record) {
-	key := fmt.Sprintf("%s|%d", rec.Producer, rec.Period)
+	key := producerPeriod{rec.Producer, rec.Period}
 	if prev, ok := n.firstRecord[key]; ok {
+		if bytes.Equal(prev.Body, env.Body) {
+			return // the same record again: nothing to compare
+		}
 		prevRec, err := evidence.DecodeRecord(prev.Body)
 		if err == nil && evidence.SameSlot(prevRec, rec) && evidence.Conflicts(prevRec, rec) {
 			n.raiseEvidence(evidence.Evidence{
@@ -179,11 +184,11 @@ func (n *Node) checkArrived(cur *plan.Plan, p uint64, e flow.Edge, w sched.MsgWi
 	if n.faults.Contains(srcNode) {
 		return // already convicted; mode change under way
 	}
-	slotKeyStr := fmt.Sprintf("%s|%d|%s", e.From, p, e.To)
-	if n.accusedSlots[slotKeyStr] {
+	key := accusedKey{producer: e.From, consumer: e.To, period: p}
+	if n.accusedSlots[key] {
 		return
 	}
-	n.accusedSlots[slotKeyStr] = true
+	n.accusedSlots[key] = true
 	path, ok := n.cfg.Net.Topology().Path(srcNode, n.id)
 	if !ok {
 		path = []network.NodeID{srcNode, n.id}
@@ -199,7 +204,7 @@ func (n *Node) accuseSourceMinority(p uint64, consumer flow.TaskID, arr []*arriv
 		if string(a.rec.Value) == string(winner.rec.Value) {
 			continue
 		}
-		key := fmt.Sprintf("src|%s|%d", a.rec.Producer, p)
+		key := accusedKey{producer: a.rec.Producer, period: p}
 		if n.accusedSlots[key] {
 			continue
 		}

@@ -1,9 +1,10 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"btr/internal/evidence"
 	"btr/internal/flow"
@@ -47,6 +48,20 @@ type watchKey struct {
 	from, to flow.TaskID // producer replica -> consumer replica
 }
 
+// producerPeriod names one producer replica's output slot in one period.
+type producerPeriod struct {
+	producer flow.TaskID
+	period   uint64
+}
+
+// accusedKey names one locally generated accusation: an edge's missing
+// record in a period, or (consumer empty) a source replica outvoted in a
+// period.
+type accusedKey struct {
+	producer, consumer flow.TaskID
+	period             uint64
+}
+
 // Node is one BTR runtime node.
 type Node struct {
 	id  network.NodeID
@@ -85,7 +100,7 @@ type Node struct {
 	inbox map[uint64]map[slotKey][]*arrival
 	// firstRecord tracks the first record content per (producer replica,
 	// period) for equivocation detection.
-	firstRecord map[string]sig.Envelope
+	firstRecord map[producerPeriod]sig.Envelope
 	// seenEvidence dedups evidence by ID.
 	seenEvidence map[[16]byte]bool
 	// attributor aggregates path accusations.
@@ -94,7 +109,7 @@ type Node struct {
 	// period (rate limit).
 	evBudget map[network.NodeID]int
 	// accusedSlots dedups locally-generated accusations.
-	accusedSlots map[string]bool
+	accusedSlots map[accusedKey]bool
 	// watchdogs holds the armed arrival-watchdog handles. When the
 	// awaited record arrives, the watchdog is cancelled immediately —
 	// dead watchdog closures no longer sit in the event heap until their
@@ -123,11 +138,11 @@ func newNode(id network.NodeID, cfg *Config) *Node {
 		cur:          cfg.Strategy.Plans[""],
 		faults:       plan.NewFaultSet(),
 		inbox:        map[uint64]map[slotKey][]*arrival{},
-		firstRecord:  map[string]sig.Envelope{},
+		firstRecord:  map[producerPeriod]sig.Envelope{},
 		seenEvidence: map[[16]byte]bool{},
 		attributor:   evidence.NewAttributor(cfg.Strategy.Opts.OmissionThreshold),
 		evBudget:     map[network.NodeID]int{},
-		accusedSlots: map[string]bool{},
+		accusedSlots: map[accusedKey]bool{},
 		watchdogs:    map[watchKey]sim.Handle{},
 	}
 }
@@ -168,11 +183,11 @@ func (n *Node) schedulePeriod(p uint64) {
 		n.floodBogus(b.BogusEvidencePerPeriod)
 	}
 
-	// Execute this node's slots.
+	// Execute this node's slots: a task's output is computed and sent at
+	// its slot end (the table accounts for the WCET before it).
 	for _, slot := range cur.Table.Slots[n.id] {
-		slot := slot
-		k.At(base+slot.Start, func() { n.beginTask(cur, p, slot.Task) })
-		k.At(base+slot.End, func() { n.finishTask(cur, p, slot.Task) })
+		task := slot.Task
+		k.At(base+slot.End, func() { n.finishTask(cur, p, task) })
 	}
 	// Arm arrival watchdogs for edges whose consumer lives here (local
 	// handoffs included: a colocated producer replica can omit too). The
@@ -196,21 +211,22 @@ func (n *Node) schedulePeriod(p uint64) {
 
 // chosenInputs picks, for each logical input of task, the record the task
 // will compute with: the first *audited-consistent* arrival, with majority
-// vote among source replicas (sources cannot be audited). Returns nil if
+// vote among source replicas (sources cannot be audited). It returns the
+// chosen records and their envelopes in logical-input order, or false if
 // some logical input has no usable record (omission upstream).
-func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]*arrival, bool) {
-	byLogical := map[flow.TaskID][]*arrival{}
-	var logicals []flow.TaskID
+func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]evidence.Record, []sig.Envelope, bool) {
+	var buf [8]flow.TaskID
+	logicals := buf[:0]
 	for _, e := range cur.Aug.Inputs(task) {
 		logical, _ := plan.SplitReplica(e.From)
-		if _, ok := byLogical[logical]; !ok {
+		if !slices.Contains(logicals, logical) {
 			logicals = append(logicals, logical)
-			byLogical[logical] = nil
 		}
 	}
-	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
+	slices.Sort(logicals)
 	perSlot := n.inbox[p]
-	var chosen []*arrival
+	recs := make([]evidence.Record, 0, len(logicals))
+	atts := make([]sig.Envelope, 0, len(logicals))
 	for _, logical := range logicals {
 		arr := perSlot[slotKey{task, logical}]
 		var pick *arrival
@@ -230,11 +246,12 @@ func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]*arri
 			}
 		}
 		if pick == nil {
-			return nil, false
+			return nil, nil, false
 		}
-		chosen = append(chosen, pick)
+		recs = append(recs, pick.rec)
+		atts = append(atts, pick.env)
 	}
-	return chosen, true
+	return recs, atts, true
 }
 
 func isSourceLogical(cur *plan.Plan, logical flow.TaskID) bool {
@@ -245,15 +262,17 @@ func isSourceLogical(cur *plan.Plan, logical flow.TaskID) bool {
 }
 
 // majority returns the arrival whose value has the most supporters
-// (ties: earliest arrival among the largest class).
+// (ties: earliest arrival among the largest class). Source replica sets
+// are small, so the classes are counted pairwise.
 func majority(arr []*arrival) *arrival {
-	counts := map[string]int{}
-	for _, a := range arr {
-		counts[string(a.rec.Value)]++
-	}
 	best, bestCount := -1, 0
 	for i, a := range arr {
-		c := counts[string(a.rec.Value)]
+		c := 0
+		for _, b := range arr {
+			if bytes.Equal(a.rec.Value, b.rec.Value) {
+				c++
+			}
+		}
 		if c > bestCount {
 			best, bestCount = i, c
 		}
@@ -262,14 +281,6 @@ func majority(arr []*arrival) *arrival {
 		return nil
 	}
 	return arr[best]
-}
-
-// beginTask is a hook at slot start; execution semantics are applied at
-// finishTask (the table accounts for the WCET in between).
-func (n *Node) beginTask(cur *plan.Plan, p uint64, task flow.TaskID) {
-	if n.crashed || n.cur != cur {
-		return
-	}
 }
 
 // finishTask computes the task's output at its slot end and emits it.
@@ -285,7 +296,7 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 	}
 
 	var value []byte
-	var chosen []*arrival
+	var atts []sig.Envelope // the chosen inputs' envelopes
 	switch {
 	case isChecker:
 		n.runChecker(cur, p, task)
@@ -293,23 +304,16 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 	case lt.Source:
 		value = n.cfg.Source(logical, p)
 	default:
+		var recs []evidence.Record
 		var usable bool
-		chosen, usable = n.chosenInputs(cur, p, task)
+		recs, atts, usable = n.chosenInputs(cur, p, task)
 		if !usable {
 			return // upstream omission: this replica stays silent
-		}
-		recs := make([]evidence.Record, len(chosen))
-		for i, a := range chosen {
-			recs[i] = a.rec
 		}
 		value = n.cfg.Compute(logical, p, recs)
 	}
 
 	// Build the signed record committing to the chosen inputs.
-	var atts []sig.Envelope
-	for _, a := range chosen {
-		atts = append(atts, a.env)
-	}
 	slotEnd := n.slotEnd(cur, task)
 	rec := evidence.Record{
 		Producer: task, Logical: logical, Node: n.id,
@@ -322,9 +326,12 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 		n.actuate(cur, p, logical, rec, atts)
 	}
 
-	// Emit one message per output edge.
+	// Emit one message per output edge. The record is sealed, encoded and
+	// framed once and that one payload goes out on every edge: ed25519 is
+	// deterministic, so it is byte-identical to sealing per edge.
+	var once sealed
 	for _, e := range cur.Aug.Outputs(task) {
-		n.emit(cur, p, rec, atts, e)
+		n.emit(cur, rec, atts, e, &once)
 	}
 }
 
@@ -362,36 +369,56 @@ func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec eviden
 	}
 }
 
-// emit signs and sends one record instance along edge e, applying the
-// adversary's output hook if installed.
-func (n *Node) emit(cur *plan.Plan, p uint64, rec evidence.Record, atts []sig.Envelope, e flow.Edge) {
-	outRec := rec
+// sealed is one signed record and its framed data payload, each built on
+// first use.
+type sealed struct {
+	env     sig.Envelope
+	payload []byte
+}
+
+// emit sends one record instance along edge e, applying the adversary's
+// output hook if installed. An unchanged record goes out as shared's seal
+// and payload; a record the hook changed is sealed for this edge alone.
+func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, e flow.Edge, shared *sealed) {
+	s := shared
+	var own sealed
 	var extraDelay sim.Time
 	if b := n.behavior; b != nil && b.OnOutput != nil {
 		mutated, delay, send := b.OnOutput(rec, e.To)
 		if !send {
 			return
 		}
-		outRec, extraDelay = mutated, delay
-	}
-	env := n.cfg.Registry.Seal(n.id, outRec.Encode())
-	// Equivocation requires a fresh digest? No: the adversary mutates the
-	// record but keeps the committed attachments (a mismatched digest
-	// would be a bad-input proof instead).
-	payload := dataPayload(env, atts)
-	dst := cur.Assign[e.To]
-	send := func() {
-		if dst == n.id {
-			n.acceptRecord(env, atts, nil)
-			return
+		extraDelay = delay
+		if !evidence.SameSlot(mutated, rec) || evidence.Conflicts(mutated, rec) {
+			// The adversary mutates the record but keeps the committed
+			// attachments (a mismatched digest would be a bad-input proof
+			// instead).
+			rec, s = mutated, &own
 		}
-		n.cfg.Net.Send(n.id, dst, network.ClassForeground, payload)
 	}
+	if s.env.Sig == nil {
+		s.env = n.cfg.Registry.Seal(n.id, rec.Encode())
+	}
+	dst := cur.Assign[e.To]
+	if dst != n.id && s.payload == nil {
+		s.payload = dataPayload(s.env, atts)
+	}
+	env, payload := s.env, s.payload
 	if extraDelay > 0 {
-		n.cfg.Kernel.After(extraDelay, send)
-	} else {
-		send()
+		n.cfg.Kernel.After(extraDelay, func() { n.deliver(dst, env, atts, payload) })
+		return
 	}
+	n.deliver(dst, env, atts, payload)
+}
+
+// deliver hands a sealed record to the consumer's node: directly when it
+// is this node, as a foreground message otherwise.
+func (n *Node) deliver(dst network.NodeID, env sig.Envelope, atts []sig.Envelope, payload []byte) {
+	if dst == n.id {
+		n.acceptRecord(env, atts, nil)
+		return
+	}
+	n.cfg.Net.Send(n.id, dst, network.ClassForeground, payload)
 }
 
 // runChecker audits the sink replicas feeding checker task `task`
@@ -452,7 +479,8 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 	cur := n.cur
 	// Find the consumer for this record on this node: the edge whose
 	// producer is rec.Producer and whose consumer is assigned here.
-	var consumers []flow.TaskID
+	var cbuf [4]flow.TaskID
+	consumers := cbuf[:0]
 	for _, e := range cur.Aug.Outputs(rec.Producer) {
 		if cur.Assign[e.To] == n.id {
 			consumers = append(consumers, e.To)

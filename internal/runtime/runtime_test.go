@@ -36,9 +36,20 @@ func chainHarness(t *testing.T, seed uint64) *harness {
 
 func newHarness(t *testing.T, g *flow.Graph, nodes, f int, seed uint64) *harness {
 	t.Helper()
+	return newHarnessOn(t, g, nodes, f, seed, nil)
+}
+
+// newHarnessOn is newHarness with the runtime's transport wrapped by wrap
+// (nil: the simulated network itself).
+func newHarnessOn(t *testing.T, g *flow.Graph, nodes, f int, seed uint64, wrap func(*network.Network) network.Transport) *harness {
+	t.Helper()
 	k := sim.NewKernel(seed)
 	topo := network.FullMesh(nodes, 20_000_000, 50*sim.Microsecond)
 	nw := network.New(k, topo, network.DefaultConfig())
+	var tr network.Transport = nw
+	if wrap != nil {
+		tr = wrap(nw)
+	}
 	reg := sig.NewRegistry(seed, nodes)
 	strategy, err := plan.Build(g, topo, plan.DefaultOptions(f, 500*sim.Millisecond))
 	if err != nil {
@@ -49,7 +60,7 @@ func newHarness(t *testing.T, g *flow.Graph, nodes, f int, seed uint64) *harness
 		actuations: map[flow.TaskID]map[uint64][][]byte{},
 	}
 	h.sys = New(Config{
-		Kernel: k, Net: nw, Registry: reg, Strategy: strategy,
+		Kernel: k, Net: tr, Registry: reg, Strategy: strategy,
 		OnActuation: func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time) {
 			per := h.actuations[sink]
 			if per == nil {

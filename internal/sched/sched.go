@@ -16,6 +16,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -116,6 +117,45 @@ func (s *intervalSet) reserve(task flow.TaskID, start, end sim.Time) {
 // dirLink identifies one direction of a link for contention tracking.
 type dirLink struct{ from, to network.NodeID }
 
+// setPool hands out one intervalSet per key and keeps the sets, and their
+// reserved storage, for the next Build.
+type setPool[K comparable] struct {
+	idx  map[K]int
+	sets []intervalSet
+}
+
+// get returns k's set, empty the first time k is asked for after reset.
+// The pointer is valid until the next get.
+func (p *setPool[K]) get(k K) *intervalSet {
+	i, ok := p.idx[k]
+	if !ok {
+		i = len(p.idx)
+		p.idx[k] = i
+		if i == len(p.sets) {
+			p.sets = append(p.sets, intervalSet{})
+		}
+		p.sets[i].iv = p.sets[i].iv[:0]
+	}
+	return &p.sets[i]
+}
+
+// buildScratch is Build's per-call bookkeeping. Nothing in it outlives
+// the call, so it is pooled and reset with clear instead of rebuilt: in a
+// campaign Build runs once per planned fault set.
+type buildScratch struct {
+	cpus   setPool[network.NodeID]
+	links  setPool[dirLink]
+	arrive map[flow.Edge]sim.Time // per-edge delivery offset
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &buildScratch{
+		cpus:   setPool[network.NodeID]{idx: map[network.NodeID]int{}},
+		links:  setPool[dirLink]{idx: map[dirLink]int{}},
+		arrive: map[flow.Edge]sim.Time{},
+	}
+}}
+
 // Build constructs the static table. It returns *UnschedulableError when
 // any task cannot complete within the period or a route is missing.
 func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.Topology, p Params) (*Table, error) {
@@ -124,14 +164,19 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 	}
 	t := &Table{
 		Period: g.Period,
-		Slots:  map[network.NodeID][]Slot{},
-		Msgs:   map[flow.Edge]MsgWindow{},
-		Finish: map[flow.TaskID]sim.Time{},
-		Ready:  map[flow.TaskID]sim.Time{},
+		Slots:  make(map[network.NodeID][]Slot, topo.N),
+		Msgs:   make(map[flow.Edge]MsgWindow, len(g.Edges)),
+		Finish: make(map[flow.TaskID]sim.Time, len(g.Tasks)),
+		Ready:  make(map[flow.TaskID]sim.Time, len(g.Tasks)),
 	}
-	cpus := map[network.NodeID]*intervalSet{}
-	links := map[dirLink]*intervalSet{}
-	arrive := map[flow.Edge]sim.Time{} // per-edge delivery offset
+	sc := scratchPool.Get().(*buildScratch)
+	defer func() {
+		clear(sc.cpus.idx)
+		clear(sc.links.idx)
+		clear(sc.arrive)
+		scratchPool.Put(sc)
+	}()
+	cpus, links, arrive := &sc.cpus, &sc.links, sc.arrive
 
 	scale := func(d sim.Time) sim.Time {
 		return sim.Time(float64(d)/p.Speed + 0.5)
@@ -160,11 +205,7 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 		if exec <= 0 {
 			exec = 1
 		}
-		cpu := cpus[node]
-		if cpu == nil {
-			cpu = &intervalSet{}
-			cpus[node] = cpu
-		}
+		cpu := cpus.get(node)
 		start := cpu.earliestGap(ready, exec)
 		end := start + exec
 		if end > g.Period {
@@ -197,11 +238,7 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 				link, _ := topo.LinkBetween(a, b)
 				cap := network.ClassCapacity(link.Bandwidth, p.EvidenceShare, network.ClassForeground)
 				tx := network.TxTime(e.Bytes, cap)
-				ls := links[dirLink{a, b}]
-				if ls == nil {
-					ls = &intervalSet{}
-					links[dirLink{a, b}] = ls
-				}
+				ls := links.get(dirLink{a, b})
 				txStart := ls.earliestGap(at, tx)
 				ls.reserve(id, txStart, txStart+tx)
 				if depart < 0 {
@@ -220,8 +257,13 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 			}
 		}
 	}
-	for node, cpu := range cpus {
-		t.Slots[node] = cpu.iv
+	// The CPU sets are scratch; the table gets its own copy of them, all
+	// nodes' slots in one backing array.
+	all := make([]Slot, 0, len(g.Tasks))
+	for node, i := range cpus.idx {
+		from := len(all)
+		all = append(all, cpus.sets[i].iv...)
+		t.Slots[node] = all[from:len(all):len(all)]
 	}
 	return t, nil
 }

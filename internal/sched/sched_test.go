@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +329,79 @@ func BenchmarkBuildAvionics(b *testing.B) {
 		if _, err := Build(g, assign, topo, DefaultParams()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// spread assigns g's tasks round-robin over n nodes in sorted-ID order.
+func spread(g *flow.Graph, n int) map[flow.TaskID]network.NodeID {
+	m := map[flow.TaskID]network.NodeID{}
+	for i, id := range g.TaskIDs() {
+		m[id] = network.NodeID(i % n)
+	}
+	return m
+}
+
+// TestBuildReusesScratchCleanly pins Build's pooled scratch: whatever a
+// previous call left behind (a larger graph on more links, or a build
+// that failed half way), and however many goroutines build at once, a
+// table equals the one built first.
+func TestBuildReusesScratchCleanly(t *testing.T) {
+	type input struct {
+		g    *flow.Graph
+		topo *network.Topology
+		p    Params
+	}
+	mesh4 := network.FullMesh(4, 20_000_000, 50*sim.Microsecond)
+	cases := []input{
+		{flow.Avionics(25 * sim.Millisecond), network.Ring(6, 1_000_000, 100*sim.Microsecond), DefaultParams()},
+		{flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA), mesh4, DefaultParams()},
+		{flow.ForkJoin(5, 50*sim.Millisecond, sim.Millisecond, 256, flow.CritB), network.Grid(3, 3, 2_000_000, 200*sim.Microsecond), DefaultParams()},
+		// Unschedulable: the chain outruns its period after the first
+		// tasks and links are reserved. It must stay last.
+		{flow.Chain(6, 10*sim.Millisecond, 3*sim.Millisecond, 64, flow.CritA), mesh4, DefaultParams()},
+	}
+	build := func(c input) (*Table, error) {
+		return Build(c.g, spread(c.g, c.topo.N), c.topo, c.p)
+	}
+	same := reflect.DeepEqual
+	want := make([]*Table, len(cases))
+	for i, c := range cases {
+		tab, err := build(c)
+		if (err != nil) != (i == len(cases)-1) {
+			t.Fatalf("case %d: err = %v", i, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "c2") && !strings.Contains(err.Error(), "c3") {
+			t.Fatalf("case %d fails too early to leave reservations behind: %v", i, err)
+		}
+		want[i] = tab
+	}
+	// Twice in a row, in reverse order so every case follows another.
+	for round := 0; round < 2; round++ {
+		for i := len(cases) - 1; i >= 0; i-- {
+			if got, _ := build(cases[i]); !same(got, want[i]) {
+				t.Fatalf("round %d case %d: rebuilt table differs from the first build", round, i)
+			}
+		}
+	}
+	// Concurrently (run with -race).
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(cases))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				i := (w + r) % len(cases)
+				if got, _ := build(cases[i]); !same(got, want[i]) {
+					errs <- fmt.Sprintf("worker %d case %d: concurrent build differs", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
