@@ -2,18 +2,18 @@
 #
 # `make ci` is the gate every PR must pass (and exactly what
 # .github/workflows/ci.yml runs): gofmt diff check, vet, build, the full
-# test suite under the race detector, and the benchmark smoke. `make bench-json` regenerates
-# BENCH_campaign.json, the tracked perf trajectory of the experiment
-# table and the plan cache; `make bench-check` regenerates it to a
-# scratch file and gates against the committed baseline via
-# cmd/btrcheckbench.
+# test suite under the race detector, and the benchmark smoke. Two
+# questions, one command each: "does it still hold R?" is `make
+# bench-check` (regenerate the campaign verdict bundle and fail on any of
+# its gates); "did it get slower?" is the repository's benchmark,
+# `go run -C benchmark btr/benchmark -compare` (benchmark/README.md).
 
 GO ?= go
 FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race bench-smoke profile-allocs ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race bench-smoke profile-allocs ci cover docs-check bench bench-json bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -65,29 +65,23 @@ docs-check:
 	$(GO) run ./cmd/btrfaultmodel -check
 	$(GO) run ./cmd/btrfaultmodel -links README.md ROADMAP.md FAULT_MODEL.md BENCH_SCHEMA.md
 
-# One-iteration benchmark smoke: every experiment benchmark, the campaign
-# serial/parallel pair, the plan-cache cold/warm/delta benchmarks, the
-# kernel-throughput pair (current vs frozen legacy baseline), the
-# verify/seal memo pairs (plus batch-vs-sequential verify), the
-# evidence-flood encode-once/legacy pair, the wire batch-frame codec, and
-# the transport coalescing/shedding paths.
+# One-iteration benchmark smoke: the kernel-throughput and watchdog
+# benchmarks, the verify/seal memo pairs, the evidence-flood
+# encode-once/legacy pair, the wire batch-frame codec, and the transport
+# coalescing/shedding paths.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/sim ./internal/sig ./internal/evidence ./internal/network ./internal/wire
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/sim ./internal/sig ./internal/evidence ./internal/network ./internal/wire
 
-# Regenerate the tracked campaign perf bundle (full, non-quick sweep).
+# The campaign verdict bundle (BENCH_campaign.json, BENCH_SCHEMA.md):
+# TestEmitCampaignBench runs the full families, writes the bundle, and
+# fails on any rule of the gates table in bench_test.go or on a scenario
+# id of the committed bundle missing from the fresh one. bench-json
+# rewrites the committed bundle; bench-check writes BENCH_new.json.
 bench-json:
-	BTR_BENCH_OUT=$(CURDIR)/BENCH_campaign.json $(GO) test -run TestEmitCampaignBench -v .
+	BTR_BENCH_OUT=$(CURDIR)/BENCH_campaign.json $(GO) test -run '^TestEmitCampaignBench$$' -v .
 
-# Generate a fresh bundle without touching the committed baseline.
-bench-new:
-	BTR_BENCH_OUT=$(CURDIR)/BENCH_new.json $(GO) test -run TestEmitCampaignBench -v .
-
-# Gate: fresh bundle vs committed baseline. Machine-independent checks
-# (work shares, warm-speedup floor, failed trials) always run; add
-# `-wall` via BENCHFLAGS for same-host absolute wall-clock gating:
-#   make bench-check BENCHFLAGS=-wall
-bench-check: bench-new
-	$(GO) run ./cmd/btrcheckbench -baseline BENCH_campaign.json -new BENCH_new.json -tolerance 0.20 $(BENCHFLAGS)
+bench-check:
+	BTR_BENCH_OUT=$(CURDIR)/BENCH_new.json $(GO) test -run '^TestEmitCampaignBench$$' -v .
 
 # Full campaign, all scenario families, JSON bundle to stdout.
 campaign:

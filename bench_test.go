@@ -1,31 +1,29 @@
 package btr
 
-// One benchmark per reproduced experiment (see EXPERIMENTS.md): each runs
-// the full experiment pipeline — offline planning, deterministic
-// simulation, fault injection, measurement — in quick mode, and reports
-// the headline quantity via b.ReportMetric so `go test -bench=.` doubles
-// as a results regeneration pass.
+// BENCH_campaign.json is the campaign verdict bundle (BENCH_SCHEMA.md):
+// what the families that run under real faults observed against the
+// provable bound R. This file declares it once — the schema structs, the
+// gates table that judges it, and the emitter that writes it.
+//
+//	make bench-json   # regenerate the committed bundle, gated
+//	make bench-check  # write BENCH_new.json and fail on any gate
+//
+// Speed is measured by the repository's benchmark (benchmark/), not here.
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
+	"regexp"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"btr/internal/campaign"
 	"btr/internal/exp"
-	"btr/internal/flow"
 	"btr/internal/live"
-	"btr/internal/network"
-	"btr/internal/plan"
 	"btr/internal/plan/cache"
-	"btr/internal/sig"
-	"btr/internal/sim"
 )
 
 // TestMain lets this test binary double as the node-process binary: the
@@ -37,157 +35,435 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// planBenchDeployment is the largest C2 topology (full mesh, 12 nodes,
-// f=2) with the standard chain workload — the configuration the
-// plan-cache acceptance criterion is pinned on.
-func planBenchDeployment() (*flow.Graph, *network.Topology, plan.Options) {
-	return flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
-		network.FullMesh(12, 20_000_000, 50*sim.Microsecond),
-		plan.DefaultOptions(2, 500*sim.Millisecond)
+// benchSchema is the bundle's schema string; BENCH_SCHEMA.md has the
+// version history.
+const benchSchema = "btr-campaign-bench/v12"
+
+// campaignBench is the BENCH_campaign.json schema. gomaxprocs and
+// host_cores record the parallelism the wall-clock sections ran at.
+type campaignBench struct {
+	Schema     string `json:"schema"`
+	Seed       uint64 `json:"seed"`
+	Quick      bool   `json:"quick"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	HostCores  int    `json:"host_cores"`
+
+	// Live is the C5 wall-clock soak: full deployments on the real-time
+	// executor across topology families, worst recovery vs R per topology.
+	Live []liveBenchRow `json:"live"`
+
+	// LiveProc is the C7 multi-process soak: one OS process per node over
+	// real TCP sockets, faults injected against real processes (catalog,
+	// SIGKILL-restart, partition), recovery judged by the orchestrator.
+	LiveProc []liveProcBenchRow `json:"liveproc"`
+
+	// Saturation is the C9 probe: per topology, the sustainable flood
+	// events/sec the live transport absorbs, and a recovery run at >= 80%
+	// of that rate.
+	Saturation saturationBench `json:"saturation"`
+
+	// FaultRate is the C8 high-fault-rate sweep: Poisson-style fault
+	// arrivals at rate λ against parole-clock deployments, every bad
+	// sink-period classified tolerated, detected or untolerated, plus the
+	// knee each topology sustains. Simulated time, machine-independent.
+	FaultRate faultrateBench `json:"faultrate"`
+
+	// MultiFault is the C10 family: the same sweep over the extended
+	// catalog (corrupt-sink, delay, skip-actuation), plus the scripted
+	// storms of two concurrent process-level faults (> f) against real
+	// multi-process deployments.
+	MultiFault multifaultBench `json:"multifault"`
+
+	// ClientSLO is the C11 family: the client-visible verdict of
+	// epoch-aware quorum-client sessions driven through orchestrated
+	// deployments, steady and under ≤ f process faults.
+	ClientSLO []clientsloBenchRow `json:"clientslo"`
+
+	// Churn is the C6 membership-churn family, each topology run twice
+	// against a shared plan cache: the warm replay must re-plan nothing.
+	Churn []churnBenchRow `json:"churn"`
+
+	// Scenarios are the deterministic campaign scenarios the bundle run
+	// covers (E1–E10, C4, C6, C8) and how many of their trials failed.
+	Scenarios []campaignBenchScenario `json:"scenarios"`
 }
 
-// measurePlanCache times cold full synthesis vs. warm cache-backed
-// assembly for BENCH_campaign.json (best of 3 each).
-func measurePlanCache(t *testing.T) planCacheBench {
-	g, topo, opts := planBenchDeployment()
-	best := func(f func()) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < b {
-				b = d
+type liveBenchRow struct {
+	Topology       string  `json:"topology"`
+	Nodes          int     `json:"nodes"`
+	F              int     `json:"f"`
+	Runs           int     `json:"runs"`
+	WorstRecoverMS float64 `json:"worst_recovery_ms"`
+	BoundMS        float64 `json:"bound_r_ms"`
+	WithinR        bool    `json:"within_r"`
+}
+
+type liveProcBenchRow struct {
+	Topology   string  `json:"topology"`
+	Nodes      int     `json:"nodes"`
+	F          int     `json:"f"`
+	Fault      string  `json:"fault"`
+	RecoveryMS float64 `json:"recovery_ms"`
+	BoundMS    float64 `json:"bound_r_ms"`
+	WithinR    bool    `json:"within_r"`
+	// Reconnected is non-null only for faults whose repair must be
+	// visible at the transport (kill-restart, partition).
+	Reconnected *bool `json:"reconnected"`
+}
+
+type saturationBench struct {
+	Rows []saturationBenchRow `json:"rows"`
+}
+
+type saturationBenchRow struct {
+	Topology       string  `json:"topology"`
+	Nodes          int     `json:"nodes"`
+	F              int     `json:"f"`
+	SustainableEPS float64 `json:"sustainable_eps"`
+	LoadEPS        float64 `json:"load_eps"`
+	LoadFraction   float64 `json:"load_fraction"`
+	RecoveryMS     float64 `json:"recovery_ms"`
+	BoundMS        float64 `json:"bound_ms"`
+	WithinR        bool    `json:"within_r"`
+	Delivered      uint64  `json:"delivered"`
+	Dropped        uint64  `json:"dropped"`
+	Shed           uint64  `json:"shed"`
+}
+
+// faultrateBench is a (topology × λ) sweep plus the knee per topology:
+// the largest swept λ whose whole prefix is clean.
+type faultrateBench struct {
+	Rows  []faultrateBenchRow `json:"rows"`
+	Knees []faultrateKnee     `json:"knees"`
+}
+
+type faultrateBenchRow struct {
+	Topology      string  `json:"topology"`
+	LambdaPerSec  float64 `json:"lambda_per_sec"`
+	Arrivals      int     `json:"arrivals"`
+	Tolerated     int     `json:"tolerated"`
+	Detected      int     `json:"detected"`
+	Untolerated   int     `json:"untolerated"`
+	Windows       int     `json:"windows"`
+	WorstWindowMS float64 `json:"worst_window_ms"`
+	BoundWindowMS float64 `json:"bound_window_ms"`
+	Reconciled    bool    `json:"reconciled"`
+}
+
+type faultrateKnee struct {
+	Topology         string  `json:"topology"`
+	KneeLambdaPerSec float64 `json:"knee_lambda_per_sec"`
+}
+
+type multifaultBench struct {
+	faultrateBench
+	Storms []multifaultStormRow `json:"storms"`
+}
+
+type multifaultStormRow struct {
+	Name             string `json:"name"`
+	Topology         string `json:"topology"`
+	Nodes            int    `json:"nodes"`
+	F                int    `json:"f"`
+	Faults           string `json:"faults"`
+	OverBudget       int    `json:"over_budget"`
+	Reconciled       int    `json:"reconciled"`
+	Flagged          bool   `json:"flagged"`
+	Confined         bool   `json:"confined"`
+	ReconnectChecked bool   `json:"reconnect_checked"`
+	Reconnected      bool   `json:"reconnected"`
+}
+
+type clientsloBenchRow struct {
+	Name         string  `json:"name"`
+	Topology     string  `json:"topology"`
+	Nodes        int     `json:"nodes"`
+	F            int     `json:"f"`
+	Fault        string  `json:"fault"`
+	Sessions     int     `json:"sessions"`
+	Ops          uint64  `json:"ops"`
+	Errors       uint64  `json:"errors"`
+	Retries      uint64  `json:"retries"`
+	StaleRetries uint64  `json:"stale_retries"`
+	P50MS        float64 `json:"p50_ms"`
+	P99MS        float64 `json:"p99_ms"`
+	P999MS       float64 `json:"p999_ms"`
+	MaxUnavailMS float64 `json:"max_unavail_ms"`
+	BoundMS      float64 `json:"bound_ms"`
+	Within       bool    `json:"within"`
+}
+
+type churnBenchRow struct {
+	Topology      string  `json:"topology"`
+	Epochs        int     `json:"epochs"`
+	WorstSwitchMS float64 `json:"worst_switch_ms"`
+	BoundMS       float64 `json:"bound_r_ms"`
+	WithinR       bool    `json:"within_r"`
+	CleanChurn    bool    `json:"clean_churn"`
+	ColdReplans   uint64  `json:"cold_replans"`
+	WarmReplans   uint64  `json:"warm_replans"`
+}
+
+type campaignBenchScenario struct {
+	ID     string `json:"id"`
+	Trials int    `json:"trials"`
+	Failed int    `json:"failed"`
+}
+
+// key names a row in a gate failure.
+func (r liveBenchRow) key() string          { return fmt.Sprintf("%s/%d", r.Topology, r.Nodes) }
+func (r liveProcBenchRow) key() string      { return fmt.Sprintf("%s/%d/%s", r.Topology, r.Nodes, r.Fault) }
+func (r saturationBenchRow) key() string    { return fmt.Sprintf("%s/%d", r.Topology, r.Nodes) }
+func (r faultrateBenchRow) key() string     { return fmt.Sprintf("%s λ=%g", r.Topology, r.LambdaPerSec) }
+func (r faultrateKnee) key() string         { return r.Topology }
+func (r multifaultStormRow) key() string    { return r.Name }
+func (r clientsloBenchRow) key() string     { return r.Name }
+func (r churnBenchRow) key() string         { return r.Topology }
+func (s campaignBenchScenario) key() string { return s.ID }
+
+// --- gates ------------------------------------------------------------------
+
+// gate is one rule the bundle must satisfy: section → field → check.
+// bad holds the keys of the rows that break it ("" when the rule judges
+// the section as a whole).
+type gate struct {
+	section, field, want string
+	bad                  []string
+}
+
+// id names the rule: section, then field when the rule judges one.
+func (g gate) id() string {
+	if g.field == "" {
+		return g.section
+	}
+	return g.section + "." + g.field
+}
+
+// gates is the one table of bundle rules, evaluated on cur. base is the
+// committed bundle: every scenario it lists must still run. Sections
+// prefix FAULT_MODEL.md's bench:<section> citations;
+// TestFaultModelCitationsAreGated ties the two together.
+func gates(cur, base *campaignBench) []gate {
+	fr, mf := &cur.FaultRate, &cur.MultiFault.faultrateBench
+	return []gate{
+		{"scenarios", "id", "every committed id still runs", missingScenarios(cur, base)},
+		{"scenarios", "failed", "== 0", each(cur.Scenarios, func(s campaignBenchScenario) bool { return s.Failed == 0 })},
+
+		{"live", "", "non-empty", present(cur.Live)},
+		{"live", "within_r", "true", each(cur.Live, func(r liveBenchRow) bool { return r.WithinR })},
+
+		{"liveproc", "", "non-empty", present(cur.LiveProc)},
+		{"liveproc", "within_r", "true", each(cur.LiveProc, func(r liveProcBenchRow) bool { return r.WithinR })},
+		{"liveproc", "reconnected", "not false", each(cur.LiveProc, func(r liveProcBenchRow) bool { return r.Reconnected == nil || *r.Reconnected })},
+
+		{"churn", "", "non-empty", present(cur.Churn)},
+		{"churn", "epochs", "== 3", each(cur.Churn, func(r churnBenchRow) bool { return r.Epochs == 3 })},
+		{"churn", "within_r", "true", each(cur.Churn, func(r churnBenchRow) bool { return r.WithinR })},
+		{"churn", "clean_churn", "true", each(cur.Churn, func(r churnBenchRow) bool { return r.CleanChurn })},
+		{"churn", "worst_switch_ms", "in (0, bound_r_ms]", each(cur.Churn, func(r churnBenchRow) bool { return r.WorstSwitchMS > 0 && r.WorstSwitchMS <= r.BoundMS })},
+		{"churn", "warm_replans", "== 0", each(cur.Churn, func(r churnBenchRow) bool { return r.WarmReplans == 0 })},
+
+		{"faultrate.rows", "", "non-empty", present(fr.Rows)},
+		{"faultrate.rows", "topology", "has a knee", each(fr.Rows, func(r faultrateBenchRow) bool { _, ok := fr.knee(r.Topology); return ok })},
+		{"faultrate.rows", "untolerated", "== 0 at or below the knee", belowKnee(fr, func(r faultrateBenchRow) bool { return r.Untolerated == 0 })},
+		{"faultrate.rows", "reconciled", "true at or below the knee", belowKnee(fr, func(r faultrateBenchRow) bool { return r.Reconciled })},
+		{"faultrate.knees", "knee_lambda_per_sec", "> 0", each(fr.Knees, func(k faultrateKnee) bool { return k.KneeLambdaPerSec > 0 })},
+
+		{"saturation.rows", "", "non-empty", present(cur.Saturation.Rows)},
+		{"saturation.rows", "sustainable_eps", "> 0", each(cur.Saturation.Rows, func(r saturationBenchRow) bool { return r.SustainableEPS > 0 })},
+		{"saturation.rows", "load_fraction", ">= 0.8", each(cur.Saturation.Rows, func(r saturationBenchRow) bool { return r.LoadFraction >= 0.8 })},
+		{"saturation.rows", "within_r", "true", each(cur.Saturation.Rows, func(r saturationBenchRow) bool { return r.WithinR })},
+
+		{"multifault.rows", "", "non-empty", present(mf.Rows)},
+		{"multifault.rows", "topology", "has a knee", each(mf.Rows, func(r faultrateBenchRow) bool { _, ok := mf.knee(r.Topology); return ok })},
+		{"multifault.rows", "untolerated", "== 0 at or below the knee", belowKnee(mf, func(r faultrateBenchRow) bool { return r.Untolerated == 0 })},
+		{"multifault.rows", "reconciled", "true at or below the knee", belowKnee(mf, func(r faultrateBenchRow) bool { return r.Reconciled })},
+		{"multifault.knees", "knee_lambda_per_sec", "> 0", each(mf.Knees, func(k faultrateKnee) bool { return k.KneeLambdaPerSec > 0 })},
+		{"multifault.storms", "", "non-empty", present(cur.MultiFault.Storms)},
+		{"multifault.storms", "flagged", "true", each(cur.MultiFault.Storms, func(s multifaultStormRow) bool { return s.Flagged })},
+		{"multifault.storms", "reconciled", "> 0", each(cur.MultiFault.Storms, func(s multifaultStormRow) bool { return s.Reconciled > 0 })},
+		{"multifault.storms", "confined", "true", each(cur.MultiFault.Storms, func(s multifaultStormRow) bool { return s.Confined })},
+		{"multifault.storms", "reconnect_checked", "true", each(cur.MultiFault.Storms, func(s multifaultStormRow) bool { return s.ReconnectChecked })},
+		{"multifault.storms", "reconnected", "true where checked", each(cur.MultiFault.Storms, func(s multifaultStormRow) bool { return !s.ReconnectChecked || s.Reconnected })},
+
+		{"clientslo", "", "non-empty", present(cur.ClientSLO)},
+		{"clientslo", "ops", "> 0", each(cur.ClientSLO, func(r clientsloBenchRow) bool { return r.Ops > 0 })},
+		{"clientslo", "errors", "== 0", each(cur.ClientSLO, func(r clientsloBenchRow) bool { return r.Errors == 0 })},
+		{"clientslo", "bound_ms", "> 0", each(cur.ClientSLO, func(r clientsloBenchRow) bool { return r.BoundMS > 0 })},
+		{"clientslo", "max_unavail_ms", "<= bound_ms", each(cur.ClientSLO, func(r clientsloBenchRow) bool { return r.BoundMS <= 0 || r.MaxUnavailMS <= r.BoundMS })},
+		{"clientslo", "within", "true", each(cur.ClientSLO, func(r clientsloBenchRow) bool { return r.Within })},
+	}
+}
+
+// present breaks when a section has no rows.
+func present[T any](rows []T) []string {
+	if len(rows) == 0 {
+		return []string{""}
+	}
+	return nil
+}
+
+// each returns the keys of the rows that fail ok.
+func each[T interface{ key() string }](rows []T, ok func(T) bool) []string {
+	var bad []string
+	for _, r := range rows {
+		if !ok(r) {
+			bad = append(bad, r.key())
+		}
+	}
+	return bad
+}
+
+// belowKnee is the knee-relative rule kind: it returns the keys of the
+// rows at or below their topology's knee that fail ok. Rows above the
+// knee are reported but not gated — beyond it the conviction machinery
+// itself can starve, which is what the knee locates — and a row with no
+// knee entry is the "has a knee" rule's to judge.
+func belowKnee(s *faultrateBench, ok func(faultrateBenchRow) bool) []string {
+	var bad []string
+	for _, r := range s.Rows {
+		if knee, found := s.knee(r.Topology); found && r.LambdaPerSec <= knee && !ok(r) {
+			bad = append(bad, r.key())
+		}
+	}
+	return bad
+}
+
+func (s *faultrateBench) knee(topology string) (float64, bool) {
+	i := slices.IndexFunc(s.Knees, func(k faultrateKnee) bool { return k.Topology == topology })
+	if i < 0 {
+		return 0, false
+	}
+	return s.Knees[i].KneeLambdaPerSec, true
+}
+
+// missingScenarios returns the committed scenario ids cur no longer runs.
+func missingScenarios(cur, base *campaignBench) []string {
+	var missing []string
+	for _, sc := range base.Scenarios {
+		if !slices.ContainsFunc(cur.Scenarios, func(c campaignBenchScenario) bool { return c.ID == sc.ID }) {
+			missing = append(missing, sc.ID)
+		}
+	}
+	return missing
+}
+
+// judge returns one line per broken (rule, row); empty means every gate
+// holds.
+func judge(cur, base *campaignBench) []string {
+	var failures []string
+	for _, g := range gates(cur, base) {
+		for _, key := range g.bad {
+			where := g.section
+			if key != "" {
+				where += "[" + key + "]"
 			}
+			if g.field != "" {
+				where += "." + g.field
+			}
+			failures = append(failures, fmt.Sprintf("%s: want %s", where, g.want))
 		}
-		return b
 	}
-	var sets int
-	cold := best(func() {
-		s, err := plan.Build(g, topo, opts)
-		if err != nil {
-			t.Fatalf("plan-cache bench: %v", err)
-		}
-		sets = len(s.Plans)
-	})
-	eng := cache.NewEngine(g, topo, opts, nil)
-	if _, err := eng.Precompute(); err != nil {
-		t.Fatalf("plan-cache bench: %v", err)
-	}
-	if _, err := eng.BuildStrategy(); err != nil { // populate transition memo
-		t.Fatalf("plan-cache bench: %v", err)
-	}
-	warm := best(func() {
-		if _, err := eng.BuildStrategy(); err != nil {
-			t.Fatalf("plan-cache bench: %v", err)
-		}
-	})
-	st := eng.Stats()
-	return planCacheBench{
-		Topology:    "full-mesh/n=12/f=2",
-		FaultSets:   sets,
-		Orbits:      st.DeltaBuilds + st.FullBuilds,
-		ColdMS:      float64(cold.Microseconds()) / 1000,
-		WarmMS:      float64(warm.Microseconds()) / 1000,
-		Speedup:     float64(cold) / float64(warm),
-		SymHits:     st.SymmetryHits,
-		DeltaBuilds: st.DeltaBuilds,
-	}
+	return failures
 }
 
-// BenchmarkPlanColdFullSynthesis is the baseline the plan cache is
-// measured against: plan.Build on the largest C2 topology.
-func BenchmarkPlanColdFullSynthesis(b *testing.B) {
-	g, topo, opts := planBenchDeployment()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Build(g, topo, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- emitter ----------------------------------------------------------------
 
-// BenchmarkPlanColdEngine: a cold engine still synthesizes, but only
-// once per symmetry orbit (3 for a full mesh) instead of once per fault
-// set (79).
-func BenchmarkPlanColdEngine(b *testing.B) {
-	g, topo, opts := planBenchDeployment()
-	for i := 0; i < b.N; i++ {
-		if _, err := cache.NewEngine(g, topo, opts, nil).BuildStrategy(); err != nil {
-			b.Fatal(err)
-		}
+// TestEmitCampaignBench regenerates the bundle into BTR_BENCH_OUT (wired
+// to `make bench-json` and `make bench-check`), then fails on every broken
+// gate, judged against the committed BENCH_campaign.json as read before
+// the write. It is skipped in normal test runs.
+func TestEmitCampaignBench(t *testing.T) {
+	out := os.Getenv("BTR_BENCH_OUT")
+	if out == "" {
+		t.Skip("set BTR_BENCH_OUT=<path> to emit and gate the campaign verdict bundle")
 	}
-}
-
-// BenchmarkPlanWarmEngine: warm-cache strategy assembly — the
-// acceptance criterion pins this at >=5x faster than
-// BenchmarkPlanColdFullSynthesis (TestWarmCacheSpeedup in
-// internal/plan/cache enforces it; the real margin is ~20x+).
-func BenchmarkPlanWarmEngine(b *testing.B) {
-	g, topo, opts := planBenchDeployment()
-	eng := cache.NewEngine(g, topo, opts, nil)
-	if _, err := eng.BuildStrategy(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.BuildStrategy(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanDeltaSingleFault: repairing a plan for one added fault
-// vs. synthesizing it from scratch (the incremental path node failover
-// relies on).
-func BenchmarkPlanDeltaSingleFault(b *testing.B) {
-	g, topo, opts := planBenchDeployment()
-	syn := plan.NewSynth(g, topo, opts)
-	base, err := syn.BuildPlan(plan.NewFaultSet(), nil)
+	base, err := loadBench("BENCH_campaign.json")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs := plan.NewFaultSet(network.NodeID(i % topo.N))
-		if _, err := syn.DeltaPlan(base, fs); err != nil {
-			b.Fatal(err)
+	p := campaign.Params{Seed: 1}
+	bench := campaignBench{
+		Schema: benchSchema, Seed: p.Seed, Quick: p.Quick,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		HostCores:  runtime.NumCPU(),
+		Live:       measureLiveSoak(p),
+		LiveProc:   measureLiveProc(p),
+		Churn:      measureChurn(t),
+		FaultRate:  measureSweep(t, exp.FaultRateKinds(), exp.FaultRateLambdas(), exp.RunFaultRateBench),
+		Saturation: measureSaturation(t),
+		MultiFault: measureMultiFault(t),
+		ClientSLO:  measureClientSLO(t),
+		Scenarios:  measureScenarios(p),
+	}
+	b, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failures := judge(&bench, base)
+	for _, f := range failures {
+		t.Errorf("gate: %s", f)
+	}
+	t.Logf("wrote %s: %d gate(s), %d broken; %d scenario(s), %d live, %d multi-process, %d churn, %d fault-rate + %d multifault row(s), %d storm(s), %d saturation, %d clientslo row(s)",
+		out, len(gates(&bench, base)), len(failures), len(bench.Scenarios), len(bench.Live), len(bench.LiveProc),
+		len(bench.Churn), len(bench.FaultRate.Rows), len(bench.MultiFault.Rows), len(bench.MultiFault.Storms),
+		len(bench.Saturation.Rows), len(bench.ClientSLO))
+}
+
+// loadBench reads a committed bundle. Older schemas decode too: fields
+// v12 dropped are ignored.
+func loadBench(path string) (*campaignBench, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var b campaignBench
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &b, nil
+}
+
+// measureScenarios runs the deterministic scenarios the bundle covers —
+// the paper reproductions plus the C4 plan-cache, C6 churn and C8
+// fault-rate sweeps — on one worker.
+func measureScenarios(p campaign.Params) []campaignBenchScenario {
+	var scens []campaign.Scenario
+	for _, sc := range exp.Scenarios() {
+		if sc.Family == "paper" || sc.ID == "C4" || sc.ID == "C6" || sc.ID == "C8" {
+			scens = append(scens, sc)
 		}
 	}
+	var out []campaignBenchScenario
+	for _, r := range campaign.Run(scens, campaign.Options{Workers: 1, Params: p}) {
+		out = append(out, campaignBenchScenario{ID: r.ID, Trials: len(r.Trials), Failed: r.Failed})
+	}
+	return out
 }
 
 // measureLiveSoak runs the C5 live wall-clock scenario and folds its
 // per-run rows into per-topology bundle entries.
 func measureLiveSoak(p campaign.Params) []liveBenchRow {
 	res := campaign.Run([]campaign.Scenario{exp.C5Scenario()}, campaign.Options{Workers: 1, Params: p})
-	type agg struct {
-		row liveBenchRow
-		ok  bool
-	}
-	var order []string
-	byTopo := map[string]*agg{}
+	var out []liveBenchRow
 	for _, tr := range res[0].Trials {
 		row, ok := campaign.Value[exp.C5Row](tr)
 		if !ok {
 			continue
 		}
-		key := fmt.Sprintf("%s/%d", row.Topology, row.Nodes)
-		a := byTopo[key]
-		if a == nil {
-			a = &agg{row: liveBenchRow{Topology: row.Topology, Nodes: row.Nodes, F: row.F, WithinR: true}}
-			byTopo[key] = a
-			order = append(order, key)
+		i := slices.IndexFunc(out, func(r liveBenchRow) bool { return r.Topology == row.Topology && r.Nodes == row.Nodes })
+		if i < 0 {
+			out = append(out, liveBenchRow{Topology: row.Topology, Nodes: row.Nodes, F: row.F, WithinR: true})
+			i = len(out) - 1
 		}
-		a.row.Runs++
-		if ms := row.Recovery.Millis(); ms > a.row.WorstRecoverMS {
-			a.row.WorstRecoverMS = ms
-		}
-		a.row.BoundMS = row.Bound.Millis()
-		if row.Recovery > row.Bound {
-			a.row.WithinR = false
-		}
-	}
-	out := make([]liveBenchRow, 0, len(order))
-	for _, key := range order {
-		out = append(out, byTopo[key].row)
+		a := &out[i]
+		a.Runs++
+		a.WorstRecoverMS = max(a.WorstRecoverMS, row.Recovery.Millis())
+		a.BoundMS = row.Bound.Millis()
+		a.WithinR = a.WithinR && row.Recovery <= row.Bound
 	}
 	return out
 }
@@ -216,189 +492,6 @@ func measureLiveProc(p campaign.Params) []liveProcBenchRow {
 	return out
 }
 
-// runExperiment executes experiment id once in quick mode.
-func runExperiment(b *testing.B, id string) exp.Result {
-	b.Helper()
-	for _, e := range exp.All() {
-		if e.ID == id {
-			return e.Run(uint64(1), true)
-		}
-	}
-	b.Fatalf("unknown experiment %s", id)
-	return exp.Result{}
-}
-
-// cellMillis parses a "12.345ms"-style cell into milliseconds.
-func cellMillis(cell string) (float64, bool) {
-	s := strings.TrimSuffix(cell, "ms")
-	if s == cell {
-		if s2 := strings.TrimSuffix(cell, "s"); s2 != cell {
-			v, err := strconv.ParseFloat(s2, 64)
-			return v * 1000, err == nil
-		}
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
-}
-
-// benchCampaign runs the full paper experiment table (quick mode) through
-// the campaign runner at the given worker count.
-func benchCampaign(b *testing.B, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		exp.RunAllWorkers(io.Discard, 1, true, workers)
-	}
-}
-
-func BenchmarkCampaignSerial(b *testing.B)   { benchCampaign(b, 1) }
-func BenchmarkCampaignWorkers4(b *testing.B) { benchCampaign(b, 4) }
-
-// campaignBench is the BENCH_campaign.json schema: the perf trajectory of
-// the experiment table through the campaign runner, tracked from PR 1
-// onward. Timing fields are machine-dependent; gomaxprocs records the
-// parallelism the run actually used and host_cores the machine's core
-// count — kept separate so a comparator can refuse to judge timings
-// across differently-parallel runs (a 1-core container baseline must not
-// gate a multi-core CI run).
-type campaignBench struct {
-	Schema     string  `json:"schema"`
-	Seed       uint64  `json:"seed"`
-	Quick      bool    `json:"quick"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	HostCores  int     `json:"host_cores"`
-	SerialMS   float64 `json:"serial_wall_ms"`   // workers=1
-	Par4MS     float64 `json:"workers4_wall_ms"` // workers=4
-	Speedup    float64 `json:"speedup_4w"`
-
-	// PlanCache tracks the incremental plan engine on the largest C2
-	// topology (full mesh, 12 nodes, f=2): cold full synthesis
-	// (plan.Build) vs. warm cache-backed strategy assembly.
-	PlanCache planCacheBench `json:"plan_cache"`
-
-	// Kernel tracks simulation-kernel event throughput on the standard
-	// BTR-shaped workload against the frozen pre-refactor closure-heap
-	// baseline compiled into the same binary. The speedup ratio is
-	// machine-independent (same process, same workload) and gated at
-	// >=2x by cmd/btrcheckbench — the typed-kernel acceptance floor.
-	Kernel kernelBench `json:"kernel"`
-
-	// Live records the C5 wall-clock soak: full BTR deployments on the
-	// real-time executor across topology families, measured recovery vs
-	// the provable bound R. within_r is the row-level invariant the
-	// comparator gates.
-	Live []liveBenchRow `json:"live"`
-
-	// LiveProc records the C7 multi-process deployment soak (schema v6):
-	// one OS process per node over real TCP sockets, faults injected
-	// against real processes (catalog + SIGKILL-restart + partition),
-	// recovery judged by the orchestrator acting as the plant. within_r
-	// and reconnected (where non-null) are the invariants btrcheckbench
-	// gates; the latencies themselves are wall-clock and machine-bound.
-	LiveProc []liveProcBenchRow `json:"liveproc"`
-
-	// Saturation records the C9 saturation probe (schema v8; v11 dropped
-	// its batch-verify ratios with batch verification itself): per
-	// topology, the sustainable flood events/sec the live transport
-	// absorbs without material shedding, and a recovery-under-load run at
-	// >=80% of that rate whose within_r invariant the comparator gates.
-	Saturation saturationBench `json:"saturation"`
-
-	// FaultRate records the C8 high-fault-rate sweep (schema v7):
-	// continuous Poisson-style fault arrivals at rate λ against
-	// parole-clock deployments, every bad sink-period classified
-	// tolerated (within R of a within-budget fault), detected (inside a
-	// signed over-budget window) or untolerated (silent miss). All
-	// quantities are simulated-time and machine-independent.
-	// btrcheckbench gates: the section must be present, every topology's
-	// knee must be positive, and every row at or below its topology's
-	// knee must have zero untolerated periods and reconcile within the
-	// bound.
-	FaultRate faultrateBench `json:"faultrate"`
-
-	// MultiFault records the C10 multi-fault family (schema v9): the
-	// extended-catalog sweep — corrupt-sink, delay and skip-actuation
-	// arrivals drawn by the same Poisson process as C8 against
-	// parole-clock deployments — plus the scripted storms: two
-	// concurrent process-level faults (> f) against real multi-process
-	// deployments, each storm's budget verdicts, confinement and
-	// per-victim reconnects. btrcheckbench gates: rows and storms must
-	// be present, every topology's knee must be positive, every row at
-	// or below its knee must be clean-and-reconciled, and every storm
-	// must be flagged, confined and reconnected where checked.
-	MultiFault multifaultBench `json:"multifault"`
-
-	// ClientSLO records the C11 client-SLO family (schema v10): a load
-	// generator drives concurrent epoch-aware quorum-client sessions
-	// (internal/client) against orchestrated multi-process deployments —
-	// steady state plus ≤ f process faults landing mid-run — and each row
-	// is the client-visible verdict. btrcheckbench gates: the section
-	// must be non-empty, every row must have zero client-visible errors
-	// (the steady row's error-free p99 in particular), and every row's
-	// max unavailability must sit within its recorded bound (R plus one
-	// detection period and the watchdog margin). Latencies are wall-clock
-	// and machine-bound; the invariants are not.
-	ClientSLO []clientsloBenchRow `json:"clientslo"`
-
-	// Churn records the C6 membership-churn family (schema v5): per
-	// topology, the epoch count, worst epoch-switch latency vs the worst
-	// per-epoch bound R, the within-R / clean-churn invariants, and the
-	// cold-vs-warm replan counts of running the same churn script twice
-	// against a shared plan cache (warm must be zero — warm churn
-	// re-plans nothing). btrcheckbench gates all of it.
-	Churn []churnBenchRow `json:"churn"`
-
-	// Crypto tracks the verification/seal memo fast path (schema v4):
-	// memoized vs uncached verification ns/op (same process, same
-	// working set — the ratio is machine-independent and gated >=2x by
-	// cmd/btrcheckbench -min-crypto-speedup), the shared-memo hit rate
-	// over the cached serial campaign, and the serial campaign wall
-	// measured with the memos disabled vs enabled (the before/after of
-	// this subsystem; the ratio is gated >=1.5x). serial_wall_ms above
-	// is the cached (production-path) number.
-	Crypto cryptoBench `json:"crypto"`
-
-	Scenarios []campaignBenchScenario `json:"scenarios"`
-}
-
-type cryptoBench struct {
-	VerifyCachedNsOp   float64 `json:"verify_cached_ns_op"`
-	VerifyUncachedNsOp float64 `json:"verify_uncached_ns_op"`
-	VerifySpeedup      float64 `json:"speedup_verify"`
-
-	MemoHits    uint64  `json:"memo_hits"`
-	MemoMisses  uint64  `json:"memo_misses"`
-	MemoHitRate float64 `json:"memo_hit_rate"`
-
-	UncachedSerialMS float64 `json:"campaign_serial_uncached_ms"`
-	CachedSerialMS   float64 `json:"campaign_serial_cached_ms"`
-	CampaignSpeedup  float64 `json:"speedup_campaign"`
-
-	// E4WorkShare is the crypto-bound scenario's share of total serial
-	// compute — the canary btrcheckbench regression-gates.
-	E4WorkShare float64 `json:"e4_work_share"`
-}
-
-// saturationBench is the saturation section: the C9 probe rows.
-type saturationBench struct {
-	Rows []saturationBenchRow `json:"rows"`
-}
-
-type saturationBenchRow struct {
-	Topology       string  `json:"topology"`
-	Nodes          int     `json:"nodes"`
-	F              int     `json:"f"`
-	SustainableEPS float64 `json:"sustainable_eps"`
-	LoadEPS        float64 `json:"load_eps"`
-	LoadFraction   float64 `json:"load_fraction"`
-	RecoveryMS     float64 `json:"recovery_ms"`
-	BoundMS        float64 `json:"bound_ms"`
-	WithinR        bool    `json:"within_r"`
-	Delivered      uint64  `json:"delivered"`
-	Dropped        uint64  `json:"dropped"`
-	Shed           uint64  `json:"shed"`
-}
-
 // measureSaturation runs the full C9 probe per topology.
 func measureSaturation(t *testing.T) saturationBench {
 	var out saturationBench
@@ -425,70 +518,17 @@ func measureSaturation(t *testing.T) saturationBench {
 	return out
 }
 
-type kernelBench struct {
-	EventsPerSec       float64 `json:"events_per_sec"`
-	LegacyEventsPerSec float64 `json:"legacy_events_per_sec"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// faultrateBench is the C8 section: the full (topology × λ) sweep plus
-// the graceful-degradation knee per topology.
-type faultrateBench struct {
-	Rows  []faultrateBenchRow `json:"rows"`
-	Knees []faultrateKnee     `json:"knees"`
-}
-
-type faultrateBenchRow struct {
-	Topology      string  `json:"topology"`
-	LambdaPerSec  float64 `json:"lambda_per_sec"`
-	Arrivals      int     `json:"arrivals"`
-	Tolerated     int     `json:"tolerated"`
-	Detected      int     `json:"detected"`
-	Untolerated   int     `json:"untolerated"`
-	Windows       int     `json:"windows"`
-	WorstWindowMS float64 `json:"worst_window_ms"`
-	BoundWindowMS float64 `json:"bound_window_ms"`
-	Reconciled    bool    `json:"reconciled"`
-}
-
-type faultrateKnee struct {
-	Topology         string  `json:"topology"`
-	KneeLambdaPerSec float64 `json:"knee_lambda_per_sec"`
-}
-
-// multifaultBench is the C10 section: the extended-catalog (topology ×
-// λ) sweep with its knees, plus the concurrent-fault storm verdicts.
-type multifaultBench struct {
-	Rows   []faultrateBenchRow  `json:"rows"`
-	Knees  []faultrateKnee      `json:"knees"`
-	Storms []multifaultStormRow `json:"storms"`
-}
-
-type multifaultStormRow struct {
-	Name             string `json:"name"`
-	Topology         string `json:"topology"`
-	Nodes            int    `json:"nodes"`
-	F                int    `json:"f"`
-	Faults           string `json:"faults"`
-	OverBudget       int    `json:"over_budget"`
-	Reconciled       int    `json:"reconciled"`
-	Flagged          bool   `json:"flagged"`
-	Confined         bool   `json:"confined"`
-	ReconnectChecked bool   `json:"reconnect_checked"`
-	Reconnected      bool   `json:"reconnected"`
-}
-
-// measureMultiFault runs the full C10 sweep — every topology at every
-// swept λ with the extended catalog, full horizon — plus every scripted
-// storm against real processes.
-func measureMultiFault(t *testing.T) multifaultBench {
-	var out multifaultBench
-	for _, kind := range exp.MultiFaultKinds() {
+// measureSweep runs a C8-shaped sweep — every topology at every swept λ,
+// full horizon — and records each row's classification plus the knee each
+// topology sustains.
+func measureSweep(t *testing.T, kinds []string, lambdas []float64, run func(string, float64, uint64) (exp.C8Row, error)) faultrateBench {
+	var out faultrateBench
+	for _, kind := range kinds {
 		var rows []exp.C8Row
-		for _, lambda := range exp.MultiFaultLambdas() {
-			row, err := exp.RunMultiFaultBench(kind, lambda, 1)
+		for _, lambda := range lambdas {
+			row, err := run(kind, lambda, 1)
 			if err != nil {
-				t.Fatalf("multifault bench %s λ=%g: %v", kind, lambda, err)
+				t.Fatalf("sweep %s λ=%g: %v", kind, lambda, err)
 			}
 			rows = append(rows, row)
 			out.Rows = append(out.Rows, faultrateBenchRow{
@@ -504,11 +544,15 @@ func measureMultiFault(t *testing.T) multifaultBench {
 				Reconciled:    row.Reconciled,
 			})
 		}
-		out.Knees = append(out.Knees, faultrateKnee{
-			Topology:         kind,
-			KneeLambdaPerSec: exp.C8Knee(rows),
-		})
+		out.Knees = append(out.Knees, faultrateKnee{Topology: kind, KneeLambdaPerSec: exp.C8Knee(rows)})
 	}
+	return out
+}
+
+// measureMultiFault runs the full C10 sweep with the extended catalog plus
+// every scripted storm against real processes.
+func measureMultiFault(t *testing.T) multifaultBench {
+	out := multifaultBench{faultrateBench: measureSweep(t, exp.MultiFaultKinds(), exp.MultiFaultLambdas(), exp.RunMultiFaultBench)}
 	for _, name := range exp.MultiFaultStorms() {
 		row, err := exp.RunMultiFaultStormBench(name, 1)
 		if err != nil {
@@ -529,27 +573,6 @@ func measureMultiFault(t *testing.T) multifaultBench {
 		})
 	}
 	return out
-}
-
-// clientsloBenchRow is one C11 run: the client-visible SLO a load of
-// quorum-client sessions measured through an orchestrated deployment.
-type clientsloBenchRow struct {
-	Name         string  `json:"name"`
-	Topology     string  `json:"topology"`
-	Nodes        int     `json:"nodes"`
-	F            int     `json:"f"`
-	Fault        string  `json:"fault"`
-	Sessions     int     `json:"sessions"`
-	Ops          uint64  `json:"ops"`
-	Errors       uint64  `json:"errors"`
-	Retries      uint64  `json:"retries"`
-	StaleRetries uint64  `json:"stale_retries"`
-	P50MS        float64 `json:"p50_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	P999MS       float64 `json:"p999_ms"`
-	MaxUnavailMS float64 `json:"max_unavail_ms"`
-	BoundMS      float64 `json:"bound_ms"`
-	Within       bool    `json:"within"`
 }
 
 // measureClientSLO runs every C11 case — steady state plus each ≤ f
@@ -584,53 +607,8 @@ func measureClientSLO(t *testing.T) []clientsloBenchRow {
 	return out
 }
 
-// measureFaultRate runs the full C8 sweep — every topology at every
-// swept λ, full horizon — and records the per-row classification plus
-// the knee each topology sustains.
-func measureFaultRate(t *testing.T) faultrateBench {
-	var out faultrateBench
-	for _, kind := range exp.FaultRateKinds() {
-		var rows []exp.C8Row
-		for _, lambda := range exp.FaultRateLambdas() {
-			row, err := exp.RunFaultRateBench(kind, lambda, 1)
-			if err != nil {
-				t.Fatalf("faultrate bench %s λ=%g: %v", kind, lambda, err)
-			}
-			rows = append(rows, row)
-			out.Rows = append(out.Rows, faultrateBenchRow{
-				Topology:      row.Topology,
-				LambdaPerSec:  row.Lambda,
-				Arrivals:      row.Arrivals,
-				Tolerated:     row.Tolerated,
-				Detected:      row.Detected,
-				Untolerated:   row.Untolerated,
-				Windows:       row.Windows,
-				WorstWindowMS: row.WorstWindow.Millis(),
-				BoundWindowMS: row.Bound.Millis(),
-				Reconciled:    row.Reconciled,
-			})
-		}
-		out.Knees = append(out.Knees, faultrateKnee{
-			Topology:         kind,
-			KneeLambdaPerSec: exp.C8Knee(rows),
-		})
-	}
-	return out
-}
-
-type churnBenchRow struct {
-	Topology      string  `json:"topology"`
-	Epochs        int     `json:"epochs"`
-	WorstSwitchMS float64 `json:"worst_switch_ms"`
-	BoundMS       float64 `json:"bound_r_ms"`
-	WithinR       bool    `json:"within_r"`
-	CleanChurn    bool    `json:"clean_churn"`
-	ColdReplans   uint64  `json:"cold_replans"`
-	WarmReplans   uint64  `json:"warm_replans"`
-}
-
 // measureChurn runs every C6 churn topology twice against a shared plan
-// cache: the first pass measures cold replans, the second proves warm
+// cache: the first pass counts cold replans, the second proves warm
 // churn synthesizes nothing while reproducing identical epochs.
 func measureChurn(t *testing.T) []churnBenchRow {
 	var rows []churnBenchRow
@@ -658,319 +636,166 @@ func measureChurn(t *testing.T) []churnBenchRow {
 	return rows
 }
 
-type liveBenchRow struct {
-	Topology       string  `json:"topology"`
-	Nodes          int     `json:"nodes"`
-	F              int     `json:"f"`
-	Runs           int     `json:"runs"`
-	WorstRecoverMS float64 `json:"worst_recovery_ms"`
-	BoundMS        float64 `json:"bound_r_ms"`
-	WithinR        bool    `json:"within_r"`
-}
+// --- gate tests -------------------------------------------------------------
 
-type liveProcBenchRow struct {
-	Topology   string  `json:"topology"`
-	Nodes      int     `json:"nodes"`
-	F          int     `json:"f"`
-	Fault      string  `json:"fault"`
-	RecoveryMS float64 `json:"recovery_ms"`
-	BoundMS    float64 `json:"bound_r_ms"`
-	WithinR    bool    `json:"within_r"`
-	// Reconnected is non-null only for faults whose repair must be
-	// visible at the transport (kill-restart, partition).
-	Reconnected *bool `json:"reconnected"`
-}
-
-type planCacheBench struct {
-	Topology    string  `json:"topology"`
-	FaultSets   int     `json:"fault_sets"`
-	Orbits      uint64  `json:"orbits"` // cold syntheses (one per orbit)
-	ColdMS      float64 `json:"cold_full_synthesis_ms"`
-	WarmMS      float64 `json:"warm_cache_ms"`
-	Speedup     float64 `json:"speedup_warm"`
-	SymHits     uint64  `json:"symmetry_hits"`
-	DeltaBuilds uint64  `json:"delta_builds"`
-}
-
-type campaignBenchScenario struct {
-	ID     string  `json:"id"`
-	Trials int     `json:"trials"`
-	Failed int     `json:"failed"`
-	WorkMS float64 `json:"work_ms"` // summed trial compute (serial run)
-}
-
-// TestEmitCampaignBench writes BENCH_campaign.json when BTR_BENCH_OUT is
-// set (wired to `make bench-json`); it is skipped in normal test runs.
-func TestEmitCampaignBench(t *testing.T) {
-	out := os.Getenv("BTR_BENCH_OUT")
-	if out == "" {
-		t.Skip("set BTR_BENCH_OUT=<path> to emit the campaign benchmark bundle")
+// healthyBench is a synthetic bundle every gate passes. It carries the
+// cases a gate must not fire on: a liveproc row with no reconnect
+// obligation (null) and, in both sweeps, an above-knee row with a silent
+// miss.
+func healthyBench() *campaignBench {
+	reconnected := true
+	sweep := faultrateBench{
+		Rows: []faultrateBenchRow{
+			{Topology: "full-mesh", LambdaPerSec: 1, Arrivals: 2, BoundWindowMS: 500, Reconciled: true},
+			{Topology: "full-mesh", LambdaPerSec: 4, Arrivals: 13, Detected: 3, WorstWindowMS: 99, BoundWindowMS: 500, Reconciled: true},
+			{Topology: "full-mesh", LambdaPerSec: 8, Arrivals: 22, Detected: 4, Untolerated: 1, WorstWindowMS: 319, BoundWindowMS: 500},
+		},
+		Knees: []faultrateKnee{{Topology: "full-mesh", KneeLambdaPerSec: 4}},
 	}
-	quick := os.Getenv("BTR_BENCH_QUICK") != ""
-	scens := exp.PaperScenarios()
-	p := campaign.Params{Seed: 1, Quick: quick}
+	return &campaignBench{
+		Schema:    benchSchema,
+		Scenarios: []campaignBenchScenario{{ID: "E1", Trials: 6}, {ID: "C4", Trials: 7}},
+		Live:      []liveBenchRow{{Topology: "full-mesh", Nodes: 6, F: 1, Runs: 2, WorstRecoverMS: 300, BoundMS: 603, WithinR: true}},
+		LiveProc: []liveProcBenchRow{
+			{Topology: "full-mesh", Nodes: 4, F: 1, Fault: "corrupt-all", RecoveryMS: 1000, BoundMS: 2053, WithinR: true},
+			{Topology: "full-mesh", Nodes: 4, F: 1, Fault: "kill-restart", BoundMS: 2053, WithinR: true, Reconnected: &reconnected},
+		},
+		Churn: []churnBenchRow{{Topology: "full-mesh", Epochs: 3, WorstSwitchMS: 25, BoundMS: 103,
+			WithinR: true, CleanChurn: true, ColdReplans: 4}},
+		FaultRate: sweep,
+		Saturation: saturationBench{Rows: []saturationBenchRow{{Topology: "full-mesh", Nodes: 8, F: 2,
+			SustainableEPS: 35840, LoadEPS: 28700, LoadFraction: 0.8, RecoveryMS: 300, BoundMS: 603, WithinR: true}}},
+		MultiFault: multifaultBench{
+			faultrateBench: faultrateBench{Rows: slices.Clone(sweep.Rows), Knees: slices.Clone(sweep.Knees)},
+			Storms: []multifaultStormRow{{Name: "kill-restart+partition", Topology: "full-mesh", Nodes: 4, F: 1,
+				OverBudget: 6, Reconciled: 6, Flagged: true, Confined: true, ReconnectChecked: true, Reconnected: true}},
+		},
+		ClientSLO: []clientsloBenchRow{
+			{Name: "steady", Topology: "full-mesh", Fault: "none", Sessions: 8, Ops: 1200, MaxUnavailMS: 40, BoundMS: 3200, Within: true},
+			{Name: "kill-restart", Topology: "full-mesh", Fault: "kill-restart", Sessions: 8, Ops: 900, MaxUnavailMS: 2100, BoundMS: 3200, Within: true},
+		},
+	}
+}
 
-	// Crypto before/after: the same serial campaign with the sig memos
-	// disabled, then enabled. Registries capture the setting at
-	// construction, so the toggle cleanly splits the two runs. The table
-	// comparison below doubles as a determinism assertion: memoization
-	// must not change a single output byte.
-	renderTables := func(rs []campaign.ScenarioResult) string {
-		var sb strings.Builder
-		for _, r := range rs {
-			for _, tbl := range r.Tables {
-				sb.WriteString(tbl.String())
-			}
+// TestBenchGates: the healthy bundle passes every gate, and for each rule
+// a bundle that breaks only that rule fails exactly that rule, once. One
+// subtest per bundle section.
+func TestBenchGates(t *testing.T) {
+	base := healthyBench()
+	t.Run("healthy", func(t *testing.T) {
+		if fails := judge(healthyBench(), base); len(fails) != 0 {
+			t.Fatalf("healthy bundle fails: %v", fails)
 		}
-		return sb.String()
-	}
-	sig.SetMemos(false)
-	start := time.Now()
-	uncachedRes := campaign.Run(scens, campaign.Options{Workers: 1, Params: p})
-	uncachedSerial := time.Since(start)
-	sig.SetMemos(true)
+	})
+	breaks := map[string]func(b *campaignBench){
+		"scenarios.id":     func(b *campaignBench) { b.Scenarios = b.Scenarios[:1] },
+		"scenarios.failed": func(b *campaignBench) { b.Scenarios[1].Failed = 2 },
 
-	// Both timed runs start with empty memos: serial measures the
-	// cold-start production path (intra-run sharing only), and the
-	// workers=4 run must not inherit the serial run's warmth — otherwise
-	// speedup_4w would conflate cache reuse with parallelism.
-	sig.ResetMemos()
-	vh0, vm0, sh0, sm0 := sig.MemoStats()
-	start = time.Now()
-	serialRes := campaign.Run(scens, campaign.Options{Workers: 1, Params: p})
-	serial := time.Since(start)
-	vh1, vm1, sh1, sm1 := sig.MemoStats()
-	hits := (vh1 - vh0) + (sh1 - sh0)
-	misses := (vm1 - vm0) + (sm1 - sm0)
+		"live":          func(b *campaignBench) { b.Live = nil },
+		"live.within_r": func(b *campaignBench) { b.Live[0].WithinR = false },
 
-	if renderTables(uncachedRes) != renderTables(serialRes) {
-		t.Fatal("memoized serial campaign tables differ from the uncached run")
-	}
+		"liveproc":             func(b *campaignBench) { b.LiveProc = nil },
+		"liveproc.within_r":    func(b *campaignBench) { b.LiveProc[0].WithinR = false },
+		"liveproc.reconnected": func(b *campaignBench) { *b.LiveProc[1].Reconnected = false },
 
-	sig.ResetMemos()
-	start = time.Now()
-	campaign.Run(scens, campaign.Options{Workers: 4, Params: p})
-	par4 := time.Since(start)
+		"churn":                 func(b *campaignBench) { b.Churn = nil },
+		"churn.epochs":          func(b *campaignBench) { b.Churn[0].Epochs = 2 },
+		"churn.within_r":        func(b *campaignBench) { b.Churn[0].WithinR = false },
+		"churn.clean_churn":     func(b *campaignBench) { b.Churn[0].CleanChurn = false },
+		"churn.worst_switch_ms": func(b *campaignBench) { b.Churn[0].WorstSwitchMS = 500 },
+		"churn.warm_replans":    func(b *campaignBench) { b.Churn[0].WarmReplans = 2 },
 
-	cachedNs, uncachedNs := sig.MeasureVerifySpeedup(64)
-	curTP, legacyTP := sim.MeasureKernelThroughput(1 << 19)
-	bench := campaignBench{
-		Schema: "btr-campaign-bench/v11",
-		Seed:   1, Quick: quick,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		HostCores:  runtime.NumCPU(),
-		SerialMS:   float64(serial.Microseconds()) / 1000,
-		Par4MS:     float64(par4.Microseconds()) / 1000,
-		Speedup:    float64(serial) / float64(par4),
-		PlanCache:  measurePlanCache(t),
-		Kernel: kernelBench{
-			EventsPerSec:       curTP,
-			LegacyEventsPerSec: legacyTP,
-			Speedup:            curTP / legacyTP,
-		},
-		Live:       measureLiveSoak(p),
-		LiveProc:   measureLiveProc(p),
-		Churn:      measureChurn(t),
-		FaultRate:  measureFaultRate(t),
-		Saturation: measureSaturation(t),
-		MultiFault: measureMultiFault(t),
-		ClientSLO:  measureClientSLO(t),
-		Crypto: cryptoBench{
-			VerifyCachedNsOp:   cachedNs,
-			VerifyUncachedNsOp: uncachedNs,
-			VerifySpeedup:      uncachedNs / cachedNs,
-			MemoHits:           hits,
-			MemoMisses:         misses,
-			MemoHitRate:        float64(hits) / float64(hits+misses),
-			UncachedSerialMS:   float64(uncachedSerial.Microseconds()) / 1000,
-			CachedSerialMS:     float64(serial.Microseconds()) / 1000,
-			CampaignSpeedup:    float64(uncachedSerial) / float64(serial),
-		},
+		"faultrate.rows":                      func(b *campaignBench) { b.FaultRate.Rows = nil },
+		"faultrate.rows.topology":             func(b *campaignBench) { b.FaultRate.Rows[0].Topology = "ring" },
+		"faultrate.rows.untolerated":          func(b *campaignBench) { b.FaultRate.Rows[1].Untolerated = 2 },
+		"faultrate.rows.reconciled":           func(b *campaignBench) { b.FaultRate.Rows[1].Reconciled = false },
+		"faultrate.knees.knee_lambda_per_sec": func(b *campaignBench) { b.FaultRate.Knees[0].KneeLambdaPerSec = 0 },
+
+		"saturation.rows":                 func(b *campaignBench) { b.Saturation.Rows = nil },
+		"saturation.rows.sustainable_eps": func(b *campaignBench) { b.Saturation.Rows[0].SustainableEPS = 0 },
+		"saturation.rows.load_fraction":   func(b *campaignBench) { b.Saturation.Rows[0].LoadFraction = 0.5 },
+		"saturation.rows.within_r":        func(b *campaignBench) { b.Saturation.Rows[0].WithinR = false },
+
+		"multifault.rows":                      func(b *campaignBench) { b.MultiFault.Rows = nil },
+		"multifault.rows.topology":             func(b *campaignBench) { b.MultiFault.Rows[0].Topology = "ring" },
+		"multifault.rows.untolerated":          func(b *campaignBench) { b.MultiFault.Rows[0].Untolerated = 1 },
+		"multifault.rows.reconciled":           func(b *campaignBench) { b.MultiFault.Rows[0].Reconciled = false },
+		"multifault.knees.knee_lambda_per_sec": func(b *campaignBench) { b.MultiFault.Knees[0].KneeLambdaPerSec = 0 },
+		"multifault.storms":                    func(b *campaignBench) { b.MultiFault.Storms = nil },
+		"multifault.storms.flagged":            func(b *campaignBench) { b.MultiFault.Storms[0].Flagged = false },
+		"multifault.storms.reconciled":         func(b *campaignBench) { b.MultiFault.Storms[0].Reconciled = 0 },
+		"multifault.storms.confined":           func(b *campaignBench) { b.MultiFault.Storms[0].Confined = false },
+		"multifault.storms.reconnect_checked":  func(b *campaignBench) { b.MultiFault.Storms[0].ReconnectChecked = false },
+		"multifault.storms.reconnected":        func(b *campaignBench) { b.MultiFault.Storms[0].Reconnected = false },
+
+		"clientslo":                func(b *campaignBench) { b.ClientSLO = nil },
+		"clientslo.ops":            func(b *campaignBench) { b.ClientSLO[0].Ops = 0 },
+		"clientslo.errors":         func(b *campaignBench) { b.ClientSLO[0].Errors = 3 },
+		"clientslo.bound_ms":       func(b *campaignBench) { b.ClientSLO[1].BoundMS = 0 },
+		"clientslo.max_unavail_ms": func(b *campaignBench) { b.ClientSLO[1].MaxUnavailMS = 5000 },
+		"clientslo.within":         func(b *campaignBench) { b.ClientSLO[1].Within = false },
 	}
-	for _, r := range serialRes {
-		bench.Scenarios = append(bench.Scenarios, campaignBenchScenario{
-			ID: r.ID, Trials: len(r.Trials), Failed: r.Failed,
-			WorkMS: float64(r.Work.Microseconds()) / 1000,
-		})
-	}
-	// The C4 plan-cache, C6 churn and C8 fault-rate sweeps ride along
-	// outside the timed serial/par4 pair so the historical wall-clock
-	// trajectory stays comparable.
-	for _, sc := range exp.Scenarios() {
-		if sc.ID != "C4" && sc.ID != "C6" && sc.ID != "C8" {
+	seen := map[string]bool{}
+	var sections []string
+	rules := map[string][]string{}
+	for _, g := range gates(healthyBench(), base) {
+		id := g.id()
+		if seen[id] {
+			t.Errorf("rule %s appears twice in the table", id)
+		}
+		seen[id] = true
+		if _, ok := breaks[id]; !ok {
+			t.Errorf("rule %s has no breaking case", id)
 			continue
 		}
-		res := campaign.Run([]campaign.Scenario{sc}, campaign.Options{Workers: 1, Params: p})
-		bench.Scenarios = append(bench.Scenarios, campaignBenchScenario{
-			ID: res[0].ID, Trials: len(res[0].Trials), Failed: res[0].Failed,
-			WorkMS: float64(res[0].Work.Microseconds()) / 1000,
+		section := strings.SplitN(g.section, ".", 2)[0]
+		if rules[section] == nil {
+			sections = append(sections, section)
+		}
+		rules[section] = append(rules[section], id)
+	}
+	for id := range breaks {
+		if !seen[id] {
+			t.Errorf("breaking case %s names no rule", id)
+		}
+	}
+	for _, section := range sections {
+		t.Run(section, func(t *testing.T) {
+			for _, id := range rules[section] {
+				cur := healthyBench()
+				breaks[id](cur)
+				var broken []string
+				for _, g := range gates(cur, base) {
+					for range g.bad {
+						broken = append(broken, g.id())
+					}
+				}
+				if len(broken) != 1 || broken[0] != id {
+					t.Errorf("breaking only %s: broken rules %v, want exactly [%s]; failures %v", id, broken, id, judge(cur, base))
+				}
+			}
 		})
 	}
-	// E4's recorded share uses the same denominator the btrcheckbench
-	// canary gate does: every scenario row in the bundle, C4 included.
-	var totalMS float64
-	for _, sc := range bench.Scenarios {
-		totalMS += sc.WorkMS
-	}
-	for _, sc := range bench.Scenarios {
-		if sc.ID == "E4" && totalMS > 0 {
-			bench.Crypto.E4WorkShare = sc.WorkMS / totalMS
-		}
-	}
-	f, err := os.Create(out)
+}
+
+// TestFaultModelCitationsAreGated: every bench:<section> FAULT_MODEL.md
+// cites as proof has at least one rule in the gates table.
+func TestFaultModelCitationsAreGated(t *testing.T) {
+	src, err := os.ReadFile("FAULT_MODEL.md")
 	if err != nil {
-		t.Fatalf("create %s: %v", out, err)
+		t.Fatal(err)
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		t.Fatalf("encode: %v", err)
+	gated := map[string]bool{}
+	for _, g := range gates(&campaignBench{}, &campaignBench{}) {
+		gated[strings.SplitN(g.section, ".", 2)[0]] = true
 	}
-	t.Logf("wrote %s: serial %.0fms (uncached %.0fms, crypto %.2fx, memo hit rate %.1f%%), workers=4 %.0fms, speedup %.2fx (GOMAXPROCS=%d, %d host core(s)); plan cache warm %.2fms vs cold %.2fms (%.1fx); kernel %.2fx vs legacy; verify memo %.1fx; %d live soak row(s); %d multi-process row(s); %d churn row(s); %d fault-rate row(s) across %d knee(s); %d saturation row(s); %d multifault row(s) + %d storm(s); %d clientslo row(s)",
-		out, bench.SerialMS, bench.Crypto.UncachedSerialMS, bench.Crypto.CampaignSpeedup,
-		bench.Crypto.MemoHitRate*100, bench.Par4MS, bench.Speedup, bench.GOMAXPROCS, bench.HostCores,
-		bench.PlanCache.WarmMS, bench.PlanCache.ColdMS, bench.PlanCache.Speedup,
-		bench.Kernel.Speedup, bench.Crypto.VerifySpeedup,
-		len(bench.Live), len(bench.LiveProc), len(bench.Churn),
-		len(bench.FaultRate.Rows), len(bench.FaultRate.Knees), len(bench.Saturation.Rows),
-		len(bench.MultiFault.Rows), len(bench.MultiFault.Storms), len(bench.ClientSLO))
-}
-
-func BenchmarkE1Recovery(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E1")
-		worst = 0
-		for _, row := range res.Tables[0].Rows {
-			if v, ok := cellMillis(row[3]); ok && v > worst {
-				worst = v
-			}
+	cites := regexp.MustCompile("`bench:([a-z]+)`").FindAllStringSubmatch(string(src), -1)
+	if len(cites) == 0 {
+		t.Fatal("FAULT_MODEL.md cites no bench section")
+	}
+	for _, m := range cites {
+		if !gated[m[1]] {
+			t.Errorf("FAULT_MODEL.md cites bench:%s, which no gate judges", m[1])
 		}
 	}
-	b.ReportMetric(worst, "worst-recovery-ms")
-}
-
-func BenchmarkE2ReplicaCost(b *testing.B) {
-	var btrUtil float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E2")
-		for _, row := range res.Tables[0].Rows {
-			if row[0] == "1" && row[1] == "BTR" {
-				if v, err := strconv.ParseFloat(row[3], 64); err == nil {
-					btrUtil = v
-				}
-			}
-		}
-	}
-	b.ReportMetric(btrUtil, "btr-peak-util")
-}
-
-func BenchmarkE3ClockFrequency(b *testing.B) {
-	var bftSpeed float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E3")
-		for _, row := range res.Tables[0].Rows {
-			if row[1] == "BFT(3f+1)" {
-				if v, err := strconv.ParseFloat(row[2], 64); err == nil {
-					bftSpeed = v
-				}
-			}
-		}
-	}
-	b.ReportMetric(bftSpeed, "bft-min-speed")
-}
-
-func BenchmarkE4Staggered(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E4")
-		rows := res.Tables[0].Rows
-		if v, ok := cellMillis(rows[len(rows)-1][1]); ok {
-			total = v
-		}
-	}
-	b.ReportMetric(total, "kmax-bad-output-ms")
-}
-
-func BenchmarkE5MixedCriticality(b *testing.B) {
-	var shed float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E5")
-		rows := res.Tables[0].Rows
-		last := rows[len(rows)-1]
-		shed = float64(len(strings.Fields(last[2])))
-	}
-	b.ReportMetric(shed, "sinks-shed-at-fmax")
-}
-
-func BenchmarkE6EvidenceDoS(b *testing.B) {
-	var conv float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E6")
-		for _, row := range res.Tables[0].Rows {
-			// Reserved share, highest flood rate row.
-			if row[1] == "0.20" {
-				if v, ok := cellMillis(row[2]); ok {
-					conv = v
-				}
-			}
-		}
-	}
-	b.ReportMetric(conv, "flooded-convergence-ms")
-}
-
-func BenchmarkE7Planner(b *testing.B) {
-	var plans float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E7")
-		rows := res.Tables[0].Rows
-		if v, err := strconv.ParseFloat(rows[len(rows)-1][3], 64); err == nil {
-			plans = v
-		}
-	}
-	b.ReportMetric(plans, "plans-at-largest-config")
-}
-
-func BenchmarkE8ModeChange(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E8")
-		for _, row := range res.Tables[0].Rows {
-			if v, ok := cellMillis(row[4]); ok && v > total {
-				total = v
-			}
-		}
-	}
-	b.ReportMetric(total, "worst-total-recovery-ms")
-}
-
-func BenchmarkE9FiveSecondRule(b *testing.B) {
-	var violations float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E9")
-		for _, row := range res.Tables[1].Rows {
-			if row[0] == "envelope violations" {
-				if v, err := strconv.ParseFloat(row[1], 64); err == nil {
-					violations = v
-				}
-			}
-		}
-	}
-	b.ReportMetric(violations, "envelope-violations")
-}
-
-func BenchmarkE10Baselines(b *testing.B) {
-	var btrMax float64
-	for i := 0; i < b.N; i++ {
-		res := runExperiment(b, "E10")
-		for _, row := range res.Tables[0].Rows {
-			if strings.HasPrefix(row[0], "BTR") {
-				if v, ok := cellMillis(row[3]); ok {
-					btrMax = v
-				}
-			}
-		}
-	}
-	b.ReportMetric(btrMax, "btr-max-recovery-ms")
 }

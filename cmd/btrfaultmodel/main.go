@@ -15,8 +15,9 @@
 // ./...` run in the model's directory — or, hermetically, against a
 // -testlist file with one name per line. Gate citations (`bench:<section>`)
 // are resolved against the committed BENCH_campaign.json: the section
-// must exist and be non-empty, which means cmd/btrcheckbench gates it on
-// every bench run.
+// must exist and be non-empty. That a cited section is also gated is
+// pinned in the root package (TestFaultModelCitationsAreGated), next to
+// the gates table `make bench-check` applies.
 //
 // -links is a relative-link checker for the repository's markdown docs:
 // every `[text](path#anchor)` must point at an existing file and, when

@@ -134,7 +134,7 @@ func c10Storms(p campaign.Params) []c10Storm {
 	return storms
 }
 
-// C10StormRow is one storm's verdict (exported for the perf-bundle
+// C10StormRow is one storm's verdict (exported for the bundle
 // emitter, which records these as the BENCH_campaign.json multifault
 // storms).
 type C10StormRow struct {
@@ -247,7 +247,7 @@ func c10SweepTable(p campaign.Params, trials []campaign.TrialResult) *metrics.Ta
 
 // C10Scenario returns the multifault scenario: the deterministic
 // non-catalog sweep plus the wall-clock concurrent storms. Exported so
-// the perf-bundle emitter can run it standalone.
+// the bundle emitter can run it standalone.
 func C10Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C10",
@@ -319,7 +319,7 @@ func MultiFaultKinds() []string { return FaultRateKinds() }
 func MultiFaultLambdas() []float64 { return FaultRateLambdas() }
 
 // RunMultiFaultBench runs one (topology, λ) C10 sweep case standalone
-// (the perf-bundle emitter's entry point).
+// (the bundle emitter's entry point).
 func RunMultiFaultBench(kind string, lambda float64, seed uint64) (C8Row, error) {
 	for _, c := range c8Cases(campaign.Params{}) {
 		if c.kind == kind {

@@ -49,7 +49,7 @@ func c11Cases(p campaign.Params) []c11Case {
 }
 
 // C11Row is one run's client-visible measurement (exported for the
-// perf-bundle emitter, which records these as the BENCH_campaign.json
+// bundle emitter, which records these as the BENCH_campaign.json
 // clientslo section).
 type C11Row struct {
 	Name     string
@@ -104,7 +104,7 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 }
 
 // C11Scenario returns the client-SLO soak. Exported (like C7Scenario)
-// so the perf-bundle emitter can run it standalone.
+// so the bundle emitter can run it standalone.
 func C11Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C11",
@@ -157,7 +157,7 @@ func ClientSLOCases() []string {
 	return out
 }
 
-// RunClientSLOBench runs one C11 case standalone (the perf-bundle
+// RunClientSLOBench runs one C11 case standalone (the bundle
 // emitter's entry point). The caller must serialize wall-clock runs
 // (the campaign path holds liveGate; a bench harness is naturally
 // serial).

@@ -7,8 +7,9 @@ package exp
 // canonicalization and delta derivation compress that work: fault sets
 // vs. symmetry orbits, syntheses actually run, and whether a warm cache
 // resolves the whole lattice synthesis-free. Wall-clock latency is
-// machine-dependent and therefore lives in BENCH_campaign.json (the
-// plan_cache section), not in these deterministic tables.
+// machine-dependent and therefore lives in the repository's benchmark
+// (plan.engine_cold_ms, plan.engine_warm_ms), not in these
+// deterministic tables.
 
 import (
 	"fmt"

@@ -71,7 +71,7 @@ func c5Reps(p campaign.Params) int {
 	return reps * p.Trials
 }
 
-// C5Row is one live soak run's measurement (exported for the perf-bundle
+// C5Row is one live soak run's measurement (exported for the bundle
 // emitter, which records these as the BENCH_campaign.json live section).
 type C5Row struct {
 	Topology string
@@ -86,7 +86,7 @@ type C5Row struct {
 }
 
 // C5Scenario returns the live soak scenario. Exported (unlike the
-// simulated families) so the perf-bundle emitter can run it standalone.
+// simulated families) so the bundle emitter can run it standalone.
 func C5Scenario() campaign.Scenario {
 	horizon := func(p campaign.Params) uint64 {
 		if p.Quick {

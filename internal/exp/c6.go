@@ -60,7 +60,7 @@ func c6Cases(p campaign.Params) []c6Case {
 	return cases
 }
 
-// C6Row is one churn trial's measurement (exported for the perf-bundle
+// C6Row is one churn trial's measurement (exported for the bundle
 // emitter, which records these as the BENCH_campaign.json churn
 // section).
 type C6Row struct {
@@ -134,7 +134,7 @@ func without(members []network.NodeID, x network.NodeID) []network.NodeID {
 	return out
 }
 
-// C6Scenario returns the churn scenario. Exported so the perf-bundle
+// C6Scenario returns the churn scenario. Exported so the bundle
 // emitter can run it standalone.
 func C6Scenario() campaign.Scenario {
 	return campaign.Scenario{
@@ -178,7 +178,7 @@ func C6Scenario() campaign.Scenario {
 }
 
 // runChurnCase executes one churn deployment (the C6 trial body). A
-// non-nil plan cache is shared into the deployment so the perf bundle
+// non-nil plan cache is shared into the deployment so the verdict bundle
 // can measure cold-vs-warm churn replans.
 func runChurnCase(c c6Case, seed uint64, pc *cache.Cache) (C6Row, error) {
 	const period = 25 * sim.Millisecond

@@ -56,7 +56,7 @@ func c7Cases(p campaign.Params) []c7Case {
 }
 
 // C7Row is one orchestrated run's measurement (exported for the
-// perf-bundle emitter, which records these as the BENCH_campaign.json
+// bundle emitter, which records these as the BENCH_campaign.json
 // liveproc section).
 type C7Row struct {
 	Topology string
@@ -74,7 +74,7 @@ type C7Row struct {
 }
 
 // C7Scenario returns the multi-process deployment soak. Exported (like
-// C5Scenario) so the perf-bundle emitter can run it standalone.
+// C5Scenario) so the bundle emitter can run it standalone.
 func C7Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C7",

@@ -57,7 +57,7 @@ func c8Lambdas(p campaign.Params) []float64 {
 }
 
 // C8Row is one (topology, λ) trial's classification (exported for the
-// perf-bundle emitter, which records these as the BENCH_campaign.json
+// bundle emitter, which records these as the BENCH_campaign.json
 // faultrate section).
 type C8Row struct {
 	Topology    string
@@ -183,7 +183,7 @@ func C8Knee(rows []C8Row) float64 {
 }
 
 // C8Scenario returns the high-fault-rate scenario. Exported so the
-// perf-bundle emitter can run it standalone.
+// bundle emitter can run it standalone.
 func C8Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C8",
@@ -250,7 +250,7 @@ func FaultRateKinds() []string {
 func FaultRateLambdas() []float64 { return c8Lambdas(campaign.Params{}) }
 
 // RunFaultRateBench runs one (topology, λ) C8 case standalone (the
-// perf-bundle emitter's entry point).
+// bundle emitter's entry point).
 func RunFaultRateBench(kind string, lambda float64, seed uint64) (C8Row, error) {
 	for _, c := range c8Cases(campaign.Params{}) {
 		if c.kind == kind {

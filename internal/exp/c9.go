@@ -14,8 +14,8 @@ package exp
 // recovery still lands within the provable bound R at 80% load. Like C5
 // and C7 the numbers are wall-clock and machine-bound, so the family is
 // exempt from the byte-identity determinism pin (filters skip
-// Family == "saturation"); the invariants are what btrcheckbench gates
-// through the BENCH_campaign.json v8 saturation section.
+// Family == "saturation"); the invariants are what `make bench-check`
+// gates through the saturation section of BENCH_campaign.json.
 
 import (
 	"fmt"
@@ -63,7 +63,7 @@ func c9Ladder(p campaign.Params) []int {
 	return []int{8, 64, 256, 768, 3072}
 }
 
-// C9Point is one ladder rung (exported for the perf-bundle emitter).
+// C9Point is one ladder rung (exported for the bundle emitter).
 type C9Point struct {
 	PerPeriod    int
 	OfferedEPS   float64
@@ -133,7 +133,7 @@ func runC9Case(c c9Case, ladder []int, seed uint64) (C9Row, error) {
 }
 
 // C9Scenario returns the saturation campaign family. Exported so the
-// perf-bundle emitter can run it standalone.
+// bundle emitter can run it standalone.
 func C9Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C9",
@@ -196,7 +196,7 @@ func SaturationKinds() []string {
 }
 
 // RunSaturationBench runs one C9 case standalone with the full ladder
-// (the perf-bundle emitter's entry point).
+// (the bundle emitter's entry point).
 func RunSaturationBench(kind string, seed uint64) (C9Row, error) {
 	for _, c := range c9Cases(campaign.Params{}) {
 		if c.kind == kind {

@@ -7,6 +7,7 @@ import (
 
 	"btr/internal/campaign"
 	"btr/internal/live"
+	"btr/internal/sig"
 )
 
 // TestMain lets this test binary double as the node-process binary: the
@@ -44,45 +45,50 @@ func renderAll(t *testing.T, workers int) string {
 
 // TestCampaignDeterministicAcrossWorkers is the headline determinism
 // guarantee: the full campaign — every experiment and sweep family —
-// produces byte-identical aggregated tables at -workers=1 and -workers=8.
+// produces byte-identical aggregated tables at -workers=1 and -workers=8,
+// and renders every experiment and sweep family.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
 	serial := renderAll(t, 1)
-	parallel := renderAll(t, 8)
-	if serial != parallel {
-		t.Fatalf("workers=1 and workers=8 disagree:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-			serial, parallel)
-	}
-	for _, id := range []string{"E1", "E5", "E10", "C1", "C2", "C3"} {
-		if !strings.Contains(serial, "---- "+id+":") {
-			t.Errorf("campaign output missing %s", id)
+	t.Run("serial_matches_parallel", func(t *testing.T) {
+		if parallel := renderAll(t, 8); serial != parallel {
+			t.Fatalf("workers=1 and workers=8 disagree:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
+				serial, parallel)
 		}
-	}
+	})
+	t.Run("every_experiment_rendered", func(t *testing.T) {
+		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "C1", "C2", "C3"} {
+			if !strings.Contains(serial, "---- "+id+":") {
+				t.Errorf("campaign output missing %s", id)
+			}
+		}
+	})
 }
 
-// TestSerialPathMatchesCampaignPath pins the tentpole refactor contract:
-// the legacy serial API (All/Run) and the campaign runner produce the
-// same tables.
-func TestSerialPathMatchesCampaignPath(t *testing.T) {
+// TestMemosChangeNoOutputByte is the memo soundness check: the quick
+// paper scenarios render byte-identical tables whether every registry
+// verifies and seals through the process-shared memos or recomputes
+// every signature.
+func TestMemosChangeNoOutputByte(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full comparison in -short mode")
+		t.Skip("two paper campaigns in -short mode")
 	}
-	var serial strings.Builder
-	for _, e := range All() {
-		res := e.Run(1, true)
-		serial.WriteString("---- " + res.ID + ": " + res.Claim + " ----\n")
-		for _, tb := range res.Tables {
-			serial.WriteString(tb.String())
-			serial.WriteString("\n")
+	render := func(memos bool) string {
+		defer sig.SetMemos(sig.SetMemos(memos)) // registries capture the setting at construction
+		var b strings.Builder
+		for _, r := range campaign.Run(PaperScenarios(), campaign.Options{
+			Workers: 1,
+			Params:  campaign.Params{Seed: 1, Quick: true},
+		}) {
+			WriteResult(&b, r)
 		}
+		return b.String()
 	}
-	var parallel strings.Builder
-	RunAllWorkers(&parallel, 1, true, 4)
-	if serial.String() != parallel.String() {
-		t.Fatalf("serial experiment path and parallel campaign path disagree:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.String(), parallel.String())
+	off, on := render(false), render(true)
+	if off != on {
+		t.Fatalf("memoized tables differ from the memo-free run:\n--- memos off ---\n%s\n--- memos on ---\n%s", off, on)
 	}
 }
 
@@ -119,7 +125,7 @@ func TestCampaignSweepsHoldBounds(t *testing.T) {
 
 // TestC5LiveSmoke boots the quick live soak end to end: every trial must
 // complete without error (bound columns are wall-clock measurements and
-// are asserted in internal/live and the perf bundle, not here, so this
+// are asserted in internal/live and the verdict bundle, not here, so this
 // stays meaningful under the race detector's ~10x slowdown).
 func TestC5LiveSmoke(t *testing.T) {
 	if testing.Short() {
@@ -182,7 +188,7 @@ func TestC7ProcSmoke(t *testing.T) {
 // far below the evidence channel's modeled bandwidth, so a zero knee
 // means the probe itself broke) and the loaded recovery trial must
 // complete. Whether recovery landed within R is a wall-clock measurement
-// gated in the perf bundle, not here, so the test stays meaningful under
+// gated in the verdict bundle, not here, so the test stays meaningful under
 // the race detector's slowdown.
 func TestC9SaturationSmoke(t *testing.T) {
 	if testing.Short() {

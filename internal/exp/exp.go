@@ -8,9 +8,8 @@
 // Every experiment is a declarative campaign.Scenario: an enumeration of
 // independent trials (each owning its own deterministic simulation
 // kernel) plus an aggregation fold into plain-text tables. The scenario
-// table (Scenarios) is the single source of truth; the serial path
-// (All) and the parallel path (cmd/btrcampaign, RunAllWorkers) run the
-// very same trials, so their tables are byte-identical for any worker
+// table (Scenarios) is the single source of truth and campaign.Run the
+// one way to run it, so the tables are byte-identical for any worker
 // count. `btrcampaign -family paper` prints the E1–E10 tables, `-only E6`
 // one of them.
 package exp
@@ -24,24 +23,10 @@ import (
 	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/flow"
-	"btr/internal/metrics"
 	"btr/internal/network"
 	"btr/internal/plan"
 	"btr/internal/sim"
 )
-
-// Result is one experiment's output.
-type Result struct {
-	ID     string
-	Claim  string // the paper claim being reproduced
-	Tables []*metrics.Table
-}
-
-// Experiment is a runnable experiment definition.
-type Experiment struct {
-	ID  string
-	Run func(seed uint64, quick bool) Result
-}
 
 // Scenarios lists every scenario in order: the paper reproductions E1–E10,
 // the simulated campaign sweep families C1–C4, the live wall-clock soak
@@ -104,36 +89,6 @@ func PaperScenarios() []campaign.Scenario {
 		}
 	}
 	return out
-}
-
-// All lists every paper experiment in order, as serially runnable
-// Experiments (each Run executes the scenario's trials on one worker).
-func All() []Experiment {
-	var out []Experiment
-	for _, sc := range PaperScenarios() {
-		sc := sc
-		out = append(out, Experiment{ID: sc.ID, Run: func(seed uint64, quick bool) Result {
-			res := campaign.Run([]campaign.Scenario{sc}, campaign.Options{
-				Workers: 1,
-				Params:  campaign.Params{Seed: seed, Quick: quick},
-			})
-			return Result{ID: sc.ID, Claim: sc.Claim, Tables: res[0].Tables}
-		}})
-	}
-	return out
-}
-
-// RunAllWorkers executes every paper experiment through the campaign
-// runner with the given worker count and writes the tables to w in
-// experiment order. Output is identical for every worker count.
-func RunAllWorkers(w io.Writer, seed uint64, quick bool, workers int) {
-	results := campaign.Run(PaperScenarios(), campaign.Options{
-		Workers: workers,
-		Params:  campaign.Params{Seed: seed, Quick: quick},
-	})
-	for _, r := range results {
-		WriteResult(w, r)
-	}
 }
 
 // WriteResult renders one scenario result as text: a header line, then

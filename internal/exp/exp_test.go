@@ -5,21 +5,26 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"btr/internal/campaign"
 )
 
-// runExp executes one experiment in quick mode.
-func runExp(t *testing.T, id string) Result {
+// runExp executes one paper experiment in quick mode on one worker.
+func runExp(t *testing.T, id string) campaign.ScenarioResult {
 	t.Helper()
-	for _, e := range All() {
-		if e.ID == id {
-			return e.Run(1, true)
+	for _, sc := range PaperScenarios() {
+		if sc.ID == id {
+			return campaign.Run([]campaign.Scenario{sc}, campaign.Options{
+				Workers: 1,
+				Params:  campaign.Params{Seed: 1, Quick: true},
+			})[0]
 		}
 	}
 	t.Fatalf("unknown experiment %s", id)
-	return Result{}
+	return campaign.ScenarioResult{}
 }
 
-func rendered(r Result) string {
+func rendered(r campaign.ScenarioResult) string {
 	var b bytes.Buffer
 	for _, tb := range r.Tables {
 		b.WriteString(tb.String())
@@ -170,19 +175,5 @@ func TestE10ShapesDistinct(t *testing.T) {
 	}
 	if !strings.Contains(out, "eventual only") {
 		t.Errorf("E10 missing self-stabilization row:\n%s", out)
-	}
-}
-
-func TestRunAllProducesOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness in -short mode")
-	}
-	var b bytes.Buffer
-	RunAllWorkers(&b, 1, true, 1)
-	out := b.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
-		if !strings.Contains(out, "---- "+id+":") {
-			t.Errorf("RunAllWorkers missing %s", id)
-		}
 	}
 }

@@ -126,9 +126,9 @@ func (p *Planner) ForEpoch(rec Record, wiring *network.Topology) (*EpochPlan, er
 }
 
 // Replans returns the total number of plan syntheses performed so far
-// across every epoch engine — 0 on a fully warm cache. The perf bundle
-// records the cold and warm values of a churn sequence and
-// btrcheckbench gates the warm one at zero.
+// across every epoch engine — 0 on a fully warm cache. The campaign
+// verdict bundle records the cold and warm values of a churn sequence
+// and gates the warm one at zero.
 func (p *Planner) Replans() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -115,7 +115,7 @@ type EpochRow struct {
 }
 
 // SwitchLatency returns propose-to-activate latency (the epoch-switch
-// latency the perf bundle tracks), or 0 if the epoch never activated.
+// latency the verdict bundle tracks), or 0 if the epoch never activated.
 func (e EpochRow) SwitchLatency() sim.Time {
 	if e.ActivatedAt == 0 {
 		return 0

@@ -219,9 +219,9 @@ func SharedSealMemo() *SealMemo { return sharedSeal }
 
 // ResetMemos drops every entry from the shared memos (the hit/miss
 // counters keep accumulating). It is a measurement hook — timed runs
-// that must start cold (e.g. the serial vs workers=4 pair in the bench
-// bundle) call it so one run's warmth cannot leak into the next — and is
-// not safe to call concurrently with a benchmark being timed.
+// that must start cold call it so one run's warmth cannot leak into the
+// next — and is not safe to call concurrently with a benchmark being
+// timed.
 func ResetMemos() {
 	for i := range sharedVerify.shards {
 		sh := &sharedVerify.shards[i]
@@ -239,9 +239,9 @@ func ResetMemos() {
 
 // SetMemos enables or disables memo attachment for subsequently
 // constructed registries and returns the previous setting. Existing
-// registries are unaffected. This is a measurement hook (cached vs
-// uncached campaign walls in BENCH_campaign.json), not a tuning knob:
-// results are identical either way.
+// registries are unaffected. This is a test and measurement hook, not a
+// tuning knob: results are identical either way, which
+// TestMemosChangeNoOutputByte in internal/exp pins.
 func SetMemos(enabled bool) bool { return memosEnabled.Swap(enabled) }
 
 // MemoStats sums the shared memos' counters: verification and seal

@@ -144,16 +144,6 @@ func (r *Registry) Verify(id network.NodeID, msg, sig []byte) bool {
 	return ed25519.Verify(r.pubs[id], msg, sig)
 }
 
-// VerifyUncached is the memo-free verification path — the frozen baseline
-// the cached-vs-uncached benchmarks compare against. Behavior is
-// identical to Verify.
-func (r *Registry) VerifyUncached(id network.NodeID, msg, sig []byte) bool {
-	if int(id) < 0 || int(id) >= len(r.pubs) || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(r.pubs[id], msg, sig)
-}
-
 // SignatureSize is the wire size of a signature.
 const SignatureSize = ed25519.SignatureSize
 

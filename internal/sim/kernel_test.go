@@ -455,31 +455,63 @@ func TestKernelHeapStressOrdering(t *testing.T) {
 	}
 }
 
+// throughputChains is the fan-in of the standard kernel workload: enough
+// concurrent activity to keep a realistic pending-set depth (a BTR
+// deployment keeps hundreds-to-thousands of events in flight — slot
+// starts/ends, arrival watchdogs, and network deliveries per period).
+const throughputChains = 1024
+
+// watchdogHoldoff is how far past its work event each chain's watchdog is
+// armed, mirroring the runtime's arrival-watchdog margin.
+const watchdogHoldoff = 1000 * Microsecond
+
+// throughputLoad seeds the standard workload on k: per chain, a
+// self-rescheduling work event (pseudo-random delay, cheap LCG) that arms
+// an arrival watchdog each round and cancels the previous round's, the
+// way the runtime disarms a watchdog when the awaited record arrives.
+// One round in 64 "omits": its watchdog is left to fire, so the firing
+// path runs too. The returned counter is the number of work events
+// dispatched; read it after the run drains.
+func throughputLoad(k *Kernel, events int) *int {
+	useful := new(int)
+	remaining := events
+	for c := 0; c < throughputChains; c++ {
+		state := uint64(c)*0x9e3779b97f4a7c15 + 1
+		var armed Handle
+		var tick func()
+		tick = func() {
+			*useful++
+			if remaining <= 0 {
+				return
+			}
+			remaining--
+			if armed != 0 {
+				k.Cancel(armed)
+			}
+			state = state*6364136223846793005 + 1442695040888963407
+			delay := Time(state>>54) + 1 // [1, 1024] us
+			if state&63 != 0 {           // the omission case leaves no watchdog to cancel
+				armed = k.After(delay+watchdogHoldoff, func() {})
+			} else {
+				armed = 0
+			}
+			k.After(delay, tick)
+		}
+		k.After(Time(c+1), tick)
+	}
+	return useful
+}
+
 func BenchmarkKernelThroughput(b *testing.B) {
 	// The headline kernel benchmark: one op = one useful (work) event of
 	// the standard BTR-shaped workload — 1024 self-rescheduling chains,
 	// each arming an arrival watchdog per round and cancelling it when the
-	// "record" arrives (1/64 rounds omit, letting the watchdog fire). The
-	// acceptance criterion pins this at >=2x the frozen legacy
-	// closure-heap kernel (BenchmarkKernelThroughputLegacy, which cannot
-	// cancel and therefore dispatches every dead watchdog), gated
-	// continuously via BENCH_campaign.json and cmd/btrcheckbench.
+	// "record" arrives (1/64 rounds omit, letting the watchdog fire).
 	b.ReportAllocs()
 	k := NewKernel(1)
-	throughputLoad(throughputExec{after: k.After, cancel: k.Cancel}, b.N)
+	throughputLoad(k, b.N)
 	b.ResetTimer()
 	k.RunAll()
-}
-
-func BenchmarkKernelThroughputLegacy(b *testing.B) {
-	b.ReportAllocs()
-	k := &legacyKernel{}
-	throughputLoad(throughputExec{after: func(d Time, fn func()) Handle {
-		k.After(d, fn)
-		return 0
-	}}, b.N)
-	b.ResetTimer()
-	k.runAll()
 }
 
 func BenchmarkKernelWatchdogArmCancel(b *testing.B) {

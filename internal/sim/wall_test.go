@@ -183,28 +183,6 @@ func TestWallSchedulerEarlierEventPreemptsSleep(t *testing.T) {
 	}
 }
 
-func TestMeasureKernelThroughputAgreesAcrossImplementations(t *testing.T) {
-	// Smoke the shared workload: both kernels dispatch the same number of
-	// useful events and the measured rates are positive. (The >=2x speedup
-	// gate lives in the perf bundle, not here, to keep unit tests
-	// timing-free.)
-	k := NewKernel(1)
-	got := throughputLoad(throughputExec{after: k.After, cancel: k.Cancel}, 2000)
-	k.RunAll()
-	lk := &legacyKernel{}
-	want := throughputLoad(throughputExec{after: func(d Time, fn func()) Handle {
-		lk.After(d, fn)
-		return 0
-	}}, 2000)
-	lk.runAll()
-	if *got != *want {
-		t.Fatalf("workload diverged: new kernel dispatched %d useful events, legacy %d", *got, *want)
-	}
-	if *got < 2000 {
-		t.Fatalf("workload dispatched only %d useful events", *got)
-	}
-}
-
 // TestWallSchedulerStartAtOrigin proves the joining-in-flight clock: a
 // scheduler started at origin reads origin immediately, dispatches
 // events scheduled relative to origin at the right wall instants, and
