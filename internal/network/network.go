@@ -111,6 +111,12 @@ func (c Class) String() string {
 }
 
 // Message is a unit of traffic. Payload bytes are opaque to the network.
+//
+// The transport carves the messages it creates from per-plane chunks of
+// msgChunk and never recycles one, so a handler or filter may keep a
+// *Message as long as it likes. A retained message keeps its whole chunk
+// (and the payloads the chunk's other messages reference) reachable;
+// that costs memory only.
 type Message struct {
 	ID      uint64
 	Src     NodeID // original sender
@@ -121,7 +127,18 @@ type Message struct {
 	Payload []byte
 	Sent    sim.Time // time the original send was issued
 	Hops    int
+
+	// net is the simulated Network carrying the current hop (see
+	// inFlight); the live transports leave it nil.
+	net *plane
 }
+
+// inFlight is a Message on a simulated wire. It is its own arrival
+// event, so a hop schedules the message itself rather than a closure.
+type inFlight Message
+
+// Fire delivers the message at the end of its hop.
+func (m *inFlight) Fire() { m.net.arrive((*Message)(m)) }
 
 // Size returns the number of bytes the message occupies on the wire.
 // A fixed header models addressing, sequencing and the MAC trailer.
@@ -272,6 +289,7 @@ func (n *Network) hop(m *Message) bool {
 	tt := txTime(m.Size(), ClassCapacity(link.Bandwidth, n.cfg.EvidenceShare, m.Class))
 	n.free[key] = start + tt
 	n.countSent(m.Class, m.Size())
-	n.sched.At(start+tt+link.Prop, func() { n.arrive(m) })
+	m.net = &n.plane
+	n.sched.AtEvent(start+tt+link.Prop, (*inFlight)(m))
 	return true
 }

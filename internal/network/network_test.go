@@ -189,3 +189,34 @@ func TestSendRoutingAllocatesNothing(t *testing.T) {
 		t.Errorf("Send allocates %.0f per message, SendDirect %.0f: routing must be free on a warm topology", routed, direct)
 	}
 }
+
+// TestSimSendDeliverAmortisedAllocs pins the simulated hot path: a
+// message is carved from a per-plane chunk and is its own arrival event,
+// so a warm Send → delivery costs one chunk allocation per msgChunk
+// messages and nothing else. (A relay searches a fresh path per hop, so
+// the pin is on one-hop routes, the full-mesh case.)
+func TestSimSendDeliverAmortisedAllocs(t *testing.T) {
+	const perRun = 10 * msgChunk
+	payload := []byte("x")
+	k, nw := testNet(t, FullMesh(4, 1_000_000, sim.Millisecond), DefaultConfig())
+	delivered := 0
+	for id := NodeID(1); id < 4; id++ {
+		nw.Handle(id, func(*Message) { delivered++ })
+	}
+	burst := func() {
+		for i := 0; i < perRun; i++ {
+			nw.Send(0, NodeID(1+i%3), Class(i%2), payload)
+		}
+		k.RunAll()
+	}
+	burst() // warm: route rows, channel state, the kernel's event pool
+	delivered = 0
+	allocs := testing.AllocsPerRun(20, burst) / perRun
+	t.Logf("%.4f allocations per message", allocs)
+	if want := 21 * perRun; delivered != want { // AllocsPerRun runs once more to warm up
+		t.Fatalf("delivered %d of %d", delivered, want)
+	}
+	if allocs > 0.05 {
+		t.Fatalf("%.4f allocations per delivered message, pinned at 0.05", allocs)
+	}
+}

@@ -42,7 +42,12 @@ type plane struct {
 
 	nextID uint64
 	rng    *sim.RNG
+	// msgs is the unused rest of the chunk newMessage carves from.
+	msgs []Message
 }
+
+// msgChunk is how many messages newMessage allocates at once.
+const msgChunk = 64
 
 // init wires the plane to its scheduler, initial topology and hop
 // carrier, and forks the residual-loss RNG from the scheduler's.
@@ -177,9 +182,16 @@ func (p *plane) Send(src, dst NodeID, class Class, payload []byte) bool {
 	return p.transmit(m)
 }
 
+// newMessage carves a fresh message from the current chunk. Like nextID,
+// the chunk is unlocked: Send and SendDirect run on the scheduler only.
 func (p *plane) newMessage(src, dst NodeID, class Class, payload []byte) *Message {
 	p.nextID++
-	return &Message{
+	if len(p.msgs) == 0 {
+		p.msgs = make([]Message, msgChunk)
+	}
+	m := &p.msgs[0]
+	p.msgs = p.msgs[1:]
+	*m = Message{
 		ID:      p.nextID,
 		Src:     src,
 		Dst:     dst,
@@ -187,6 +199,7 @@ func (p *plane) newMessage(src, dst NodeID, class Class, payload []byte) *Messag
 		Payload: payload,
 		Sent:    p.sched.Now(),
 	}
+	return m
 }
 
 // transmit hands m to the hop carrier unless its sender is down.

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"btr/internal/member"
 	"btr/internal/network"
 	"btr/internal/plan"
+	"btr/internal/sched"
 	"btr/internal/sig"
 	"btr/internal/sim"
 )
@@ -96,8 +98,17 @@ type Node struct {
 	cur    *plan.Plan    // current mode's plan
 	faults plan.FaultSet // append-only local fault set
 
+	// watched is watchPlan's edges whose consumer lives here, in arming
+	// order (see watchedEdges).
+	watchPlan *plan.Plan
+	watched   []watchedEdge
+
 	// inbox: per period, per (consumer, logical producer), arrivals.
 	inbox map[uint64]map[slotKey][]*arrival
+	// spareInbox is an emptied per-period inbox map awaiting reuse.
+	spareInbox map[slotKey][]*arrival
+	// arrivals is the unused rest of the chunk newArrival carves from.
+	arrivals []arrival
 	// firstRecord tracks the first record content per (producer replica,
 	// period) for equivocation detection.
 	firstRecord map[producerPeriod]sig.Envelope
@@ -112,7 +123,7 @@ type Node struct {
 	accusedSlots map[accusedKey]bool
 	// watchdogs holds the armed arrival-watchdog handles. When the
 	// awaited record arrives, the watchdog is cancelled immediately —
-	// dead watchdog closures no longer sit in the event heap until their
+	// dead watchdogs no longer sit in the event heap until their
 	// timestamp drains (they used to dominate the pending set: one per
 	// consumed edge per period, almost all of them no-ops).
 	watchdogs map[watchKey]sim.Handle
@@ -164,7 +175,8 @@ func (n *Node) periodStart(p uint64) sim.Time {
 // schedulePeriod sets up all of this node's slot executions and watchdogs
 // for period p, then re-arms for p+1. A node that is not a member of the
 // current epoch (dormant or retired) schedules nothing — retirement ends
-// the chain here.
+// the chain here. All of the period's events live in one slice, so a
+// period costs one allocation however many slots and edges it has.
 func (n *Node) schedulePeriod(p uint64) {
 	if n.crashed || !n.memberNow {
 		n.chainArmed = false
@@ -183,30 +195,105 @@ func (n *Node) schedulePeriod(p uint64) {
 		n.floodBogus(b.BogusEvidencePerPeriod)
 	}
 
+	slots := cur.Table.Slots[n.id]
+	watched := n.watchedEdges(cur)
+	evs := make([]periodEvent, 0, len(slots)+len(watched)+1)
+	at := func(t sim.Time, ev periodEvent) sim.Handle {
+		evs = append(evs, ev)
+		return k.AtEvent(t, &evs[len(evs)-1])
+	}
 	// Execute this node's slots: a task's output is computed and sent at
 	// its slot end (the table accounts for the WCET before it).
-	for _, slot := range cur.Table.Slots[n.id] {
-		task := slot.Task
-		k.At(base+slot.End, func() { n.finishTask(cur, p, task) })
+	for _, slot := range slots {
+		at(base+slot.End, periodEvent{n: n, cur: cur, p: p, kind: stepFinish, task: slot.Task})
 	}
 	// Arm arrival watchdogs for edges whose consumer lives here (local
 	// handoffs included: a colocated producer replica can omit too). The
 	// handle is kept so the watchdog can be disarmed the moment the
 	// record arrives.
 	margin := n.strat.Opts.WatchdogMargin
-	for e, w := range cur.Table.Msgs {
-		if cur.Assign[e.To] != n.id {
-			continue
-		}
-		e, w := e, w
-		h := k.At(base+w.Arrive+margin, func() { n.checkArrived(cur, p, e, w) })
-		n.watchdogs[watchKey{p, e.From, e.To}] = h
+	for i := range watched {
+		we := &watched[i]
+		h := at(base+we.w.Arrive+margin, periodEvent{n: n, cur: cur, p: p, kind: stepWatch, watch: we})
+		n.watchdogs[watchKey{p, we.e.From, we.e.To}] = h
 	}
-	// Garbage-collect old inbox periods (keep two).
+	// Garbage-collect old inbox periods (keep two), keeping the dropped
+	// period's map, emptied, for the next period to fill.
 	if p >= 2 {
-		delete(n.inbox, p-2)
+		if old := n.inbox[p-2]; old != nil {
+			delete(n.inbox, p-2)
+			clear(old)
+			n.spareInbox = old
+		}
 	}
-	k.At(base+n.strat.Base.Period, func() { n.schedulePeriod(p + 1) })
+	at(base+n.strat.Base.Period, periodEvent{n: n, cur: cur, p: p, kind: stepNext})
+}
+
+// periodStep says what a periodEvent does when it fires.
+type periodStep uint8
+
+const (
+	stepFinish periodStep = iota // run a slot's task to completion
+	stepWatch                    // check a watched edge's arrival
+	stepNext                     // schedule the next period
+)
+
+// periodEvent is one scheduled step of one node-period.
+type periodEvent struct {
+	n     *Node
+	cur   *plan.Plan
+	p     uint64
+	task  flow.TaskID  // stepFinish
+	watch *watchedEdge // stepWatch
+	kind  periodStep
+}
+
+// Fire runs the step.
+func (ev *periodEvent) Fire() {
+	switch ev.kind {
+	case stepFinish:
+		ev.n.finishTask(ev.cur, ev.p, ev.task)
+	case stepWatch:
+		ev.n.checkArrived(ev.cur, ev.p, ev.watch.e, ev.watch.w)
+	default:
+		ev.n.schedulePeriod(ev.p + 1)
+	}
+}
+
+// watchedEdge is one edge whose record this node awaits every period.
+type watchedEdge struct {
+	e flow.Edge
+	w sched.MsgWindow
+}
+
+// watchedEdges returns cur's edges whose consumer lives on this node,
+// sorted by (From, To, Bytes): the order their watchdogs are armed in.
+// Watchdogs due at the same instant fire in arming order and send their
+// accusations in that order, so arming in map order made tables differ
+// from run to run. The list is built once per plan the node runs.
+func (n *Node) watchedEdges(cur *plan.Plan) []watchedEdge {
+	if n.watchPlan == cur {
+		return n.watched
+	}
+	var list []watchedEdge
+	for e, w := range cur.Table.Msgs {
+		if cur.Assign[e.To] == n.id {
+			list = append(list, watchedEdge{e, w})
+		}
+	}
+	slices.SortFunc(list, func(a, b watchedEdge) int {
+		if c := cmp.Compare(a.e.From, b.e.From); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.e.To, b.e.To); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.Bytes, b.e.Bytes)
+	})
+	// A fresh slice, never refilled: pending watchdogs of earlier
+	// periods still point into the old one.
+	n.watchPlan, n.watched = cur, list
+	return list
 }
 
 // chosenInputs picks, for each logical input of task, the record the task
@@ -449,6 +536,33 @@ func (n *Node) onMessage(m *network.Message) {
 	}
 }
 
+// arrivalChunk is how many arrivals newArrival allocates at once.
+const arrivalChunk = 32
+
+// newArrival carves an arrival from the node's current chunk. Arrivals
+// are never reused; an inbox period that is dropped releases its chunk
+// once no other period references it.
+func (n *Node) newArrival() *arrival {
+	if len(n.arrivals) == 0 {
+		n.arrivals = make([]arrival, arrivalChunk)
+	}
+	a := &n.arrivals[0]
+	n.arrivals = n.arrivals[1:]
+	return a
+}
+
+// replicasFeeding counts the replicas of logical producer that feed
+// consumer: the most arrivals one inbox slot can hold.
+func replicasFeeding(cur *plan.Plan, consumer, logical flow.TaskID) int {
+	c := 0
+	for _, e := range cur.Aug.Inputs(consumer) {
+		if l, _ := plan.SplitReplica(e.From); l == logical {
+			c++
+		}
+	}
+	return c
+}
+
 // acceptRecord ingests a dataflow record (remote or local handoff),
 // running the detector checks.
 func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Message) {
@@ -490,7 +604,8 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		dbg("no consumer in current mode", &rec)
 		return // stale record from a previous mode
 	}
-	a := &arrival{env: env, rec: rec, atts: atts, at: n.cfg.Kernel.Now()}
+	a := n.newArrival()
+	*a = arrival{env: env, rec: rec, atts: atts, at: n.cfg.Kernel.Now()}
 	if !n.detectOnArrival(cur, a) {
 		dbg("failed arrival detector", &rec)
 		return // malformed (digest/attachment tampering): not an arrival
@@ -499,22 +614,28 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		key := slotKey{c, rec.Logical}
 		per := n.inbox[rec.Period]
 		if per == nil {
-			per = map[slotKey][]*arrival{}
+			per, n.spareInbox = n.spareInbox, nil
+			if per == nil {
+				per = map[slotKey][]*arrival{}
+			}
 			n.inbox[rec.Period] = per
 		}
 		// Dedup: one arrival per producer replica per consumer slot.
-		dup := false
-		for _, prev := range per[key] {
+		arr, dup := per[key], false
+		for _, prev := range arr {
 			if prev.rec.Producer == a.rec.Producer {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			per[key] = append(per[key], a)
+			if arr == nil {
+				arr = make([]*arrival, 0, replicasFeeding(cur, c, rec.Logical))
+			}
+			per[key] = append(arr, a)
 		}
 		// The awaited record is here: disarm the edge's watchdog instead
-		// of letting a dead closure fire later (checkArrived would only
+		// of letting a dead watchdog fire later (checkArrived would only
 		// have found the arrival and returned).
 		wk := watchKey{rec.Period, rec.Producer, c}
 		if h, ok := n.watchdogs[wk]; ok {

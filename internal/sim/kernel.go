@@ -64,6 +64,19 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // nearest microsecond.
 func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 
+// Event is a typed scheduled callback. Hot paths schedule a pointer to a
+// struct that already exists (a message in flight, one node-period's
+// slot) instead of building a closure per event: a pointer fits in an
+// interface word, so scheduling it allocates nothing.
+type Event interface{ Fire() }
+
+// Func adapts a plain callback to Event. A func value is one pointer
+// word, so the conversion allocates nothing beyond the closure itself.
+type Func func()
+
+// Fire runs the callback.
+func (f Func) Fire() { f() }
+
 // Scheduler is the executive seam between BTR's runtime layers and
 // whatever drives them. The discrete-event Kernel implements it on virtual
 // time; WallScheduler implements it on the wall clock. Code written
@@ -75,10 +88,18 @@ func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 //   - Callbacks are dispatched one at a time in (time, insertion) order;
 //     no two callbacks ever run concurrently, so runtime state needs no
 //     locking.
-//   - At/After return a Handle; Cancel(h) prevents the callback from
-//     running if it has not fired yet and reports whether it did so.
+//   - At, After and AtEvent share one queue and one insertion sequence:
+//     At(t, fn) is AtEvent(t, Func(fn)), so closures and typed events
+//     scheduled for the same instant fire in the order they were
+//     scheduled, whichever method scheduled them.
+//   - At/After/AtEvent return a Handle; Cancel(h) prevents the callback
+//     from running if it has not fired yet and reports whether it did so.
 //     Cancelling an already-fired or already-cancelled event returns
 //     false.
+//   - The scheduler keeps a reference to an Event only until it fires or
+//     is cancelled. The same Event value may be scheduled again after
+//     that, or be pending several times at once; each scheduling fires
+//     Fire once.
 //   - RNG returns the executive's deterministic random source. It is not
 //     synchronized: use it only from event callbacks (or before the
 //     executive starts dispatching).
@@ -87,6 +108,8 @@ type Scheduler interface {
 	Now() Time
 	// At schedules fn at absolute time t.
 	At(t Time, fn func()) Handle
+	// AtEvent schedules ev.Fire at absolute time t.
+	AtEvent(t Time, ev Event) Handle
 	// After schedules fn d after the current time. Negative d panics.
 	After(d Time, fn func()) Handle
 	// Cancel revokes a scheduled event; see the interface contract.
@@ -122,7 +145,7 @@ type Kernel struct {
 // batchEvent is one popped event awaiting dispatch in the current batch.
 type batchEvent struct {
 	seq uint64
-	fn  func()
+	ev  Event
 }
 
 // Kernel implements Scheduler.
@@ -141,14 +164,18 @@ func (k *Kernel) Now() Time { return k.now }
 // RNG returns the kernel's deterministic random source.
 func (k *Kernel) RNG() *RNG { return k.rng }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics: it indicates a logic bug, and silently clamping would
-// hide causality violations.
-func (k *Kernel) At(t Time, fn func()) Handle {
+// At schedules fn to run at absolute virtual time t; it is
+// AtEvent(t, Func(fn)).
+func (k *Kernel) At(t Time, fn func()) Handle { return k.AtEvent(t, Func(fn)) }
+
+// AtEvent schedules ev to fire at absolute virtual time t. Scheduling in
+// the past (t < Now) panics: it indicates a logic bug, and silently
+// clamping would hide causality violations.
+func (k *Kernel) AtEvent(t Time, ev Event) Handle {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	return k.q.schedule(t, fn)
+	return k.q.schedule(t, ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -169,10 +196,10 @@ func (k *Kernel) Step() bool {
 	if k.stopped || k.q.len() == 0 {
 		return false
 	}
-	at, _, fn := k.q.pop()
+	at, _, ev := k.q.pop()
 	k.now = at
 	k.Executed++
-	fn()
+	ev.Fire()
 	return true
 }
 
@@ -186,33 +213,33 @@ func (k *Kernel) Step() bool {
 // semantics (stopped events stay pending).
 func (k *Kernel) dispatchBatch(t Time) uint64 {
 	k.now = t
-	_, seq0, fn := k.q.pop()
+	_, seq0, ev := k.q.pop()
 	if k.q.len() == 0 || k.q.topAt() != t {
 		// Fast path: the instant holds a single event.
 		k.Executed++
-		fn()
+		ev.Fire()
 		return 1
 	}
 	batch := k.batch[:0]
 	k.batch = nil
-	batch = append(batch, batchEvent{seq0, fn})
+	batch = append(batch, batchEvent{seq0, ev})
 	for k.q.len() > 0 && k.q.topAt() == t {
-		_, seq, fn := k.q.pop()
-		batch = append(batch, batchEvent{seq, fn})
+		_, seq, ev := k.q.pop()
+		batch = append(batch, batchEvent{seq, ev})
 	}
 	var n uint64
 	for i := range batch {
 		if k.stopped {
 			for _, rest := range batch[i:] {
-				k.q.scheduleSeq(t, rest.seq, rest.fn)
+				k.q.scheduleSeq(t, rest.seq, rest.ev)
 			}
 			break
 		}
-		fn := batch[i].fn
-		batch[i].fn = nil // release the closure before running it
+		ev := batch[i].ev
+		batch[i].ev = nil // release the event before running it
 		k.Executed++
 		n++
-		fn()
+		ev.Fire()
 	}
 	k.batch = batch[:0]
 	return n

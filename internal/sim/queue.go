@@ -8,13 +8,14 @@ package sim
 // handle can never cancel an unrelated newer event.
 type Handle uint64
 
-// eventRec is the pooled, typed per-event record: the callback plus the
+// eventRec is the pooled per-event record: the event plus the
 // bookkeeping cancellation needs. Records are recycled through a free
-// list; fn is nilled out the moment the event fires or is cancelled, so
-// finished events never pin their closures (the old closure-heap kernel
-// kept dead watchdog closures alive until their timestamp drained).
+// list; ev is nilled out the moment the event fires or is cancelled, so
+// finished events never pin what they reference (the old closure-heap
+// kernel kept dead watchdog closures alive until their timestamp
+// drained).
 type eventRec struct {
-	fn  func()
+	ev  Event
 	pos int32  // index in heap; -1 when not queued
 	gen uint32 // handle generation (guards slot reuse)
 }
@@ -53,16 +54,16 @@ func (q *eventQueue) len() int { return len(q.heap) }
 // topAt returns the earliest pending time; call only when len() > 0.
 func (q *eventQueue) topAt() Time { return q.heap[0].at }
 
-// schedule inserts fn at time at with a fresh sequence number.
-func (q *eventQueue) schedule(at Time, fn func()) Handle {
+// schedule inserts ev at time at with a fresh sequence number.
+func (q *eventQueue) schedule(at Time, ev Event) Handle {
 	q.seq++
-	return q.scheduleSeq(at, q.seq, fn)
+	return q.scheduleSeq(at, q.seq, ev)
 }
 
 // scheduleSeq inserts with an explicit sequence number (used to requeue
 // events popped into a dispatch batch that Stop interrupted, preserving
 // their original tie-break order).
-func (q *eventQueue) scheduleSeq(at Time, seq uint64, fn func()) Handle {
+func (q *eventQueue) scheduleSeq(at Time, seq uint64, ev Event) Handle {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -72,7 +73,7 @@ func (q *eventQueue) scheduleSeq(at Time, seq uint64, fn func()) Handle {
 		idx = int32(len(q.pool) - 1)
 	}
 	rec := &q.pool[idx]
-	rec.fn = fn
+	rec.ev = ev
 	q.heap = append(q.heap, heapEntry{at: at, seq: seq, idx: idx})
 	q.siftUp(len(q.heap) - 1)
 	return makeHandle(idx, rec.gen)
@@ -111,9 +112,9 @@ func (q *eventQueue) cancel(h Handle) bool {
 }
 
 // pop removes and returns the earliest event; call only when len() > 0.
-func (q *eventQueue) pop() (at Time, seq uint64, fn func()) {
+func (q *eventQueue) pop() (at Time, seq uint64, ev Event) {
 	e := q.heap[0]
-	at, seq, fn = e.at, e.seq, q.pool[e.idx].fn
+	at, seq, ev = e.at, e.seq, q.pool[e.idx].ev
 	last := len(q.heap) - 1
 	moved := q.heap[last]
 	q.heap = q.heap[:last]
@@ -123,14 +124,14 @@ func (q *eventQueue) pop() (at Time, seq uint64, fn func()) {
 		q.siftDown(0)
 	}
 	q.release(e.idx)
-	return at, seq, fn
+	return at, seq, ev
 }
 
-// release recycles a fired/cancelled record, dropping its closure and
+// release recycles a fired/cancelled record, dropping its event and
 // bumping the generation so outstanding handles go stale.
 func (q *eventQueue) release(idx int32) {
 	rec := &q.pool[idx]
-	rec.fn = nil
+	rec.ev = nil
 	rec.pos = -1
 	rec.gen++
 	q.free = append(q.free, idx)

@@ -155,21 +155,29 @@ func (w *WallScheduler) nowLocked() Time {
 // contract, use it only from event callbacks (or before Start).
 func (w *WallScheduler) RNG() *RNG { return w.rng }
 
-// At schedules fn at absolute time t (microseconds since Start). Times in
-// the past clamp to "run as soon as possible". After Stop, scheduling is
-// accepted but the event never runs.
-func (w *WallScheduler) At(t Time, fn func()) Handle {
+// At schedules fn at absolute time t; it is AtEvent(t, Func(fn)).
+func (w *WallScheduler) At(t Time, fn func()) Handle { return w.AtEvent(t, Func(fn)) }
+
+// AtEvent schedules ev at absolute time t (microseconds since Start).
+// Times in the past clamp to "run as soon as possible". After Stop,
+// scheduling is accepted but the event never runs.
+func (w *WallScheduler) AtEvent(t Time, ev Event) Handle {
 	w.mu.Lock()
 	wasHead := w.q.len() == 0 || t < w.q.topAt()
-	h := w.q.schedule(t, fn)
+	h := w.q.schedule(t, ev)
 	w.mu.Unlock()
 	if wasHead {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		w.signal()
 	}
 	return h
+}
+
+// signal tells the executor the queue head changed.
+func (w *WallScheduler) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
 // After schedules fn d after the current time (logical time inside a
@@ -185,13 +193,10 @@ func (w *WallScheduler) After(d Time, fn func()) Handle {
 	}
 	t := base + d
 	wasHead := w.q.len() == 0 || t < w.q.topAt()
-	h := w.q.schedule(t, fn)
+	h := w.q.schedule(t, Func(fn))
 	w.mu.Unlock()
 	if wasHead {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		w.signal()
 	}
 	return h
 }
@@ -269,14 +274,14 @@ func (w *WallScheduler) loop() {
 				continue
 			}
 		}
-		at, _, fn := w.q.pop()
+		at, _, ev := w.q.pop()
 		if at > w.cursor {
 			w.cursor = at
 		}
 		w.dispatching = true
 		w.Executed++
 		w.mu.Unlock()
-		fn()
+		ev.Fire()
 	}
 }
 
