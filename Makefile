@@ -2,7 +2,8 @@
 #
 # `make ci` is the gate every PR must pass (and exactly what
 # .github/workflows/ci.yml runs): gofmt diff check, vet, build, the full
-# test suite under the race detector, and the benchmark smoke. Two
+# test suite under the race detector, the live wall-clock tests repeated
+# under it, and the benchmark smoke. Two
 # questions, one command each: "does it still hold R?" is `make
 # bench-check` (regenerate the campaign verdict bundle and fail on any of
 # its gates); "did it get slower?" is the repository's benchmark,
@@ -13,7 +14,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race bench-smoke profile-allocs ci cover docs-check bench bench-json bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race race-live bench-smoke profile-allocs ci cover docs-check bench bench-json bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -37,6 +38,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The wall-clock tests of internal/live, five times over under the race
+# detector (~100 s on 2 vCPUs): an in-process live run dispatches every
+# event, arrivals included, on its one executor goroutine, so a lagging
+# executor delivers nothing late and the live verdicts equal the
+# kernel's. A single pass of `race` does not catch an occasional flake.
+race-live:
+	$(GO) test -race -count=5 -run '^(TestLive|TestExecutorsAgreeOnVerdicts)' ./internal/live
 
 # Short fuzz pass over the wire codecs (the seed corpora always run as
 # part of `go test`; this digs further): the evidence record codec, the
@@ -132,7 +141,7 @@ profile-allocs:
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
-ci: fmt-check vet build race bench-smoke
+ci: fmt-check vet build race race-live bench-smoke
 	@echo "ci: OK"
 
 clean:

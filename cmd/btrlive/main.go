@@ -10,8 +10,8 @@
 // It has three execution modes:
 //
 //   - Single process (default): every node in one process over the
-//     channel-based live bus (network.Bus). Membership churn (-members
-//     and the churn flags) is available here.
+//     simulated network (network.Network) paced by the wall clock.
+//     Membership churn (-members and the churn flags) is available here.
 //   - Orchestrated multi-process (-orchestrate): one OS process per node
 //     over real TCP sockets (network.TCPBus), spawned and judged by an
 //     in-process orchestrator acting as the plant. The fault catalog

@@ -11,17 +11,18 @@
 // The runtime is transport-agnostic: every layer above the substrate is
 // written against two seams — sim.Scheduler (discrete-event Kernel or
 // wall-clock WallScheduler) and network.Transport (simulated Network or
-// live channel-based Bus) — so the same node executive that passes the
+// real-socket TCPBus) — so the same node executive that passes the
 // deterministic campaigns also runs as a live wall-clock deployment
-// (internal/live, cmd/btrlive) with recovery measured in real time
-// against the provable bound R.
+// (internal/live, cmd/btrlive: the simulated Network paced by the
+// WallScheduler in one process, TCPBus across processes) with recovery
+// measured in real time against the provable bound R.
 //
 // Membership is online: internal/member defines operator-signed,
 // hash-chained epoch records (membership set + link delta), the runtime
 // switches epochs with a two-phase prepare/commit protocol (quorum of
 // n-f acks, activation at a signed instant past both epochs'
-// distribution bounds), and the transport adds/removes Bus lanes as
-// slots join and retire. Node identities and keys are never reassigned
+// distribution bounds), and the transport's wiring adds and removes
+// links as slots join and retire. Node identities and keys are never reassigned
 // across epochs, so evidence signed in any prior epoch stays
 // attributable forever and fault sets remain append-only through
 // reconfiguration. Epoch re-planning rides the incremental plan engine:

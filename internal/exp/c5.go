@@ -2,8 +2,9 @@ package exp
 
 // C5: live wall-clock soak. Every other scenario family measures recovery
 // in virtual time on the discrete-event kernel; C5 boots the same runtime
-// on the real-time executor (sim.WallScheduler + network.Bus via
-// internal/live) across the C2 topology families, injects catalog faults
+// on the real-time executor (the simulated network.Network on a
+// sim.WallScheduler, via internal/live) across the C2 topology families,
+// injects catalog faults
 // at runtime, and records *measured wall-clock* recovery latencies
 // against the provable bound R. Its tables carry real timings and are
 // therefore exempt from the byte-identical determinism pin that covers
@@ -97,7 +98,7 @@ func C5Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C5",
 		Family: "live",
-		Claim:  "the same runtime recovers within R on the wall clock: live executor + bus transport across topology families",
+		Claim:  "the same runtime recovers within R on the wall clock: live executor + wall-paced network across topology families",
 		Trials: func(p campaign.Params) []campaign.TrialSpec {
 			var specs []campaign.TrialSpec
 			for _, c := range c5Cases(p) {

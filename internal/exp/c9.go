@@ -1,21 +1,24 @@
 package exp
 
 // C9: the saturation regime. C5 and C7 measure recovery on a lightly
-// loaded wall-clock deployment; C9 asks what the live transport can
+// loaded wall-clock deployment; C9 asks what the live deployment can
 // actually absorb. Each trial walks an ascending ladder of sustained
 // bogus-evidence flood rates (the §4.3 DoS generator reused as a load
 // generator) against a full live deployment, locating the knee where the
-// class-aware backpressure starts shedding in bulk — the message-rate
-// collapse of the evidence channel — and then injects a catalog fault
-// while the flood runs at ≥80% of that measured sustainable rate. The
-// claims under test: the knee exists (a positive sustainable events/sec
-// with zero deadline misses below it), the transport sheds by class
-// policy above it instead of starving foreground traffic, and measured
-// recovery still lands within the provable bound R at 80% load. Like C5
-// and C7 the numbers are wall-clock and machine-bound, so the family is
-// exempt from the byte-identity determinism pin (filters skip
-// Family == "saturation"); the invariants are what `make bench-check`
-// gates through the saturation section of BENCH_campaign.json.
+// evidence channel stops keeping up — more than one period's flood still
+// in flight when the run ends — and then injects a catalog fault while
+// the flood runs at ≥80% of that measured sustainable rate. What sets
+// the knee is the evidence class's reserved share of each link: degree ×
+// ClassCapacity(bw, share, ClassEvidence) ÷ frame bytes, ≈ 7 × 4 MB/s ÷
+// 305 B ≈ 92k ev/s on the full mesh of 8. The claims under test: the knee
+// exists (a positive sustainable events/sec with zero deadline misses
+// below it), past it the flood queues on its own share instead of
+// starving foreground traffic, and measured recovery still lands within
+// the provable bound R at 80% load. Like C5 and C7 the numbers are
+// wall-clock and machine-bound, so the family is exempt from the
+// byte-identity determinism pin (filters skip Family == "saturation");
+// the invariants are what `make bench-check` gates through the
+// saturation section of BENCH_campaign.json.
 
 import (
 	"fmt"
@@ -70,7 +73,7 @@ type C9Point struct {
 	DeliveredEPS float64
 	Missed       int
 	Wrong        int
-	Shed         uint64
+	InFlight     uint64
 	Sustained    bool
 }
 
@@ -113,7 +116,7 @@ func runC9Case(c c9Case, ladder []int, seed uint64) (C9Row, error) {
 	for _, pt := range sat.Points {
 		row.Points = append(row.Points, C9Point{
 			PerPeriod: pt.PerPeriod, OfferedEPS: pt.OfferedEPS, DeliveredEPS: pt.DeliveredEPS,
-			Missed: pt.Missed, Wrong: pt.Wrong, Shed: pt.Shed, Sustained: pt.Sustained,
+			Missed: pt.Missed, Wrong: pt.Wrong, InFlight: pt.InFlight, Sustained: pt.Sustained,
 		})
 	}
 	load, frac := live.LoadFractionFor(sat.SustainablePerPeriod, c9LoadFraction)
@@ -138,7 +141,7 @@ func C9Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C9",
 		Family: "saturation",
-		Claim:  "the live transport has a measurable sustainable event rate; above it the class-aware backpressure sheds load instead of deadlines, and at 80% of it a fault still recovers within R",
+		Claim:  "a live deployment has a measurable sustainable event rate, set by the evidence class's reserved link share; above it the flood backs up on that share instead of costing deadlines, and at 80% of it a fault still recovers within R",
 		Trials: func(p campaign.Params) []campaign.TrialSpec {
 			var specs []campaign.TrialSpec
 			for _, c := range c9Cases(p) {
@@ -156,7 +159,7 @@ func C9Scenario() campaign.Scenario {
 		},
 		Aggregate: func(p campaign.Params, trials []campaign.TrialResult) []*metrics.Table {
 			ladder := metrics.NewTable(fmt.Sprintf("C9: saturation ladder (sustained bogus flood, period %v)", c9Period),
-				"topology", "flood/period", "offered ev/s", "delivered ev/s", "missed", "shed", "sustained")
+				"topology", "flood/period", "offered ev/s", "delivered ev/s", "missed", "in flight", "sustained")
 			rec := metrics.NewTable("C9: recovery under load (corrupt-all at ≥80% of measured saturation)",
 				"topology", "nodes", "f", "sustainable ev/s", "load ev/s", "load frac", "recovery", "bound R", "within R", "shed")
 			for i, c := range c9Cases(p) {
@@ -168,7 +171,7 @@ func C9Scenario() campaign.Scenario {
 				}
 				for _, pt := range row.Points {
 					ladder.AddRow(row.Topology, pt.PerPeriod, fmt.Sprintf("%.0f", pt.OfferedEPS),
-						fmt.Sprintf("%.0f", pt.DeliveredEPS), pt.Missed, pt.Shed, boolMark(pt.Sustained))
+						fmt.Sprintf("%.0f", pt.DeliveredEPS), pt.Missed, pt.InFlight, boolMark(pt.Sustained))
 				}
 				rec.AddRow(row.Topology, row.Nodes, row.F,
 					fmt.Sprintf("%.0f", row.SustainableEPS), fmt.Sprintf("%.0f", row.LoadEPS),
@@ -178,7 +181,7 @@ func C9Scenario() campaign.Scenario {
 			if note := campaign.FailNote(trials); note != "" {
 				ladder.Note("%s", note)
 			}
-			ladder.Note("'sustained' = zero deadline misses and sheds ≤1%% of deliveries; the knee is the last sustained rung — above it the evidence channel sheds by class policy (bogus/heartbeat first, evidence last, foreground protected)")
+			ladder.Note("'sustained' = zero deadline misses and at most one period's flood (flood/period × degree) in flight at the end; the knee is the last sustained rung — above it the flood backs up on the evidence share (≈ degree × 4 MB/s ÷ 305 B ≈ 92k ev/s here) while foreground keeps its own")
 			rec.Note("wall-clock measurements on a live executor under sustained flood — the invariant is the 'within R' column at load fraction ≥%.1f", c9LoadFraction)
 			return []*metrics.Table{ladder, rec}
 		},

@@ -30,13 +30,13 @@ func churnConfig(horizon uint64) Config {
 	}
 }
 
-// TestLiveChurnJoinRetireLanesAndWatchdogsTearDown is the live churn
+// TestLiveChurnJoinRetireWiringAndWatchdogsTearDown is the live churn
 // stress: a join and a retire on the wall clock, run under -race in CI.
-// It asserts the Bus actually opens lanes toward the joiner and tears
-// down the retired slot's lanes, that the retired node holds no armed
-// watchdog timers, and (via waitNoLeak) that no lane worker or executor
-// goroutine outlives the deployment.
-func TestLiveChurnJoinRetireLanesAndWatchdogsTearDown(t *testing.T) {
+// It asserts the network's wiring follows the membership — links toward
+// the joiner, none left touching the retired slot — that the retired
+// node holds no armed watchdog timers, and (via waitNoLeak) that the
+// executor goroutine does not outlive the deployment.
+func TestLiveChurnJoinRetireWiringAndWatchdogsTearDown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock churn soak in -short mode")
 	}
@@ -47,10 +47,9 @@ func TestLiveChurnJoinRetireLanesAndWatchdogsTearDown(t *testing.T) {
 	}
 	period := d.Cfg.Workload.Period
 
-	// Genesis wiring: only member-member links have lanes. FullMesh(6)
-	// has 15 links; 2 directions x 2 classes each.
-	if got, want := d.Bus.LaneCount(), 15*4; got != want {
-		t.Fatalf("genesis lanes = %d, want %d", got, want)
+	// Genesis wiring: only member-member links, FullMesh(6)'s 15.
+	if got := len(d.Net.Topology().Links); got != 15 {
+		t.Fatalf("genesis wiring has %d links, want 15", got)
 	}
 	d.Reconfigure(3*period, member.Delta{Join: []network.NodeID{6}})
 	d.Reconfigure(8*period, member.Delta{Retire: []network.NodeID{0}})
@@ -67,9 +66,16 @@ func TestLiveChurnJoinRetireLanesAndWatchdogsTearDown(t *testing.T) {
 			t.Fatalf("epoch %d never activated: %+v", e.Num, e)
 		}
 	}
-	// Final membership {1..6}: again a 6-member mesh, 15 links' lanes.
-	if got, want := d.Bus.LaneCount(), 15*4; got != want {
-		t.Errorf("final lanes = %d, want %d (retired slot's lanes not torn down?)", got, want)
+	// Final membership {1..6}: again a 6-member mesh of 15 links, and
+	// none left touching the retired slot.
+	final := d.Net.Topology()
+	if got := len(final.Links); got != 15 {
+		t.Errorf("final wiring has %d links, want 15", got)
+	}
+	for _, l := range final.Links {
+		if l.A == 0 || l.B == 0 {
+			t.Errorf("final wiring still links retired slot 0: %d-%d", l.A, l.B)
+		}
 	}
 	if d.Runtime.IsMember(0) || !d.Runtime.IsMember(6) {
 		t.Error("final membership wrong")

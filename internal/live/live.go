@@ -1,14 +1,15 @@
 // Package live boots BTR deployments on the wall clock: the same plan
-// engine, detectors, evidence distribution, and mode switcher that run
-// under the discrete-event simulator execute here on a sim.WallScheduler
-// with the channel-based network.Bus transport. Nothing in the runtime
-// changes between the two modes — that is the point: a live Deployment is
-// assembled, injected and judged by core.Assemble exactly as a simulated
-// core.System is, with only the executor swapped. The paper's claim is
-// that bounded-time recovery is a *runtime* property; this package is
-// where the claim meets real asynchrony: goroutine shaping lanes, timer
-// jitter, and crypto that costs actual CPU, with recovery measured in
-// wall-clock time against the strategy's provable bound R.
+// engine, detectors, evidence distribution, mode switcher and simulated
+// network.Network that run under the discrete-event kernel execute here
+// on a sim.WallScheduler. Nothing in the runtime changes between the two
+// modes — that is the point: a live Deployment is assembled, injected and
+// judged by core.Assemble exactly as a simulated core.System is, with
+// only the executor swapped. One executor goroutine dispatches every
+// event, message arrivals included, on one modeled timeline that the
+// wall clock paces. The paper's claim is that bounded-time recovery is a
+// *runtime* property; this package is where the claim meets real time:
+// timer jitter and crypto that costs actual CPU, with recovery measured
+// in wall-clock time against the strategy's provable bound R.
 //
 // A Deployment assembles everything, InjectAt schedules fault injections
 // (the adversary package's Attack scripts install unchanged via
@@ -51,7 +52,7 @@ type (
 type Deployment struct {
 	*core.Deployment
 	Sched *sim.WallScheduler
-	Bus   *network.Bus
+	Net   *network.Network
 
 	// drained closes when the end-of-horizon marker event fires — because
 	// dispatch is in (time, insertion) order, every deadline check has
@@ -60,14 +61,14 @@ type Deployment struct {
 	startRun sync.Once
 }
 
-// New assembles the deployment on a wall scheduler and live bus. Nothing
-// moves until Run.
+// New assembles the deployment: the simulated network on a wall
+// scheduler. Nothing moves until Run.
 func New(cfg Config) (*Deployment, error) {
 	d := &Deployment{drained: make(chan struct{})}
 	cd, err := core.Assemble(cfg, func(cfg Config) (sim.Scheduler, network.Transport) {
 		d.Sched = sim.NewWallScheduler(cfg.Seed)
-		d.Bus = network.NewBus(d.Sched, cfg.Topology, cfg.Net)
-		return d.Sched, d.Bus
+		d.Net = network.New(d.Sched, cfg.Topology, cfg.Net)
+		return d.Sched, d.Net
 	})
 	if err != nil {
 		return nil, err
@@ -104,12 +105,9 @@ func (d *Deployment) Run() *Report {
 	return d.Finish()
 }
 
-// Close stops dispatch and joins every goroutine the deployment started
-// (executor and bus lanes). Idempotent; Run calls it automatically.
-func (d *Deployment) Close() {
-	d.Sched.Close()
-	d.Bus.Close()
-}
+// Close stops dispatch and joins the executor, the one goroutine the
+// deployment started. Idempotent; Run calls it automatically.
+func (d *Deployment) Close() { d.Sched.Close() }
 
 // FirstSinkNode returns the node hosting the earliest-finishing sink
 // replica in the deployment's base plan (ties broken by lowest node ID)

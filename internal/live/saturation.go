@@ -8,12 +8,14 @@ package live
 // The probe is deliberately adversarial — the load generator is the §4.3
 // bogus-evidence flooder, whose junk is unverifiable and convicts the
 // flooder almost immediately. The flood keeps running after conviction,
-// so the transport's class-aware shedding and the per-neighbor evidence
-// budget (not the conviction machinery) are what carry the deployment:
-// the sustained rate is a transport/crypto capacity number, not a
-// detector quality number. Every quantity here is wall-clock and
-// machine-bound; the invariants (a positive sustained rate, recovery
-// within R at ≥80% of it) are what the bench comparator gates.
+// so the evidence class's reserved share of each link and the
+// per-neighbor evidence budget (not the conviction machinery) are what
+// carry the deployment: the sustained rate is a link-share capacity
+// number, not a detector quality number. Past it the flood queues on the
+// evidence channel while foreground traffic keeps its own share. Every
+// quantity here is wall-clock and machine-bound; the invariants (a
+// positive sustained rate, recovery within R at ≥80% of it) are what the
+// bench comparator gates.
 
 import (
 	"fmt"
@@ -49,13 +51,18 @@ type SaturationPoint struct {
 	Missed       int     // sink deadlines missed (the collapse signal)
 	Wrong        int
 	Dropped      uint64 // transport drops, all classes
-	Shed         uint64 // subset of Dropped: backpressure sheds
-	// Sustained: the deployment met every deadline AND the transport
-	// absorbed the offered rate without material backpressure shedding
-	// (sheds ≤ 1% of deliveries). Past saturation the class-aware
-	// shedding keeps deadlines clean by design — foreground is shed
-	// last — so deadline misses alone cannot locate the knee; the
-	// delivered-rate plateau (mass shedding) is the collapse signal.
+	// InFlight is the number of messages sent but neither delivered nor
+	// dropped when the run ended: Σ(MsgsSent − MsgsDelivered −
+	// MsgsDropped). MsgsSent counts hops and MsgsDelivered final
+	// arrivals, so the count is exact only where every send is one hop,
+	// as on C9's full mesh.
+	InFlight uint64
+	// Sustained: the deployment met every deadline AND the evidence
+	// channel kept up with the offered rate — at most one period's flood
+	// (PerPeriod × degree) still in flight at the end. Past saturation
+	// the evidence share keeps the flood off foreground traffic, so
+	// deadline misses alone cannot locate the knee; the backlog growing
+	// past one period is the collapse signal.
 	Sustained bool
 }
 
@@ -126,16 +133,21 @@ func startFlood(d *Deployment, flooder network.NodeID, perPeriod int, at sim.Tim
 // offeredEPS converts a per-period spray count into offered messages per
 // second across the flooder's links.
 func offeredEPS(topo *network.Topology, flooder network.NodeID, perPeriod int, period sim.Time) float64 {
-	degree := len(topo.Neighbors(flooder))
-	return float64(perPeriod*degree) / (float64(period) / float64(sim.Second))
+	return float64(floodPerPeriod(topo, flooder, perPeriod)) / (float64(period) / float64(sim.Second))
+}
+
+// floodPerPeriod is one period's flood: perPeriod envelopes to each of
+// the flooder's neighbors.
+func floodPerPeriod(topo *network.Topology, flooder network.NodeID, perPeriod int) uint64 {
+	return uint64(perPeriod * len(topo.Neighbors(flooder)))
 }
 
 // MeasureSaturation walks the ladder: one full live deployment per rung,
 // a sustained bogus flood from period 1 onward, sink deadlines judged as
-// in every other live run. A rung is sustained when the run stays
-// completely clean (no missed, no wrong periods). Rungs keep running
-// past the first collapse so the ladder shows the shape of the fall, not
-// just the knee.
+// in every other live run. A rung is sustained when the run stays clean
+// (no missed, no wrong periods) and ends with at most one period's flood
+// in flight. Rungs keep running past the first collapse so the ladder
+// shows the shape of the fall, not just the knee.
 func MeasureSaturation(cfg SaturationConfig) (*SaturationResult, error) {
 	if len(cfg.Ladder) == 0 {
 		return nil, fmt.Errorf("live: saturation ladder is empty")
@@ -151,17 +163,19 @@ func MeasureSaturation(cfg SaturationConfig) (*SaturationResult, error) {
 		startFlood(d, flooder, perPeriod, cfg.Period)
 		rep := d.Run()
 		wallSecs := float64(rep.Horizon) / float64(sim.Second)
-		delivered := totalDelivered(rep.NetStats)
-		shed := rep.NetStats.TotalShed()
+		delivered := total(rep.NetStats.MsgsDelivered[:])
+		dropped := total(rep.NetStats.MsgsDropped[:])
+		inFlight := total(rep.NetStats.MsgsSent[:]) - delivered - dropped
 		pt := SaturationPoint{
 			PerPeriod:    perPeriod,
 			OfferedEPS:   offeredEPS(d.Cfg.Topology, flooder, perPeriod, cfg.Period),
 			DeliveredEPS: float64(delivered) / wallSecs,
 			Missed:       rep.MissedPeriods,
 			Wrong:        rep.WrongValues,
-			Dropped:      totalDropped(rep.NetStats),
-			Shed:         shed,
-			Sustained:    rep.MissedPeriods == 0 && rep.WrongValues == 0 && shed*100 <= delivered,
+			Dropped:      dropped,
+			InFlight:     inFlight,
+			Sustained: rep.MissedPeriods == 0 && rep.WrongValues == 0 &&
+				inFlight <= floodPerPeriod(d.Cfg.Topology, flooder, perPeriod),
 		}
 		res.Points = append(res.Points, pt)
 	}
@@ -202,8 +216,8 @@ func MeasureRecoveryUnderLoad(cfg SaturationConfig, perPeriod int) (*LoadedRecov
 		WithinR:   rep.MaxRecovery() <= rep.RNeeded,
 		Missed:    rep.MissedPeriods,
 		Wrong:     rep.WrongValues,
-		Delivered: totalDelivered(rep.NetStats),
-		Dropped:   totalDropped(rep.NetStats),
+		Delivered: total(rep.NetStats.MsgsDelivered[:]),
+		Dropped:   total(rep.NetStats.MsgsDropped[:]),
 		Shed:      rep.NetStats.TotalShed(),
 	}, nil
 }
@@ -222,17 +236,10 @@ func LoadFractionFor(sustainedPerPeriod int, frac float64) (perPeriod int, actua
 	return perPeriod, float64(perPeriod) / float64(sustainedPerPeriod)
 }
 
-func totalDelivered(s network.Stats) uint64 {
+// total sums one per-class counter of network.Stats.
+func total(perClass []uint64) uint64 {
 	var t uint64
-	for _, v := range s.MsgsDelivered {
-		t += v
-	}
-	return t
-}
-
-func totalDropped(s network.Stats) uint64 {
-	var t uint64
-	for _, v := range s.MsgsDropped {
+	for _, v := range perClass {
 		t += v
 	}
 	return t

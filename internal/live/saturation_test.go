@@ -8,13 +8,13 @@ import (
 	"btr/internal/sim"
 )
 
-// TestFloodVerificationBudgetedOnBus pins that the per-neighbor evidence
-// rate limit bounds signature work on the live Bus, not just in the
-// simulator: no transport verifies ahead of the handler's budget. A
+// TestFloodVerificationBudgetedLive pins that the per-neighbor evidence
+// rate limit bounds signature work on a live deployment, not just in the
+// kernel's: no executor verifies ahead of the handler's budget. A
 // 512-per-period bogus flood from one node of a full mesh may add at
 // most EvidenceRateLimit × degree(flooder) memo lookups per flooded
 // period over the same deployment run without it.
-func TestFloodVerificationBudgetedOnBus(t *testing.T) {
+func TestFloodVerificationBudgetedLive(t *testing.T) {
 	const (
 		perPeriod = 512
 		horizon   = 8

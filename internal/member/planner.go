@@ -20,8 +20,8 @@ type EpochPlan struct {
 	Excluded plan.FaultSet
 	// Wiring is the epoch's *active* wiring: the administrative link
 	// state restricted to links among members. Transports carry exactly
-	// this — dormant slots get no lanes, traffic never routes through
-	// them, and retiring a node tears its lanes down at activation.
+	// this — dormant slots get no links, traffic never routes through
+	// them, and retiring a node removes its links at activation.
 	Wiring   *network.Topology
 	Strategy *plan.Strategy
 	// Resolve is the epoch-aware runtime.PlanSource: member faults union

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"btr/internal/sim"
 )
 
 // TestTCPBusCoalescedFlushDelivers proves the write-side coalescing end
@@ -129,104 +127,6 @@ func TestTCPBusShedsClassAware(t *testing.T) {
 	for _, ls := range b.LinkStats() {
 		if ls.Drops != 7 || ls.Shed != 7 {
 			t.Errorf("link counters = drops %d / shed %d, want 7 / 7", ls.Drops, ls.Shed)
-		}
-	}
-}
-
-// TestBusLaneSheddingPolicy pins the Bus analogue: a lane wedged behind
-// a huge frame fills to laneDepth, after which foreground sheds the
-// arriving frame (tail-drop) while evidence evicts its oldest so the
-// send is still accepted — and both surface in MsgsShed.
-func TestBusLaneSheddingPolicy(t *testing.T) {
-	// 2 MB/s split evenly: ~1 MB/s per class lane, so a 1.2 MB payload
-	// wedges the lane worker in a ~1.2 s shaping sleep while we fill.
-	topo := FullMesh(2, 2_000_000, 0)
-	w, b := busFixture(t, topo, Config{EvidenceShare: 0.5})
-	const extra = 50
-	big := make([]byte, 1_200_000)
-	done := make(chan struct{})
-	w.At(0, func() {
-		if !b.SendDirect(0, 1, ClassForeground, big) {
-			t.Error("big foreground send refused")
-		}
-		if !b.SendDirect(0, 1, ClassEvidence, big) {
-			t.Error("big evidence send refused")
-		}
-	})
-	w.At(100*sim.Millisecond, func() {
-		defer close(done)
-		// Both lane workers are mid-sleep: fill each lane to laneDepth,
-		// then push extras into the full queues.
-		for i := 0; i < laneDepth; i++ {
-			if !b.SendDirect(0, 1, ClassForeground, []byte("f")) {
-				t.Errorf("foreground fill %d refused", i)
-				return
-			}
-			if !b.SendDirect(0, 1, ClassEvidence, []byte("e")) {
-				t.Errorf("evidence fill %d refused", i)
-				return
-			}
-		}
-		for i := 0; i < extra; i++ {
-			if b.SendDirect(0, 1, ClassForeground, []byte("F")) {
-				t.Errorf("foreground over laneDepth accepted (want tail-drop)")
-				return
-			}
-			if !b.SendDirect(0, 1, ClassEvidence, []byte("E")) {
-				t.Errorf("evidence over laneDepth refused (want drop-oldest)")
-				return
-			}
-		}
-	})
-	w.Start()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sends never completed")
-	}
-	st := b.Snapshot()
-	if st.MsgsShed[ClassForeground] != extra {
-		t.Errorf("foreground shed = %d, want %d", st.MsgsShed[ClassForeground], extra)
-	}
-	if st.MsgsShed[ClassEvidence] != extra {
-		t.Errorf("evidence shed = %d, want %d", st.MsgsShed[ClassEvidence], extra)
-	}
-	if st.MsgsSent[ClassEvidence] != 1+laneDepth+extra {
-		t.Errorf("evidence sent = %d, want %d (drop-oldest accepts the newest)",
-			st.MsgsSent[ClassEvidence], 1+laneDepth+extra)
-	}
-	if st.MsgsSent[ClassForeground] != 1+laneDepth {
-		t.Errorf("foreground sent = %d, want %d", st.MsgsSent[ClassForeground], 1+laneDepth)
-	}
-}
-
-// TestBusEvidenceCoalescedFIFO proves the Bus lane worker delivers a
-// coalesced evidence batch in send order behind the frame it queued
-// behind.
-func TestBusEvidenceCoalescedFIFO(t *testing.T) {
-	// ~100 KB/s evidence lane: a 20 KB frame wedges the worker ~200 ms so
-	// the two trailing messages coalesce into one drained batch.
-	topo := FullMesh(2, 200_000, 0)
-	w, b := busFixture(t, topo, Config{EvidenceShare: 0.5})
-	delivered := make(chan string, 8)
-	b.Handle(1, func(m *Message) { delivered <- string(m.Payload[:1]) })
-	w.At(0, func() {
-		b.SendDirect(0, 1, ClassEvidence, make([]byte, 20_000))
-	})
-	w.At(50*sim.Millisecond, func() {
-		b.SendDirect(0, 1, ClassEvidence, []byte("a"))
-		b.SendDirect(0, 1, ClassEvidence, []byte("b"))
-	})
-	w.Start()
-	want := []string{"\x00", "a", "b"}
-	for i, expect := range want {
-		select {
-		case got := <-delivered:
-			if got != expect {
-				t.Fatalf("delivery %d = %q, want %q", i, got, expect)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d/%d deliveries arrived", i, len(want))
 		}
 	}
 }

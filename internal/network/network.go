@@ -1,11 +1,11 @@
 // Package network provides BTR's communication substrate behind a single
-// seam: the Transport interface. Three implementations exist — the
-// deterministic simulated Network (driven by any sim.Scheduler,
-// historically the discrete-event kernel), the live Bus (bus.go), a
-// channel-based in-process transport whose per-link shaping goroutines
-// model serialization on the wall clock, and the TCPBus (tcpbus.go),
-// which carries the same traffic over real TCP sockets between node
-// processes. All three embed one transport core, the plane (plane.go):
+// seam: the Transport interface. Two implementations exist. The
+// simulated Network models each link's serialization and propagation on
+// its scheduler's timeline; driven by the discrete-event kernel it is
+// the simulator's network, driven by a sim.WallScheduler it is the live
+// in-process one, paced by the wall clock. The TCPBus (tcpbus.go)
+// carries the same traffic over real TCP sockets between node
+// processes. Both embed one transport core, the plane (plane.go):
 // control plane, counters, message creation, delivery, relay filtering
 // and forwarding are written once, and each implementation supplies only
 // how a single hop is carried. Runtime code depends only on Transport, so
@@ -22,13 +22,12 @@ import (
 
 // Transport is the seam between the node runtime and whatever carries its
 // messages. Implementations deliver asynchronously — via scheduler events
-// (Network), shaping goroutines feeding back into the scheduler (Bus), or
-// socket readers feeding back into the scheduler (TCPBus) — and must obey
-// two delivery guarantees the runtime is built on:
+// (Network) or socket readers feeding back into the scheduler (TCPBus) —
+// and must obey two delivery guarantees the runtime is built on:
 //
 //   - Serial handlers: handlers are invoked serially, never concurrently,
-//     preserving the runtime's no-locking discipline. Live transports
-//     achieve this by re-entering deliveries through the scheduler.
+//     preserving the runtime's no-locking discipline. Every delivery is a
+//     scheduler event; TCPBus readers hand theirs to the scheduler.
 //
 //   - Per-(link, class) FIFO: two messages transmitted on the same
 //     directed link in the same class are delivered (to the next hop) in
@@ -42,13 +41,10 @@ import (
 // Concurrency contract per method: Send and SendDirect must be called
 // from scheduler callbacks (or before dispatch starts) — they stamp Sent
 // from the logical clock and use unlocked sequence and loss-RNG state.
-// Handle, SetDown, IsDown, SetForwardFilter, Topology and Snapshot are
-// locked in the shared plane and safe from any goroutine on every
+// Handle, SetDown, IsDown, SetForwardFilter, SetWiring, Topology and
+// Snapshot are locked and safe from any goroutine on every
 // implementation, so adversary drivers and supervision goroutines may
-// call them directly. SetWiring is safe from any goroutine on the live
-// Bus and TCPBus; on the simulated Network, whose channel state and
-// event queue are single-threaded, it too must run in a scheduler
-// callback.
+// call them directly.
 type Transport interface {
 	// Topology returns the static wiring.
 	Topology() *Topology
@@ -77,9 +73,9 @@ type Transport interface {
 	SetForwardFilter(id NodeID, f ForwardFilter)
 	// SetWiring replaces the active wiring with t (same node-slot count;
 	// membership epochs pass the member-restricted link set). Routing,
-	// neighbor lists, and — on the live Bus — the per-link shaping lanes
-	// follow the new wiring from the next send onward; traffic already in
-	// flight completes under the wiring it was sent on.
+	// neighbor lists, and — on TCPBus — the link connections follow the
+	// new wiring from the next send onward; traffic already in flight
+	// completes under the wiring it was sent on.
 	SetWiring(t *Topology)
 	// Snapshot returns the traffic counters accumulated so far.
 	Snapshot() Stats
@@ -129,7 +125,7 @@ type Message struct {
 	Hops    int
 
 	// net is the simulated Network carrying the current hop (see
-	// inFlight); the live transports leave it nil.
+	// inFlight); TCPBus leaves it nil.
 	net *plane
 }
 
@@ -162,18 +158,21 @@ type Stats struct {
 	MsgsDelivered [numClasses]uint64
 	MsgsDropped   [numClasses]uint64
 	// MsgsShed is the subset of MsgsDropped lost to queue-full
-	// backpressure shedding on the live transports (a lane or link queue
-	// at capacity chose a victim by class policy). The simulated Network
-	// models unbounded busy-until queueing and never sheds. Surfacing the
-	// counter separately is what makes overload visible: drops from
-	// crashed nodes or missing routes are faults, sheds are saturation.
+	// backpressure shedding on TCPBus (a link queue at capacity chose a
+	// victim by class policy), where the bound is real memory. The
+	// simulated Network models unbounded busy-until queueing and never
+	// sheds, in simulation and live alike; there the evidence class's
+	// reserved share alone keeps a flood off foreground traffic.
+	// Surfacing the counter separately is what makes overload visible:
+	// drops from crashed nodes or missing routes are faults, sheds are
+	// saturation.
 	MsgsShed  [numClasses]uint64
 	BytesSent [numClasses]uint64
 	// BusyUntil tracking yields utilization via BytesSent / capacity·time.
 }
 
-// TotalShed sums shed counts across classes (the overload signal live
-// reports surface).
+// TotalShed sums shed counts across classes (the overload signal
+// reports surface; only TCPBus sheds).
 func (s Stats) TotalShed() uint64 {
 	var t uint64
 	for _, v := range s.MsgsShed {
@@ -205,8 +204,9 @@ type chanKey struct {
 }
 
 // Network is the simulated transport, driven by its scheduler's
-// serialized callbacks. It embeds the shared plane (control plane,
-// counters, Send/SendDirect, relay path) and carries each hop as
+// serialized callbacks — the kernel's in simulation, a WallScheduler's in
+// a live in-process deployment. It embeds the shared plane (control
+// plane, counters, Send/SendDirect, relay path) and carries each hop as
 // busy-until bookkeeping per channel plus one scheduler event at the
 // modeled arrival instant.
 type Network struct {
@@ -218,24 +218,21 @@ type Network struct {
 // Network implements Transport.
 var _ Transport = (*Network)(nil)
 
-// New creates a transport over topo driven by scheduler k (usually the
-// discrete-event kernel; any sim.Scheduler works).
+// New creates a transport over topo driven by scheduler k (the
+// discrete-event kernel or a wall scheduler; any sim.Scheduler works).
 func New(k sim.Scheduler, topo *Topology, cfg Config) *Network {
-	checkShare(cfg.EvidenceShare)
+	if cfg.EvidenceShare < 0 || cfg.EvidenceShare >= 1 {
+		panic("network: EvidenceShare must be in [0,1)")
+	}
 	n := &Network{cfg: cfg, free: make(map[chanKey]sim.Time)}
 	n.init(k, topo, cfg.LossProb, n.hop)
 	return n
 }
 
-func checkShare(share float64) {
-	if share < 0 || share >= 1 {
-		panic("network: EvidenceShare must be in [0,1)")
-	}
-}
-
-// SetWiring replaces the active wiring. Channel busy-until state for
-// links present in both wirings carries over (same chanKey); state for
-// removed links is simply never consulted again.
+// SetWiring replaces the active wiring; it only swaps the locked
+// topology, so it is safe from any goroutine. Channel busy-until state
+// for links present in both wirings carries over (same chanKey); state
+// for removed links is simply never consulted again.
 func (n *Network) SetWiring(t *Topology) { n.setTopology(t) }
 
 // ClassCapacity returns the bytes/second class gets on one direction of a
@@ -254,24 +251,12 @@ func ClassCapacity(bw int64, share float64, class Class) int64 {
 	return max(int64(float64(bw)*frac), 1)
 }
 
-// channelKey maps m's hop to its virtual channel; with no evidence
-// reservation both classes share one channel per link direction.
-func channelKey(m *Message, share float64) chanKey {
-	if share == 0 {
-		return chanKey{m.From, m.To, ClassForeground}
-	}
-	return chanKey{m.From, m.To, m.Class}
+// TxTime returns the serialization delay of size bytes at capacity
+// bytes/second, rounded up to a whole microsecond. The planner's
+// worst-case analysis uses it too.
+func TxTime(size, capacity int64) sim.Time {
+	return sim.Time((size*int64(sim.Second) + capacity - 1) / capacity)
 }
-
-// txTime returns the serialization delay of size bytes at cap bytes/second,
-// rounded up to a whole microsecond.
-func txTime(size, capacity int64) sim.Time {
-	us := (size*int64(sim.Second) + capacity - 1) / capacity
-	return sim.Time(us)
-}
-
-// TxTime exposes serialization delay for planner worst-case analysis.
-func TxTime(size, capacity int64) sim.Time { return txTime(size, capacity) }
 
 // hop serializes m behind its channel's backlog and schedules its arrival
 // one transmission time plus propagation later.
@@ -281,12 +266,15 @@ func (n *Network) hop(m *Message) bool {
 		n.countDropped(m.Class)
 		return false
 	}
-	key := channelKey(m, n.cfg.EvidenceShare)
+	key := chanKey{m.From, m.To, m.Class}
+	if n.cfg.EvidenceShare == 0 {
+		key.class = ClassForeground // no reservation: one shared channel
+	}
 	start := n.sched.Now()
 	if f := n.free[key]; f > start {
 		start = f
 	}
-	tt := txTime(m.Size(), ClassCapacity(link.Bandwidth, n.cfg.EvidenceShare, m.Class))
+	tt := TxTime(m.Size(), ClassCapacity(link.Bandwidth, n.cfg.EvidenceShare, m.Class))
 	n.free[key] = start + tt
 	n.countSent(m.Class, m.Size())
 	m.net = &n.plane

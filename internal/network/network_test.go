@@ -220,3 +220,31 @@ func TestSimSendDeliverAmortisedAllocs(t *testing.T) {
 		t.Fatalf("%.4f allocations per delivered message, pinned at 0.05", allocs)
 	}
 }
+
+func TestNetworkSetWiring(t *testing.T) {
+	k := sim.NewKernel(1)
+	line := NewTopology(3, []Link{{0, 1, 20_000_000, 50}, {1, 2, 20_000_000, 50}})
+	n := New(k, line, DefaultConfig())
+	var got int
+	n.Handle(2, func(m *Message) { got++ })
+	k.At(0, func() {
+		if !n.Send(0, 2, ClassForeground, []byte("via 1")) {
+			t.Error("send over initial wiring failed")
+		}
+	})
+	// Drop 1-2 and wire 0-2 directly: routing must follow.
+	rewired := NewTopology(3, []Link{{0, 1, 20_000_000, 50}, {0, 2, 20_000_000, 50}})
+	k.At(1000, func() {
+		n.SetWiring(rewired)
+		if !n.SendDirect(0, 2, ClassForeground, []byte("direct")) {
+			t.Error("send over added link failed")
+		}
+		if n.SendDirect(1, 2, ClassForeground, []byte("gone")) {
+			t.Error("send over removed link succeeded")
+		}
+	})
+	k.Run(sim.Second)
+	if got != 2 {
+		t.Fatalf("delivered %d messages, want 2", got)
+	}
+}

@@ -9,12 +9,12 @@ import (
 // plane is the transport core every implementation embeds: the control
 // plane, the traffic counters, message creation, and the relay path a
 // message takes once it reaches a node (deliver, or filter and forward).
-// What differs between Network, Bus and TCPBus is only how one hop is
-// carried — busy-until bookkeeping and a kernel event, a shaping lane, or
-// a socket link queue — and that is the hop function each one installs.
-// So all three deliver, relay, filter and count the same way by
-// construction; the contract suite (transport_test.go) runs the same
-// behaviours on each of them.
+// What differs between Network and TCPBus is only how one hop is
+// carried — busy-until bookkeeping and a scheduler event, or a socket
+// link queue — and that is the hop function each one installs. So both
+// deliver, relay, filter and count the same way by construction; the
+// contract suite (transport_test.go) runs the same behaviours on each of
+// them.
 //
 // Concurrency: the control plane (Topology, Handle, SetForwardFilter,
 // SetDown, IsDown, setTopology) is guarded by stateMu and Snapshot by

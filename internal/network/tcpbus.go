@@ -23,7 +23,7 @@ import (
 // multi-hop traffic with store-and-forward at self, handlers for other
 // slots are simply never invoked locally.
 //
-// Connection model — directed, mirroring Bus's directed lanes: for every
+// Connection model — directed, like Network's channels: for every
 // peer adjacent to self in the active wiring, a link supervisor
 // goroutine owns the OUTGOING connection (dial with exponential backoff,
 // wire.Hello handshake, then a coalescing write loop draining a bounded
@@ -622,9 +622,8 @@ func (b *TCPBus) peerRefused(peer NodeID) bool {
 	return b.refused[peer]
 }
 
-// LinkCount returns the number of outgoing link supervisors — the
-// TCPBus analogue of Bus.LaneCount, pinned by SetWiring convergence
-// tests.
+// LinkCount returns the number of outgoing link supervisors, pinned by
+// SetWiring convergence tests.
 func (b *TCPBus) LinkCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

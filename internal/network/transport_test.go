@@ -2,6 +2,7 @@ package network
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,11 +45,37 @@ var transportKinds = []struct {
 		run := func(f func()) { k.At(k.Now(), f); k.RunAll() }
 		return newTransportFixture(k, topo, func(NodeID) Transport { return nw }, run, func(cond func() bool) bool { return cond() })
 	}},
-	{"bus", func(t *testing.T, topo *Topology) *transportFixture {
-		w, b := busFixture(t, topo, DefaultConfig())
-		return wallTransportFixture(t, w, topo, func(NodeID) Transport { return b })
+	{"wall", func(t *testing.T, topo *Topology) *transportFixture {
+		w, nw := wallNetwork(t, topo)
+		return wallTransportFixture(t, w, topo, func(NodeID) Transport { return nw })
 	}},
 	{"tcpbus", tcpBusTransportFixture},
+}
+
+// wallNetwork is the live in-process transport: the simulated Network
+// driven by a wall scheduler. Cleanup closes the scheduler and asserts
+// leak-free shutdown.
+func wallNetwork(t *testing.T, topo *Topology) (*sim.WallScheduler, *Network) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	w := sim.NewWallScheduler(1)
+	t.Cleanup(func() {
+		w.Close()
+		checkNoLeak(t, before, "wall scheduler")
+	})
+	return w, New(w, topo, DefaultConfig())
+}
+
+// checkNoLeak fails t if the goroutine count does not settle back to
+// before within a few seconds of a transport's shutdown.
+func checkNoLeak(t *testing.T, before int, what string) {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutine leak after %s shutdown: %d before, %d after", what, before, g)
+	}
 }
 
 // tcpBusTransportFixture boots one TCPBus per node, all driven by one

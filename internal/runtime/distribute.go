@@ -59,8 +59,8 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 	// Rate limit per neighbor per period: bounded verification work no
 	// matter how hard a neighbor floods. This is the only place evidence
 	// signatures are checked on every transport (no transport verifies
-	// ahead of it), so the bound holds on Network, Bus, and TCPBus alike;
-	// TestFloodVerificationBudgetedOnBus pins it live.
+	// ahead of it), so the bound holds on Network and TCPBus alike;
+	// TestFloodVerificationBudgetedLive pins it live.
 	n.evBudget[m.From]++
 	if n.evBudget[m.From] > n.cfg.EvidenceRateLimit {
 		n.EvidenceDropped++

@@ -38,8 +38,8 @@ import (
 // (the new period re-arms under the new plan — watchdogs guarding
 // retired producers must not fire); retiring nodes schedule no further
 // periods; joining nodes schedule their first; and the operator swaps
-// the transport wiring, tearing down lanes of retired links and
-// spinning up lanes toward joiners. In-flight evidence stays valid: node
+// the transport wiring, removing retired links and adding links toward
+// joiners. In-flight evidence stays valid: node
 // identities and keys are never reassigned across epochs, so a
 // signature attributes the same physical signer in every epoch, and
 // local fault sets remain append-only through any number of
@@ -234,7 +234,7 @@ func (s *System) initEpochs() {
 		nd.seenEpoch = map[[16]byte]bool{}
 		nd.memberNow = genesis.memberOf(nd.id)
 		if !nd.memberNow {
-			s.cfg.Net.SetDown(nd.id, true) // dormant slot: no lanes serve it anyway
+			s.cfg.Net.SetDown(nd.id, true) // dormant slot: no links serve it anyway
 		}
 	}
 }
@@ -425,7 +425,7 @@ func (op *operator) commit() {
 	}
 	op.emit(EpochEvent{Kind: "committed", Num: final.Num, Node: -1, At: now, Acks: len(p.acks)})
 	// Operator-side activation runs before any node's (inserted first at
-	// the same instant): wiring and lane changes are visible the moment
+	// the same instant): wiring changes are visible the moment
 	// nodes start their first period under the new epoch.
 	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(info) })
 	payload := epochPayload(epochPhaseCommit, member.Seal(op.sys.cfg.Registry, final))

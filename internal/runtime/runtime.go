@@ -82,8 +82,8 @@ type Behavior struct {
 //
 // Kernel and Net are seams, not concrete engines: any sim.Scheduler
 // (discrete-event kernel or wall-clock WallScheduler) and any
-// network.Transport (simulated Network, live Bus, or real-socket TCPBus)
-// work, and the runtime behaves identically on either — that is the
+// network.Transport (simulated Network or real-socket TCPBus) work, and
+// the runtime behaves identically on either — that is the
 // transport-agnostic contract internal/live and cmd/btrlive build on.
 //
 // The runtime leans on exactly two delivery guarantees from Net, both

@@ -135,9 +135,8 @@ func (w *WallScheduler) Now() Time {
 }
 
 // WallElapsed returns the raw elapsed wall time since Start (zero
-// before Start), regardless of any in-flight dispatch. Transports use it
-// for pacing decisions (how long to sleep) where the logical clock of
-// Now would overstate the wait while the executor is catching up.
+// before Start), regardless of any in-flight dispatch: what a caller
+// measuring real elapsed time (not the modeled time of Now) reads.
 func (w *WallScheduler) WallElapsed() Time {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -262,10 +261,12 @@ func (w *WallScheduler) loop() {
 		if now-next > wallCatchUpLag {
 			// Catching up: the executor is running overdue events
 			// back-to-back and would otherwise never block, starving the
-			// goroutines (transport lanes) whose pending handoffs belong
-			// *before* the next overdue event. Yield once per dispatch so
-			// their schedules land in the heap and causal order repairs
-			// itself; when running on time this branch never triggers.
+			// goroutines whose pending handoffs belong *before* the next
+			// overdue event. Only TCPBus socket readers hand events in
+			// from other goroutines; an in-process Network schedules on
+			// this goroutine. Yield once per dispatch so their schedules
+			// land in the heap and causal order repairs itself; when
+			// running on time this branch never triggers.
 			w.mu.Unlock()
 			runtime.Gosched()
 			w.mu.Lock()
