@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"btr/internal/adversary"
 )
 
 // goodModel builds a minimal matrix source covering the full required
@@ -48,18 +50,35 @@ func TestVerifyFailsOnNonexistentCitation(t *testing.T) {
 	}
 }
 
+// TestVerifyFailsOnMissingRow: a misspelt row both leaves its behavior
+// uncovered and names no catalog behavior; each must fail the check.
 func TestVerifyFailsOnMissingRow(t *testing.T) {
 	src := goodModel("TestSomething")
 	src = strings.Replace(src, "| `crash` |", "| `krash` |", 1)
 	fails := verify(t, src, map[string]bool{"TestSomething": true})
-	found := false
+	missing, unknown := false, false
 	for _, f := range fails {
-		if strings.Contains(f, `"crash"`) && strings.Contains(f, "no matrix row") {
-			found = true
-		}
+		missing = missing || strings.Contains(f, `"crash"`) && strings.Contains(f, "no matrix row")
+		unknown = unknown || strings.Contains(f, `"krash"`) && strings.Contains(f, "names no catalog behavior")
 	}
-	if !found {
-		t.Fatalf("missing crash row not flagged: %v", fails)
+	if !missing || !unknown {
+		t.Fatalf("krash row not flagged as both a missing crash row and an unknown behavior: %v", fails)
+	}
+}
+
+// TestCatalogEntryBecomesRequiredRow: a behavior added to
+// adversary.Catalog is a required matrix row with no other edit.
+func TestCatalogEntryBecomesRequiredRow(t *testing.T) {
+	saved := adversary.Catalog
+	t.Cleanup(func() { adversary.Catalog = saved })
+	src := goodModel("TestSomething")
+	adversary.Catalog = append(append([]adversary.Behavior(nil), saved...), adversary.Behavior{Name: "dummy", Scope: adversary.Process})
+	fails := verify(t, src, map[string]bool{"TestSomething": true})
+	if len(fails) != 1 || !strings.Contains(fails[0], `"dummy"`) || !strings.Contains(fails[0], "no matrix row") {
+		t.Fatalf("dummy catalog entry not required as a row: %v", fails)
+	}
+	if fails := verify(t, goodModel("TestSomething"), map[string]bool{"TestSomething": true}); len(fails) != 0 {
+		t.Fatalf("model with a dummy row failed: %v", fails)
 	}
 }
 

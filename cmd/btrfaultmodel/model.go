@@ -10,41 +10,15 @@ import (
 	"strings"
 	"unicode"
 
-	"btr/internal/faultrate"
-	"btr/internal/live"
+	"btr/internal/adversary"
 )
 
 // regimes are the matrix columns, in order.
 var regimes = [3]string{"≤ f active", "> f transient", "> f sustained"}
 
-// requiredBehaviors is the full catalog the matrix must cover: the
-// fault-rate arrival catalog, the remaining simulated adversary
-// behaviors, and the process-level faults only a live deployment has
-// (live.ProcFaultKinds, minus the in-process duplicates, "flood"
-// normalized to the adversary's "bogus-flood" and "none" dropped — a
-// fault-free run needs no fault-model row).
-func requiredBehaviors() []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(names ...string) {
-		for _, n := range names {
-			if n == "none" {
-				continue
-			}
-			if n == "flood" {
-				n = "bogus-flood"
-			}
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	add(faultrate.Catalog()...)
-	add("corrupt-sink", "delay", "bogus-flood", "skip-actuation")
-	add(live.ProcFaultKinds...)
-	return out
-}
+// requiredBehaviors is the full catalog the matrix must cover, one row
+// per adversary.Catalog entry.
+func requiredBehaviors() []string { return adversary.Names(nil) }
 
 // cell is one parsed matrix cell: a classification plus its citations.
 type cell struct {
@@ -227,6 +201,9 @@ func verifyModel(modelPath string, rows []modelRow, tests, sections map[string]b
 		}
 	}
 	for _, r := range rows {
+		if _, ok := adversary.Lookup(r.Behavior); !ok {
+			failf("%s:%d: matrix row %q names no catalog behavior", modelPath, r.Line, r.Behavior)
+		}
 		for j, c := range r.Cells {
 			if c.Class != "untolerated" && len(c.Citations) == 0 {
 				failf("%s:%d: %s / %s claims %q without citing a test or gate",

@@ -27,7 +27,7 @@
 //
 //	btrlive [-topo full-mesh|dual-bus|ring|grid] [-nodes N] [-f N]
 //	        [-period D] [-margin D] [-horizon N] [-seed N]
-//	        [-fault corrupt-all|corrupt-sink|crash|omit|flood|none]
+//	        [-fault <adversary.Catalog behavior>|none]
 //	        [-at N] [-members K] [-join n@p[,n@p...]]
 //	        [-retire n@p[,n@p...]] [-replace new:old@p[,...]] [-v]
 //	        [-cpuprofile out.pprof] [-memprofile out.pprof]
@@ -625,7 +625,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	sink := cfg.Workload.Sinks()[0]
 	victim := live.FirstSinkNode(d)
 	at := sim.Time(atPeriod) * p
-	attack, injected, err := live.BuildAttack(faultKind, victim, sink, at)
+	attack, injected, err := live.BuildAttack(faultKind, victim, sink, p, at)
 	if err != nil {
 		return fail(err)
 	}

@@ -49,19 +49,19 @@ func TestBuildTopologyListsValidChoices(t *testing.T) {
 }
 
 func TestBuildFaultListsValidChoices(t *testing.T) {
-	if _, injected, err := live.BuildAttack("crash", 0, "c2", 100); err != nil || !injected {
+	if _, injected, err := live.BuildAttack("crash", 0, "c2", 25, 100); err != nil || !injected {
 		t.Fatalf("valid fault rejected: %v", err)
 	}
-	if _, injected, err := live.BuildAttack("none", 0, "c2", 100); err != nil || injected {
+	if _, injected, err := live.BuildAttack("none", 0, "c2", 25, 100); err != nil || injected {
 		t.Fatalf("none fault mishandled: %v injected=%v", err, injected)
 	}
-	_, _, err := live.BuildAttack("corupt-all", 0, "c2", 100)
+	_, _, err := live.BuildAttack("corupt-all", 0, "c2", 25, 100)
 	if err == nil {
 		t.Fatal("unknown -fault silently accepted")
 	}
 	// The satellite fix: like btrcampaign -family, the error must name
 	// the flag and list every valid choice.
-	for _, want := range []string{"-fault", `"corupt-all"`, "valid:", "corrupt-all", "corrupt-sink", "crash", "omit", "flood", "none"} {
+	for _, want := range append([]string{"-fault", `"corupt-all"`, "valid:"}, live.FaultKinds...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}

@@ -1,46 +1,62 @@
 // Command btrsim runs one BTR scenario end to end: plan, simulate, attack,
-// and report output correctness and recovery against the bound. Usage:
+// and report output correctness and recovery against the bound. It exits
+// 1 when a criticality-A sink recovers later than R, 2 on bad flags.
+// Usage:
 //
 //	btrsim [-workload chain|avionics] [-nodes 6] [-f 1] [-periods 40]
-//	       [-attack none|crash|corrupt|corrupt-sink|omit|timing|equivocate|flood]
+//	       [-attack <in-process adversary.Catalog behavior>|none]
 //	       [-attack-period 5] [-seed 1]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"btr/internal/adversary"
+	"btr/internal/cliflag"
 	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/flow"
+	"btr/internal/live"
 	"btr/internal/network"
 	"btr/internal/plan"
 	"btr/internal/sim"
 )
 
-func main() {
-	workload := flag.String("workload", "chain", "workload: chain|avionics")
-	nodes := flag.Int("nodes", 6, "number of nodes (full mesh)")
-	f := flag.Int("f", 1, "fault bound")
-	periods := flag.Uint64("periods", 40, "simulation horizon in periods")
-	attack := flag.String("attack", "corrupt-sink", "attack: none|crash|corrupt|corrupt-sink|omit|timing|equivocate|flood")
-	attackPeriod := flag.Uint64("attack-period", 5, "period at which the attack starts")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("btrsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "chain", "workload: chain|avionics")
+	nodes := fs.Int("nodes", 6, "number of nodes (full mesh)")
+	f := fs.Int("f", 1, "fault bound")
+	periods := fs.Uint64("periods", 40, "simulation horizon in periods")
+	attack := fs.String("attack", "corrupt-sink", "attack: "+strings.Join(live.FaultKinds, ", "))
+	attackPeriod := fs.Uint64("attack-period", 5, "period at which the attack starts")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "btrsim: %v\n", err)
+		return code
+	}
+	if err := cliflag.OneOf("workload", *workload, []string{"chain", "avionics"}); err != nil {
+		return fail(2, err)
+	}
+	if err := cliflag.OneOf("attack", *attack, live.FaultKinds); err != nil {
+		return fail(2, err)
+	}
 
 	period := 25 * sim.Millisecond
-	var g *flow.Graph
-	switch *workload {
-	case "chain":
+	g := flow.Avionics(period)
+	if *workload == "chain" {
 		g = flow.Chain(3, period, sim.Millisecond, 64, flow.CritA)
-	case "avionics":
-		g = flow.Avionics(period)
-	default:
-		fmt.Fprintf(os.Stderr, "btrsim: unknown workload %q\n", *workload)
-		os.Exit(2)
 	}
 
 	sys, err := core.NewSystem(core.Config{
@@ -51,47 +67,33 @@ func main() {
 		Horizon:  *periods,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "btrsim: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
-	// Attack targets: a mid-pipeline task and the first-actuating sink.
-	midTask, sinkTask := pipelineTargets(g)
-	base := sys.Strategy.Plans[""]
-	at := sim.Time(*attackPeriod) * period
-	switch *attack {
-	case "none":
-	case "crash":
-		adversary.Crash(base.Assign[plan.ReplicaID(midTask, 0)], at).Install(sys)
-	case "corrupt":
-		adversary.CorruptTask(base.Assign[plan.ReplicaID(midTask, 0)], midTask, at).Install(sys)
-	case "corrupt-sink":
-		adversary.CorruptTask(base.FirstSinkHost(sinkTask), sinkTask, at).Install(sys)
-	case "omit":
-		adversary.Omit(base.Assign[plan.ReplicaID(midTask, 0)], midTask, at).Install(sys)
-	case "timing":
-		adversary.LieAboutSendTime(base.Assign[plan.ReplicaID(midTask, 0)], midTask, 10*sim.Millisecond, at).Install(sys)
-	case "equivocate":
-		adversary.Equivocate(base.Assign[plan.ReplicaID(midTask, 0)], midTask, at).Install(sys)
-	case "flood":
-		adversary.FloodBogus(0, 8, at).Install(sys)
-	default:
-		fmt.Fprintf(os.Stderr, "btrsim: unknown attack %q\n", *attack)
-		os.Exit(2)
+	// Attack targets: the first-actuating sink for sink-scoped behaviors,
+	// a mid-pipeline task and its host for every other one.
+	if b, ok := adversary.Lookup(*attack); ok {
+		midTask, sinkTask := pipelineTargets(g)
+		base := sys.Strategy.Plans[""]
+		victim, task := base.Assign[plan.ReplicaID(midTask, 0)], midTask
+		if b.Scope == adversary.Sink {
+			victim, task = base.FirstSinkHost(sinkTask), sinkTask
+		}
+		b.Build(victim, task, period, sim.Time(*attackPeriod)*period).Install(sys)
 	}
 
 	rep := sys.Run()
 
-	fmt.Printf("workload %q on %d nodes, f=%d, %d periods of %v\n",
+	fmt.Fprintf(stdout, "workload %q on %d nodes, f=%d, %d periods of %v\n",
 		g.Name, *nodes, *f, *periods, period)
-	fmt.Printf("strategy: %d plans, recovery bound R = %v\n",
+	fmt.Fprintf(stdout, "strategy: %d plans, recovery bound R = %v\n",
 		len(sys.Strategy.Plans), rep.RNeeded)
-	fmt.Printf("attack: %s at period %d\n\n", *attack, *attackPeriod)
+	fmt.Fprintf(stdout, "attack: %s at period %d\n\n", *attack, *attackPeriod)
 
-	fmt.Printf("actuations: %d   wrong values: %d   missed periods: %d\n",
+	fmt.Fprintf(stdout, "actuations: %d   wrong values: %d   missed periods: %d\n",
 		rep.Actuations, rep.WrongValues, rep.MissedPeriods)
 	if n := rep.EvidenceTotal(); n > 0 {
-		fmt.Printf("evidence: %d total (", n)
+		fmt.Fprintf(stdout, "evidence: %d total (", n)
 		kinds := make([]evidence.Kind, 0, len(rep.EvidenceByKind))
 		for k := range rep.EvidenceByKind {
 			kinds = append(kinds, k)
@@ -99,15 +101,15 @@ func main() {
 		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 		for i, k := range kinds {
 			if i > 0 {
-				fmt.Print(", ")
+				fmt.Fprint(stdout, ", ")
 			}
-			fmt.Printf("%s: %d", k, rep.EvidenceByKind[k])
+			fmt.Fprintf(stdout, "%s: %d", k, rep.EvidenceByKind[k])
 		}
-		fmt.Println(")")
+		fmt.Fprintln(stdout, ")")
 	} else {
-		fmt.Println("evidence: none")
+		fmt.Fprintln(stdout, "evidence: none")
 	}
-	fmt.Printf("mode switches: %d\n", len(rep.SwitchTimes))
+	fmt.Fprintf(stdout, "mode switches: %d\n", len(rep.SwitchTimes))
 
 	// Mixed-criticality semantics (§3): sinks the planner shed — in the
 	// base mode (platform too small for the full suite) or in degraded
@@ -116,10 +118,9 @@ func main() {
 	// strategy still runs; report per sink and bound-check the surviving
 	// set.
 	if shed := sys.Strategy.Plans[""].ShedSinks; len(shed) > 0 {
-		fmt.Printf("shed in base mode (never ran): %v\n", shed)
+		fmt.Fprintf(stdout, "shed in base mode (never ran): %v\n", shed)
 	}
-	fmt.Println("per-sink outcome:")
-	var active []flow.TaskID
+	fmt.Fprintln(stdout, "per-sink outcome:")
 	baseShed := map[flow.TaskID]bool{}
 	for _, sk := range sys.Strategy.Plans[""].ShedSinks {
 		baseShed[sk] = true
@@ -128,17 +129,16 @@ func main() {
 		if baseShed[sk] {
 			continue
 		}
-		active = append(active, sk)
 		bad := rep.BadIntervals(sk)
 		if len(bad) == 0 {
-			fmt.Printf("  %-12s (crit %v): correct everywhere\n", sk, g.Tasks[sk].Crit)
+			fmt.Fprintf(stdout, "  %-12s (crit %v): correct everywhere\n", sk, g.Tasks[sk].Crit)
 			continue
 		}
 		var total sim.Time
 		for _, iv := range bad {
 			total += iv.Duration()
 		}
-		fmt.Printf("  %-12s (crit %v): incorrect/shed for %v across %d interval(s)\n",
+		fmt.Fprintf(stdout, "  %-12s (crit %v): incorrect/shed for %v across %d interval(s)\n",
 			sk, g.Tasks[sk].Crit, total, len(bad))
 	}
 	// Bound check over the most critical class — the outputs BTR promises
@@ -151,9 +151,12 @@ func main() {
 		}
 	}
 	maxRec := rep.MaxRecovery(keep...)
-	fmt.Printf("\nmax measured recovery (criticality-A sinks): %v (bound %v) — within bound: %v\n",
+	fmt.Fprintf(stdout, "\nmax measured recovery (criticality-A sinks): %v (bound %v) — within bound: %v\n",
 		maxRec, rep.RNeeded, maxRec <= rep.RNeeded)
-	_ = active
+	if maxRec > rep.RNeeded {
+		return 1
+	}
+	return 0
 }
 
 // pipelineTargets picks a representative intermediate task and sink.

@@ -2,7 +2,7 @@ package exp
 
 // C10: the multifault regime — the two fault-model frontiers C8 and C7
 // left open, in one family. The sweep half drives the C8 arrival
-// process, but drawing the *non-catalog* behaviors (corrupt-sink and
+// process, but drawing the *extended* catalog behaviors (corrupt-sink and
 // skip-actuation judged at the plant, delay at the transport boundary)
 // with the same λ grid, knee locator, and tolerated/detected/untolerated
 // classification — simulated time, byte-deterministic across workers
@@ -52,7 +52,7 @@ func c10Victims(s *core.System, workload *flow.Graph) []faultrate.Victim {
 
 // runC10Sweep executes one (topology, λ) deployment exactly like
 // runC8Case, but with the arrival process drawing the extended
-// (non-catalog) behaviors.
+// catalog behaviors.
 func runC10Sweep(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, error) {
 	const period = 25 * sim.Millisecond
 	horizon := uint64(160)

@@ -16,6 +16,7 @@ import (
 	"btr/internal/campaign"
 	"btr/internal/clock"
 	"btr/internal/core"
+	"btr/internal/faultrate"
 	"btr/internal/flow"
 	"btr/internal/metrics"
 	"btr/internal/network"
@@ -24,35 +25,6 @@ import (
 )
 
 // --- C1: colluding-adversary Monte Carlo sweep ------------------------------
-
-// c1Behavior is one entry of the attack catalog the colluders draw from.
-type c1Behavior struct {
-	name string
-	mk   func(node network.NodeID, logical flow.TaskID, at sim.Time) adversary.Attack
-}
-
-func c1Catalog() []c1Behavior {
-	return []c1Behavior{
-		{"crash", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.Crash(n, at)
-		}},
-		{"corrupt-all", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.CorruptEverything(n, at)
-		}},
-		{"corrupt-task", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.CorruptTask(n, l, at)
-		}},
-		{"omit", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.Omit(n, l, at)
-		}},
-		{"equivocate", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.Equivocate(n, l, at)
-		}},
-		{"timestamp-lie", func(n network.NodeID, l flow.TaskID, at sim.Time) adversary.Attack {
-			return adversary.LieAboutSendTime(n, l, 10*sim.Millisecond, at)
-		}},
-	}
-}
 
 type c1Row struct {
 	K        int
@@ -96,18 +68,18 @@ func c1Colluding() campaign.Scenario {
 							rng := t.RNG()
 							period := s.Cfg.Workload.Period
 							gap := s.Strategy.RNeeded + 2*period
-							cat := c1Catalog()
+							cat := faultrate.Catalog()
 							victims := pickColluders(s, rng, k)
 							var names []string
 							for i, v := range victims {
-								b := cat[rng.Intn(len(cat))]
+								b, _ := adversary.Lookup(cat[rng.Intn(len(cat))])
 								// Attack a logical task the victim actually
 								// hosts, so the behavior can manifest.
 								hosted := v.logicals
 								l := hosted[rng.Intn(len(hosted))]
 								at := 5*period + sim.Time(i)*gap
-								b.mk(v.node, l, at).Install(s)
-								names = append(names, fmt.Sprintf("%s(%d,%s)", b.name, v.node, l))
+								b.Build(v.node, l, period, at).Install(s)
+								names = append(names, fmt.Sprintf("%s(%d,%s)", b.Name, v.node, l))
 							}
 							rep := s.Run()
 							return c1Row{

@@ -35,37 +35,20 @@ import (
 	"btr/internal/sim"
 )
 
-// Catalog lists the behavior names the arrival process draws from — the
-// convictable C1 catalog: crash heals by restart, the Byzantine
-// behaviors heal by clearing the behavior hook. cmd/btrfaultmodel uses
-// this list (plus the live process faults) as the required rows of the
-// FAULT_MODEL.md matrix.
+// Catalog lists the behavior names the C8 arrival process draws from:
+// the convictable classic entries of adversary.Catalog. Crash heals by
+// restart, the Byzantine behaviors heal by clearing the behavior hook.
 func Catalog() []string {
-	return []string{"crash", "corrupt-all", "corrupt-task", "omit", "equivocate", "timestamp-lie"}
+	return adversary.Names(func(b adversary.Behavior) bool { return b.Draw == adversary.Classic })
 }
 
-// ExtendedCatalog lists the non-catalog behaviors the C10 multifault
-// sweep draws: corrupt-sink and skip-actuation are judged at the plant
-// (they target a hosted sink replica), delay at the transport boundary
-// (outputs are held back, not falsified). They are kept out of Catalog
-// so the C8 schedule stays byte-identical.
+// ExtendedCatalog lists the behaviors the C10 multifault sweep draws:
+// corrupt-sink and skip-actuation are judged at the plant (they target a
+// hosted sink replica), delay at the transport boundary (outputs are
+// held back, not falsified). They are kept out of Catalog so the C8
+// schedule stays byte-identical.
 func ExtendedCatalog() []string {
-	return []string{"corrupt-sink", "delay", "skip-actuation"}
-}
-
-// Convicts reports whether a behavior produces evidence that convicts
-// its victim. skip-actuation does not: the skipped actuation is masked
-// by sink replication (a peer replica of the same sink still actuates),
-// so no watchdog fires and no conviction is ever flooded. A
-// non-convicting episode saturates its victim but consumes no fault
-// budget — counting it toward ActiveAtArrival would claim the plan was
-// over capacity while no degraded window could ever open.
-func Convicts(behavior string) bool { return behavior != "skip-actuation" }
-
-// sinkBound reports whether a behavior must target a hosted sink
-// replica (the plant-judged behaviors of ExtendedCatalog).
-func sinkBound(behavior string) bool {
-	return behavior == "corrupt-sink" || behavior == "skip-actuation"
+	return adversary.Names(func(b adversary.Behavior) bool { return b.Draw == adversary.Extended })
 }
 
 // Params configures one arrival schedule.
@@ -82,10 +65,6 @@ type Params struct {
 	// Behaviors is the list the arrival process draws from; empty means
 	// Catalog() (the C8 default, byte-identical to the pre-C10 schedule).
 	Behaviors []string
-	// Hold is how long a "delay" episode holds each output back; zero
-	// defaults to 4 periods — far past the deadline, so held outputs are
-	// late at the transport boundary, not merely jittered.
-	Hold sim.Time
 }
 
 // Victim is a node eligible for compromise plus the logical tasks it
@@ -109,18 +88,15 @@ type Arrival struct {
 	Node     network.NodeID
 	Logical  flow.TaskID
 	Behavior string
-	// Hold is the per-output delay of a "delay" episode (zero for every
-	// other behavior).
-	Hold sim.Time
 	// ActiveAtArrival counts the budget-consuming episodes — this one
 	// included, if it convicts — whose influence window covers At. An
 	// episode's influence outlives its heal: the conviction lingers in
 	// every fault set until the cluster-wide parole, Forgive (+ boundary
 	// rounding) past detection, so the window is
-	// [At, HealAt + Forgive + 2 periods). Non-convicting episodes
-	// (see Convicts) saturate their victim but never enter the count.
-	// Arrivals with ActiveAtArrival ≤ f are the ones the classic
-	// guarantee must tolerate.
+	// [At, HealAt + Forgive + 2 periods). Non-convicting episodes (see
+	// adversary.Behavior.Convicts) saturate their victim but never enter
+	// the count. Arrivals with ActiveAtArrival ≤ f are the ones the
+	// classic guarantee must tolerate.
 	ActiveAtArrival int
 }
 
@@ -145,10 +121,6 @@ func Schedule(p Params, victims []Victim) []Arrival {
 	if len(cat) == 0 {
 		cat = Catalog()
 	}
-	hold := p.Hold
-	if hold == 0 {
-		hold = 4 * p.Period
-	}
 	end := make(map[network.NodeID]sim.Time, len(victims)) // influence end per victim
 	// convictEnd tracks only the budget-consuming (convicting) episodes:
 	// for the default catalog it mirrors end exactly, so the C8 schedule
@@ -172,8 +144,9 @@ func Schedule(p Params, victims []Victim) []Arrival {
 		}
 		v := elig[rng.Intn(len(elig))]
 		b := cat[rng.Intn(len(cat))]
+		beh, _ := adversary.Lookup(b)
 		pool := v.Logicals
-		if sinkBound(b) {
+		if beh.Scope == adversary.Sink {
 			pool = v.Sinks
 		}
 		if len(pool) == 0 {
@@ -181,7 +154,7 @@ func Schedule(p Params, victims []Victim) []Arrival {
 		}
 		l := pool[rng.Intn(len(pool))]
 		active := 0
-		if Convicts(b) {
+		if beh.Convicts {
 			active = 1
 		}
 		for _, e := range convictEnd {
@@ -191,17 +164,13 @@ func Schedule(p Params, victims []Victim) []Arrival {
 		}
 		heal := t + p.Heal
 		end[v.Node] = heal + linger(p)
-		if Convicts(b) {
+		if beh.Convicts {
 			convictEnd[v.Node] = heal + linger(p)
 		}
-		a := Arrival{
+		out = append(out, Arrival{
 			At: t, HealAt: heal, Node: v.Node, Logical: l,
 			Behavior: b, ActiveAtArrival: active,
-		}
-		if b == "delay" {
-			a.Hold = hold
-		}
-		out = append(out, a)
+		})
 	}
 }
 
@@ -226,32 +195,11 @@ func expInterval(rng *sim.RNG, lambda float64) sim.Time {
 func Install(s *core.System, arrivals []Arrival) error {
 	for _, a := range arrivals {
 		a := a
-		var atk adversary.Attack
-		switch a.Behavior {
-		case "crash":
-			atk = adversary.Crash(a.Node, a.At)
-		case "corrupt-all":
-			atk = adversary.CorruptEverything(a.Node, a.At)
-		case "corrupt-task":
-			atk = adversary.CorruptTask(a.Node, a.Logical, a.At)
-		case "omit":
-			atk = adversary.Omit(a.Node, a.Logical, a.At)
-		case "equivocate":
-			atk = adversary.Equivocate(a.Node, a.Logical, a.At)
-		case "timestamp-lie":
-			atk = adversary.LieAboutSendTime(a.Node, a.Logical, 10*sim.Millisecond, a.At)
-		case "corrupt-sink":
-			// Logical is drawn from the victim's hosted sinks, so this is
-			// corruption judged directly at the plant.
-			atk = adversary.CorruptTask(a.Node, a.Logical, a.At)
-		case "delay":
-			atk = adversary.Delay(a.Node, a.Logical, a.Hold, a.At)
-		case "skip-actuation":
-			atk = adversary.SkipActuation(a.Node, a.At)
-		default:
+		beh, ok := adversary.Lookup(a.Behavior)
+		if !ok || beh.Build == nil {
 			return fmt.Errorf("faultrate: unknown behavior %q", a.Behavior)
 		}
-		atk.Install(s)
+		beh.Build(a.Node, a.Logical, s.Cfg.Workload.Period, a.At).Install(s)
 		if a.Behavior == "crash" {
 			s.Kernel.At(a.HealAt, func() { s.Runtime.Restart(a.Node) })
 		} else {

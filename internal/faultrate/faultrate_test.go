@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"btr/internal/adversary"
 	"btr/internal/core"
 	"btr/internal/flow"
 	"btr/internal/metrics"
@@ -211,8 +212,8 @@ func TestClassifyOverBudgetWithoutWindowIsUntolerated(t *testing.T) {
 
 // TestScheduleExtendedCatalog pins the C10 draw rules: with Behaviors =
 // ExtendedCatalog() every arrival uses an extended behavior, sink-bound
-// behaviors target hosted sinks only, delay episodes carry the hold, and
-// skip-actuation never consumes fault budget (it cannot convict).
+// behaviors target hosted sinks only, and skip-actuation never consumes
+// fault budget (it cannot convict).
 func TestScheduleExtendedCatalog(t *testing.T) {
 	p := testParams(9)
 	p.Behaviors = ExtendedCatalog()
@@ -234,17 +235,14 @@ func TestScheduleExtendedCatalog(t *testing.T) {
 			t.Errorf("arrival %d: behavior %q not in the extended catalog", i, a.Behavior)
 		}
 		seen[a.Behavior] = true
-		if sinkBound(a.Behavior) && a.Logical != "t1" {
+		if beh, _ := adversary.Lookup(a.Behavior); beh.Scope == adversary.Sink && a.Logical != "t1" {
 			t.Errorf("arrival %d: sink-bound %s targets non-sink %q", i, a.Behavior, a.Logical)
-		}
-		if (a.Behavior == "delay") != (a.Hold > 0) {
-			t.Errorf("arrival %d: %s carries hold %v", i, a.Behavior, a.Hold)
 		}
 		if a.Behavior == "skip-actuation" {
 			// The episode itself must not enter the budget count.
 			want := 0
 			for j := 0; j < i; j++ {
-				if Convicts(arr[j].Behavior) && arr[j].HealAt+linger(p) > a.At {
+				if beh, _ := adversary.Lookup(arr[j].Behavior); beh.Convicts && arr[j].HealAt+linger(p) > a.At {
 					want++
 				}
 			}

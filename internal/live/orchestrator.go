@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"btr/internal/adversary"
 	"btr/internal/client"
 	"btr/internal/cliflag"
 	"btr/internal/core"
@@ -32,18 +33,16 @@ import (
 )
 
 // ProcFaultKinds lists every fault an orchestrated deployment can
-// inject: the in-process behavior catalog (self-injected by the victim
-// process) plus the process-level faults only a real deployment has.
-var ProcFaultKinds = []string{
-	"corrupt-all", "corrupt-sink", "crash", "omit", "flood", "none",
-	"kill", "kill-restart", "stop", "partition",
-}
+// inject: the whole adversary.Catalog (in-process behaviors are
+// self-injected by the victim process; process-level faults are driven
+// from here) plus "none".
+var ProcFaultKinds = append(adversary.Names(nil), "none")
 
 // StormFaultKinds lists the process-level faults a concurrent fault
 // schedule may carry — faults the orchestrator drives against a running
-// process (the in-process behavior catalog is self-injected at spawn
-// and cannot be scheduled concurrently).
-var StormFaultKinds = []string{"kill", "kill-restart", "stop", "partition"}
+// process (the in-process behaviors are self-injected at spawn and
+// cannot be scheduled concurrently).
+var StormFaultKinds = adversary.Names(func(b adversary.Behavior) bool { return b.Scope == adversary.Process })
 
 // FaultSpec is one entry of a concurrent fault schedule: a process-level
 // fault against one victim with its own injection and repair instants.
@@ -315,12 +314,10 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	// share one driving loop.
 	catalogFault := ""
 	entries := append([]FaultSpec(nil), cfg.Faults...)
-	if !storm {
-		switch cfg.Fault {
-		case "kill", "kill-restart", "stop", "partition":
+	if !storm && cfg.Fault != "none" {
+		if b, _ := adversary.Lookup(cfg.Fault); b.Scope == adversary.Process {
 			entries = []FaultSpec{{Kind: cfg.Fault, Node: int(victim), FaultAt: cfg.FaultAt, HealAfter: cfg.HealAfter}}
-		case "none":
-		default:
+		} else {
 			catalogFault = cfg.Fault
 		}
 	}

@@ -106,31 +106,24 @@ func buildTopologyLinks(kind string, nodes int, bw int64, prop sim.Time) (*netwo
 	}
 }
 
-// FaultKinds lists the in-process behavior catalog: faults a node can
-// install on itself (single-process btrlive installs them on the victim
-// directly; a node process self-injects from its spec).
-var FaultKinds = []string{"corrupt-all", "corrupt-sink", "crash", "omit", "flood", "none"}
+// FaultKinds lists the in-process behaviors: every adversary.Catalog
+// entry a node can install on itself (single-process btrlive installs
+// them on the victim directly; a node process self-injects from its
+// spec), plus "none".
+var FaultKinds = append(adversary.Names(func(b adversary.Behavior) bool { return b.Build != nil }), "none")
 
-// BuildAttack maps a catalog name to the adversary script against
-// victim/sink at time at. The second result is false for "none".
-func BuildAttack(kind string, victim network.NodeID, sink flow.TaskID, at sim.Time) (adversary.Attack, bool, error) {
+// BuildAttack maps a catalog name to the adversary script against victim
+// at time at; task-scoped behaviors target sink. The second result is
+// false for "none".
+func BuildAttack(kind string, victim network.NodeID, sink flow.TaskID, period, at sim.Time) (adversary.Attack, bool, error) {
 	if err := cliflag.OneOf("fault", kind, FaultKinds); err != nil {
 		return adversary.Attack{}, false, err
 	}
-	switch kind {
-	case "none":
+	if kind == "none" {
 		return adversary.Attack{}, false, nil
-	case "corrupt-all":
-		return adversary.CorruptEverything(victim, at), true, nil
-	case "corrupt-sink":
-		return adversary.CorruptTask(victim, sink, at), true, nil
-	case "crash":
-		return adversary.Crash(victim, at), true, nil
-	case "omit":
-		return adversary.Omit(victim, sink, at), true, nil
-	default: // flood
-		return adversary.FloodBogus(victim, 8, at), true, nil
 	}
+	b, _ := adversary.Lookup(kind)
+	return b.Build(victim, sink, period, at), true, nil
 }
 
 // DefaultWorkload is the control workload every live driver runs: a
@@ -408,7 +401,7 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 
 	if spec.Fault != "" && spec.Fault != "none" {
 		sink := workload.Sinks()[0]
-		attack, injected, err := BuildAttack(spec.Fault, self, sink, sim.Time(spec.FaultAt)*period)
+		attack, injected, err := BuildAttack(spec.Fault, self, sink, period, sim.Time(spec.FaultAt)*period)
 		if err != nil {
 			bus.Close()
 			return err
