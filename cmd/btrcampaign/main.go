@@ -1,5 +1,5 @@
 // Command btrcampaign runs fault-injection campaigns: every scenario
-// (the paper reproductions E1–E10 and the sweep families C1–C8) fanned
+// (the paper reproductions E1–E10 and the campaign families C1–C11) fanned
 // out over a deterministic worker pool. Aggregated tables are
 // byte-identical for any -workers value. Usage:
 //
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"btr/internal/campaign"
@@ -84,11 +85,24 @@ func registerFlags(fs *flag.FlagSet) *campaignFlags {
 		quick:   fs.Bool("quick", false, "smaller sweeps (for smoke runs)"),
 		jsonOut: fs.Bool("json", false, "emit the machine-readable result bundle as JSON"),
 		only:    fs.String("only", "", "run a single scenario (e.g. E6 or C1)"),
-		family:  fs.String("family", "", "run one scenario family (paper | campaign | churn | live | liveproc | faultrate | saturation)"),
+		family:  fs.String("family", "", "run one scenario family ("+strings.Join(families(exp.Scenarios()), " | ")+")"),
 		list:    fs.Bool("list", false, "list scenarios and exit"),
 		verbose: fs.Bool("v", false, "print per-trial progress to stderr"),
 		prof:    prof.RegisterOn(fs),
 	}
+}
+
+// families lists the scenario families of all in first-appearance order.
+func families(all []campaign.Scenario) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, sc := range all {
+		if !seen[sc.Family] {
+			seen[sc.Family] = true
+			out = append(out, sc.Family)
+		}
+	}
+	return out
 }
 
 func main() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -63,5 +64,28 @@ func TestSelectScenariosFilters(t *testing.T) {
 	// too, not run an empty campaign.
 	if _, err := selectScenarios(all, "E6", "live"); err == nil {
 		t.Error("contradictory -only/-family silently accepted")
+	}
+}
+
+// TestFamilyHelpListsEveryFamily: the -family help is derived from the
+// scenario table, so it names every family, each once.
+func TestFamilyHelpListsEveryFamily(t *testing.T) {
+	fs := flag.NewFlagSet("btrcampaign", flag.ContinueOnError)
+	registerFlags(fs)
+	help := fs.Lookup("family").Usage
+	listed := strings.Split(strings.TrimSuffix(help[strings.Index(help, "(")+1:], ")"), " | ")
+	want := map[string]bool{}
+	for _, sc := range exp.Scenarios() {
+		want[sc.Family] = true
+	}
+	got := map[string]bool{}
+	for _, f := range listed {
+		if !want[f] || got[f] {
+			t.Errorf("-family help %q lists %q, which is no family or named twice", help, f)
+		}
+		got[f] = true
+	}
+	if len(got) != len(want) {
+		t.Errorf("-family help %q lists %d families, want %d", help, len(got), len(want))
 	}
 }

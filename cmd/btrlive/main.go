@@ -17,7 +17,10 @@
 //     in-process orchestrator acting as the plant. The fault catalog
 //     grows process-level faults: kill (SIGKILL), kill-restart (SIGKILL
 //     then supervised rejoin), stop (SIGSTOP/SIGCONT), partition
-//     (userspace connection refusal, then heal).
+//     (userspace connection refusal, then heal). The faults form one
+//     schedule: -fault k -at a is the one-entry schedule k@a+3 against
+//     the strategy victim, and -faults spells out several, each with its
+//     own repair delay.
 //   - Per-node (-node N -peers addr,...): run exactly one node slot,
 //     for hand-built multi-process or multi-host deployments. With
 //     -peers the node starts immediately; without it the parent drives
@@ -32,7 +35,7 @@
 //	        [-retire n@p[,n@p...]] [-replace new:old@p[,...]] [-v]
 //	        [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	btrlive -orchestrate [-fault ...|kill|kill-restart|stop|partition]
-//	        [-heal-after N] [-faults kind@at+heal[,...]] [-forgive D]
+//	        [-faults kind@at+heal[,...]] [-forgive D]
 //	        [-clients N] [-ops RATE] [common flags]
 //	btrlive -node N [-peers addr0,addr1,...] [common flags]
 //
@@ -49,11 +52,10 @@
 //	-fault       behavior to inject (default corrupt-all); none = soak
 //	             only; kill/kill-restart/stop/partition need -orchestrate
 //	-at          injection period index (default 3; must be < -horizon)
-//	-heal-after  periods between fault and repair in -orchestrate mode
-//	             (restart, SIGCONT, heal; default 3)
 //	-faults      concurrent fault schedule "kind@at+heal[,...]" (kinds
 //	             kill, kill-restart, stop, partition), each entry on its
-//	             own injection/repair clock; supersedes -fault/-at
+//	             own injection/repair clock (heal defaults to 3 periods,
+//	             and at+heal must be < -horizon); supersedes -fault/-at
 //	-forgive     parole clock: convictions expire after this duration and
 //	             a > f storm floods signed over-budget verdicts instead
 //	             of staying silent (0 = classic mode)
@@ -72,10 +74,19 @@
 //	-replace     scripted replace events, "new:old@period"
 //	-v           stream evidence and mode switches to stderr
 //
-// Exit status: 0 when every measured recovery met the (per-epoch) bound
-// R and every scripted epoch activated, 1 on a violation, 2 on usage or
-// planning errors. Profiles (-cpuprofile/-memprofile) are flushed on
-// every exit path, including failures.
+// The verdict is the paper's promise. A run of at most -f faults must
+// show no bad output before the first fault and recover within R (the
+// largest epoch bound under churn); every scripted epoch must activate.
+// An orchestrated schedule of more than -f entries is a storm instead:
+// its bad output must stay inside the fault-attributable window and,
+// under -forgive, be flagged over budget and reconciled. Every repaired
+// link must re-establish, and client sessions must see no errors and no
+// gap longer than R + 2·period + margin. Each breach prints one
+// "verdict: VIOLATION" line.
+//
+// Exit status: 0 when the run kept the promise, 1 on a violation, 2 on
+// usage or planning errors. Profiles (-cpuprofile/-memprofile) are
+// flushed on every exit path, including failures.
 package main
 
 import (
@@ -213,16 +224,16 @@ func main() {
 
 // liveFlags holds every flag value btrlive parses.
 type liveFlags struct {
-	topoKind, faultKind, peers         *string
-	faultsSpec                         *string
-	joinSpec, retireSpec, replaceSpec  *string
-	nodes, f, nodeID, membersN         *int
-	clients                            *int
-	opsRate                            *float64
-	period, margin, forgive            *time.Duration
-	horizon, seed, atPeriod, healAfter *uint64
-	orchestrate, verbose               *bool
-	prof                               *prof.Flags
+	topoKind, faultKind, peers        *string
+	faultsSpec                        *string
+	joinSpec, retireSpec, replaceSpec *string
+	nodes, f, nodeID, membersN        *int
+	clients                           *int
+	opsRate                           *float64
+	period, margin, forgive           *time.Duration
+	horizon, seed, atPeriod           *uint64
+	orchestrate, verbose              *bool
+	prof                              *prof.Flags
 }
 
 // registerFlags registers the full btrlive flag set on fs. It is the
@@ -239,7 +250,6 @@ func registerFlags(fs *flag.FlagSet) *liveFlags {
 		seed:        fs.Uint64("seed", 1, "deployment seed"),
 		faultKind:   fs.String("fault", "corrupt-all", "fault to inject: "+strings.Join(live.ProcFaultKinds, ", ")),
 		atPeriod:    fs.Uint64("at", 3, "injection period index (must be < -horizon)"),
-		healAfter:   fs.Uint64("heal-after", 3, "periods between fault and repair (-orchestrate)"),
 		faultsSpec:  fs.String("faults", "", "concurrent fault schedule, kind@at+heal[,kind@at+heal...] (-orchestrate); kinds: "+strings.Join(live.StormFaultKinds, ", ")),
 		forgive:     fs.Duration("forgive", 0, "parole clock: convictions expire after this long and over-budget windows are flagged (-orchestrate; 0 = classic mode)"),
 		orchestrate: fs.Bool("orchestrate", false, "one process per node over TCP, judged by an orchestrator plant"),
@@ -265,7 +275,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	lf := registerFlags(fs)
 	topoKind, nodes, f := lf.topoKind, lf.nodes, lf.f
 	period, margin, horizon, seed := lf.period, lf.margin, lf.horizon, lf.seed
-	faultKind, atPeriod, healAfter := lf.faultKind, lf.atPeriod, lf.healAfter
+	faultKind, atPeriod := lf.faultKind, lf.atPeriod
 	orchestrate, nodeID, peers := lf.orchestrate, lf.nodeID, lf.peers
 	membersN, joinSpec, retireSpec, replaceSpec := lf.membersN, lf.joinSpec, lf.retireSpec, lf.replaceSpec
 	verbose, profFlags := lf.verbose, lf.prof
@@ -296,7 +306,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *nodeID >= 0 {
-		return runNode(fs, *nodeID, *peers, *topoKind, *nodes, *f, *seed, p, m, *horizon,
+		return runNode(*nodeID, *peers, *topoKind, *nodes, *f, *seed, p, m, *horizon,
 			*faultKind, *atPeriod, *verbose, stdin, stdout, stderr)
 	}
 	if *lf.faultsSpec != "" && !*orchestrate {
@@ -314,48 +324,49 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if *lf.opsRate > 0 && *lf.clients == 0 {
 		return fail(fmt.Errorf("-ops requires -clients (an op rate needs client sessions to spread over)"))
 	}
-	if *orchestrate {
-		if err := cliflag.InRange("at", int64(*atPeriod), 0, int64(*horizon)-1); err != nil {
+	// -at must land inside the run.
+	if err := cliflag.InRange("at", int64(*atPeriod), 0, int64(*horizon)-1); err != nil {
+		return fail(err)
+	}
+	if !*orchestrate {
+		return runSingle(*topoKind, *nodes, *f, *seed, p, m, *horizon, *faultKind, *atPeriod,
+			*membersN, *joinSpec, *retireSpec, *replaceSpec, *verbose, stdout, stderr)
+	}
+	if err := cliflag.OneOf("fault", *faultKind, live.ProcFaultKinds); err != nil {
+		return fail(err)
+	}
+	cfg := live.OrchestratorConfig{
+		Topo: *topoKind, Nodes: *nodes, F: *f, Seed: *seed,
+		Period: p, Margin: m, Horizon: *horizon,
+		Faults:  live.OneFault(*faultKind, *atPeriod),
+		Forgive: sim.Time(*lf.forgive / time.Microsecond),
+		Clients: *lf.clients, OpsRate: *lf.opsRate,
+		Verbose: *verbose, Log: stdout,
+	}
+	if *lf.faultsSpec != "" {
+		// A schedule supersedes the single-fault flags; an explicit
+		// -fault alongside -faults is a contradiction worth rejecting.
+		explicitFault := false
+		fs.Visit(func(fl *flag.Flag) {
+			if fl.Name == "fault" {
+				explicitFault = true
+			}
+		})
+		if explicitFault && *faultKind != "none" {
+			return fail(fmt.Errorf("-fault and -faults are mutually exclusive (the schedule names its own kinds)"))
+		}
+		if cfg.Faults, err = parseFaults(*lf.faultsSpec, *horizon); err != nil {
 			return fail(err)
 		}
-		cfg := live.OrchestratorConfig{
-			Topo: *topoKind, Nodes: *nodes, F: *f, Seed: *seed,
-			Period: p, Margin: m, Horizon: *horizon,
-			Fault: *faultKind, FaultAt: *atPeriod, HealAfter: *healAfter,
-			Forgive: sim.Time(*lf.forgive / time.Microsecond),
-			Clients: *lf.clients, OpsRate: *lf.opsRate,
-			Verbose: *verbose, Log: stdout,
-		}
-		if *lf.faultsSpec != "" {
-			// A schedule supersedes the single-fault flags; an explicit
-			// -fault alongside -faults is a contradiction worth rejecting.
-			explicitFault := false
-			fs.Visit(func(fl *flag.Flag) {
-				if fl.Name == "fault" {
-					explicitFault = true
-				}
-			})
-			if explicitFault && *faultKind != "none" {
-				return fail(fmt.Errorf("-fault and -faults are mutually exclusive (the schedule names its own kinds)"))
-			}
-			faults, err := parseFaults(*lf.faultsSpec, *horizon)
-			if err != nil {
-				return fail(err)
-			}
-			cfg.Fault, cfg.Faults = "none", faults
-		}
-		return runOrchestrated(cfg, stdout, stderr)
 	}
-	return runSingle(*topoKind, *nodes, *f, *seed, p, m, *horizon, *faultKind, *atPeriod,
-		*membersN, *joinSpec, *retireSpec, *replaceSpec, *verbose, stdout, stderr, *period)
+	return runOrchestrated(cfg, stdout, stderr)
 }
 
 // runNode executes one node slot (per-node mode). With -peers the node
 // starts immediately; otherwise the parent drives the stdin protocol.
-func runNode(fs *flag.FlagSet, nodeID int, peers, topoKind string, nodes, f int, seed uint64,
+func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
 	p, m sim.Time, horizon uint64, faultKind string, atPeriod uint64, verbose bool,
 	stdin io.Reader, stdout, stderr io.Writer) int {
-	_ = fs
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "btrlive: %v\n", err)
 		return 2
@@ -408,7 +419,6 @@ func runOrchestrated(cfg live.OrchestratorConfig, stdout, stderr io.Writer) int 
 		return 2
 	}
 	rep := res.Report
-	at := sim.Time(cfg.FaultAt) * cfg.Period
 	fmt.Fprintf(stdout, "ran %d processes; %d actuations, %d missed, %d wrong\n",
 		cfg.Nodes, rep.Actuations, rep.MissedPeriods, rep.WrongValues)
 	for n, e := range res.Exits {
@@ -416,133 +426,58 @@ func runOrchestrated(cfg live.OrchestratorConfig, stdout, stderr io.Writer) int 
 			fmt.Fprintf(stdout, "node %d exit: %s\n", n, e)
 		}
 	}
+	for _, sv := range res.Storm {
+		fmt.Fprintf(stdout, "fault: %s on node %d at period %d", sv.Kind, sv.Node, sv.FaultAt)
+		switch {
+		case sv.ReconnectChecked && sv.Reconnected:
+			fmt.Fprintf(stdout, ", repaired %d periods later — link re-established on every peer", sv.HealAfter)
+		case sv.ReconnectChecked:
+			fmt.Fprintf(stdout, ", repaired %d periods later — LINK NOT RE-ESTABLISHED", sv.HealAfter)
+		}
+		fmt.Fprintln(stdout)
+	}
 	for _, rec := range rep.Recoveries() {
 		fmt.Fprintf(stdout, "fault at %v: measured wall-clock recovery %v\n", rec.FaultAt, rec.Duration())
 	}
-	sloOK := sloVerdict(cfg, res, stdout)
-	if len(cfg.Faults) > 0 {
-		code := stormVerdict(cfg, res, stdout)
-		if code == 0 && !sloOK {
-			return 1
-		}
-		return code
+	if cfg.Forgive > 0 {
+		fmt.Fprintf(stdout, "budget: %d over-budget verdict(s), %d reconciled\n", res.OverBudget, res.Reconciled)
 	}
-	spurious := false
-	for _, iv := range rep.BadIntervals() {
-		if !res.Injected || iv.Start < at {
-			spurious = true
-			fmt.Fprintf(stdout, "spurious bad output %v (not attributable to the injected fault)\n", iv)
-		}
+	if res.SLO != nil {
+		fmt.Fprintf(stdout, "client SLO: %s (unavailability bound %v)\n", res.SLO, res.SLOBound.Round(time.Millisecond))
 	}
-	max := rep.MaxRecovery()
-	switch {
-	case spurious:
-		fmt.Fprintf(stdout, "verdict: VIOLATION — bad output outside any injected fault's window (missed=%d wrong=%d)\n",
-			rep.MissedPeriods, rep.WrongValues)
-		return 1
-	case res.ReconnectChecked && !res.Reconnected:
-		fmt.Fprintln(stdout, "verdict: VIOLATION — victim link did not re-establish after repair")
-		return 1
-	case !res.Injected:
-		fmt.Fprintln(stdout, "verdict: clean soak, no faults injected")
-	case max <= rep.RNeeded:
-		fmt.Fprintf(stdout, "verdict: recovered within bound — %v <= R=%v\n", max, rep.RNeeded)
-	default:
-		fmt.Fprintf(stdout, "verdict: VIOLATION — recovery %v vs R=%v (missed=%d wrong=%d)\n",
-			max, rep.RNeeded, rep.MissedPeriods, rep.WrongValues)
-		return 1
+	held := heldLine(rep)
+	if len(res.Storm) > cfg.F {
+		held = fmt.Sprintf("storm confined — bad output only inside [%v, %v], every repair rejoined",
+			rep.FaultTimes[0], res.ConfineEnd)
 	}
-	if res.ReconnectChecked {
-		fmt.Fprintf(stdout, "transport: victim link re-established on every adjacent peer\n")
-	}
-	if !sloOK {
-		return 1
-	}
-	return 0
+	return verdict(stdout, res.Violations, held)
 }
 
-// sloVerdict prints the client-visible SLO report and judges it against
-// the serving-surface contract: a ≤ f fault must stay invisible to
-// clients except as a bounded stall — zero client-visible errors, and
-// the longest success gap within R plus one detection period and the
-// watchdog margin. Returns true when the SLO held (vacuously true when
-// no clients ran).
-func sloVerdict(cfg live.OrchestratorConfig, res *live.ProcResult, stdout io.Writer) bool {
-	if res.SLO == nil {
-		return true
+// heldLine describes a run of at most f faults that kept its promise.
+func heldLine(rep *live.Report) string {
+	if len(rep.FaultTimes) == 0 {
+		return "clean soak, no faults injected"
 	}
-	fmt.Fprintf(stdout, "client SLO: %s\n", res.SLO)
-	bound := time.Duration(res.Report.RNeeded+2*cfg.Period+cfg.Margin) * time.Microsecond
-	ok := true
-	if res.SLO.Errors > 0 {
-		ok = false
-		fmt.Fprintf(stdout, "verdict: VIOLATION — %d client-visible error(s); retries must absorb a <= f fault\n", res.SLO.Errors)
-	}
-	if res.SLO.MaxUnavail > bound {
-		ok = false
-		fmt.Fprintf(stdout, "verdict: VIOLATION — client-visible unavailability %v exceeds bound %v (R + 2*period + margin)\n",
-			res.SLO.MaxUnavail.Round(time.Millisecond), bound)
-	}
-	if ok {
-		fmt.Fprintf(stdout, "serving: client SLO held — no errors, max unavailability %v <= %v\n",
-			res.SLO.MaxUnavail.Round(time.Millisecond), bound)
-	}
-	return ok
+	return fmt.Sprintf("recovered within bound — %v <= R=%v", rep.MaxRecovery(), rep.MaxEpochR())
 }
 
-// stormVerdict prints the per-victim outcomes of a concurrent fault
-// schedule and judges the storm invariants: every bad interval must be
-// fault-attributable (confined), every transport-visible repair must
-// re-establish, and when the schedule outnumbers f under a parole clock
-// the degraded regime must be flagged (over-budget) and drain
-// (reconciled).
-func stormVerdict(cfg live.OrchestratorConfig, res *live.ProcResult, stdout io.Writer) int {
-	rep := res.Report
-	for _, sv := range res.Storm {
-		line := fmt.Sprintf("storm: %s on node %d at period %d, heal after %d", sv.Kind, sv.Node, sv.FaultAt, sv.HealAfter)
-		if sv.ReconnectChecked {
-			if sv.Reconnected {
-				line += " — link re-established on every peer"
-			} else {
-				line += " — LINK NOT RE-ESTABLISHED"
-			}
-		}
-		fmt.Fprintln(stdout, line)
+// verdict prints one VIOLATION line per breach, or the held line when
+// there is none, and returns the exit status: 1 iff a breach was found.
+func verdict(stdout io.Writer, violations []string, held string) int {
+	for _, v := range violations {
+		fmt.Fprintf(stdout, "verdict: VIOLATION — %s\n", v)
 	}
-	fmt.Fprintf(stdout, "budget: %d over-budget verdict(s), %d reconciled\n", res.OverBudget, res.Reconciled)
-	bad := false
-	for _, sv := range res.Storm {
-		if sv.ReconnectChecked && !sv.Reconnected {
-			bad = true
-			fmt.Fprintf(stdout, "verdict: VIOLATION — %s victim %d did not re-establish after repair\n", sv.Kind, sv.Node)
-		}
-	}
-	if !res.Confined {
-		bad = true
-		fmt.Fprintf(stdout, "verdict: VIOLATION — bad output outside the fault-attributable window [%v, %v]: %v\n",
-			res.FirstFaultAt, res.ConfineEnd, rep.BadIntervals())
-	}
-	if len(cfg.Faults) > cfg.F && cfg.Forgive > 0 {
-		if res.OverBudget == 0 {
-			bad = true
-			fmt.Fprintf(stdout, "verdict: VIOLATION — > f storm raised no over-budget verdict\n")
-		} else if res.Reconciled == 0 {
-			bad = true
-			fmt.Fprintf(stdout, "verdict: VIOLATION — storm drained but no node reconciled\n")
-		}
-	}
-	if bad {
+	if len(violations) > 0 {
 		return 1
 	}
-	fmt.Fprintf(stdout, "verdict: storm confined — bad output only inside [%v, %v], every repair rejoined\n",
-		res.FirstFaultAt, res.ConfineEnd)
+	fmt.Fprintf(stdout, "verdict: %s\n", held)
 	return 0
 }
 
 // runSingle is the historical single-process mode.
 func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizon uint64,
 	faultKind string, atPeriod uint64, membersN int, joinSpec, retireSpec, replaceSpec string,
-	verbose bool, stdout, stderr io.Writer, period time.Duration) int {
+	verbose bool, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "btrlive: %v\n", err)
 		return 2
@@ -555,10 +490,6 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	// Validate the remaining flags up front — before any planning output
 	// — with the same loud listing the -topo check gives.
 	if err := cliflag.OneOf("fault", faultKind, live.FaultKinds); err != nil {
-		return fail(err)
-	}
-	// -at must land inside the run.
-	if err := cliflag.InRange("at", int64(atPeriod), 0, int64(horizon)-1); err != nil {
 		return fail(err)
 	}
 	if err := cliflag.InRange("members", int64(membersN), 0, int64(topo.N)); err != nil {
@@ -609,7 +540,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "btrlive: %s on %s/%d slots, f=%d, period %v, horizon %d periods (%v wall)\n",
-		cfg.Workload.Name, topoKind, topo.N, f, p, horizon, time.Duration(horizon)*period)
+		cfg.Workload.Name, topoKind, topo.N, f, p, horizon, time.Duration(sim.Time(horizon)*p)*time.Microsecond)
 	if cfg.Members != nil {
 		fmt.Fprintf(stdout, "membership: %d of %d slots active at genesis; %d scripted epoch event(s)\n",
 			len(cfg.Members), topo.N, len(events))
@@ -645,16 +576,16 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 		fmt.Fprintf(stderr, "transport: sent=%v delivered=%v dropped=%v shed=%v (backpressure sheds: %d)\n",
 			st.MsgsSent, st.MsgsDelivered, st.MsgsDropped, st.MsgsShed, st.TotalShed())
 	}
-	epochsOK := true
+	// Epoch switches must never corrupt output, and every scripted one
+	// must activate.
+	violations := rep.Violations()
 	for _, e := range rep.Epochs {
 		if e.Err != "" {
-			epochsOK = false
-			fmt.Fprintf(stdout, "epoch %d: REJECTED at %v — %s\n", e.Num, e.ProposedAt, e.Err)
+			violations = append(violations, fmt.Sprintf("epoch %d rejected at %v — %s", e.Num, e.ProposedAt, e.Err))
 			continue
 		}
 		if e.ActivatedAt == 0 {
-			epochsOK = false
-			fmt.Fprintf(stdout, "epoch %d -> %s: proposed %v, NEVER ACTIVATED\n", e.Num, e.Members, e.ProposedAt)
+			violations = append(violations, fmt.Sprintf("epoch %d -> %s proposed %v never activated", e.Num, e.Members, e.ProposedAt))
 			continue
 		}
 		fmt.Fprintf(stdout, "epoch %d -> %s: proposed %v, committed %v (%d acks), activated %v (switch latency %v, R=%v)\n",
@@ -662,41 +593,10 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 			e.ActivatedAt-e.ProposedAt, e.R)
 	}
 	if len(rep.Epochs) != len(events) {
-		epochsOK = false
-		fmt.Fprintf(stdout, "only %d of %d scripted epoch events were proposed\n", len(rep.Epochs), len(events))
+		violations = append(violations, fmt.Sprintf("only %d of %d scripted epoch events were proposed", len(rep.Epochs), len(events)))
 	}
 	for _, rec := range rep.Recoveries() {
 		fmt.Fprintf(stdout, "fault at %v: measured wall-clock recovery %v\n", rec.FaultAt, rec.Duration())
 	}
-	// Bad output is attributable only from the injection onward; anything
-	// before it (or any bad output at all on an uninjected soak) is
-	// spurious and a violation in its own right — recovery accounting
-	// must not launder it. Epoch switches must never corrupt output.
-	spurious := false
-	for _, iv := range rep.BadIntervals() {
-		if !injected || iv.Start < at {
-			spurious = true
-			fmt.Fprintf(stdout, "spurious bad output %v (not attributable to the injected fault)\n", iv)
-		}
-	}
-	max := rep.MaxRecovery()
-	bound := rep.MaxEpochR()
-	switch {
-	case spurious:
-		fmt.Fprintf(stdout, "verdict: VIOLATION — bad output outside any injected fault's window (missed=%d wrong=%d)\n",
-			rep.MissedPeriods, rep.WrongValues)
-		return 1
-	case !epochsOK:
-		fmt.Fprintln(stdout, "verdict: VIOLATION — scripted membership epochs did not all activate")
-		return 1
-	case !injected:
-		fmt.Fprintln(stdout, "verdict: clean soak, no faults injected")
-	case max <= bound:
-		fmt.Fprintf(stdout, "verdict: recovered within bound — %v <= R=%v\n", max, bound)
-	default:
-		fmt.Fprintf(stdout, "verdict: VIOLATION — recovery %v vs R=%v (missed=%d wrong=%d)\n",
-			max, bound, rep.MissedPeriods, rep.WrongValues)
-		return 1
-	}
-	return 0
+	return verdict(stdout, violations, heldLine(rep))
 }

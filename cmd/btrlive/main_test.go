@@ -175,3 +175,16 @@ func TestParseChurnEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestVerdictExitsOneIffViolated: the printed verdict and the exit status
+// come from the judge's violation list alone.
+func TestVerdictExitsOneIffViolated(t *testing.T) {
+	var out strings.Builder
+	if code := verdict(&out, nil, "clean soak"); code != 0 || out.String() != "verdict: clean soak\n" {
+		t.Errorf("no violations: exit %d, printed %q", code, out.String())
+	}
+	out.Reset()
+	if code := verdict(&out, []string{"a", "b"}, "clean soak"); code != 1 || strings.Count(out.String(), "VIOLATION") != 2 {
+		t.Errorf("two violations: exit %d, printed %q", code, out.String())
+	}
+}

@@ -437,6 +437,29 @@ func (r *Report) MaxRecovery(sinks ...flow.TaskID) sim.Time {
 // provable bound R.
 func (r *Report) WithinBound() bool { return r.MaxRecovery() <= r.RNeeded }
 
+// Violations is the recovery rule of a run of at most f faults, one
+// line per breach: bad output that starts before the first fault (any
+// bad output at all when no fault was injected) is not attributable and
+// must not be laundered by recovery accounting, and the worst measured
+// recovery must meet the largest epoch bound (RNeeded without epochs).
+// Empty means the run held R.
+func (r *Report) Violations() []string {
+	first := sim.Never
+	for _, t := range r.FaultTimes {
+		first = min(first, t)
+	}
+	var out []string
+	for _, iv := range r.BadIntervals() {
+		if iv.Start < first {
+			out = append(out, fmt.Sprintf("spurious bad output %v (not attributable to an injected fault)", iv))
+		}
+	}
+	if max, bound := r.MaxRecovery(), r.MaxEpochR(); max > bound {
+		out = append(out, fmt.Sprintf("recovery %v vs R=%v (missed=%d wrong=%d)", max, bound, r.MissedPeriods, r.WrongValues))
+	}
+	return out
+}
+
 // TotalBadTime sums incorrect-output time across the given sinks' merged
 // intervals.
 func (r *Report) TotalBadTime(sinks ...flow.TaskID) sim.Time {

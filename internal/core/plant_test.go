@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"btr/internal/flow"
+	"btr/internal/metrics"
 	"btr/internal/sim"
 )
 
@@ -53,5 +54,46 @@ func TestPlantJudge(t *testing.T) {
 				t.Errorf("bad intervals %v for a period judged ok=%v", bad, ok)
 			}
 		})
+	}
+}
+
+// TestReportViolations pins the recovery rule of a ≤ f run on report
+// fixtures: bad output is attributable only from the first fault on,
+// and the worst recovery must meet the largest epoch bound.
+func TestReportViolations(t *testing.T) {
+	const period, r = 25 * sim.Millisecond, 100 * sim.Millisecond
+	g := flow.Chain(3, period, sim.Millisecond, 64, flow.CritA)
+	report := func(faults []sim.Time, epochs []EpochRow, bad ...metrics.Interval) *Report {
+		rep := NewPlant(g, 40, r, nil).Report()
+		tl := rep.PerSink[g.Sinks()[0]]
+		for _, iv := range bad {
+			tl.Set(iv.Start, false)
+			tl.Set(iv.End, true)
+		}
+		rep.FaultTimes, rep.Epochs = faults, epochs
+		return rep
+	}
+	at := 4 * period
+	cases := []struct {
+		name string
+		rep  *Report
+		want int
+	}{
+		{"clean soak", report(nil, nil), 0},
+		{"soak with bad output", report(nil, nil, metrics.Interval{Start: at, End: at + period}), 1},
+		{"bad output before the fault", report([]sim.Time{at}, nil, metrics.Interval{Start: at - period, End: at + period}), 1},
+		{"recovery within R", report([]sim.Time{at}, nil, metrics.Interval{Start: at, End: at + r}), 0},
+		{"recovery over R", report([]sim.Time{at}, nil, metrics.Interval{Start: at, End: at + r + period}), 1},
+		{"an epoch's larger R admits the recovery", report([]sim.Time{at},
+			[]EpochRow{{Num: 1, ActivatedAt: 2 * period, R: 2 * r}},
+			metrics.Interval{Start: at, End: at + r + period}), 0},
+		{"a rejected epoch's R does not", report([]sim.Time{at},
+			[]EpochRow{{Num: 1, R: 2 * r, Err: "rejected"}},
+			metrics.Interval{Start: at, End: at + r + period}), 1},
+	}
+	for _, tc := range cases {
+		if got := tc.rep.Violations(); len(got) != tc.want {
+			t.Errorf("%s: violations %q, want %d", tc.name, got, tc.want)
+		}
 	}
 }

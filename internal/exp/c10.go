@@ -187,15 +187,10 @@ func runC10Storm(st c10Storm, seed uint64) (C10StormRow, error) {
 		Flagged:  res.OverBudget > 0,
 		Confined: res.Confined,
 	}
-	for _, sv := range res.Storm {
-		if sv.ReconnectChecked {
-			row.ReconnectChecked = true
-			if !sv.Reconnected {
-				return row, fmt.Errorf("storm %s: %s victim %d did not re-establish", st.name, sv.Kind, sv.Node)
-			}
-		}
+	row.ReconnectChecked, row.Reconnected = foldReconnect(res.Storm)
+	if row.ReconnectChecked && !row.Reconnected {
+		return row, fmt.Errorf("storm %s: a victim did not re-establish: %+v", st.name, res.Storm)
 	}
-	row.Reconnected = row.ReconnectChecked
 	return row, nil
 }
 

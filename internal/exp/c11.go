@@ -81,7 +81,7 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 	res, err := live.RunOrchestrator(live.OrchestratorConfig{
 		Topo: c.topo, Nodes: c.nodes, F: c.f, Seed: seed,
 		Period: c7Period, Margin: c7Margin, Horizon: 10,
-		Fault: c.fault, FaultAt: 3, HealAfter: 3,
+		Faults:  live.OneFault(c.fault, 3),
 		Clients: c11Clients,
 	})
 	if err != nil {
@@ -90,7 +90,6 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 	if res.SLO == nil {
 		return C11Row{}, fmt.Errorf("exp: %s run returned no client SLO report", c.name)
 	}
-	bound := time.Duration(res.Report.RNeeded+2*c7Period+c7Margin) * time.Microsecond
 	slo := res.SLO
 	return C11Row{
 		Name: c.name, Topology: c.topo, Nodes: c.nodes, F: c.f, Fault: c.fault,
@@ -98,8 +97,8 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 		Ops:      slo.Ops, Errors: slo.Errors,
 		Retries: slo.Retries, StaleRetries: slo.StaleRetries,
 		P50: slo.P50, P99: slo.P99, P999: slo.P999,
-		MaxUnavail: slo.MaxUnavail, Bound: bound,
-		Within: slo.MaxUnavail <= bound && slo.Errors == 0,
+		MaxUnavail: slo.MaxUnavail, Bound: res.SLOBound,
+		Within: slo.MaxUnavail <= res.SLOBound && slo.Errors == 0,
 	}, nil
 }
 

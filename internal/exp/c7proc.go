@@ -73,6 +73,20 @@ type C7Row struct {
 	Reconnected      bool
 }
 
+// foldReconnect folds a run's per-victim transport verdicts: checked when
+// any entry's repair must show at the transport, reconnected when every
+// such entry re-established its links.
+func foldReconnect(storm []live.StormVerdict) (checked, reconnected bool) {
+	reconnected = true
+	for _, sv := range storm {
+		if sv.ReconnectChecked {
+			checked = true
+			reconnected = reconnected && sv.Reconnected
+		}
+	}
+	return checked, checked && reconnected
+}
+
 // C7Scenario returns the multi-process deployment soak. Exported (like
 // C5Scenario) so the bundle emitter can run it standalone.
 func C7Scenario() campaign.Scenario {
@@ -92,19 +106,19 @@ func C7Scenario() campaign.Scenario {
 						res, err := live.RunOrchestrator(live.OrchestratorConfig{
 							Topo: c.topo, Nodes: c.nodes, F: c.f, Seed: t.TrialSeed(),
 							Period: c7Period, Margin: c7Margin, Horizon: 10,
-							Fault: c.fault, FaultAt: 3, HealAfter: 3,
+							Faults: live.OneFault(c.fault, 3),
 						})
 						if err != nil {
 							return nil, err
 						}
 						rep := res.Report
-						return C7Row{
+						row := C7Row{
 							Topology: c.topo, Nodes: c.nodes, F: c.f, Fault: c.fault,
 							Recovery: rep.MaxRecovery(), Bound: rep.RNeeded,
 							Missed: rep.MissedPeriods, Wrong: rep.WrongValues,
-							ReconnectChecked: res.ReconnectChecked,
-							Reconnected:      res.Reconnected,
-						}, nil
+						}
+						row.ReconnectChecked, row.Reconnected = foldReconnect(res.Storm)
+						return row, nil
 					},
 				})
 			}

@@ -116,8 +116,8 @@ func TestLiveChurnWithFaultRecoversWithinEpochBound(t *testing.T) {
 		t.Fatal("crash caused no measured recovery (fault not visible?)")
 	}
 	if !raceDetectorEnabled {
-		if max := rep.MaxRecovery(); max > rep.MaxEpochR() {
-			t.Errorf("recovery %v exceeded the worst epoch bound %v", max, rep.MaxEpochR())
+		for _, v := range rep.Violations() {
+			t.Error(v)
 		}
 	}
 	// The crashed victim's own view froze at the crash; the operator's

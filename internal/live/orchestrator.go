@@ -7,7 +7,7 @@ package live
 // — the in-process behavior catalog via the victim's spec, plus
 // process-level faults no simulator can express: SIGKILL (with optional
 // supervised restart), SIGSTOP/SIGCONT stalls, and userspace partitions —
-// and judges recovery against the strategy's provable bound R.
+// and judges the run (judge.go) against the strategy's provable bound R.
 
 import (
 	"encoding/hex"
@@ -23,7 +23,6 @@ import (
 
 	"btr/internal/adversary"
 	"btr/internal/client"
-	"btr/internal/cliflag"
 	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/flow"
@@ -38,16 +37,19 @@ import (
 // from here) plus "none".
 var ProcFaultKinds = append(adversary.Names(nil), "none")
 
-// StormFaultKinds lists the process-level faults a concurrent fault
-// schedule may carry — faults the orchestrator drives against a running
-// process (the in-process behaviors are self-injected at spawn and
-// cannot be scheduled concurrently).
+// StormFaultKinds lists the process-level faults — faults the
+// orchestrator drives against a running process, so any number of them
+// can share a schedule (the in-process behaviors are self-injected at
+// spawn and cannot be scheduled concurrently).
 var StormFaultKinds = adversary.Names(func(b adversary.Behavior) bool { return b.Scope == adversary.Process })
 
-// FaultSpec is one entry of a concurrent fault schedule: a process-level
-// fault against one victim with its own injection and repair instants.
+// FaultSpec is one entry of a fault schedule: a fault against one victim
+// with its own injection and repair instants.
 type FaultSpec struct {
-	Kind string // StormFaultKinds
+	// Kind is an adversary.Catalog behavior. A process-level one
+	// (StormFaultKinds) is driven from the orchestrator; an in-process one
+	// rides the victim's spec and may only be the schedule's sole entry.
+	Kind string
 	// Node is the victim slot; -1 auto-assigns (the strategy victim
 	// first, then the lowest untargeted slots). Every entry must target
 	// a distinct node.
@@ -55,8 +57,18 @@ type FaultSpec struct {
 	FaultAt uint64 // injection period
 	// HealAfter is how many periods after injection the orchestrator
 	// repairs the fault (respawn / SIGCONT / heal); 0 means the default
-	// of 3. Ignored for kind "kill", which is never repaired.
+	// of 3. Every entry must fit: FaultAt + HealAfter < Horizon, also
+	// for the kinds nothing repairs ("kill", the in-process behaviors).
 	HealAfter uint64
+}
+
+// OneFault is the schedule of a single fault of kind at period at
+// against the strategy victim; "none" is the empty schedule, a soak.
+func OneFault(kind string, at uint64) []FaultSpec {
+	if kind == "none" {
+		return nil
+	}
+	return []FaultSpec{{Kind: kind, Node: -1, FaultAt: at}}
 }
 
 // StormVerdict is the per-victim outcome of one schedule entry.
@@ -65,11 +77,9 @@ type StormVerdict struct {
 	Node      int
 	FaultAt   uint64
 	HealAfter uint64
-	// ReconnectChecked/Reconnected mirror ProcResult's transport
-	// verdict, judged per victim: kinds whose repair must be visible at
-	// the transport (kill-restart, partition, stop — a SIGSTOP stall
-	// outlives the liveness deadline, so peers sever the victim's silent
-	// links and the resumed victim must redial every one of them).
+	// ReconnectChecked is set for the kinds whose repair must be visible
+	// at the transport (kill-restart, partition, stop); Reconnected then
+	// reports that every witness link redialed and held (see rejoined).
 	ReconnectChecked bool
 	Reconnected      bool
 }
@@ -88,19 +98,10 @@ type OrchestratorConfig struct {
 	Margin  sim.Time
 	Horizon uint64
 
-	Fault   string // ProcFaultKinds
-	FaultAt uint64 // injection period; must satisfy FaultAt+HealAfter < Horizon
-
-	// HealAfter is how many periods after the fault the orchestrator
-	// repairs it: respawn for kill-restart, SIGCONT for stop, heal for
-	// partition. 0 means the default of 3.
-	HealAfter uint64
-
-	// Faults optionally scripts a concurrent multi-fault storm: every
-	// entry is injected and repaired on its own clock, so ≥ 2
-	// process-level faults can be active at once. Non-empty Faults
-	// supersedes Fault/FaultAt/HealAfter (Fault must then be "" or
-	// "none").
+	// Faults is the fault schedule: every entry is injected and
+	// repaired on its own clock, so any number of process-level faults
+	// can be active at once. Empty is a soak. A schedule of at most F
+	// entries is held to R; a longer one is a storm (see judge).
 	Faults []FaultSpec
 
 	// Forgive is the deployment's parole clock
@@ -140,20 +141,12 @@ type ProcResult struct {
 	// BadIntervals, Recoveries, and bound methods work exactly as for an
 	// in-process Deployment.
 	Report *Report
-	// Victim is the node the fault targeted (hosts the first-actuating
-	// sink replica, like single-process btrlive).
-	Victim   network.NodeID
-	Injected bool
-	// ReconnectChecked is true for fault kinds whose repair must be
-	// visible at the transport (kill-restart, partition, stop);
-	// Reconnected then reports whether every peer adjacent to every
-	// checked victim both re-established the link (Reconnects >= 1, or
-	// a fresh connection from a restarted peer) and held it at horizon.
-	ReconnectChecked bool
-	Reconnected      bool
-	// Storm holds the per-victim verdicts of a fault schedule (one
-	// entry per FaultSpec; also populated, with a single entry, for a
-	// process-level single-fault run).
+	// Victim is the strategy victim: it hosts the first-actuating sink
+	// replica, like single-process btrlive, and auto-assigned (Node -1)
+	// schedule entries target it first.
+	Victim network.NodeID
+	// Storm holds the per-victim verdicts of the fault schedule, one per
+	// FaultSpec with its victim resolved.
 	Storm []StormVerdict
 	// OverBudget and Reconciled total the budget verdicts the node
 	// processes flooded (evidence kinds over-budget / reconciled);
@@ -161,14 +154,12 @@ type ProcResult struct {
 	// the detect-and-apologize signal a > f storm must raise.
 	OverBudget int
 	Reconciled int
-	// FirstFaultAt/ConfineEnd bound the window in which bad output is
-	// fault-attributable; Confined reports whether every bad interval of
-	// the plant report lies inside it (no damage before the first fault,
-	// none past the last repair + parole + R + slack). Only meaningful
-	// when a fault was injected.
-	FirstFaultAt sim.Time
-	ConfineEnd   sim.Time
-	Confined     bool
+	// The first fault and ConfineEnd bound the window in which bad
+	// output is fault-attributable; Confined reports whether every bad
+	// interval of the plant report lies inside it (no damage before the
+	// first fault, none past the last repair + parole + R + slack).
+	ConfineEnd sim.Time
+	Confined   bool
 	// Dones maps node ID to its final done event (absent for a process
 	// that was killed and not restarted); Exits maps node ID to its exit
 	// error string ("" = clean).
@@ -177,8 +168,13 @@ type ProcResult struct {
 	// SLO is the client-visible report of the load generator (nil unless
 	// OrchestratorConfig.Clients > 0): latency quantiles, error counts,
 	// and the longest client-observed unavailability window, measured
-	// through whatever faults the run injected.
-	SLO *client.SLOReport
+	// through whatever faults the run injected. SLOBound is the longest
+	// client-visible unavailability the run may show.
+	SLO      *client.SLOReport
+	SLOBound time.Duration
+	// Violations lists, one line each, every way the run broke its
+	// promise (see judge); empty means it held.
+	Violations []string
 }
 
 // procMsg is one child event or exit on the orchestrator's merged stream.
@@ -246,24 +242,44 @@ func spawnNodeProc(exe string, spec ProcSpec, verbose bool, events chan<- procMs
 	return p, nil
 }
 
-// RunOrchestrator runs one orchestrated multi-process deployment end to
-// end and returns the plant-judged result. The run is bounded by a hard
-// timeout (horizon plus a generous grace); on breach every child is
-// killed and an error returned.
-func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
-	storm := len(cfg.Faults) > 0
-	if storm {
-		if cfg.Fault != "" && cfg.Fault != "none" {
-			return nil, fmt.Errorf("live: a single fault (%q) and a fault schedule are mutually exclusive", cfg.Fault)
-		}
-		for i := range cfg.Faults {
-			if err := cliflag.OneOf("faults", cfg.Faults[i].Kind, StormFaultKinds); err != nil {
-				return nil, err
+// awaitBarrier collects one ev report from each of n nodes, handing every
+// report to on. A node exit, the barrier timeout or the hard timeout ends
+// the wait with an error naming the stragglers; the caller kills them.
+func awaitBarrier(events <-chan procMsg, n int, ev string, barrier, hard <-chan time.Time,
+	barrierDur time.Duration, on func(procMsg)) error {
+	reported := map[int]bool{}
+	for len(reported) < n {
+		select {
+		case m := <-events:
+			switch {
+			case m.ev == nil:
+				return fmt.Errorf("live: node %d exited before %s: %v", m.node, ev, m.err)
+			case m.ev.Ev == ev:
+				reported[m.node] = true
+				on(m)
 			}
+		case <-barrier:
+			var missing []int
+			for i := 0; i < n; i++ {
+				if !reported[i] {
+					missing = append(missing, i)
+				}
+			}
+			return fmt.Errorf("live: %s barrier timed out after %v — nodes %v never reported %s (killed)",
+				ev, barrierDur, missing, ev)
+		case <-hard:
+			return fmt.Errorf("live: timed out at the %s barrier", ev)
 		}
-	} else if err := cliflag.OneOf("fault", cfg.Fault, ProcFaultKinds); err != nil {
-		return nil, err
 	}
+	return nil
+}
+
+// RunOrchestrator runs one orchestrated multi-process deployment end to
+// end and returns the judged result: ProcResult.Violations is empty iff
+// the run kept its promise. The run is bounded by a hard timeout
+// (horizon plus a generous grace); on breach every child is killed and
+// an error returned.
+func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	topo, err := ProcTopology(cfg.Topo, cfg.Nodes)
 	if err != nil {
 		return nil, err
@@ -280,14 +296,6 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	if cfg.Clients > 0 && cfg.Horizon < 2 {
 		return nil, fmt.Errorf("live: client load needs a horizon of at least 2 periods")
 	}
-	if cfg.HealAfter == 0 {
-		cfg.HealAfter = 3
-	}
-	injected := storm || cfg.Fault != "none"
-	if !storm && injected && cfg.FaultAt+cfg.HealAfter >= cfg.Horizon {
-		return nil, fmt.Errorf("live: fault at period %d with heal-after %d does not fit horizon %d",
-			cfg.FaultAt, cfg.HealAfter, cfg.Horizon)
-	}
 	logw := cfg.Log
 	if logw == nil {
 		logw = io.Discard
@@ -301,73 +309,14 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		return nil, fmt.Errorf("live: planning failed: %w", err)
 	}
 	victim := VictimOf(strategy)
+	sched, err := resolveSchedule(cfg.Faults, topo.N, victim, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
 	exe := cfg.Exe
 	if exe == "" {
 		if exe, err = os.Executable(); err != nil {
 			return nil, err
-		}
-	}
-
-	// The behavior catalog travels in the victim's spec; process-level
-	// faults are driven from here. A single process-level fault is
-	// normalized into a one-entry schedule so storms and single faults
-	// share one driving loop.
-	catalogFault := ""
-	entries := append([]FaultSpec(nil), cfg.Faults...)
-	if !storm && cfg.Fault != "none" {
-		if b, _ := adversary.Lookup(cfg.Fault); b.Scope == adversary.Process {
-			entries = []FaultSpec{{Kind: cfg.Fault, Node: int(victim), FaultAt: cfg.FaultAt, HealAfter: cfg.HealAfter}}
-		} else {
-			catalogFault = cfg.Fault
-		}
-	}
-	// Resolve auto victims (-1): the strategy victim first, then the
-	// lowest untargeted slots. Every entry must hit a distinct node.
-	used := map[int]bool{}
-	for i := range entries {
-		if entries[i].HealAfter == 0 {
-			entries[i].HealAfter = 3
-		}
-		if entries[i].Node < 0 {
-			continue
-		}
-		if entries[i].Node >= topo.N {
-			return nil, fmt.Errorf("live: fault schedule targets node %d of a %d-node deployment", entries[i].Node, topo.N)
-		}
-		if used[entries[i].Node] {
-			return nil, fmt.Errorf("live: fault schedule targets node %d twice", entries[i].Node)
-		}
-		used[entries[i].Node] = true
-	}
-	for i := range entries {
-		if entries[i].Node >= 0 {
-			continue
-		}
-		pick := -1
-		if !used[int(victim)] {
-			pick = int(victim)
-		} else {
-			for n := 0; n < topo.N; n++ {
-				if !used[n] {
-					pick = n
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			return nil, fmt.Errorf("live: fault schedule has more entries than nodes")
-		}
-		entries[i].Node = pick
-		used[pick] = true
-	}
-	for _, e := range entries {
-		end := e.FaultAt
-		if e.Kind != "kill" {
-			end = e.FaultAt + e.HealAfter
-		}
-		if end >= cfg.Horizon {
-			return nil, fmt.Errorf("live: fault %s at period %d with heal-after %d does not fit horizon %d",
-				e.Kind, e.FaultAt, e.HealAfter, cfg.Horizon)
 		}
 	}
 
@@ -378,22 +327,24 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			ForgiveUS: int64(cfg.Forgive), Verbose: cfg.Verbose,
 			ServeClients: cfg.Clients > 0,
 		}
-		if catalogFault != "" && i == int(victim) {
-			s.Fault, s.FaultAt = catalogFault, cfg.FaultAt
+		// An in-process behavior travels in its victim's spec.
+		for _, e := range sched {
+			if e.Node == i && !processFault(e.Kind) {
+				s.Fault, s.FaultAt = e.Kind, e.FaultAt
+			}
 		}
 		return s
 	}
 
 	events := make(chan procMsg, 1024)
 	procs := map[int]*nodeProc{}
-	killAll := func() {
+	defer func() {
 		for _, p := range procs {
 			if p.cmd.Process != nil {
 				_ = p.cmd.Process.Kill()
 			}
 		}
-	}
-	defer killAll()
+	}()
 
 	for i := 0; i < topo.N; i++ {
 		p, err := spawnNodeProc(exe, baseSpec(i), cfg.Verbose, events)
@@ -402,17 +353,15 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		}
 		procs[i] = p
 	}
-	if storm {
+	desc := "soak"
+	if len(sched) > 0 {
 		var parts []string
-		for _, e := range entries {
+		for _, e := range sched {
 			parts = append(parts, fmt.Sprintf("%s@%d+%d->node%d", e.Kind, e.FaultAt, e.HealAfter, e.Node))
 		}
-		fmt.Fprintf(logw, "orchestrator: %d node processes spawned (storm: %s)\n",
-			topo.N, strings.Join(parts, " "))
-	} else {
-		fmt.Fprintf(logw, "orchestrator: %d node processes spawned (victim %d, fault %s at period %d)\n",
-			topo.N, victim, cfg.Fault, cfg.FaultAt)
+		desc = "faults: " + strings.Join(parts, " ")
 	}
+	fmt.Fprintf(logw, "orchestrator: %d node processes spawned (%s)\n", topo.N, desc)
 
 	perDur := time.Duration(period) * time.Microsecond
 	hardTimeout := time.After(time.Duration(cfg.Horizon+2)*perDur + 60*time.Second)
@@ -426,41 +375,15 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		barrierDur = 45 * time.Second
 	}
 	barrierTimeout := time.After(barrierDur)
-	// straggling names the nodes still missing from a barrier round.
-	straggling := func(reported map[int]bool) []int {
-		var missing []int
-		for i := 0; i < topo.N; i++ {
-			if !reported[i] {
-				missing = append(missing, i)
-			}
-		}
-		return missing
-	}
 
 	// Barrier: collect every listener address, then release all processes
 	// at once so their logical clocks agree to within pipe latency.
 	addrs := make([]string, topo.N)
 	clientAddrs := make([]string, topo.N)
-	readyNodes := map[int]bool{}
-	for len(readyNodes) < topo.N {
-		select {
-		case m := <-events:
-			switch {
-			case m.ev != nil && m.ev.Ev == "ready":
-				addrs[m.node] = m.ev.Addr
-				clientAddrs[m.node] = m.ev.ClientAddr
-				readyNodes[m.node] = true
-			case m.ev == nil:
-				return nil, fmt.Errorf("live: node %d exited before ready: %v", m.node, m.err)
-			}
-		case <-barrierTimeout:
-			killAll()
-			return nil, fmt.Errorf("live: ready barrier timed out after %v — nodes %v never reported ready (killed)",
-				barrierDur, straggling(readyNodes))
-		case <-hardTimeout:
-			killAll()
-			return nil, fmt.Errorf("live: timed out waiting for node readiness")
-		}
+	if err := awaitBarrier(events, topo.N, "ready", barrierTimeout, hardTimeout, barrierDur, func(m procMsg) {
+		addrs[m.node], clientAddrs[m.node] = m.ev.Addr, m.ev.ClientAddr
+	}); err != nil {
+		return nil, err
 	}
 	peersLine := "peers " + strings.Join(addrs, " ")
 	for _, p := range procs {
@@ -470,24 +393,8 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	// (key generation, planning, dialing) so the release pins all logical
 	// clocks to the same instant — construction lag must not eat into the
 	// judged periods.
-	upNodes := map[int]bool{}
-	for len(upNodes) < topo.N {
-		select {
-		case m := <-events:
-			switch {
-			case m.ev != nil && m.ev.Ev == "up":
-				upNodes[m.node] = true
-			case m.ev == nil:
-				return nil, fmt.Errorf("live: node %d exited before up: %v", m.node, m.err)
-			}
-		case <-barrierTimeout:
-			killAll()
-			return nil, fmt.Errorf("live: up barrier timed out after %v — nodes %v never reported up (killed)",
-				barrierDur, straggling(upNodes))
-		case <-hardTimeout:
-			killAll()
-			return nil, fmt.Errorf("live: timed out waiting for node construction")
-		}
+	if err := awaitBarrier(events, topo.N, "up", barrierTimeout, hardTimeout, barrierDur, func(procMsg) {}); err != nil {
+		return nil, err
 	}
 	goTime := time.Now()
 	for _, p := range procs {
@@ -510,7 +417,6 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		view := client.View{Epoch: 0, F: cfg.F, Addrs: map[uint32]string{}}
 		for i, a := range clientAddrs {
 			if a == "" {
-				killAll()
 				return nil, fmt.Errorf("live: node %d reported no client-service address", i)
 			}
 			view.Addrs[uint32(i)] = a
@@ -533,16 +439,19 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			cfg.Clients, loadDur, cfg.OpsRate)
 	}
 
-	// The fault schedule becomes a sorted action queue; one timer channel
-	// re-arms for the head action, so any number of injections and
-	// repairs interleave with their own clocks.
+	// The process-level faults become a sorted action queue; one timer
+	// channel re-arms for the head action, so any number of injections
+	// and repairs interleave with their own clocks.
 	type stormAction struct {
 		at    time.Time
 		entry int
 		heal  bool
 	}
 	var actions []stormAction
-	for i, e := range entries {
+	for i, e := range sched {
+		if !processFault(e.Kind) {
+			continue
+		}
 		actions = append(actions, stormAction{goTime.Add(time.Duration(e.FaultAt) * perDur), i, false})
 		if e.Kind != "kill" {
 			actions = append(actions, stormAction{goTime.Add(time.Duration(e.FaultAt+e.HealAfter) * perDur), i, true})
@@ -561,10 +470,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	// (sink, period) wins, stamped on the orchestrator clock (microseconds
 	// since "go").
 	plant := core.NewPlant(workload, cfg.Horizon, strategy.RNeeded, core.HashOracle(workload, evidence.SourceValue))
-	res := &ProcResult{
-		Victim: victim, Injected: injected,
-		Dones: map[int]ProcEvent{}, Exits: map[int]string{},
-	}
+	res := &ProcResult{Victim: victim, Dones: map[int]ProcEvent{}, Exits: map[int]string{}}
 	exits := 0
 	spawned := topo.N
 	for exits < spawned {
@@ -605,7 +511,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		case <-actionCh:
 			act := actions[0]
 			actions = actions[1:]
-			e := entries[act.entry]
+			e := sched[act.entry]
 			v := procs[e.Node]
 			if !act.heal {
 				switch e.Kind {
@@ -632,7 +538,6 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 					}
 					restart.StartPeriod = e.FaultAt + e.HealAfter
 					restart.Standby = true
-					restart.Fault = ""
 					p, err := spawnNodeProc(exe, restart, cfg.Verbose, events)
 					if err != nil {
 						fmt.Fprintf(logw, "orchestrator: restart failed: %v\n", err)
@@ -652,7 +557,6 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			}
 			actionCh = arm()
 		case <-hardTimeout:
-			killAll()
 			return nil, fmt.Errorf("live: hard timeout — killed %d node processes", len(procs))
 		}
 	}
@@ -677,135 +581,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			plant.Judge(sk, p, deadline, deadline+cfg.Margin)
 		}
 	}
-	rep := plant.Report()
-	if injected {
-		if catalogFault != "" {
-			rep.FaultTimes = []sim.Time{sim.Time(cfg.FaultAt) * period}
-		} else {
-			for _, e := range entries {
-				rep.FaultTimes = append(rep.FaultTimes, sim.Time(e.FaultAt)*period)
-			}
-			sort.Slice(rep.FaultTimes, func(i, j int) bool { return rep.FaultTimes[i] < rep.FaultTimes[j] })
-		}
-	}
-	for _, d := range res.Dones {
-		rep.Actuations += d.Acts
-		res.OverBudget += d.OverBudget
-		res.Reconciled += d.Reconciled
-	}
-	if res.OverBudget > 0 {
-		rep.EvidenceByKind[evidence.KindOverBudget] = res.OverBudget
-	}
-	if res.Reconciled > 0 {
-		rep.EvidenceByKind[evidence.KindReconciled] = res.Reconciled
-	}
-	res.Report = rep
-
-	// Transport-level verdict, judged per schedule entry: after a
-	// kill-restart respawn or a partition heal, every peer adjacent to
-	// the victim must have re-established the link and held it through
-	// the horizon. Peers that were themselves killed in the storm are
-	// not witnesses for other victims: a killed peer has no counters and
-	// a restarted one rejoins on its own clock (possibly still
-	// handshaking at horizon) — its rejoin is judged by its own entry,
-	// through the links of the peers that lived through it.
-	//
-	// SIGSTOP is judged through the VICTIM's own links instead: the
-	// stall outlives the 200ms liveness deadline, so the running peers
-	// deterministically sever the victim's silent connections and the
-	// resumed victim must redial every one of them. The peer→victim
-	// direction is NOT a reliable witness — a stopped process's kernel
-	// still ACKs, so a peer's outbound connection can legitimately ride
-	// out the stall on kernel buffering (the victim drains the backlog
-	// on resume) and never needs a redial.
-	stormVictim := map[int]bool{}
-	for _, e := range entries {
-		if e.Kind == "kill" || e.Kind == "kill-restart" {
-			stormVictim[e.Node] = true
-		}
-	}
-	anyChecked := false
-	allReconnected := true
-	for _, e := range entries {
-		sv := StormVerdict{Kind: e.Kind, Node: e.Node, FaultAt: e.FaultAt, HealAfter: e.HealAfter}
-		switch e.Kind {
-		case "stop":
-			sv.ReconnectChecked = true
-			sv.Reconnected = true
-			d, ok := res.Dones[e.Node]
-			if !ok || len(d.Links) == 0 {
-				sv.Reconnected = false
-			}
-			for _, l := range d.Links {
-				if stormVictim[l.Peer] {
-					continue
-				}
-				if l.Reconnects < 1 || !l.Connected {
-					sv.Reconnected = false
-				}
-			}
-			anyChecked = true
-			if !sv.Reconnected {
-				allReconnected = false
-			}
-		case "kill-restart", "partition":
-			sv.ReconnectChecked = true
-			sv.Reconnected = true
-			for _, peer := range topo.Neighbors(network.NodeID(e.Node)) {
-				if int(peer) != e.Node && stormVictim[int(peer)] {
-					continue
-				}
-				d, ok := res.Dones[int(peer)]
-				if !ok {
-					sv.Reconnected = false
-					continue
-				}
-				found := false
-				for _, l := range d.Links {
-					if l.Peer == e.Node {
-						found = l.Reconnects >= 1 && l.Connected
-					}
-				}
-				if !found {
-					sv.Reconnected = false
-				}
-			}
-			anyChecked = true
-			if !sv.Reconnected {
-				allReconnected = false
-			}
-		}
-		res.Storm = append(res.Storm, sv)
-	}
-	if anyChecked {
-		res.ReconnectChecked = true
-		res.Reconnected = allReconnected
-	}
-
-	// Confinement: every bad interval of the plant report must lie inside
-	// [first fault, last repair + parole + R + slack] — damage may be
-	// severe in a > f storm, but it must be fault-attributable, never
-	// silent leakage before the first fault or past the drain of the last
-	// repair.
-	if injected {
-		res.FirstFaultAt = rep.FaultTimes[0]
-		lastRepair := sim.Time(cfg.FaultAt) * period
-		for _, e := range entries {
-			end := e.FaultAt
-			if e.Kind != "kill" {
-				end = e.FaultAt + e.HealAfter
-			}
-			if t := sim.Time(end) * period; t > lastRepair {
-				lastRepair = t
-			}
-		}
-		res.ConfineEnd = lastRepair + cfg.Forgive + strategy.RNeeded + 2*period + cfg.Margin
-		res.Confined = true
-		for _, iv := range rep.BadIntervals() {
-			if iv.Start < res.FirstFaultAt || iv.End > res.ConfineEnd {
-				res.Confined = false
-			}
-		}
-	}
+	res.Report = plant.Report()
+	judge(cfg, topo, sched, res)
 	return res, nil
 }
