@@ -182,7 +182,7 @@ func parseFaults(spec string, horizon uint64) ([]live.FaultSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("invalid -faults entry %q (want kind@at+heal)", part)
 		}
-		if err := cliflag.OneOf("faults", kind, live.StormFaultKinds); err != nil {
+		if err := cliflag.OneOf("faults", kind, live.StormFaultKinds()); err != nil {
 			return nil, err
 		}
 		atStr, healStr, hasHeal := strings.Cut(rest, "+")
@@ -248,9 +248,9 @@ func registerFlags(fs *flag.FlagSet) *liveFlags {
 		margin:      fs.Duration("margin", 20*time.Millisecond, "arrival-watchdog margin (jitter budget)"),
 		horizon:     fs.Uint64("horizon", 20, "periods to run"),
 		seed:        fs.Uint64("seed", 1, "deployment seed"),
-		faultKind:   fs.String("fault", "corrupt-all", "fault to inject: "+strings.Join(live.ProcFaultKinds, ", ")),
+		faultKind:   fs.String("fault", "corrupt-all", "fault to inject: "+strings.Join(live.ProcFaultKinds(), ", ")),
 		atPeriod:    fs.Uint64("at", 3, "injection period index (must be < -horizon)"),
-		faultsSpec:  fs.String("faults", "", "concurrent fault schedule, kind@at+heal[,kind@at+heal...] (-orchestrate); kinds: "+strings.Join(live.StormFaultKinds, ", ")),
+		faultsSpec:  fs.String("faults", "", "concurrent fault schedule, kind@at+heal[,kind@at+heal...] (-orchestrate); kinds: "+strings.Join(live.StormFaultKinds(), ", ")),
 		forgive:     fs.Duration("forgive", 0, "parole clock: convictions expire after this long and over-budget windows are flagged (-orchestrate; 0 = classic mode)"),
 		orchestrate: fs.Bool("orchestrate", false, "one process per node over TCP, judged by an orchestrator plant"),
 		clients:     fs.Int("clients", 0, "client sessions driving the replicated register service (-orchestrate; 0 = none)"),
@@ -332,7 +332,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		return runSingle(*topoKind, *nodes, *f, *seed, p, m, *horizon, *faultKind, *atPeriod,
 			*membersN, *joinSpec, *retireSpec, *replaceSpec, *verbose, stdout, stderr)
 	}
-	if err := cliflag.OneOf("fault", *faultKind, live.ProcFaultKinds); err != nil {
+	if err := cliflag.OneOf("fault", *faultKind, live.ProcFaultKinds()); err != nil {
 		return fail(err)
 	}
 	cfg := live.OrchestratorConfig{
@@ -385,7 +385,7 @@ func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
 	// single-process semantics (the victim hosts the first-actuating sink
 	// replica and is computed identically in every process).
 	if faultKind != "" && faultKind != "none" {
-		if err := cliflag.OneOf("fault", faultKind, live.FaultKinds); err != nil {
+		if err := cliflag.OneOf("fault", faultKind, live.FaultKinds()); err != nil {
 			return fail(err)
 		}
 		// ProcTopology, not BuildTopology: the victim must be computed from
@@ -489,7 +489,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	}
 	// Validate the remaining flags up front — before any planning output
 	// — with the same loud listing the -topo check gives.
-	if err := cliflag.OneOf("fault", faultKind, live.FaultKinds); err != nil {
+	if err := cliflag.OneOf("fault", faultKind, live.FaultKinds()); err != nil {
 		return fail(err)
 	}
 	if err := cliflag.InRange("members", int64(membersN), 0, int64(topo.N)); err != nil {

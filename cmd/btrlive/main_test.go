@@ -4,11 +4,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"btr/internal/adversary"
+	"btr/internal/flow"
 	"btr/internal/live"
 	"btr/internal/network"
+	"btr/internal/sim"
 )
 
 // TestFailingRunStillWritesProfile pins the os.Exit-audit contract run()
@@ -61,10 +65,52 @@ func TestBuildFaultListsValidChoices(t *testing.T) {
 	}
 	// The satellite fix: like btrcampaign -family, the error must name
 	// the flag and list every valid choice.
-	for _, want := range append([]string{"-fault", `"corupt-all"`, "valid:"}, live.FaultKinds...) {
+	for _, want := range append([]string{"-fault", `"corupt-all"`, "valid:"}, live.FaultKinds()...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
+	}
+}
+
+// TestCatalogEntryReachesFaultValidation: the -fault and -faults choices
+// are read from adversary.Catalog when a flag is checked, so an entry
+// added after start-up is accepted and listed with no other edit.
+func TestCatalogEntryReachesFaultValidation(t *testing.T) {
+	saved := adversary.Catalog
+	t.Cleanup(func() { adversary.Catalog = saved })
+	crash := func(n network.NodeID, _ flow.TaskID, _, at sim.Time) adversary.Attack { return adversary.Crash(n, at) }
+	adversary.Catalog = append(append([]adversary.Behavior(nil), saved...),
+		adversary.Behavior{Name: "dummy-node", Scope: adversary.Node, Build: crash},
+		adversary.Behavior{Name: "dummy-proc", Scope: adversary.Process})
+
+	for _, c := range []struct {
+		list       string
+		kinds      []string
+		node, proc bool
+	}{
+		{"FaultKinds", live.FaultKinds(), true, false},
+		{"ProcFaultKinds", live.ProcFaultKinds(), true, true},
+		{"StormFaultKinds", live.StormFaultKinds(), false, true},
+	} {
+		if got := slices.Contains(c.kinds, "dummy-node"); got != c.node {
+			t.Errorf("%s lists dummy-node: %v, want %v (%v)", c.list, got, c.node, c.kinds)
+		}
+		if got := slices.Contains(c.kinds, "dummy-proc"); got != c.proc {
+			t.Errorf("%s lists dummy-proc: %v, want %v (%v)", c.list, got, c.proc, c.kinds)
+		}
+	}
+	if _, injected, err := live.BuildAttack("dummy-node", 0, "c2", 25, 100); err != nil || !injected {
+		t.Errorf("-fault dummy-node: injected=%v err=%v", injected, err)
+	}
+	if _, err := parseFaults("dummy-proc@3", 16); err != nil {
+		t.Errorf("-faults dummy-proc@3 rejected: %v", err)
+	}
+	var errb strings.Builder
+	if code := run([]string{"-orchestrate", "-fault", "nope"}, strings.NewReader(""), io.Discard, &errb); code != 2 {
+		t.Fatalf("-orchestrate -fault nope: exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "dummy-proc") {
+		t.Errorf("-orchestrate -fault error does not list the added entry: %s", errb.String())
 	}
 }
 

@@ -19,12 +19,13 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +58,7 @@ func names[V any](m map[string]V) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -136,11 +137,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for k := range s.Trans {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
+	slices.SortFunc(keys, func(a, b string) int {
+		if len(a) != len(b) {
+			return cmp.Compare(len(a), len(b))
 		}
-		return keys[i] < keys[j]
+		return strings.Compare(a, b)
 	})
 	for _, k := range keys {
 		tr := s.Trans[k]
@@ -157,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for n := range p.Table.Slots {
 				ns = append(ns, n)
 			}
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+			slices.Sort(ns)
 			for _, n := range ns {
 				fmt.Fprintf(stdout, "    node %d:", n)
 				for _, slot := range p.Table.Slots[n] {

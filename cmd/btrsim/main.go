@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"btr/internal/adversary"
@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodes := fs.Int("nodes", 6, "number of nodes (full mesh)")
 	f := fs.Int("f", 1, "fault bound")
 	periods := fs.Uint64("periods", 40, "simulation horizon in periods")
-	attack := fs.String("attack", "corrupt-sink", "attack: "+strings.Join(live.FaultKinds, ", "))
+	attack := fs.String("attack", "corrupt-sink", "attack: "+strings.Join(live.FaultKinds(), ", "))
 	attackPeriod := fs.Uint64("attack-period", 5, "period at which the attack starts")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	if err := fs.Parse(args); err != nil {
@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cliflag.OneOf("workload", *workload, []string{"chain", "avionics"}); err != nil {
 		return fail(2, err)
 	}
-	if err := cliflag.OneOf("attack", *attack, live.FaultKinds); err != nil {
+	if err := cliflag.OneOf("attack", *attack, live.FaultKinds()); err != nil {
 		return fail(2, err)
 	}
 
@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for k := range rep.EvidenceByKind {
 			kinds = append(kinds, k)
 		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+		slices.Sort(kinds)
 		for i, k := range kinds {
 			if i > 0 {
 				fmt.Fprint(stdout, ", ")

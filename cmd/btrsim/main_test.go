@@ -12,7 +12,7 @@ import (
 // choices: every in-process catalog behavior, plus none) keeps every
 // criticality-A sink of the chain workload within R, so btrsim exits 0.
 func TestEveryAttackRecoversWithinR(t *testing.T) {
-	for _, a := range live.FaultKinds {
+	for _, a := range live.FaultKinds() {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-workload", "chain", "-attack", a}, &out, &errb); code != 0 {
 			t.Errorf("-attack %s: exit %d\n%s%s", a, code, out.String(), errb.String())
@@ -37,7 +37,7 @@ func TestUnknownAttackListsChoices(t *testing.T) {
 	if code := run([]string{"-attack", "timing"}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	for _, want := range append([]string{`-attack "timing"`, "valid:"}, live.FaultKinds...) {
+	for _, want := range append([]string{`-attack "timing"`, "valid:"}, live.FaultKinds()...) {
 		if !strings.Contains(errb.String(), want) {
 			t.Errorf("error %q does not mention %q", errb.String(), want)
 		}

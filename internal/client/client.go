@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +49,7 @@ func (v View) Members() []uint32 {
 	for m := range v.Addrs {
 		ms = append(ms, m)
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	slices.Sort(ms)
 	return ms
 }
 

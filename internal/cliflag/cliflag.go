@@ -8,7 +8,7 @@ package cliflag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -22,7 +22,7 @@ func OneOf(flagName, got string, valid []string) error {
 		}
 	}
 	sorted := append([]string(nil), valid...)
-	sort.Strings(sorted)
+	slices.Sort(sorted)
 	return fmt.Errorf("unknown -%s %q (valid: %s)", flagName, got, strings.Join(sorted, ", "))
 }
 

@@ -23,7 +23,7 @@ package clock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"btr/internal/network"
 	"btr/internal/sim"
@@ -109,7 +109,7 @@ func (e *Ensemble) SyncRound(now sim.Time) {
 			continue // Byzantine nodes do whatever they want
 		}
 		sorted := append([]sim.Time(nil), readings...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+		slices.Sort(sorted)
 		trimmed := sorted[e.F : n-e.F]
 		mid := trimmed[0] + (trimmed[len(trimmed)-1]-trimmed[0])/2
 		e.Clocks[i].AdjustTo(now, mid)

@@ -16,8 +16,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"btr/internal/evidence"
 	"btr/internal/flow"
@@ -393,7 +394,7 @@ func (r *Report) BadIntervals(sinks ...flow.TaskID) []metrics.Interval {
 		for sk := range r.PerSink {
 			sinks = append(sinks, sk)
 		}
-		sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
+		slices.Sort(sinks)
 	}
 	var all []metrics.Interval
 	for _, sk := range sinks {
@@ -412,7 +413,7 @@ func (r *Report) SinksAtOrAbove(c flow.Criticality) []flow.TaskID {
 			out = append(out, sk)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -486,7 +487,7 @@ func MergeIntervals(ivs []metrics.Interval) []metrics.Interval {
 		return nil
 	}
 	sorted := append([]metrics.Interval(nil), ivs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+	slices.SortFunc(sorted, func(a, b metrics.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	out := []metrics.Interval{sorted[0]}
 	for _, iv := range sorted[1:] {
 		last := &out[len(out)-1]

@@ -3,9 +3,14 @@ package evidence
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
+	"btr/internal/flow"
+	"btr/internal/network"
 	"btr/internal/sig"
 	"btr/internal/sim"
 )
@@ -40,13 +45,99 @@ func TestCodecAllocPins(t *testing.T) {
 	if cap(enc) != len(enc) {
 		t.Errorf("Record.Encode buffer cap %d != len %d", cap(enc), len(enc))
 	}
-	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeRecord(enc) }); got > 3 {
-		t.Errorf("DecodeRecord allocates %.0f, want <= 3 (two strings and the value)", got)
+	// AllocsPerRun's warm-up run interns the two task IDs.
+	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeRecord(enc) }); got > 1 {
+		t.Errorf("DecodeRecord allocates %.0f, want <= 1 (the value; the IDs are interned)", got)
 	}
-	const n = 5
-	list := EncodeEnvelopes(codecEnvelopes(n))
-	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeEnvelopes(list) }); got > 1+n {
-		t.Errorf("DecodeEnvelopes of %d allocates %.0f, want <= %d (the slice and one per envelope)", n, got, 1+n)
+	for _, n := range []int{0, 1, 5, 32} {
+		list := EncodeEnvelopes(codecEnvelopes(n))
+		if got := testing.AllocsPerRun(100, func() { _, _ = DecodeEnvelopes(list) }); got > 2 {
+			t.Errorf("DecodeEnvelopes of %d allocates %.0f, want <= 2 (one array for every body and signature, and the slice)", n, got)
+		}
+	}
+}
+
+// TestInternTableStaysBounded: IDs are chosen by signers, so more than
+// internCap distinct hostile IDs must leave the table at or below its
+// cap, and every decoded ID must still equal its input — including IDs
+// too long to intern.
+func TestInternTableStaysBounded(t *testing.T) {
+	rec := codecRecord()
+	for i := 0; i < internCap+internCap/2; i++ {
+		rec.Producer = flow.TaskID(fmt.Sprintf("hostile-%d#%d", i, i%3))
+		rec.Logical = flow.TaskID(strings.Repeat("L", i%(internMaxLen+8)))
+		got, err := DecodeRecord(rec.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Producer != rec.Producer || got.Logical != rec.Logical {
+			t.Fatalf("decoded IDs %q/%q, want %q/%q", got.Producer, got.Logical, rec.Producer, rec.Logical)
+		}
+		interned.RLock()
+		size := len(interned.m)
+		interned.RUnlock()
+		if size > internCap {
+			t.Fatalf("intern table holds %d IDs after %d records, cap %d", size, i+1, internCap)
+		}
+	}
+	interned.RLock()
+	defer interned.RUnlock()
+	for k, v := range interned.m {
+		if len(k) > internMaxLen || k != string(v) {
+			t.Fatalf("intern table entry %q -> %q", k, v)
+		}
+	}
+}
+
+// TestDecodeConcurrently: campaign workers decode in parallel through the
+// one intern table; run under -race.
+func TestDecodeConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec := codecRecord()
+				rec.Producer = flow.TaskID(fmt.Sprintf("t%d#%d", i%16, g))
+				got, err := DecodeRecord(rec.Encode())
+				if err != nil || got.Producer != rec.Producer || got.Logical != rec.Logical {
+					t.Errorf("goroutine %d: decoded %+v, %v", g, got, err)
+					return
+				}
+				a := Accusation{Reporter: 1, Path: []network.NodeID{1, 2}, Producer: rec.Producer, Consumer: "c#0", Period: 3}
+				ga, err := DecodeAccusation(a.Encode())
+				if err != nil || ga.Producer != a.Producer || ga.Consumer != a.Consumer {
+					t.Errorf("goroutine %d: decoded accusation %+v, %v", g, ga, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestParseEnvelopesInPlace: the in-place list parser aliases its input
+// (which is why its callers must own it), and every Body and Sig is
+// capacity-capped, so an append to one cannot overwrite the envelope
+// parsed after it.
+func TestParseEnvelopesInPlace(t *testing.T) {
+	envs := codecEnvelopes(3)
+	list := EncodeEnvelopes(envs)
+	got, err := ParseEnvelopes(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0].Body[0] != &list[4+4+8] {
+		t.Error("ParseEnvelopes copied instead of parsing in place")
+	}
+	_ = append(got[0].Body, 0xee)
+	_ = append(got[0].Sig, 0xee)
+	_ = append(got[1].Body, 0xee)
+	for i := range envs {
+		if !bytes.Equal(got[i].Body, envs[i].Body) || !bytes.Equal(got[i].Sig, envs[i].Sig) {
+			t.Errorf("envelope %d overwritten by an append to its neighbour", i)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package evidence
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -106,7 +108,8 @@ func (a Accusation) Encode() []byte {
 	return w.b
 }
 
-// DecodeAccusation parses an encoded accusation.
+// DecodeAccusation parses an encoded accusation. The accusation owns its
+// fields; Producer and Consumer come from the task-ID intern table.
 func DecodeAccusation(b []byte) (Accusation, error) {
 	rd := &reader{b: b}
 	var a Accusation
@@ -115,11 +118,15 @@ func DecodeAccusation(b []byte) (Accusation, error) {
 	if rd.err == nil && n > 1<<12 {
 		return Accusation{}, fmt.Errorf("evidence: implausible path length %d", n)
 	}
+	if n > 0 && rd.err == nil {
+		// Sized by what the remaining bytes can hold, not by the count.
+		a.Path = make([]network.NodeID, 0, min(n, len(rd.b)/4))
+	}
 	for i := 0; i < n; i++ {
 		a.Path = append(a.Path, network.NodeID(rd.u32()))
 	}
-	a.Producer = flow.TaskID(rd.str())
-	a.Consumer = flow.TaskID(rd.str())
+	a.Producer = rd.id()
+	a.Consumer = rd.id()
 	a.Period = rd.u64()
 	if err := rd.done(); err != nil {
 		return Accusation{}, err
@@ -248,11 +255,15 @@ func (e Evidence) Canon() Evidence {
 }
 
 // Decode parses encoded evidence; it is strict about framing so bogus
-// blobs are rejected before any signature verification. The returned
-// Evidence retains b as its canonical wire form (callers hand over
-// ownership of b) and carries a precomputed ID, so forwarding a received
-// blob re-encodes nothing.
+// blobs are rejected before any signature verification. The evidence
+// owns its bytes: b is cloned once, the primary, secondary and
+// attachment envelopes are parsed in place from the clone
+// (sig.ParseEnvelope), and the clone is retained as the canonical wire
+// form, with a precomputed ID, so forwarding a received blob re-encodes
+// nothing. Nothing aliases b; an envelope kept past the evidence keeps
+// the whole clone alive.
 func Decode(b []byte) (Evidence, error) {
+	b = bytes.Clone(b)
 	rd := &reader{b: b}
 	var e Evidence
 	e.Kind = Kind(rd.u8())
@@ -265,15 +276,15 @@ func Decode(b []byte) (Evidence, error) {
 		return Evidence{}, rd.err
 	}
 	var err error
-	if e.Primary, err = sig.DecodeEnvelope(pb); err != nil {
+	if e.Primary, err = sig.ParseEnvelope(pb); err != nil {
 		return Evidence{}, err
 	}
 	if len(sb) > 0 {
-		if e.Secondary, err = sig.DecodeEnvelope(sb); err != nil {
+		if e.Secondary, err = sig.ParseEnvelope(sb); err != nil {
 			return Evidence{}, err
 		}
 	}
-	if e.Attachments, err = DecodeEnvelopes(rd.b); err != nil {
+	if e.Attachments, err = ParseEnvelopes(rd.b); err != nil {
 		return Evidence{}, err
 	}
 	rd.b = nil
@@ -563,16 +574,20 @@ func NewAttributor(threshold int) *Attributor {
 	}
 }
 
-// pathKey canonicalizes a (path set, reporter) pair for dedup.
+// pathKey canonicalizes a (path set, reporter) pair for dedup: the
+// reporter, then the path's nodes in ascending order, each as a
+// little-endian u32. Paths of up to 16 nodes are sorted and encoded in
+// stack arrays, so the key string is the only allocation.
 func pathKey(path []network.NodeID, reporter network.NodeID) string {
-	s := append([]network.NodeID(nil), path...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var w buf
-	w.u32(uint32(reporter))
+	var nodes [16]network.NodeID
+	s := append(nodes[:0], path...)
+	slices.Sort(s)
+	var key [4 + 4*len(nodes)]byte
+	k := binary.LittleEndian.AppendUint32(key[:0], uint32(reporter))
 	for _, n := range s {
-		w.u32(uint32(n))
+		k = binary.LittleEndian.AppendUint32(k, uint32(n))
 	}
-	return string(w.b)
+	return string(k)
 }
 
 // Add records an accusation and returns any nodes newly convicted by it
@@ -601,7 +616,7 @@ func (a *Attributor) Add(path []network.NodeID, reporter network.NodeID) []netwo
 			newly = append(newly, n)
 		}
 	}
-	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
+	slices.Sort(newly)
 	return newly
 }
 

@@ -122,7 +122,50 @@ func (r *reader) lenView() []byte { return r.view(int(r.u32())) }
 
 func (r *reader) bytes() []byte { return bytes.Clone(r.lenView()) }
 
-func (r *reader) str() string { return string(r.lenView()) }
+// id reads a length-prefixed task ID through the intern table.
+func (r *reader) id() flow.TaskID { return internID(r.lenView()) }
+
+// Task-ID interning. Every received record names its producer and logical
+// task, and an accusation its producer and consumer; a deployment has a
+// few dozen distinct IDs, so decoding them into fresh strings was one
+// allocation per field per arrival. internID returns the one shared copy
+// instead: a hit is a map lookup keyed by the bytes themselves, which
+// does not allocate. The IDs are chosen by signers, and a Byzantine signer
+// can mint new ones at will, so the table is bounded like the verify
+// memo: at most internCap entries of at most internMaxLen bytes each, and
+// a full table is cleared. Dropping entries is always sound, since an
+// interned ID is just an immutable string equal to its input.
+const (
+	internCap    = 4096
+	internMaxLen = 128
+)
+
+var interned = struct {
+	sync.RWMutex
+	m map[string]flow.TaskID
+}{m: make(map[string]flow.TaskID, 64)}
+
+// internID returns a string equal to b, shared with every earlier call
+// for the same bytes while the table holds them. It never aliases b.
+func internID(b []byte) flow.TaskID {
+	if len(b) > internMaxLen {
+		return flow.TaskID(b)
+	}
+	interned.RLock()
+	id, ok := interned.m[string(b)]
+	interned.RUnlock()
+	if ok {
+		return id
+	}
+	id = flow.TaskID(b)
+	interned.Lock()
+	if len(interned.m) >= internCap {
+		clear(interned.m)
+	}
+	interned.m[string(id)] = id
+	interned.Unlock()
+	return id
+}
 
 func (r *reader) done() error {
 	if r.err != nil {
@@ -150,12 +193,13 @@ func (r Record) Encode() []byte {
 }
 
 // DecodeRecord parses an encoded record, rejecting malformed input. The
-// record owns its fields; nothing aliases b.
+// record owns its fields; nothing aliases b. Value is a fresh copy, and
+// Producer and Logical come from the task-ID intern table (internID).
 func DecodeRecord(b []byte) (Record, error) {
 	rd := &reader{b: b}
 	var r Record
-	r.Producer = flow.TaskID(rd.str())
-	r.Logical = flow.TaskID(rd.str())
+	r.Producer = rd.id()
+	r.Logical = rd.id()
 	r.Node = network.NodeID(rd.u32())
 	r.Period = rd.u64()
 	r.SendOff = sim.Time(rd.i64())
@@ -227,8 +271,18 @@ func EncodeEnvelopes(envs []sig.Envelope) []byte {
 const minEnvelopeWire = 4 + 8 + sig.SignatureSize
 
 // DecodeEnvelopes parses a count-prefixed envelope list. The envelopes
-// own their bytes; nothing aliases b.
+// own their bytes: b is cloned once and parsed in place from the clone
+// (ParseEnvelopes), so nothing aliases b, and the whole list costs two
+// allocations — the clone and the slice — whatever its length.
 func DecodeEnvelopes(b []byte) ([]sig.Envelope, error) {
+	return ParseEnvelopes(bytes.Clone(b))
+}
+
+// ParseEnvelopes is DecodeEnvelopes without the copy: every envelope's
+// Body and Sig alias b (see sig.ParseEnvelope), so the caller must own b
+// and leave it unmodified while any of them is in use. An envelope the
+// caller keeps keeps all of b alive.
+func ParseEnvelopes(b []byte) ([]sig.Envelope, error) {
 	rd := &reader{b: b}
 	n := int(rd.u32())
 	if rd.err != nil {
@@ -245,7 +299,7 @@ func DecodeEnvelopes(b []byte) ([]sig.Envelope, error) {
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		e, err := sig.DecodeEnvelope(eb)
+		e, err := sig.ParseEnvelope(eb)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"btr/internal/campaign"
 	"btr/internal/core"
@@ -133,7 +133,7 @@ func dominantEvidence(byKind map[evidence.Kind]int, want evidence.Kind) string {
 			kinds = append(kinds, int(k))
 		}
 	}
-	sort.Ints(kinds)
+	slices.Sort(kinds)
 	if len(kinds) == 0 {
 		return ""
 	}

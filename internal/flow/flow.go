@@ -9,7 +9,6 @@ package flow
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"btr/internal/sim"
 )
@@ -199,7 +198,7 @@ func (g *Graph) TopoOrder() []TaskID {
 			ready = append(ready, id)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
 	var order []TaskID
 	for len(ready) > 0 {
 		id := ready[0]
@@ -212,10 +211,10 @@ func (g *Graph) TopoOrder() []TaskID {
 				unlocked = append(unlocked, e.To)
 			}
 		}
-		sort.Slice(unlocked, func(i, j int) bool { return unlocked[i] < unlocked[j] })
+		slices.Sort(unlocked)
 		// Merge keeping ready sorted.
 		ready = append(ready, unlocked...)
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+		slices.Sort(ready)
 	}
 	if len(order) != len(g.Tasks) {
 		panic("flow: dataflow graph has a cycle")
@@ -353,7 +352,7 @@ func (g *Graph) SinkOf() map[TaskID][]TaskID {
 		for s := range set {
 			sinks = append(sinks, s)
 		}
-		sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
+		slices.Sort(sinks)
 		out[id] = sinks
 	}
 	return out

@@ -9,7 +9,6 @@ package live
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"btr/internal/adversary"
@@ -21,7 +20,10 @@ import (
 
 // processFault reports whether kind is driven from the orchestrator
 // against a running process (as opposed to self-injected at spawn).
-func processFault(kind string) bool { return slices.Contains(StormFaultKinds, kind) }
+func processFault(kind string) bool {
+	b, ok := adversary.Lookup(kind)
+	return ok && b.Scope == adversary.Process
+}
 
 // resolveSchedule validates faults against an n-node deployment of
 // horizon periods and returns a copy with every default applied: heal
@@ -111,7 +113,7 @@ func judge(cfg OrchestratorConfig, topo *network.Topology, sched []FaultSpec, re
 		}
 		lastRepair = max(lastRepair, sim.Time(end)*cfg.Period)
 	}
-	sort.Slice(rep.FaultTimes, func(i, j int) bool { return rep.FaultTimes[i] < rep.FaultTimes[j] })
+	slices.Sort(rep.FaultTimes)
 	for _, d := range res.Dones {
 		rep.Actuations += d.Acts
 		res.OverBudget += d.OverBudget

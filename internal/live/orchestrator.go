@@ -16,7 +16,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -34,14 +34,17 @@ import (
 // ProcFaultKinds lists every fault an orchestrated deployment can
 // inject: the whole adversary.Catalog (in-process behaviors are
 // self-injected by the victim process; process-level faults are driven
-// from here) plus "none".
-var ProcFaultKinds = append(adversary.Names(nil), "none")
+// from here) plus "none". It reads the catalog at each call.
+func ProcFaultKinds() []string { return append(adversary.Names(nil), "none") }
 
 // StormFaultKinds lists the process-level faults — faults the
 // orchestrator drives against a running process, so any number of them
 // can share a schedule (the in-process behaviors are self-injected at
-// spawn and cannot be scheduled concurrently).
-var StormFaultKinds = adversary.Names(func(b adversary.Behavior) bool { return b.Scope == adversary.Process })
+// spawn and cannot be scheduled concurrently). It reads the catalog at
+// each call.
+func StormFaultKinds() []string {
+	return adversary.Names(func(b adversary.Behavior) bool { return b.Scope == adversary.Process })
+}
 
 // FaultSpec is one entry of a fault schedule: a fault against one victim
 // with its own injection and repair instants.
@@ -457,7 +460,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			actions = append(actions, stormAction{goTime.Add(time.Duration(e.FaultAt+e.HealAfter) * perDur), i, true})
 		}
 	}
-	sort.Slice(actions, func(i, j int) bool { return actions[i].at.Before(actions[j].at) })
+	slices.SortFunc(actions, func(a, b stormAction) int { return a.at.Compare(b.at) })
 	arm := func() <-chan time.Time {
 		if len(actions) == 0 {
 			return nil

@@ -109,14 +109,16 @@ func buildTopologyLinks(kind string, nodes int, bw int64, prop sim.Time) (*netwo
 // FaultKinds lists the in-process behaviors: every adversary.Catalog
 // entry a node can install on itself (single-process btrlive installs
 // them on the victim directly; a node process self-injects from its
-// spec), plus "none".
-var FaultKinds = append(adversary.Names(func(b adversary.Behavior) bool { return b.Build != nil }), "none")
+// spec), plus "none". It reads the catalog at each call.
+func FaultKinds() []string {
+	return append(adversary.Names(func(b adversary.Behavior) bool { return b.Build != nil }), "none")
+}
 
 // BuildAttack maps a catalog name to the adversary script against victim
 // at time at; task-scoped behaviors target sink. The second result is
 // false for "none".
 func BuildAttack(kind string, victim network.NodeID, sink flow.TaskID, period, at sim.Time) (adversary.Attack, bool, error) {
-	if err := cliflag.OneOf("fault", kind, FaultKinds); err != nil {
+	if err := cliflag.OneOf("fault", kind, FaultKinds()); err != nil {
 		return adversary.Attack{}, false, err
 	}
 	if kind == "none" {

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,7 +115,7 @@ func (r Recovery) Duration() sim.Time { return r.RecoverAt - r.FaultAt }
 // incorrect interval that begins before the next fault. Faults with no
 // incorrect output recover instantly (duration 0).
 func MatchRecoveries(faults []sim.Time, bad []Interval) []Recovery {
-	sort.Slice(faults, func(i, j int) bool { return faults[i] < faults[j] })
+	slices.Sort(faults)
 	out := make([]Recovery, 0, len(faults))
 	for i, f := range faults {
 		next := sim.Never

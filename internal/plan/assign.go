@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -30,7 +30,7 @@ func (a Assignment) Diff(b Assignment) []flow.TaskID {
 			moved = append(moved, id)
 		}
 	}
-	sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+	slices.Sort(moved)
 	return moved
 }
 

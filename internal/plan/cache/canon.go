@@ -15,8 +15,9 @@
 package cache
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 
 	"btr/internal/network"
@@ -161,7 +162,7 @@ func (s *Symmetry) refinePair(marksA, marksB []bool) (ca, cb []int) {
 		for _, nb := range s.topo.Neighbors(network.NodeID(i)) {
 			pairs = append(pairs, uint64(c[nb])<<32|uint64(uint32(s.linkClass(network.NodeID(i), nb))))
 		}
-		sort.Slice(pairs, func(x, y int) bool { return pairs[x] < pairs[y] })
+		slices.Sort(pairs)
 		buf = u32(buf[:0], uint32(c[i]))
 		for _, p := range pairs {
 			buf = binary.LittleEndian.AppendUint64(buf, p)
@@ -279,7 +280,7 @@ func (s *Symmetry) colorMultiset(colors []int, nodes []network.NodeID) string {
 	for i, v := range nodes {
 		cs[i] = colors[v]
 	}
-	sort.Ints(cs)
+	slices.Sort(cs)
 	buf := make([]byte, 0, 4*len(cs))
 	for _, c := range cs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
@@ -318,15 +319,14 @@ func (s *Symmetry) findAutomorphism(marksA []bool, target []network.NodeID, budg
 			rest = append(rest, network.NodeID(i))
 		}
 	}
-	sort.SliceStable(rest, func(i, j int) bool {
-		a, b := rest[i], rest[j]
+	slices.SortStableFunc(rest, func(a, b network.NodeID) int {
 		if classSize[ca[a]] != classSize[ca[b]] {
-			return classSize[ca[a]] < classSize[ca[b]]
+			return cmp.Compare(classSize[ca[a]], classSize[ca[b]])
 		}
 		if ca[a] != ca[b] {
-			return ca[a] < ca[b]
+			return cmp.Compare(ca[a], ca[b])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	order = append(order, rest...)
 

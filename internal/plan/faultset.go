@@ -12,9 +12,9 @@
 package plan
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"btr/internal/network"
 )
@@ -29,7 +29,7 @@ type FaultSet struct {
 // NewFaultSet builds a canonical fault set from the given nodes.
 func NewFaultSet(nodes ...network.NodeID) FaultSet {
 	s := append([]network.NodeID(nil), nodes...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:0]
 	for i, n := range s {
 		if i == 0 || n != s[i-1] {
@@ -44,11 +44,15 @@ func (f FaultSet) Key() string {
 	if len(f.nodes) == 0 {
 		return ""
 	}
-	parts := make([]string, len(f.nodes))
+	var buf [64]byte
+	b := buf[:0]
 	for i, n := range f.nodes {
-		parts[i] = fmt.Sprint(int(n))
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // String renders the set for humans.
@@ -67,8 +71,8 @@ func (f FaultSet) Nodes() []network.NodeID { return f.nodes }
 
 // Contains reports membership.
 func (f FaultSet) Contains(n network.NodeID) bool {
-	i := sort.Search(len(f.nodes), func(i int) bool { return f.nodes[i] >= n })
-	return i < len(f.nodes) && f.nodes[i] == n
+	_, ok := slices.BinarySearch(f.nodes, n)
+	return ok
 }
 
 // With returns f ∪ {n}.
@@ -157,6 +161,6 @@ func EnumerateFaultSetsOver(nodes []network.NodeID, f int) []FaultSet {
 	rec(0, f)
 	// Stable sort by size yields BFS order while keeping the
 	// lexicographic order within each size class.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Len() < out[j].Len() })
+	slices.SortStableFunc(out, func(a, b FaultSet) int { return cmp.Compare(a.Len(), b.Len()) })
 	return out
 }

@@ -1,9 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -633,11 +634,11 @@ func (s *Strategy) Summary() string {
 	for k := range s.Plans {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
+	slices.SortFunc(keys, func(a, b string) int {
+		if len(a) != len(b) {
+			return cmp.Compare(len(a), len(b))
 		}
-		return keys[i] < keys[j]
+		return strings.Compare(a, b)
 	})
 	out := fmt.Sprintf("strategy: %d plans, F=%d, R requested %v, R achieved %v (feasible=%v)\n",
 		len(s.Plans), s.Opts.F, s.Opts.R, s.RNeeded, s.RFeasible())

@@ -28,6 +28,61 @@ func TestDataPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// dataPayloadWith seals a record and k attachments and frames them.
+func dataPayloadWith(k int) (sig.Envelope, []sig.Envelope, []byte) {
+	reg := sig.NewRegistry(1, 3)
+	env := reg.Seal(1, evidence.Record{Producer: "t#0", Logical: "t", Node: 1, Period: 9, Value: []byte("v")}.Encode())
+	atts := make([]sig.Envelope, k)
+	for i := range atts {
+		atts[i] = reg.Seal(0, evidence.Record{Producer: "s#0", Logical: "s", Node: 0, Period: 9, Value: []byte{byte(i)}}.Encode())
+	}
+	return env, atts, dataPayload(env, atts)
+}
+
+// TestDataPayloadParseAllocs pins one owned array per received payload:
+// the clone, plus the attachment slice when there is one to hold,
+// whatever the number of attachments.
+func TestDataPayloadParseAllocs(t *testing.T) {
+	for _, k := range []int{0, 1, 4} {
+		_, _, p := dataPayloadWith(k)
+		if got := testing.AllocsPerRun(100, func() { _, _, _ = parseDataPayload(p) }); got > 2 {
+			t.Errorf("parsing a data payload with %d attachments allocates %.0f, want <= 2", k, got)
+		}
+	}
+}
+
+// TestDataPayloadParseOwnsItsOutput: the parsed envelope and attachments
+// share one array cloned from the frame, so scribbling on the frame
+// changes no field, and appending to the record's Body or Sig cannot
+// overwrite the first attachment parsed after it.
+func TestDataPayloadParseOwnsItsOutput(t *testing.T) {
+	env, atts, p := dataPayloadWith(4)
+	gotEnv, gotAtts, err := parseDataPayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p {
+		p[i] ^= 0xff
+	}
+	same := func(a, b sig.Envelope) bool {
+		return a.Signer == b.Signer && bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Sig, b.Sig)
+	}
+	if !same(gotEnv, env) {
+		t.Error("parsed record envelope changed when the frame was mutated")
+	}
+	for i := range atts {
+		if !same(gotAtts[i], atts[i]) {
+			t.Errorf("parsed attachment %d changed when the frame was mutated", i)
+		}
+	}
+	_ = append(gotEnv.Body, 0xee)
+	_ = append(gotEnv.Sig, 0xee)
+	_ = append(gotAtts[0].Sig, 0xee)
+	if !same(gotEnv, env) || !same(gotAtts[0], atts[0]) || !same(gotAtts[1], atts[1]) {
+		t.Error("an append to a parsed Body or Sig overwrote the envelope after it")
+	}
+}
+
 func TestDataPayloadRejectsMalformed(t *testing.T) {
 	reg := sig.NewRegistry(1, 2)
 	env := reg.Seal(0, []byte("x"))

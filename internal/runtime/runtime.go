@@ -13,6 +13,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 
 	"btr/internal/evidence"
@@ -281,7 +282,12 @@ func dataPayload(env sig.Envelope, attachments []sig.Envelope) []byte {
 	return evidence.AppendEnvelopes(out, attachments)
 }
 
-// parseDataPayload reverses dataPayload.
+// parseDataPayload reverses dataPayload. The payload may be shared (the
+// seal memo hands one slice to every receiver) and the transport may
+// reuse it, so it is cloned once; the record envelope and every
+// attachment are then parsed in place from that clone. The results own
+// their bytes and share one array: a retained attachment keeps the
+// whole payload's copy alive.
 func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 	if len(b) < 5 || b[0] != msgData {
 		return sig.Envelope{}, nil, fmt.Errorf("runtime: bad data frame")
@@ -290,11 +296,12 @@ func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 	if n < 0 || len(b) < 5+n {
 		return sig.Envelope{}, nil, fmt.Errorf("runtime: truncated data frame")
 	}
-	env, err := sig.DecodeEnvelope(b[5 : 5+n])
+	b = bytes.Clone(b)
+	env, err := sig.ParseEnvelope(b[5 : 5+n])
 	if err != nil {
 		return sig.Envelope{}, nil, err
 	}
-	atts, err := evidence.DecodeEnvelopes(b[5+n:])
+	atts, err := evidence.ParseEnvelopes(b[5+n:])
 	if err != nil {
 		return sig.Envelope{}, nil, err
 	}

@@ -15,6 +15,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -308,7 +309,7 @@ func (t *Table) MaxUtilization() (network.NodeID, float64) {
 	for n := range t.Slots {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	for _, n := range nodes {
 		if u := t.NodeUtilization(n); u > max {
 			max, worst = u, n

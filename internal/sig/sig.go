@@ -23,6 +23,7 @@
 package sig
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -199,7 +200,8 @@ var errTruncated = errors.New("sig: truncated envelope")
 // testable. AppendTo enforces it as an invariant (the earlier behavior
 // silently truncated the length through uint32(...), emitting a frame
 // that fails decode as a framing or signature mismatch at the receiver);
-// DecodeEnvelope rejects it symmetrically before allocating.
+// ParseEnvelope rejects it symmetrically, and no decoder sizes an
+// allocation by the length field.
 const MaxBody = 16 << 20
 
 // Encode serializes the envelope: signer(4) | len(4) | body | sig(64).
@@ -228,8 +230,20 @@ func (e Envelope) AppendTo(dst []byte) []byte {
 // DecodeEnvelope parses an encoded envelope. It is strict: trailing bytes
 // or a short signature are errors, so malformed (possibly adversarial)
 // input is rejected cheaply before any signature check. The envelope
-// owns its bytes; nothing aliases b.
+// owns its bytes: b is cloned once and parsed in place from the clone
+// (ParseEnvelope), so nothing aliases b and Body and Sig share one
+// backing array.
 func DecodeEnvelope(b []byte) (Envelope, error) {
+	return ParseEnvelope(bytes.Clone(b))
+}
+
+// ParseEnvelope is DecodeEnvelope without the copy: Body and Sig alias b,
+// so the caller must own b and leave it unmodified for as long as the
+// envelope is in use. Body's and Sig's capacities stop at their lengths,
+// so appending to either reallocates instead of running into the bytes
+// after it. It is the one envelope parser; the owning decoders clone
+// their input once and parse it here.
+func ParseEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 8 {
 		return Envelope{}, errTruncated
 	}
@@ -238,8 +252,6 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	if n < 0 || n > MaxBody || len(b) != 8+n+SignatureSize {
 		return Envelope{}, fmt.Errorf("sig: bad envelope framing (body %d, total %d)", n, len(b))
 	}
-	// One backing array for body and signature; Body's capacity stops at
-	// its length so appending to it cannot run into Sig.
-	buf := append(make([]byte, 0, n+SignatureSize), b[8:]...)
-	return Envelope{Signer: signer, Body: buf[:n:n], Sig: buf[n:]}, nil
+	end := len(b)
+	return Envelope{Signer: signer, Body: b[8 : 8+n : 8+n], Sig: b[8+n : end : end]}, nil
 }

@@ -228,4 +228,23 @@ func TestDecodeEnvelopeOneAllocationNoAlias(t *testing.T) {
 	if !bytes.Equal(d.Sig, e.Sig) || !r.Check(d) {
 		t.Error("appending to Body overwrote Sig")
 	}
+
+	// ParseEnvelope, the parser under DecodeEnvelope, works in place: two
+	// envelopes back to back in one buffer alias it, and an append to the
+	// first one's Body or Sig cannot run into the second.
+	e2 := r.Seal(1, []byte("second"))
+	both := e2.AppendTo(e.Encode())
+	p1, err1 := ParseEnvelope(both[:e.EncodedSize()])
+	p2, err2 := ParseEnvelope(both[e.EncodedSize():])
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if &p1.Body[0] != &both[8] {
+		t.Error("ParseEnvelope copied instead of parsing in place")
+	}
+	_ = append(p1.Body, 0xee)
+	_ = append(p1.Sig, 0xee)
+	if !r.Check(p1) || !r.Check(p2) || p2.Signer != 1 || !bytes.Equal(p2.Body, e2.Body) {
+		t.Error("appending to an in-place envelope overwrote its neighbour")
+	}
 }

@@ -1,0 +1,138 @@
+package btr
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// Source audits over this module's own non-test code. Each one walks
+// the module with moduleSources and inspects the syntax; an audit that
+// needs types can hand a package's Files to go/types as they are.
+
+// sourcePackage is one directory of the module's non-test Go files.
+type sourcePackage struct {
+	Dir   string // slash-separated, relative to the module root
+	Files []*ast.File
+}
+
+// moduleSources parses every non-test .go file of the module rooted at
+// the working directory (a test's package directory, here the root),
+// with comments, one sourcePackage per directory in walk order. It
+// skips nested modules (a directory with its own go.mod, such as
+// benchmark/), testdata, and directories whose names start with "." or
+// "_", as the go tool does. The FileSet resolves every position in the
+// returned files.
+func moduleSources(t *testing.T) (*token.FileSet, []sourcePackage) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var pkgs []sourcePackage
+	index := map[string]int{} // Dir -> position in pkgs
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		i, ok := index[dir]
+		if !ok {
+			i = len(pkgs)
+			index[dir] = i
+			pkgs = append(pkgs, sourcePackage{Dir: dir})
+		}
+		pkgs[i].Files = append(pkgs[i].Files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, pkgs
+}
+
+// importName returns the name file f refers to the package at path by,
+// or "" when f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path[strings.LastIndex(path, "/")+1:]
+		}
+	}
+	return ""
+}
+
+// reflectSorts are the sort package's entry points that swap through
+// reflection or an interface: sort.Slice and sort.SliceStable allocate a
+// reflectlite swapper on every call. slices.Sort, SortFunc and
+// SortStableFunc run the same pdqsort and stable merge on the slice
+// itself, so ties resolve the same way.
+var reflectSorts = []string{"Slice", "SliceStable", "Sort"}
+
+// reflectSortUses returns every reference in f to one of reflectSorts.
+func reflectSortUses(f *ast.File) []*ast.SelectorExpr {
+	name := importName(f, "sort")
+	if name == "" {
+		return nil
+	}
+	var out []*ast.SelectorExpr
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name && slices.Contains(reflectSorts, sel.Sel.Name) {
+				out = append(out, sel)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestNoReflectionSorts: no non-test code of the module calls sort.Slice,
+// sort.SliceStable or sort.Sort.
+func TestNoReflectionSorts(t *testing.T) {
+	fset, pkgs := moduleSources(t)
+	dirs := make([]string, len(pkgs))
+	for i, p := range pkgs {
+		dirs[i] = p.Dir
+	}
+	// A walker that found nothing would pass vacuously.
+	for _, want := range []string{".", "cmd/btrplan", "internal/evidence", "internal/plan/cache"} {
+		if !slices.Contains(dirs, want) {
+			t.Fatalf("module walk missed %s (found %v)", want, dirs)
+		}
+	}
+	if slices.Contains(dirs, "benchmark") {
+		t.Fatal("module walk entered the nested benchmark module")
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, sel := range reflectSortUses(f) {
+				t.Errorf("%s: sort.%s; use slices.Sort, SortFunc or SortStableFunc", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+		}
+	}
+}
