@@ -49,6 +49,16 @@ func TestCodecAllocPins(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeRecord(enc) }); got > 1 {
 		t.Errorf("DecodeRecord allocates %.0f, want <= 1 (the value; the IDs are interned)", got)
 	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = ParseRecord(enc) }); got != 0 {
+		t.Errorf("ParseRecord allocates %.0f, want 0 (the value aliases the input; the IDs are interned)", got)
+	}
+	acc := Accusation{Reporter: 2, Path: []network.NodeID{0, 1, 2}, Producer: "fc.law#1", Consumer: "fc.out#0", Period: 17}
+	if got := testing.AllocsPerRun(100, func() { _ = acc.Encode() }); got != 1 {
+		t.Errorf("Accusation.Encode allocates %.0f, want 1 (one exact-size buffer)", got)
+	}
+	if b := acc.Encode(); cap(b) != len(b) {
+		t.Errorf("Accusation.Encode buffer cap %d != len %d", cap(b), len(b))
+	}
 	for _, n := range []int{0, 1, 5, 32} {
 		list := EncodeEnvelopes(codecEnvelopes(n))
 		if got := testing.AllocsPerRun(100, func() { _, _ = DecodeEnvelopes(list) }); got > 2 {
@@ -139,6 +149,64 @@ func TestParseEnvelopesInPlace(t *testing.T) {
 			t.Errorf("envelope %d overwritten by an append to its neighbour", i)
 		}
 	}
+}
+
+// TestParseRecordInPlace: ParseRecord's Value aliases its input (which
+// is why its callers must own it) and is capacity-capped, so an append
+// to it cannot overwrite the digest behind it; apart from ownership it
+// is DecodeRecord, field for field and error for error.
+func TestParseRecordInPlace(t *testing.T) {
+	rec := codecRecord()
+	enc := rec.Encode()
+	got, err := ParseRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valueAt := 4 + len(rec.Producer) + 4 + len(rec.Logical) + 4 + 8 + 8 + 4
+	if &got.Value[0] != &enc[valueAt] {
+		t.Error("ParseRecord copied the value instead of parsing in place")
+	}
+	_ = append(got.Value, bytes.Repeat([]byte{0xee}, 8)...)
+	if !bytes.Equal(enc, rec.Encode()) {
+		t.Error("an append to the parsed value overwrote the input's digest")
+	}
+	owned, err := DecodeRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRecord(got, owned) {
+		t.Errorf("ParseRecord %+v, DecodeRecord %+v", got, owned)
+	}
+
+	// Every malformed record TestDecodeStillRejectsMalformed lists.
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, b := range map[string][]byte{
+		"empty":                  {},
+		"short length prefix":    enc[:3],
+		"string past the end":    cat(u32(1000), []byte("p")),
+		"truncated in digest":    enc[:len(enc)-1],
+		"trailing byte":          cat(enc, []byte{9}),
+		"huge first length":      {0xff, 0xff, 0xff, 0xff},
+		"value length past end":  cat(u32(0), u32(0), u32(1), make([]byte, 16), u32(99), make([]byte, 32)),
+		"missing digest":         cat(u32(0), u32(0), u32(1), make([]byte, 16), u32(0)),
+		"digest one byte short":  cat(u32(0), u32(0), u32(1), make([]byte, 16), u32(0), make([]byte, 31)),
+		"digest one byte beyond": cat(u32(0), u32(0), u32(1), make([]byte, 16), u32(0), make([]byte, 33)),
+	} {
+		if _, err := ParseRecord(b); err == nil {
+			t.Errorf("ParseRecord accepted %s", name)
+		}
+		if _, err := DecodeRecord(b); err == nil {
+			t.Errorf("DecodeRecord accepted %s", name)
+		}
+	}
+}
+
+// sameRecord reports whether two records agree field for field.
+func sameRecord(a, b Record) bool {
+	return a.Producer == b.Producer && a.Logical == b.Logical && a.Node == b.Node &&
+		a.Period == b.Period && a.SendOff == b.SendOff && bytes.Equal(a.Value, b.Value) &&
+		a.InputsDigest == b.InputsDigest
 }
 
 // TestDecodeOwnsItsOutput: decoded values must not alias the input frame

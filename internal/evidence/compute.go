@@ -20,6 +20,13 @@ import (
 // It allocates only its 16-byte result: the inputs are ordered through a
 // stack array of pointers and hashed from a pooled buffer.
 func HashCompute(task flow.TaskID, period uint64, inputs []Record) []byte {
+	return AppendHashCompute(nil, task, period, inputs)
+}
+
+// AppendHashCompute appends HashCompute's value to dst and returns the
+// extended slice; it allocates nothing when dst has 16 bytes to spare.
+// It is a runtime.TaskFunc, and retains neither dst nor inputs.
+func AppendHashCompute(dst []byte, task flow.TaskID, period uint64, inputs []Record) []byte {
 	var pbuf [16]*Record
 	sorted := pbuf[:0]
 	for i := range inputs {
@@ -47,7 +54,7 @@ func HashCompute(task flow.TaskID, period uint64, inputs []Record) []byte {
 	sum := sha256.Sum256(msg)
 	*sp = msg
 	scratchPool.Put(sp)
-	return append([]byte(nil), sum[:16]...)
+	return append(dst, sum[:16]...)
 }
 
 // SourceValue is the canonical deterministic environment sample: all

@@ -67,6 +67,9 @@ func TestHashComputeMatchesReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d (%d inputs): HashCompute = %x, reference = %x", trial, n, got, want)
 		}
+		if app := AppendHashCompute([]byte("dst:"), task, period, inputs); string(app) != "dst:"+string(want) {
+			t.Fatalf("trial %d: AppendHashCompute = %x, want the reference appended to dst", trial, app)
+		}
 		for i := range inputs {
 			if inputs[i].Producer != before[i].Producer || !bytes.Equal(inputs[i].Value, before[i].Value) {
 				t.Fatalf("trial %d: HashCompute reordered or changed its inputs", trial)
@@ -84,5 +87,9 @@ func TestHashComputeAllocs(t *testing.T) {
 	HashCompute("t", 1, inputs) // warm the scratch pool
 	if got := testing.AllocsPerRun(100, func() { _ = HashCompute("t", 7, inputs) }); got > 1 {
 		t.Fatalf("HashCompute allocates %.1f objects per call, want at most 1 (its result)", got)
+	}
+	dst := make([]byte, 0, 16)
+	if got := testing.AllocsPerRun(100, func() { _ = AppendHashCompute(dst, "t", 7, inputs) }); got != 0 {
+		t.Fatalf("AppendHashCompute into a 16-byte dst allocates %.1f objects per call, want 0", got)
 	}
 }

@@ -94,9 +94,10 @@ type Accusation struct {
 	Period   uint64
 }
 
-// Encode serializes the accusation.
+// Encode serializes the accusation into one exactly sized buffer.
 func (a Accusation) Encode() []byte {
-	var w buf
+	size := 4 + 4 + 4*len(a.Path) + 4 + len(a.Producer) + 4 + len(a.Consumer) + 8
+	w := buf{b: make([]byte, 0, size)}
 	w.u32(uint32(a.Reporter))
 	w.u32(uint32(len(a.Path)))
 	for _, n := range a.Path {
@@ -361,7 +362,7 @@ func (v *Validator) checkedRecord(env sig.Envelope) (Record, error) {
 	if !v.Reg.Check(env) {
 		return Record{}, fmt.Errorf("%w: envelope from %d", ErrBadSignature, env.Signer)
 	}
-	r, err := DecodeRecord(env.Body)
+	r, err := ParseRecord(env.Body)
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
@@ -412,7 +413,7 @@ func (v *Validator) validateWrongOutput(e Evidence) error {
 	}
 	inputs := make([]Record, 0, len(e.Attachments))
 	for _, env := range e.Attachments {
-		ir, err := DecodeRecord(env.Body)
+		ir, err := ParseRecord(env.Body)
 		if err != nil || ir.Node != env.Signer {
 			return fmt.Errorf("%w: attachment record invalid (use bad-input)", ErrMalformed)
 		}

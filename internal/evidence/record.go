@@ -106,21 +106,22 @@ func (r *reader) u64() uint64 {
 func (r *reader) i64() int64 { return int64(r.u64()) }
 
 // view returns the next n bytes without copying. The result aliases the
-// input: decoders copy it exactly once, into the value they return.
+// input and is capacity-capped, so an append to it reallocates instead
+// of overwriting what follows. An owning decoder copies it once, into
+// the value it returns; an in-place parser (ParseRecord, ParseEnvelopes)
+// hands it out as is.
 func (r *reader) view(n int) []byte {
 	if r.err != nil || n < 0 || len(r.b) < n {
 		r.err = errShort
 		return nil
 	}
-	v := r.b[:n]
+	v := r.b[:n:n]
 	r.b = r.b[n:]
 	return v
 }
 
 // lenView is view for a u32-length-prefixed field.
 func (r *reader) lenView() []byte { return r.view(int(r.u32())) }
-
-func (r *reader) bytes() []byte { return bytes.Clone(r.lenView()) }
 
 // id reads a length-prefixed task ID through the intern table.
 func (r *reader) id() flow.TaskID { return internID(r.lenView()) }
@@ -193,9 +194,21 @@ func (r Record) Encode() []byte {
 }
 
 // DecodeRecord parses an encoded record, rejecting malformed input. The
-// record owns its fields; nothing aliases b. Value is a fresh copy, and
-// Producer and Logical come from the task-ID intern table (internID).
+// record owns its fields; nothing aliases b. It is ParseRecord with
+// Value cloned, and Producer and Logical come from the task-ID intern
+// table (internID).
 func DecodeRecord(b []byte) (Record, error) {
+	r, err := ParseRecord(b)
+	r.Value = bytes.Clone(r.Value)
+	return r, err
+}
+
+// ParseRecord is DecodeRecord without the copy: Value aliases b and is
+// capacity-capped, so an append to it reallocates instead of
+// overwriting the digest behind it. The caller must own b and leave it
+// unmodified while the record is in use; a record kept no longer than
+// the envelope it came from costs no allocation.
+func ParseRecord(b []byte) (Record, error) {
 	rd := &reader{b: b}
 	var r Record
 	r.Producer = rd.id()
@@ -203,7 +216,7 @@ func DecodeRecord(b []byte) (Record, error) {
 	r.Node = network.NodeID(rd.u32())
 	r.Period = rd.u64()
 	r.SendOff = sim.Time(rd.i64())
-	r.Value = rd.bytes()
+	r.Value = rd.lenView()
 	copy(r.InputsDigest[:], rd.view(len(r.InputsDigest)))
 	if err := rd.done(); err != nil {
 		return Record{}, err

@@ -16,6 +16,9 @@ import (
 //  2. Decode either rejects malformed input or yields a record whose
 //     re-encoding round-trips — no input may decode to a record that
 //     serializes differently (an equivocation-proof forgery vector).
+//
+// It also checks that the in-place ParseRecord accepts and rejects
+// exactly what DecodeRecord does, with the same fields.
 func FuzzRecordRoundTrip(f *testing.F) {
 	seed := Record{
 		Producer: "fc.law#1",
@@ -38,8 +41,15 @@ func FuzzRecordRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
+		parsed, perr := ParseRecord(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("DecodeRecord error %v, ParseRecord error %v", err, perr)
+		}
 		if err != nil {
 			return // malformed input rejected: fine
+		}
+		if !sameRecord(parsed, rec) {
+			t.Fatalf("ParseRecord %+v, DecodeRecord %+v", parsed, rec)
 		}
 		enc := rec.Encode()
 		if !bytes.Equal(enc, data) {

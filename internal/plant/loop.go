@@ -109,18 +109,15 @@ func (l *Loop) Source(task flow.TaskID, period uint64) []byte {
 // Compute is the runtime.TaskFunc for the control-loop tasks: the
 // controller applies the plant's pure control law to the sensor sample;
 // the actuator forwards the controller output. Any other task falls back
-// to the canonical hash semantics.
-func (l *Loop) Compute(task flow.TaskID, period uint64, inputs []evidence.Record) []byte {
+// to the canonical hash semantics. The value is appended to dst.
+func (l *Loop) Compute(dst []byte, task flow.TaskID, period uint64, inputs []evidence.Record) []byte {
 	switch task {
 	case "controller":
-		return EncodeFloat(l.ctrl(DecodeFloat(valueOf(inputs, "sensor"))))
+		return AppendFloat(dst, l.ctrl(DecodeFloat(valueOf(inputs, "sensor"))))
 	case "actuator":
-		v := valueOf(inputs, "controller")
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out
+		return append(dst, valueOf(inputs, "controller")...)
 	default:
-		return evidence.HashCompute(task, period, inputs)
+		return evidence.AppendHashCompute(dst, task, period, inputs)
 	}
 }
 

@@ -31,10 +31,11 @@ type Plant interface {
 
 // EncodeFloat serializes a float64 for dataflow values (little-endian
 // IEEE-754 bits; deterministic and exact).
-func EncodeFloat(v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return b[:]
+func EncodeFloat(v float64) []byte { return AppendFloat(nil, v) }
+
+// AppendFloat appends EncodeFloat(v) to dst.
+func AppendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // DecodeFloat reverses EncodeFloat (0 for malformed input).

@@ -215,11 +215,11 @@ func TestLoopComputeSemantics(t *testing.T) {
 	w := NewWaterTank()
 	l := NewLoop(w, 50*sim.Millisecond, 10)
 	sensorRec := evidence.Record{Logical: "sensor", Value: EncodeFloat(7.5)}
-	u := l.Compute("controller", 0, []evidence.Record{sensorRec})
+	u := l.Compute(nil, "controller", 0, []evidence.Record{sensorRec})
 	if DecodeFloat(u) != w.Control(7.5) {
 		t.Errorf("controller output %v, want %v", DecodeFloat(u), w.Control(7.5))
 	}
-	act := l.Compute("actuator", 0, []evidence.Record{{Logical: "controller", Value: u}})
+	act := l.Compute(nil, "actuator", 0, []evidence.Record{{Logical: "controller", Value: u}})
 	if string(act) != string(u) {
 		t.Error("actuator is not the identity")
 	}
@@ -229,8 +229,8 @@ func TestLoopOracleMatchesCompute(t *testing.T) {
 	w := NewWaterTank()
 	l := NewLoop(w, 50*sim.Millisecond, 10)
 	sensor := l.Source("sensor", 0)
-	u := l.Compute("controller", 0, []evidence.Record{{Logical: "sensor", Value: sensor}})
-	act := l.Compute("actuator", 0, []evidence.Record{{Logical: "controller", Value: u}})
+	u := l.Compute(nil, "controller", 0, []evidence.Record{{Logical: "sensor", Value: sensor}})
+	act := l.Compute(nil, "actuator", 0, []evidence.Record{{Logical: "controller", Value: u}})
 	if string(l.Oracle("actuator", 0)) != string(act) {
 		t.Error("oracle disagrees with the computed pipeline")
 	}

@@ -27,7 +27,7 @@ func (n *Node) validator() *evidence.Validator {
 			if n.isSourceTask(task) {
 				return nil, false // environment samples cannot be re-executed
 			}
-			return n.cfg.Compute(task, period, inputs), true
+			return n.cfg.Compute(nil, task, period, inputs), true
 		},
 		Window: func(producer flow.TaskID, period uint64) (sim.Time, sim.Time, bool) {
 			_, slot, ok := n.slotOf(producer)
@@ -64,20 +64,18 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	// Equivocation tracking for the record itself...
 	n.trackEquivocation(a.env, rec)
 	// ...and for each well-signed attachment (another producer's record).
-	// Each attachment is checked and decoded once, here; the audit below
-	// re-executes from the same records. badInput notes an attachment
-	// that is badly signed or malformed.
-	var inputs []evidence.Record
-	if len(a.atts) > 0 {
-		inputs = make([]evidence.Record, 0, len(a.atts))
-	}
+	// Each attachment is checked and parsed in place once, here, into the
+	// node's scratch; the audit below re-executes from the same records.
+	// badInput notes an attachment that is badly signed or malformed.
+	inputs := take(&n.auditInputs)
+	defer func() { putBack(&n.auditInputs, inputs) }()
 	badInput := false
 	for _, att := range a.atts {
 		if !n.cfg.Registry.Check(att) {
 			badInput = true
 			continue
 		}
-		ar, err := evidence.DecodeRecord(att.Body)
+		ar, err := evidence.ParseRecord(att.Body)
 		if err != nil || ar.Node != att.Signer {
 			badInput = true
 			continue
@@ -120,7 +118,8 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 		a.audited, a.consistent = true, false
 		return true
 	}
-	want := n.cfg.Compute(rec.Logical, rec.Period, inputs)
+	// Recompute into the node's scratch: the value is only compared.
+	want := n.cfg.Compute(n.auditWant[:0], rec.Logical, rec.Period, inputs)
 	a.audited = true
 	a.consistent = string(want) == string(rec.Value)
 	if !a.consistent {
@@ -141,7 +140,7 @@ func (n *Node) trackEquivocation(env sig.Envelope, rec evidence.Record) {
 		if bytes.Equal(prev.Body, env.Body) {
 			return // the same record again: nothing to compare
 		}
-		prevRec, err := evidence.DecodeRecord(prev.Body)
+		prevRec, err := evidence.ParseRecord(prev.Body)
 		if err == nil && evidence.SameSlot(prevRec, rec) && evidence.Conflicts(prevRec, rec) {
 			n.raiseEvidence(evidence.Evidence{
 				Kind: evidence.KindEquivocation, Accused: rec.Node, Reporter: n.id,

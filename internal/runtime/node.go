@@ -107,8 +107,16 @@ type Node struct {
 	inbox map[uint64]map[slotKey][]*arrival
 	// spareInbox is an emptied per-period inbox map awaiting reuse.
 	spareInbox map[slotKey][]*arrival
-	// arrivals is the unused rest of the chunk newArrival carves from.
-	arrivals []arrival
+	// arrivals is the unused rest of the chunk newArrival carves from,
+	// and slotLists the rest of the one inbox slot lists are carved from.
+	arrivals  []arrival
+	slotLists []*arrival
+	// Scratch for the receive path, reused call after call: the arrival
+	// audit's decoded attachments and recomputed value, and the records
+	// a task computes from (see take and putBack).
+	auditInputs []evidence.Record
+	auditWant   [64]byte
+	chosenRecs  []evidence.Record
 	// firstRecord tracks the first record content per (producer replica,
 	// period) for equivocation detection.
 	firstRecord map[producerPeriod]sig.Envelope
@@ -298,10 +306,11 @@ func (n *Node) watchedEdges(cur *plan.Plan) []watchedEdge {
 
 // chosenInputs picks, for each logical input of task, the record the task
 // will compute with: the first *audited-consistent* arrival, with majority
-// vote among source replicas (sources cannot be audited). It returns the
-// chosen records and their envelopes in logical-input order, or false if
-// some logical input has no usable record (omission upstream).
-func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]evidence.Record, []sig.Envelope, bool) {
+// vote among source replicas (sources cannot be audited). It appends the
+// chosen records to recs and returns them with their envelopes in
+// logical-input order, or false if some logical input has no usable
+// record (omission upstream).
+func (n *Node) chosenInputs(recs []evidence.Record, cur *plan.Plan, p uint64, task flow.TaskID) ([]evidence.Record, []sig.Envelope, bool) {
 	var buf [8]flow.TaskID
 	logicals := buf[:0]
 	for _, e := range cur.Aug.Inputs(task) {
@@ -312,7 +321,6 @@ func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]evide
 	}
 	slices.Sort(logicals)
 	perSlot := n.inbox[p]
-	recs := make([]evidence.Record, 0, len(logicals))
 	atts := make([]sig.Envelope, 0, len(logicals))
 	for _, logical := range logicals {
 		arr := perSlot[slotKey{task, logical}]
@@ -333,7 +341,7 @@ func (n *Node) chosenInputs(cur *plan.Plan, p uint64, task flow.TaskID) ([]evide
 			}
 		}
 		if pick == nil {
-			return nil, nil, false
+			return recs, nil, false
 		}
 		recs = append(recs, pick.rec)
 		atts = append(atts, pick.env)
@@ -393,11 +401,14 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 	default:
 		var recs []evidence.Record
 		var usable bool
-		recs, atts, usable = n.chosenInputs(cur, p, task)
+		recs, atts, usable = n.chosenInputs(take(&n.chosenRecs), cur, p, task)
+		if usable {
+			value = n.cfg.Compute(nil, logical, p, recs)
+		}
+		putBack(&n.chosenRecs, recs)
 		if !usable {
 			return // upstream omission: this replica stays silent
 		}
-		value = n.cfg.Compute(logical, p, recs)
 	}
 
 	// Build the signed record committing to the chosen inputs.
@@ -551,6 +562,36 @@ func (n *Node) newArrival() *arrival {
 	return a
 }
 
+// take hands out the scratch slice in *slot, emptied, and leaves nil
+// behind, so a nested user allocates its own instead of clobbering it.
+func take[T any](slot *[]T) []T {
+	s := (*slot)[:0]
+	*slot = nil
+	return s
+}
+
+// putBack returns scratch s to *slot, cleared so it pins nothing it held.
+func putBack[T any](slot *[]T, s []T) {
+	clear(s)
+	*slot = s[:0]
+}
+
+// slotListChunk is how many inbox list entries newSlotList allocates at
+// once.
+const slotListChunk = 64
+
+// newSlotList carves an empty inbox slot list of capacity c from the
+// node's current chunk. The capacity is capped, so a list that outgrows
+// it reallocates instead of running into its neighbour.
+func (n *Node) newSlotList(c int) []*arrival {
+	if len(n.slotLists) < c {
+		n.slotLists = make([]*arrival, max(c, slotListChunk))
+	}
+	l := n.slotLists[:0:c]
+	n.slotLists = n.slotLists[c:]
+	return l
+}
+
 // replicasFeeding counts the replicas of logical producer that feed
 // consumer: the most arrivals one inbox slot can hold.
 func replicasFeeding(cur *plan.Plan, consumer, logical flow.TaskID) int {
@@ -585,7 +626,9 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		dbg("convicted signer", nil)
 		return // isolate convicted nodes: their records are ignored
 	}
-	rec, err := evidence.DecodeRecord(env.Body)
+	// The record is kept no longer than env, whose body every caller
+	// owns: parse it in place.
+	rec, err := evidence.ParseRecord(env.Body)
 	if err != nil || rec.Node != env.Signer {
 		dbg("malformed record", nil)
 		return
@@ -630,7 +673,7 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		}
 		if !dup {
 			if arr == nil {
-				arr = make([]*arrival, 0, replicasFeeding(cur, c, rec.Logical))
+				arr = n.newSlotList(replicasFeeding(cur, c, rec.Logical))
 			}
 			per[key] = append(arr, a)
 		}

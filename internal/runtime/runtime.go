@@ -25,8 +25,12 @@ import (
 )
 
 // TaskFunc computes a non-source task's output value from its chosen
-// inputs. It must be deterministic: detection relies on re-execution.
-type TaskFunc func(task flow.TaskID, period uint64, inputs []evidence.Record) []byte
+// inputs, appends it to dst and returns the extended slice. It must be
+// deterministic: detection relies on re-execution. It must not retain
+// dst or inputs past the call: the arrival audit passes a per-node
+// scratch dst it reuses for the next audit, and inputs alias received
+// payloads. A value the runtime keeps is computed into a nil dst.
+type TaskFunc func(dst []byte, task flow.TaskID, period uint64, inputs []evidence.Record) []byte
 
 // SourceFunc samples the environment for a source task. All replicas of a
 // source observe the same value for the same period (sample-and-hold at
@@ -105,7 +109,7 @@ type Config struct {
 	// constants (Delta, period, watchdog margin).
 	Planner PlanSource
 
-	Compute TaskFunc   // default: evidence.HashCompute
+	Compute TaskFunc   // default: evidence.AppendHashCompute
 	Source  SourceFunc // default: evidence.SourceValue
 
 	OnActuation ActuationFunc
@@ -144,9 +148,7 @@ type System struct {
 // Start to schedule the first period.
 func New(cfg Config) *System {
 	if cfg.Compute == nil {
-		cfg.Compute = func(task flow.TaskID, period uint64, inputs []evidence.Record) []byte {
-			return evidence.HashCompute(task, period, inputs)
-		}
+		cfg.Compute = evidence.AppendHashCompute
 	}
 	if cfg.Source == nil {
 		cfg.Source = evidence.SourceValue

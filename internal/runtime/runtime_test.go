@@ -208,6 +208,90 @@ func TestWrongOutputDetectedAndMasked(t *testing.T) {
 	}
 }
 
+// scribbler is a TaskFunc that breaks the no-retain rule as hard as it
+// can: it keeps the dst it was handed and, on its next call, overwrites
+// that array up to its capacity before computing into the new dst.
+type scribbler struct {
+	last      []byte
+	scribbled int // bytes overwritten so far
+}
+
+func (s *scribbler) compute(dst []byte, task flow.TaskID, period uint64, inputs []evidence.Record) []byte {
+	for i := range s.last {
+		s.last[i] ^= 0xa5
+	}
+	s.scribbled += len(s.last)
+	s.last = dst[:cap(dst)]
+	return evidence.AppendHashCompute(dst, task, period, inputs)
+}
+
+// scribblingHarness is chainHarness with every node computing through
+// one scribbler.
+func scribblingHarness(t *testing.T, seed uint64) (*harness, *scribbler) {
+	h := chainHarness(t, seed)
+	s := &scribbler{}
+	h.sys.Node(0).cfg.Compute = s.compute // every node shares one Config
+	return h, s
+}
+
+// TestTaskFuncScratchIsNotRetained: the runtime keeps no value computed
+// into a dst it reuses, so a TaskFunc scribbling over the last dst it
+// was handed corrupts nothing — a fault-free chain raises no evidence
+// and actuates the oracle's values.
+func TestTaskFuncScratchIsNotRetained(t *testing.T) {
+	h, s := scribblingHarness(t, 1)
+	h.run(20)
+	if s.scribbled == 0 {
+		t.Fatal("the runtime never handed the TaskFunc a non-empty dst; the check is vacuous")
+	}
+	if len(h.evidences) != 0 {
+		t.Fatalf("fault-free run raised %d pieces of evidence: first %v", len(h.evidences), h.evidences[0].Kind)
+	}
+	for p := uint64(0); p < 19; p++ {
+		want := expectedChainValue(2, p)
+		for _, v := range h.actuations["c2"][p] {
+			if !bytes.Equal(v, want) {
+				t.Fatalf("period %d: actuation %x, want %x", p, v, want)
+			}
+		}
+	}
+}
+
+// TestTaskFuncScratchCorruptTaskConvictsVictim: under the same
+// scribbling TaskFunc, a corrupt-task attack (the adversary prefixes its
+// replica's value) is convicted by a wrong-output proof, every correct
+// node excludes exactly the victim, and no proof accuses anyone else.
+func TestTaskFuncScratchCorruptTaskConvictsVictim(t *testing.T) {
+	h, _ := scribblingHarness(t, 3)
+	victim := h.nodeOf("c1#0")
+	h.k.At(5*h.strategy.Base.Period-1, func() {
+		h.sys.SetBehavior(victim, &Behavior{
+			OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+				if rec.Logical == "c1" {
+					rec.Value = append([]byte("corrupt:"), rec.Value...)
+				}
+				return rec, 0, true
+			},
+		})
+	})
+	h.run(30)
+	proofs := 0
+	for _, ev := range h.evidences {
+		if ev.Kind.Proof() && ev.Accused != victim {
+			t.Fatalf("%v proof accuses node %d, not the victim %d", ev.Kind, ev.Accused, victim)
+		}
+		if ev.Kind == evidence.KindWrongOutput {
+			proofs++
+		}
+	}
+	if proofs == 0 {
+		t.Fatal("no wrong-output proof against the corrupting node")
+	}
+	if key, ok := h.sys.Converged(plan.NewFaultSet(victim)); !ok || key != plan.NewFaultSet(victim).Key() {
+		t.Errorf("not converged on exclusion of %d: key=%q ok=%v", victim, key, ok)
+	}
+}
+
 func TestSinkCommissionBoundedByR(t *testing.T) {
 	h := chainHarness(t, 4)
 	// Corrupt whichever sink replica actuates first so the fault is

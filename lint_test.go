@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"btr/internal/exp"
 )
 
 // Source audits over this module's own non-test code. Each one walks
@@ -134,5 +136,33 @@ func TestNoReflectionSorts(t *testing.T) {
 				t.Errorf("%s: sort.%s; use slices.Sort, SortFunc or SortStableFunc", fset.Position(sel.Pos()), sel.Sel.Name)
 			}
 		}
+	}
+}
+
+// TestProfileFamiliesMatchBenchmark: `make profile-allocs` sizes every
+// allocation claim, so the Makefile's PROFILE_FAMILIES must be the
+// families the sim_campaign workload runs — those of
+// exp.DeterministicScenarios, no more and no fewer.
+func TestProfileFamiliesMatchBenchmark(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if name, value, ok := strings.Cut(line, "="); ok && strings.TrimSpace(name) == "PROFILE_FAMILIES" {
+			got = strings.Fields(value)
+		}
+	}
+	var want []string
+	for _, sc := range exp.DeterministicScenarios() {
+		if !slices.Contains(want, sc.Family) {
+			want = append(want, sc.Family)
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Makefile PROFILE_FAMILIES = %v, but exp.DeterministicScenarios runs %v", got, want)
 	}
 }
