@@ -47,17 +47,19 @@ race:
 race-live:
 	$(GO) test -race -count=5 -run '^(TestLive|TestExecutorsAgreeOnVerdicts)' ./internal/live
 
-# Short fuzz pass over the wire codecs (the seed corpora always run as
-# part of `go test`; this digs further): the evidence record codec, the
-# membership epoch-record codec, the transport H/M/B/G frame codec (the
-# only code between a socket and the budgeted evidence handler), and the
-# client request/response (Q) frame codec. Override the budget with `make fuzz FUZZTIME=10s` (CI
-# does).
+# Short fuzz pass over the wire codecs and the fault-script text form
+# (the seed corpora always run as part of `go test`; this digs further):
+# the evidence record codec, the membership epoch-record codec, the
+# transport H/M/B/G frame codec (the only code between a socket and the
+# budgeted evidence handler), the client request/response (Q) frame
+# codec, and the adversary.Script parser behind `btrlive -faults`.
+# Override the budget with `make fuzz FUZZTIME=10s` (CI does).
 fuzz:
 	$(GO) test ./internal/evidence -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/member -fuzz=FuzzEpochRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz=FuzzQFrameRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/adversary -fuzz=FuzzScriptParse -fuzztime=$(FUZZTIME)
 
 # Coverage profile over the whole module plus a threshold gate: total
 # statement coverage must stay at or above COVER_MIN.

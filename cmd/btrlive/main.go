@@ -94,10 +94,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"btr/internal/adversary"
 	"btr/internal/cliflag"
 	"btr/internal/evidence"
 	"btr/internal/live"
@@ -165,43 +167,6 @@ func parseChurn(flagName, spec string, slots int, horizon uint64) ([]churnEvent,
 			ev.delta = member.Delta{Retire: []network.NodeID{r}}
 		}
 		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// parseFaults parses the -faults schedule: comma-separated
-// "kind@at+heal" entries (heal optional; 0 lets the orchestrator apply
-// its default), each validated against the storm fault kinds with the
-// same loud listing every other enum flag gives. Victims are
-// auto-assigned (Node -1): the strategy victim first, then the lowest
-// free slots.
-func parseFaults(spec string, horizon uint64) ([]live.FaultSpec, error) {
-	var out []live.FaultSpec
-	for _, part := range strings.Split(spec, ",") {
-		kind, rest, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("invalid -faults entry %q (want kind@at+heal)", part)
-		}
-		if err := cliflag.OneOf("faults", kind, live.StormFaultKinds()); err != nil {
-			return nil, err
-		}
-		atStr, healStr, hasHeal := strings.Cut(rest, "+")
-		at, err := strconv.ParseUint(atStr, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid -faults injection period in %q: %v", part, err)
-		}
-		if err := cliflag.InRange("faults at", int64(at), 0, int64(horizon)-1); err != nil {
-			return nil, err
-		}
-		fsp := live.FaultSpec{Kind: kind, Node: -1, FaultAt: at}
-		if hasHeal {
-			heal, err := strconv.ParseUint(healStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("invalid -faults heal delay in %q: %v", part, err)
-			}
-			fsp.HealAfter = heal
-		}
-		out = append(out, fsp)
 	}
 	return out, nil
 }
@@ -306,8 +271,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *nodeID >= 0 {
-		return runNode(*nodeID, *peers, *topoKind, *nodes, *f, *seed, p, m, *horizon,
-			*faultKind, *atPeriod, *verbose, stdin, stdout, stderr)
+		if err := runNode(*nodeID, *peers, *topoKind, *nodes, *f, *seed, p, m, *horizon,
+			*faultKind, *atPeriod, *verbose, stdin, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if *lf.faultsSpec != "" && !*orchestrate {
 		return fail(fmt.Errorf("-faults requires -orchestrate (a concurrent schedule drives real processes)"))
@@ -338,10 +306,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	cfg := live.OrchestratorConfig{
 		Topo: *topoKind, Nodes: *nodes, F: *f, Seed: *seed,
 		Period: p, Margin: m, Horizon: *horizon,
-		Faults:  live.OneFault(*faultKind, *atPeriod),
 		Forgive: sim.Time(*lf.forgive / time.Microsecond),
 		Clients: *lf.clients, OpsRate: *lf.opsRate,
 		Verbose: *verbose, Log: stdout,
+	}
+	if *faultKind != "none" {
+		// -fault k -at a is the one-entry schedule k@a.
+		if cfg.Faults, err = adversary.ParseScript(fmt.Sprintf("%s@%d", *faultKind, *atPeriod), p, live.ProcFaultKinds()); err != nil {
+			return fail(err)
+		}
 	}
 	if *lf.faultsSpec != "" {
 		// A schedule supersedes the single-fault flags; an explicit
@@ -355,22 +328,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		if explicitFault && *faultKind != "none" {
 			return fail(fmt.Errorf("-fault and -faults are mutually exclusive (the schedule names its own kinds)"))
 		}
-		if cfg.Faults, err = parseFaults(*lf.faultsSpec, *horizon); err != nil {
+		if cfg.Faults, err = adversary.ParseScript(*lf.faultsSpec, p, live.StormFaultKinds()); err != nil {
 			return fail(err)
 		}
 	}
-	return runOrchestrated(cfg, stdout, stderr)
+	res, err := live.RunOrchestrator(cfg)
+	if err != nil {
+		return fail(err)
+	}
+	return printOrchestrated(stdout, cfg, res)
 }
 
 // runNode executes one node slot (per-node mode). With -peers the node
 // starts immediately; otherwise the parent drives the stdin protocol.
 func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
 	p, m sim.Time, horizon uint64, faultKind string, atPeriod uint64, verbose bool,
-	stdin io.Reader, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "btrlive: %v\n", err)
-		return 2
-	}
+	stdin io.Reader, stdout io.Writer) error {
 	spec := live.ProcSpec{
 		Node: nodeID, Topo: topoKind, Nodes: nodes, F: f, Seed: seed,
 		PeriodUS: int64(p), MarginUS: int64(m), Horizon: horizon, Verbose: verbose,
@@ -382,57 +355,41 @@ func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
 		in = strings.NewReader("go\n")
 	}
 	// The behavior catalog self-injects only on the victim node, matching
-	// single-process semantics (the victim hosts the first-actuating sink
-	// replica and is computed identically in every process).
+	// single-process semantics: every node process resolves the auto
+	// victim against the same strategy, the host of the first-actuating
+	// sink replica.
 	if faultKind != "" && faultKind != "none" {
 		if err := cliflag.OneOf("fault", faultKind, live.FaultKinds()); err != nil {
-			return fail(err)
+			return err
 		}
-		// ProcTopology, not BuildTopology: the victim must be computed from
-		// the same strategy every node process plans with.
-		topo, err := live.ProcTopology(topoKind, nodes)
-		if err != nil {
-			return fail(err)
-		}
-		opts := plan.DefaultOptions(f, 100*p)
-		opts.WatchdogMargin = m
-		strategy, err := plan.Build(live.DefaultWorkload(p), topo, opts)
-		if err != nil {
-			return fail(err)
-		}
-		if int(live.VictimOf(strategy)) == nodeID {
-			spec.Fault, spec.FaultAt = faultKind, atPeriod
-		}
+		spec.Fault = &adversary.Fault{Behavior: faultKind, Node: -1, At: sim.Time(atPeriod) * p}
 	}
-	if err := live.RunNodeProc(spec, in, stdout); err != nil {
-		return fail(err)
-	}
-	return 0
+	return live.RunNodeProc(spec, in, stdout)
 }
 
-// runOrchestrated boots the multi-process deployment and prints the
-// plant's verdict.
-func runOrchestrated(cfg live.OrchestratorConfig, stdout, stderr io.Writer) int {
-	res, err := live.RunOrchestrator(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "btrlive: %v\n", err)
-		return 2
-	}
+// printOrchestrated prints an orchestrated run's result — node exits in
+// node order — and its verdict, and returns the exit status.
+func printOrchestrated(stdout io.Writer, cfg live.OrchestratorConfig, res *live.ProcResult) int {
 	rep := res.Report
 	fmt.Fprintf(stdout, "ran %d processes; %d actuations, %d missed, %d wrong\n",
 		cfg.Nodes, rep.Actuations, rep.MissedPeriods, rep.WrongValues)
-	for n, e := range res.Exits {
-		if e != "" {
+	nodes := make([]int, 0, len(res.Exits))
+	for n := range res.Exits {
+		nodes = append(nodes, n)
+	}
+	slices.Sort(nodes)
+	for _, n := range nodes {
+		if e := res.Exits[n]; e != "" {
 			fmt.Fprintf(stdout, "node %d exit: %s\n", n, e)
 		}
 	}
 	for _, sv := range res.Storm {
-		fmt.Fprintf(stdout, "fault: %s on node %d at period %d", sv.Kind, sv.Node, sv.FaultAt)
+		fmt.Fprintf(stdout, "fault: %s on node %d at period %d", sv.Behavior, sv.Node, sv.At/cfg.Period)
 		switch {
 		case sv.ReconnectChecked && sv.Reconnected:
-			fmt.Fprintf(stdout, ", repaired %d periods later — link re-established on every peer", sv.HealAfter)
+			fmt.Fprintf(stdout, ", repaired %d periods later — link re-established on every peer", sv.Heal/cfg.Period)
 		case sv.ReconnectChecked:
-			fmt.Fprintf(stdout, ", repaired %d periods later — LINK NOT RE-ESTABLISHED", sv.HealAfter)
+			fmt.Fprintf(stdout, ", repaired %d periods later — LINK NOT RE-ESTABLISHED", sv.Heal/cfg.Period)
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -553,17 +510,18 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 		fmt.Fprintf(stdout, "schedule: %s (t=%v)\n", ev.desc, sim.Time(ev.at)*p)
 	}
 
-	sink := cfg.Workload.Sinks()[0]
-	victim := live.FirstSinkNode(d)
-	at := sim.Time(atPeriod) * p
-	attack, injected, err := live.BuildAttack(faultKind, victim, sink, p, at)
-	if err != nil {
-		return fail(err)
-	}
-	if injected {
-		attack.Install(d)
+	if faultKind != "none" {
+		sink := cfg.Workload.Sinks()[0]
+		sched, err := adversary.Script{{Behavior: faultKind, Node: -1, Task: sink, At: sim.Time(atPeriod) * p}}.
+			Resolve(topo.N, live.FirstSinkNode(d))
+		if err == nil {
+			err = sched.Install(d, p)
+		}
+		if err != nil {
+			return fail(err)
+		}
 		fmt.Fprintf(stdout, "inject: %s at t=%v (node %d hosts the first-actuating %q replica)\n",
-			attack.Name, at, victim, sink)
+			faultKind, sched[0].At, sched[0].Node, sink)
 	}
 	wallStart := time.Now()
 	rep := d.Run()

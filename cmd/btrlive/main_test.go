@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"btr/internal/adversary"
+	"btr/internal/core"
 	"btr/internal/flow"
 	"btr/internal/live"
 	"btr/internal/network"
@@ -53,21 +54,15 @@ func TestBuildTopologyListsValidChoices(t *testing.T) {
 }
 
 func TestBuildFaultListsValidChoices(t *testing.T) {
-	if _, injected, err := live.BuildAttack("crash", 0, "c2", 25, 100); err != nil || !injected {
-		t.Fatalf("valid fault rejected: %v", err)
+	var errb strings.Builder
+	if code := run([]string{"-fault", "corupt-all"}, strings.NewReader(""), io.Discard, &errb); code != 2 {
+		t.Fatalf("unknown -fault: exit %d, want 2", code)
 	}
-	if _, injected, err := live.BuildAttack("none", 0, "c2", 25, 100); err != nil || injected {
-		t.Fatalf("none fault mishandled: %v injected=%v", err, injected)
-	}
-	_, _, err := live.BuildAttack("corupt-all", 0, "c2", 25, 100)
-	if err == nil {
-		t.Fatal("unknown -fault silently accepted")
-	}
-	// The satellite fix: like btrcampaign -family, the error must name
-	// the flag and list every valid choice.
+	// Like btrcampaign -family, the error must name the flag and list
+	// every valid choice.
 	for _, want := range append([]string{"-fault", `"corupt-all"`, "valid:"}, live.FaultKinds()...) {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("error %q missing %q", errb.String(), want)
 		}
 	}
 }
@@ -99,10 +94,10 @@ func TestCatalogEntryReachesFaultValidation(t *testing.T) {
 			t.Errorf("%s lists dummy-proc: %v, want %v (%v)", c.list, got, c.proc, c.kinds)
 		}
 	}
-	if _, injected, err := live.BuildAttack("dummy-node", 0, "c2", 25, 100); err != nil || !injected {
-		t.Errorf("-fault dummy-node: injected=%v err=%v", injected, err)
+	if _, err := (adversary.Script{{Behavior: "dummy-node", Node: -1}}).Resolve(4, 0); err != nil {
+		t.Errorf("-fault dummy-node rejected: %v", err)
 	}
-	if _, err := parseFaults("dummy-proc@3", 16); err != nil {
+	if _, err := adversary.ParseScript("dummy-proc@3", 25, live.StormFaultKinds()); err != nil {
 		t.Errorf("-faults dummy-proc@3 rejected: %v", err)
 	}
 	var errb strings.Builder
@@ -114,42 +109,29 @@ func TestCatalogEntryReachesFaultValidation(t *testing.T) {
 	}
 }
 
-func TestParseFaultsSchedule(t *testing.T) {
-	faults, err := parseFaults("kill-restart@3+3,partition@5", 16)
-	if err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
+// TestOrchestratedExitsPrintInNodeOrder: the node exit lines of an
+// orchestrated run come out in ascending node order, the same on every
+// print of the same result.
+func TestOrchestratedExitsPrintInNodeOrder(t *testing.T) {
+	const p = 500 * sim.Millisecond
+	cfg := live.OrchestratorConfig{Nodes: 4, F: 1, Period: p}
+	res := &live.ProcResult{
+		Report: core.NewPlant(live.DefaultWorkload(p), 10, 4*p, nil).Report(),
+		Exits:  map[int]string{3: "exit status 1", 0: "signal: killed", 2: "", 1: "exit status 2"},
 	}
-	if len(faults) != 2 {
-		t.Fatalf("schedule parsed wrong: %+v", faults)
-	}
-	if faults[0].Kind != "kill-restart" || faults[0].Node != -1 || faults[0].FaultAt != 3 || faults[0].HealAfter != 3 {
-		t.Fatalf("first entry parsed wrong: %+v", faults[0])
-	}
-	if faults[1].Kind != "partition" || faults[1].HealAfter != 0 {
-		t.Fatalf("heal-less entry should leave HealAfter 0 (orchestrator default): %+v", faults[1])
-	}
-	// An unknown kind errors through cliflag, naming the flag and listing
-	// every valid choice.
-	_, err = parseFaults("stopp@3", 16)
-	if err == nil {
-		t.Fatal("unknown schedule kind silently accepted")
-	}
-	for _, want := range []string{"-faults", `"stopp"`, "valid:", "kill", "kill-restart", "stop", "partition"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	var first string
+	for i := 0; i < 20; i++ {
+		var out strings.Builder
+		printOrchestrated(&out, cfg, res)
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("print %d differs:\n%s\nvs the first:\n%s", i, out.String(), first)
 		}
 	}
-	for name, spec := range map[string]string{
-		"missing @":         "stop",
-		"bad period":        "stop@x",
-		"period >= horizon": "stop@16",
-		"bad heal":          "stop@3+x",
-		"catalog kind":      "corrupt-all@3",
-		"empty tail entry":  "stop@3,",
-	} {
-		if _, err := parseFaults(spec, 16); err == nil {
-			t.Errorf("%s (%q) silently accepted", name, spec)
-		}
+	want := "node 0 exit: signal: killed\nnode 1 exit: exit status 2\nnode 3 exit: exit status 1\n"
+	if !strings.Contains(first, want) {
+		t.Errorf("exit lines not in node order:\n%s", first)
 	}
 }
 

@@ -75,11 +75,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if b, ok := adversary.Lookup(*attack); ok {
 		midTask, sinkTask := pipelineTargets(g)
 		base := sys.Strategy.Plans[""]
-		victim, task := base.Assign[plan.ReplicaID(midTask, 0)], midTask
+		f := adversary.Fault{Behavior: *attack, Node: base.Assign[plan.ReplicaID(midTask, 0)], Task: midTask, At: sim.Time(*attackPeriod) * period}
 		if b.Scope == adversary.Sink {
-			victim, task = base.FirstSinkHost(sinkTask), sinkTask
+			f.Node, f.Task = base.FirstSinkHost(sinkTask), sinkTask
 		}
-		b.Build(victim, task, period, sim.Time(*attackPeriod)*period).Install(sys)
+		if err := (adversary.Script{f}).Install(sys, period); err != nil {
+			return fail(2, err)
+		}
 	}
 
 	rep := sys.Run()

@@ -1,9 +1,9 @@
 // Package adversary packages the threat model (§2.1) as reusable attack
 // scripts: "there is an adversary who has compromised some subset of the
 // nodes and has complete control over them". Each Attack installs a
-// Byzantine behavior (or crash) on a node at a chosen time; Staggered
-// builds the paper's worst-case schedule — a fresh fault every R seconds,
-// stretching the outage toward k·R (§3).
+// Byzantine behavior (or crash) on a node at a chosen time; a Script
+// schedules Catalog behaviors by name, among them the paper's worst case
+// — a fresh fault every R seconds, stretching the outage toward k·R (§3).
 package adversary
 
 import (
@@ -26,25 +26,20 @@ type Attack struct {
 	Apply func(rt *runtime.System)
 }
 
-// Injector schedules fault injections against a deployment and records
-// their times for recovery attribution. Both execution modes satisfy it —
+// Injector schedules fault injections against a deployment, recording
+// their times for recovery attribution, and repairs, which are not
+// faults and are not recorded. Both execution modes satisfy it —
 // core.System (simulated) and live.Deployment (wall clock) — so the same
 // attack scripts run unchanged against either.
 type Injector interface {
 	InjectAt(t sim.Time, f func(*runtime.System))
+	RepairAt(t sim.Time, f func(*runtime.System))
 }
 
 // Install registers the attack on a deployment (records the fault time
 // for recovery accounting).
 func (a Attack) Install(sys Injector) {
 	sys.InjectAt(a.At, a.Apply)
-}
-
-// InstallAll registers a batch of attacks.
-func InstallAll(sys Injector, attacks ...Attack) {
-	for _, a := range attacks {
-		a.Install(sys)
-	}
 }
 
 // Crash fail-stops the node.
@@ -55,148 +50,94 @@ func Crash(node network.NodeID, at sim.Time) Attack {
 	}
 }
 
+// behave is the Attack that installs a fresh copy of b on node.
+func behave(name string, node network.NodeID, at sim.Time, b runtime.Behavior) Attack {
+	return Attack{Name: name, At: at, Node: node, Apply: func(rt *runtime.System) {
+		b := b
+		rt.SetBehavior(node, &b)
+	}}
+}
+
 // CorruptTask makes the node emit wrong values for every replica of the
 // given logical task it hosts (commission fault; provable by
 // re-execution, or by checkers when the task is a sink).
 func CorruptTask(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("corrupt(%d,%s)", node, logical), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					if rec.Logical == logical {
-						rec.Value = append([]byte("corrupt:"), rec.Value...)
-					}
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("corrupt(%d,%s)", node, logical), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			if rec.Logical == logical {
+				rec.Value = append([]byte("corrupt:"), rec.Value...)
+			}
+			return rec, 0, true
+		}})
 }
 
 // CorruptEverything corrupts every output of the node.
 func CorruptEverything(node network.NodeID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("corrupt-all(%d)", node), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					rec.Value = append([]byte("x"), rec.Value...)
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("corrupt-all(%d)", node), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			rec.Value = append([]byte("x"), rec.Value...)
+			return rec, 0, true
+		}})
 }
 
 // Equivocate sends conflicting values of the logical task to different
 // consumers (split-brain).
 func Equivocate(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("equivocate(%d,%s)", node, logical), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					if rec.Logical == logical {
-						_, idx := plan.SplitReplica(consumer)
-						if idx%2 == 0 {
-							rec.Value = append([]byte("fork:"), rec.Value...)
-						}
-					}
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("equivocate(%d,%s)", node, logical), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			if rec.Logical == logical {
+				_, idx := plan.SplitReplica(consumer)
+				if idx%2 == 0 {
+					rec.Value = append([]byte("fork:"), rec.Value...)
+				}
+			}
+			return rec, 0, true
+		}})
 }
 
 // Omit silently drops all outputs of the logical task (omission fault;
 // convictable only via path accusations).
 func Omit(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("omit(%d,%s)", node, logical), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					if rec.Logical == logical {
-						return rec, 0, false
-					}
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("omit(%d,%s)", node, logical), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			return rec, 0, rec.Logical != logical
+		}})
 }
 
 // Delay holds the logical task's messages back by d without admitting it
 // (claimed send time stays in-window — only watchdogs can catch this).
 func Delay(node network.NodeID, logical flow.TaskID, d, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("delay(%d,%s,%v)", node, logical, d), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					if rec.Logical == logical {
-						return rec, d, true
-					}
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("delay(%d,%s,%v)", node, logical, d), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			if rec.Logical == logical {
+				return rec, d, true
+			}
+			return rec, 0, true
+		}})
 }
 
 // LieAboutSendTime stamps an out-of-window send offset (timing fault with
 // a cryptographic proof).
 func LieAboutSendTime(node network.NodeID, logical flow.TaskID, skew, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("timestamp-lie(%d,%s)", node, logical), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{
-				OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-					if rec.Logical == logical {
-						rec.SendOff += skew
-					}
-					return rec, 0, true
-				},
-			})
-		},
-	}
+	return behave(fmt.Sprintf("timestamp-lie(%d,%s)", node, logical), node, at,
+		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+			if rec.Logical == logical {
+				rec.SendOff += skew
+			}
+			return rec, 0, true
+		}})
 }
 
 // FloodBogus sprays invalid evidence at every neighbor each period (the
 // §4.3 DoS attack on the evidence channel).
 func FloodBogus(node network.NodeID, perPeriod int, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("bogus-flood(%d,%d/period)", node, perPeriod), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{BogusEvidencePerPeriod: perPeriod})
-		},
-	}
+	return behave(fmt.Sprintf("bogus-flood(%d,%d/period)", node, perPeriod), node, at,
+		runtime.Behavior{BogusEvidencePerPeriod: perPeriod})
 }
 
 // SkipActuation suppresses the node's actuations only (its dataflow and
 // audit records stay correct) — the residual split-brain actuator fault
 // that is visible only through the physics (see DESIGN.md).
 func SkipActuation(node network.NodeID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("skip-actuation(%d)", node), At: at, Node: node,
-		Apply: func(rt *runtime.System) {
-			rt.SetBehavior(node, &runtime.Behavior{SkipActuation: true})
-		},
-	}
-}
-
-// Staggered schedules one attack every interval starting at start — the
-// §3 adversary that "can trigger a new fault every R seconds and thus
-// potentially force the system to produce bad outputs for kR seconds".
-// The builder receives the attack index and its fire time.
-func Staggered(start, interval sim.Time, k int,
-	build func(i int, at sim.Time) Attack) []Attack {
-	out := make([]Attack, 0, k)
-	for i := 0; i < k; i++ {
-		at := start + sim.Time(i)*interval
-		out = append(out, build(i, at))
-	}
-	return out
+	return behave(fmt.Sprintf("skip-actuation(%d)", node), node, at, runtime.Behavior{SkipActuation: true})
 }

@@ -100,21 +100,6 @@ func TestFloodBogusAttack(t *testing.T) {
 	}
 }
 
-func TestStaggeredBuilder(t *testing.T) {
-	attacks := Staggered(100, 50, 3, func(i int, at sim.Time) Attack {
-		return Crash(network.NodeID(i), at)
-	})
-	if len(attacks) != 3 {
-		t.Fatalf("got %d attacks", len(attacks))
-	}
-	for i, a := range attacks {
-		want := sim.Time(100 + i*50)
-		if a.At != want {
-			t.Errorf("attack %d at %v, want %v", i, a.At, want)
-		}
-	}
-}
-
 func TestAttackNames(t *testing.T) {
 	for _, a := range []Attack{
 		Crash(1, 0), CorruptTask(1, "t", 0), CorruptEverything(1, 0),

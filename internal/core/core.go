@@ -321,6 +321,12 @@ func NewSystem(cfg Config) (*System, error) {
 // crashes.
 func (d *Deployment) InjectAt(t sim.Time, f func(*runtime.System)) {
 	d.plant.rep.FaultTimes = append(d.plant.rep.FaultTimes, t)
+	d.RepairAt(t, f)
+}
+
+// RepairAt schedules a repair. A repair is not a fault: nothing is
+// recorded for recovery attribution.
+func (d *Deployment) RepairAt(t sim.Time, f func(*runtime.System)) {
 	d.sched.At(t, func() { f(d.Runtime) })
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"btr/internal/adversary"
 	"btr/internal/campaign"
 	"btr/internal/core"
 	"btr/internal/faultrate"
@@ -84,7 +85,7 @@ func runC10Sweep(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, erro
 		F: c.f, Seed: seed,
 		Behaviors: faultrate.ExtendedCatalog(),
 	}, c10Victims(s, workload))
-	if err := faultrate.Install(s, arrivals); err != nil {
+	if err := faultrate.Script(arrivals).Install(s, period); err != nil {
 		return C8Row{}, err
 	}
 	rep := s.Run()
@@ -111,7 +112,7 @@ type c10Storm struct {
 	topo   string
 	nodes  int
 	f      int
-	faults []live.FaultSpec
+	faults adversary.Script
 }
 
 // c10Storms lists the scripted storms: two concurrent process-level
@@ -119,13 +120,13 @@ type c10Storm struct {
 // clocks overlapping mid-run.
 func c10Storms(p campaign.Params) []c10Storm {
 	storms := []c10Storm{
-		{"kill-restart+partition", "full-mesh", 4, 1, []live.FaultSpec{
-			{Kind: "kill-restart", Node: -1, FaultAt: 3, HealAfter: 3},
-			{Kind: "partition", Node: -1, FaultAt: 5, HealAfter: 3},
+		{"kill-restart+partition", "full-mesh", 4, 1, adversary.Script{
+			{Behavior: "kill-restart", Node: -1, At: 3 * c7Period, Heal: 3 * c7Period},
+			{Behavior: "partition", Node: -1, At: 5 * c7Period, Heal: 3 * c7Period},
 		}},
-		{"stop+kill-restart", "full-mesh", 4, 1, []live.FaultSpec{
-			{Kind: "stop", Node: -1, FaultAt: 3, HealAfter: 3},
-			{Kind: "kill-restart", Node: -1, FaultAt: 5, HealAfter: 3},
+		{"stop+kill-restart", "full-mesh", 4, 1, adversary.Script{
+			{Behavior: "stop", Node: -1, At: 3 * c7Period, Heal: 3 * c7Period},
+			{Behavior: "kill-restart", Node: -1, At: 5 * c7Period, Heal: 3 * c7Period},
 		}},
 	}
 	if p.Quick {
@@ -159,11 +160,12 @@ type C10StormRow struct {
 	Reconnected      bool
 }
 
-// c10StormFaultsDesc renders a schedule compactly: "kind@at+heal ...".
-func c10StormFaultsDesc(faults []live.FaultSpec) string {
-	var parts []string
-	for _, fs := range faults {
-		parts = append(parts, fmt.Sprintf("%s@%d+%d", fs.Kind, fs.FaultAt, fs.HealAfter))
+// desc renders the storm's schedule in the text form, entries
+// space-separated: "kind@at+heal ...".
+func (st c10Storm) desc() string {
+	parts := make([]string, len(st.faults))
+	for i, f := range st.faults {
+		parts[i] = f.Format(c7Period)
 	}
 	return strings.Join(parts, " ")
 }
@@ -174,7 +176,7 @@ func runC10Storm(st c10Storm, seed uint64) (C10StormRow, error) {
 	res, err := live.RunOrchestrator(live.OrchestratorConfig{
 		Topo: st.topo, Nodes: st.nodes, F: st.f, Seed: seed,
 		Period: c7Period, Margin: c7Margin, Horizon: 16,
-		Faults:  append([]live.FaultSpec(nil), st.faults...),
+		Faults:  st.faults,
 		Forgive: 2 * c7Period,
 	})
 	if err != nil {
@@ -182,7 +184,7 @@ func runC10Storm(st c10Storm, seed uint64) (C10StormRow, error) {
 	}
 	row := C10StormRow{
 		Name: st.name, Topology: st.topo, Nodes: st.nodes, F: st.f,
-		Faults:     c10StormFaultsDesc(st.faults),
+		Faults:     st.desc(),
 		OverBudget: res.OverBudget, Reconciled: res.Reconciled,
 		Flagged:  res.OverBudget > 0,
 		Confined: res.Confined,
@@ -275,7 +277,7 @@ func C10Scenario() campaign.Scenario {
 			for i, st := range storms {
 				row, ok := campaign.Value[C10StormRow](trials[nSweep+i])
 				if !ok {
-					t.AddRow(failedRow(st.name), st.topo, st.nodes, c10StormFaultsDesc(st.faults), "-", "-", "-", "-", "-")
+					t.AddRow(failedRow(st.name), st.topo, st.nodes, st.desc(), "-", "-", "-", "-", "-")
 					continue
 				}
 				reconnect := "n/a"

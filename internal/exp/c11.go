@@ -81,7 +81,7 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 	res, err := live.RunOrchestrator(live.OrchestratorConfig{
 		Topo: c.topo, Nodes: c.nodes, F: c.f, Seed: seed,
 		Period: c7Period, Margin: c7Margin, Horizon: 10,
-		Faults:  live.OneFault(c.fault, 3),
+		Faults:  procFault(c.fault),
 		Clients: c11Clients,
 	})
 	if err != nil {

@@ -121,14 +121,14 @@ func C5Scenario() campaign.Scenario {
 							if err != nil {
 								return nil, err
 							}
-							victim := live.FirstSinkNode(d)
 							fault := "corrupt-all"
-							attack := adversary.CorruptEverything(victim, 3*c5Period)
 							if rep%2 == 1 {
 								fault = "crash"
-								attack = adversary.Crash(victim, 3*c5Period)
 							}
-							attack.Install(d)
+							script := adversary.Script{{Behavior: fault, Node: live.FirstSinkNode(d), At: 3 * c5Period}}
+							if err := script.Install(d, c5Period); err != nil {
+								return nil, err
+							}
 							rep := d.Run()
 							return C5Row{
 								Topology: c.kind, Nodes: c.n, F: c.f, Fault: fault,

@@ -20,6 +20,7 @@ package exp
 import (
 	"fmt"
 
+	"btr/internal/adversary"
 	"btr/internal/campaign"
 	"btr/internal/live"
 	"btr/internal/metrics"
@@ -87,6 +88,16 @@ func foldReconnect(storm []live.StormVerdict) (checked, reconnected bool) {
 	return checked, checked && reconnected
 }
 
+// procFault is the orchestrated one-fault schedule: fault against the
+// strategy victim at period 3, repaired 3 periods later; "none" is the
+// empty schedule, a soak.
+func procFault(fault string) adversary.Script {
+	if fault == "none" {
+		return nil
+	}
+	return adversary.Script{{Behavior: fault, Node: -1, At: 3 * c7Period, Heal: 3 * c7Period}}
+}
+
 // C7Scenario returns the multi-process deployment soak. Exported (like
 // C5Scenario) so the bundle emitter can run it standalone.
 func C7Scenario() campaign.Scenario {
@@ -106,7 +117,7 @@ func C7Scenario() campaign.Scenario {
 						res, err := live.RunOrchestrator(live.OrchestratorConfig{
 							Topo: c.topo, Nodes: c.nodes, F: c.f, Seed: t.TrialSeed(),
 							Period: c7Period, Margin: c7Margin, Horizon: 10,
-							Faults: live.OneFault(c.fault, 3),
+							Faults: procFault(c.fault),
 						})
 						if err != nil {
 							return nil, err

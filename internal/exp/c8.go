@@ -141,7 +141,7 @@ func runC8Case(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, error)
 		Start: 4 * period, Horizon: sim.Time(horizon) * period,
 		F: c.f, Seed: seed,
 	}, c8Victims(s))
-	if err := faultrate.Install(s, arrivals); err != nil {
+	if err := faultrate.Script(arrivals).Install(s, period); err != nil {
 		return C8Row{}, err
 	}
 	rep := s.Run()

@@ -69,17 +69,18 @@ func c1Colluding() campaign.Scenario {
 							period := s.Cfg.Workload.Period
 							gap := s.Strategy.RNeeded + 2*period
 							cat := faultrate.Catalog()
-							victims := pickColluders(s, rng, k)
+							var script adversary.Script
 							var names []string
-							for i, v := range victims {
-								b, _ := adversary.Lookup(cat[rng.Intn(len(cat))])
+							for i, v := range pickColluders(s, rng, k) {
+								b := cat[rng.Intn(len(cat))]
 								// Attack a logical task the victim actually
 								// hosts, so the behavior can manifest.
-								hosted := v.logicals
-								l := hosted[rng.Intn(len(hosted))]
-								at := 5*period + sim.Time(i)*gap
-								b.Build(v.node, l, period, at).Install(s)
-								names = append(names, fmt.Sprintf("%s(%d,%s)", b.Name, v.node, l))
+								l := v.logicals[rng.Intn(len(v.logicals))]
+								script = append(script, adversary.Fault{Behavior: b, Node: v.node, Task: l, At: 5*period + sim.Time(i)*gap})
+								names = append(names, fmt.Sprintf("%s(%d,%s)", b, v.node, l))
+							}
+							if err := script.Install(s, period); err != nil {
+								return nil, err
 							}
 							rep := s.Run()
 							return c1Row{

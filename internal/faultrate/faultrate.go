@@ -4,13 +4,13 @@
 // rates) and heal again, so the instantaneous active-fault count wanders
 // above and below the plan capacity f.
 //
-// The package has three parts. Schedule draws a deterministic
+// The package has two parts. Schedule draws a deterministic
 // Poisson-style arrival process (seeded; exponential inter-arrivals)
-// over a victim pool, pairing every fault with its heal instant.
-// Install replays such a schedule against a simulated deployment
-// (core.System built with Config.ForgiveAfter, so convictions expire
-// and the fault set can shrink again). Classify then judges every bad
-// sink-period of the run's report:
+// over a victim pool, pairing every fault with its heal delay; Script
+// turns the draws into an adversary.Script, which installs against a
+// simulated deployment (core.System built with Config.ForgiveAfter, so
+// convictions expire and the fault set can shrink again). Classify then
+// judges every bad sink-period of the run's report:
 //
 //   - tolerated — within the recovery bound of a fault that arrived
 //     while the system was within budget (≤ f active episodes): the
@@ -24,7 +24,6 @@
 package faultrate
 
 import (
-	"fmt"
 	"math"
 
 	"btr/internal/adversary"
@@ -81,19 +80,16 @@ type Victim struct {
 	Sinks []flow.TaskID
 }
 
-// Arrival is one scheduled fault episode.
+// Arrival is one scheduled fault episode: its script entry plus the
+// budget accounting the schedule does not carry.
 type Arrival struct {
-	At       sim.Time
-	HealAt   sim.Time
-	Node     network.NodeID
-	Logical  flow.TaskID
-	Behavior string
+	adversary.Fault
 	// ActiveAtArrival counts the budget-consuming episodes — this one
 	// included, if it convicts — whose influence window covers At. An
 	// episode's influence outlives its heal: the conviction lingers in
 	// every fault set until the cluster-wide parole, Forgive (+ boundary
 	// rounding) past detection, so the window is
-	// [At, HealAt + Forgive + 2 periods). Non-convicting episodes (see
+	// [At, At + Heal + Forgive + 2 periods). Non-convicting episodes (see
 	// adversary.Behavior.Convicts) saturate their victim but never enter
 	// the count. Arrivals with ActiveAtArrival ≤ f are the ones the
 	// classic guarantee must tolerate.
@@ -162,14 +158,13 @@ func Schedule(p Params, victims []Victim) []Arrival {
 				active++
 			}
 		}
-		heal := t + p.Heal
-		end[v.Node] = heal + linger(p)
+		end[v.Node] = t + p.Heal + linger(p)
 		if beh.Convicts {
-			convictEnd[v.Node] = heal + linger(p)
+			convictEnd[v.Node] = end[v.Node]
 		}
 		out = append(out, Arrival{
-			At: t, HealAt: heal, Node: v.Node, Logical: l,
-			Behavior: b, ActiveAtArrival: active,
+			Fault:           adversary.Fault{Behavior: b, Node: v.Node, Task: l, At: t, Heal: p.Heal},
+			ActiveAtArrival: active,
 		})
 	}
 }
@@ -185,28 +180,13 @@ func expInterval(rng *sim.RNG, lambda float64) sim.Time {
 	return d
 }
 
-// Install schedules every arrival's fault and heal against a simulated
-// deployment. Faults go through the adversary catalog (recorded as
-// FaultTimes via InjectAt); heals are plain kernel events — a heal is
-// repair, not a fault, and must not skew recovery attribution. Crash
-// episodes heal by runtime restart, behavior episodes by clearing the
-// behavior hook; either way the node only rejoins the dataflow once its
-// conviction expires on the parole clock.
-func Install(s *core.System, arrivals []Arrival) error {
-	for _, a := range arrivals {
-		a := a
-		beh, ok := adversary.Lookup(a.Behavior)
-		if !ok || beh.Build == nil {
-			return fmt.Errorf("faultrate: unknown behavior %q", a.Behavior)
-		}
-		beh.Build(a.Node, a.Logical, s.Cfg.Workload.Period, a.At).Install(s)
-		if a.Behavior == "crash" {
-			s.Kernel.At(a.HealAt, func() { s.Runtime.Restart(a.Node) })
-		} else {
-			s.Kernel.At(a.HealAt, func() { s.Runtime.SetBehavior(a.Node, nil) })
-		}
+// Script is the arrivals' fault script, in arrival order.
+func Script(arrivals []Arrival) adversary.Script {
+	s := make(adversary.Script, len(arrivals))
+	for i, a := range arrivals {
+		s[i] = a.Fault
 	}
-	return nil
+	return s
 }
 
 // Outcome is the per-run classification of every judged sink-period.

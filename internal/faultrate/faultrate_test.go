@@ -62,14 +62,14 @@ func TestScheduleBounds(t *testing.T) {
 		if a.At < p.Start || a.At >= p.Horizon {
 			t.Errorf("arrival at %v outside [%v, %v)", a.At, p.Start, p.Horizon)
 		}
-		if a.HealAt != a.At+p.Heal {
-			t.Errorf("heal at %v, want %v", a.HealAt, a.At+p.Heal)
+		if a.Heal != p.Heal {
+			t.Errorf("heal delay %v, want %v", a.Heal, p.Heal)
 		}
 		if !cat[a.Behavior] {
 			t.Errorf("behavior %q not in the catalog", a.Behavior)
 		}
-		if a.Logical != "t0" && a.Logical != "t1" {
-			t.Errorf("logical %q not hosted by the victim", a.Logical)
+		if a.Task != "t0" && a.Task != "t1" {
+			t.Errorf("logical %q not hosted by the victim", a.Task)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestScheduleSingleVictimNeverOverlaps(t *testing.T) {
 			t.Errorf("arrival %d: active=%d, want 1", i, a.ActiveAtArrival)
 		}
 		if i > 0 {
-			prevEnd := arr[i-1].HealAt + linger(p)
+			prevEnd := arr[i-1].At + arr[i-1].Heal + linger(p)
 			if a.At < prevEnd {
 				t.Errorf("arrival %d at %v inside predecessor's influence window (ends %v)", i, a.At, prevEnd)
 			}
@@ -111,7 +111,7 @@ func TestScheduleActiveAccounting(t *testing.T) {
 	for i, a := range arr {
 		want := 1
 		for j := 0; j < i; j++ {
-			if arr[j].HealAt+linger(p) > a.At {
+			if arr[j].At+arr[j].Heal+linger(p) > a.At {
 				want++
 			}
 		}
@@ -124,13 +124,6 @@ func TestScheduleActiveAccounting(t *testing.T) {
 	}
 	if peak <= p.F {
 		t.Fatalf("peak active %d never exceeded f=%d — λ=8 schedule exercises no over-budget regime", peak, p.F)
-	}
-}
-
-func TestInstallRejectsUnknownBehavior(t *testing.T) {
-	err := Install(nil, []Arrival{{Behavior: "meltdown"}})
-	if err == nil {
-		t.Fatal("unknown behavior accepted")
 	}
 }
 
@@ -156,8 +149,8 @@ func TestClassifyThreeWays(t *testing.T) {
 	// (lead=grace=25ms), and bad output in three separate spans: one per
 	// class.
 	arrivals := []Arrival{
-		{At: 100 * sim.Millisecond, ActiveAtArrival: 1},
-		{At: 400 * sim.Millisecond, ActiveAtArrival: 2},
+		{Fault: adversary.Fault{At: 100 * sim.Millisecond}, ActiveAtArrival: 1},
+		{Fault: adversary.Fault{At: 400 * sim.Millisecond}, ActiveAtArrival: 2},
 	}
 	bad := []metrics.Interval{
 		{Start: 100 * sim.Millisecond, End: 150 * sim.Millisecond}, // tolerated (2 periods)
@@ -186,7 +179,7 @@ func TestClassifyThreeWays(t *testing.T) {
 // against the classic guarantee, not the degradation ledger.
 func TestClassifyToleratedPrecedence(t *testing.T) {
 	const p = 25 * sim.Millisecond
-	arrivals := []Arrival{{At: 400 * sim.Millisecond, ActiveAtArrival: 1}}
+	arrivals := []Arrival{{Fault: adversary.Fault{At: 400 * sim.Millisecond}, ActiveAtArrival: 1}}
 	bad := []metrics.Interval{{Start: 425 * sim.Millisecond, End: 450 * sim.Millisecond}}
 	degraded := []metrics.Interval{{Start: 400 * sim.Millisecond, End: 500 * sim.Millisecond}}
 	rep := syntheticReport(p, 1000*sim.Millisecond, 50*sim.Millisecond, bad, degraded)
@@ -201,7 +194,7 @@ func TestClassifyToleratedPrecedence(t *testing.T) {
 // miss.
 func TestClassifyOverBudgetWithoutWindowIsUntolerated(t *testing.T) {
 	const p = 25 * sim.Millisecond
-	arrivals := []Arrival{{At: 400 * sim.Millisecond, ActiveAtArrival: 2}}
+	arrivals := []Arrival{{Fault: adversary.Fault{At: 400 * sim.Millisecond}, ActiveAtArrival: 2}}
 	bad := []metrics.Interval{{Start: 425 * sim.Millisecond, End: 450 * sim.Millisecond}}
 	rep := syntheticReport(p, 1000*sim.Millisecond, 50*sim.Millisecond, bad, nil)
 	out := Classify(rep, arrivals, 1, p, p)
@@ -235,14 +228,14 @@ func TestScheduleExtendedCatalog(t *testing.T) {
 			t.Errorf("arrival %d: behavior %q not in the extended catalog", i, a.Behavior)
 		}
 		seen[a.Behavior] = true
-		if beh, _ := adversary.Lookup(a.Behavior); beh.Scope == adversary.Sink && a.Logical != "t1" {
-			t.Errorf("arrival %d: sink-bound %s targets non-sink %q", i, a.Behavior, a.Logical)
+		if beh, _ := adversary.Lookup(a.Behavior); beh.Scope == adversary.Sink && a.Task != "t1" {
+			t.Errorf("arrival %d: sink-bound %s targets non-sink %q", i, a.Behavior, a.Task)
 		}
 		if a.Behavior == "skip-actuation" {
 			// The episode itself must not enter the budget count.
 			want := 0
 			for j := 0; j < i; j++ {
-				if beh, _ := adversary.Lookup(arr[j].Behavior); beh.Convicts && arr[j].HealAt+linger(p) > a.At {
+				if beh, _ := adversary.Lookup(arr[j].Behavior); beh.Convicts && arr[j].At+arr[j].Heal+linger(p) > a.At {
 					want++
 				}
 			}
@@ -296,12 +289,13 @@ func TestClassifyWindowAtPeriodBoundary(t *testing.T) {
 	}
 }
 
-// TestClassifyZeroDwellArrival: an episode healed the instant it arrived
-// still opens the full tolerated span [At, At+R+P] — and the span's end
+// TestClassifyZeroDwellArrival: the tolerated span is set by the arrival
+// alone — an episode with no heal delay still opens the full span
+// [At, At+R+P] — and the span's end
 // is inclusive, closing exactly one period later than R.
 func TestClassifyZeroDwellArrival(t *testing.T) {
 	const p = 25 * sim.Millisecond
-	arrivals := []Arrival{{At: 400 * sim.Millisecond, HealAt: 400 * sim.Millisecond, ActiveAtArrival: 1}}
+	arrivals := []Arrival{{Fault: adversary.Fault{At: 400 * sim.Millisecond}, ActiveAtArrival: 1}}
 	bad := []metrics.Interval{
 		{Start: 400 * sim.Millisecond, End: 425 * sim.Millisecond}, // at the arrival instant
 		{Start: 475 * sim.Millisecond, End: 500 * sim.Millisecond}, // at At+R+P exactly

@@ -1,6 +1,6 @@
 package live
 
-// The orchestrated run's fault schedule and its judge: resolveSchedule
+// The orchestrated run's fault schedule and its judge: checkSchedule
 // turns OrchestratorConfig.Faults into the concrete per-victim schedule
 // RunOrchestrator drives, and judge holds the finished run to the
 // paper's promise — after at most f faults, outputs are correct again
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"btr/internal/adversary"
-	"btr/internal/cliflag"
 	"btr/internal/evidence"
 	"btr/internal/network"
 	"btr/internal/sim"
@@ -25,61 +24,36 @@ func processFault(kind string) bool {
 	return ok && b.Scope == adversary.Process
 }
 
-// resolveSchedule validates faults against an n-node deployment of
-// horizon periods and returns a copy with every default applied: heal
-// delays of 0 become 3, and auto victims (-1) resolve to the strategy
-// victim first, then the lowest untargeted slots. Every entry must hit a
-// distinct node and fit the run (FaultAt + HealAfter < horizon), and an
-// in-process behavior must be the only entry.
-func resolveSchedule(faults []FaultSpec, n int, victim network.NodeID, horizon uint64) ([]FaultSpec, error) {
-	sched := append([]FaultSpec(nil), faults...)
-	used := map[int]bool{}
-	for i := range sched {
-		e := &sched[i]
-		if err := cliflag.OneOf("faults", e.Kind, adversary.Names(nil)); err != nil {
-			return nil, err
-		}
-		if !processFault(e.Kind) && len(sched) > 1 {
-			return nil, fmt.Errorf("live: in-process fault %s must be the schedule's only entry", e.Kind)
-		}
-		if e.HealAfter == 0 {
-			e.HealAfter = 3
-		}
-		if e.FaultAt+e.HealAfter >= horizon {
-			return nil, fmt.Errorf("live: fault %s at period %d healed %d periods later does not fit horizon %d",
-				e.Kind, e.FaultAt, e.HealAfter, horizon)
-		}
-		if e.Node < 0 {
-			continue
-		}
-		if e.Node >= n {
-			return nil, fmt.Errorf("live: fault schedule targets node %d of a %d-node deployment", e.Node, n)
-		}
-		if used[e.Node] {
-			return nil, fmt.Errorf("live: fault schedule targets node %d twice", e.Node)
-		}
-		used[e.Node] = true
+// checkSchedule resolves cfg.Faults for an n-node deployment
+// (adversary.Script.Resolve) and holds it to the orchestrator's own
+// rules: an in-process behavior must be the only entry (it rides its
+// victim's spec), a process fault repaired from here needs a repair
+// delay, and every entry must be aligned to the period — a restarted
+// process rejoins at a period boundary — and fit the run
+// (At + Heal < horizon), also the kinds nothing repairs ("kill", the
+// in-process behaviors).
+func checkSchedule(cfg OrchestratorConfig, n int, victim network.NodeID) (adversary.Script, error) {
+	sched, err := cfg.Faults.Resolve(n, victim)
+	if err != nil {
+		return nil, err
 	}
-	for i := range sched {
-		if sched[i].Node >= 0 {
-			continue
-		}
-		pick := -1
-		if !used[int(victim)] {
-			pick = int(victim)
-		} else {
-			for slot := 0; slot < n; slot++ {
-				if !used[slot] {
-					pick = slot
-					break
-				}
+	p := cfg.Period
+	for _, e := range sched {
+		switch {
+		case processFault(e.Behavior):
+			if e.Behavior != "kill" && e.Heal == 0 {
+				return nil, fmt.Errorf("live: fault %s needs a repair delay", e.Behavior)
 			}
+		case len(sched) > 1:
+			return nil, fmt.Errorf("live: in-process fault %s must be the schedule's only entry", e.Behavior)
 		}
-		if pick < 0 {
-			return nil, fmt.Errorf("live: fault schedule has more entries than nodes")
+		if e.At%p != 0 || e.Heal%p != 0 {
+			return nil, fmt.Errorf("live: fault %s at %v healed %v later is not aligned to the %v period", e.Behavior, e.At, e.Heal, p)
 		}
-		sched[i].Node = pick
-		used[pick] = true
+		if e.At+e.Heal >= sim.Time(cfg.Horizon)*p {
+			return nil, fmt.Errorf("live: fault %s at period %d healed %d periods later does not fit horizon %d",
+				e.Behavior, e.At/p, e.Heal/p, cfg.Horizon)
+		}
 	}
 	return sched, nil
 }
@@ -99,19 +73,19 @@ func resolveSchedule(faults []FaultSpec, n int, victim network.NodeID, horizon u
 //   - every repair the transport must show has re-established its links;
 //   - clients, when they ran, saw no errors and no unavailability
 //     longer than SLOBound = R + 2·period + margin.
-func judge(cfg OrchestratorConfig, topo *network.Topology, sched []FaultSpec, res *ProcResult) {
+func judge(cfg OrchestratorConfig, topo *network.Topology, sched adversary.Script, res *ProcResult) {
 	rep := res.Report
 	slack := rep.RNeeded + 2*cfg.Period + cfg.Margin
 	res.SLOBound = time.Duration(slack) * time.Microsecond
 
 	var lastRepair sim.Time
 	for _, e := range sched {
-		rep.FaultTimes = append(rep.FaultTimes, sim.Time(e.FaultAt)*cfg.Period)
-		end := e.FaultAt
-		if e.Kind != "kill" {
-			end += e.HealAfter
+		rep.FaultTimes = append(rep.FaultTimes, e.At)
+		end := e.At
+		if e.Behavior != "kill" {
+			end += e.Heal
 		}
-		lastRepair = max(lastRepair, sim.Time(end)*cfg.Period)
+		lastRepair = max(lastRepair, end)
 	}
 	slices.Sort(rep.FaultTimes)
 	for _, d := range res.Dones {
@@ -162,17 +136,17 @@ func judge(cfg OrchestratorConfig, topo *network.Topology, sched []FaultSpec, re
 	// clock (possibly still handshaking at horizon) — its rejoin is judged
 	// by its own entry, through the links of the peers that lived through
 	// it.
-	killed := map[int]bool{}
+	killed := map[network.NodeID]bool{}
 	for _, e := range sched {
-		if e.Kind == "kill" || e.Kind == "kill-restart" {
+		if e.Behavior == "kill" || e.Behavior == "kill-restart" {
 			killed[e.Node] = true
 		}
 	}
 	for _, e := range sched {
-		sv := StormVerdict{Kind: e.Kind, Node: e.Node, FaultAt: e.FaultAt, HealAfter: e.HealAfter}
+		sv := StormVerdict{Fault: e}
 		sv.ReconnectChecked, sv.Reconnected = rejoined(e, topo, res.Dones, killed)
 		if sv.ReconnectChecked && !sv.Reconnected {
-			v = append(v, fmt.Sprintf("%s victim %d did not re-establish its links after repair", e.Kind, e.Node))
+			v = append(v, fmt.Sprintf("%s victim %d did not re-establish its links after repair", e.Behavior, e.Node))
 		}
 		res.Storm = append(res.Storm, sv)
 	}
@@ -203,26 +177,26 @@ func judge(cfg OrchestratorConfig, topo *network.Topology, sched []FaultSpec, re
 // — a stopped process's kernel still ACKs, so a peer's outbound
 // connection can ride out the stall on kernel buffering (the victim
 // drains the backlog on resume) and never needs a redial.
-func rejoined(e FaultSpec, topo *network.Topology, dones map[int]ProcEvent, killed map[int]bool) (checked, ok bool) {
-	switch e.Kind {
+func rejoined(e adversary.Fault, topo *network.Topology, dones map[int]ProcEvent, killed map[network.NodeID]bool) (checked, ok bool) {
+	switch e.Behavior {
 	case "stop":
-		d, alive := dones[e.Node]
+		d, alive := dones[int(e.Node)]
 		ok = alive && len(d.Links) > 0
 		for _, l := range d.Links {
-			if !killed[l.Peer] && (l.Reconnects < 1 || !l.Connected) {
+			if !killed[network.NodeID(l.Peer)] && (l.Reconnects < 1 || !l.Connected) {
 				ok = false
 			}
 		}
 		return true, ok
 	case "kill-restart", "partition":
 		ok = true
-		for _, peer := range topo.Neighbors(network.NodeID(e.Node)) {
-			if int(peer) != e.Node && killed[int(peer)] {
+		for _, peer := range topo.Neighbors(e.Node) {
+			if peer != e.Node && killed[peer] {
 				continue
 			}
 			found := false
 			for _, l := range dones[int(peer)].Links {
-				if l.Peer == e.Node {
+				if network.NodeID(l.Peer) == e.Node {
 					found = l.Reconnects >= 1 && l.Connected
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"btr/internal/adversary"
 	"btr/internal/client"
 	"btr/internal/core"
 	"btr/internal/metrics"
@@ -50,10 +51,12 @@ func TestJudge(t *testing.T) {
 		}
 		return out
 	}
-	one := func(kind string) []FaultSpec { return []FaultSpec{{Kind: kind, Node: 1, FaultAt: 3, HealAfter: 3}} }
-	storm := []FaultSpec{
-		{Kind: "kill-restart", Node: 1, FaultAt: 3, HealAfter: 3},
-		{Kind: "partition", Node: 2, FaultAt: 5, HealAfter: 3},
+	one := func(kind string) adversary.Script {
+		return adversary.Script{{Behavior: kind, Node: 1, At: at, Heal: 3 * procPeriod}}
+	}
+	storm := adversary.Script{
+		{Behavior: "kill-restart", Node: 1, At: at, Heal: 3 * procPeriod},
+		{Behavior: "partition", Node: 2, At: 5 * procPeriod, Heal: 3 * procPeriod},
 	}
 	// The storm drains by the last heal (period 8) plus parole, R and
 	// the R + 2·period + margin slack.
@@ -62,7 +65,7 @@ func TestJudge(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		sched   []FaultSpec
+		sched   adversary.Script
 		forgive sim.Time
 		rep     *Report
 		dones   map[int]ProcEvent

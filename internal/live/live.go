@@ -11,9 +11,9 @@
 // timer jitter and crypto that costs actual CPU, with recovery measured
 // in wall-clock time against the strategy's provable bound R.
 //
-// A Deployment assembles everything, InjectAt schedules fault injections
-// (the adversary package's Attack scripts install unchanged via
-// adversary.Injector), and Run executes the configured horizon and
+// A Deployment assembles everything, InjectAt and RepairAt schedule
+// fault injections and repairs (an adversary.Script installs unchanged
+// via adversary.Injector), and Run executes the configured horizon and
 // returns a Report with measured wall-clock recovery intervals.
 //
 // The package also carries the multi-process deployment mode: one OS

@@ -129,9 +129,12 @@ func TestExecutorsAgreeOnVerdicts(t *testing.T) {
 	if v := VictimOf(sys.Strategy); v != victim {
 		t.Fatalf("victims differ: sim %d, live %d", v, victim)
 	}
-	at := 3 * cfg.Workload.Period
-	adversary.CorruptEverything(victim, at).Install(sys)
-	adversary.CorruptEverything(victim, at).Install(d)
+	script := adversary.Script{{Behavior: "corrupt-all", Node: victim, At: 3 * cfg.Workload.Period}}
+	for _, inj := range []adversary.Injector{sys, d} {
+		if err := script.Install(inj, cfg.Workload.Period); err != nil {
+			t.Fatal(err)
+		}
+	}
 	simRep, liveRep := sys.Run(), d.Run()
 	t.Logf("recovery: sim %v, live %v, R = %v", simRep.MaxRecovery(), liveRep.MaxRecovery(), simRep.RNeeded)
 

@@ -46,40 +46,10 @@ func StormFaultKinds() []string {
 	return adversary.Names(func(b adversary.Behavior) bool { return b.Scope == adversary.Process })
 }
 
-// FaultSpec is one entry of a fault schedule: a fault against one victim
-// with its own injection and repair instants.
-type FaultSpec struct {
-	// Kind is an adversary.Catalog behavior. A process-level one
-	// (StormFaultKinds) is driven from the orchestrator; an in-process one
-	// rides the victim's spec and may only be the schedule's sole entry.
-	Kind string
-	// Node is the victim slot; -1 auto-assigns (the strategy victim
-	// first, then the lowest untargeted slots). Every entry must target
-	// a distinct node.
-	Node    int
-	FaultAt uint64 // injection period
-	// HealAfter is how many periods after injection the orchestrator
-	// repairs the fault (respawn / SIGCONT / heal); 0 means the default
-	// of 3. Every entry must fit: FaultAt + HealAfter < Horizon, also
-	// for the kinds nothing repairs ("kill", the in-process behaviors).
-	HealAfter uint64
-}
-
-// OneFault is the schedule of a single fault of kind at period at
-// against the strategy victim; "none" is the empty schedule, a soak.
-func OneFault(kind string, at uint64) []FaultSpec {
-	if kind == "none" {
-		return nil
-	}
-	return []FaultSpec{{Kind: kind, Node: -1, FaultAt: at}}
-}
-
-// StormVerdict is the per-victim outcome of one schedule entry.
+// StormVerdict is the per-victim outcome of one schedule entry: the
+// entry with its victim resolved, and its transport verdict.
 type StormVerdict struct {
-	Kind      string
-	Node      int
-	FaultAt   uint64
-	HealAfter uint64
+	adversary.Fault
 	// ReconnectChecked is set for the kinds whose repair must be visible
 	// at the transport (kill-restart, partition, stop); Reconnected then
 	// reports that every witness link redialed and held (see rejoined).
@@ -103,9 +73,12 @@ type OrchestratorConfig struct {
 
 	// Faults is the fault schedule: every entry is injected and
 	// repaired on its own clock, so any number of process-level faults
-	// can be active at once. Empty is a soak. A schedule of at most F
-	// entries is held to R; a longer one is a storm (see judge).
-	Faults []FaultSpec
+	// (StormFaultKinds) can be active at once; an in-process behavior
+	// rides its victim's spec and may only be the sole entry. Auto
+	// victims (-1) go to the strategy victim first, then the lowest
+	// untargeted slots. Empty is a soak. A schedule of at most F entries
+	// is held to R; a longer one is a storm (see judge).
+	Faults adversary.Script
 
 	// Forgive is the deployment's parole clock
 	// (runtime.Config.ForgiveAfter), threaded into every node spec.
@@ -149,7 +122,7 @@ type ProcResult struct {
 	// schedule entries target it first.
 	Victim network.NodeID
 	// Storm holds the per-victim verdicts of the fault schedule, one per
-	// FaultSpec with its victim resolved.
+	// entry with its victim resolved.
 	Storm []StormVerdict
 	// OverBudget and Reconciled total the budget verdicts the node
 	// processes flooded (evidence kinds over-budget / reconciled);
@@ -312,7 +285,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		return nil, fmt.Errorf("live: planning failed: %w", err)
 	}
 	victim := VictimOf(strategy)
-	sched, err := resolveSchedule(cfg.Faults, topo.N, victim, cfg.Horizon)
+	sched, err := checkSchedule(cfg, topo.N, victim)
 	if err != nil {
 		return nil, err
 	}
@@ -331,9 +304,9 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			ServeClients: cfg.Clients > 0,
 		}
 		// An in-process behavior travels in its victim's spec.
-		for _, e := range sched {
-			if e.Node == i && !processFault(e.Kind) {
-				s.Fault, s.FaultAt = e.Kind, e.FaultAt
+		for j, e := range sched {
+			if int(e.Node) == i && !processFault(e.Behavior) {
+				s.Fault = &sched[j]
 			}
 		}
 		return s
@@ -358,11 +331,10 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	}
 	desc := "soak"
 	if len(sched) > 0 {
-		var parts []string
+		desc = "faults:"
 		for _, e := range sched {
-			parts = append(parts, fmt.Sprintf("%s@%d+%d->node%d", e.Kind, e.FaultAt, e.HealAfter, e.Node))
+			desc += fmt.Sprintf(" %s->node%d", e.Format(period), e.Node)
 		}
-		desc = "faults: " + strings.Join(parts, " ")
 	}
 	fmt.Fprintf(logw, "orchestrator: %d node processes spawned (%s)\n", topo.N, desc)
 
@@ -452,12 +424,13 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	}
 	var actions []stormAction
 	for i, e := range sched {
-		if !processFault(e.Kind) {
+		if !processFault(e.Behavior) {
 			continue
 		}
-		actions = append(actions, stormAction{goTime.Add(time.Duration(e.FaultAt) * perDur), i, false})
-		if e.Kind != "kill" {
-			actions = append(actions, stormAction{goTime.Add(time.Duration(e.FaultAt+e.HealAfter) * perDur), i, true})
+		at := goTime.Add(time.Duration(e.At) * time.Microsecond)
+		actions = append(actions, stormAction{at, i, false})
+		if e.Behavior != "kill" {
+			actions = append(actions, stormAction{at.Add(time.Duration(e.Heal) * time.Microsecond), i, true})
 		}
 	}
 	slices.SortFunc(actions, func(a, b stormAction) int { return a.at.Compare(b.at) })
@@ -515,9 +488,9 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			act := actions[0]
 			actions = actions[1:]
 			e := sched[act.entry]
-			v := procs[e.Node]
+			v := procs[int(e.Node)]
 			if !act.heal {
-				switch e.Kind {
+				switch e.Behavior {
 				case "kill", "kill-restart":
 					fmt.Fprintf(logw, "orchestrator: SIGKILL node %d\n", e.Node)
 					v.signal(syscall.SIGKILL)
@@ -529,24 +502,24 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 					v.send("part")
 				}
 			} else {
-				switch e.Kind {
+				switch e.Behavior {
 				case "kill-restart":
 					// Rejoin in standby: the transport reconnects (that is
 					// what the verdict asserts); the executive stays out of
 					// the schedule the cluster has already failed over to.
-					restart := baseSpec(e.Node)
+					restart := baseSpec(int(e.Node))
 					restart.Addrs = append([]string(nil), addrs...)
 					if cfg.Clients > 0 {
 						restart.ClientAddrs = append([]string(nil), clientAddrs...)
 					}
-					restart.StartPeriod = e.FaultAt + e.HealAfter
+					restart.StartPeriod = uint64((e.At + e.Heal) / period)
 					restart.Standby = true
 					p, err := spawnNodeProc(exe, restart, cfg.Verbose, events)
 					if err != nil {
 						fmt.Fprintf(logw, "orchestrator: restart failed: %v\n", err)
 						break
 					}
-					procs[e.Node] = p
+					procs[int(e.Node)] = p
 					spawned++
 					fmt.Fprintf(logw, "orchestrator: node %d restarted in standby at period %d\n",
 						e.Node, restart.StartPeriod)

@@ -114,20 +114,6 @@ func FaultKinds() []string {
 	return append(adversary.Names(func(b adversary.Behavior) bool { return b.Build != nil }), "none")
 }
 
-// BuildAttack maps a catalog name to the adversary script against victim
-// at time at; task-scoped behaviors target sink. The second result is
-// false for "none".
-func BuildAttack(kind string, victim network.NodeID, sink flow.TaskID, period, at sim.Time) (adversary.Attack, bool, error) {
-	if err := cliflag.OneOf("fault", kind, FaultKinds()); err != nil {
-		return adversary.Attack{}, false, err
-	}
-	if kind == "none" {
-		return adversary.Attack{}, false, nil
-	}
-	b, _ := adversary.Lookup(kind)
-	return b.Build(victim, sink, period, at), true, nil
-}
-
 // DefaultWorkload is the control workload every live driver runs: a
 // 3-stage chain at the given period (the same construction cmd/btrlive
 // has always used, shared so orchestrator and node processes agree on it
@@ -161,10 +147,11 @@ type ProcSpec struct {
 	// restarted process gets the established vector and rebinds its slot.
 	Addrs []string `json:"addrs,omitempty"`
 
-	// Fault/FaultAt self-inject a catalog behavior (FaultKinds) at the
-	// given period. The orchestrator sets them only on the victim.
-	Fault   string `json:"fault,omitempty"`
-	FaultAt uint64 `json:"fault_at,omitempty"`
+	// Fault, when set, is an in-process catalog behavior (FaultKinds)
+	// that the node resolves against its strategy (adversary.Script.Resolve)
+	// and self-injects, never repaired, if it is the victim; a
+	// task-scoped behavior with no task aims at the workload sink.
+	Fault *adversary.Fault `json:"fault,omitempty"`
 
 	// StartPeriod aligns a process joining a running cluster: logical
 	// t=0 backdates so the process's clock agrees with peers already at
@@ -294,6 +281,17 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("planning failed: %w", err)
 	}
+	var fault adversary.Script
+	if spec.Fault != nil {
+		if fault, err = (adversary.Script{*spec.Fault}).Resolve(topo.N, VictimOf(strategy)); err != nil {
+			return err
+		}
+		if fault[0].Node != self {
+			fault = nil
+		} else if fault[0].Task == "" {
+			fault[0].Task = workload.Sinks()[0]
+		}
+	}
 
 	listen := "127.0.0.1:0"
 	addrs := spec.Addrs
@@ -401,15 +399,11 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 		},
 	})
 
-	if spec.Fault != "" && spec.Fault != "none" {
-		sink := workload.Sinks()[0]
-		attack, injected, err := BuildAttack(spec.Fault, self, sink, period, sim.Time(spec.FaultAt)*period)
-		if err != nil {
+	if fault != nil {
+		fault[0].Heal = 0 // a repair would race the recovery being measured
+		if err := fault.Install(nodeInjector{w, sys}, period); err != nil {
 			bus.Close()
 			return err
-		}
-		if injected {
-			w.At(attack.At, func() { attack.Apply(sys) })
 		}
 	}
 
@@ -508,6 +502,16 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 	bus.Close()
 	return nil
 }
+
+// nodeInjector installs a node process's own fault on its wall
+// scheduler, against its runtime.
+type nodeInjector struct {
+	w  *sim.WallScheduler
+	rt *runtime.System
+}
+
+func (n nodeInjector) InjectAt(t sim.Time, f func(*runtime.System)) { n.w.At(t, func() { f(n.rt) }) }
+func (n nodeInjector) RepairAt(t sim.Time, f func(*runtime.System)) { n.InjectAt(t, f) }
 
 // partTargets resolves a "part" command's arguments (node IDs, default:
 // every neighbor) to peers to refuse.

@@ -4,10 +4,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"btr/internal/adversary"
+	"btr/internal/network"
 	"btr/internal/sim"
 )
 
@@ -39,7 +42,7 @@ func orchestrate(t *testing.T, fault string, clients int) *ProcResult {
 	res, err := RunOrchestrator(OrchestratorConfig{
 		Topo: "full-mesh", Nodes: 4, F: 1, Seed: 7,
 		Period: procPeriod, Margin: procMargin, Horizon: 10,
-		Faults: OneFault(fault, 3), Clients: clients,
+		Faults: adversary.Script{{Behavior: fault, Node: -1, At: 3 * procPeriod, Heal: 3 * procPeriod}}, Clients: clients,
 	})
 	if err != nil {
 		t.Fatalf("orchestrated %s run failed: %v", fault, err)
@@ -132,9 +135,9 @@ func TestOrchestratedStormFlagsOverBudget(t *testing.T) {
 	res, err := RunOrchestrator(OrchestratorConfig{
 		Topo: "full-mesh", Nodes: 4, F: 1, Seed: 7,
 		Period: procPeriod, Margin: procMargin, Horizon: 16,
-		Faults: []FaultSpec{
-			{Kind: "kill-restart", Node: -1, FaultAt: 3, HealAfter: 3},
-			{Kind: "partition", Node: -1, FaultAt: 5, HealAfter: 3},
+		Faults: adversary.Script{
+			{Behavior: "kill-restart", Node: -1, At: 3 * procPeriod, Heal: 3 * procPeriod},
+			{Behavior: "partition", Node: -1, At: 5 * procPeriod, Heal: 3 * procPeriod},
 		},
 		Forgive: 2 * procPeriod,
 	})
@@ -149,9 +152,9 @@ func TestOrchestratedStormFlagsOverBudget(t *testing.T) {
 	}
 	for _, sv := range res.Storm {
 		if !sv.ReconnectChecked {
-			t.Errorf("%s on node %d was not reconnect-checked", sv.Kind, sv.Node)
+			t.Errorf("%s on node %d was not reconnect-checked", sv.Behavior, sv.Node)
 		} else if !sv.Reconnected {
-			t.Errorf("%s victim %d did not re-establish on every peer: dones=%+v", sv.Kind, sv.Node, res.Dones)
+			t.Errorf("%s victim %d did not re-establish on every peer: dones=%+v", sv.Behavior, sv.Node, res.Dones)
 		}
 	}
 	if res.OverBudget == 0 {
@@ -185,6 +188,7 @@ func TestRunNodeProcValidatesSpec(t *testing.T) {
 		// no peers line on stdin the child must error out waiting for it,
 		// not reach NewTCPBus with zero addresses (which panics).
 		"empty address slice": func(s *ProcSpec) { s.Addrs = []string{} },
+		"fault at no node":    func(s *ProcSpec) { s.Fault = &adversary.Fault{Behavior: "crash", Node: 4} },
 	} {
 		spec := base
 		mutate(&spec)
@@ -196,28 +200,35 @@ func TestRunNodeProcValidatesSpec(t *testing.T) {
 
 // TestOrchestratorValidatesConfig pins the parent-side error paths.
 func TestOrchestratorValidatesConfig(t *testing.T) {
+	const p = procPeriod
 	valid := OrchestratorConfig{Topo: "full-mesh", Nodes: 4, F: 1, Seed: 1,
-		Period: procPeriod, Margin: procMargin, Horizon: 10, Faults: OneFault("kill", 3)}
+		Period: p, Margin: procMargin, Horizon: 10,
+		Faults: adversary.Script{{Behavior: "kill", Node: -1, At: 3 * p, Heal: 3 * p}}}
+	stop := func(node network.NodeID, at sim.Time) adversary.Fault {
+		return adversary.Fault{Behavior: "stop", Node: node, At: at, Heal: 3 * p}
+	}
 	for name, mutate := range map[string]func(*OrchestratorConfig){
-		"unknown fault":       func(c *OrchestratorConfig) { c.Faults[0].Kind = "kil" },
-		"unknown topology":    func(c *OrchestratorConfig) { c.Topo = "mesh" },
-		"zero period":         func(c *OrchestratorConfig) { c.Period = 0 },
-		"fault outside run":   func(c *OrchestratorConfig) { c.Faults[0].FaultAt = 9 },
-		"heal beyond horizon": func(c *OrchestratorConfig) { c.Faults[0].HealAfter = 7 },
+		"unknown fault":         func(c *OrchestratorConfig) { c.Faults[0].Behavior = "kil" },
+		"unknown topology":      func(c *OrchestratorConfig) { c.Topo = "mesh" },
+		"zero period":           func(c *OrchestratorConfig) { c.Period = 0 },
+		"fault outside run":     func(c *OrchestratorConfig) { c.Faults[0].At = 9 * p },
+		"heal beyond horizon":   func(c *OrchestratorConfig) { c.Faults[0].Heal = 7 * p },
+		"fault between periods": func(c *OrchestratorConfig) { c.Faults[0].At = 3*p + 1 },
+		"heal between periods":  func(c *OrchestratorConfig) { c.Faults[0].Heal = p / 2 },
+		"repaired fault without a heal": func(c *OrchestratorConfig) {
+			c.Faults = adversary.Script{{Behavior: "stop", Node: -1, At: 3 * p}}
+		},
 		"catalog kind beside another entry": func(c *OrchestratorConfig) {
-			c.Faults = []FaultSpec{{Kind: "corrupt-all", Node: -1, FaultAt: 3}, {Kind: "stop", Node: -1, FaultAt: 3}}
+			c.Faults = adversary.Script{{Behavior: "corrupt-all", Node: -1, At: 3 * p, Heal: 3 * p}, stop(-1, 3*p)}
 		},
 		"schedule duplicate victim": func(c *OrchestratorConfig) {
-			c.Faults = []FaultSpec{
-				{Kind: "stop", Node: 1, FaultAt: 3},
-				{Kind: "partition", Node: 1, FaultAt: 4},
-			}
+			c.Faults = adversary.Script{stop(1, 3*p), {Behavior: "partition", Node: 1, At: 4 * p, Heal: 3 * p}}
 		},
 		"schedule victim out of range": func(c *OrchestratorConfig) {
-			c.Faults = []FaultSpec{{Kind: "stop", Node: 4, FaultAt: 3}}
+			c.Faults = adversary.Script{stop(4, 3*p)}
 		},
 		"schedule beyond horizon": func(c *OrchestratorConfig) {
-			c.Faults = []FaultSpec{{Kind: "partition", Node: -1, FaultAt: 8, HealAfter: 3}}
+			c.Faults = adversary.Script{{Behavior: "partition", Node: -1, At: 8 * p, Heal: 3 * p}}
 		},
 		"negative clients":         func(c *OrchestratorConfig) { c.Clients = -1 },
 		"ops rate without clients": func(c *OrchestratorConfig) { c.OpsRate = 100 },
@@ -227,15 +238,11 @@ func TestOrchestratorValidatesConfig(t *testing.T) {
 			c.Faults = nil
 		},
 		"schedule larger than cluster": func(c *OrchestratorConfig) {
-			c.Faults = []FaultSpec{
-				{Kind: "stop", Node: -1, FaultAt: 3}, {Kind: "stop", Node: -1, FaultAt: 3},
-				{Kind: "stop", Node: -1, FaultAt: 3}, {Kind: "stop", Node: -1, FaultAt: 3},
-				{Kind: "stop", Node: -1, FaultAt: 3},
-			}
+			c.Faults = adversary.Script{stop(-1, 3*p), stop(-1, 3*p), stop(-1, 3*p), stop(-1, 3*p), stop(-1, 3*p)}
 		},
 	} {
 		cfg := valid
-		cfg.Faults = append([]FaultSpec(nil), valid.Faults...)
+		cfg.Faults = slices.Clone(valid.Faults)
 		mutate(&cfg)
 		if _, err := RunOrchestrator(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
