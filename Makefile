@@ -133,8 +133,10 @@ bench-smoke:
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects. The profiles
-# (alloc-*.pprof) are gitignored and removed by `make clean`.
+# one table of the top 25 sites by allocated objects, then the planner's
+# row of the ledger: what plan.Build and baseline.MinSpeed allocate and
+# through which callees. The profiles (alloc-*.pprof) are gitignored and
+# removed by `make clean`.
 PROFILE_FAMILIES = paper campaign churn faultrate
 profile-allocs:
 	@for f in $(PROFILE_FAMILIES); do \
@@ -142,6 +144,7 @@ profile-allocs:
 			-memprofile alloc-$$f.pprof > /dev/null || exit 1; \
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
 ci: fmt-check vet build race race-live bench-smoke
 	@echo "ci: OK"

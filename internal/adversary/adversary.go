@@ -7,8 +7,6 @@
 package adversary
 
 import (
-	"fmt"
-
 	"btr/internal/evidence"
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -19,9 +17,7 @@ import (
 
 // Attack is one scheduled compromise.
 type Attack struct {
-	Name string
-	At   sim.Time
-	Node network.NodeID
+	At sim.Time
 	// Apply installs the malicious behavior.
 	Apply func(rt *runtime.System)
 }
@@ -44,15 +40,12 @@ func (a Attack) Install(sys Injector) {
 
 // Crash fail-stops the node.
 func Crash(node network.NodeID, at sim.Time) Attack {
-	return Attack{
-		Name: fmt.Sprintf("crash(%d)", node), At: at, Node: node,
-		Apply: func(rt *runtime.System) { rt.Crash(node) },
-	}
+	return Attack{At: at, Apply: func(rt *runtime.System) { rt.Crash(node) }}
 }
 
 // behave is the Attack that installs a fresh copy of b on node.
-func behave(name string, node network.NodeID, at sim.Time, b runtime.Behavior) Attack {
-	return Attack{Name: name, At: at, Node: node, Apply: func(rt *runtime.System) {
+func behave(node network.NodeID, at sim.Time, b runtime.Behavior) Attack {
+	return Attack{At: at, Apply: func(rt *runtime.System) {
 		b := b
 		rt.SetBehavior(node, &b)
 	}}
@@ -62,7 +55,7 @@ func behave(name string, node network.NodeID, at sim.Time, b runtime.Behavior) A
 // given logical task it hosts (commission fault; provable by
 // re-execution, or by checkers when the task is a sink).
 func CorruptTask(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return behave(fmt.Sprintf("corrupt(%d,%s)", node, logical), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			if rec.Logical == logical {
 				rec.Value = append([]byte("corrupt:"), rec.Value...)
@@ -73,7 +66,7 @@ func CorruptTask(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
 
 // CorruptEverything corrupts every output of the node.
 func CorruptEverything(node network.NodeID, at sim.Time) Attack {
-	return behave(fmt.Sprintf("corrupt-all(%d)", node), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			rec.Value = append([]byte("x"), rec.Value...)
 			return rec, 0, true
@@ -83,7 +76,7 @@ func CorruptEverything(node network.NodeID, at sim.Time) Attack {
 // Equivocate sends conflicting values of the logical task to different
 // consumers (split-brain).
 func Equivocate(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return behave(fmt.Sprintf("equivocate(%d,%s)", node, logical), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			if rec.Logical == logical {
 				_, idx := plan.SplitReplica(consumer)
@@ -98,7 +91,7 @@ func Equivocate(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
 // Omit silently drops all outputs of the logical task (omission fault;
 // convictable only via path accusations).
 func Omit(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
-	return behave(fmt.Sprintf("omit(%d,%s)", node, logical), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			return rec, 0, rec.Logical != logical
 		}})
@@ -107,7 +100,7 @@ func Omit(node network.NodeID, logical flow.TaskID, at sim.Time) Attack {
 // Delay holds the logical task's messages back by d without admitting it
 // (claimed send time stays in-window — only watchdogs can catch this).
 func Delay(node network.NodeID, logical flow.TaskID, d, at sim.Time) Attack {
-	return behave(fmt.Sprintf("delay(%d,%s,%v)", node, logical, d), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			if rec.Logical == logical {
 				return rec, d, true
@@ -119,7 +112,7 @@ func Delay(node network.NodeID, logical flow.TaskID, d, at sim.Time) Attack {
 // LieAboutSendTime stamps an out-of-window send offset (timing fault with
 // a cryptographic proof).
 func LieAboutSendTime(node network.NodeID, logical flow.TaskID, skew, at sim.Time) Attack {
-	return behave(fmt.Sprintf("timestamp-lie(%d,%s)", node, logical), node, at,
+	return behave(node, at,
 		runtime.Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
 			if rec.Logical == logical {
 				rec.SendOff += skew
@@ -131,13 +124,12 @@ func LieAboutSendTime(node network.NodeID, logical flow.TaskID, skew, at sim.Tim
 // FloodBogus sprays invalid evidence at every neighbor each period (the
 // §4.3 DoS attack on the evidence channel).
 func FloodBogus(node network.NodeID, perPeriod int, at sim.Time) Attack {
-	return behave(fmt.Sprintf("bogus-flood(%d,%d/period)", node, perPeriod), node, at,
-		runtime.Behavior{BogusEvidencePerPeriod: perPeriod})
+	return behave(node, at, runtime.Behavior{BogusEvidencePerPeriod: perPeriod})
 }
 
 // SkipActuation suppresses the node's actuations only (its dataflow and
 // audit records stay correct) — the residual split-brain actuator fault
 // that is visible only through the physics (see DESIGN.md).
 func SkipActuation(node network.NodeID, at sim.Time) Attack {
-	return behave(fmt.Sprintf("skip-actuation(%d)", node), node, at, runtime.Behavior{SkipActuation: true})
+	return behave(node, at, runtime.Behavior{SkipActuation: true})
 }

@@ -100,14 +100,20 @@ func TestFloodBogusAttack(t *testing.T) {
 	}
 }
 
-func TestAttackNames(t *testing.T) {
-	for _, a := range []Attack{
-		Crash(1, 0), CorruptTask(1, "t", 0), CorruptEverything(1, 0),
-		Equivocate(1, "t", 0), Omit(1, "t", 0), Delay(1, "t", 5, 0),
-		LieAboutSendTime(1, "t", 5, 0), FloodBogus(1, 2, 0), SkipActuation(1, 0),
+// TestAttackConstructorsKeepAtAndApply: every constructor returns an
+// Attack due at the requested time with a behavior to install.
+func TestAttackConstructorsKeepAtAndApply(t *testing.T) {
+	const at = 7 * sim.Millisecond
+	for i, a := range []Attack{
+		Crash(1, at), CorruptTask(1, "t", at), CorruptEverything(1, at),
+		Equivocate(1, "t", at), Omit(1, "t", at), Delay(1, "t", 5, at),
+		LieAboutSendTime(1, "t", 5, at), FloodBogus(1, 2, at), SkipActuation(1, at),
 	} {
-		if a.Name == "" {
-			t.Error("attack without a name")
+		if a.At != at {
+			t.Errorf("attack %d: At = %v, want %v", i, a.At, at)
+		}
+		if a.Apply == nil {
+			t.Errorf("attack %d: nil Apply", i)
 		}
 	}
 }

@@ -162,41 +162,50 @@ func replicate(g *flow.Graph, nonSrc, src int, withAudit bool) *flow.Graph {
 // Schedulable reports whether protocol p's augmented workload fits the
 // topology at the given CPU speed, meeting all actuation deadlines.
 func Schedulable(p Protocol, g *flow.Graph, topo *network.Topology, f int, speed float64) bool {
-	params := sched.DefaultParams()
-	params.Speed = speed
+	return fitsAt(p, g, topo, f)(speed)
+}
+
+// fitsAt returns Schedulable for every speed, with the speed-independent
+// work done once: for BTR one plan.Synth keeps its graphs and buffers
+// across the mode loops, for the others the augmented graph and its
+// assignment are built once and only the schedule is rebuilt per speed.
+func fitsAt(p Protocol, g *flow.Graph, topo *network.Topology, f int) func(speed float64) bool {
 	if p == BTR {
-		opts := plan.DefaultOptions(f, sim.Never)
-		opts.Sched = params
-		s, err := plan.Build(g, topo, opts)
-		if err != nil {
-			return false
+		syn := plan.NewSynth(g, topo, plan.DefaultOptions(f, sim.Never))
+		return func(speed float64) bool {
+			syn.SetSpeed(speed)
+			// No shedding allowed in this comparison: full workload or bust.
+			_, err := syn.Modes(true)
+			return err == nil
 		}
-		// No shedding allowed in this comparison: full workload or bust.
-		return len(s.Plans[""].ShedSinks) == 0
 	}
 	aug := Augment(p, g, f)
 	asn, err := plan.AssignGreedy(aug, topo, plan.NewFaultSet())
 	if err != nil {
-		return false
+		return func(float64) bool { return false }
 	}
-	table, err := sched.Build(aug, asn, topo, params)
-	if err != nil {
-		return false
-	}
-	if len(table.CheckDeadlines(aug)) != 0 {
-		return false
-	}
-	// Actuation deadlines of the base sinks' replicas.
-	for _, s := range g.Sinks() {
-		dl := g.Tasks[s].Deadline
-		for _, id := range aug.TaskIDs() {
-			logical, _ := plan.SplitReplica(id)
-			if logical == s && table.Finish[id] > dl {
-				return false
+	return func(speed float64) bool {
+		params := sched.DefaultParams()
+		params.Speed = speed
+		table, err := sched.Build(aug, asn, topo, params)
+		if err != nil {
+			return false
+		}
+		if len(table.CheckDeadlines(aug)) != 0 {
+			return false
+		}
+		// Actuation deadlines of the base sinks' replicas.
+		for _, s := range g.Sinks() {
+			dl := g.Tasks[s].Deadline
+			for _, id := range aug.TaskIDs() {
+				logical, _ := plan.SplitReplica(id)
+				if logical == s && table.Finish[id] > dl {
+					return false
+				}
 			}
 		}
+		return true
 	}
-	return true
 }
 
 // MinSpeed binary-searches the minimum CPU speed factor at which the
@@ -205,13 +214,14 @@ func Schedulable(p Protocol, g *flow.Graph, topo *network.Topology, f int, speed
 // speed fails.
 func MinSpeed(p Protocol, g *flow.Graph, topo *network.Topology, f int) float64 {
 	const lo0, hi0 = 0.01, 16.0
-	if !Schedulable(p, g, topo, f, hi0) {
+	fits := fitsAt(p, g, topo, f)
+	if !fits(hi0) {
 		return 0 // unschedulable at any reasonable speed
 	}
 	lo, hi := lo0, hi0
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if Schedulable(p, g, topo, f, mid) {
+		if fits(mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -224,16 +234,18 @@ func MinSpeed(p Protocol, g *flow.Graph, topo *network.Topology, f int) float64 
 // schedule at nominal speed, plus the per-period foreground bytes it puts
 // on the network. Zeroes if unschedulable.
 func Utilization(p Protocol, g *flow.Graph, topo *network.Topology, f int) (maxUtil float64, netBytes int64) {
-	aug := Augment(p, g, f)
+	var aug *flow.Graph
 	if p == BTR {
-		opts := plan.DefaultOptions(f, sim.Never)
-		s, err := plan.Build(g, topo, opts)
+		// Only the fault-free plan is read: the mode loop without
+		// plan.Build's transition analysis.
+		plans, err := plan.NewSynth(g, topo, plan.DefaultOptions(f, sim.Never)).Modes(false)
 		if err != nil {
 			return 0, 0
 		}
-		aug = s.Plans[""].Aug
-		_, maxUtil = s.Plans[""].Table.MaxUtilization()
+		aug = plans[""].Aug
+		_, maxUtil = plans[""].Table.MaxUtilization()
 	} else {
+		aug = Augment(p, g, f)
 		asn, err := plan.AssignGreedy(aug, topo, plan.NewFaultSet())
 		if err != nil {
 			return 0, 0

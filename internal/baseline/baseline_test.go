@@ -5,6 +5,8 @@ import (
 
 	"btr/internal/flow"
 	"btr/internal/network"
+	"btr/internal/plan"
+	"btr/internal/sched"
 	"btr/internal/sim"
 )
 
@@ -164,5 +166,103 @@ func TestProtocolStrings(t *testing.T) {
 		if p.String() == "" {
 			t.Errorf("protocol %d has empty name", p)
 		}
+	}
+}
+
+// schedulableByFullBuild is the schedulability check rebuilt from
+// scratch at every speed: a full plan.Build (every mode, transitions and
+// bounds) whose fault-free plan sheds nothing for BTR, and Augment +
+// AssignGreedy + sched.Build + deadlines for the others. MinSpeed's
+// reused check must agree with it bit for bit.
+func schedulableByFullBuild(p Protocol, g *flow.Graph, topo *network.Topology, f int, speed float64) bool {
+	params := sched.DefaultParams()
+	params.Speed = speed
+	if p == BTR {
+		opts := plan.DefaultOptions(f, sim.Never)
+		opts.Sched = params
+		s, err := plan.Build(g, topo, opts)
+		return err == nil && len(s.Plans[""].ShedSinks) == 0
+	}
+	aug := Augment(p, g, f)
+	asn, err := plan.AssignGreedy(aug, topo, plan.NewFaultSet())
+	if err != nil {
+		return false
+	}
+	table, err := sched.Build(aug, asn, topo, params)
+	if err != nil || len(table.CheckDeadlines(aug)) != 0 {
+		return false
+	}
+	for _, s := range g.Sinks() {
+		for _, id := range aug.TaskIDs() {
+			if logical, _ := plan.SplitReplica(id); logical == s && table.Finish[id] > g.Tasks[s].Deadline {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// minSpeedByFullBuild is MinSpeed's 41-step bisection over
+// schedulableByFullBuild.
+func minSpeedByFullBuild(p Protocol, g *flow.Graph, topo *network.Topology, f int) float64 {
+	const lo0, hi0 = 0.01, 16.0
+	if !schedulableByFullBuild(p, g, topo, f, hi0) {
+		return 0
+	}
+	lo, hi := lo0, hi0
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if schedulableByFullBuild(p, g, topo, f, mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestMinSpeedMatchesFullBuildBisection: the reused check bisects to the
+// same float64, bit for bit, as a full build at every step, for every
+// protocol on workloads with one and several sinks (Avionics sheds),
+// dense and sparse topologies, and f = 1, 2.
+func TestMinSpeedMatchesFullBuildBisection(t *testing.T) {
+	const period = 25 * sim.Millisecond
+	workloads := []*flow.Graph{
+		flow.Chain(3, period, sim.Millisecond, 64, flow.CritA),
+		flow.ForkJoin(3, period, sim.Millisecond, 64, flow.CritB),
+		flow.Avionics(period),
+	}
+	topos := []*network.Topology{
+		network.FullMesh(8, 20_000_000, 50*sim.Microsecond),
+		network.Ring(6, 20_000_000, 50*sim.Microsecond),
+	}
+	for _, g := range workloads {
+		for _, topo := range topos {
+			for _, f := range []int{1, 2} {
+				for _, p := range Protocols {
+					got, want := MinSpeed(p, g, topo, f), minSpeedByFullBuild(p, g, topo, f)
+					if got != want {
+						t.Errorf("%s on %d nodes (%d links), f=%d, %v: MinSpeed %v, full-build bisection %v",
+							g.Name, topo.N, len(topo.Links), f, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMinSpeedAllocPin pins MinSpeed(BTR) on the chain workload, full
+// mesh of 8, f = 1: one plan.Synth for all 41 steps, each step the mode
+// loop alone. Measured 4,569 (a full plan.Build per step measured
+// 14,975); the pin allows 431. Under -race it measured 6,858–7,694 and
+// the pin is 9,000.
+func TestMinSpeedAllocPin(t *testing.T) {
+	g, topo := testWorkload(), testTopo(8)
+	limit := 5_000.0
+	if raceEnabled {
+		limit = 9_000
+	}
+	if got := testing.AllocsPerRun(2, func() { MinSpeed(BTR, g, topo, 1) }); got > limit {
+		t.Errorf("MinSpeed(BTR) allocates %.0f, want <= %.0f", got, limit)
 	}
 }

@@ -117,10 +117,13 @@ func e3Scenario() campaign.Scenario {
 				g := g
 				specs = append(specs, campaign.TrialSpec{Name: g.Name, Run: func(t *campaign.T) (any, error) {
 					topo := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
-					ref := baseline.MinSpeed(baseline.Unreplicated, g, topo, 1)
+					var ref float64 // the unreplicated minimum speed: the first row
 					var rows []e3Row
 					for _, pr := range []baseline.Protocol{baseline.Unreplicated, baseline.BTR, baseline.BFTMask} {
 						ms := baseline.MinSpeed(pr, g, topo, 1)
+						if pr == baseline.Unreplicated {
+							ref = ms
+						}
 						rel := "-"
 						if ms > 0 && ref > 0 {
 							rel = fmt.Sprintf("%.2fx", ms/ref)

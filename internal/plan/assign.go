@@ -46,42 +46,77 @@ type assignOptions struct {
 	locality bool
 }
 
-// assign maps every replica in aug to a non-faulty node. Hard constraint:
-// no two replicas of the same logical task share a node. Heuristics: load
-// balance, producer locality, and (in minimal-diff mode) stickiness to the
-// parent plan's placement.
-func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignment, error) {
-	eligible := make([]network.NodeID, 0, topo.N)
+// grouping numbers an augmented graph's replicas by logical task, the
+// groups in topological order of their first replica (replicas of one
+// logical task share a precedence level). It depends only on the graph,
+// so a Synth computes it once per augmented graph.
+type grouping struct {
+	ids      []flow.TaskID // aug.TopoOrder()
+	group    []int         // group[i] is the group of ids[i]
+	logicals []flow.TaskID // group -> logical task
+	size     []int         // group -> replica count
+}
+
+func groupReplicas(aug *flow.Graph) *grouping {
+	ids := aug.TopoOrder()
+	gr := &grouping{ids: ids, group: make([]int, len(ids))}
+	groupOf := make(map[flow.TaskID]int, len(ids))
+	for i, id := range ids {
+		logical, _ := SplitReplica(id)
+		g, ok := groupOf[logical]
+		if !ok {
+			g = len(gr.logicals)
+			groupOf[logical] = g
+			gr.logicals = append(gr.logicals, logical)
+			gr.size = append(gr.size, 0)
+		}
+		gr.group[i] = g
+		gr.size[g]++
+	}
+	return gr
+}
+
+// assignScratch is assign's per-call bookkeeping. Nothing in it outlives
+// the call, so a Synth keeps one and assign resets what it uses.
+type assignScratch struct {
+	eligible []network.NodeID
+	next     []int
+	order    []int
+	load     []sim.Time
+	occupied []bool
+}
+
+// zeroed resizes *s to n zero elements, reusing its storage, and
+// returns it.
+func zeroed[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// assign maps every replica in aug to a non-faulty node; gr is aug's
+// grouping. Hard constraint: no two replicas of the same logical task
+// share a node. Heuristics: load balance, producer locality, and (in
+// minimal-diff mode) stickiness to the parent plan's placement. Only the
+// returned Assignment is allocated; sc holds the rest.
+func assign(aug *flow.Graph, gr *grouping, topo *network.Topology, o assignOptions, sc *assignScratch) (Assignment, error) {
+	eligible := sc.eligible[:0]
 	for n := 0; n < topo.N; n++ {
 		if !o.faults.Contains(network.NodeID(n)) {
 			eligible = append(eligible, network.NodeID(n))
 		}
 	}
-	// Group replicas by logical task, numbering the groups in topological
-	// order of their first replica (replicas of one logical task share a
-	// precedence level): group[i] is the group of ids[i].
-	ids := aug.TopoOrder()
-	groupOf := make(map[flow.TaskID]int, len(ids))
-	group := make([]int, len(ids))
-	var logicals []flow.TaskID // group -> logical task
-	var size []int             // group -> replica count
-	for i, id := range ids {
-		logical, _ := SplitReplica(id)
-		g, ok := groupOf[logical]
-		if !ok {
-			g = len(logicals)
-			groupOf[logical] = g
-			logicals = append(logicals, logical)
-			size = append(size, 0)
-		}
-		group[i] = g
-		size[g]++
-	}
+	sc.eligible = eligible
+	ids, group, size := gr.ids, gr.group, gr.size
 	// Feasibility: the widest replica group must fit on distinct nodes.
 	for g, sz := range size {
 		if sz > len(eligible) {
 			return nil, fmt.Errorf("plan: %d replicas of %q need distinct nodes but only %d are healthy",
-				sz, logicals[g], len(eligible))
+				sz, gr.logicals[g], len(eligible))
 		}
 	}
 
@@ -90,11 +125,11 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 	// displaced replica could steal a sibling's sticky node and trigger a
 	// cascade of unnecessary moves. next[g] is group g's next free
 	// position in order.
-	next := make([]int, len(size))
+	next := zeroed(&sc.next, len(size))
 	for g := 1; g < len(size); g++ {
 		next[g] = next[g-1] + size[g-1]
 	}
-	order := make([]int, len(ids)) // position -> index into ids
+	order := zeroed(&sc.order, len(ids)) // position -> index into ids
 	for _, wantSticky := range [2]bool{true, false} {
 		for i, id := range ids {
 			prev, ok := o.parent[id]
@@ -105,9 +140,9 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 		}
 	}
 
-	load := make([]sim.Time, topo.N)
+	load := zeroed(&sc.load, topo.N)
 	// occupied[g*topo.N+n]: a replica of group g already sits on node n.
-	occupied := make([]bool, len(size)*topo.N)
+	occupied := zeroed(&sc.occupied, len(size)*topo.N)
 	out := make(Assignment, len(ids))
 
 	for _, i := range order {
@@ -164,7 +199,7 @@ func assign(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignmen
 // default heuristics (load balance + locality), without a parent plan.
 // Baseline protocols reuse it to get comparable placements.
 func AssignGreedy(aug *flow.Graph, topo *network.Topology, faults FaultSet) (Assignment, error) {
-	return assign(aug, topo, assignOptions{faults: faults, locality: true})
+	return assign(aug, groupReplicas(aug), topo, assignOptions{faults: faults, locality: true}, &assignScratch{})
 }
 
 // VerifyAssignment checks the hard constraints: every replica assigned to

@@ -45,8 +45,13 @@ func renderStrategy(s *plan.Strategy) string {
 		ids := p.Aug.TaskIDs()
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
+			// Ready: the last input window to arrive, local handoffs included.
+			var ready sim.Time
+			for _, e := range p.Aug.Inputs(id) {
+				ready = max(ready, p.Table.Msgs[e].Arrive)
+			}
 			fmt.Fprintf(&b, "  task %s node=%d ready=%v finish=%v\n",
-				id, p.Assign[id], p.Table.Ready[id], p.Table.Finish[id])
+				id, p.Assign[id], ready, p.Table.Finish[id])
 		}
 		var nodes []network.NodeID
 		for n := range p.Table.Slots {

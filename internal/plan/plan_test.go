@@ -164,7 +164,7 @@ func TestAssignAntiAffinity(t *testing.T) {
 	g := flow.Chain(3, 20*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
 	aug := Augment(g, DefaultAugment(1))
 	topo := network.FullMesh(5, 10_000_000, 0)
-	a, err := assign(aug, topo, assignOptions{faults: NewFaultSet(), locality: true})
+	a, err := assignFresh(aug, topo, assignOptions{faults: NewFaultSet(), locality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAssignAvoidsFaultyNodes(t *testing.T) {
 	aug := Augment(g, DefaultAugment(1))
 	topo := network.FullMesh(5, 10_000_000, 0)
 	fs := NewFaultSet(0, 3)
-	a, err := assign(aug, topo, assignOptions{faults: fs, locality: true})
+	a, err := assignFresh(aug, topo, assignOptions{faults: fs, locality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestAssignFailsWithTooFewNodes(t *testing.T) {
 	g := flow.Chain(3, 20*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
 	aug := Augment(g, DefaultAugment(1)) // sources need 3 distinct nodes
 	topo := network.FullMesh(4, 10_000_000, 0)
-	_, err := assign(aug, topo, assignOptions{faults: NewFaultSet(0, 1), locality: true})
+	_, err := assignFresh(aug, topo, assignOptions{faults: NewFaultSet(0, 1), locality: true})
 	if err == nil {
 		t.Fatal("assignment with 2 healthy nodes for 3 source replicas should fail")
 	}
@@ -206,14 +206,14 @@ func TestAssignStickiness(t *testing.T) {
 	g := flow.Chain(3, 20*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
 	aug := Augment(g, DefaultAugment(1))
 	topo := network.FullMesh(6, 10_000_000, 0)
-	base, err := assign(aug, topo, assignOptions{faults: NewFaultSet(), locality: true})
+	base, err := assignFresh(aug, topo, assignOptions{faults: NewFaultSet(), locality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fail a node not hosting anything, or any node; sticky assignment
 	// should keep every replica that is not on the failed node.
 	failed := base["c1#0"]
-	derived, err := assign(aug, topo, assignOptions{
+	derived, err := assignFresh(aug, topo, assignOptions{
 		faults: NewFaultSet(failed), parent: base, locality: true,
 	})
 	if err != nil {
@@ -470,5 +470,85 @@ func TestEnumerateFaultSetsOver(t *testing.T) {
 		if full[i].Key() != over[i].Key() {
 			t.Fatalf("index %d: %q vs %q", i, full[i].Key(), over[i].Key())
 		}
+	}
+}
+
+// assignFresh is assign with the grouping and scratch built for this call
+// alone: the reference a Synth's reused grouping and buffers must match.
+func assignFresh(aug *flow.Graph, topo *network.Topology, o assignOptions) (Assignment, error) {
+	return assign(aug, groupReplicas(aug), topo, o, &assignScratch{})
+}
+
+// TestSynthAssignMatchesFreshScratch: one Synth builds plans for
+// interleaved shed sets (so different augmented graphs), fault sets and
+// parents, and every placement equals assign run with a fresh grouping
+// and fresh buffers — stale scratch or a grouping kept from another
+// graph would show here.
+func TestSynthAssignMatchesFreshScratch(t *testing.T) {
+	g := flow.Avionics(25 * sim.Millisecond)
+	topo := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
+	syn := NewSynth(g, topo, DefaultOptions(2, 500*sim.Millisecond))
+	sheds := [][]flow.TaskID{nil, {"cabin"}, {"cabin", "display"}, {"cabin"}, nil, {"cabin", "display"}}
+	faults := []FaultSet{NewFaultSet(), NewFaultSet(3), NewFaultSet(0, 5), NewFaultSet(1), NewFaultSet(2, 4), NewFaultSet()}
+	var prev *Plan
+	for round := 0; round < 3; round++ {
+		for i, shed := range sheds {
+			fs := faults[(i+round)%len(faults)]
+			var parent Assignment
+			if prev != nil && (i+round)%2 == 1 {
+				parent = prev.Assign
+			}
+			p, err := syn.buildFrom(fs, parent, shed)
+			if err != nil {
+				t.Fatalf("round %d shed %v faults %v: %v", round, shed, fs, err)
+			}
+			want, err := assignFresh(p.Aug, topo, assignOptions{faults: fs, parent: parent, locality: true})
+			if err != nil {
+				t.Fatalf("fresh assign, shed %v faults %v: %v", p.ShedSinks, fs, err)
+			}
+			if len(want) != len(p.Assign) {
+				t.Fatalf("shed %v faults %v: %d replicas placed, fresh scratch places %d",
+					p.ShedSinks, fs, len(p.Assign), len(want))
+			}
+			for id, n := range want {
+				if p.Assign[id] != n {
+					t.Fatalf("shed %v faults %v: %s on node %d, fresh scratch puts it on %d",
+						p.ShedSinks, fs, id, p.Assign[id], n)
+				}
+			}
+			prev = p
+		}
+	}
+	if len(syn.augs) < 3 {
+		t.Fatalf("only %d augmented graphs memoized; the interleaving needs 3", len(syn.augs))
+	}
+}
+
+// TestPlannerAllocPins pins what one warm mode build allocates (Chain(3)
+// on a full mesh of 8, f = 1): the graphs and grouping are memoized and
+// assign's buffers reused, so only the Plan, its Assignment and its
+// sched.Table remain. Measured 17 (36 with a grouping and buffers per
+// call); the pin allows 3. Under -race it measured 24–28 and the pin
+// is 36.
+func TestPlannerAllocPins(t *testing.T) {
+	g := flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
+	topo := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
+	syn := NewSynth(g, topo, DefaultOptions(1, sim.Never))
+	fs := NewFaultSet(3)
+	parent, err := syn.BuildPlan(NewFaultSet(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 20.0
+	if raceEnabled {
+		limit = 36
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := syn.BuildPlan(fs, parent.Assign); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > limit {
+		t.Errorf("warm Synth.BuildPlan allocates %.0f, want <= %.0f", got, limit)
 	}
 }

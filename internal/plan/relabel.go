@@ -15,7 +15,7 @@ import (
 // symmetry-keyed plan caching sound (see internal/plan/cache): the plan
 // for a fault set is the relabeled plan of its canonical representative.
 //
-// The receiver is not mutated. Task-keyed tables (Finish, Ready) and the
+// The receiver is not mutated. The task-keyed Finish table and the
 // dataflow graphs are shared with the original, node-keyed tables are
 // copied; plans are immutable by convention, so sharing is safe.
 func (p *Plan) Relabel(perm []network.NodeID) *Plan {
@@ -47,7 +47,6 @@ func (p *Plan) Relabel(perm []network.NodeID) *Plan {
 			Slots:  slots,
 			Msgs:   msgs,
 			Finish: p.Table.Finish,
-			Ready:  p.Table.Ready,
 		},
 		ShedSinks: p.ShedSinks,
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -163,21 +164,40 @@ func (o Options) Normalized() Options {
 	return o
 }
 
-// Build computes the complete strategy for the workload on the topology.
+// Build computes the complete strategy for the workload on the topology:
+// the mode loop (Synth.Modes) plus the transition analysis and bounds.
 func Build(base *flow.Graph, topo *network.Topology, opts Options) (*Strategy, error) {
-	if err := base.Validate(); err != nil {
+	plans, err := NewSynth(base, topo, opts).Modes(false)
+	if err != nil {
+		return nil, err
+	}
+	return NewStrategyFromPlans(base, topo, opts, plans, nil), nil
+}
+
+// errShed is Modes' error when the fault-free mode must shed and the
+// caller asked for the full workload.
+var errShed = errors.New("plan: the fault-free mode sheds")
+
+// Modes synthesizes one plan per fault set of size <= F, keyed by
+// FaultSet.Key, in BFS order (the fault-free mode first), each placed
+// near its canonical predecessor's plan when MinimalDiff is set. It stops
+// at the first mode that does not build and, with unshed, as soon as the
+// fault-free mode has to shed. Build is this loop plus the transition
+// analysis; a schedulability check needs only the loop.
+func (s *Synth) Modes(unshed bool) (map[string]*Plan, error) {
+	if err := s.base.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: invalid workload: %w", err)
 	}
-	if opts.F < 0 {
+	if s.opts.F < 0 {
 		return nil, fmt.Errorf("plan: negative fault bound")
 	}
-	opts = opts.Normalized()
-	syn := NewSynth(base, topo, opts)
-	plans := map[string]*Plan{}
-	sets := EnumerateFaultSets(topo.N, opts.F)
-	for _, fs := range sets {
+	if s.sets == nil {
+		s.sets = EnumerateFaultSets(s.topo.N, s.opts.F)
+	}
+	plans := make(map[string]*Plan, len(s.sets))
+	for _, fs := range s.sets {
 		var parent Assignment
-		if opts.MinimalDiff && fs.Len() > 0 {
+		if s.opts.MinimalDiff && fs.Len() > 0 {
 			// Canonical predecessor: remove the largest member. Its plan
 			// exists because sets enumerate in BFS order.
 			preds := fs.Predecessors()
@@ -186,13 +206,16 @@ func Build(base *flow.Graph, topo *network.Topology, opts Options) (*Strategy, e
 				parent = pp.Assign
 			}
 		}
-		p, err := syn.BuildPlan(fs, parent)
+		p, err := s.BuildPlan(fs, parent)
 		if err != nil {
 			return nil, fmt.Errorf("plan: mode %v: %w", fs, err)
 		}
+		if unshed && fs.Len() == 0 && len(p.ShedSinks) > 0 {
+			return nil, errShed
+		}
 		plans[fs.Key()] = p
 	}
-	return NewStrategyFromPlans(base, topo, opts, plans, nil), nil
+	return plans, nil
 }
 
 // TransitionFunc computes (or recalls) the transition analysis between
@@ -260,21 +283,30 @@ func NewStrategyForMembers(base *flow.Graph, topo *network.Topology, opts Option
 }
 
 // Synth is a reusable plan-synthesis context for one (workload, topology,
-// options) triple. It memoizes the fault-set-independent work — the
-// pruned/augmented graphs per shed set; hop distances come from the
-// topology's own route table — so that building many plans (one per
-// fault set during Build, or many delta repairs in the incremental
-// engine) does not redo it. A Synth is not safe for concurrent use;
-// callers that synthesize from multiple goroutines must serialize (see
+// options) triple. It memoizes the fault-set- and speed-independent work
+// — the pruned/augmented graphs per shed set and each augmented graph's
+// replica grouping; hop distances come from the topology's own route
+// table — and owns assign's scratch buffers, so that building many plans
+// (one per fault set during Build, many delta repairs in the incremental
+// engine, or one mode loop per speed in baseline.MinSpeed) does not redo
+// or reallocate it. A Synth is not safe for concurrent use; callers that
+// synthesize from multiple goroutines must serialize (see
 // internal/plan/cache).
 type Synth struct {
-	base *flow.Graph
-	topo *network.Topology
-	opts Options
-	augs map[string]synthGraphs
+	base    *flow.Graph
+	topo    *network.Topology
+	opts    Options
+	augs    map[string]synthGraphs
+	sets    []FaultSet // Modes' fault sets, enumerated on first use
+	scratch assignScratch
 }
 
-type synthGraphs struct{ pruned, aug *flow.Graph }
+// synthGraphs is one shed set's memo. The graphs are never mutated after
+// they are built, so grp stays aug's grouping.
+type synthGraphs struct {
+	pruned, aug *flow.Graph
+	grp         *grouping
+}
 
 // NewSynth builds a synthesis context. Options are normalized once.
 func NewSynth(base *flow.Graph, topo *network.Topology, opts Options) *Synth {
@@ -286,27 +318,41 @@ func NewSynth(base *flow.Graph, topo *network.Topology, opts Options) *Synth {
 	}
 }
 
+// SetSpeed sets the CPU speed factor later builds schedule at. Nothing
+// the Synth memoizes depends on it, so one Synth serves a speed sweep.
+func (s *Synth) SetSpeed(speed float64) { s.opts.Sched.Speed = speed }
+
 // graphsFor returns the pruned and replica-augmented graphs for a shed
-// set, memoized. pruned is nil when nothing schedulable remains.
-func (s *Synth) graphsFor(shed []flow.TaskID) (*flow.Graph, *flow.Graph) {
+// set, and the augmented graph's grouping, memoized. pruned is nil when
+// nothing schedulable remains; aug is nil when no sink does.
+func (s *Synth) graphsFor(shed []flow.TaskID) synthGraphs {
 	key := ""
 	for _, id := range shed {
 		key += string(id) + "\x00"
 	}
 	if g, ok := s.augs[key]; ok {
-		return g.pruned, g.aug
+		return g
 	}
-	pruned := prune(s.base, shed)
-	var aug *flow.Graph
-	if pruned != nil && len(pruned.Sinks()) > 0 {
-		aug = Augment(pruned, AugmentOptions{
+	g := synthGraphs{pruned: prune(s.base, shed)}
+	if g.pruned != nil && len(g.pruned.Sinks()) > 0 {
+		g.aug = Augment(g.pruned, AugmentOptions{
 			F:              s.opts.F,
 			SourceReplicas: s.opts.SourceReplicas,
 			CheckerWCET:    s.opts.CheckerWCET,
 		})
+		g.grp = groupReplicas(g.aug)
 	}
-	s.augs[key] = synthGraphs{pruned: pruned, aug: aug}
-	return pruned, aug
+	s.augs[key] = g
+	return g
+}
+
+// place assigns g's augmented graph around the faults fs, near parent.
+func (s *Synth) place(g synthGraphs, fs FaultSet, parent Assignment) (Assignment, error) {
+	return assign(g.aug, g.grp, s.topo, assignOptions{
+		faults:   fs,
+		parent:   parent,
+		locality: s.opts.Locality,
+	}, &s.scratch)
 }
 
 // BuildPlan computes one mode's plan from scratch, shedding
@@ -333,18 +379,13 @@ func (s *Synth) DeltaPlan(prior *Plan, fs FaultSet) (*Plan, error) {
 	if prior == nil {
 		return s.BuildPlan(fs, nil)
 	}
-	pruned, aug := s.graphsFor(prior.ShedSinks)
-	if aug != nil {
-		asn, err := assign(aug, s.topo, assignOptions{
-			faults:   fs,
-			parent:   prior.Assign,
-			locality: s.opts.Locality,
-		})
+	if g := s.graphsFor(prior.ShedSinks); g.aug != nil {
+		asn, err := s.place(g, fs, prior.Assign)
 		if err == nil {
-			table, terr := sched.Build(aug, asn, s.topo, s.opts.Sched)
-			if terr == nil && deadlinesOK(pruned, aug, table) == nil {
+			table, terr := sched.Build(g.aug, asn, s.topo, s.opts.Sched)
+			if terr == nil && deadlinesOK(g.pruned, g.aug, table) == nil {
 				return &Plan{
-					Faults: fs, Pruned: pruned, Aug: aug,
+					Faults: fs, Pruned: g.pruned, Aug: g.aug,
 					Assign: asn, Table: table,
 					ShedSinks: prior.ShedSinks,
 				}, nil
@@ -359,27 +400,23 @@ func (s *Synth) buildFrom(fs FaultSet, parent Assignment, shed []flow.TaskID) (*
 	shed = append([]flow.TaskID(nil), shed...)
 	var lastErr error
 	for {
-		pruned, aug := s.graphsFor(shed)
-		if aug == nil {
+		g := s.graphsFor(shed)
+		if g.aug == nil {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("nothing schedulable")
 			}
 			return nil, fmt.Errorf("all sinks shed and still unschedulable: %v", lastErr)
 		}
-		asn, err := assign(aug, s.topo, assignOptions{
-			faults:   fs,
-			parent:   parent,
-			locality: s.opts.Locality,
-		})
+		asn, err := s.place(g, fs, parent)
 		if err == nil {
 			var table *sched.Table
-			table, err = sched.Build(aug, asn, s.topo, s.opts.Sched)
+			table, err = sched.Build(g.aug, asn, s.topo, s.opts.Sched)
 			if err == nil {
-				if verr := deadlinesOK(pruned, aug, table); verr != nil {
+				if verr := deadlinesOK(g.pruned, g.aug, table); verr != nil {
 					err = verr
 				} else {
 					return &Plan{
-						Faults: fs, Pruned: pruned, Aug: aug,
+						Faults: fs, Pruned: g.pruned, Aug: g.aug,
 						Assign: asn, Table: table, ShedSinks: shed,
 					}, nil
 				}

@@ -67,17 +67,19 @@ type MsgWindow struct {
 	Hops     int
 }
 
-// Table is a complete static schedule for one period.
+// Table is a complete static schedule for one period. A task's
+// input-availability offset is the latest Arrive over its input edges'
+// windows in Msgs.
 type Table struct {
 	Period sim.Time
 	// Slots maps each node to its execution slots, sorted by start.
 	Slots map[network.NodeID][]Slot
-	// Msgs holds one window per inter-node edge, keyed by edge identity.
+	// Msgs holds one window per edge, keyed by edge identity; an edge
+	// between tasks on one node is a local handoff that departs and
+	// arrives at the producer's finish.
 	Msgs map[flow.Edge]MsgWindow
 	// Finish is each task's completion offset.
 	Finish map[flow.TaskID]sim.Time
-	// Ready is each task's input-availability offset.
-	Ready map[flow.TaskID]sim.Time
 }
 
 // UnschedulableError reports why no feasible table exists.
@@ -168,7 +170,6 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 		Slots:  make(map[network.NodeID][]Slot, topo.N),
 		Msgs:   make(map[flow.Edge]MsgWindow, len(g.Edges)),
 		Finish: make(map[flow.TaskID]sim.Time, len(g.Tasks)),
-		Ready:  make(map[flow.TaskID]sim.Time, len(g.Tasks)),
 	}
 	sc := scratchPool.Get().(*buildScratch)
 	defer func() {
@@ -196,7 +197,6 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 				ready = arrive[e]
 			}
 		}
-		t.Ready[id] = ready
 
 		// Total CPU work: task body + crypto for its I/O.
 		work := task.WCET +
