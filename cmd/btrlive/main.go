@@ -2,7 +2,8 @@
 // engine, detectors, evidence distribution, mode switcher, all running on
 // the real-time executor (sim.WallScheduler) — injects a fault from the
 // behavior catalog at runtime, and reports the measured wall-clock
-// recovery time against the strategy's provable bound R. It is the
+// recovery time against the strategy's provable bound R. With -kernel
+// the same deployment runs on the simulation kernel instead. It is the
 // "five-second rule on a real clock" demonstrator: the same runtime code
 // that passes the simulated campaigns, executing under genuine
 // asynchrony.
@@ -10,8 +11,12 @@
 // It has three execution modes:
 //
 //   - Single process (default): every node in one process over the
-//     simulated network (network.Network) paced by the wall clock.
-//     Membership churn (-members and the churn flags) is available here.
+//     simulated network (network.Network) paced by the wall clock, or,
+//     with -kernel, run on the discrete-event simulation kernel, where
+//     the same flags print the same bytes on every run. Membership churn
+//     (-members and the churn flags) is available here. -v prints the
+//     strategy first, so -kernel -v -fault none -horizon 1 is the planner
+//     front-end.
 //   - Orchestrated multi-process (-orchestrate): one OS process per node
 //     over real TCP sockets (network.TCPBus), spawned and judged by an
 //     in-process orchestrator acting as the plant. The fault catalog
@@ -32,7 +37,7 @@
 //	        [-period D] [-margin D] [-horizon N] [-seed N]
 //	        [-fault <adversary.Catalog behavior>|none]
 //	        [-at N] [-members K] [-join n@p[,n@p...]]
-//	        [-retire n@p[,n@p...]] [-replace new:old@p[,...]] [-v]
+//	        [-retire n@p[,n@p...]] [-replace new:old@p[,...]] [-kernel] [-v]
 //	        [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	btrlive -orchestrate [-fault ...|kill|kill-restart|stop|partition]
 //	        [-faults kind@at+heal[,...]] [-forgive D]
@@ -60,6 +65,8 @@
 //	             a > f storm floods signed over-budget verdicts instead
 //	             of staying silent (0 = classic mode)
 //	-orchestrate boot one process per node over TCP and judge as plant
+//	-kernel      run on the discrete-event simulation kernel instead of
+//	             the wall clock (single-process mode only)
 //	-clients     client sessions driving the replicated register service
 //	             through the run (needs -orchestrate; 0 = no clients)
 //	-ops         aggregate client op rate in ops/sec (needs -clients;
@@ -72,7 +79,11 @@
 //	-join        scripted join events, "slot@period" comma-separated
 //	-retire      scripted retire events, "slot@period"
 //	-replace     scripted replace events, "new:old@period"
-//	-v           stream evidence and mode switches to stderr
+//	-v           print the strategy — modes, transitions, per-mode slot
+//	             tables — to stdout (single-process mode), stream evidence
+//	             and mode switches to stderr
+//
+// A flag the chosen mode would ignore is a usage error.
 //
 // The verdict is the paper's promise. A run of at most -f faults must
 // show no bad output before the first fault and recover within R (the
@@ -101,6 +112,7 @@ import (
 
 	"btr/internal/adversary"
 	"btr/internal/cliflag"
+	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/live"
 	"btr/internal/member"
@@ -197,7 +209,7 @@ type liveFlags struct {
 	opsRate                           *float64
 	period, margin, forgive           *time.Duration
 	horizon, seed, atPeriod           *uint64
-	orchestrate, verbose              *bool
+	orchestrate, kernel, verbose      *bool
 	prof                              *prof.Flags
 }
 
@@ -218,6 +230,7 @@ func registerFlags(fs *flag.FlagSet) *liveFlags {
 		faultsSpec:  fs.String("faults", "", "concurrent fault schedule, kind@at+heal[,kind@at+heal...] (-orchestrate); kinds: "+strings.Join(live.StormFaultKinds(), ", ")),
 		forgive:     fs.Duration("forgive", 0, "parole clock: convictions expire after this long and over-budget windows are flagged (-orchestrate; 0 = classic mode)"),
 		orchestrate: fs.Bool("orchestrate", false, "one process per node over TCP, judged by an orchestrator plant"),
+		kernel:      fs.Bool("kernel", false, "run on the discrete-event simulation kernel instead of the wall clock (single-process mode)"),
 		clients:     fs.Int("clients", 0, "client sessions driving the replicated register service (-orchestrate; 0 = none)"),
 		opsRate:     fs.Float64("ops", 0, "aggregate client op rate in ops/sec (-clients; 0 = closed loop)"),
 		nodeID:      fs.Int("node", -1, "run one node slot of a multi-process deployment"),
@@ -226,9 +239,47 @@ func registerFlags(fs *flag.FlagSet) *liveFlags {
 		joinSpec:    fs.String("join", "", "scripted joins, slot@period[,slot@period...]"),
 		retireSpec:  fs.String("retire", "", "scripted retires, slot@period[,...]"),
 		replaceSpec: fs.String("replace", "", "scripted replaces, new:old@period[,...]"),
-		verbose:     fs.Bool("v", false, "stream evidence and mode switches to stderr"),
+		verbose:     fs.Bool("v", false, "print the strategy to stdout (single-process mode); stream evidence and mode switches to stderr"),
 		prof:        prof.RegisterOn(fs),
 	}
+}
+
+// mode is a set of btrlive's execution modes.
+type mode uint8
+
+const (
+	singleProcess mode = 1 << iota
+	orchestrated
+	perNode
+)
+
+var modeNames = [...]string{"single-process", "orchestrated (-orchestrate)", "per-node (-node)"}
+
+func (m mode) String() string {
+	var names []string
+	for i, n := range modeNames {
+		if m&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, " or ")
+}
+
+// modeOnly lists every flag that only some modes read, with the modes
+// that read it; a flag not listed is read in every mode. An explicitly
+// set flag the chosen mode would ignore is a usage error.
+var modeOnly = map[string]mode{
+	"kernel":      singleProcess,
+	"members":     singleProcess,
+	"join":        singleProcess,
+	"retire":      singleProcess,
+	"replace":     singleProcess,
+	"orchestrate": singleProcess | orchestrated,
+	"faults":      orchestrated,
+	"forgive":     orchestrated,
+	"clients":     orchestrated,
+	"ops":         orchestrated,
+	"peers":       perNode,
 }
 
 // run is main minus os.Exit: every path returns through it, so the
@@ -238,12 +289,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("btrlive", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	lf := registerFlags(fs)
-	topoKind, nodes, f := lf.topoKind, lf.nodes, lf.f
-	period, margin, horizon, seed := lf.period, lf.margin, lf.horizon, lf.seed
-	faultKind, atPeriod := lf.faultKind, lf.atPeriod
-	orchestrate, nodeID, peers := lf.orchestrate, lf.nodeID, lf.peers
-	membersN, joinSpec, retireSpec, replaceSpec := lf.membersN, lf.joinSpec, lf.retireSpec, lf.replaceSpec
-	verbose, profFlags := lf.verbose, lf.prof
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -253,32 +298,31 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	stopProf, err := profFlags.Start()
+	stopProf, err := lf.prof.Start()
 	if err != nil {
 		return fail(err)
 	}
 	defer stopProf()
 
-	p := sim.Time(*period / time.Microsecond)
-	m := sim.Time(*margin / time.Microsecond)
+	p := sim.Time(*lf.period / time.Microsecond)
+	m := sim.Time(*lf.margin / time.Microsecond)
 
-	multiProcess := *orchestrate || *nodeID >= 0
-	if multiProcess && (*membersN > 0 || *joinSpec != "" || *retireSpec != "" || *replaceSpec != "") {
-		return fail(fmt.Errorf("membership flags require single-process mode (see ROADMAP: epochs do not cross process boundaries yet)"))
+	cur := singleProcess
+	switch {
+	case *lf.nodeID >= 0:
+		cur = perNode
+	case *lf.orchestrate:
+		cur = orchestrated
 	}
-	if *orchestrate && *nodeID >= 0 {
-		return fail(fmt.Errorf("-orchestrate and -node are mutually exclusive"))
-	}
-
-	if *nodeID >= 0 {
-		if err := runNode(*nodeID, *peers, *topoKind, *nodes, *f, *seed, p, m, *horizon,
-			*faultKind, *atPeriod, *verbose, stdin, stdout); err != nil {
-			return fail(err)
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) {
+		set[fl.Name] = true
+		if in, ok := modeOnly[fl.Name]; ok && in&cur == 0 && err == nil {
+			err = fmt.Errorf("-%s does not apply in %v mode (only in %v mode)", fl.Name, cur, in)
 		}
-		return 0
-	}
-	if *lf.faultsSpec != "" && !*orchestrate {
-		return fail(fmt.Errorf("-faults requires -orchestrate (a concurrent schedule drives real processes)"))
+	})
+	if err != nil {
+		return fail(err)
 	}
 	if err := cliflag.InRange("clients", int64(*lf.clients), 0, 4096); err != nil {
 		return fail(err)
@@ -286,46 +330,45 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if *lf.opsRate < 0 {
 		return fail(fmt.Errorf("-ops must be >= 0, got %v", *lf.opsRate))
 	}
-	if *lf.clients > 0 && !*orchestrate {
-		return fail(fmt.Errorf("-clients requires -orchestrate (the register service rides on orchestrated node processes)"))
-	}
 	if *lf.opsRate > 0 && *lf.clients == 0 {
 		return fail(fmt.Errorf("-ops requires -clients (an op rate needs client sessions to spread over)"))
 	}
-	// -at must land inside the run.
-	if err := cliflag.InRange("at", int64(*atPeriod), 0, int64(*horizon)-1); err != nil {
-		return fail(err)
+	// -at must land inside the run whenever it places a fault.
+	if *lf.faultKind != "none" || set["at"] {
+		if err := cliflag.InRange("at", int64(*lf.atPeriod), 0, int64(*lf.horizon)-1); err != nil {
+			return fail(err)
+		}
 	}
-	if !*orchestrate {
-		return runSingle(*topoKind, *nodes, *f, *seed, p, m, *horizon, *faultKind, *atPeriod,
-			*membersN, *joinSpec, *retireSpec, *replaceSpec, *verbose, stdout, stderr)
+
+	switch cur {
+	case perNode:
+		if err := runNode(lf, p, m, stdin, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
+	case singleProcess:
+		return runSingle(lf, p, m, stdout, stderr)
 	}
-	if err := cliflag.OneOf("fault", *faultKind, live.ProcFaultKinds()); err != nil {
+	if err := cliflag.OneOf("fault", *lf.faultKind, live.ProcFaultKinds()); err != nil {
 		return fail(err)
 	}
 	cfg := live.OrchestratorConfig{
-		Topo: *topoKind, Nodes: *nodes, F: *f, Seed: *seed,
-		Period: p, Margin: m, Horizon: *horizon,
+		Topo: *lf.topoKind, Nodes: *lf.nodes, F: *lf.f, Seed: *lf.seed,
+		Period: p, Margin: m, Horizon: *lf.horizon,
 		Forgive: sim.Time(*lf.forgive / time.Microsecond),
 		Clients: *lf.clients, OpsRate: *lf.opsRate,
-		Verbose: *verbose, Log: stdout,
+		Verbose: *lf.verbose, Log: stdout,
 	}
-	if *faultKind != "none" {
+	if *lf.faultKind != "none" {
 		// -fault k -at a is the one-entry schedule k@a.
-		if cfg.Faults, err = adversary.ParseScript(fmt.Sprintf("%s@%d", *faultKind, *atPeriod), p, live.ProcFaultKinds()); err != nil {
+		if cfg.Faults, err = adversary.ParseScript(fmt.Sprintf("%s@%d", *lf.faultKind, *lf.atPeriod), p, live.ProcFaultKinds()); err != nil {
 			return fail(err)
 		}
 	}
 	if *lf.faultsSpec != "" {
 		// A schedule supersedes the single-fault flags; an explicit
 		// -fault alongside -faults is a contradiction worth rejecting.
-		explicitFault := false
-		fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "fault" {
-				explicitFault = true
-			}
-		})
-		if explicitFault && *faultKind != "none" {
+		if set["fault"] && *lf.faultKind != "none" {
 			return fail(fmt.Errorf("-fault and -faults are mutually exclusive (the schedule names its own kinds)"))
 		}
 		if cfg.Faults, err = adversary.ParseScript(*lf.faultsSpec, p, live.StormFaultKinds()); err != nil {
@@ -341,16 +384,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 
 // runNode executes one node slot (per-node mode). With -peers the node
 // starts immediately; otherwise the parent drives the stdin protocol.
-func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
-	p, m sim.Time, horizon uint64, faultKind string, atPeriod uint64, verbose bool,
-	stdin io.Reader, stdout io.Writer) error {
+func runNode(lf *liveFlags, p, m sim.Time, stdin io.Reader, stdout io.Writer) error {
 	spec := live.ProcSpec{
-		Node: nodeID, Topo: topoKind, Nodes: nodes, F: f, Seed: seed,
-		PeriodUS: int64(p), MarginUS: int64(m), Horizon: horizon, Verbose: verbose,
+		Node: *lf.nodeID, Topo: *lf.topoKind, Nodes: *lf.nodes, F: *lf.f, Seed: *lf.seed,
+		PeriodUS: int64(p), MarginUS: int64(m), Horizon: *lf.horizon, Verbose: *lf.verbose,
 	}
 	in := stdin
-	if peers != "" {
-		spec.Addrs = strings.Split(peers, ",")
+	if *lf.peers != "" {
+		spec.Addrs = strings.Split(*lf.peers, ",")
 		// Self-driven start: no parent on stdin, so release immediately.
 		in = strings.NewReader("go\n")
 	}
@@ -358,11 +399,11 @@ func runNode(nodeID int, peers, topoKind string, nodes, f int, seed uint64,
 	// single-process semantics: every node process resolves the auto
 	// victim against the same strategy, the host of the first-actuating
 	// sink replica.
-	if faultKind != "" && faultKind != "none" {
+	if faultKind := *lf.faultKind; faultKind != "" && faultKind != "none" {
 		if err := cliflag.OneOf("fault", faultKind, live.FaultKinds()); err != nil {
 			return err
 		}
-		spec.Fault = &adversary.Fault{Behavior: faultKind, Node: -1, At: sim.Time(atPeriod) * p}
+		spec.Fault = &adversary.Fault{Behavior: faultKind, Node: -1, At: sim.Time(*lf.atPeriod) * p}
 	}
 	return live.RunNodeProc(spec, in, stdout)
 }
@@ -431,16 +472,18 @@ func verdict(stdout io.Writer, violations []string, held string) int {
 	return 0
 }
 
-// runSingle is the historical single-process mode.
-func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizon uint64,
-	faultKind string, atPeriod uint64, membersN int, joinSpec, retireSpec, replaceSpec string,
-	verbose bool, stdout, stderr io.Writer) int {
+// runSingle is the single-process mode: every node in this process over
+// the simulated network, paced by the wall clock or, with -kernel, run on
+// the discrete-event kernel, where the same flags print the same bytes
+// on every run.
+func runSingle(lf *liveFlags, p, m sim.Time, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "btrlive: %v\n", err)
 		return 2
 	}
+	faultKind, horizon, f := *lf.faultKind, *lf.horizon, *lf.f
 
-	topo, err := live.BuildTopology(topoKind, nodes)
+	topo, err := live.BuildTopology(*lf.topoKind, *lf.nodes)
 	if err != nil {
 		return fail(err)
 	}
@@ -449,12 +492,12 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	if err := cliflag.OneOf("fault", faultKind, live.FaultKinds()); err != nil {
 		return fail(err)
 	}
-	if err := cliflag.InRange("members", int64(membersN), 0, int64(topo.N)); err != nil {
+	if err := cliflag.InRange("members", int64(*lf.membersN), 0, int64(topo.N)); err != nil {
 		return fail(err)
 	}
 	var events []churnEvent
 	for _, spec := range []struct{ name, val string }{
-		{"join", joinSpec}, {"retire", retireSpec}, {"replace", replaceSpec},
+		{"join", *lf.joinSpec}, {"retire", *lf.retireSpec}, {"replace", *lf.replaceSpec},
 	} {
 		evs, err := parseChurn(spec.name, spec.val, topo.N, horizon)
 		if err != nil {
@@ -467,7 +510,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	opts.WatchdogMargin = m
 
 	cfg := live.Config{
-		Seed:     seed,
+		Seed:     *lf.seed,
 		Workload: live.DefaultWorkload(p),
 		Topology: topo,
 		PlanOpts: opts,
@@ -475,8 +518,8 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 	}
 	// Membership epochs engage when an initial membership or any churn
 	// event is scripted.
-	if membersN > 0 || len(events) > 0 {
-		k := membersN
+	if *lf.membersN > 0 || len(events) > 0 {
+		k := *lf.membersN
 		if k == 0 {
 			k = topo.N
 		}
@@ -484,7 +527,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 			cfg.Members = append(cfg.Members, network.NodeID(i))
 		}
 	}
-	if verbose {
+	if *lf.verbose {
 		cfg.OnEvidence = func(node network.NodeID, ev evidence.Evidence, t sim.Time) {
 			fmt.Fprintf(stderr, "[%10v] node %d: evidence %s (accused %d)\n", t, node, ev.Kind, ev.Accused)
 		}
@@ -492,18 +535,36 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 			fmt.Fprintf(stderr, "[%10v] node %d: mode switch %q -> %q\n", t, node, from, to)
 		}
 	}
-	d, err := live.New(cfg)
-	if err != nil {
-		return fail(err)
+	// Only the executor differs: both assemble through core.Assemble.
+	var d *core.Deployment
+	var runD func() *core.Report
+	clock, span := "simulated", "simulation kernel"
+	if *lf.kernel {
+		s, err := core.NewSystem(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		d, runD = s.Deployment, s.Run
+	} else {
+		ld, err := live.New(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		d, runD = ld.Deployment, ld.Run
+		clock, span = "wall-clock", fmt.Sprintf("%v wall", time.Duration(sim.Time(horizon)*p)*time.Microsecond)
 	}
-	fmt.Fprintf(stdout, "btrlive: %s on %s/%d slots, f=%d, period %v, horizon %d periods (%v wall)\n",
-		cfg.Workload.Name, topoKind, topo.N, f, p, horizon, time.Duration(sim.Time(horizon)*p)*time.Microsecond)
+	fmt.Fprintf(stdout, "btrlive: %s on %s/%d slots, f=%d, period %v, horizon %d periods (%s)\n",
+		cfg.Workload.Name, *lf.topoKind, topo.N, f, p, horizon, span)
 	if cfg.Members != nil {
 		fmt.Fprintf(stdout, "membership: %d of %d slots active at genesis; %d scripted epoch event(s)\n",
 			len(cfg.Members), topo.N, len(events))
 	}
-	fmt.Fprintf(stdout, "strategy: %d plans, provable recovery bound R = %v\n",
-		len(d.Strategy.Plans), d.Strategy.RNeeded)
+	if *lf.verbose {
+		fmt.Fprint(stdout, d.Strategy.Summary())
+	} else {
+		fmt.Fprintf(stdout, "strategy: %d plans, provable recovery bound R = %v\n",
+			len(d.Strategy.Plans), d.Strategy.RNeeded)
+	}
 
 	for _, ev := range events {
 		d.Reconfigure(sim.Time(ev.at)*p, ev.delta)
@@ -512,8 +573,8 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 
 	if faultKind != "none" {
 		sink := cfg.Workload.Sinks()[0]
-		sched, err := adversary.Script{{Behavior: faultKind, Node: -1, Task: sink, At: sim.Time(atPeriod) * p}}.
-			Resolve(topo.N, live.FirstSinkNode(d))
+		sched, err := adversary.Script{{Behavior: faultKind, Node: -1, Task: sink, At: sim.Time(*lf.atPeriod) * p}}.
+			Resolve(topo.N, live.VictimOf(d.Strategy))
 		if err == nil {
 			err = sched.Install(d, p)
 		}
@@ -524,12 +585,15 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 			faultKind, sched[0].At, sched[0].Node, sink)
 	}
 	wallStart := time.Now()
-	rep := d.Run()
-	wall := time.Since(wallStart).Round(time.Millisecond)
+	rep := runD()
+	ran := "ran on the simulation kernel"
+	if !*lf.kernel {
+		ran = fmt.Sprintf("ran %v wall", time.Since(wallStart).Round(time.Millisecond))
+	}
 
-	fmt.Fprintf(stdout, "ran %v wall; %d actuations, %d evidence, %d mode switches, %d missed, %d wrong\n",
-		wall, rep.Actuations, rep.EvidenceTotal(), len(rep.SwitchTimes), rep.MissedPeriods, rep.WrongValues)
-	if verbose {
+	fmt.Fprintf(stdout, "%s; %d actuations, %d evidence, %d mode switches, %d missed, %d wrong\n",
+		ran, rep.Actuations, rep.EvidenceTotal(), len(rep.SwitchTimes), rep.MissedPeriods, rep.WrongValues)
+	if *lf.verbose {
 		st := rep.NetStats
 		fmt.Fprintf(stderr, "transport: sent=%v delivered=%v dropped=%v shed=%v (backpressure sheds: %d)\n",
 			st.MsgsSent, st.MsgsDelivered, st.MsgsDropped, st.MsgsShed, st.TotalShed())
@@ -554,7 +618,7 @@ func runSingle(topoKind string, nodes, f int, seed uint64, p, m sim.Time, horizo
 		violations = append(violations, fmt.Sprintf("only %d of %d scripted epoch events were proposed", len(rep.Epochs), len(events)))
 	}
 	for _, rec := range rep.Recoveries() {
-		fmt.Fprintf(stdout, "fault at %v: measured wall-clock recovery %v\n", rec.FaultAt, rec.Duration())
+		fmt.Fprintf(stdout, "fault at %v: measured %s recovery %v\n", rec.FaultAt, clock, rec.Duration())
 	}
 	return verdict(stdout, violations, heldLine(rep))
 }

@@ -135,17 +135,39 @@ func TestOrchestratedExitsPrintInNodeOrder(t *testing.T) {
 	}
 }
 
-func TestFaultsRequiresOrchestrate(t *testing.T) {
-	code := run([]string{"-faults", "stop@3+3,kill-restart@5+3"},
-		strings.NewReader(""), io.Discard, io.Discard)
-	if code != 2 {
-		t.Fatalf("-faults without -orchestrate returned %d, want usage error 2", code)
+// wantUsageError runs btrlive with args and requires exit status 2
+// with an error naming -flag.
+func wantUsageError(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	var errb strings.Builder
+	if code := run(args, strings.NewReader(""), io.Discard, &errb); code != 2 || !strings.Contains(errb.String(), "-"+flag) {
+		t.Errorf("%v: exit %d, stderr %q; want usage error 2 naming -%s", args, code, errb.String(), flag)
 	}
-	// An explicit single -fault alongside a schedule is a contradiction.
-	code = run([]string{"-orchestrate", "-fault", "kill", "-faults", "stop@3+3,kill-restart@5+3"},
-		strings.NewReader(""), io.Discard, io.Discard)
-	if code != 2 {
-		t.Fatalf("-fault + -faults returned %d, want usage error 2", code)
+}
+
+// TestFaultsRequiresOrchestrate pins the mode table: a flag the chosen
+// mode would ignore is rejected before anything runs, and -at is
+// range-checked in every mode.
+func TestFaultsRequiresOrchestrate(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"faults", []string{"-faults", "stop@3+3,kill-restart@5+3"}},
+		// An explicit single -fault alongside a schedule is a contradiction.
+		{"fault", []string{"-orchestrate", "-fault", "kill", "-faults", "stop@3+3,kill-restart@5+3"}},
+		{"forgive", []string{"-forgive", "1s", "-fault", "none", "-horizon", "5"}},
+		{"faults", []string{"-node", "0", "-faults", "stop@3+3"}},
+		{"forgive", []string{"-node", "0", "-forgive", "1s"}},
+		{"at", []string{"-node", "0", "-horizon", "5", "-at", "30"}},
+		{"kernel", []string{"-kernel", "-orchestrate"}},
+		{"kernel", []string{"-kernel", "-node", "0"}},
+		{"orchestrate", []string{"-orchestrate", "-node", "0"}},
+		{"peers", []string{"-peers", "a:1,b:2"}},
+		{"members", []string{"-orchestrate", "-members", "3"}},
+		{"join", []string{"-node", "0", "-join", "5@3"}},
+	} {
+		wantUsageError(t, c.flag, c.args...)
 	}
 }
 
@@ -153,15 +175,71 @@ func TestFaultsRequiresOrchestrate(t *testing.T) {
 // client load only exists in orchestrated mode, and an op rate only
 // exists when sessions carry it.
 func TestClientFlagsContradictions(t *testing.T) {
-	for name, args := range map[string][]string{
-		"clients without orchestrate": {"-clients", "8"},
-		"ops without clients":         {"-orchestrate", "-ops", "100"},
-		"negative clients":            {"-orchestrate", "-clients", "-1"},
-		"clients above cap":           {"-orchestrate", "-clients", "5000"},
-		"negative ops":                {"-orchestrate", "-clients", "4", "-ops", "-1"},
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"clients", []string{"-clients", "8"}},
+		{"clients", []string{"-node", "0", "-clients", "8"}},
+		{"ops", []string{"-node", "0", "-ops", "100"}},
+		{"ops", []string{"-orchestrate", "-ops", "100"}},
+		{"clients", []string{"-orchestrate", "-clients", "-1"}},
+		{"clients", []string{"-orchestrate", "-clients", "5000"}},
+		{"ops", []string{"-orchestrate", "-clients", "4", "-ops", "-1"}},
 	} {
-		if code := run(args, strings.NewReader(""), io.Discard, io.Discard); code != 2 {
-			t.Errorf("%s (%v) returned %d, want usage error 2", name, args, code)
+		wantUsageError(t, c.flag, c.args...)
+	}
+}
+
+// TestEveryAttackRecoversWithinR: on the kernel, each -fault choice
+// (every in-process catalog behavior, plus none) recovers within R, so
+// btrlive exits 0.
+func TestEveryAttackRecoversWithinR(t *testing.T) {
+	for _, a := range live.FaultKinds() {
+		var out strings.Builder
+		if code := run([]string{"-kernel", "-fault", a}, strings.NewReader(""), &out, &out); code != 0 {
+			t.Errorf("-fault %s: exit %d\n%s", a, code, out.String())
+		}
+	}
+}
+
+// TestBoundViolationExitsOne: with f = 0 nothing masks the corrupted
+// sink, its recovery exceeds R, and the verdict is the exit status.
+func TestBoundViolationExitsOne(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-kernel", "-f", "0", "-fault", "corrupt-sink"}, strings.NewReader(""), &out, &out); code != 1 {
+		t.Fatalf("exit %d, want 1\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "verdict: VIOLATION") {
+		t.Fatalf("no violated bound reported:\n%s", out.String())
+	}
+}
+
+// TestKernelRunIsByteIdentical: on the kernel the same flags print the
+// same bytes on every run — strategy, evidence stream, recovery and
+// verdict alike.
+func TestKernelRunIsByteIdentical(t *testing.T) {
+	var outs [2]strings.Builder
+	for i := range outs {
+		if code := run([]string{"-kernel", "-v", "-fault", "corrupt-all"}, strings.NewReader(""), &outs[i], &outs[i]); code != 0 {
+			t.Fatalf("run %d: exit %d\n%s", i, code, outs[i].String())
+		}
+	}
+	if outs[0].String() != outs[1].String() {
+		t.Fatalf("two runs differ:\n%s\nvs\n%s", outs[0].String(), outs[1].String())
+	}
+}
+
+// TestKernelVerbosePrintsStrategy: -kernel -v is the planner front-end;
+// it prints the strategy summary, transitions included, before the run.
+func TestKernelVerbosePrintsStrategy(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-kernel", "-v", "-fault", "none", "-horizon", "1"}, strings.NewReader(""), &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d\n%s", code, out.String())
+	}
+	for _, want := range []string{"strategy: 7 plans, F=1", "transitions (worst-case per successor mode):", "per-mode schedules:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
 }

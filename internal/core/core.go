@@ -128,7 +128,6 @@ type Report struct {
 	Horizon    sim.Time
 	Period     sim.Time
 	PerSink    map[flow.TaskID]*metrics.Timeline
-	SinkCrit   map[flow.TaskID]flow.Criticality
 	FaultTimes []sim.Time
 
 	Actuations    int
@@ -409,18 +408,6 @@ func (r *Report) BadIntervals(sinks ...flow.TaskID) []metrics.Interval {
 		}
 	}
 	return MergeIntervals(all)
-}
-
-// SinksAtOrAbove lists the report's sinks with criticality c or higher.
-func (r *Report) SinksAtOrAbove(c flow.Criticality) []flow.TaskID {
-	var out []flow.TaskID
-	for sk, crit := range r.SinkCrit {
-		if crit <= c {
-			out = append(out, sk)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Recoveries pairs the run's fault injections with the bad intervals of

@@ -125,24 +125,6 @@ func TestHashOracleMatchesRuntimeSemantics(t *testing.T) {
 	}
 }
 
-func TestReportSinksAtOrAbove(t *testing.T) {
-	cfg := chainConfig(4)
-	cfg.Workload = flow.Avionics(25 * sim.Millisecond)
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s.Run()
-	a := rep.SinksAtOrAbove(flow.CritA)
-	if len(a) != 1 || a[0] != "elevator" {
-		t.Errorf("A sinks = %v", a)
-	}
-	all := rep.SinksAtOrAbove(flow.CritD)
-	if len(all) != 4 {
-		t.Errorf("all sinks = %v", all)
-	}
-}
-
 func TestMergeIntervals(t *testing.T) {
 	in := []metrics.Interval{
 		{Start: 10, End: 20}, {Start: 15, End: 30}, {Start: 40, End: 50},

@@ -39,14 +39,12 @@ func NewPlant(g *flow.Graph, horizon uint64, rNeeded sim.Time, oracle Oracle) *P
 		Horizon:         sim.Time(horizon) * g.Period,
 		Period:          g.Period,
 		PerSink:         map[flow.TaskID]*metrics.Timeline{},
-		SinkCrit:        map[flow.TaskID]flow.Criticality{},
 		EvidenceByKind:  map[evidence.Kind]int{},
 		FirstEvidenceAt: sim.Never,
 		RNeeded:         rNeeded,
 	}
 	for _, sk := range sinks {
 		rep.PerSink[sk] = metrics.NewTimeline(0, true)
-		rep.SinkCrit[sk] = g.Tasks[sk].Crit
 	}
 	return &Plant{oracle: oracle, first: make(map[taskPeriod]actuation, int(horizon)*len(sinks)), rep: rep}
 }

@@ -244,18 +244,6 @@ func (e *Engine) transition(a, b *plan.Plan) plan.Transition {
 	return tr
 }
 
-// Precompute warms the cache with every fault set up to F and returns
-// how many fault sets are now resolvable without synthesis.
-func (e *Engine) Precompute() (int, error) {
-	sets := plan.EnumerateFaultSets(e.topo.N, e.opts.F)
-	for _, fs := range sets {
-		if _, err := e.PlanFor(fs); err != nil {
-			return 0, fmt.Errorf("plan: mode %v: %w", fs, err)
-		}
-	}
-	return len(sets), nil
-}
-
 // Stats is a point-in-time snapshot of the engine's counters. Every
 // resolved fault set counts exactly once: as an exact hit, a symmetry
 // hit (relabel of a cached orbit representative), or a miss (had to

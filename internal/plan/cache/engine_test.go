@@ -293,8 +293,9 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		}
 	}
 
+	// One strategy build plans every fault set up to F, warming the cache.
 	eng := NewEngine(g, topo, opts, nil)
-	if _, err := eng.Precompute(); err != nil {
+	if _, err := eng.BuildStrategy(); err != nil {
 		t.Fatal(err)
 	}
 	warm := time.Duration(1<<63 - 1)

@@ -665,7 +665,9 @@ func (s *Strategy) PlanFor(fs FaultSet) *Plan {
 	return s.Plans[""]
 }
 
-// Summary renders a human-readable strategy overview.
+// Summary renders a human-readable strategy overview: the derived
+// bounds, one line per mode, the worst-case transition into every
+// successor mode, and each mode's per-node slot table.
 func (s *Strategy) Summary() string {
 	keys := make([]string, 0, len(s.Plans))
 	for k := range s.Plans {
@@ -677,15 +679,40 @@ func (s *Strategy) Summary() string {
 		}
 		return strings.Compare(a, b)
 	})
-	out := fmt.Sprintf("strategy: %d plans, F=%d, R requested %v, R achieved %v (feasible=%v)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "strategy: %d plans, F=%d, R requested %v, R achieved %v (feasible=%v)\n",
 		len(s.Plans), s.Opts.F, s.Opts.R, s.RNeeded, s.RFeasible())
-	out += fmt.Sprintf("  detect<=%v distribute<=%v switch<=%v delta=%v\n",
+	fmt.Fprintf(&b, "  detect<=%v distribute<=%v switch<=%v delta=%v\n",
 		s.DetectBound, s.DistributeBound, s.SwitchBound, s.Delta)
 	for _, k := range keys {
 		p := s.Plans[k]
 		_, maxU := p.Table.MaxUtilization()
-		out += fmt.Sprintf("  mode %-12s tasks=%-3d shed=%v maxUtil=%.2f\n",
+		fmt.Fprintf(&b, "  mode %-12s tasks=%-3d shed=%v maxUtil=%.2f\n",
 			p.Faults.String(), len(p.Aug.Tasks), p.ShedSinks, maxU)
 	}
-	return out
+	b.WriteString("transitions (worst-case per successor mode):\n")
+	for _, k := range keys {
+		if tr, ok := s.Trans[k]; ok {
+			fmt.Fprintf(&b, "  -> {%s}: from {%s}, %d replicas move, %dB state, bound %v\n",
+				tr.To, tr.From, len(tr.Moved), tr.StateBytes, tr.Bound)
+		}
+	}
+	b.WriteString("per-mode schedules:\n")
+	for _, k := range keys {
+		p := s.Plans[k]
+		fmt.Fprintf(&b, "  mode %v:\n", p.Faults)
+		nodes := make([]network.NodeID, 0, len(p.Table.Slots))
+		for n := range p.Table.Slots {
+			nodes = append(nodes, n)
+		}
+		slices.Sort(nodes)
+		for _, n := range nodes {
+			fmt.Fprintf(&b, "    node %d:", n)
+			for _, slot := range p.Table.Slots[n] {
+				fmt.Fprintf(&b, " %s[%v,%v)", slot.Task, slot.Start, slot.End)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

@@ -122,7 +122,7 @@ func TestNoReflectionSorts(t *testing.T) {
 		dirs[i] = p.Dir
 	}
 	// A walker that found nothing would pass vacuously.
-	for _, want := range []string{".", "cmd/btrplan", "internal/evidence", "internal/plan/cache"} {
+	for _, want := range []string{".", "cmd/btrlive", "internal/evidence", "internal/plan/cache"} {
 		if !slices.Contains(dirs, want) {
 			t.Fatalf("module walk missed %s (found %v)", want, dirs)
 		}
