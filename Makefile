@@ -49,13 +49,15 @@ race-live:
 
 # Short fuzz pass over the wire codecs and the fault-script text form
 # (the seed corpora always run as part of `go test`; this digs further):
-# the evidence record codec, the membership epoch-record codec, the
+# the evidence record codec, the in-place evidence parser against the
+# owning one, the membership epoch-record codec, the
 # transport H/M/B/G frame codec (the only code between a socket and the
 # budgeted evidence handler), the client request/response (Q) frame
 # codec, and the adversary.Script parser behind `btrlive -faults`.
 # Override the budget with `make fuzz FUZZTIME=10s` (CI does).
 fuzz:
 	$(GO) test ./internal/evidence -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/evidence -fuzz=FuzzEvidenceParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/member -fuzz=FuzzEpochRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz=FuzzQFrameRoundTrip -fuzztime=$(FUZZTIME)
@@ -133,9 +135,10 @@ bench-smoke:
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects, then the planner's
-# row of the ledger: what plan.Build and baseline.MinSpeed allocate and
-# through which callees. The profiles (alloc-*.pprof) are gitignored and
+# one table of the top 25 sites by allocated objects, then two rows of the
+# ledger, each with its callees: the planner (plan.Build and
+# baseline.MinSpeed) and the record path (a node's emit, onMessage and
+# onEvidenceMessage). The profiles (alloc-*.pprof) are gitignored and
 # removed by `make clean`.
 PROFILE_FAMILIES = paper campaign churn faultrate
 profile-allocs:
@@ -145,6 +148,7 @@ profile-allocs:
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
 ci: fmt-check vet build race race-live bench-smoke
 	@echo "ci: OK"

@@ -45,10 +45,11 @@ func TestCodecAllocPins(t *testing.T) {
 	if cap(enc) != len(enc) {
 		t.Errorf("Record.Encode buffer cap %d != len %d", cap(enc), len(enc))
 	}
-	// AllocsPerRun's warm-up run interns the two task IDs.
-	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeRecord(enc) }); got > 1 {
-		t.Errorf("DecodeRecord allocates %.0f, want <= 1 (the value; the IDs are interned)", got)
+	dst := make([]byte, 0, rec.EncodedSize())
+	if got := testing.AllocsPerRun(100, func() { _ = rec.AppendTo(dst) }); got != 0 {
+		t.Errorf("Record.AppendTo allocates %.0f into a sized dst, want 0", got)
 	}
+	// AllocsPerRun's warm-up run interns the two task IDs.
 	if got := testing.AllocsPerRun(100, func() { _, _ = ParseRecord(enc) }); got != 0 {
 		t.Errorf("ParseRecord allocates %.0f, want 0 (the value aliases the input; the IDs are interned)", got)
 	}
@@ -61,8 +62,17 @@ func TestCodecAllocPins(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 5, 32} {
 		list := EncodeEnvelopes(codecEnvelopes(n))
-		if got := testing.AllocsPerRun(100, func() { _, _ = DecodeEnvelopes(list) }); got > 2 {
-			t.Errorf("DecodeEnvelopes of %d allocates %.0f, want <= 2 (one array for every body and signature, and the slice)", n, got)
+		if got := testing.AllocsPerRun(100, func() { _, _ = ParseEnvelopes(list) }); got > 1 {
+			t.Errorf("ParseEnvelopes of %d allocates %.0f, want <= 1 (the slice)", n, got)
+		}
+		envs := codecEnvelopes(n + 1)
+		blob := Evidence{Kind: KindWrongOutput, Accused: 1, Reporter: 2, Primary: envs[0], Attachments: envs[1:]}.Encode()
+		want := 1.0 // the attachment slice
+		if n == 0 {
+			want = 0
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = Parse(blob) }); got != want {
+			t.Errorf("Parse of evidence with %d attachments allocates %.0f, want %.0f", n, got, want)
 		}
 	}
 }
@@ -76,7 +86,7 @@ func TestInternTableStaysBounded(t *testing.T) {
 	for i := 0; i < internCap+internCap/2; i++ {
 		rec.Producer = flow.TaskID(fmt.Sprintf("hostile-%d#%d", i, i%3))
 		rec.Logical = flow.TaskID(strings.Repeat("L", i%(internMaxLen+8)))
-		got, err := DecodeRecord(rec.Encode())
+		got, err := ParseRecord(rec.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +120,7 @@ func TestDecodeConcurrently(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				rec := codecRecord()
 				rec.Producer = flow.TaskID(fmt.Sprintf("t%d#%d", i%16, g))
-				got, err := DecodeRecord(rec.Encode())
+				got, err := ParseRecord(rec.Encode())
 				if err != nil || got.Producer != rec.Producer || got.Logical != rec.Logical {
 					t.Errorf("goroutine %d: decoded %+v, %v", g, got, err)
 					return
@@ -152,9 +162,8 @@ func TestParseEnvelopesInPlace(t *testing.T) {
 }
 
 // TestParseRecordInPlace: ParseRecord's Value aliases its input (which
-// is why its callers must own it) and is capacity-capped, so an append
-// to it cannot overwrite the digest behind it; apart from ownership it
-// is DecodeRecord, field for field and error for error.
+// is why the input must stay unmodified) and is capacity-capped, so an
+// append to it cannot overwrite the digest behind it.
 func TestParseRecordInPlace(t *testing.T) {
 	rec := codecRecord()
 	enc := rec.Encode()
@@ -170,12 +179,8 @@ func TestParseRecordInPlace(t *testing.T) {
 	if !bytes.Equal(enc, rec.Encode()) {
 		t.Error("an append to the parsed value overwrote the input's digest")
 	}
-	owned, err := DecodeRecord(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecord(got, owned) {
-		t.Errorf("ParseRecord %+v, DecodeRecord %+v", got, owned)
+	if !sameRecord(got, rec) {
+		t.Errorf("ParseRecord %+v, want %+v", got, rec)
 	}
 
 	// Every malformed record TestDecodeStillRejectsMalformed lists.
@@ -196,9 +201,6 @@ func TestParseRecordInPlace(t *testing.T) {
 		if _, err := ParseRecord(b); err == nil {
 			t.Errorf("ParseRecord accepted %s", name)
 		}
-		if _, err := DecodeRecord(b); err == nil {
-			t.Errorf("DecodeRecord accepted %s", name)
-		}
 	}
 }
 
@@ -209,39 +211,36 @@ func sameRecord(a, b Record) bool {
 		a.InputsDigest == b.InputsDigest
 }
 
-// TestDecodeOwnsItsOutput: decoded values must not alias the input frame
-// (transports reuse and adversaries mutate it).
+// TestDecodeOwnsItsOutput: Decode's evidence must not alias its input
+// (its callers need not keep the blob), while Parse's retained wire and
+// envelopes are views into the blob, capacity-capped.
 func TestDecodeOwnsItsOutput(t *testing.T) {
-	scribble := func(b []byte) {
-		for i := range b {
-			b[i] ^= 0xff
-		}
-	}
-
-	rec := codecRecord()
-	enc := rec.Encode()
-	got, err := DecodeRecord(enc)
+	envs := codecEnvelopes(4)
+	orig := Evidence{Kind: KindEquivocation, Accused: 0, Reporter: 2, DetectedAt: 9,
+		Primary: envs[0], Secondary: envs[1], Attachments: envs[2:]}
+	blob := orig.AppendTo(make([]byte, 0, orig.EncodedSize()+8)) // spare capacity
+	want := bytes.Clone(blob)
+	got, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scribble(enc)
-	if got.Producer != rec.Producer || got.Logical != rec.Logical ||
-		!bytes.Equal(got.Value, rec.Value) || got.InputsDigest != rec.InputsDigest {
-		t.Errorf("DecodeRecord output changed when the input was mutated: %+v", got)
-	}
-
-	envs := codecEnvelopes(3)
-	list := EncodeEnvelopes(envs)
-	back, err := DecodeEnvelopes(list)
+	parsed, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scribble(list)
-	for i := range envs {
-		if back[i].Signer != envs[i].Signer || !bytes.Equal(back[i].Body, envs[i].Body) ||
-			!bytes.Equal(back[i].Sig, envs[i].Sig) {
-			t.Errorf("DecodeEnvelopes output %d changed when the input was mutated", i)
-		}
+	if &parsed.Encode()[0] != &blob[0] || &parsed.Primary.Body[0] == &got.Primary.Body[0] {
+		t.Error("Parse copied its input, or Decode did not")
+	}
+	if w := parsed.Encode(); cap(w) != len(w) {
+		t.Errorf("Parse retained a wire of cap %d > len %d", cap(w), len(w))
+	}
+	for i := range blob {
+		blob[i] ^= 0xff
+	}
+	if !bytes.Equal(got.Encode(), want) || got.ID() != orig.ID() ||
+		!bytes.Equal(got.Primary.Sig, envs[0].Sig) || !bytes.Equal(got.Secondary.Body, envs[1].Body) ||
+		len(got.Attachments) != 2 || !bytes.Equal(got.Attachments[1].Sig, envs[3].Sig) {
+		t.Error("Decode output changed when the input was mutated")
 	}
 }
 
@@ -266,8 +265,8 @@ func TestDecodeStillRejectsMalformed(t *testing.T) {
 		"digest one byte beyond": cat(u32(0), u32(0), u32(1), make([]byte, 16), u32(0), make([]byte, 33)),
 	}
 	for name, b := range records {
-		if _, err := DecodeRecord(b); err == nil {
-			t.Errorf("DecodeRecord accepted %s", name)
+		if _, err := ParseRecord(b); err == nil {
+			t.Errorf("ParseRecord accepted %s", name)
 		}
 	}
 
@@ -291,8 +290,8 @@ func TestDecodeStillRejectsMalformed(t *testing.T) {
 		"oversize body":             cat(u32(1), u32(uint32(len(oversize))), oversize),
 	}
 	for name, b := range lists {
-		if _, err := DecodeEnvelopes(b); err == nil {
-			t.Errorf("DecodeEnvelopes accepted %s", name)
+		if _, err := ParseEnvelopes(b); err == nil {
+			t.Errorf("ParseEnvelopes accepted %s", name)
 		}
 	}
 	// The same list is the tail of an evidence blob.
@@ -302,21 +301,25 @@ func TestDecodeStillRejectsMalformed(t *testing.T) {
 		"truncated":     blob[:len(blob)-1],
 		"trailing byte": cat(blob, []byte{0}),
 	} {
+		if _, err := Parse(b); err == nil {
+			t.Errorf("Parse accepted %s blob", name)
+		}
 		if _, err := Decode(b); err == nil {
 			t.Errorf("Decode accepted %s blob", name)
 		}
 	}
 }
 
-// TestDecodeEnvelopesCountIsNotAnAllocationRequest: the envelope count is
-// read before any signature is checked, so it must not size an
+// TestDecodeEnvelopesCountIsNotAnAllocationRequest: the envelope count
+// (read by ParseEnvelopes, on its own or under Parse and Decode) comes
+// before any signature is checked, so it must not size an
 // allocation beyond what the frame's remaining bytes could hold. A
 // count of 65536 with no payload used to reserve 65536 envelope headers
 // (about 3.6 MB) per ~100-byte frame.
 func TestDecodeEnvelopesCountIsNotAnAllocationRequest(t *testing.T) {
 	frame := binary.LittleEndian.AppendUint32(nil, 1<<16)
 	decode := func() {
-		if _, err := DecodeEnvelopes(frame); err == nil {
+		if _, err := ParseEnvelopes(frame); err == nil {
 			t.Fatal("count without payload accepted")
 		}
 	}

@@ -255,16 +255,16 @@ func (e Evidence) Canon() Evidence {
 	return e
 }
 
-// Decode parses encoded evidence; it is strict about framing so bogus
-// blobs are rejected before any signature verification. The evidence
-// owns its bytes: b is cloned once, the primary, secondary and
-// attachment envelopes are parsed in place from the clone
-// (sig.ParseEnvelope), and the clone is retained as the canonical wire
-// form, with a precomputed ID, so forwarding a received blob re-encodes
-// nothing. Nothing aliases b; an envelope kept past the evidence keeps
-// the whole clone alive.
-func Decode(b []byte) (Evidence, error) {
-	b = bytes.Clone(b)
+// Parse parses encoded evidence in place; it is strict about framing so
+// bogus blobs are rejected before any signature verification. The
+// primary, secondary and attachment envelopes alias b (sig.ParseEnvelope),
+// and b itself, capacity-capped, is retained as the canonical wire form
+// with a precomputed ID, so forwarding a received blob re-encodes
+// nothing. b must stay unmodified while the evidence or any envelope
+// taken from it is in use, which a received payload guarantees (see
+// network.Transport.Send).
+func Parse(b []byte) (Evidence, error) {
+	b = b[:len(b):len(b)]
 	rd := &reader{b: b}
 	var e Evidence
 	e.Kind = Kind(rd.u8())
@@ -288,12 +288,18 @@ func Decode(b []byte) (Evidence, error) {
 	if e.Attachments, err = ParseEnvelopes(rd.b); err != nil {
 		return Evidence{}, err
 	}
-	rd.b = nil
 	e.wire = b
 	h := sha256.Sum256(b)
 	copy(e.id[:], h[:16])
 	e.hasID = true
 	return e, nil
+}
+
+// Decode is Parse on a copy of b: the evidence owns its bytes and
+// nothing aliases b. An envelope kept past the evidence keeps the whole
+// copy alive.
+func Decode(b []byte) (Evidence, error) {
+	return Parse(bytes.Clone(b))
 }
 
 // ID returns a stable 16-byte identifier (for dedup) derived from the
@@ -496,7 +502,7 @@ func (v *Validator) validateBogus(e Evidence) error {
 	if !v.Reg.Check(e.Primary) {
 		return fmt.Errorf("%w: endorsement envelope", ErrBadSignature)
 	}
-	inner, err := Decode(e.Primary.Body)
+	inner, err := Parse(e.Primary.Body)
 	if err != nil {
 		// Endorsing an undecodable blob is itself proof.
 		if e.Accused != e.Primary.Signer {

@@ -44,7 +44,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		SendOff: 1500 * sim.Microsecond, Value: []byte{1, 2, 3},
 	}
 	r.InputsDigest[0] = 0xaa
-	d, err := DecodeRecord(r.Encode())
+	d, err := ParseRecord(r.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRecordDecodeMalformed(t *testing.T) {
 	r := Record{Producer: "p", Logical: "l", Node: 1, Period: 1, Value: []byte("v")}
 	enc := r.Encode()
 	for _, b := range [][]byte{{}, enc[:3], enc[:len(enc)-1], append(append([]byte{}, enc...), 9)} {
-		if _, err := DecodeRecord(b); err == nil {
+		if _, err := ParseRecord(b); err == nil {
 			t.Errorf("decode accepted malformed input of len %d", len(b))
 		}
 	}
@@ -67,7 +67,7 @@ func TestRecordDecodeMalformed(t *testing.T) {
 
 func TestRecordDecodeFuzz(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = DecodeRecord(b) // must not panic
+		_, _ = ParseRecord(b) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -170,7 +170,7 @@ func TestWrongOutputRejectsCorrectOutput(t *testing.T) {
 	v := testValidator(reg)
 	in := mkRecord(reg, 0, "s#0", "s", 7, 10, []byte("sensor-7"), nil)
 	atts := []sig.Envelope{in}
-	inRec, _ := DecodeRecord(in.Body)
+	inRec, _ := ParseRecord(in.Body)
 	good := HashCompute("t", 7, []Record{inRec})
 	env := mkRecord(reg, 1, "t#0", "t", 7, 20, good, atts)
 	ev := Evidence{Kind: KindWrongOutput, Accused: 1, Reporter: 2, Primary: env, Attachments: atts}
@@ -187,7 +187,7 @@ func TestWrongOutputRejectsSwappedAttachments(t *testing.T) {
 	realIn := mkRecord(reg, 0, "s#0", "s", 7, 10, []byte("real"), nil)
 	fakeIn := mkRecord(reg, 0, "s#0", "s", 7, 10, []byte("fake"), nil)
 	realAtts := []sig.Envelope{realIn}
-	realRec, _ := DecodeRecord(realIn.Body)
+	realRec, _ := ParseRecord(realIn.Body)
 	good := HashCompute("t", 7, []Record{realRec})
 	env := mkRecord(reg, 1, "t#0", "t", 7, 20, good, realAtts)
 	ev := Evidence{Kind: KindWrongOutput, Accused: 1, Reporter: 2,
@@ -498,7 +498,7 @@ func TestAppendEnvelopesMatchesEncode(t *testing.T) {
 	if app[0] != 0xAA || !bytes.Equal(app[1:], enc) {
 		t.Error("AppendEnvelopes diverges from EncodeEnvelopes")
 	}
-	back, err := DecodeEnvelopes(enc)
+	back, err := ParseEnvelopes(enc)
 	if err != nil || len(back) != 3 {
 		t.Fatalf("round trip failed: %v", err)
 	}

@@ -107,9 +107,8 @@ func (r *reader) i64() int64 { return int64(r.u64()) }
 
 // view returns the next n bytes without copying. The result aliases the
 // input and is capacity-capped, so an append to it reallocates instead
-// of overwriting what follows. An owning decoder copies it once, into
-// the value it returns; an in-place parser (ParseRecord, ParseEnvelopes)
-// hands it out as is.
+// of overwriting what follows. The in-place parsers (ParseRecord,
+// ParseEnvelopes, Parse) hand it out as is.
 func (r *reader) view(n int) []byte {
 	if r.err != nil || n < 0 || len(r.b) < n {
 		r.err = errShort
@@ -178,11 +177,16 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Encode serializes the record into one exactly sized buffer.
-func (r Record) Encode() []byte {
-	size := 4 + len(r.Producer) + 4 + len(r.Logical) + 4 + 8 + 8 +
+// EncodedSize returns len(Encode()) without encoding.
+func (r Record) EncodedSize() int {
+	return 4 + len(r.Producer) + 4 + len(r.Logical) + 4 + 8 + 8 +
 		4 + len(r.Value) + len(r.InputsDigest)
-	w := buf{b: make([]byte, 0, size)}
+}
+
+// AppendTo appends the record encoding to dst and returns the extended
+// slice (zero allocations when dst has capacity).
+func (r Record) AppendTo(dst []byte) []byte {
+	w := buf{b: dst}
 	w.str(string(r.Producer))
 	w.str(string(r.Logical))
 	w.u32(uint32(r.Node))
@@ -193,19 +197,15 @@ func (r Record) Encode() []byte {
 	return w.b
 }
 
-// DecodeRecord parses an encoded record, rejecting malformed input. The
-// record owns its fields; nothing aliases b. It is ParseRecord with
-// Value cloned, and Producer and Logical come from the task-ID intern
-// table (internID).
-func DecodeRecord(b []byte) (Record, error) {
-	r, err := ParseRecord(b)
-	r.Value = bytes.Clone(r.Value)
-	return r, err
+// Encode serializes the record into one exactly sized buffer.
+func (r Record) Encode() []byte {
+	return r.AppendTo(make([]byte, 0, r.EncodedSize()))
 }
 
-// ParseRecord is DecodeRecord without the copy: Value aliases b and is
-// capacity-capped, so an append to it reallocates instead of
-// overwriting the digest behind it. The caller must own b and leave it
+// ParseRecord parses an encoded record in place, rejecting malformed
+// input. Value aliases b and is capacity-capped, so an append to it
+// reallocates instead of overwriting the digest behind it; Producer and
+// Logical come from the task-ID intern table (internID). b must stay
 // unmodified while the record is in use; a record kept no longer than
 // the envelope it came from costs no allocation.
 func ParseRecord(b []byte) (Record, error) {
@@ -283,18 +283,10 @@ func EncodeEnvelopes(envs []sig.Envelope) []byte {
 // prefix, envelope header, empty body, signature.
 const minEnvelopeWire = 4 + 8 + sig.SignatureSize
 
-// DecodeEnvelopes parses a count-prefixed envelope list. The envelopes
-// own their bytes: b is cloned once and parsed in place from the clone
-// (ParseEnvelopes), so nothing aliases b, and the whole list costs two
-// allocations — the clone and the slice — whatever its length.
-func DecodeEnvelopes(b []byte) ([]sig.Envelope, error) {
-	return ParseEnvelopes(bytes.Clone(b))
-}
-
-// ParseEnvelopes is DecodeEnvelopes without the copy: every envelope's
-// Body and Sig alias b (see sig.ParseEnvelope), so the caller must own b
-// and leave it unmodified while any of them is in use. An envelope the
-// caller keeps keeps all of b alive.
+// ParseEnvelopes parses a count-prefixed envelope list in place: every
+// envelope's Body and Sig alias b (see sig.ParseEnvelope), so b must stay
+// unmodified while any of them is in use. An envelope the caller keeps
+// keeps all of b alive.
 func ParseEnvelopes(b []byte) ([]sig.Envelope, error) {
 	rd := &reader{b: b}
 	n := int(rd.u32())

@@ -11,14 +11,16 @@ import (
 // FuzzRecordRoundTrip checks the two invariants of the Record codec that
 // the evidence layer's security rests on:
 //
-//  1. Encode∘Decode is the identity on valid records (a verifier that
-//     re-encodes what it decoded signs exactly the producer's bytes), and
-//  2. Decode either rejects malformed input or yields a record whose
-//     re-encoding round-trips — no input may decode to a record that
+//  1. Encode∘ParseRecord is the identity on valid records (a verifier
+//     that re-encodes what it parsed signs exactly the producer's bytes),
+//     and
+//  2. ParseRecord either rejects malformed input or yields a record whose
+//     re-encoding round-trips — no input may parse to a record that
 //     serializes differently (an equivocation-proof forgery vector).
 //
-// It also checks that the in-place ParseRecord accepts and rejects
-// exactly what DecodeRecord does, with the same fields.
+// It also checks that AppendTo after a prefix is the prefix followed by
+// Encode, and that EncodedSize is Encode's length: the data frame is
+// sealed around a record appended in place.
 func FuzzRecordRoundTrip(f *testing.F) {
 	seed := Record{
 		Producer: "fc.law#1",
@@ -40,29 +42,26 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeRecord(data)
-		parsed, perr := ParseRecord(data)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("DecodeRecord error %v, ParseRecord error %v", err, perr)
-		}
+		rec, err := ParseRecord(data)
 		if err != nil {
 			return // malformed input rejected: fine
 		}
-		if !sameRecord(parsed, rec) {
-			t.Fatalf("ParseRecord %+v, DecodeRecord %+v", parsed, rec)
-		}
 		enc := rec.Encode()
 		if !bytes.Equal(enc, data) {
-			t.Fatalf("decode/encode not canonical:\n in: %x\nout: %x", data, enc)
+			t.Fatalf("parse/encode not canonical:\n in: %x\nout: %x", data, enc)
 		}
-		rec2, err := DecodeRecord(enc)
+		if rec.EncodedSize() != len(enc) {
+			t.Fatalf("EncodedSize %d, encoding %d bytes", rec.EncodedSize(), len(enc))
+		}
+		prefix := []byte("prefix")
+		if got := rec.AppendTo(bytes.Clone(prefix)); !bytes.Equal(got, append(prefix, enc...)) {
+			t.Fatalf("AppendTo(prefix) = %x, want prefix then %x", got, enc)
+		}
+		rec2, err := ParseRecord(enc)
 		if err != nil {
-			t.Fatalf("re-decode of valid encoding failed: %v", err)
+			t.Fatalf("re-parse of valid encoding failed: %v", err)
 		}
-		if rec2.Producer != rec.Producer || rec2.Logical != rec.Logical ||
-			rec2.Node != rec.Node || rec2.Period != rec.Period ||
-			rec2.SendOff != rec.SendOff || !bytes.Equal(rec2.Value, rec.Value) ||
-			rec2.InputsDigest != rec.InputsDigest {
+		if !sameRecord(rec2, rec) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", rec, rec2)
 		}
 	})
@@ -81,7 +80,7 @@ func TestRecordRoundTripStructured(t *testing.T) {
 			SendOff: sim.Never, Value: bytes.Repeat([]byte{0x55}, 1024)},
 	}
 	for i, rec := range cases {
-		got, err := DecodeRecord(rec.Encode())
+		got, err := ParseRecord(rec.Encode())
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -73,7 +73,7 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 	if !n.cfg.Registry.Check(wrapper) {
 		return // endorsement signature invalid: cannot attribute, drop
 	}
-	inner, err := evidence.Decode(wrapper.Body)
+	inner, err := evidence.Parse(wrapper.Body)
 	if err != nil {
 		// The endorser signed an undecodable blob: proof against it.
 		n.EvidenceRejected++

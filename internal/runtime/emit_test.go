@@ -25,7 +25,7 @@ type sentRecord struct {
 
 func (l *sendLog) Send(src, dst network.NodeID, class network.Class, payload []byte) bool {
 	if env, _, err := parseDataPayload(payload); err == nil {
-		if rec, err := evidence.DecodeRecord(env.Body); err == nil {
+		if rec, err := evidence.ParseRecord(env.Body); err == nil {
 			l.sends = append(l.sends, sentRecord{rec, payload})
 		}
 	}
@@ -122,10 +122,10 @@ func TestEmitSealsOncePerTask(t *testing.T) {
 
 // steadyStateAllocsPerPeriod pins the whole deployment's allocations per
 // period in steady state: a fault-free chain of three on a full mesh of
-// four, f = 1. It measures 61, and 72–76 under the race detector, whose
+// four, f = 1. It measures 34, and 47–48 under the race detector, whose
 // sync.Pool drops some puts; the pin keeps the 16 of headroom over the
 // plain count it has always had, which admits both.
-const steadyStateAllocsPerPeriod = 77
+const steadyStateAllocsPerPeriod = 50
 
 func TestSteadyStateAllocsPerPeriod(t *testing.T) {
 	h := newHarness(t, flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA), 4, 1, 3)

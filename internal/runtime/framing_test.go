@@ -2,91 +2,121 @@ package runtime
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"btr/internal/evidence"
 	"btr/internal/flow"
+	"btr/internal/network"
+	"btr/internal/plan"
 	"btr/internal/sig"
+	"btr/internal/sim"
 )
 
 func TestDataPayloadRoundTrip(t *testing.T) {
 	reg := sig.NewRegistry(1, 3)
 	rec := evidence.Record{Producer: "t#0", Logical: "t", Node: 1, Period: 9, Value: []byte("v")}
-	env := reg.Seal(1, rec.Encode())
 	att := reg.Seal(0, evidence.Record{Producer: "s#0", Logical: "s", Node: 0, Period: 9, Value: []byte("u")}.Encode())
-	p := dataPayload(env, []sig.Envelope{att})
+	env, p := sealFrame(reg, 1, rec, []sig.Envelope{att})
+	// The frame is the kind byte, the length-prefixed envelope Seal would
+	// give, and the attachment list, in one exact-size array.
+	want := reg.Seal(1, rec.Encode())
+	ref := binary.LittleEndian.AppendUint32([]byte{msgData}, uint32(want.EncodedSize()))
+	ref = evidence.AppendEnvelopes(want.AppendTo(ref), []sig.Envelope{att})
+	if !bytes.Equal(p, ref) || cap(p) != len(p) {
+		t.Fatalf("frame %x (cap %d), want %x", p, cap(p), ref)
+	}
+	if !sameEnvelope(env, want) || !reg.Check(env) {
+		t.Error("sealFrame's envelope differs from Seal's")
+	}
 	gotEnv, gotAtts, err := parseDataPayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotEnv.Body, env.Body) || gotEnv.Signer != 1 {
+	if !sameEnvelope(gotEnv, want) {
 		t.Error("envelope mangled")
 	}
-	if len(gotAtts) != 1 || !bytes.Equal(gotAtts[0].Body, att.Body) {
+	if len(gotAtts) != 1 || !sameEnvelope(gotAtts[0], att) {
 		t.Error("attachments mangled")
 	}
 }
 
-// dataPayloadWith seals a record and k attachments and frames them.
-func dataPayloadWith(k int) (sig.Envelope, []sig.Envelope, []byte) {
+func sameEnvelope(a, b sig.Envelope) bool {
+	return a.Signer == b.Signer && bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Sig, b.Sig)
+}
+
+// dataPayloadWith seals a record with k attachments into its frame.
+func dataPayloadWith(k int) (*sig.Registry, evidence.Record, []sig.Envelope) {
 	reg := sig.NewRegistry(1, 3)
-	env := reg.Seal(1, evidence.Record{Producer: "t#0", Logical: "t", Node: 1, Period: 9, Value: []byte("v")}.Encode())
+	rec := evidence.Record{Producer: "t#0", Logical: "t", Node: 1, Period: 9, Value: []byte("v")}
 	atts := make([]sig.Envelope, k)
 	for i := range atts {
 		atts[i] = reg.Seal(0, evidence.Record{Producer: "s#0", Logical: "s", Node: 0, Period: 9, Value: []byte{byte(i)}}.Encode())
 	}
-	return env, atts, dataPayload(env, atts)
+	return reg, rec, atts
 }
 
-// TestDataPayloadParseAllocs pins one owned array per received payload:
-// the clone, plus the attachment slice when there is one to hold,
-// whatever the number of attachments.
-func TestDataPayloadParseAllocs(t *testing.T) {
+// TestSealFrameOneAllocation pins the send side at one allocation per
+// record, the frame, whatever the number of attachments: the record is
+// encoded in place and the signature, kept on the stack, is copied in.
+func TestSealFrameOneAllocation(t *testing.T) {
 	for _, k := range []int{0, 1, 4} {
-		_, _, p := dataPayloadWith(k)
-		if got := testing.AllocsPerRun(100, func() { _, _, _ = parseDataPayload(p) }); got > 2 {
-			t.Errorf("parsing a data payload with %d attachments allocates %.0f, want <= 2", k, got)
+		reg, rec, atts := dataPayloadWith(k)
+		if got := testing.AllocsPerRun(100, func() { _, _ = sealFrame(reg, 1, rec, atts) }); got != 1 {
+			t.Errorf("sealing a record with %d attachments allocates %.0f, want 1", k, got)
 		}
 	}
 }
 
-// TestDataPayloadParseOwnsItsOutput: the parsed envelope and attachments
-// share one array cloned from the frame, so scribbling on the frame
-// changes no field, and appending to the record's Body or Sig cannot
-// overwrite the first attachment parsed after it.
-func TestDataPayloadParseOwnsItsOutput(t *testing.T) {
-	env, atts, p := dataPayloadWith(4)
+// TestDataPayloadParseAllocs pins the receive side: a data frame is
+// parsed in place, so only the attachment slice is allocated, and
+// nothing when there are no attachments.
+func TestDataPayloadParseAllocs(t *testing.T) {
+	for _, k := range []int{0, 1, 4} {
+		reg, rec, atts := dataPayloadWith(k)
+		_, p := sealFrame(reg, 1, rec, atts)
+		want := 1.0
+		if k == 0 {
+			want = 0
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _, _ = parseDataPayload(p) }); got > want {
+			t.Errorf("parsing a data payload with %d attachments allocates %.0f, want <= %.0f", k, got, want)
+		}
+	}
+}
+
+// TestDataPayloadParsesInPlace: the parsed envelope and attachments
+// alias the frame, and every Body and Sig is capacity-capped, so
+// appending to the record's Body or Sig cannot overwrite the first
+// attachment parsed after it.
+func TestDataPayloadParsesInPlace(t *testing.T) {
+	reg, rec, atts := dataPayloadWith(4)
+	env, p := sealFrame(reg, 1, rec, atts)
 	gotEnv, gotAtts, err := parseDataPayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p {
-		p[i] ^= 0xff
-	}
-	same := func(a, b sig.Envelope) bool {
-		return a.Signer == b.Signer && bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Sig, b.Sig)
-	}
-	if !same(gotEnv, env) {
-		t.Error("parsed record envelope changed when the frame was mutated")
-	}
-	for i := range atts {
-		if !same(gotAtts[i], atts[i]) {
-			t.Errorf("parsed attachment %d changed when the frame was mutated", i)
-		}
+	const bodyAt = 1 + 4 + 8
+	if &gotEnv.Body[0] != &p[bodyAt] || &gotEnv.Sig[0] != &p[bodyAt+len(env.Body)] ||
+		&gotEnv.Body[0] != &env.Body[0] || &gotAtts[0].Body[0] != &p[len(p)-evidence.EnvelopesSize(atts)+4+4+8] {
+		t.Error("parseDataPayload copied instead of parsing in place")
 	}
 	_ = append(gotEnv.Body, 0xee)
 	_ = append(gotEnv.Sig, 0xee)
 	_ = append(gotAtts[0].Sig, 0xee)
-	if !same(gotEnv, env) || !same(gotAtts[0], atts[0]) || !same(gotAtts[1], atts[1]) {
+	if !sameEnvelope(gotEnv, env) || !sameEnvelope(gotAtts[0], atts[0]) || !sameEnvelope(gotAtts[1], atts[1]) {
 		t.Error("an append to a parsed Body or Sig overwrote the envelope after it")
+	}
+	if !reg.Check(gotEnv) {
+		t.Error("parsed envelope does not verify")
 	}
 }
 
 func TestDataPayloadRejectsMalformed(t *testing.T) {
 	reg := sig.NewRegistry(1, 2)
-	env := reg.Seal(0, []byte("x"))
-	good := dataPayload(env, nil)
+	_, good := sealFrame(reg, 0, evidence.Record{Producer: "x#0", Logical: "x"}, nil)
 	cases := [][]byte{
 		{},
 		{msgData},
@@ -118,12 +148,15 @@ func TestEvidencePayloadRoundTrip(t *testing.T) {
 	reg := sig.NewRegistry(1, 2)
 	wrapper := reg.Seal(1, []byte("inner-evidence-bytes"))
 	p := evidencePayload(wrapper)
+	if cap(p) != len(p) || testing.AllocsPerRun(100, func() { _ = evidencePayload(wrapper) }) != 1 {
+		t.Errorf("evidence frame not built in one exact-size allocation (len %d, cap %d)", len(p), cap(p))
+	}
 	got, err := parseEvidencePayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Signer != 1 || !bytes.Equal(got.Body, wrapper.Body) {
-		t.Error("wrapper mangled")
+	if !sameEnvelope(got, wrapper) || &got.Body[0] != &p[1+8] {
+		t.Error("wrapper mangled or copied")
 	}
 }
 
@@ -145,5 +178,84 @@ func TestMajoritySelection(t *testing.T) {
 	}
 	if majority(nil) != nil {
 		t.Error("majority of nothing should be nil")
+	}
+}
+
+// hashLog wraps the simulated network and keeps every payload handed to
+// Send or SendDirect with its digest at the time of sending.
+type hashLog struct {
+	*network.Network
+	sent []hashedPayload
+}
+
+type hashedPayload struct {
+	payload []byte
+	sum     [sha256.Size]byte
+}
+
+func (l *hashLog) Send(src, dst network.NodeID, class network.Class, payload []byte) bool {
+	l.sent = append(l.sent, hashedPayload{payload, sha256.Sum256(payload)})
+	return l.Network.Send(src, dst, class, payload)
+}
+
+func (l *hashLog) SendDirect(from, to network.NodeID, class network.Class, payload []byte) bool {
+	l.sent = append(l.sent, hashedPayload{payload, sha256.Sum256(payload)})
+	return l.Network.SendDirect(from, to, class, payload)
+}
+
+// TestReceiversNeverWritePayloads checks the read-only payload contract
+// (network.Transport.Send) end to end. Receivers parse records,
+// attachments and evidence in place, and a payload is shared by every
+// edge and neighbor it goes to, so a write by any sender, relay or
+// handler would change what other nodes see. After kernel runs without
+// faults and under a corrupt task, an equivocating one and a bogus
+// evidence flood, every payload sent must still hash as it did when it
+// was sent.
+func TestReceiversNeverWritePayloads(t *testing.T) {
+	corrupt := func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+		if rec.Logical == "c1" {
+			rec.Value = []byte("corrupted!")
+		}
+		return rec, 0, true
+	}
+	equivocate := func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+		if _, idx := plan.SplitReplica(consumer); rec.Logical == "c1" && idx%2 == 0 {
+			rec.Value = append([]byte("fork:"), rec.Value...)
+		}
+		return rec, 0, true
+	}
+	for _, tc := range []struct {
+		name     string
+		behavior *Behavior
+	}{
+		{"fault-free", nil},
+		{"corrupt-task", &Behavior{OnOutput: corrupt}},
+		{"equivocate", &Behavior{OnOutput: equivocate}},
+		{"bogus-flood", &Behavior{BogusEvidencePerPeriod: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log *hashLog
+			g := flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
+			h := newHarnessOn(t, g, 6, 1, 11, func(nw *network.Network) network.Transport {
+				log = &hashLog{Network: nw}
+				return log
+			})
+			if tc.behavior != nil {
+				victim := h.nodeOf("c1#0")
+				h.k.At(4*h.strategy.Base.Period-1, func() { h.sys.SetBehavior(victim, tc.behavior) })
+			}
+			h.run(20)
+			kinds := map[byte]int{}
+			for i, s := range log.sent {
+				if sha256.Sum256(s.payload) != s.sum {
+					t.Fatalf("payload %d (kind %q) was written after it was sent", i, s.payload[0])
+				}
+				kinds[s.payload[0]]++
+			}
+			if kinds[msgData] == 0 || (tc.behavior != nil && (kinds[msgEvidence] == 0 || len(h.evidences) == 0)) {
+				t.Fatalf("sent %d data and %d evidence frames, %d pieces of evidence: the check is vacuous",
+					kinds[msgData], kinds[msgEvidence], len(h.evidences))
+			}
+		})
 	}
 }

@@ -467,8 +467,8 @@ func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec eviden
 	}
 }
 
-// sealed is one signed record and its framed data payload, each built on
-// first use.
+// sealed is one signed record and the data frame it lies in, built on
+// first use (sealFrame).
 type sealed struct {
 	env     sig.Envelope
 	payload []byte
@@ -494,13 +494,10 @@ func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, e 
 			rec, s = mutated, &own
 		}
 	}
-	if s.env.Sig == nil {
-		s.env = n.cfg.Registry.Seal(n.id, rec.Encode())
+	if s.payload == nil {
+		s.env, s.payload = sealFrame(n.cfg.Registry, n.id, rec, atts)
 	}
 	dst := cur.Assign[e.To]
-	if dst != n.id && s.payload == nil {
-		s.payload = dataPayload(s.env, atts)
-	}
 	env, payload := s.env, s.payload
 	if extraDelay > 0 {
 		n.cfg.Kernel.After(extraDelay, func() { n.deliver(dst, env, atts, payload) })

@@ -13,7 +13,7 @@
 package runtime
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"btr/internal/evidence"
@@ -273,23 +273,35 @@ const (
 	msgMember   = 'M'
 )
 
-// dataPayload frames a dataflow record: kind byte, record envelope,
-// attached input envelopes. One exact-size allocation; the envelope and
-// attachment encodings are appended in place.
-func dataPayload(env sig.Envelope, attachments []sig.Envelope) []byte {
-	eb := env.EncodedSize()
-	out := make([]byte, 0, 5+eb+evidence.EnvelopesSize(attachments))
-	out = append(out, msgData, byte(eb), byte(eb>>8), byte(eb>>16), byte(eb>>24))
-	out = env.AppendTo(out)
-	return evidence.AppendEnvelopes(out, attachments)
+// sealFrame signs rec as signer and frames it with its attachments in
+// one exact-size allocation: kind byte, record envelope, attached input
+// envelopes. The record is encoded in place and signed where it lies, so
+// the returned envelope's Body and Sig alias the frame; both are
+// capacity-capped, so an append reallocates instead of running into the
+// bytes after them. Like sig.Envelope.AppendTo, a record longer than
+// sig.MaxBody panics instead of truncating its length field.
+func sealFrame(reg *sig.Registry, signer network.NodeID, rec evidence.Record, atts []sig.Envelope) (sig.Envelope, []byte) {
+	n := rec.EncodedSize()
+	if n > sig.MaxBody {
+		panic(fmt.Sprintf("runtime: invariant MaxBody violated: record %d > %d", n, sig.MaxBody))
+	}
+	const hdr = 1 + 4 + 8 // kind, envelope length, signer, body length
+	frame := make([]byte, 0, hdr+n+sig.SignatureSize+evidence.EnvelopesSize(atts))
+	frame = append(frame, msgData)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(8+n+sig.SignatureSize))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(signer))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(n))
+	frame = rec.AppendTo(frame)
+	body := frame[hdr : hdr+n : hdr+n]
+	frame = append(frame, reg.Sign(signer, body)...)
+	end := len(frame)
+	env := sig.Envelope{Signer: signer, Body: body, Sig: frame[hdr+n : end : end]}
+	return env, evidence.AppendEnvelopes(frame, atts)
 }
 
-// parseDataPayload reverses dataPayload. The payload may be shared (the
-// seal memo hands one slice to every receiver) and the transport may
-// reuse it, so it is cloned once; the record envelope and every
-// attachment are then parsed in place from that clone. The results own
-// their bytes and share one array: a retained attachment keeps the
-// whole payload's copy alive.
+// parseDataPayload reverses sealFrame. It parses in place: the record
+// envelope and every attachment alias b, which no one may modify once
+// sent (network.Transport.Send), so a received record costs no copy.
 func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 	if len(b) < 5 || b[0] != msgData {
 		return sig.Envelope{}, nil, fmt.Errorf("runtime: bad data frame")
@@ -298,7 +310,6 @@ func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 	if n < 0 || len(b) < 5+n {
 		return sig.Envelope{}, nil, fmt.Errorf("runtime: truncated data frame")
 	}
-	b = bytes.Clone(b)
 	env, err := sig.ParseEnvelope(b[5 : 5+n])
 	if err != nil {
 		return sig.Envelope{}, nil, err
@@ -311,14 +322,17 @@ func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 }
 
 // evidencePayload frames evidence wrapped in the forwarder's endorsement
-// envelope: the receiver can prove who handed it an invalid blob.
+// envelope (the receiver can prove who handed it an invalid blob), in one
+// exact-size allocation.
 func evidencePayload(wrapper sig.Envelope) []byte {
-	return append([]byte{msgEvidence}, wrapper.Encode()...)
+	return wrapper.AppendTo(append(make([]byte, 0, 1+wrapper.EncodedSize()), msgEvidence))
 }
 
+// parseEvidencePayload parses an evidence frame in place: the wrapper
+// aliases b (see parseDataPayload).
 func parseEvidencePayload(b []byte) (sig.Envelope, error) {
 	if len(b) < 1 || b[0] != msgEvidence {
 		return sig.Envelope{}, fmt.Errorf("runtime: bad evidence frame")
 	}
-	return sig.DecodeEnvelope(b[1:])
+	return sig.ParseEnvelope(b[1:])
 }

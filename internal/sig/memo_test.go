@@ -85,7 +85,7 @@ func TestSealedPayloadDeterministic(t *testing.T) {
 		t.Fatal("prefix not honored by seal memo")
 	}
 	// The payload round-trips as a well-formed envelope.
-	env, err := DecodeEnvelope(want[1:])
+	env, err := ParseEnvelope(want[1:])
 	if err != nil || !plain.Check(env) || env.Signer != 1 {
 		t.Fatalf("framed seal does not round-trip: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 					return
 				}
 				p := reg.SealedPayload(id, 'E', msg)
-				if env, err := DecodeEnvelope(p[1:]); err != nil || !plain.Check(env) {
+				if env, err := ParseEnvelope(p[1:]); err != nil || !plain.Check(env) {
 					errs <- "concurrent sealed payload malformed"
 					return
 				}
@@ -406,7 +406,7 @@ func TestSetMemos(t *testing.T) {
 		t.Fatal("uncached registry rejects its own seal")
 	}
 	p := r.SealedPayload(0, 'E', []byte("x"))
-	if env2, err := DecodeEnvelope(p[1:]); err != nil || !r.Check(env2) {
+	if env2, err := ParseEnvelope(p[1:]); err != nil || !r.Check(env2) {
 		t.Fatal("uncached SealedPayload malformed")
 	}
 }

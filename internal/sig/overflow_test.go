@@ -28,7 +28,7 @@ func mustPanicMaxBody(t *testing.T, fn func()) {
 func TestEnvelopeEncodeAtBodyBoundary(t *testing.T) {
 	e := Envelope{Signer: 1, Body: make([]byte, MaxBody), Sig: make([]byte, SignatureSize)}
 	b := e.AppendTo(make([]byte, 0, e.EncodedSize()))
-	got, err := DecodeEnvelope(b)
+	got, err := ParseEnvelope(b)
 	if err != nil {
 		t.Fatalf("decode at boundary: %v", err)
 	}
@@ -41,13 +41,13 @@ func TestEnvelopeEncodeAtBodyBoundary(t *testing.T) {
 }
 
 // TestDecodeEnvelopeRejectsOversizeLength proves the decode side is
-// symmetric: a hand-forged frame claiming a body beyond MaxBody is
-// rejected before allocation.
+// symmetric: ParseEnvelope rejects a hand-forged frame claiming a body
+// beyond MaxBody.
 func TestDecodeEnvelopeRejectsOversizeLength(t *testing.T) {
 	e := Envelope{Signer: 1, Body: []byte("ok"), Sig: make([]byte, SignatureSize)}
 	b := e.Encode()
 	b[4], b[5], b[6], b[7] = 0xff, 0xff, 0xff, 0x7f // length = 2GiB-ish
-	if _, err := DecodeEnvelope(b); err == nil {
+	if _, err := ParseEnvelope(b); err == nil {
 		t.Fatal("oversize length accepted")
 	}
 }

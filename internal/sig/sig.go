@@ -23,7 +23,6 @@
 package sig
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -227,22 +226,13 @@ func (e Envelope) AppendTo(dst []byte) []byte {
 	return append(dst, e.Sig...)
 }
 
-// DecodeEnvelope parses an encoded envelope. It is strict: trailing bytes
-// or a short signature are errors, so malformed (possibly adversarial)
-// input is rejected cheaply before any signature check. The envelope
-// owns its bytes: b is cloned once and parsed in place from the clone
-// (ParseEnvelope), so nothing aliases b and Body and Sig share one
-// backing array.
-func DecodeEnvelope(b []byte) (Envelope, error) {
-	return ParseEnvelope(bytes.Clone(b))
-}
-
-// ParseEnvelope is DecodeEnvelope without the copy: Body and Sig alias b,
-// so the caller must own b and leave it unmodified for as long as the
+// ParseEnvelope parses an encoded envelope in place. It is strict:
+// trailing bytes or a short signature are errors, so malformed (possibly
+// adversarial) input is rejected cheaply before any signature check.
+// Body and Sig alias b, so b must stay unmodified for as long as the
 // envelope is in use. Body's and Sig's capacities stop at their lengths,
 // so appending to either reallocates instead of running into the bytes
-// after it. It is the one envelope parser; the owning decoders clone
-// their input once and parse it here.
+// after it. It is the one envelope parser.
 func ParseEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 8 {
 		return Envelope{}, errTruncated
