@@ -135,11 +135,14 @@ bench-smoke:
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects, then two rows of the
-# ledger, each with its callees: the planner (plan.Build and
-# baseline.MinSpeed) and the record path (a node's emit, onMessage and
-# onEvidenceMessage). The profiles (alloc-*.pprof) are gitignored and
-# removed by `make clean`.
+# one table of the top 25 sites by allocated objects, then three rows of
+# the ledger, each with its callers and callees: the planner (plan.Build
+# and baseline.MinSpeed), the record path (a node's emit, onMessage and
+# onEvidenceMessage) and the seal path, the one exact-size buffer each
+# caller of sig's in-place primitive, sig.(*Registry).SignAppended,
+# allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
+# seal memo's misses, sig.(*Registry).sealPayload). The profiles
+# (alloc-*.pprof) are gitignored and removed by `make clean`.
 PROFILE_FAMILIES = paper campaign churn faultrate
 profile-allocs:
 	@for f in $(PROFILE_FAMILIES); do \
@@ -149,6 +152,7 @@ profile-allocs:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
 ci: fmt-check vet build race race-live bench-smoke
 	@echo "ci: OK"

@@ -129,7 +129,8 @@ func FloodBogus(node network.NodeID, perPeriod int, at sim.Time) Attack {
 
 // SkipActuation suppresses the node's actuations only (its dataflow and
 // audit records stay correct) — the residual split-brain actuator fault
-// that is visible only through the physics (see DESIGN.md).
+// that is visible only through the physics (see README.md, "The recovery
+// bound", and the skip-actuation row of FAULT_MODEL.md).
 func SkipActuation(node network.NodeID, at sim.Time) Attack {
 	return behave(node, at, runtime.Behavior{SkipActuation: true})
 }

@@ -152,17 +152,6 @@ func Value[P any](tr TrialResult) (P, bool) {
 	return v, ok
 }
 
-// Ok returns the successful trials, preserving index order.
-func Ok(trials []TrialResult) []TrialResult {
-	out := make([]TrialResult, 0, len(trials))
-	for _, tr := range trials {
-		if tr.Err == nil {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
 // CountFailed returns the number of failed trials.
 func CountFailed(trials []TrialResult) int {
 	n := 0

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"slices"
 
-	"btr/internal/network"
 	"btr/internal/sim"
 )
 
@@ -170,11 +169,4 @@ func (e *Ensemble) Run(trueStart, interval sim.Time, rounds int) sim.Time {
 // clocks.
 func WatchdogMarginFor(maxDrift float64, syncInterval, netJitter sim.Time) sim.Time {
 	return 2*SkewBound(maxDrift, syncInterval) + netJitter
-}
-
-// NodeClock adapts a DriftClock to a node-local view (convenience for
-// runtime integration and tests).
-type NodeClock struct {
-	ID    network.NodeID
-	Clock *DriftClock
 }

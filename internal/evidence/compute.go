@@ -59,14 +59,12 @@ func AppendHashCompute(dst []byte, task flow.TaskID, period uint64, inputs []Rec
 
 // SourceValue is the canonical deterministic environment sample: all
 // replicas of a source observe the same physical world, modeled as a hash
-// of the logical source ID and the period. (Plant-backed workloads replace
-// this with real sensor readings.)
+// of "env:", the logical source ID and the period, taken from a stack
+// buffer, so a task ID of up to 52 bytes costs only the 16-byte result.
+// (Plant-backed workloads replace this with real sensor readings.)
 func SourceValue(task flow.TaskID, period uint64) []byte {
-	h := sha256.New()
-	h.Write([]byte("env:"))
-	h.Write([]byte(task))
-	var pb [8]byte
-	binary.LittleEndian.PutUint64(pb[:], period)
-	h.Write(pb[:])
-	return h.Sum(nil)[:16]
+	var mb [64]byte
+	msg := append(append(mb[:0], "env:"...), task...)
+	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(msg, period))
+	return append(make([]byte, 0, 16), sum[:16]...)
 }

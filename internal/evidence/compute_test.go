@@ -93,3 +93,32 @@ func TestHashComputeAllocs(t *testing.T) {
 		t.Fatalf("AppendHashCompute into a 16-byte dst allocates %.1f objects per call, want 0", got)
 	}
 }
+
+// referenceSourceValue is SourceValue as it was before it hashed from a
+// stack buffer: a streaming sha256 over "env:", the task and the period.
+func referenceSourceValue(task flow.TaskID, period uint64) []byte {
+	h := sha256.New()
+	h.Write([]byte("env:"))
+	h.Write([]byte(task))
+	var pb [8]byte
+	binary.LittleEndian.PutUint64(pb[:], period)
+	h.Write(pb[:])
+	return h.Sum(nil)[:16]
+}
+
+// TestSourceValueMatchesReference pins SourceValue's bytes to the
+// streaming form, for task IDs that fit its stack buffer and longer
+// ones, and its allocations at one, the result.
+func TestSourceValueMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		task := flow.TaskID(bytes.Repeat([]byte{'a' + byte(trial%26)}, rng.Intn(100)))
+		period := rng.Uint64()
+		if got, want := SourceValue(task, period), referenceSourceValue(task, period); !bytes.Equal(got, want) {
+			t.Fatalf("SourceValue(%q, %d) = %x, reference = %x", task, period, got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = SourceValue("sensor#0", 7) }); got != 1 {
+		t.Fatalf("SourceValue allocates %.1f objects per call, want 1 (its result)", got)
+	}
+}

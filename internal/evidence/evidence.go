@@ -94,10 +94,15 @@ type Accusation struct {
 	Period   uint64
 }
 
-// Encode serializes the accusation into one exactly sized buffer.
-func (a Accusation) Encode() []byte {
-	size := 4 + 4 + 4*len(a.Path) + 4 + len(a.Producer) + 4 + len(a.Consumer) + 8
-	w := buf{b: make([]byte, 0, size)}
+// EncodedSize returns len(Encode()) without encoding.
+func (a Accusation) EncodedSize() int {
+	return 4 + 4 + 4*len(a.Path) + 4 + len(a.Producer) + 4 + len(a.Consumer) + 8
+}
+
+// AppendTo appends the accusation encoding to dst and returns the
+// extended slice.
+func (a Accusation) AppendTo(dst []byte) []byte {
+	w := buf{b: dst}
 	w.u32(uint32(a.Reporter))
 	w.u32(uint32(len(a.Path)))
 	for _, n := range a.Path {
@@ -107,6 +112,11 @@ func (a Accusation) Encode() []byte {
 	w.str(string(a.Consumer))
 	w.u64(a.Period)
 	return w.b
+}
+
+// Encode serializes the accusation into one exactly sized buffer.
+func (a Accusation) Encode() []byte {
+	return a.AppendTo(make([]byte, 0, a.EncodedSize()))
 }
 
 // DecodeAccusation parses an encoded accusation. The accusation owns its
@@ -144,13 +154,22 @@ type BudgetVerdict struct {
 	Capacity uint32 // the plan's fault budget f
 }
 
-// Encode serializes the verdict.
-func (b BudgetVerdict) Encode() []byte {
-	var w buf
+// EncodedSize returns len(Encode()) without encoding.
+func (BudgetVerdict) EncodedSize() int { return 3 * 4 }
+
+// AppendTo appends the verdict encoding to dst and returns the extended
+// slice.
+func (b BudgetVerdict) AppendTo(dst []byte) []byte {
+	w := buf{b: dst}
 	w.u32(uint32(b.Reporter))
 	w.u32(b.Active)
 	w.u32(b.Capacity)
 	return w.b
+}
+
+// Encode serializes the verdict.
+func (b BudgetVerdict) Encode() []byte {
+	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
 }
 
 // DecodeBudgetVerdict parses an encoded budget verdict.
@@ -200,11 +219,23 @@ type Evidence struct {
 
 // EncodedSize returns len(Encode()) without encoding.
 func (e Evidence) EncodedSize() int {
-	n := 1 + 4 + 4 + 8 + 4 + e.Primary.EncodedSize() + 4
+	n := headSize + e.Primary.EncodedSize() + 4
 	if e.Secondary.Sig != nil {
 		n += e.Secondary.EncodedSize()
 	}
 	return n + EnvelopesSize(e.Attachments)
+}
+
+// headSize is the size of the fields appendHead writes.
+const headSize = 1 + 4 + 4 + 8 + 4
+
+// appendHead appends the fields before a primary envelope of size primary.
+func (e Evidence) appendHead(w *buf, primary int) {
+	w.u8(uint8(e.Kind))
+	w.u32(uint32(e.Accused))
+	w.u32(uint32(e.Reporter))
+	w.i64(int64(e.DetectedAt))
+	w.u32(uint32(primary))
 }
 
 // Encode serializes evidence for transport. For decoded (or Canon'd)
@@ -224,11 +255,7 @@ func (e Evidence) AppendTo(dst []byte) []byte {
 		return append(dst, e.wire...)
 	}
 	w := buf{b: dst}
-	w.u8(uint8(e.Kind))
-	w.u32(uint32(e.Accused))
-	w.u32(uint32(e.Reporter))
-	w.i64(int64(e.DetectedAt))
-	w.u32(uint32(e.Primary.EncodedSize()))
+	e.appendHead(&w, e.Primary.EncodedSize())
 	w.b = e.Primary.AppendTo(w.b)
 	if e.Secondary.Sig != nil { // absent Secondary encodes as empty
 		w.u32(uint32(e.Secondary.EncodedSize()))
@@ -253,6 +280,35 @@ func (e Evidence) Canon() Evidence {
 		e.hasID = true
 	}
 	return e
+}
+
+// Statement is a body a node signs about its own view of the system:
+// a path accusation or a budget verdict.
+type Statement interface {
+	Accusation | BudgetVerdict
+	EncodedSize() int
+	AppendTo(dst []byte) []byte
+}
+
+// Sealed returns the evidence of kind whose primary is body, signed by
+// reporter (the body's own Reporter) and detected at at. Its whole wire
+// form is written in one exact-size allocation, the body sealed in place
+// (sig.SignAppended), and the evidence is Parse'd from it, so it is
+// already canonical: Encode and ID reuse the wire.
+func Sealed[S Statement](reg *sig.Registry, kind Kind, reporter network.NodeID, at sim.Time, body S) Evidence {
+	n := body.EncodedSize()
+	e := Evidence{Kind: kind, Accused: -1, Reporter: reporter, DetectedAt: at}
+	w := buf{b: make([]byte, 0, headSize+sig.EnvelopeSize(n)+4+4)}
+	e.appendHead(&w, sig.EnvelopeSize(n))
+	off := len(w.b)
+	_, w.b = reg.SignAppended(body.AppendTo(sig.AppendEnvelopeHeader(w.b, reporter, n)), off)
+	w.u32(0) // no secondary
+	w.u32(0) // no attachments
+	ev, err := Parse(w.b)
+	if err != nil {
+		panic(fmt.Sprintf("evidence: sealed %v does not parse: %v", kind, err))
+	}
+	return ev
 }
 
 // Parse parses encoded evidence in place; it is strict about framing so

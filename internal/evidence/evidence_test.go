@@ -263,6 +263,34 @@ func TestPathAccusationValid(t *testing.T) {
 	}
 }
 
+// TestSealedOneAllocation pins a sealed statement's evidence at one
+// allocation, its wire, and checks it is born canonical and valid:
+// Canon allocates nothing and keeps that wire.
+func TestSealedOneAllocation(t *testing.T) {
+	reg := sig.NewRegistry(1, 4)
+	v := testValidator(reg)
+	a := Accusation{Reporter: 2, Path: []network.NodeID{1, 3}, Producer: "t#0", Consumer: "u#0", Period: 7}
+	b := BudgetVerdict{Reporter: 2, Active: 2, Capacity: 1}
+	for _, tc := range []struct {
+		name string
+		seal func() Evidence
+	}{
+		{"accusation", func() Evidence { return Sealed(reg, KindPathAccusation, 2, 3, a) }},
+		{"verdict", func() Evidence { return Sealed(reg, KindOverBudget, 2, 3, b) }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { _ = tc.seal() }); got != 1 {
+			t.Errorf("sealing a %s allocates %.0f, want 1", tc.name, got)
+		}
+		ev := tc.seal()
+		if got := testing.AllocsPerRun(100, func() { _ = ev.Canon() }); got != 0 || &ev.Canon().Encode()[0] != &ev.Encode()[0] {
+			t.Errorf("a sealed %s is not canonical: Canon allocates %.0f", tc.name, got)
+		}
+		if err := v.Validate(ev); err != nil {
+			t.Errorf("sealed %s rejected: %v", tc.name, err)
+		}
+	}
+}
+
 func TestPathAccusationRejectsForgedReporter(t *testing.T) {
 	reg := sig.NewRegistry(1, 4)
 	v := testValidator(reg)

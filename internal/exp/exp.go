@@ -1,5 +1,6 @@
 // Package exp implements the reproduction experiments E1–E10 (see
-// DESIGN.md §3 and EXPERIMENTS.md) plus the campaign sweep families C1–C3.
+// README.md, "Experiments") plus the campaign families C1–C11 (README.md,
+// "The campaign runner").
 // "Fault Tolerance and the Five-Second Rule" is a HotOS position paper
 // without numbered tables or figures, so each experiment regenerates one
 // of its quantitative *claims*; the tables printed here are the

@@ -97,7 +97,7 @@ func TestSealOpen(t *testing.T) {
 		}
 	}
 	// A node key must not seal records (only the operator can).
-	forged := append(r.Encode(), reg.Sign(0, r.Encode())...)
+	forged := append(r.Encode(), reg.Seal(0, r.Encode()).Sig...)
 	if _, err := Open(reg, forged); err == nil {
 		t.Fatal("node-signed record accepted as operator-sealed")
 	}

@@ -64,7 +64,8 @@ type AugmentOptions struct {
 	F int
 	// SourceReplicas overrides the replica count for sources; 0 means the
 	// default 2F+1 (sensor disagreement cannot be re-executed, so
-	// majority voting among sources needs 2F+1; see DESIGN.md).
+	// majority voting among sources needs 2F+1; see README.md, "The
+	// recovery bound").
 	SourceReplicas int
 	// CheckerWCET is the execution budget for checker tasks.
 	CheckerWCET sim.Time
@@ -152,11 +153,4 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 		}
 	}
 	return a
-}
-
-// ActuationDeadline returns the deadline for the logical sink s as given
-// by the base workload (the augmented graph moves Sink status to the
-// checkers, so the runtime asks the base graph).
-func ActuationDeadline(base *flow.Graph, s flow.TaskID) sim.Time {
-	return base.Tasks[s].Deadline
 }

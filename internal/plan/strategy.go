@@ -133,7 +133,7 @@ type Strategy struct {
 	// into it over all predecessors.
 	Trans map[string]Transition
 
-	// Derived bounds (see DESIGN.md):
+	// Derived bounds (README.md, "The recovery bound"):
 	DetectBound     sim.Time // fault manifestation -> evidence exists
 	DistributeBound sim.Time // evidence exists -> all correct nodes have it
 	SwitchBound     sim.Time // activation -> new mode fully running

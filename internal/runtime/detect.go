@@ -152,13 +152,6 @@ func (n *Node) trackEquivocation(env sig.Envelope, rec evidence.Record) {
 	n.firstRecord[key] = env
 }
 
-// auditSinkRecords is the checker's scheduled body. The per-arrival audit
-// has already re-executed each sink replica's command and fed its
-// attachments through the equivocation tracker, so the slot mainly
-// represents the checker's reserved CPU time; what remains is detecting
-// silent sink replicas, which the arrival watchdogs cover.
-func (n *Node) auditSinkRecords(cur *plan.Plan, p uint64, task flow.TaskID) {}
-
 // checkArrived is the arrival watchdog: if the record for edge e (period
 // p) has not arrived by its planned window plus margin, the node raises a
 // path accusation over the route the message should have taken (§4.2:
@@ -197,7 +190,7 @@ func (n *Node) checkArrived(cur *plan.Plan, p uint64, e flow.Edge, w sched.MsgWi
 
 // accuseSourceMinority raises accusations against source replicas whose
 // value disagrees with the majority (sensor disagreement cannot be
-// re-executed; see DESIGN.md).
+// re-executed; see README.md, "The recovery bound").
 func (n *Node) accuseSourceMinority(p uint64, consumer flow.TaskID, arr []*arrival, winner *arrival) {
 	for _, a := range arr {
 		if string(a.rec.Value) == string(winner.rec.Value) {
@@ -217,11 +210,7 @@ func (n *Node) accusePath(path []network.NodeID, producer, consumer flow.TaskID,
 	acc := evidence.Accusation{
 		Reporter: n.id, Path: path, Producer: producer, Consumer: consumer, Period: p,
 	}
-	env := n.cfg.Registry.Seal(n.id, acc.Encode())
-	n.raiseEvidence(evidence.Evidence{
-		Kind: evidence.KindPathAccusation, Accused: -1, Reporter: n.id,
-		DetectedAt: n.cfg.Kernel.Now(), Primary: env,
-	})
+	n.raiseEvidence(evidence.Sealed(n.cfg.Registry, evidence.KindPathAccusation, n.id, n.cfg.Kernel.Now(), acc))
 }
 
 // raiseEvidence handles locally-generated evidence: act on it and flood it

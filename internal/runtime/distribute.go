@@ -5,6 +5,8 @@ import (
 
 	"btr/internal/evidence"
 	"btr/internal/network"
+	"btr/internal/sig"
+	"btr/internal/sim"
 )
 
 // Evidence distribution (§4.3): flooding on the reserved bandwidth class.
@@ -16,11 +18,12 @@ import (
 
 // forwardEvidence floods ev to all neighbors, endorsed by this node.
 //
-// This is the encode-once fast path: decoded (or Canon'd) evidence
-// returns its retained wire bytes from Encode, and the endorsement seal +
-// frame come from the registry's seal memo — so re-flooding a blob this
-// node (or a same-seed trial anywhere in the process) has sealed before
-// allocates nothing and performs no signing.
+// This is the encode-once fast path: decoded (or locally sealed)
+// evidence returns its retained wire bytes from Encode, and the
+// endorsement frame comes from the registry's seal memo — so re-flooding
+// a blob this node (or a same-seed trial anywhere in the process) has
+// endorsed before allocates nothing and performs no signing. A miss is
+// sealed in place in one exact-size allocation, like every envelope.
 func (n *Node) forwardEvidence(ev evidence.Evidence) {
 	if b := n.behavior; b != nil && b.SuppressForwarding {
 		return
@@ -39,16 +42,26 @@ func (n *Node) forwardEvidence(ev evidence.Evidence) {
 // entry would be dead weight whose only effect is churning honest cached
 // seals out of the capped shards. The attacker pays for its own spray.
 func (n *Node) floodBogus(count int) {
-	junk := make([]byte, 200)
-	for i := range junk {
-		junk[i] = byte(n.cfg.Kernel.RNG().Uint64())
-	}
-	payload := evidencePayload(n.cfg.Registry.Seal(n.id, junk))
+	payload := bogusFrame(n.cfg.Registry, n.id, n.cfg.Kernel.RNG())
 	for i := 0; i < count; i++ {
 		for _, nb := range n.cfg.Net.Topology().Neighbors(n.id) {
 			n.cfg.Net.SendDirect(n.id, nb, network.ClassEvidence, payload)
 		}
 	}
+}
+
+const bogusJunk = 200 // bytes of junk in a bogus-flood blob
+
+// bogusFrame draws bogusJunk bytes from rng straight into an evidence
+// frame and seals them there as signer: one exact-size allocation.
+func bogusFrame(reg *sig.Registry, signer network.NodeID, rng *sim.RNG) []byte {
+	p := append(make([]byte, 0, 1+sig.EnvelopeSize(bogusJunk)), msgEvidence)
+	p = sig.AppendEnvelopeHeader(p, signer, bogusJunk)
+	for i := 0; i < bogusJunk; i++ {
+		p = append(p, byte(rng.Uint64()))
+	}
+	_, p = reg.SignAppended(p, 1)
+	return p
 }
 
 // onEvidenceMessage handles an incoming evidence frame from a neighbor.

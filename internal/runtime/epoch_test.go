@@ -118,7 +118,7 @@ func TestEpochFramesInertAgainstForgeryAndReplay(t *testing.T) {
 	h.k.At(5*epochTestPeriod, func() {
 		nd := h.sys.Node(2)
 		forged := member.Genesis([]network.NodeID{0, 1}).Encode()
-		forged = append(forged, h.reg.Sign(4, forged)...) // node key, not operator
+		forged = append(forged, h.reg.Seal(4, forged).Sig...) // node key, not operator
 		nd.onEpochFrame(epochPayload(epochPhaseCommit, forged), nil)
 		replay := member.Seal(h.reg, member.Genesis([]network.NodeID{0, 1, 2, 3, 4, 5}))
 		nd.onEpochFrame(epochPayload(epochPhasePrepare, replay), nil)

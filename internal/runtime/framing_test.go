@@ -144,19 +144,101 @@ func TestDataPayloadFuzz(t *testing.T) {
 	}
 }
 
+// TestEvidencePayloadRoundTrip: a bogus-flood frame is drawn and sealed
+// in one exact-size allocation and parses in place into an envelope that
+// verifies.
 func TestEvidencePayloadRoundTrip(t *testing.T) {
 	reg := sig.NewRegistry(1, 2)
-	wrapper := reg.Seal(1, []byte("inner-evidence-bytes"))
-	p := evidencePayload(wrapper)
-	if cap(p) != len(p) || testing.AllocsPerRun(100, func() { _ = evidencePayload(wrapper) }) != 1 {
+	rng := sim.NewRNG(3)
+	p := bogusFrame(reg, 1, rng)
+	if cap(p) != len(p) || testing.AllocsPerRun(100, func() { _ = bogusFrame(reg, 1, rng) }) != 1 {
 		t.Errorf("evidence frame not built in one exact-size allocation (len %d, cap %d)", len(p), cap(p))
 	}
 	got, err := parseEvidencePayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameEnvelope(got, wrapper) || &got.Body[0] != &p[1+8] {
+	if got.Signer != 1 || len(got.Body) != bogusJunk || !reg.Check(got) || &got.Body[0] != &p[1+8] {
 		t.Error("wrapper mangled or copied")
+	}
+}
+
+// legacyFrame is the seal route every frame took before the in-place
+// primitive: seal the encoded body, then copy the envelope behind the
+// kind byte (and, for a data frame, its length).
+func legacyFrame(reg *sig.Registry, kind byte, signer network.NodeID, body []byte) []byte {
+	env := reg.Seal(signer, body)
+	p := []byte{kind}
+	if kind == msgData {
+		p = binary.LittleEndian.AppendUint32(p, uint32(env.EncodedSize()))
+	}
+	return env.AppendTo(p)
+}
+
+// TestSealPathMatchesLegacyRoutes pins the one seal path to the bytes of
+// the routes it replaced: for every signed frame and statement the
+// runtime builds, the wire (and an evidence's ID) equals the old route's,
+// rebuilt here from Registry.Seal, Envelope.AppendTo and Evidence.Canon.
+func TestSealPathMatchesLegacyRoutes(t *testing.T) {
+	reg := sig.NewRegistry(1, 3)
+	acc := evidence.Accusation{Reporter: 2, Path: []network.NodeID{0, 1, 2}, Producer: "c1#0", Consumer: "c2#1", Period: 7}
+	over := evidence.BudgetVerdict{Reporter: 2, Active: 2, Capacity: 1}
+	back := evidence.BudgetVerdict{Reporter: 2, Active: 1, Capacity: 1}
+	at := 5 * sim.Millisecond
+	statements := []struct {
+		name string
+		kind evidence.Kind
+		got  evidence.Evidence
+		body []byte
+	}{
+		{"path accusation", evidence.KindPathAccusation, evidence.Sealed(reg, evidence.KindPathAccusation, 2, at, acc), acc.Encode()},
+		{"over-budget verdict", evidence.KindOverBudget, evidence.Sealed(reg, evidence.KindOverBudget, 2, at, over), over.Encode()},
+		{"reconciled verdict", evidence.KindReconciled, evidence.Sealed(reg, evidence.KindReconciled, 2, at, back), back.Encode()},
+	}
+	for _, st := range statements {
+		want := evidence.Evidence{
+			Kind: st.kind, Accused: -1, Reporter: 2, DetectedAt: at, Primary: reg.Seal(2, st.body),
+		}.Canon()
+		if !bytes.Equal(st.got.Encode(), want.Encode()) || st.got.ID() != want.ID() {
+			t.Errorf("%s: wire %x, want %x", st.name, st.got.Encode(), want.Encode())
+		}
+		if !sameEnvelope(st.got.Primary, want.Primary) {
+			t.Errorf("%s: primary envelope differs from Seal's", st.name)
+		}
+	}
+
+	for _, k := range []int{0, 1, 4} {
+		reg, rec, atts := dataPayloadWith(k)
+		_, got := sealFrame(reg, 1, rec, atts)
+		if want := evidence.AppendEnvelopes(legacyFrame(reg, msgData, 1, rec.Encode()), atts); !bytes.Equal(got, want) {
+			t.Errorf("data frame with %d attachments: %x, want %x", k, got, want)
+		}
+	}
+
+	ev := statements[0].got
+	want := legacyFrame(reg, msgEvidence, 1, ev.Encode())
+	seals := sig.NewSealMemo()
+	for _, memo := range []string{"miss", "hit", "off"} {
+		if memo == "off" {
+			reg.UseMemos(nil, nil)
+		} else {
+			reg.UseMemos(sig.NewVerifyMemo(), seals)
+		}
+		if got := reg.SealedPayload(1, msgEvidence, ev.Encode()); !bytes.Equal(got, want) {
+			t.Errorf("evidence-flood frame (memo %s): %x, want %x", memo, got, want)
+		}
+	}
+	if hits, misses := seals.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("seal memo saw %d hits and %d misses, want 1 and 1", hits, misses)
+	}
+
+	junk := make([]byte, bogusJunk)
+	rng := sim.NewRNG(9)
+	for i := range junk {
+		junk[i] = byte(rng.Uint64())
+	}
+	if got, want := bogusFrame(reg, 1, sim.NewRNG(9)), legacyFrame(reg, msgEvidence, 1, junk); !bytes.Equal(got, want) {
+		t.Errorf("bogus-flood frame: %x, want %x", got, want)
 	}
 }
 

@@ -394,7 +394,10 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 	var atts []sig.Envelope // the chosen inputs' envelopes
 	switch {
 	case isChecker:
-		n.runChecker(cur, p, task)
+		// The per-arrival audit has already re-executed each sink
+		// replica's command and fed its attachments through the
+		// equivocation tracker, so the checker's slot is its reserved CPU
+		// time; silent sink replicas are the arrival watchdogs' to catch.
 		return
 	case lt.Source:
 		value = n.cfg.Source(logical, p)
@@ -514,12 +517,6 @@ func (n *Node) deliver(dst network.NodeID, env sig.Envelope, atts []sig.Envelope
 		return
 	}
 	n.cfg.Net.Send(n.id, dst, network.ClassForeground, payload)
-}
-
-// runChecker audits the sink replicas feeding checker task `task`
-// (performed in detect.go; split for readability).
-func (n *Node) runChecker(cur *plan.Plan, p uint64, task flow.TaskID) {
-	n.auditSinkRecords(cur, p, task)
 }
 
 // onMessage is the network delivery handler.

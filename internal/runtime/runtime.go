@@ -181,14 +181,6 @@ func (s *System) Start() {
 	}
 }
 
-// StartNode schedules only node id's first period at t=0 — the
-// multi-process entry point: each process builds the full System (so
-// plans, topology, and keys agree everywhere) but runs just the one
-// slot it hosts; the other slots' executives exist in other processes.
-func (s *System) StartNode(id network.NodeID) {
-	s.nodes[int(id)].start()
-}
-
 // StartNodeFrom schedules node id's period chain starting at period p
 // instead of 0 — how a killed-and-restarted process rejoins a running
 // cluster: the orchestrator picks a future period, the fresh process
@@ -239,11 +231,6 @@ func (s *System) FaultSetOf(id network.NodeID) plan.FaultSet {
 	return s.nodes[int(id)].faults
 }
 
-// PlanKeyOf returns node id's current plan key (for tests).
-func (s *System) PlanKeyOf(id network.NodeID) string {
-	return s.nodes[int(id)].cur.Key()
-}
-
 // Converged reports whether all correct (non-crashed, non-compromised per
 // the caller's knowledge) *active-member* nodes run the plan for the
 // same fault set. Callers pass the ground-truth faulty set to exclude;
@@ -274,28 +261,14 @@ const (
 )
 
 // sealFrame signs rec as signer and frames it with its attachments in
-// one exact-size allocation: kind byte, record envelope, attached input
-// envelopes. The record is encoded in place and signed where it lies, so
-// the returned envelope's Body and Sig alias the frame; both are
-// capacity-capped, so an append reallocates instead of running into the
-// bytes after them. Like sig.Envelope.AppendTo, a record longer than
-// sig.MaxBody panics instead of truncating its length field.
+// one exact-size allocation: kind byte, envelope length, record envelope
+// (encoded and sealed in place, so the returned envelope aliases the
+// frame), attached input envelopes.
 func sealFrame(reg *sig.Registry, signer network.NodeID, rec evidence.Record, atts []sig.Envelope) (sig.Envelope, []byte) {
 	n := rec.EncodedSize()
-	if n > sig.MaxBody {
-		panic(fmt.Sprintf("runtime: invariant MaxBody violated: record %d > %d", n, sig.MaxBody))
-	}
-	const hdr = 1 + 4 + 8 // kind, envelope length, signer, body length
-	frame := make([]byte, 0, hdr+n+sig.SignatureSize+evidence.EnvelopesSize(atts))
-	frame = append(frame, msgData)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(8+n+sig.SignatureSize))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(signer))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(n))
-	frame = rec.AppendTo(frame)
-	body := frame[hdr : hdr+n : hdr+n]
-	frame = append(frame, reg.Sign(signer, body)...)
-	end := len(frame)
-	env := sig.Envelope{Signer: signer, Body: body, Sig: frame[hdr+n : end : end]}
+	frame := make([]byte, 0, 1+4+sig.EnvelopeSize(n)+evidence.EnvelopesSize(atts))
+	frame = binary.LittleEndian.AppendUint32(append(frame, msgData), uint32(sig.EnvelopeSize(n)))
+	env, frame := reg.SignAppended(rec.AppendTo(sig.AppendEnvelopeHeader(frame, signer, n)), 5)
 	return env, evidence.AppendEnvelopes(frame, atts)
 }
 
@@ -319,13 +292,6 @@ func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
 		return sig.Envelope{}, nil, err
 	}
 	return env, atts, nil
-}
-
-// evidencePayload frames evidence wrapped in the forwarder's endorsement
-// envelope (the receiver can prove who handed it an invalid blob), in one
-// exact-size allocation.
-func evidencePayload(wrapper sig.Envelope) []byte {
-	return wrapper.AppendTo(append(make([]byte, 0, 1+wrapper.EncodedSize()), msgEvidence))
 }
 
 // parseEvidencePayload parses an evidence frame in place: the wrapper

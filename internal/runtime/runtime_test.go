@@ -481,12 +481,8 @@ func TestEvidenceRateLimiting(t *testing.T) {
 	h := chainHarness(t, 9)
 	reg := h.sys.cfg.Registry
 	acc := evidence.Accusation{Reporter: 1, Path: []network.NodeID{3, 4}, Producer: "c1#0", Consumer: "c2#0", Period: 1}
-	ev := evidence.Evidence{
-		Kind: evidence.KindPathAccusation, Accused: -1, Reporter: 1,
-		DetectedAt: sim.Millisecond, Primary: reg.Seal(1, acc.Encode()),
-	}
-	wrapper := reg.Seal(1, ev.Encode())
-	payload := evidencePayload(wrapper)
+	ev := evidence.Sealed(reg, evidence.KindPathAccusation, 1, sim.Millisecond, acc)
+	payload := reg.SealedPayload(1, msgEvidence, ev.Encode())
 	receiver := h.sys.Node(2)
 	for i := 0; i < 30; i++ {
 		receiver.onEvidenceMessage(&network.Message{From: 1, To: 2, Payload: payload})

@@ -114,14 +114,7 @@ func (n *Node) raiseBudgetVerdict(kind evidence.Kind) {
 		Active:   uint32(n.faults.Len()),
 		Capacity: uint32(n.strat.Opts.F),
 	}
-	env := n.cfg.Registry.Seal(n.id, bv.Encode())
-	n.raiseEvidence(evidence.Evidence{
-		Kind:       kind,
-		Accused:    -1,
-		Reporter:   n.id,
-		DetectedAt: n.cfg.Kernel.Now(),
-		Primary:    env,
-	})
+	n.raiseEvidence(evidence.Sealed(n.cfg.Registry, kind, n.id, n.cfg.Kernel.Now(), bv))
 }
 
 // planFor resolves the plan for a fault set: the current epoch's

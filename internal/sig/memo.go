@@ -35,10 +35,10 @@ package sig
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"btr/internal/network"
 )
 
 const (
@@ -132,9 +132,10 @@ type sealShard struct {
 // SealMemo caches the fully framed wire bytes of deterministic seals:
 // prefix || Envelope{signer, body, Sign(body)}.Encode(). Because ed25519
 // signing is deterministic, re-sealing an identical body always yields
-// identical bytes, so re-sent payloads (evidence re-floods, bogus-flood
-// blobs, replayed campaign trials) become a shared-slice lookup. Callers
-// must treat returned slices as immutable — they are shared.
+// identical bytes, so re-sent payloads (evidence re-floods, replayed
+// campaign trials) become a shared-slice lookup; a miss is sealed in
+// place like every other envelope. Callers must treat returned slices as
+// immutable — they are shared.
 type SealMemo struct {
 	shards [memoShards]sealShard
 	hits   atomic.Uint64
@@ -150,12 +151,12 @@ func NewSealMemo() *SealMemo {
 	return m
 }
 
-// payload consults the memo for the framed seal of body by (priv, pub);
-// on a miss it signs, frames, and caches. The returned slice is shared
-// and must not be mutated.
-func (m *SealMemo) payload(priv ed25519.PrivateKey, pub ed25519.PublicKey, signer uint32, prefix byte, body []byte) []byte {
+// payload consults the memo for r's framed seal of body by signer; on a
+// miss it seals in place (Registry.sealPayload) and caches the frame.
+// The returned slice is shared and must not be mutated.
+func (m *SealMemo) payload(r *Registry, signer network.NodeID, prefix byte, body []byte) []byte {
 	var k sealKey
-	copy(k.pub[:], pub)
+	copy(k.pub[:], r.pubs[signer])
 	k.prefix = prefix
 	k.dig = sha256.Sum256(body)
 	sh := &m.shards[k.dig[0]&memoShardMask]
@@ -167,30 +168,13 @@ func (m *SealMemo) payload(priv ed25519.PrivateKey, pub ed25519.PublicKey, signe
 		return p
 	}
 	m.misses.Add(1)
-	p = framedSeal(priv, signer, prefix, body)
+	p = r.sealPayload(signer, prefix, body)
 	sh.mu.Lock()
 	if len(sh.m) >= sealShardCap {
 		clear(sh.m)
 	}
 	sh.m[k] = p
 	sh.mu.Unlock()
-	return p
-}
-
-// framedSeal builds prefix || Envelope.Encode() in one exact-size
-// allocation. It shares Envelope.AppendTo's length invariant: a body
-// longer than MaxBody cannot round-trip and panics instead of
-// truncating.
-func framedSeal(priv ed25519.PrivateKey, signer uint32, prefix byte, body []byte) []byte {
-	if len(body) > MaxBody {
-		panic(fmt.Sprintf("sig: invariant MaxBody violated: body %d > %d", len(body), MaxBody))
-	}
-	p := make([]byte, 1+8+len(body)+ed25519.SignatureSize)
-	p[0] = prefix
-	binary.LittleEndian.PutUint32(p[1:], signer)
-	binary.LittleEndian.PutUint32(p[5:], uint32(len(body)))
-	copy(p[9:], body)
-	copy(p[9+len(body):], ed25519.Sign(priv, body))
 	return p
 }
 
@@ -208,14 +192,6 @@ var (
 )
 
 func init() { memosEnabled.Store(true) }
-
-// SharedVerifyMemo returns the process-wide verification memo every
-// registry uses by default. Campaign workers running trials built from
-// the same seed share verification work through it.
-func SharedVerifyMemo() *VerifyMemo { return sharedVerify }
-
-// SharedSealMemo returns the process-wide seal memo (see SharedVerifyMemo).
-func SharedSealMemo() *SealMemo { return sharedSeal }
 
 // ResetMemos drops every entry from the shared memos (the hit/miss
 // counters keep accumulating). It is a measurement hook — timed runs

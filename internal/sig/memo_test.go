@@ -43,7 +43,7 @@ func TestVerifyMemoDifferential(t *testing.T) {
 	}
 	f := func(msg []byte, signer uint8, mutate uint8, at uint8) bool {
 		id := network.NodeID(signer % nodes)
-		s := memoized.Sign(id, msg)
+		s := memoized.Seal(id, msg).Sig
 		switch mutate % 6 {
 		case 0: // pristine
 		case 1: // corrupted signature byte
@@ -126,7 +126,7 @@ func TestVerifyMemoBounded(t *testing.T) {
 		for j := 0; j < 8; j++ {
 			msg[j] = byte(i >> (8 * j))
 		}
-		if !r.Verify(0, msg, r.Sign(0, msg)) {
+		if !r.Verify(0, msg, r.Seal(0, msg).Sig) {
 			t.Fatalf("valid signature rejected at %d", i)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 			for i := 0; i < msgs; i++ {
 				msg[0], msg[1], msg[2] = byte(i), byte(i>>8), byte(w%2) // overlap across workers
 				id := network.NodeID(i % nodes)
-				s := reg.Sign(id, msg)
+				s := reg.Seal(id, msg).Sig
 				if i%3 == 0 {
 					s[10] ^= 0xFF // invalid: must never hit a positive entry
 				}

@@ -10,14 +10,20 @@ import (
 // this test fails there.
 func mustPanicMaxBody(t *testing.T, fn func()) {
 	t.Helper()
+	mustPanic(t, "invariant MaxBody", fn)
+}
+
+// mustPanic asserts fn panics with a message naming want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("oversized body encoded without panicking (length was truncated on the wire)")
+			t.Fatalf("no panic, want one naming %q", want)
 		}
 		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "invariant MaxBody") {
-			t.Fatalf("panic %v, want named MaxBody invariant", r)
+		if !ok || !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want one naming %q", r, want)
 		}
 	}()
 	fn()
@@ -38,6 +44,7 @@ func TestEnvelopeEncodeAtBodyBoundary(t *testing.T) {
 
 	e.Body = make([]byte, MaxBody+1)
 	mustPanicMaxBody(t, func() { e.AppendTo(nil) })
+	mustPanicMaxBody(t, func() { AppendEnvelopeHeader(nil, 1, MaxBody+1) })
 }
 
 // TestDecodeEnvelopeRejectsOversizeLength proves the decode side is
@@ -52,10 +59,18 @@ func TestDecodeEnvelopeRejectsOversizeLength(t *testing.T) {
 	}
 }
 
-// TestSealedPayloadGuardsBody pins the same invariant on the memoized
-// framing path.
+// TestSealedPayloadGuardsBody pins the same invariant on the seal path,
+// memoized or not: a MaxBody body seals in place and verifies, one more
+// byte panics, and so does a body that outgrows its header.
 func TestSealedPayloadGuardsBody(t *testing.T) {
 	r := NewRegistry(1, 2)
-	r.UseMemos(nil, nil) // force the framedSeal slow path
+	r.UseMemos(nil, nil) // force the in-place seal on every call
+	env, p := r.SignAppended(append(AppendEnvelopeHeader(nil, 1, MaxBody), make([]byte, MaxBody)...), 0)
+	got, err := ParseEnvelope(p)
+	if err != nil || len(got.Body) != MaxBody || !r.Check(env) || &got.Sig[0] != &env.Sig[0] {
+		t.Fatalf("in-place seal at the boundary: err %v, body %d", err, len(got.Body))
+	}
 	mustPanicMaxBody(t, func() { r.SealedPayload(0, 'D', make([]byte, MaxBody+1)) })
+	over := append(AppendEnvelopeHeader(nil, 1, MaxBody), make([]byte, MaxBody+1)...)
+	mustPanic(t, "invariant envelope length", func() { r.SignAppended(over, 0) })
 }

@@ -18,8 +18,14 @@
 // sweep), and it accepts exactly what crypto/ed25519 accepts. No
 // transport verifies anything: every signature check runs in the
 // runtime's handlers, after the per-neighbor evidence rate limit, so
-// verification work per (neighbor, period) is bounded on the simulated
-// Network, Bus, and TCPBus alike.
+// verification work per (neighbor, period) is bounded on both transports:
+// the simulated Network (the kernel's, and the in-process live
+// executor's on the wall clock) and TCPBus.
+//
+// There is one seal path too, and only this package writes the envelope
+// layout: AppendEnvelopeHeader opens an envelope in the caller's buffer,
+// the caller appends the body, and Registry.SignAppended signs it where
+// it lies. Every frame and signed statement is sealed that way.
 package sig
 
 import (
@@ -121,16 +127,6 @@ func (r *Registry) UseMemos(v *VerifyMemo, s *SealMemo) {
 	r.memo, r.seals = v, s
 }
 
-// N returns the number of registered nodes.
-func (r *Registry) N() int { return len(r.pubs) }
-
-// Sign returns id's signature over msg. Only the simulation harness calls
-// this on behalf of a node; the adversary "owns" compromised nodes' keys,
-// which is exactly the Byzantine model.
-func (r *Registry) Sign(id network.NodeID, msg []byte) []byte {
-	return ed25519.Sign(r.privs[id], msg)
-}
-
 // Verify reports whether sig is id's valid signature over msg. Repeated
 // verifications of the same triple hit the memo (memo.go) and skip the
 // ed25519 math; the result is identical either way.
@@ -155,9 +151,11 @@ type Envelope struct {
 	Sig    []byte
 }
 
-// Seal signs body as signer and returns the envelope.
+// Seal signs body as signer and returns the envelope. Only the
+// simulation harness signs on behalf of a node; the adversary "owns"
+// compromised nodes' keys, which is exactly the Byzantine model.
 func (r *Registry) Seal(signer network.NodeID, body []byte) Envelope {
-	return Envelope{Signer: signer, Body: body, Sig: r.Sign(signer, body)}
+	return Envelope{Signer: signer, Body: body, Sig: ed25519.Sign(r.privs[signer], body)}
 }
 
 // Check verifies the envelope's signature.
@@ -184,9 +182,46 @@ func (r *Registry) CheckBatch(envs []Envelope) (int, bool) {
 // allocations. The returned slice is shared; callers must not mutate it.
 func (r *Registry) SealedPayload(signer network.NodeID, prefix byte, body []byte) []byte {
 	if r.seals != nil {
-		return r.seals.payload(r.privs[signer], r.pubs[signer], uint32(signer), prefix, body)
+		return r.seals.payload(r, signer, prefix, body)
 	}
-	return framedSeal(r.privs[signer], uint32(signer), prefix, body)
+	return r.sealPayload(signer, prefix, body)
+}
+
+// sealPayload builds prefix || Seal(signer, body).Encode() in one
+// exact-size allocation.
+func (r *Registry) sealPayload(signer network.NodeID, prefix byte, body []byte) []byte {
+	p := append(make([]byte, 0, 1+EnvelopeSize(len(body))), prefix)
+	_, p = r.SignAppended(append(AppendEnvelopeHeader(p, signer, len(body)), body...), 1)
+	return p
+}
+
+// AppendEnvelopeHeader appends the header of signer's envelope over an
+// n-byte body to dst; the caller appends the body after it, where it will
+// stay, and SignAppended completes the seal. A body longer than MaxBody
+// panics (invariant MaxBody) instead of truncating the length field.
+func AppendEnvelopeHeader(dst []byte, signer network.NodeID, n int) []byte {
+	if n > MaxBody {
+		panic(fmt.Sprintf("sig: invariant MaxBody violated: body %d > %d", n, MaxBody))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(signer))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// SignAppended completes the envelope whose header is at dst[at:]: it
+// signs the body after the header where it lies, as the header's signer,
+// and appends the signature. The returned envelope's Body and Sig alias
+// the returned dst, capacity-capped; a body whose length is not the
+// header's panics.
+func (r *Registry) SignAppended(dst []byte, at int) (Envelope, []byte) {
+	signer := network.NodeID(binary.LittleEndian.Uint32(dst[at:]))
+	n := int(binary.LittleEndian.Uint32(dst[at+4:]))
+	if got := len(dst) - at - 8; got != n {
+		panic(fmt.Sprintf("sig: invariant envelope length violated: body %d, header %d", got, n))
+	}
+	body := dst[at+8 : len(dst) : len(dst)]
+	dst = append(dst, ed25519.Sign(r.privs[signer], body)...)
+	end := len(dst)
+	return Envelope{Signer: signer, Body: body, Sig: dst[end-SignatureSize : end : end]}, dst
 }
 
 var errTruncated = errors.New("sig: truncated envelope")
@@ -196,9 +231,9 @@ var errTruncated = errors.New("sig: truncated envelope")
 // payload (task outputs, evidence, membership records) comes within
 // orders of magnitude of 16MiB — a larger body is a programming error
 // upstream, and capping well below the field width makes the invariant
-// testable. AppendTo enforces it as an invariant (the earlier behavior
-// silently truncated the length through uint32(...), emitting a frame
-// that fails decode as a framing or signature mismatch at the receiver);
+// testable. AppendEnvelopeHeader, behind every encoder, enforces it as an
+// invariant (the earlier behavior silently truncated the length through
+// uint32(...), emitting a frame that fails decode at the receiver);
 // ParseEnvelope rejects it symmetrically, and no decoder sizes an
 // allocation by the length field.
 const MaxBody = 16 << 20
@@ -211,18 +246,17 @@ func (e Envelope) Encode() []byte {
 // EncodedSize returns len(Encode()) without encoding.
 func (e Envelope) EncodedSize() int { return 8 + len(e.Body) + len(e.Sig) }
 
+// EnvelopeSize returns the encoded size of a sealed envelope over an
+// n-byte body.
+func EnvelopeSize(n int) int { return 8 + n + SignatureSize }
+
 // AppendTo appends the envelope's encoding to dst and returns the
 // extended slice — the zero-alloc building block hot marshaling paths use
 // with preallocated or pooled buffers. A body longer than MaxBody panics
 // (invariant MaxBody) instead of truncating the length field on the
 // wire.
 func (e Envelope) AppendTo(dst []byte) []byte {
-	if len(e.Body) > MaxBody {
-		panic(fmt.Sprintf("sig: invariant MaxBody violated: body %d > %d", len(e.Body), MaxBody))
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Signer))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Body)))
-	dst = append(dst, e.Body...)
+	dst = append(AppendEnvelopeHeader(dst, e.Signer, len(e.Body)), e.Body...)
 	return append(dst, e.Sig...)
 }
 

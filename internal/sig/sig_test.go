@@ -11,7 +11,7 @@ import (
 func TestSignVerifyRoundTrip(t *testing.T) {
 	r := NewRegistry(1, 4)
 	msg := []byte("pressure=42.1 period=7")
-	s := r.Sign(2, msg)
+	s := r.Seal(2, msg).Sig
 	if !r.Verify(2, msg, s) {
 		t.Fatal("valid signature rejected")
 	}
@@ -20,7 +20,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 func TestVerifyWrongSigner(t *testing.T) {
 	r := NewRegistry(1, 4)
 	msg := []byte("m")
-	s := r.Sign(2, msg)
+	s := r.Seal(2, msg).Sig
 	if r.Verify(3, msg, s) {
 		t.Error("signature verified under wrong signer")
 	}
@@ -29,7 +29,7 @@ func TestVerifyWrongSigner(t *testing.T) {
 func TestVerifyTamperedMessage(t *testing.T) {
 	r := NewRegistry(1, 4)
 	msg := []byte("valve=open")
-	s := r.Sign(0, msg)
+	s := r.Seal(0, msg).Sig
 	msg[0] ^= 0xff
 	if r.Verify(0, msg, s) {
 		t.Error("tampered message verified")
@@ -56,11 +56,11 @@ func TestDeterministicKeys(t *testing.T) {
 	a := NewRegistry(42, 3)
 	b := NewRegistry(42, 3)
 	msg := []byte("deterministic")
-	if !bytes.Equal(a.Sign(1, msg), b.Sign(1, msg)) {
+	if !bytes.Equal(a.Seal(1, msg).Sig, b.Seal(1, msg).Sig) {
 		t.Error("same seed produced different keys")
 	}
 	c := NewRegistry(43, 3)
-	if bytes.Equal(a.Sign(1, msg), c.Sign(1, msg)) {
+	if bytes.Equal(a.Seal(1, msg).Sig, c.Seal(1, msg).Sig) {
 		t.Error("different seeds produced identical keys")
 	}
 }
@@ -71,7 +71,7 @@ func TestCrossRegistryRejection(t *testing.T) {
 	a := NewRegistry(1, 3)
 	b := NewRegistry(2, 3)
 	msg := []byte("m")
-	if a.Verify(0, msg, b.Sign(0, msg)) {
+	if a.Verify(0, msg, b.Seal(0, msg).Sig) {
 		t.Error("foreign signature verified")
 	}
 }
@@ -153,14 +153,14 @@ func BenchmarkSign(b *testing.B) {
 	msg := make([]byte, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Sign(0, msg)
+		r.Seal(0, msg)
 	}
 }
 
 func BenchmarkVerify(b *testing.B) {
 	r := NewRegistry(1, 1)
 	msg := make([]byte, 128)
-	s := r.Sign(0, msg)
+	s := r.Seal(0, msg).Sig
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Verify(0, msg, s)
@@ -183,7 +183,7 @@ func TestOperatorSignVerify(t *testing.T) {
 	// No node key verifies as the operator: a compromised node must not
 	// be able to forge reconfigurations.
 	for id := network.NodeID(0); int(id) < 4; id++ {
-		if r.OperatorVerify(msg, r.Sign(id, msg)) {
+		if r.OperatorVerify(msg, r.Seal(id, msg).Sig) {
 			t.Fatalf("node %d signature accepted as operator", id)
 		}
 	}
@@ -199,7 +199,7 @@ func TestOperatorKeyDeterministicAndNodeKeysUnchanged(t *testing.T) {
 	// differs — but node keys for shared ids must match registries built
 	// before the operator key existed (derived strictly after them).
 	c := NewRegistry(7, 5)
-	if !c.Verify(2, msg, a.Sign(2, msg)) {
+	if !c.Verify(2, msg, a.Seal(2, msg).Sig) {
 		t.Fatal("node keys depend on registry size")
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -164,5 +166,52 @@ func TestProfileFamiliesMatchBenchmark(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Errorf("Makefile PROFILE_FAMILIES = %v, but exp.DeterministicScenarios runs %v", got, want)
+	}
+}
+
+// mdCitation matches a Markdown file name cited in prose.
+var mdCitation = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+
+// TestCommentCitationsResolve: every Markdown file a comment in the
+// module's non-test code cites exists, relative to the module root or to
+// the citing file's directory. A comment that sends its reader to a
+// missing document carries no argument.
+func TestCommentCitationsResolve(t *testing.T) {
+	fset, pkgs := moduleSources(t)
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	cited := 0
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, cg := range f.Comments {
+				for _, name := range mdCitation.FindAllString(cg.Text(), -1) {
+					cited++
+					if !exists(name) && !exists(filepath.Join(p.Dir, name)) {
+						t.Errorf("%s: cites %s, which the repository does not have", fset.Position(cg.Pos()), name)
+					}
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no .md citation at all: the check is vacuous")
+	}
+}
+
+// TestBenchmarkModuleVets runs go vet over benchmark/, which is its own
+// module, so `go test ./...` here never compiles it although it calls
+// this module's internal packages. Its go.mod replaces btr with ../, so
+// the check needs no network; GOPROXY=off makes sure of it.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and vets the benchmark module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOPROXY=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
 	}
 }
