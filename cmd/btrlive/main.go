@@ -239,7 +239,7 @@ func registerFlags(fs *flag.FlagSet) *liveFlags {
 		joinSpec:    fs.String("join", "", "scripted joins, slot@period[,slot@period...]"),
 		retireSpec:  fs.String("retire", "", "scripted retires, slot@period[,...]"),
 		replaceSpec: fs.String("replace", "", "scripted replaces, new:old@period[,...]"),
-		verbose:     fs.Bool("v", false, "print the strategy to stdout (single-process mode); stream evidence and mode switches to stderr"),
+		verbose:     fs.Bool("v", false, "single-process mode: print the strategy to stdout and stream evidence and mode switches to stderr; -orchestrate: print every node process's events to the log"),
 		prof:        prof.RegisterOn(fs),
 	}
 }
@@ -387,7 +387,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 func runNode(lf *liveFlags, p, m sim.Time, stdin io.Reader, stdout io.Writer) error {
 	spec := live.ProcSpec{
 		Node: *lf.nodeID, Topo: *lf.topoKind, Nodes: *lf.nodes, F: *lf.f, Seed: *lf.seed,
-		PeriodUS: int64(p), MarginUS: int64(m), Horizon: *lf.horizon, Verbose: *lf.verbose,
+		PeriodUS: int64(p), MarginUS: int64(m), Horizon: *lf.horizon,
 	}
 	in := stdin
 	if *lf.peers != "" {
@@ -438,7 +438,8 @@ func printOrchestrated(stdout io.Writer, cfg live.OrchestratorConfig, res *live.
 		fmt.Fprintf(stdout, "fault at %v: measured wall-clock recovery %v\n", rec.FaultAt, rec.Duration())
 	}
 	if cfg.Forgive > 0 {
-		fmt.Fprintf(stdout, "budget: %d over-budget verdict(s), %d reconciled\n", res.OverBudget, res.Reconciled)
+		fmt.Fprintf(stdout, "budget: %d over-budget verdict(s), %d reconciled\n",
+			rep.EvidenceByKind[evidence.KindOverBudget], rep.EvidenceByKind[evidence.KindReconciled])
 	}
 	if res.SLO != nil {
 		fmt.Fprintf(stdout, "client SLO: %s (unavailability bound %v)\n", res.SLO, res.SLOBound.Round(time.Millisecond))

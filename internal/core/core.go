@@ -81,11 +81,11 @@ type Config struct {
 	// plant subscribes here; it should apply first-command-per-period
 	// semantics itself, as plant.Loop.Apply does).
 	OnActuation runtime.ActuationFunc
-	// OnEvidence and OnSwitch, if set, observe evidence acceptance and
-	// mode switches (for streaming progress; report counters are kept
-	// either way).
-	OnEvidence runtime.EvidenceFunc
-	OnSwitch   runtime.SwitchFunc
+	// OnEvidence and OnSwitch, if set, receive the evidence and mode
+	// switch events after the Report has folded them (Report.Observe).
+	// They are kept for benchmark/, which streams through them.
+	OnEvidence func(node network.NodeID, ev evidence.Evidence, at sim.Time)
+	OnSwitch   func(node network.NodeID, from, to string, at sim.Time)
 }
 
 // Deployment is an assembled deployment on some executor, ready to start.
@@ -105,14 +105,6 @@ type Deployment struct {
 	sched sim.Scheduler
 	net   network.Transport
 	plant *Plant
-
-	// Degradation tracking (high-fault-rate regime): which reporters have
-	// an open over-budget declaration, and when the current globally
-	// degraded window opened. The flood bound Delta is far below the gap
-	// between a reporter's consecutive capacity crossings (≥ one period),
-	// so first observations arrive in emission order.
-	degradedBy map[network.NodeID]bool
-	degradedAt sim.Time
 }
 
 // System is a deployment on the discrete-event kernel and simulated
@@ -142,8 +134,9 @@ type Report struct {
 
 	// Epochs records every membership reconfiguration the run performed
 	// (empty without Config.Members; rejected proposals appear with Err
-	// set). EpochReplans is the total number of plan syntheses the epoch
-	// planner performed — near zero on a warm cache.
+	// set), folded from the epoch events. EpochReplans is the total
+	// number of plan syntheses the epoch planner performed — near zero
+	// on a warm cache.
 	Epochs       []EpochRow
 	EpochReplans uint64
 
@@ -154,23 +147,152 @@ type Report struct {
 	// open at the horizon is closed there. Empty without
 	// Config.ForgiveAfter.
 	Degraded []metrics.Interval
+
+	// degradedBy and degradedAt are the fold's open degraded window:
+	// which reporters have an open over-budget declaration, and when the
+	// window opened. The flood bound Delta is far below the gap between a
+	// reporter's consecutive capacity crossings (≥ one period), so first
+	// observations arrive in emission order.
+	degradedBy map[network.NodeID]bool
+	degradedAt sim.Time
 }
 
-// EpochRow is one membership epoch's lifecycle measurements (recorded
-// by the runtime operator).
-type EpochRow = runtime.EpochRow
+// EpochRow is one membership epoch's lifecycle, folded from the epoch
+// events. A rejected proposal leaves a row with Err set and no
+// activation.
+type EpochRow struct {
+	Num         uint64
+	Members     string
+	ProposedAt  sim.Time
+	CommittedAt sim.Time
+	ActivatedAt sim.Time
+	Acks        int
+	R           sim.Time // the epoch strategy's provable recovery bound
+	Err         string   // rejection reason, "" for a healthy epoch
+}
+
+// SwitchLatency returns propose-to-activate latency (the epoch-switch
+// latency the verdict bundle tracks), or 0 if the epoch never activated.
+func (e EpochRow) SwitchLatency() sim.Time {
+	if e.ActivatedAt == 0 {
+		return 0
+	}
+	return e.ActivatedAt - e.ProposedAt
+}
+
+// Observe folds one runtime event into the report: evidence counts and
+// degraded windows, mode switch times and epoch rows. Every executor
+// feeds it the same stream: Assemble's observer in process, the
+// orchestrator from its node processes' event lines.
+func (r *Report) Observe(ev runtime.Event) {
+	switch ev.Kind {
+	case runtime.EvidenceAccepted:
+		r.observeEvidence(ev)
+	case runtime.ModeSwitch:
+		r.SwitchTimes = append(r.SwitchTimes, ev.At)
+	case runtime.EpochProposed:
+		r.Epochs = append(r.Epochs, EpochRow{Num: ev.Epoch, ProposedAt: ev.At})
+	case runtime.EpochRejected:
+		// Rejected at commit: the open proposal's row takes the error. A
+		// proposal rejected outright never opened one: it gets its own.
+		if row := r.epochRow(ev.Epoch); row.Num == ev.Epoch && row.Err == "" {
+			row.Err = ev.Err
+		} else {
+			r.Epochs = append(r.Epochs, EpochRow{Num: ev.Epoch, ProposedAt: ev.At, Err: ev.Err})
+		}
+	case runtime.EpochAck:
+		r.epochRow(ev.Epoch).Acks = ev.Acks
+	case runtime.EpochCommitted:
+		r.epochRow(ev.Epoch).CommittedAt = ev.At
+	case runtime.EpochActivated:
+		row := r.epochRow(ev.Epoch)
+		row.ActivatedAt, row.R, row.Members = ev.At, ev.R, ev.Members
+	}
+}
+
+// epochRow returns the newest row for epoch num, or a detached zero row
+// when num was never proposed. A number reappears only after a
+// rejection, and epochs are proposed one at a time, so when a rejection
+// arrives, a newest row without Err is the open proposal.
+func (r *Report) epochRow(num uint64) *EpochRow {
+	for i := len(r.Epochs) - 1; i >= 0; i-- {
+		if r.Epochs[i].Num == num {
+			return &r.Epochs[i]
+		}
+	}
+	return &EpochRow{}
+}
+
+// observeEvidence counts one accepted evidence observation and tracks
+// the degradation windows: a window opens on the first over-budget
+// observation from a reporter and closes when every open declaration has
+// been matched by a reconciled one.
+func (r *Report) observeEvidence(ev runtime.Event) {
+	r.EvidenceByKind[ev.EvidenceKind]++
+	r.FirstEvidenceAt = min(r.FirstEvidenceAt, ev.At)
+	switch ev.EvidenceKind {
+	case evidence.KindOverBudget:
+		if !r.degradedBy[ev.Reporter] {
+			if len(r.degradedBy) == 0 {
+				r.degradedAt = ev.At
+			}
+			r.degradedBy[ev.Reporter] = true
+		}
+	case evidence.KindReconciled:
+		if r.degradedBy[ev.Reporter] {
+			delete(r.degradedBy, ev.Reporter)
+			if len(r.degradedBy) == 0 {
+				r.Degraded = append(r.Degraded, metrics.Interval{Start: r.degradedAt, End: ev.At})
+			}
+		}
+	}
+}
+
+// Close ends the fold at the horizon: a degraded window still open is
+// closed there, so the unreconciled span is visible rather than dropped.
+func (r *Report) Close() {
+	if len(r.degradedBy) > 0 {
+		r.Degraded = append(r.Degraded, metrics.Interval{Start: r.degradedAt, End: r.Horizon})
+		clear(r.degradedBy)
+	}
+}
 
 // RBoundFor returns the recovery bound to hold a fault at time t
 // against: the largest R among the epochs whose activity window
 // overlaps [t, end] (genesis included). With no epochs it is RNeeded.
+// Epoch i is active from its ActivatedAt until the next activation;
+// genesis covers [0, first activation).
 func (r *Report) RBoundFor(t, end sim.Time) sim.Time {
-	return runtime.EpochRBound(r.RNeeded, r.Epochs, t, end)
+	var bound sim.Time
+	prevStart, prevR := sim.Time(0), r.RNeeded
+	for _, e := range r.Epochs {
+		if e.ActivatedAt == 0 {
+			continue
+		}
+		if prevStart <= end && t <= e.ActivatedAt && prevR > bound {
+			bound = prevR
+		}
+		prevStart, prevR = e.ActivatedAt, e.R
+	}
+	if prevStart <= end && prevR > bound {
+		bound = prevR
+	}
+	if bound == 0 {
+		bound = r.RNeeded // no window overlapped (degenerate [t,end])
+	}
+	return bound
 }
 
 // MaxEpochR returns the largest provable recovery bound across every
 // epoch of the run (RNeeded without epochs).
 func (r *Report) MaxEpochR() sim.Time {
-	return runtime.EpochMaxR(r.RNeeded, r.Epochs)
+	bound := r.RNeeded
+	for _, e := range r.Epochs {
+		if e.ActivatedAt != 0 {
+			bound = max(bound, e.R)
+		}
+	}
+	return bound
 }
 
 // Assemble validates the config, runs the offline planner, builds the
@@ -184,7 +306,7 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 	if cfg.Net.EvidenceShare == 0 && cfg.Net.LossProb == 0 {
 		cfg.Net = network.DefaultConfig()
 	}
-	d := &Deployment{Cfg: cfg, degradedBy: map[network.NodeID]bool{}}
+	d := &Deployment{Cfg: cfg}
 	var planner runtime.PlanSource
 	var epochCfg *runtime.EpochConfig
 	var err error
@@ -234,22 +356,18 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 		EvidenceRateLimit: cfg.EvidenceRateLimit,
 		ForgiveAfter:      cfg.ForgiveAfter,
 		OnActuation: func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time) {
-			rep.Actuations++
 			if cfg.OnActuation != nil {
 				cfg.OnActuation(node, sink, period, value, at)
 			}
 			d.plant.Actuate(sink, period, value, at)
 		},
-		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			d.observeEvidence(ev, at)
-			if cfg.OnEvidence != nil {
-				cfg.OnEvidence(node, ev, at)
-			}
-		},
-		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) {
-			rep.SwitchTimes = append(rep.SwitchTimes, at)
-			if cfg.OnSwitch != nil {
-				cfg.OnSwitch(node, from, to, at)
+		Observer: func(ev runtime.Event) {
+			rep.Observe(ev)
+			switch {
+			case ev.Kind == runtime.EvidenceAccepted && cfg.OnEvidence != nil:
+				cfg.OnEvidence(ev.Node, ev.Evidence, ev.At)
+			case ev.Kind == runtime.ModeSwitch && cfg.OnSwitch != nil:
+				cfg.OnSwitch(ev.Node, ev.From, ev.To, ev.At)
 			}
 		},
 	})
@@ -268,34 +386,6 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 		}
 	}
 	return d, nil
-}
-
-// observeEvidence counts one accepted evidence observation and tracks
-// the degradation windows: a window opens on the first over-budget
-// observation from a reporter and closes when every open declaration has
-// been matched by a reconciled one.
-func (d *Deployment) observeEvidence(ev evidence.Evidence, at sim.Time) {
-	rep := d.plant.rep
-	rep.EvidenceByKind[ev.Kind]++
-	if at < rep.FirstEvidenceAt {
-		rep.FirstEvidenceAt = at
-	}
-	switch ev.Kind {
-	case evidence.KindOverBudget:
-		if !d.degradedBy[ev.Reporter] {
-			if len(d.degradedBy) == 0 {
-				d.degradedAt = at
-			}
-			d.degradedBy[ev.Reporter] = true
-		}
-	case evidence.KindReconciled:
-		if d.degradedBy[ev.Reporter] {
-			delete(d.degradedBy, ev.Reporter)
-			if len(d.degradedBy) == 0 {
-				rep.Degraded = append(rep.Degraded, metrics.Interval{Start: d.degradedAt, End: at})
-			}
-		}
-	}
 }
 
 // NewSystem assembles the deployment on a fresh simulation kernel and
@@ -336,21 +426,15 @@ func (d *Deployment) Reconfigure(t sim.Time, delta member.Delta) {
 	d.Runtime.ScheduleReconfig(t, delta)
 }
 
-// Finish completes the report once the executor has stopped: a degraded
-// window still open is closed at the horizon, and the transport counters
-// and epoch rows are filled in.
+// Finish completes the report once the executor has stopped: the fold
+// is closed at the horizon (Report.Close), and the transport counters
+// and the epoch planner's replans are filled in.
 func (d *Deployment) Finish() *Report {
 	rep := d.plant.rep
-	if len(d.degradedBy) > 0 {
-		// Still degraded at the horizon: close the window there so the
-		// unreconciled span is visible rather than dropped.
-		rep.Degraded = append(rep.Degraded, metrics.Interval{Start: d.degradedAt, End: rep.Horizon})
-		d.degradedBy = map[network.NodeID]bool{}
-	}
+	rep.Close()
 	rep.NetStats = d.net.Snapshot()
 	if d.MemberPlanner != nil {
 		rep.EpochReplans = d.MemberPlanner.Replans()
-		rep.Epochs = d.Runtime.EpochRows()
 	}
 	return rep
 }

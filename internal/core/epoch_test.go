@@ -178,3 +178,37 @@ func TestEpochRetireConvictedNode(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochLifecycleFoldedFromEvents pins the fold: for a script with a
+// proposal rejected outright (retiring a non-member) and one rejected at
+// commit (the remaining two members cannot host three source replicas),
+// Report.Epochs equals, field for field, the rows the runtime's epoch
+// operator recorded for the same script before the rows became a fold
+// over epoch events. The first rejection appends a row of its own; the
+// second sets Err on the open proposal's row.
+func TestEpochLifecycleFoldedFromEvents(t *testing.T) {
+	s, err := NewSystem(epochConfig(3, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := s.Cfg.Workload.Period
+	s.Reconfigure(3*period, member.Delta{Retire: []network.NodeID{7}})
+	s.Reconfigure(4*period, member.Delta{Join: []network.NodeID{6}})
+	s.Reconfigure(14*period, member.Delta{Retire: []network.NodeID{0, 1, 2, 3, 6}})
+	s.Reconfigure(24*period, member.Delta{Join: []network.NodeID{7}, Retire: []network.NodeID{2}})
+	got := s.Run().Epochs
+	want := []EpochRow{
+		{Num: 1, ProposedAt: 75000, Err: "member: retire of 7: not a member"},
+		{Num: 1, Members: "{0,1,2,3,4,5,6}", ProposedAt: 100000, CommittedAt: 100000, ActivatedAt: 124999, Acks: 5, R: 103048},
+		{Num: 2, ProposedAt: 350000, Acks: 6, Err: "member: epoch 2 unplannable: plan: epoch mode {} over members [4 5]: all sinks shed and still unschedulable: plan: 3 replicas of \"c0\" need distinct nodes but only 2 are healthy"},
+		{Num: 2, Members: "{0,1,3,4,5,6,7}", ProposedAt: 600000, CommittedAt: 600000, ActivatedAt: 624999, Acks: 6, R: 103048},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded %d epoch rows, want %d:\n%+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("epoch row %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}

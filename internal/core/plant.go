@@ -6,6 +6,7 @@ import (
 	"btr/internal/evidence"
 	"btr/internal/flow"
 	"btr/internal/metrics"
+	"btr/internal/network"
 	"btr/internal/sim"
 )
 
@@ -42,6 +43,7 @@ func NewPlant(g *flow.Graph, horizon uint64, rNeeded sim.Time, oracle Oracle) *P
 		EvidenceByKind:  map[evidence.Kind]int{},
 		FirstEvidenceAt: sim.Never,
 		RNeeded:         rNeeded,
+		degradedBy:      map[network.NodeID]bool{},
 	}
 	for _, sk := range sinks {
 		rep.PerSink[sk] = metrics.NewTimeline(0, true)
@@ -51,9 +53,11 @@ func NewPlant(g *flow.Graph, horizon uint64, rNeeded sim.Time, oracle Oracle) *P
 
 // Actuate offers a command issued (or received) at time at and reports
 // whether the plant took it: only the first command per (sink, period)
-// counts. A nil value stands for a command the plant could not read; it
-// still takes the period and is judged wrong.
+// counts, though every offer counts in Report.Actuations. A nil value
+// stands for a command the plant could not read; it still takes the
+// period and is judged wrong.
 func (p *Plant) Actuate(sink flow.TaskID, period uint64, value []byte, at sim.Time) bool {
+	p.rep.Actuations++
 	k := taskPeriod{sink, period}
 	if _, taken := p.first[k]; taken {
 		return false

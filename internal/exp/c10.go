@@ -24,6 +24,7 @@ import (
 	"btr/internal/adversary"
 	"btr/internal/campaign"
 	"btr/internal/core"
+	"btr/internal/evidence"
 	"btr/internal/faultrate"
 	"btr/internal/flow"
 	"btr/internal/live"
@@ -182,11 +183,12 @@ func runC10Storm(st c10Storm, seed uint64) (C10StormRow, error) {
 	if err != nil {
 		return C10StormRow{}, err
 	}
+	verdicts := res.Report.EvidenceByKind
 	row := C10StormRow{
 		Name: st.name, Topology: st.topo, Nodes: st.nodes, F: st.f,
 		Faults:     st.desc(),
-		OverBudget: res.OverBudget, Reconciled: res.Reconciled,
-		Flagged:  res.OverBudget > 0,
+		OverBudget: verdicts[evidence.KindOverBudget], Reconciled: verdicts[evidence.KindReconciled],
+		Flagged:  verdicts[evidence.KindOverBudget] > 0,
 		Confined: res.Confined,
 	}
 	row.ReconnectChecked, row.Reconnected = foldReconnect(res.Storm)

@@ -60,10 +60,10 @@ func checkSchedule(cfg OrchestratorConfig, n int, victim network.NodeID) (advers
 
 // judge holds one finished run to the recovery promise. It reads the
 // resolved schedule, the topology whose links witness each repair, and
-// res's plant report, Dones and SLO; it attributes the schedule's
-// injection times and the nodes' budget verdicts to the report and fills
-// res.Storm, res.Confined, res.ConfineEnd, res.SLOBound and
-// res.Violations. The rules:
+// res's report (the plant's verdicts with the nodes' events folded in),
+// Dones and SLO; it attributes the schedule's injection times to the
+// report and fills res.Storm, res.Confined, res.ConfineEnd, res.SLOBound
+// and res.Violations. The rules:
 //
 //   - a schedule of at most F entries is held to R (Report.Violations);
 //   - a longer one is a storm: its bad output must be confined to
@@ -88,17 +88,6 @@ func judge(cfg OrchestratorConfig, topo *network.Topology, sched adversary.Scrip
 		lastRepair = max(lastRepair, end)
 	}
 	slices.Sort(rep.FaultTimes)
-	for _, d := range res.Dones {
-		rep.Actuations += d.Acts
-		res.OverBudget += d.OverBudget
-		res.Reconciled += d.Reconciled
-	}
-	if res.OverBudget > 0 {
-		rep.EvidenceByKind[evidence.KindOverBudget] = res.OverBudget
-	}
-	if res.Reconciled > 0 {
-		rep.EvidenceByKind[evidence.KindReconciled] = res.Reconciled
-	}
 
 	// Confinement: damage may be severe in a > f storm, but it must be
 	// fault-attributable — never silent leakage before the first fault or
@@ -123,10 +112,10 @@ func judge(cfg OrchestratorConfig, topo *network.Topology, sched adversary.Scrip
 			v = append(v, fmt.Sprintf("bad output outside the fault-attributable window [%v, %v]: %v",
 				first, res.ConfineEnd, rep.BadIntervals()))
 		}
-		if cfg.Forgive > 0 && res.OverBudget == 0 {
+		if cfg.Forgive > 0 && rep.EvidenceByKind[evidence.KindOverBudget] == 0 {
 			v = append(v, "> f storm raised no over-budget verdict")
 		}
-		if cfg.Forgive > 0 && res.Reconciled == 0 {
+		if cfg.Forgive > 0 && rep.EvidenceByKind[evidence.KindReconciled] == 0 {
 			v = append(v, "storm drained but no node reconciled")
 		}
 	}

@@ -18,8 +18,10 @@
 //
 // The package also carries the multi-process deployment mode: one OS
 // process per node over the real-socket network.TCPBus. RunNodeProc is
-// the child side (one node slot, driven over stdin/stdout by a parent),
-// RunOrchestrator the parent side — it spawns the node processes, acts
+// the child side: one node slot, driven by plain-text commands on stdin,
+// streaming JSON lines on stdout — control lines, its actuations, and
+// every runtime.Event it observes. RunOrchestrator is the parent side:
+// it spawns the node processes, folds their events into one Report, acts
 // as the physical plant (a core.Plant), injects process-level faults
 // (SIGKILL, SIGKILL-and-restart, SIGSTOP/SIGCONT, userspace partitions)
 // alongside the in-process catalog, and judges measured recovery against
@@ -37,15 +39,14 @@ import (
 	"btr/internal/sim"
 )
 
-// Oracle, Config, Report and EpochRow are core's: a live deployment is
+// Oracle, Config and Report are core's: a live deployment is
 // described, and its run reported, exactly as a simulated one. In Config
 // the Horizon is real wall-clock time (Horizon × workload period); in a
 // Report all times are wall-clock microseconds since the start.
 type (
-	Oracle   = core.Oracle
-	Config   = core.Config
-	Report   = core.Report
-	EpochRow = core.EpochRow
+	Oracle = core.Oracle
+	Config = core.Config
+	Report = core.Report
 )
 
 // Deployment is an assembled live system ready to Run.

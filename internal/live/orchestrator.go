@@ -10,6 +10,7 @@ package live
 // and judges the run (judge.go) against the strategy's provable bound R.
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"btr/internal/flow"
 	"btr/internal/network"
 	"btr/internal/plan"
+	"btr/internal/runtime"
 	"btr/internal/sim"
 )
 
@@ -106,6 +108,8 @@ type OrchestratorConfig struct {
 	// inside it).
 	BarrierTimeout time.Duration
 
+	// Verbose prints every node process's events (Event.String) to Log:
+	// one merged cross-process timeline.
 	Verbose bool
 	// Log receives orchestration progress lines (nil = discard).
 	Log io.Writer
@@ -113,9 +117,13 @@ type OrchestratorConfig struct {
 
 // ProcResult is an orchestrated run's full outcome.
 type ProcResult struct {
-	// Report is the plant-judged recovery report; its FaultTimes,
+	// Report is the plant-judged recovery report, with the node
+	// processes' events folded in (Report.Observe); its FaultTimes,
 	// BadIntervals, Recoveries, and bound methods work exactly as for an
-	// in-process Deployment.
+	// in-process Deployment. Its budget verdict counts,
+	// EvidenceByKind[KindOverBudget] and [KindReconciled], say whether
+	// a node flagged the degraded regime — the detect-and-apologize
+	// signal a > f storm must raise.
 	Report *Report
 	// Victim is the strategy victim: it hosts the first-actuating sink
 	// replica, like single-process btrlive, and auto-assigned (Node -1)
@@ -124,12 +132,9 @@ type ProcResult struct {
 	// Storm holds the per-victim verdicts of the fault schedule, one per
 	// entry with its victim resolved.
 	Storm []StormVerdict
-	// OverBudget and Reconciled total the budget verdicts the node
-	// processes flooded (evidence kinds over-budget / reconciled);
-	// nonzero OverBudget means some node flagged the degraded regime —
-	// the detect-and-apologize signal a > f storm must raise.
-	OverBudget int
-	Reconciled int
+	// Events is the merged event stream of every node process (killed
+	// incarnations included), in arrival order; Report is its fold.
+	Events []runtime.Event
 	// The first fault and ConfineEnd bound the window in which bad
 	// output is fault-attributable; Confined reports whether every bad
 	// interval of the plant report lies inside it (no damage before the
@@ -181,17 +186,18 @@ func (p *nodeProc) signal(sig syscall.Signal) {
 }
 
 // spawnNodeProc starts exe as the node described by spec and streams its
-// stdout events (and, last, its exit) into events.
-func spawnNodeProc(exe string, spec ProcSpec, verbose bool, events chan<- procMsg) (*nodeProc, error) {
+// stdout events (and, last, its exit) into events. The first line the
+// process writes to stderr (its fatal line, or a panic's) rides in its
+// exit error.
+func spawnNodeProc(exe string, spec ProcSpec, events chan<- procMsg) (*nodeProc, error) {
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), ProcSpecEnv+"="+string(raw))
-	if verbose {
-		cmd.Stderr = os.Stderr
-	}
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -213,7 +219,11 @@ func spawnNodeProc(exe string, spec ProcSpec, verbose bool, events chan<- procMs
 			}
 			events <- procMsg{node: spec.Node, ev: &ev, at: time.Now()}
 		}
-		events <- procMsg{node: spec.Node, err: cmd.Wait(), at: time.Now()}
+		err := cmd.Wait() // returns once stderr is fully copied
+		if line, _, _ := strings.Cut(stderr.String(), "\n"); err != nil && line != "" {
+			err = fmt.Errorf("%w: %s", err, line)
+		}
+		events <- procMsg{node: spec.Node, err: err, at: time.Now()}
 	}()
 	return p, nil
 }
@@ -300,7 +310,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 		s := ProcSpec{
 			Node: i, Topo: cfg.Topo, Nodes: cfg.Nodes, F: cfg.F, Seed: cfg.Seed,
 			PeriodUS: int64(period), MarginUS: int64(cfg.Margin), Horizon: cfg.Horizon,
-			ForgiveUS: int64(cfg.Forgive), Verbose: cfg.Verbose,
+			ForgiveUS:    int64(cfg.Forgive),
 			ServeClients: cfg.Clients > 0,
 		}
 		// An in-process behavior travels in its victim's spec.
@@ -323,7 +333,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	}()
 
 	for i := 0; i < topo.N; i++ {
-		p, err := spawnNodeProc(exe, baseSpec(i), cfg.Verbose, events)
+		p, err := spawnNodeProc(exe, baseSpec(i), events)
 		if err != nil {
 			return nil, fmt.Errorf("live: spawn node %d: %w", i, err)
 		}
@@ -446,7 +456,8 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 	// (sink, period) wins, stamped on the orchestrator clock (microseconds
 	// since "go").
 	plant := core.NewPlant(workload, cfg.Horizon, strategy.RNeeded, core.HashOracle(workload, evidence.SourceValue))
-	res := &ProcResult{Victim: victim, Dones: map[int]ProcEvent{}, Exits: map[int]string{}}
+	rep := plant.Report()
+	res := &ProcResult{Report: rep, Victim: victim, Dones: map[int]ProcEvent{}, Exits: map[int]string{}}
 	exits := 0
 	spawned := topo.N
 	for exits < spawned {
@@ -475,10 +486,16 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 					fmt.Fprintf(logw, "plant: %s period %d from node %d at %v (logical %v)\n",
 						m.ev.Sink, m.ev.Period, m.node, arrival, sim.Time(m.ev.AtUS))
 				}
+			case m.ev.Ev == "event" && m.ev.Event != nil:
+				ev := *m.ev.Event
+				rep.Observe(ev)
+				res.Events = append(res.Events, ev)
+				if cfg.Verbose {
+					fmt.Fprintln(logw, ev)
+				}
 			case m.ev.Ev == "done":
 				res.Dones[m.node] = *m.ev
-				fmt.Fprintf(logw, "done node %d: acts=%d evidence=%d switches=%d connected=%d links=%+v\n",
-					m.node, m.ev.Acts, m.ev.Evidence, m.ev.Switches, m.ev.Connected, m.ev.Links)
+				fmt.Fprintf(logw, "done node %d: connected=%d links=%+v\n", m.node, m.ev.Connected, m.ev.Links)
 			case m.ev.Ev == "up":
 				// Only a restarted process reports up mid-run; it rebinds
 				// its old port, rebuilds, and needs only the release.
@@ -514,7 +531,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 					}
 					restart.StartPeriod = uint64((e.At + e.Heal) / period)
 					restart.Standby = true
-					p, err := spawnNodeProc(exe, restart, cfg.Verbose, events)
+					p, err := spawnNodeProc(exe, restart, events)
 					if err != nil {
 						fmt.Fprintf(logw, "orchestrator: restart failed: %v\n", err)
 						break
@@ -557,7 +574,7 @@ func RunOrchestrator(cfg OrchestratorConfig) (*ProcResult, error) {
 			plant.Judge(sk, p, deadline, deadline+cfg.Margin)
 		}
 	}
-	res.Report = plant.Report()
+	rep.Close()
 	judge(cfg, topo, sched, res)
 	return res, nil
 }

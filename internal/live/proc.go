@@ -18,7 +18,10 @@ package live
 //	                                                   the clock pins with
 //	                                                   no construction lag
 //	  {"ev":"act","node":i,"sink":"c2","period":7,...} one actuation
-//	  {"ev":"done","node":i,...}                       horizon reached
+//	  {"ev":"event","node":i,"event":{"kind":...}}     one runtime.Event:
+//	                                                   evidence, switch,
+//	                                                   watchdog, rejection
+//	  {"ev":"done","node":i,"connected":3,"links":[...]} horizon reached
 //	parent -> child (stdin, plain text lines):
 //	  peers <addr0> <addr1> ...   full address vector (when spawned with
 //	                              dynamic ports); must precede go
@@ -52,7 +55,6 @@ import (
 	"btr/internal/adversary"
 	"btr/internal/client"
 	"btr/internal/cliflag"
-	"btr/internal/evidence"
 	"btr/internal/flow"
 	"btr/internal/network"
 	"btr/internal/plan"
@@ -177,8 +179,6 @@ type ProcSpec struct {
 	// a restarted process gets the established vector and rebinds its
 	// slot so in-flight load-generator clients can redial it.
 	ClientAddrs []string `json:"client_addrs,omitempty"`
-
-	Verbose bool `json:"verbose,omitempty"`
 }
 
 // ProcLink is one outgoing link's supervision counters in a done event.
@@ -195,7 +195,7 @@ type ProcLink struct {
 
 // ProcEvent is one child-to-parent stdout line.
 type ProcEvent struct {
-	Ev   string `json:"ev"` // ready | up | act | done
+	Ev   string `json:"ev"` // ready | up | act | event | done
 	Node int    `json:"node"`
 
 	Addr string `json:"addr,omitempty"` // ready
@@ -208,16 +208,10 @@ type ProcEvent struct {
 	Value  string `json:"value,omitempty"` // hex
 	AtUS   int64  `json:"at_us,omitempty"` // logical actuation time
 
-	Acts      int        `json:"acts,omitempty"` // done
-	Evidence  int        `json:"evidence,omitempty"`
-	Switches  int        `json:"switches,omitempty"`
-	Connected int        `json:"connected,omitempty"`
+	Event *runtime.Event `json:"event,omitempty"` // event
+
+	Connected int        `json:"connected,omitempty"` // done
 	Links     []ProcLink `json:"links,omitempty"`
-	// OverBudget/Reconciled count the budget verdicts this node saw
-	// (evidence kinds over-budget / reconciled) — nonzero only when the
-	// spec carries a parole clock (ForgiveUS > 0).
-	OverBudget int `json:"over_budget,omitempty"`
-	Reconciled int `json:"reconciled,omitempty"`
 }
 
 // MaybeRunNodeProc turns the process into a deployment node when
@@ -256,8 +250,9 @@ func (e *procEmitter) emit(ev ProcEvent) {
 
 // RunNodeProc runs one node of a multi-process deployment to completion:
 // listen, handshake the address vector, build the full system, execute
-// this node's slot for the configured horizon while streaming actuations,
-// and emit a final done event with transport supervision counters.
+// this node's slot for the configured horizon while streaming actuations
+// and runtime events, and emit a final done event with transport
+// supervision counters.
 func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 	topo, err := ProcTopology(spec.Topo, spec.Nodes)
 	if err != nil {
@@ -369,33 +364,15 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 	bus := network.NewTCPBus(w, topo, self, addrs, lis, network.DefaultTCPConfig(spec.Seed))
 	reg := sig.NewRegistry(spec.Seed, topo.N)
 
-	var acts, evCount, switches int
-	var overBudget, reconciled int
 	sys := runtime.New(runtime.Config{
 		Kernel: w, Net: bus, Registry: reg, Strategy: strategy,
 		ForgiveAfter: sim.Time(spec.ForgiveUS),
 		OnActuation: func(node network.NodeID, sink flow.TaskID, p uint64, value []byte, at sim.Time) {
-			acts++
 			em.emit(ProcEvent{Ev: "act", Node: spec.Node, Sink: string(sink), Period: p,
 				Value: hex.EncodeToString(value), AtUS: int64(at)})
 		},
-		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			evCount++
-			switch ev.Kind {
-			case evidence.KindOverBudget:
-				overBudget++
-			case evidence.KindReconciled:
-				reconciled++
-			}
-			if spec.Verbose {
-				fmt.Fprintf(os.Stderr, "[node %d %10v] evidence %s (accused %d)\n", spec.Node, at, ev.Kind, ev.Accused)
-			}
-		},
-		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) {
-			switches++
-			if spec.Verbose {
-				fmt.Fprintf(os.Stderr, "[node %d %10v] mode switch %q -> %q\n", spec.Node, at, from, to)
-			}
+		Observer: func(ev runtime.Event) {
+			em.emit(ProcEvent{Ev: "event", Node: spec.Node, Event: &ev})
 		},
 	})
 
@@ -423,9 +400,6 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if spec.Verbose {
-		fmt.Fprintf(os.Stderr, "[node %d] up: %d/%d links connected\n", spec.Node, bus.ConnectedCount(), bus.LinkCount())
-	}
 	em.emit(ProcEvent{Ev: "up", Node: spec.Node})
 	started := false
 	for !started {
@@ -440,9 +414,6 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 			bus.Close()
 			return nil
 		}
-	}
-	if spec.Verbose {
-		fmt.Fprintf(os.Stderr, "[node %d] go at wall %s\n", spec.Node, time.Now().Format("15:04:05.000000"))
 	}
 	if !spec.Standby {
 		sys.StartNodeFrom(self, spec.StartPeriod)
@@ -481,11 +452,6 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 	}
 	w.Close() // joins the executor: the counters below are quiescent
 
-	if spec.Verbose {
-		st := bus.Snapshot()
-		fmt.Fprintf(os.Stderr, "[node %d] transport: sent=%v delivered=%v dropped=%v shed=%v\n",
-			spec.Node, st.MsgsSent, st.MsgsDelivered, st.MsgsDropped, st.MsgsShed)
-	}
 	var links []ProcLink
 	for _, st := range bus.LinkStats() {
 		links = append(links, ProcLink{
@@ -493,12 +459,7 @@ func RunNodeProc(spec ProcSpec, in io.Reader, out io.Writer) error {
 			Connected: st.Connected, Drops: st.Drops, Shed: st.Shed,
 		})
 	}
-	em.emit(ProcEvent{
-		Ev: "done", Node: spec.Node,
-		Acts: acts, Evidence: evCount, Switches: switches,
-		Connected: bus.ConnectedCount(), Links: links,
-		OverBudget: overBudget, Reconciled: reconciled,
-	})
+	em.emit(ProcEvent{Ev: "done", Node: spec.Node, Connected: bus.ConnectedCount(), Links: links})
 	bus.Close()
 	return nil
 }

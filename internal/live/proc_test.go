@@ -5,12 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"btr/internal/adversary"
+	"btr/internal/evidence"
 	"btr/internal/network"
+	"btr/internal/runtime"
 	"btr/internal/sim"
 )
 
@@ -65,12 +68,36 @@ func TestOrchestratedCorruptRecoversWithinR(t *testing.T) {
 	// Both sink replicas act at the same logical offset, so whether the
 	// plant samples the corrupt or the correct command first is a real
 	// physical race across processes — WrongValues may legitimately be 0.
-	// What must hold: every surviving node detected the corruption and
-	// switched away from the victim's mode.
-	for n, d := range res.Dones {
-		if n != int(res.Victim) && d.Switches == 0 {
-			t.Errorf("node %d never switched modes — the corruption was not detected", n)
+	// What must hold, read from the merged event stream: every surviving
+	// node accepted evidence and switched to a mode that excludes the
+	// victim. The switch names the convicted set: the evidence itself may
+	// be path accusations, which accuse a path, not a node (Accused -1).
+	accepted, excluded := map[network.NodeID]bool{}, map[network.NodeID]bool{}
+	victim := strconv.Itoa(int(res.Victim))
+	for _, ev := range res.Events {
+		switch ev.Kind {
+		case runtime.EvidenceAccepted:
+			accepted[ev.Node] = true
+		case runtime.ModeSwitch:
+			if slices.Contains(strings.Split(ev.To, ","), victim) {
+				excluded[ev.Node] = true
+			}
 		}
+	}
+	for n := network.NodeID(0); n < 4; n++ {
+		if n == res.Victim {
+			continue
+		}
+		if !accepted[n] {
+			t.Errorf("node %d accepted no evidence", n)
+		}
+		if !excluded[n] {
+			t.Errorf("node %d never switched to a mode excluding victim %d — the corruption was not detected", n, res.Victim)
+		}
+	}
+	if len(res.Report.SwitchTimes) < len(excluded) || res.Report.EvidenceTotal() == 0 {
+		t.Errorf("the report's fold missed the stream: %d switch times, evidence %v",
+			len(res.Report.SwitchTimes), res.Report.EvidenceByKind)
 	}
 	for n, e := range res.Exits {
 		if e != "" {
@@ -157,11 +184,12 @@ func TestOrchestratedStormFlagsOverBudget(t *testing.T) {
 			t.Errorf("%s victim %d did not re-establish on every peer: dones=%+v", sv.Behavior, sv.Node, res.Dones)
 		}
 	}
-	if res.OverBudget == 0 {
-		t.Errorf("> f storm raised no over-budget verdict (reconciled=%d dones=%+v)", res.Reconciled, res.Dones)
+	verdicts := res.Report.EvidenceByKind
+	if verdicts[evidence.KindOverBudget] == 0 {
+		t.Errorf("> f storm raised no over-budget verdict (evidence %v)", verdicts)
 	}
-	if res.Reconciled == 0 {
-		t.Errorf("storm drained but no node reconciled (over-budget=%d)", res.OverBudget)
+	if verdicts[evidence.KindReconciled] == 0 {
+		t.Errorf("storm drained but no node reconciled (evidence %v)", verdicts)
 	}
 	if !res.Confined {
 		t.Errorf("bad output outside the attributable window [%v, %v]: %+v",

@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 
 	"btr/internal/evidence"
 	"btr/internal/flow"
@@ -169,15 +167,16 @@ func (n *Node) checkArrived(cur *plan.Plan, p uint64, e flow.Edge, w sched.MsgWi
 		}
 	}
 	srcNode := cur.Assign[e.From]
-	if debugTrace {
-		fmt.Fprintf(os.Stderr, "[node %d] watchdog: edge %s->%s period %d missing (producer on node %d)\n",
-			n.id, e.From, e.To, p, srcNode)
-	}
-	if n.faults.Contains(srcNode) {
-		return // already convicted; mode change under way
-	}
 	key := accusedKey{producer: e.From, consumer: e.To, period: p}
-	if n.accusedSlots[key] {
+	expired := Event{Kind: WatchdogExpired, Accused: srcNode, Task: e.From, Period: p, Reason: "accused the path"}
+	switch {
+	case n.faults.Contains(srcNode):
+		expired.Reason = "producer already convicted" // mode change under way
+	case n.accusedSlots[key]:
+		expired.Reason = "slot already accused"
+	}
+	n.observe(expired)
+	if expired.Reason != "accused the path" {
 		return
 	}
 	n.accusedSlots[key] = true
@@ -225,9 +224,13 @@ func (n *Node) raiseEvidence(ev evidence.Evidence) {
 		return
 	}
 	n.seenEvidence[id] = true
-	if n.cfg.OnEvidence != nil {
-		n.cfg.OnEvidence(n.id, ev, n.cfg.Kernel.Now())
-	}
+	n.accept(ev)
+}
+
+// accept reports newly accepted evidence, acts on it and floods it.
+func (n *Node) accept(ev evidence.Evidence) {
+	n.observe(Event{Kind: EvidenceAccepted, Evidence: ev,
+		EvidenceKind: ev.Kind, Accused: ev.Accused, Reporter: ev.Reporter})
 	n.actOnEvidence(ev)
 	n.forwardEvidence(ev)
 }

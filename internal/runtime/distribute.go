@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"errors"
-
 	"btr/internal/evidence"
 	"btr/internal/network"
 	"btr/internal/sig"
@@ -89,7 +87,6 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 	inner, err := evidence.Parse(wrapper.Body)
 	if err != nil {
 		// The endorser signed an undecodable blob: proof against it.
-		n.EvidenceRejected++
 		n.raiseEvidence(evidence.Evidence{
 			Kind: evidence.KindBogus, Accused: wrapper.Signer, Reporter: n.id,
 			DetectedAt: n.cfg.Kernel.Now(), Primary: wrapper,
@@ -100,14 +97,13 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 	if n.seenEvidence[id] {
 		return
 	}
-	if verr := n.validator().Validate(inner); verr != nil {
-		n.EvidenceRejected++
+	if n.validator().Validate(inner) != nil {
 		// Mode-dependent kinds (timing) can fail validation during a
 		// transition without the endorser being faulty; don't convert
 		// those into bogus-endorsement proofs. Everything else validates
 		// against mode-independent facts (signatures, digests,
 		// re-execution), so a failure there convicts the endorser.
-		if inner.Kind != evidence.KindTiming && !errors.Is(verr, errModeSkew) {
+		if inner.Kind != evidence.KindTiming {
 			n.raiseEvidence(evidence.Evidence{
 				Kind: evidence.KindBogus, Accused: wrapper.Signer, Reporter: n.id,
 				DetectedAt: n.cfg.Kernel.Now(), Primary: wrapper,
@@ -116,16 +112,5 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 		return
 	}
 	n.seenEvidence[id] = true
-	n.EvidenceAccepted++
-	if n.cfg.OnEvidence != nil {
-		n.cfg.OnEvidence(n.id, inner, n.cfg.Kernel.Now())
-	}
-	n.actOnEvidence(inner)
-	n.forwardEvidence(inner)
+	n.accept(inner)
 }
-
-// errModeSkew is a sentinel for validation failures that may stem from the
-// validator's own mode lagging the reporter's (reserved for future use;
-// timing evidence is currently the only mode-dependent kind and is
-// special-cased by kind).
-var errModeSkew = errors.New("runtime: validation depends on mode state")

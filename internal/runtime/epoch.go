@@ -64,9 +64,6 @@ type EpochConfig struct {
 	// it). Called once per epoch and memoized; must be a pure function
 	// of (record, wiring) — the plan cache makes warm calls cheap.
 	Resolve func(rec member.Record, wiring *network.Topology) (*EpochInfo, error)
-	// OnEvent observes epoch lifecycle events (reports, tests; may be
-	// nil).
-	OnEvent func(ev EpochEvent)
 }
 
 // EpochInfo is everything the runtime needs to execute one epoch.
@@ -74,7 +71,6 @@ type EpochConfig struct {
 type EpochInfo struct {
 	Record   member.Record
 	Members  []network.NodeID
-	Excluded plan.FaultSet
 	Wiring   *network.Topology
 	Strategy *plan.Strategy
 	Planner  PlanSource
@@ -90,76 +86,6 @@ func (i *EpochInfo) memberOf(id network.NodeID) bool {
 	return false
 }
 
-// EpochEvent is one observable step of a reconfiguration.
-type EpochEvent struct {
-	Kind string // "proposed" | "ack" | "committed" | "activated" | "rejected"
-	Num  uint64
-	Node network.NodeID // the acker for "ack"; -1 for operator-level events
-	At   sim.Time
-	Acks int
-	Err  error // set for "rejected"
-}
-
-// EpochRow is one epoch's lifecycle as the operator recorded it; both
-// report layers (core and live) expose the same rows. A rejected
-// proposal leaves a row with Err set and no activation.
-type EpochRow struct {
-	Num         uint64
-	Members     string
-	ProposedAt  sim.Time
-	CommittedAt sim.Time
-	ActivatedAt sim.Time
-	Acks        int
-	R           sim.Time // the epoch strategy's provable recovery bound
-	Err         string   // rejection reason, "" for a healthy epoch
-}
-
-// SwitchLatency returns propose-to-activate latency (the epoch-switch
-// latency the verdict bundle tracks), or 0 if the epoch never activated.
-func (e EpochRow) SwitchLatency() sim.Time {
-	if e.ActivatedAt == 0 {
-		return 0
-	}
-	return e.ActivatedAt - e.ProposedAt
-}
-
-// EpochMaxR returns the largest provable recovery bound across the
-// genesis bound and every activated epoch.
-func EpochMaxR(baseR sim.Time, rows []EpochRow) sim.Time {
-	max := baseR
-	for _, e := range rows {
-		if e.ActivatedAt != 0 && e.R > max {
-			max = e.R
-		}
-	}
-	return max
-}
-
-// EpochRBound returns the recovery bound to hold a fault against: the
-// largest R among the epochs (genesis included) whose activity window
-// overlaps [t, end]. Epoch i is active from its ActivatedAt until the
-// next activation; genesis covers [0, first activation).
-func EpochRBound(baseR sim.Time, rows []EpochRow, t, end sim.Time) sim.Time {
-	var bound sim.Time
-	prevStart, prevR := sim.Time(0), baseR
-	for _, e := range rows {
-		if e.ActivatedAt == 0 {
-			continue
-		}
-		if prevStart <= end && t <= e.ActivatedAt && prevR > bound {
-			bound = prevR
-		}
-		prevStart, prevR = e.ActivatedAt, e.R
-	}
-	if prevStart <= end && prevR > bound {
-		bound = prevR
-	}
-	if bound == 0 {
-		bound = baseR // no window overlapped (degenerate [t,end])
-	}
-	return bound
-}
-
 // PlannerResolve adapts a member.Planner into the EpochConfig.Resolve
 // seam — the one-liner every harness (core, live, tests) needs.
 func PlannerResolve(p *member.Planner) func(member.Record, *network.Topology) (*EpochInfo, error) {
@@ -169,8 +95,7 @@ func PlannerResolve(p *member.Planner) func(member.Record, *network.Topology) (*
 			return nil, err
 		}
 		return &EpochInfo{
-			Record: rec, Members: ep.Members, Excluded: ep.Excluded,
-			Wiring: ep.Wiring, Strategy: ep.Strategy,
+			Record: rec, Members: ep.Members, Wiring: ep.Wiring, Strategy: ep.Strategy,
 			Planner: PlanSource(ep.Resolve),
 		}, nil
 	}
@@ -195,7 +120,6 @@ type operator struct {
 	sys   *System
 	log   *member.Log // the authoritative chain the operator proposes from
 	infos map[[16]byte]*EpochInfo
-	rows  []EpochRow // lifecycle log the report layers expose
 
 	queue    []member.Delta
 	pending  *pendingEpoch
@@ -203,10 +127,9 @@ type operator struct {
 }
 
 type pendingEpoch struct {
-	rec        member.Record
-	sealed     []byte
-	proposedAt sim.Time
-	acks       map[network.NodeID]bool
+	rec    member.Record
+	sealed []byte
+	acks   map[network.NodeID]bool
 }
 
 // initEpochs wires the epoch machinery into a freshly built System:
@@ -280,33 +203,6 @@ func (s *System) Members() []network.NodeID {
 // id (teardown tests).
 func (s *System) WatchdogCount(id network.NodeID) int { return len(s.nodes[int(id)].watchdogs) }
 
-// EpochRows returns the operator's epoch lifecycle log (nil without
-// Config.Epochs). The slice is a copy; rows for rejected proposals
-// carry Err and no activation time.
-func (s *System) EpochRows() []EpochRow {
-	if s.op == nil {
-		return nil
-	}
-	return append([]EpochRow(nil), s.op.rows...)
-}
-
-// lastRow returns the newest lifecycle row for epoch num.
-func (op *operator) lastRow(num uint64) *EpochRow {
-	for i := len(op.rows) - 1; i >= 0; i-- {
-		if op.rows[i].Num == num {
-			return &op.rows[i]
-		}
-	}
-	return nil
-}
-
-// emit reports an epoch event to the harness.
-func (op *operator) emit(ev EpochEvent) {
-	if op.sys.cfg.Epochs.OnEvent != nil {
-		op.sys.cfg.Epochs.OnEvent(ev)
-	}
-}
-
 // resolveInfo memoizes EpochConfig.Resolve by record ID, computing the
 // record's wiring from the operator's log (the current record's own
 // wiring, or a validated preview for the next one).
@@ -340,22 +236,18 @@ func (op *operator) maybePropose() {
 	}
 	d := op.queue[0]
 	op.queue = op.queue[1:]
-	now := op.sys.cfg.Kernel.Now()
 	rec, err := op.log.Propose(d)
 	if err != nil {
-		op.rows = append(op.rows, EpochRow{Num: op.log.NextNum(), ProposedAt: now, Err: err.Error()})
-		op.emit(EpochEvent{Kind: "rejected", Num: op.log.NextNum(), Node: -1, At: now, Err: err})
+		op.sys.observe(Event{Kind: EpochRejected, Node: -1, Epoch: op.log.NextNum(), Err: err.Error()})
 		op.maybePropose()
 		return
 	}
 	op.pending = &pendingEpoch{
-		rec:        rec,
-		sealed:     member.Seal(op.sys.cfg.Registry, rec),
-		proposedAt: now,
-		acks:       map[network.NodeID]bool{},
+		rec:    rec,
+		sealed: member.Seal(op.sys.cfg.Registry, rec),
+		acks:   map[network.NodeID]bool{},
 	}
-	op.rows = append(op.rows, EpochRow{Num: rec.Num, ProposedAt: now})
-	op.emit(EpochEvent{Kind: "proposed", Num: rec.Num, Node: -1, At: now})
+	op.sys.observe(Event{Kind: EpochProposed, Node: -1, Epoch: rec.Num})
 	// Console-deliver the prepare to every current member; each also
 	// floods it in-band.
 	payload := epochPayload(epochPhasePrepare, op.pending.sealed)
@@ -371,11 +263,7 @@ func (op *operator) onAck(from network.NodeID, id [16]byte) {
 		return
 	}
 	p.acks[from] = true
-	now := op.sys.cfg.Kernel.Now()
-	if row := op.lastRow(p.rec.Num); row != nil {
-		row.Acks = len(p.acks)
-	}
-	op.emit(EpochEvent{Kind: "ack", Num: p.rec.Num, Node: from, At: now, Acks: len(p.acks)})
+	op.sys.observe(Event{Kind: EpochAck, Node: from, Epoch: p.rec.Num, Acks: len(p.acks)})
 	if len(p.acks) >= member.Quorum(len(op.log.Members()), op.sys.cfg.Strategy.Opts.F) {
 		op.commit()
 	}
@@ -389,10 +277,7 @@ func (op *operator) commit() {
 	now := op.sys.cfg.Kernel.Now()
 	tmp, err := op.resolveInfo(p.rec)
 	if err != nil {
-		if row := op.lastRow(p.rec.Num); row != nil {
-			row.Err = err.Error()
-		}
-		op.emit(EpochEvent{Kind: "rejected", Num: p.rec.Num, Node: -1, At: now, Err: err})
+		op.sys.observe(Event{Kind: EpochRejected, Node: -1, Epoch: p.rec.Num, Err: err.Error()})
 		op.pending = nil
 		op.maybePropose()
 		return
@@ -408,26 +293,17 @@ func (op *operator) commit() {
 	period := curStrat.Base.Period
 	activateAt := ((now+delta)/period+1)*period - 1
 	final := p.rec.WithActivation(activateAt)
-	info := &EpochInfo{
-		Record:   final,
-		Members:  tmp.Members,
-		Excluded: tmp.Excluded,
-		Wiring:   tmp.Wiring,
-		Strategy: tmp.Strategy,
-		Planner:  tmp.Planner,
-	}
-	op.infos[final.ID()] = info
+	info := *tmp
+	info.Record = final
+	op.infos[final.ID()] = &info
 	if err := op.log.Append(final); err != nil {
 		panic(fmt.Sprintf("runtime: operator log rejected its own record: %v", err))
 	}
-	if row := op.lastRow(final.Num); row != nil {
-		row.CommittedAt = now
-	}
-	op.emit(EpochEvent{Kind: "committed", Num: final.Num, Node: -1, At: now, Acks: len(p.acks)})
+	op.sys.observe(Event{Kind: EpochCommitted, Node: -1, Epoch: final.Num, Acks: len(p.acks)})
 	// Operator-side activation runs before any node's (inserted first at
 	// the same instant): wiring changes are visible the moment
 	// nodes start their first period under the new epoch.
-	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(info) })
+	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(&info) })
 	payload := epochPayload(epochPhaseCommit, member.Seal(op.sys.cfg.Registry, final))
 	for _, nd := range op.sys.nodes {
 		nd.onEpochFrame(payload, nil)
@@ -455,13 +331,8 @@ func (op *operator) applyActivation(info *EpochInfo) {
 		net.SetDown(nd.id, nd.crashed || !info.memberOf(nd.id))
 	}
 	op.awaiting = false
-	if row := op.lastRow(info.Record.Num); row != nil {
-		row.ActivatedAt = op.sys.cfg.Kernel.Now()
-		row.R = info.Strategy.RNeeded
-		row.Members = plan.NewFaultSet(info.Members...).String()
-	}
-	op.emit(EpochEvent{Kind: "activated", Num: info.Record.Num, Node: -1,
-		At: op.sys.cfg.Kernel.Now(), Acks: len(info.Members)})
+	op.sys.observe(Event{Kind: EpochActivated, Node: -1, Epoch: info.Record.Num,
+		Members: plan.NewFaultSet(info.Members...).String(), R: info.Strategy.RNeeded})
 	op.maybePropose()
 }
 
@@ -566,7 +437,6 @@ func (n *Node) activateEpoch(rec member.Record) {
 	n.strat = info.Strategy
 	n.planner = info.Planner
 	n.activeEpoch = rec.Num
-	n.EpochSwitches++
 	// Disarm every armed watchdog: edges guarded under the old epoch's
 	// plan — including every edge from or to a retired node — must not
 	// fire into the new epoch. The first period under the new plan

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"btr/internal/flow"
@@ -19,7 +20,7 @@ type epochHarness struct {
 	net    *network.Network
 	reg    *sig.Registry
 	sys    *System
-	events []EpochEvent
+	events []Event
 }
 
 func newEpochHarness(t *testing.T, seed uint64) *epochHarness {
@@ -44,27 +45,17 @@ func newEpochHarness(t *testing.T, seed uint64) *epochHarness {
 	h.sys = New(Config{
 		Kernel: k, Net: nw, Registry: reg,
 		Strategy: ep0.Strategy, Planner: PlanSource(ep0.Resolve),
+		Observer: func(ev Event) { h.events = append(h.events, ev) },
 		Epochs: &EpochConfig{
 			Genesis: genesis,
-			Resolve: func(rec member.Record, wiring *network.Topology) (*EpochInfo, error) {
-				ep, err := mp.ForEpoch(rec, wiring)
-				if err != nil {
-					return nil, err
-				}
-				return &EpochInfo{
-					Record: rec, Members: ep.Members, Excluded: ep.Excluded,
-					Wiring: ep.Wiring, Strategy: ep.Strategy,
-					Planner: PlanSource(ep.Resolve),
-				}, nil
-			},
-			OnEvent: func(ev EpochEvent) { h.events = append(h.events, ev) },
+			Resolve: PlannerResolve(mp),
 		},
 	})
 	return h
 }
 
-func (h *epochHarness) kinds() map[string]int {
-	out := map[string]int{}
+func (h *epochHarness) kinds() map[EventKind]int {
+	out := map[EventKind]int{}
 	for _, ev := range h.events {
 		out[ev.Kind]++
 	}
@@ -82,11 +73,11 @@ func TestEpochQuorumToleratesAckSuppression(t *testing.T) {
 	h.sys.Start()
 	h.k.Run(20 * epochTestPeriod)
 	k := h.kinds()
-	if k["committed"] != 1 || k["activated"] != 1 {
+	if k[EpochCommitted] != 1 || k[EpochActivated] != 1 {
 		t.Fatalf("reconfig did not complete under ack suppression: %v", k)
 	}
-	if k["ack"] != 5 {
-		t.Errorf("expected exactly 5 acks (suppressor silent), got %d", k["ack"])
+	if k[EpochAck] != 5 {
+		t.Errorf("expected exactly 5 acks (suppressor silent), got %d", k[EpochAck])
 	}
 	if !h.sys.IsMember(6) {
 		t.Error("joiner not active after quorum commit")
@@ -102,10 +93,10 @@ func TestEpochRejectsIllegalProposal(t *testing.T) {
 	h.sys.Start()
 	h.k.Run(20 * epochTestPeriod)
 	k := h.kinds()
-	if k["rejected"] != 1 {
+	if k[EpochRejected] != 1 {
 		t.Fatalf("illegal proposal not rejected: %v", k)
 	}
-	if k["activated"] != 1 || !h.sys.IsMember(6) {
+	if k[EpochActivated] != 1 || !h.sys.IsMember(6) {
 		t.Fatalf("legal proposal after a rejection did not activate: %v", k)
 	}
 }
@@ -144,7 +135,7 @@ func TestEpochRetireTearsDownWatchdogsAndSchedules(t *testing.T) {
 	var activatedAt sim.Time
 	h.k.Run(30 * epochTestPeriod)
 	for _, ev := range h.events {
-		if ev.Kind == "activated" {
+		if ev.Kind == EpochActivated {
 			activatedAt = ev.At
 		}
 	}
@@ -169,5 +160,32 @@ func TestEpochRetireTearsDownWatchdogsAndSchedules(t *testing.T) {
 	}
 	if key, ok := h.sys.Converged(plan.NewFaultSet()); !ok || key == "" {
 		t.Fatalf("survivors did not converge: %q %v", key, ok)
+	}
+}
+
+// TestEpochChurnStreamDeterministic pins the event stream of a churn
+// run: join, replace and retire epochs with a crash in between, rendered
+// through Event.String, is byte-identical across two runs.
+func TestEpochChurnStreamDeterministic(t *testing.T) {
+	render := func() string {
+		h := newEpochHarness(t, 5)
+		h.sys.ScheduleReconfig(3*epochTestPeriod, member.Delta{Join: []network.NodeID{6}})
+		h.k.At(8*epochTestPeriod+sim.Millisecond, func() { h.sys.Crash(1) })
+		h.sys.ScheduleReconfig(12*epochTestPeriod, member.Delta{Join: []network.NodeID{7}, Retire: []network.NodeID{1}})
+		h.sys.ScheduleReconfig(20*epochTestPeriod, member.Delta{Retire: []network.NodeID{5}})
+		h.sys.Start()
+		h.k.Run(30 * epochTestPeriod)
+		if k := h.kinds(); k[EpochActivated] != 3 || k[EvidenceAccepted] == 0 || k[ModeSwitch] == 0 {
+			t.Fatalf("churn run lacks the steps the pin is about: %v", k)
+		}
+		var b strings.Builder
+		for _, ev := range h.events {
+			b.WriteString(ev.String())
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("churn event stream differs across identical runs:\n%s\n---\n%s", a, b)
 	}
 }

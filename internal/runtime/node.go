@@ -3,8 +3,6 @@ package runtime
 import (
 	"bytes"
 	"cmp"
-	"fmt"
-	"os"
 	"slices"
 
 	"btr/internal/evidence"
@@ -16,12 +14,6 @@ import (
 	"btr/internal/sig"
 	"btr/internal/sim"
 )
-
-// debugTrace gates stderr diagnostics for record rejection and watchdog
-// firings (BTR_DEBUG_WATCHDOG=1) — the tool for diagnosing why a live or
-// multi-process deployment misses arrivals. Cached: the checks sit on the
-// per-message hot path.
-var debugTrace = os.Getenv("BTR_DEBUG_WATCHDOG") != ""
 
 // arrival is one received (or locally produced) record with provenance.
 type arrival struct {
@@ -139,12 +131,9 @@ type Node struct {
 	// validator() in detect.go).
 	val *evidence.Validator
 
-	// Stats.
-	EvidenceAccepted int
-	EvidenceRejected int
-	EvidenceDropped  int // rate-limited
-	Switches         int
-	EpochSwitches    int
+	// EvidenceDropped counts evidence and membership frames dropped by
+	// the per-neighbor rate limit.
+	EvidenceDropped int
 }
 
 func newNode(id network.NodeID, cfg *Config) *Node {
@@ -601,30 +590,19 @@ func replicasFeeding(cur *plan.Plan, consumer, logical flow.TaskID) int {
 // acceptRecord ingests a dataflow record (remote or local handoff),
 // running the detector checks.
 func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Message) {
-	dbg := func(reason string, rec *evidence.Record) {
-		if !debugTrace {
-			return
-		}
-		if rec != nil {
-			fmt.Fprintf(os.Stderr, "[node %d] acceptRecord: %s (producer %s period %d from node %d)\n",
-				n.id, reason, rec.Producer, rec.Period, env.Signer)
-		} else {
-			fmt.Fprintf(os.Stderr, "[node %d] acceptRecord: %s (signer %d)\n", n.id, reason, env.Signer)
-		}
-	}
 	if !n.cfg.Registry.Check(env) {
-		dbg("bad signature", nil)
+		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "bad signature"})
 		return // unsigned garbage: drop
 	}
 	if n.faults.Contains(env.Signer) {
-		dbg("convicted signer", nil)
+		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "convicted signer"})
 		return // isolate convicted nodes: their records are ignored
 	}
 	// The record is kept no longer than env, whose body every caller
 	// owns: parse it in place.
 	rec, err := evidence.ParseRecord(env.Body)
 	if err != nil || rec.Node != env.Signer {
-		dbg("malformed record", nil)
+		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "malformed record"})
 		return
 	}
 	cur := n.cur
@@ -638,13 +616,13 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		}
 	}
 	if len(consumers) == 0 {
-		dbg("no consumer in current mode", &rec)
+		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Task: rec.Producer, Period: rec.Period, Reason: "no consumer in current mode"})
 		return // stale record from a previous mode
 	}
 	a := n.newArrival()
 	*a = arrival{env: env, rec: rec, atts: atts, at: n.cfg.Kernel.Now()}
 	if !n.detectOnArrival(cur, a) {
-		dbg("failed arrival detector", &rec)
+		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Task: rec.Producer, Period: rec.Period, Reason: "failed arrival detector"})
 		return // malformed (digest/attachment tampering): not an arrival
 	}
 	for _, c := range consumers {

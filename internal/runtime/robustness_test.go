@@ -38,10 +38,7 @@ func lossyHarness(t *testing.T, seed uint64, lossProb float64) *harness {
 			}
 			per[period] = append(per[period], value)
 		},
-		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			h.evidences = append(h.evidences, ev)
-		},
-		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) { h.switches++ },
+		Observer: h.observe,
 	})
 	return h
 }

@@ -42,13 +42,6 @@ type SourceFunc func(task flow.TaskID, period uint64) []byte
 // BTR semantics: the plant acts on the first command per (sink, period).
 type ActuationFunc func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time)
 
-// EvidenceFunc observes every piece of evidence accepted by any correct
-// node (for metrics and tests).
-type EvidenceFunc func(node network.NodeID, ev evidence.Evidence, at sim.Time)
-
-// SwitchFunc observes mode changes (for metrics and tests).
-type SwitchFunc func(node network.NodeID, from, to string, at sim.Time)
-
 // PlanSource resolves the plan to activate for a fault set. When set on
 // Config, node failover consults it before falling back to the
 // precomputed Strategy.PlanFor table — this is how the incremental plan
@@ -113,8 +106,9 @@ type Config struct {
 	Source  SourceFunc // default: evidence.SourceValue
 
 	OnActuation ActuationFunc
-	OnEvidence  EvidenceFunc
-	OnSwitch    SwitchFunc
+	// Observer, if set, receives every Event: accepted evidence, mode
+	// switches, epoch steps, expired watchdogs and rejected records.
+	Observer func(Event)
 
 	// EvidenceRateLimit caps evidence messages processed per neighbor per
 	// period (DoS bound). 0 means the default of 16.

@@ -22,9 +22,21 @@ type harness struct {
 
 	// actuations[period] lists commands in arrival order per sink.
 	actuations map[flow.TaskID]map[uint64][][]byte
+	events     []Event
 	evidences  []evidence.Evidence
-	evidenceAt []sim.Time
 	switches   int
+}
+
+// observe is the harness's Config.Observer: it keeps every event, and
+// the accepted evidence and mode switch count on the side.
+func (h *harness) observe(ev Event) {
+	h.events = append(h.events, ev)
+	switch ev.Kind {
+	case EvidenceAccepted:
+		h.evidences = append(h.evidences, ev.Evidence)
+	case ModeSwitch:
+		h.switches++
+	}
 }
 
 // chainHarness builds a 3-task chain on a 6-node mesh with f=1.
@@ -69,13 +81,7 @@ func newHarnessOn(t *testing.T, g *flow.Graph, nodes, f int, seed uint64, wrap f
 			}
 			per[period] = append(per[period], value)
 		},
-		OnEvidence: func(node network.NodeID, ev evidence.Evidence, at sim.Time) {
-			h.evidences = append(h.evidences, ev)
-			h.evidenceAt = append(h.evidenceAt, at)
-		},
-		OnSwitch: func(node network.NodeID, from, to string, at sim.Time) {
-			h.switches++
-		},
+		Observer: h.observe,
 	})
 	return h
 }

@@ -25,7 +25,7 @@ func (n *Node) actOnEvidence(ev evidence.Evidence) {
 	if ev.Kind == evidence.KindOverBudget || ev.Kind == evidence.KindReconciled {
 		// Budget verdicts convict no one: they exist so degradation is a
 		// signed, flooded fact instead of a silent condition. Observers
-		// (core's correctness monitor) subscribe via Config.OnEvidence.
+		// (core's correctness monitor) see them through Config.Observer.
 		return
 	}
 	if ev.Kind.Proof() {
@@ -140,8 +140,5 @@ func (n *Node) activate() {
 	}
 	from := n.cur.Key()
 	n.cur = next
-	n.Switches++
-	if n.cfg.OnSwitch != nil {
-		n.cfg.OnSwitch(n.id, from, next.Key(), n.cfg.Kernel.Now())
-	}
+	n.observe(Event{Kind: ModeSwitch, From: from, To: next.Key()})
 }

@@ -99,14 +99,20 @@ var reflectSorts = []string{"Slice", "SliceStable", "Sort"}
 
 // reflectSortUses returns every reference in f to one of reflectSorts.
 func reflectSortUses(f *ast.File) []*ast.SelectorExpr {
-	name := importName(f, "sort")
-	if name == "" {
+	return selectorUses(f, importName(f, "sort"), reflectSorts...)
+}
+
+// selectorUses returns every reference under node to pkg.X for X one of
+// names, where pkg is the name a file imports a package by ("" matches
+// nothing).
+func selectorUses(node ast.Node, pkg string, names ...string) []*ast.SelectorExpr {
+	if pkg == "" {
 		return nil
 	}
 	var out []*ast.SelectorExpr
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(node, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name && slices.Contains(reflectSorts, sel.Sel.Name) {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg && slices.Contains(names, sel.Sel.Name) {
 				out = append(out, sel)
 			}
 		}
@@ -138,6 +144,45 @@ func TestNoReflectionSorts(t *testing.T) {
 				t.Errorf("%s: sort.%s; use slices.Sort, SortFunc or SortStableFunc", fset.Position(sel.Pos()), sel.Sel.Name)
 			}
 		}
+	}
+}
+
+// stderrAllowed names the only non-test code under internal/ that may
+// name os.Stderr, by file and function ("" for the whole file): a node
+// process's two fatal lines before it exits, and the profiler's flush
+// errors. Everything a node observes leaves it as a runtime.Event.
+var stderrAllowed = map[string]string{
+	"internal/live/proc.go": "MaybeRunNodeProc",
+	"internal/prof/prof.go": "",
+}
+
+// TestInternalWritesNoStderr: no non-test code under internal/ names
+// os.Stderr outside stderrAllowed — diagnostics are events, not prose.
+func TestInternalWritesNoStderr(t *testing.T) {
+	fset, pkgs := moduleSources(t)
+	allowedSeen := 0
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Dir, "internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			osName := importName(f, "os")
+			fn, whole := stderrAllowed[filepath.ToSlash(fset.Position(f.Pos()).Filename)]
+			for _, decl := range f.Decls {
+				uses := selectorUses(decl, osName, "Stderr")
+				if fd, ok := decl.(*ast.FuncDecl); whole && (fn == "" || ok && fd.Name.Name == fn) {
+					allowedSeen += len(uses)
+					continue
+				}
+				for _, sel := range uses {
+					t.Errorf("%s: os.Stderr under internal/; report through a runtime.Event or return an error", fset.Position(sel.Pos()))
+				}
+			}
+		}
+	}
+	// A walker that found nothing would pass vacuously.
+	if allowedSeen == 0 {
+		t.Fatal("the audit saw none of the allowed os.Stderr sites")
 	}
 }
 
