@@ -191,16 +191,7 @@ func TestInternalWritesNoStderr(t *testing.T) {
 // families the sim_campaign workload runs — those of
 // exp.DeterministicScenarios, no more and no fewer.
 func TestProfileFamiliesMatchBenchmark(t *testing.T) {
-	makefile, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, line := range strings.Split(string(makefile), "\n") {
-		if name, value, ok := strings.Cut(line, "="); ok && strings.TrimSpace(name) == "PROFILE_FAMILIES" {
-			got = strings.Fields(value)
-		}
-	}
+	got := profileFamilies(t)
 	var want []string
 	for _, sc := range exp.DeterministicScenarios() {
 		if !slices.Contains(want, sc.Family) {
@@ -212,6 +203,23 @@ func TestProfileFamiliesMatchBenchmark(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("Makefile PROFILE_FAMILIES = %v, but exp.DeterministicScenarios runs %v", got, want)
 	}
+}
+
+// profileFamilies returns the Makefile's PROFILE_FAMILIES: the campaign
+// families `make profile-allocs` and the allocation ledger run.
+func profileFamilies(t *testing.T) []string {
+	t.Helper()
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if name, value, ok := strings.Cut(line, "="); ok && strings.TrimSpace(name) == "PROFILE_FAMILIES" {
+			got = strings.Fields(value)
+		}
+	}
+	return got
 }
 
 // mdCitation matches a Markdown file name cited in prose.
