@@ -135,9 +135,11 @@ bench-smoke:
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects, then three rows of
-# the ledger, each with its callers and callees: the planner (plan.Build
-# and baseline.MinSpeed), the record path (a node's emit, onMessage and
+# one table of the top 25 sites by allocated objects, then three
+# drill-downs, each with its callers and callees: the planner (plan.Build
+# and baseline.MinSpeed, and the sched and network rows of the
+# allocation ledger: sched.Build, Topology.DiameterWithin and
+# PathAvoiding), the record path (a node's emit, onMessage and
 # onEvidenceMessage) and the seal path, the one exact-size buffer each
 # caller of sig's in-place primitive, sig.(*Registry).SignAppended,
 # allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
@@ -150,7 +152,7 @@ profile-allocs:
 			-memprofile alloc-$$f.pprof > /dev/null || exit 1; \
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
-	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$|sched\.Build$$|network\.\(\*Topology\)\.(DiameterWithin|PathAvoiding)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 

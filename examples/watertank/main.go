@@ -84,7 +84,7 @@ func firstActuatingNode(sys *core.System, sink flow.TaskID) network.NodeID {
 		if logical != sink {
 			continue
 		}
-		fin := base.Table.Finish[id]
+		fin := base.Table.Finish(id)
 		node := base.Assign[id]
 		if best == -1 || fin < bestFinish || (fin == bestFinish && node < best) {
 			best, bestFinish = node, fin

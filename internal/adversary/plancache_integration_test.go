@@ -47,7 +47,7 @@ func TestPlanCacheBackedRecovery(t *testing.T) {
 			if logical, _ := plan.SplitReplica(id); logical != "c2" {
 				continue
 			}
-			fin := base.Table.Finish[id]
+			fin := base.Table.Finish(id)
 			node := base.Assign[id]
 			if victim == -1 || fin < victimFinish || (fin == victimFinish && node < victim) {
 				victim, victimFinish = node, fin

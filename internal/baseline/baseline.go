@@ -199,7 +199,7 @@ func fitsAt(p Protocol, g *flow.Graph, topo *network.Topology, f int) func(speed
 			dl := g.Tasks[s].Deadline
 			for _, id := range aug.TaskIDs() {
 				logical, _ := plan.SplitReplica(id)
-				if logical == s && table.Finish[id] > dl {
+				if logical == s && table.Finish(id) > dl {
 					return false
 				}
 			}

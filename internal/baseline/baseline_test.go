@@ -194,7 +194,7 @@ func schedulableByFullBuild(p Protocol, g *flow.Graph, topo *network.Topology, f
 	}
 	for _, s := range g.Sinks() {
 		for _, id := range aug.TaskIDs() {
-			if logical, _ := plan.SplitReplica(id); logical == s && table.Finish[id] > g.Tasks[s].Deadline {
+			if logical, _ := plan.SplitReplica(id); logical == s && table.Finish(id) > g.Tasks[s].Deadline {
 				return false
 			}
 		}

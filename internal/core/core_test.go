@@ -51,7 +51,7 @@ func TestSinkFaultRecoveryWithinR(t *testing.T) {
 	// one the plant acts on, so the fault is externally visible.
 	base := s.Strategy.Plans[""]
 	firstSink := flow.TaskID("c2#0")
-	f0, f1 := base.Table.Finish["c2#0"], base.Table.Finish["c2#1"]
+	f0, f1 := base.Table.Finish("c2#0"), base.Table.Finish("c2#1")
 	// Ties in finish time resolve by node scheduling order (lower ID
 	// schedules its period events first).
 	if f1 < f0 || (f1 == f0 && base.Assign["c2#1"] < base.Assign["c2#0"]) {

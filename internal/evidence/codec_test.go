@@ -126,7 +126,7 @@ func TestDecodeConcurrently(t *testing.T) {
 					return
 				}
 				a := Accusation{Reporter: 1, Path: []network.NodeID{1, 2}, Producer: rec.Producer, Consumer: "c#0", Period: 3}
-				ga, err := DecodeAccusation(a.Encode())
+				ga, err := DecodeAccusation(a.Encode(), nil)
 				if err != nil || ga.Producer != a.Producer || ga.Consumer != a.Consumer {
 					t.Errorf("goroutine %d: decoded accusation %+v, %v", g, ga, err)
 					return

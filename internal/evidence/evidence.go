@@ -119,19 +119,20 @@ func (a Accusation) Encode() []byte {
 	return a.AppendTo(make([]byte, 0, a.EncodedSize()))
 }
 
-// DecodeAccusation parses an encoded accusation. The accusation owns its
-// fields; Producer and Consumer come from the task-ID intern table.
-func DecodeAccusation(b []byte) (Accusation, error) {
+// DecodeAccusation parses an encoded accusation, appending its path to
+// path: nil gives the accusation a path of its own, and a caller's stack
+// buffer makes the decode allocation-free. Producer and Consumer come
+// from the task-ID intern table.
+func DecodeAccusation(b []byte, path []network.NodeID) (Accusation, error) {
 	rd := &reader{b: b}
-	var a Accusation
-	a.Reporter = network.NodeID(rd.u32())
+	a := Accusation{Reporter: network.NodeID(rd.u32()), Path: path}
 	n := int(rd.u32())
 	if rd.err == nil && n > 1<<12 {
 		return Accusation{}, fmt.Errorf("evidence: implausible path length %d", n)
 	}
 	if n > 0 && rd.err == nil {
-		// Sized by what the remaining bytes can hold, not by the count.
-		a.Path = make([]network.NodeID, 0, min(n, len(rd.b)/4))
+		// Grown by what the remaining bytes can hold, not by the count.
+		a.Path = slices.Grow(a.Path, min(n, len(rd.b)/4))
 	}
 	for i := 0; i < n; i++ {
 		a.Path = append(a.Path, network.NodeID(rd.u32()))
@@ -537,7 +538,7 @@ func (v *Validator) validateAccusation(e Evidence) error {
 	if !v.Reg.Check(e.Primary) {
 		return fmt.Errorf("%w: accusation envelope", ErrBadSignature)
 	}
-	a, err := DecodeAccusation(e.Primary.Body)
+	a, err := DecodeAccusation(e.Primary.Body, nil)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}

@@ -304,7 +304,7 @@ func TestPathAccusationRejectsForgedReporter(t *testing.T) {
 
 func TestAccusationRoundTrip(t *testing.T) {
 	a := Accusation{Reporter: 2, Path: []network.NodeID{4, 1, 9}, Producer: "p", Consumer: "c", Period: 3}
-	d, err := DecodeAccusation(a.Encode())
+	d, err := DecodeAccusation(a.Encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

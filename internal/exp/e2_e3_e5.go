@@ -207,7 +207,7 @@ func e5Scenario() campaign.Scenario {
 						aOK := true
 						for _, id := range pl.Aug.TaskIDs() {
 							logical, _ := plan.SplitReplica(id)
-							if logical == "elevator" && pl.Table.Finish[id] > g.Tasks["elevator"].Deadline {
+							if logical == "elevator" && pl.Table.Finish(id) > g.Tasks["elevator"].Deadline {
 								aOK = false
 							}
 						}

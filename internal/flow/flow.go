@@ -83,9 +83,10 @@ type Graph struct {
 
 	ins, outs map[TaskID][]Edge
 	// Sorted query results, computed on first use and dropped by AddTask
-	// (topo also by Connect). Callers share them read-only.
+	// (topo and outAt also by Connect). Callers share them read-only.
 	topo                []TaskID
 	ids, sources, sinks []TaskID
+	outAt               [][]int // by Index: Edges positions of its outputs
 }
 
 // NewGraph returns an empty graph with the given period.
@@ -111,7 +112,7 @@ func (g *Graph) AddTask(t Task) *Task {
 	}
 	cp := t
 	g.Tasks[t.ID] = &cp
-	g.topo, g.ids, g.sources, g.sinks = nil, nil, nil, nil
+	g.topo, g.ids, g.sources, g.sinks, g.outAt = nil, nil, nil, nil, nil
 	return &cp
 }
 
@@ -127,7 +128,7 @@ func (g *Graph) Connect(from, to TaskID, bytes int64) {
 	g.Edges = append(g.Edges, e)
 	g.ins[to] = append(g.ins[to], e)
 	g.outs[from] = append(g.outs[from], e)
-	g.topo = nil
+	g.topo, g.outAt = nil, nil
 }
 
 // Inputs returns the edges feeding id.
@@ -221,6 +222,35 @@ func (g *Graph) TopoOrder() []TaskID {
 	}
 	g.topo = order
 	return order
+}
+
+// Index returns id's position in TaskIDs(), or -1 if g has no task id:
+// the dense task numbering that per-task tables use.
+func (g *Graph) Index(id TaskID) int {
+	if i, ok := slices.BinarySearch(g.TaskIDs(), id); ok {
+		return i
+	}
+	return -1
+}
+
+// OutputsAt returns the positions in Edges of the outputs of the task at
+// position i of TaskIDs(), in Outputs order. The lists are built on first
+// use, in one backing array, and shared: read them, do not modify them.
+func (g *Graph) OutputsAt(i int) []int {
+	if g.outAt == nil {
+		ids := g.TaskIDs()
+		outAt, flat := make([][]int, len(ids)), make([]int, len(g.Edges))
+		for j, id := range ids {
+			n := len(g.outs[id])
+			outAt[j], flat = flat[:0:n], flat[n:]
+		}
+		for k, e := range g.Edges {
+			j := g.Index(e.From)
+			outAt[j] = append(outAt[j], k)
+		}
+		g.outAt = outAt
+	}
+	return g.outAt[i]
 }
 
 // Validate checks structural invariants and returns a descriptive error

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"sync"
 
 	"btr/internal/sim"
@@ -248,15 +249,23 @@ func (p *plane) arrive(m *Message) {
 }
 
 // forward advances m one hop along the current shortest path from relay,
-// avoiding known-down intermediates when an alternative exists.
+// avoiding known-down intermediates when an alternative exists. With no
+// node down that is the route table's hop: an all-false filter walks the
+// same search as the table's row.
 func (p *plane) forward(relay NodeID, m *Message) {
 	p.stateMu.RLock()
-	path, ok := p.topo.PathAvoiding(relay, m.Dst, func(x NodeID) bool { return p.down[x] })
+	var next NodeID
+	ok := false
+	if !slices.Contains(p.down, true) {
+		next, ok = p.topo.NextHop(relay, m.Dst)
+	} else if path, found := p.topo.PathAvoiding(relay, m.Dst, func(x NodeID) bool { return p.down[x] }); found && len(path) >= 2 {
+		next, ok = path[1], true
+	}
 	p.stateMu.RUnlock()
-	if !ok || len(path) < 2 {
+	if !ok {
 		p.countDropped(m.Class)
 		return
 	}
-	m.From, m.To = relay, path[1]
+	m.From, m.To = relay, next
 	p.transmit(m)
 }

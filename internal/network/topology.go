@@ -40,7 +40,10 @@ type Link struct {
 // Neighbors return slices shared with the topology; callers must not
 // mutate them. Only PathAvoiding and DiameterWithin, whose answers depend
 // on a caller-supplied filter (run-time node health, epoch membership),
-// search the graph afresh on every call.
+// search the graph afresh: PathAvoiding on every call, DiameterWithin
+// from each member in turn, in one set of buffers per call. A relay with
+// no node down takes its hop from the route table (NextHop), which is the
+// hop an all-false filter would find.
 type Topology struct {
 	N     int
 	Links []Link
@@ -130,19 +133,17 @@ func (t *Topology) Connected() bool {
 	return count == t.N
 }
 
-// bfsFrom computes hop distances and deterministic parent pointers from
-// src, skipping nodes for which skip returns true (src itself is never
-// skipped). Unreachable nodes have dist -1.
-func (t *Topology) bfsFrom(src NodeID, skip func(NodeID) bool) (dist []int, parent []NodeID) {
-	dist = make([]int, t.N)
-	parent = make([]NodeID, t.N)
+// bfsFrom fills dist and parent, of length N, with hop distances and
+// deterministic parent pointers from src, skipping nodes for which skip
+// returns true (src itself is never skipped); unreachable nodes get dist
+// -1. queue, of capacity N, is scratch: a caller running many searches
+// allocates the buffers once.
+func (t *Topology) bfsFrom(src NodeID, skip func(NodeID) bool, dist []int, parent, queue []NodeID) {
 	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
+		dist[i], parent[i] = -1, -1
 	}
 	dist[src] = 0
-	queue := make([]NodeID, 1, t.N) // every node is enqueued at most once
-	queue[0] = src
+	queue = append(queue[:0], src) // every node is enqueued at most once
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, w := range t.adj[v] { // sorted ⇒ deterministic parents
@@ -154,7 +155,13 @@ func (t *Topology) bfsFrom(src NodeID, skip func(NodeID) bool) (dist []int, pare
 			queue = append(queue, w)
 		}
 	}
-	return dist, parent
+}
+
+// bfsBuffers allocates bfsFrom's buffers; parent and queue share one
+// array.
+func (t *Topology) bfsBuffers() (dist []int, parent, queue []NodeID) {
+	nodes := make([]NodeID, 2*t.N)
+	return make([]int, t.N), nodes[:t.N], nodes[t.N:t.N]
 }
 
 // row returns src's row of the route table, building it on first use.
@@ -162,7 +169,8 @@ func (t *Topology) row(src NodeID) [][]NodeID {
 	if r := t.routes[src].Load(); r != nil {
 		return *r
 	}
-	dist, parent := t.bfsFrom(src, nil)
+	dist, parent, queue := t.bfsBuffers()
+	t.bfsFrom(src, nil, dist, parent, queue)
 	total := 0
 	for _, d := range dist {
 		total += d + 1 // unreachable: -1 + 1 = 0
@@ -213,7 +221,8 @@ func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID,
 		return []NodeID{a}, true
 	}
 	skip := func(n NodeID) bool { return avoid != nil && n != b && avoid(n) }
-	dist, parent := t.bfsFrom(a, skip)
+	dist, parent, queue := t.bfsBuffers()
+	t.bfsFrom(a, skip, dist, parent, queue)
 	if dist[b] == -1 {
 		return nil, false
 	}
@@ -255,11 +264,12 @@ func (t *Topology) Diameter() int {
 // bounds reflect the active membership, not dormant slots.
 func (t *Topology) DiameterWithin(member func(NodeID) bool) int {
 	max := 0
+	dist, parent, queue := t.bfsBuffers()
 	for s := 0; s < t.N; s++ {
 		if !member(NodeID(s)) {
 			continue
 		}
-		dist, _ := t.bfsFrom(NodeID(s), func(x NodeID) bool { return !member(x) })
+		t.bfsFrom(NodeID(s), func(x NodeID) bool { return !member(x) }, dist, parent, queue)
 		for v, d := range dist {
 			if !member(NodeID(v)) {
 				continue

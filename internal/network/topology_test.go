@@ -440,3 +440,62 @@ func TestRouteTableConcurrentFirstUse(t *testing.T) {
 		checkRoutesAgainstReference(t, "grid after concurrent first use", topo)
 	}
 }
+
+// TestNextHopIsUnfilteredPathAvoiding: the relay fast path takes the
+// route table's hop when no node is down; that is sound only if it is
+// the hop PathAvoiding finds with an all-false filter, for every pair.
+func TestNextHopIsUnfilteredPathAvoiding(t *testing.T) {
+	none := func(NodeID) bool { return false }
+	for name, topo := range map[string]*Topology{
+		"ring/5":      Ring(5, 1000, 0),
+		"grid-3x3":    Grid(3, 3, 1000, 0),
+		"full-mesh/6": FullMesh(6, 1000, 0),
+	} {
+		for relay := NodeID(0); int(relay) < topo.N; relay++ {
+			for dst := NodeID(0); int(dst) < topo.N; dst++ {
+				if relay == dst {
+					continue
+				}
+				next, ok := topo.NextHop(relay, dst)
+				path, found := topo.PathAvoiding(relay, dst, none)
+				if !ok || !found || next != path[1] {
+					t.Errorf("%s: %d->%d: NextHop %d (%v), PathAvoiding %v (%v)", name, relay, dst, next, ok, path, found)
+				}
+			}
+		}
+	}
+}
+
+// TestDiameterWithinAllocs pins DiameterWithin to one set of search
+// buffers (two allocations; the pin allows 3), however many members it
+// searches from.
+func TestDiameterWithinAllocs(t *testing.T) {
+	for _, n := range []int{4, 16, 48} {
+		for name, topo := range map[string]*Topology{"ring": Ring(n, 1000, 0), "mesh": FullMesh(n, 1000, 0)} {
+			member := func(x NodeID) bool { return x%4 != 1 }
+			if got := testing.AllocsPerRun(20, func() { topo.DiameterWithin(member) }); got > 3 {
+				t.Errorf("%s/%d: DiameterWithin allocates %.0f, want <= 3", name, n, got)
+			}
+		}
+	}
+}
+
+// TestForwardWithNoNodeDownAllocatesNothing: with an empty down-set a
+// relay reads its hop from the route table, with no fresh search.
+func TestForwardWithNoNodeDownAllocatesNothing(t *testing.T) {
+	topo := Grid(3, 3, 1000, 0)
+	var p plane
+	var sent NodeID
+	p.init(sim.NewKernel(1), topo, 0, func(m *Message) bool { sent = m.To; return true })
+	m := &Message{Src: 0, Dst: 8}
+	if got := testing.AllocsPerRun(100, func() { p.forward(4, m) }); got != 0 {
+		t.Errorf("forward allocates %.0f with no node down, want 0", got)
+	}
+	if next, _ := topo.NextHop(4, 8); m.From != 4 || m.To != next {
+		t.Errorf("forward sent %d->%d, want 4->%d", m.From, m.To, next)
+	}
+	p.SetDown(5, true) // 4's table hop to 8 is 5: route around it
+	if p.forward(4, m); sent != 7 {
+		t.Errorf("with node 5 down, forward sent to %d, want 7", sent)
+	}
+}

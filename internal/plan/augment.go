@@ -104,12 +104,17 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 	}
 
 	a := flow.NewGraph(g.Name+"+btr", g.Period)
-	// Replicate workload tasks. The first nonSrcReps replicas of a sink
-	// feed the checkers below, so they are no sinks of the augmented
-	// graph; the runtime keeps actuating semantics via the logical graph.
-	// The checker replicas are the augmented graph's sinks.
-	for _, id := range g.TaskIDs() {
-		t := g.Tasks[id]
+	// Replicate workload tasks, naming each replica once: names[g.Index(id)]
+	// lists id's replica IDs for the edge bundles below. The first
+	// nonSrcReps replicas of a sink feed the checkers below, so they are
+	// no sinks of the augmented graph; the runtime keeps actuating
+	// semantics via the logical graph. The checker replicas are the
+	// augmented graph's sinks.
+	ids := g.TaskIDs()
+	names := make([][]flow.TaskID, len(ids))
+	all := make([]flow.TaskID, 0, max(srcReps, nonSrcReps)*len(ids))
+	for k, id := range ids {
+		t, from := g.Tasks[id], len(all)
 		for i := 0; i < reps(t); i++ {
 			rt := *t
 			rt.ID = ReplicaID(id, i)
@@ -117,13 +122,27 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 				rt.Sink, rt.Deadline = false, 0
 			}
 			a.AddTask(rt)
+			all = append(all, rt.ID)
+		}
+		names[k] = all[from:]
+	}
+	// Edge bundles.
+	for _, e := range g.Edges {
+		bytes := WireBytes(e.Bytes, g.Inputs(e.From))
+		for _, from := range names[g.Index(e.From)] {
+			for _, to := range names[g.Index(e.To)] {
+				a.Connect(from, to, bytes)
+			}
 		}
 	}
-	// Checker logical tasks for each sink, replicated like non-sources.
+	// Checker logical tasks for each sink, replicated like non-sources,
+	// and the sink -> checker audit edges.
+	chk := make([]flow.TaskID, nonSrcReps)
 	for _, s := range g.Sinks() {
-		for i := 0; i < nonSrcReps; i++ {
+		for i := range chk {
+			chk[i] = ReplicaID(CheckerID(s), i)
 			a.AddTask(flow.Task{
-				ID:         ReplicaID(CheckerID(s), i),
+				ID:         chk[i],
 				WCET:       o.CheckerWCET,
 				Crit:       g.Tasks[s].Crit,
 				StateBytes: 64,
@@ -131,24 +150,10 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 				Deadline:   g.Period,
 			})
 		}
-	}
-	// Edge bundles.
-	for _, e := range g.Edges {
-		prod := g.Tasks[e.From]
-		cons := g.Tasks[e.To]
-		bytes := WireBytes(e.Bytes, g.Inputs(e.From))
-		for i := 0; i < reps(prod); i++ {
-			for j := 0; j < reps(cons); j++ {
-				a.Connect(ReplicaID(e.From, i), ReplicaID(e.To, j), bytes)
-			}
-		}
-	}
-	// Sink -> checker audit edges.
-	for _, s := range g.Sinks() {
 		bytes := WireBytes(checkerMsgBytes, g.Inputs(s))
-		for i := 0; i < nonSrcReps; i++ {
-			for j := 0; j < nonSrcReps; j++ {
-				a.Connect(ReplicaID(s, i), ReplicaID(CheckerID(s), j), bytes)
+		for _, from := range names[g.Index(s)][:nonSrcReps] {
+			for _, to := range chk {
+				a.Connect(from, to, bytes)
 			}
 		}
 	}

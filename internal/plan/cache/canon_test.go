@@ -231,9 +231,9 @@ func TestQuickCanonicalizationSound(t *testing.T) {
 // schedule makespan, the sorted finish-offset profile, shed sinks, and
 // peak node utilization.
 func boundsProfile(p *plan.Plan) string {
-	finishes := make([]sim.Time, 0, len(p.Table.Finish))
-	for _, f := range p.Table.Finish {
-		finishes = append(finishes, f)
+	finishes := make([]sim.Time, 0, len(p.Aug.Tasks))
+	for _, id := range p.Aug.TaskIDs() {
+		finishes = append(finishes, p.Table.Finish(id))
 	}
 	sort.Slice(finishes, func(i, j int) bool { return finishes[i] < finishes[j] })
 	_, maxU := p.Table.MaxUtilization()

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"btr/internal/flow"
 	"btr/internal/network"
 	"btr/internal/plan"
+	"btr/internal/sched"
 	"btr/internal/sim"
 )
 
@@ -47,38 +50,34 @@ func renderStrategy(s *plan.Strategy) string {
 		for _, id := range ids {
 			// Ready: the last input window to arrive, local handoffs included.
 			var ready sim.Time
-			for _, e := range p.Aug.Inputs(id) {
-				ready = max(ready, p.Table.Msgs[e].Arrive)
+			for _, w := range p.Table.Msgs {
+				if w.Edge.To == id {
+					ready = max(ready, w.Arrive)
+				}
 			}
 			fmt.Fprintf(&b, "  task %s node=%d ready=%v finish=%v\n",
-				id, p.Assign[id], ready, p.Table.Finish[id])
+				id, p.Assign[id], ready, p.Table.Finish(id))
 		}
-		var nodes []network.NodeID
-		for n := range p.Table.Slots {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, n := range nodes {
+		for n, slots := range p.Table.Slots {
+			if len(slots) == 0 {
+				continue
+			}
 			fmt.Fprintf(&b, "  node %d:", n)
-			for _, sl := range p.Table.Slots[n] {
+			for _, sl := range slots {
 				fmt.Fprintf(&b, " %s[%v,%v)", sl.Task, sl.Start, sl.End)
 			}
 			fmt.Fprintln(&b)
 		}
-		var edges []flow.Edge
-		for e := range p.Table.Msgs {
-			edges = append(edges, e)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].From != edges[j].From {
-				return edges[i].From < edges[j].From
+		msgs := slices.Clone(p.Table.Msgs)
+		slices.SortFunc(msgs, func(a, b sched.MsgWindow) int {
+			if c := cmp.Compare(a.Edge.From, b.Edge.From); c != 0 {
+				return c
 			}
-			return edges[i].To < edges[j].To
+			return cmp.Compare(a.Edge.To, b.Edge.To)
 		})
-		for _, e := range edges {
-			w := p.Table.Msgs[e]
+		for _, w := range msgs {
 			fmt.Fprintf(&b, "  msg %s->%s %d->%d depart=%v arrive=%v\n",
-				e.From, e.To, w.From, w.To, w.Depart, w.Arrive)
+				w.Edge.From, w.Edge.To, w.From, w.To, w.Depart, w.Arrive)
 		}
 		if tr, ok := s.Trans[k]; ok {
 			fmt.Fprintf(&b, "  trans from=%q moved=%v state=%d bound=%v\n",
@@ -175,7 +174,7 @@ func TestEngineEquivalentToBuild(t *testing.T) {
 						if logical, _ := plan.SplitReplica(id); logical != sink {
 							continue
 						}
-						if f := p.Table.Finish[id]; f > dl {
+						if f := p.Table.Finish(id); f > dl {
 							t.Errorf("plan %q: replica %q misses actuation deadline (%v > %v)", k, id, f, dl)
 						}
 					}
@@ -239,7 +238,7 @@ func renderPlan(p *plan.Plan) string {
 	ids := p.Aug.TaskIDs()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		fmt.Fprintf(&b, "%s@%d f=%v;", id, p.Assign[id], p.Table.Finish[id])
+		fmt.Fprintf(&b, "%s@%d f=%v;", id, p.Assign[id], p.Table.Finish(id))
 	}
 	fmt.Fprintf(&b, "shed=%v", p.ShedSinks)
 	return b.String()

@@ -1,7 +1,8 @@
 package plan
 
 import (
-	"btr/internal/flow"
+	"slices"
+
 	"btr/internal/network"
 	"btr/internal/sched"
 )
@@ -15,9 +16,10 @@ import (
 // symmetry-keyed plan caching sound (see internal/plan/cache): the plan
 // for a fault set is the relabeled plan of its canonical representative.
 //
-// The receiver is not mutated. The task-keyed Finish table and the
-// dataflow graphs are shared with the original, node-keyed tables are
-// copied; plans are immutable by convention, so sharing is safe.
+// The receiver is not mutated. The task-indexed slots and the dataflow
+// graphs are shared with the original, the node-indexed Slots and the
+// message windows are copied; plans are immutable by convention, so
+// sharing is safe.
 func (p *Plan) Relabel(perm []network.NodeID) *Plan {
 	faults := make([]network.NodeID, 0, p.Faults.Len())
 	for _, n := range p.Faults.Nodes() {
@@ -27,27 +29,22 @@ func (p *Plan) Relabel(perm []network.NodeID) *Plan {
 	for id, n := range p.Assign {
 		asn[id] = perm[n]
 	}
-	slots := make(map[network.NodeID][]sched.Slot, len(p.Table.Slots))
+	tab := *p.Table
+	tab.Slots = make([][]sched.Slot, len(p.Table.Slots))
 	for n, sl := range p.Table.Slots {
-		slots[perm[n]] = sl
+		tab.Slots[perm[n]] = sl
 	}
-	msgs := make(map[flow.Edge]sched.MsgWindow, len(p.Table.Msgs))
-	for e, w := range p.Table.Msgs {
-		w.From = perm[w.From]
-		w.To = perm[w.To]
-		msgs[e] = w
+	tab.Msgs = slices.Clone(p.Table.Msgs)
+	for i := range tab.Msgs {
+		w := &tab.Msgs[i]
+		w.From, w.To = perm[w.From], perm[w.To]
 	}
 	return &Plan{
-		Faults: NewFaultSet(faults...),
-		Pruned: p.Pruned,
-		Aug:    p.Aug,
-		Assign: asn,
-		Table: &sched.Table{
-			Period: p.Table.Period,
-			Slots:  slots,
-			Msgs:   msgs,
-			Finish: p.Table.Finish,
-		},
+		Faults:    NewFaultSet(faults...),
+		Pruned:    p.Pruned,
+		Aug:       p.Aug,
+		Assign:    asn,
+		Table:     &tab,
 		ShedSinks: p.ShedSinks,
 	}
 }

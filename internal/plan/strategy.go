@@ -95,7 +95,7 @@ func (p *Plan) FirstSinkHost(sinks ...flow.TaskID) network.NodeID {
 		} else if !slices.Contains(sinks, logical) {
 			continue
 		}
-		fin := p.Table.Finish[id]
+		fin := p.Table.Finish(id)
 		node := p.Assign[id]
 		if best == -1 || fin < bestFin || (fin == bestFin && node < best) {
 			best, bestFin = node, fin
@@ -200,8 +200,7 @@ func (s *Synth) Modes(unshed bool) (map[string]*Plan, error) {
 		if s.opts.MinimalDiff && fs.Len() > 0 {
 			// Canonical predecessor: remove the largest member. Its plan
 			// exists because sets enumerate in BFS order.
-			preds := fs.Predecessors()
-			canon := preds[len(preds)-1]
+			canon := fs.Without(fs.Nodes()[fs.Len()-1])
 			if pp := plans[canon.Key()]; pp != nil {
 				parent = pp.Assign
 			}
@@ -511,7 +510,7 @@ func deadlinesOK(pruned, aug *flow.Graph, table *sched.Table) error {
 			if logical != s {
 				continue
 			}
-			if f := table.Finish[id]; f > dl {
+			if f := table.Finish(id); f > dl {
 				return fmt.Errorf("actuation deadline: replica %q finishes %v after %v", id, f, dl)
 			}
 		}
@@ -701,14 +700,12 @@ func (s *Strategy) Summary() string {
 	for _, k := range keys {
 		p := s.Plans[k]
 		fmt.Fprintf(&b, "  mode %v:\n", p.Faults)
-		nodes := make([]network.NodeID, 0, len(p.Table.Slots))
-		for n := range p.Table.Slots {
-			nodes = append(nodes, n)
-		}
-		slices.Sort(nodes)
-		for _, n := range nodes {
+		for n, slots := range p.Table.Slots {
+			if len(slots) == 0 {
+				continue
+			}
 			fmt.Fprintf(&b, "    node %d:", n)
-			for _, slot := range p.Table.Slots[n] {
+			for _, slot := range slots {
 				fmt.Fprintf(&b, " %s[%v,%v)", slot.Task, slot.Start, slot.End)
 			}
 			b.WriteByte('\n')

@@ -28,7 +28,7 @@ func (n *Node) validator() *evidence.Validator {
 			return n.cfg.Compute(nil, task, period, inputs), true
 		},
 		Window: func(producer flow.TaskID, period uint64) (sim.Time, sim.Time, bool) {
-			_, slot, ok := n.slotOf(producer)
+			slot, ok := n.cur.Table.SlotFor(producer)
 			if !ok {
 				return 0, 0, false
 			}
@@ -43,12 +43,6 @@ func (n *Node) isSourceTask(logical flow.TaskID) bool {
 		return t.Source
 	}
 	return false
-}
-
-// slotOf finds the producer's slot in the current plan.
-func (n *Node) slotOf(task flow.TaskID) (node int, s sched.Slot, ok bool) {
-	nd, slot, ok := n.cur.Table.SlotFor(task)
-	return int(nd), slot, ok
 }
 
 // detectOnArrival runs the detector checks on a freshly received record:
@@ -85,7 +79,7 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	// Timing: the claimed send offset must lie inside the producer's
 	// scheduled slot. (A lying claim that stays in-window but arrives
 	// late is handled by the arrival watchdog as a path accusation.)
-	if _, slot, ok := n.cur.Table.SlotFor(rec.Producer); ok {
+	if slot, ok := n.cur.Table.SlotFor(rec.Producer); ok {
 		if rec.SendOff < slot.Start || rec.SendOff > slot.End {
 			n.raiseEvidence(evidence.Evidence{
 				Kind: evidence.KindTiming, Accused: rec.Node, Reporter: n.id,

@@ -266,16 +266,17 @@ type watchedEdge struct {
 // watchedEdges returns cur's edges whose consumer lives on this node,
 // sorted by (From, To, Bytes): the order their watchdogs are armed in.
 // Watchdogs due at the same instant fire in arming order and send their
-// accusations in that order, so arming in map order made tables differ
-// from run to run. The list is built once per plan the node runs.
+// accusations in that order, so the order is part of every table; the
+// graph's edge order (bundle by bundle) is not this one. The list is
+// built once per plan the node runs.
 func (n *Node) watchedEdges(cur *plan.Plan) []watchedEdge {
 	if n.watchPlan == cur {
 		return n.watched
 	}
 	var list []watchedEdge
-	for e, w := range cur.Table.Msgs {
-		if cur.Assign[e.To] == n.id {
-			list = append(list, watchedEdge{e, w})
+	for _, w := range cur.Table.Msgs {
+		if cur.Assign[w.Edge.To] == n.id {
+			list = append(list, watchedEdge{w.Edge, w})
 		}
 	}
 	slices.SortFunc(list, func(a, b watchedEdge) int {
@@ -427,7 +428,7 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 
 // slotEnd looks up the task's planned completion offset.
 func (n *Node) slotEnd(cur *plan.Plan, task flow.TaskID) sim.Time {
-	return cur.Table.Finish[task]
+	return cur.Table.Finish(task)
 }
 
 // actuate delivers the sink command to the physical world (unless the

@@ -177,7 +177,7 @@ func TestColludingSuppressorDoesNotBlockDetection(t *testing.T) {
 	base := h.strategy.Plans[""]
 	firstSink := flow.TaskID("c2#0")
 	for _, cand := range []flow.TaskID{"c2#1", "c2#2"} {
-		if base.Table.Finish[cand] < base.Table.Finish[firstSink] {
+		if base.Table.Finish(cand) < base.Table.Finish(firstSink) {
 			firstSink = cand
 		}
 	}

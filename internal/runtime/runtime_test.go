@@ -304,7 +304,7 @@ func TestSinkCommissionBoundedByR(t *testing.T) {
 	// externally visible (the plant acts on the first command).
 	base := h.strategy.Plans[""]
 	firstSink := flow.TaskID("c2#0")
-	if base.Table.Finish["c2#1"] < base.Table.Finish["c2#0"] {
+	if base.Table.Finish("c2#1") < base.Table.Finish("c2#0") {
 		firstSink = "c2#1"
 	}
 	victim := base.Assign[firstSink]

@@ -32,8 +32,10 @@ func (n *Node) actOnEvidence(ev evidence.Evidence) {
 		n.addFault(ev.Accused, ev.DetectedAt)
 		return
 	}
-	// Path accusation: aggregate; convictions come from the attributor.
-	acc, err := evidence.DecodeAccusation(ev.Primary.Body)
+	// Path accusation: aggregate; convictions come from the attributor,
+	// which reads the path from a stack buffer.
+	var path [16]network.NodeID
+	acc, err := evidence.DecodeAccusation(ev.Primary.Body, path[:0])
 	if err != nil {
 		return // validated evidence always decodes; defensive
 	}

@@ -15,7 +15,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -67,19 +66,22 @@ type MsgWindow struct {
 	Hops     int
 }
 
-// Table is a complete static schedule for one period. A task's
-// input-availability offset is the latest Arrive over its input edges'
-// windows in Msgs.
+// Table is a complete static schedule for one period, on dense storage:
+// node, edge and task positions index slices. A task's input-availability
+// offset is the latest Arrive over its input edges' windows in Msgs.
 type Table struct {
 	Period sim.Time
-	// Slots maps each node to its execution slots, sorted by start.
-	Slots map[network.NodeID][]Slot
-	// Msgs holds one window per edge, keyed by edge identity; an edge
-	// between tasks on one node is a local handoff that departs and
-	// arrives at the producer's finish.
-	Msgs map[flow.Edge]MsgWindow
-	// Finish is each task's completion offset.
-	Finish map[flow.TaskID]sim.Time
+	// Slots[n] is node n's execution slots, sorted by start, and empty
+	// for a node that runs nothing. All nodes' slots share one backing
+	// array.
+	Slots [][]Slot
+	// Msgs[k] is the window of the graph's Edges[k]; an edge between
+	// tasks on one node is a local handoff that departs and arrives at
+	// the producer's finish.
+	Msgs []MsgWindow
+	// tasks[g.Index(id)] is task id's slot: SlotFor and Finish read it.
+	g     *flow.Graph
+	tasks []Slot
 }
 
 // UnschedulableError reports why no feasible table exists.
@@ -117,47 +119,29 @@ func (s *intervalSet) reserve(task flow.TaskID, start, end sim.Time) {
 	s.iv[i] = Slot{Task: task, Start: start, End: end}
 }
 
-// dirLink identifies one direction of a link for contention tracking.
-type dirLink struct{ from, to network.NodeID }
-
-// setPool hands out one intervalSet per key and keeps the sets, and their
-// reserved storage, for the next Build.
-type setPool[K comparable] struct {
-	idx  map[K]int
-	sets []intervalSet
-}
-
-// get returns k's set, empty the first time k is asked for after reset.
-// The pointer is valid until the next get.
-func (p *setPool[K]) get(k K) *intervalSet {
-	i, ok := p.idx[k]
-	if !ok {
-		i = len(p.idx)
-		p.idx[k] = i
-		if i == len(p.sets) {
-			p.sets = append(p.sets, intervalSet{})
-		}
-		p.sets[i].iv = p.sets[i].iv[:0]
+// emptied returns s resized to n empty sets, keeping every set's
+// reserved storage.
+func emptied(s []intervalSet, n int) []intervalSet {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]intervalSet, n-cap(s))...)
 	}
-	return &p.sets[i]
+	s = s[:n]
+	for i := range s {
+		s[i].iv = s[i].iv[:0]
+	}
+	return s
 }
 
 // buildScratch is Build's per-call bookkeeping. Nothing in it outlives
-// the call, so it is pooled and reset with clear instead of rebuilt: in a
+// the call, so it is pooled and emptied instead of rebuilt: in a
 // campaign Build runs once per planned fault set.
 type buildScratch struct {
-	cpus   setPool[network.NodeID]
-	links  setPool[dirLink]
-	arrive map[flow.Edge]sim.Time // per-edge delivery offset
+	cpus  []intervalSet // by node
+	links []intervalSet // by directed link from*N + to
+	ready []sim.Time    // by task Index: its latest input arrival
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &buildScratch{
-		cpus:   setPool[network.NodeID]{idx: map[network.NodeID]int{}},
-		links:  setPool[dirLink]{idx: map[dirLink]int{}},
-		arrive: map[flow.Edge]sim.Time{},
-	}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // Build constructs the static table. It returns *UnschedulableError when
 // any task cannot complete within the period or a route is missing.
@@ -165,39 +149,33 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 	if p.Speed <= 0 {
 		panic("sched: non-positive speed")
 	}
+	order := g.TopoOrder()
 	t := &Table{
 		Period: g.Period,
-		Slots:  make(map[network.NodeID][]Slot, topo.N),
-		Msgs:   make(map[flow.Edge]MsgWindow, len(g.Edges)),
-		Finish: make(map[flow.TaskID]sim.Time, len(g.Tasks)),
+		Slots:  make([][]Slot, topo.N),
+		Msgs:   make([]MsgWindow, len(g.Edges)),
+		g:      g,
+		tasks:  make([]Slot, len(g.Tasks)),
 	}
 	sc := scratchPool.Get().(*buildScratch)
-	defer func() {
-		clear(sc.cpus.idx)
-		clear(sc.links.idx)
-		clear(sc.arrive)
-		scratchPool.Put(sc)
-	}()
-	cpus, links, arrive := &sc.cpus, &sc.links, sc.arrive
+	defer scratchPool.Put(sc)
+	sc.cpus, sc.links = emptied(sc.cpus, topo.N), emptied(sc.links, topo.N*topo.N)
+	if cap(sc.ready) < len(order) {
+		sc.ready = make([]sim.Time, len(order))
+	}
+	ready := sc.ready[:len(order)]
+	clear(ready)
 
 	scale := func(d sim.Time) sim.Time {
 		return sim.Time(float64(d)/p.Speed + 0.5)
 	}
 
-	for _, id := range g.TopoOrder() {
-		task := g.Tasks[id]
+	for _, id := range order {
+		i, task := g.Index(id), g.Tasks[id]
 		node, ok := assign[id]
 		if !ok {
 			return nil, &UnschedulableError{Reason: fmt.Sprintf("task %q unassigned", id)}
 		}
-		// Ready when all inputs have arrived.
-		var ready sim.Time
-		for _, e := range g.Inputs(id) {
-			if arrive[e] > ready {
-				ready = arrive[e]
-			}
-		}
-
 		// Total CPU work: task body + crypto for its I/O.
 		work := task.WCET +
 			p.SignCost*sim.Time(len(g.Outputs(id))) +
@@ -206,65 +184,66 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 		if exec <= 0 {
 			exec = 1
 		}
-		cpu := cpus.get(node)
-		start := cpu.earliestGap(ready, exec)
+		// Ready when all inputs have arrived: every producer came earlier
+		// in order and raised ready[i] to its window's Arrive.
+		cpu := &sc.cpus[node]
+		start := cpu.earliestGap(ready[i], exec)
 		end := start + exec
 		if end > g.Period {
 			return nil, &UnschedulableError{Reason: fmt.Sprintf(
 				"task %q on node %d finishes at %v > period %v", id, node, end, g.Period)}
 		}
 		cpu.reserve(id, start, end)
-		t.Finish[id] = end
+		t.tasks[i] = Slot{Task: id, Start: start, End: end}
 
 		// Plan each output edge's transmission.
-		for _, e := range g.Outputs(id) {
+		for _, k := range g.OutputsAt(i) {
+			e := g.Edges[k]
 			dst, ok := assign[e.To]
 			if !ok {
 				return nil, &UnschedulableError{Reason: fmt.Sprintf("task %q unassigned", e.To)}
 			}
-			if dst == node {
-				arrive[e] = end // local handoff
-				t.Msgs[e] = MsgWindow{Edge: e, From: node, To: dst, Depart: end, Arrive: end}
-				continue
-			}
-			path, ok := topo.Path(node, dst)
-			if !ok {
-				return nil, &UnschedulableError{Reason: fmt.Sprintf(
-					"no route %d -> %d for edge %s->%s", node, dst, e.From, e.To)}
-			}
-			at := end // message available after producer finishes
-			depart := sim.Time(-1)
-			for h := 0; h+1 < len(path); h++ {
-				a, b := path[h], path[h+1]
-				link, _ := topo.LinkBetween(a, b)
-				cap := network.ClassCapacity(link.Bandwidth, p.EvidenceShare, network.ClassForeground)
-				tx := network.TxTime(e.Bytes, cap)
-				ls := links.get(dirLink{a, b})
-				txStart := ls.earliestGap(at, tx)
-				ls.reserve(id, txStart, txStart+tx)
-				if depart < 0 {
-					depart = txStart
+			w := MsgWindow{Edge: e, From: node, To: dst, Depart: end, Arrive: end} // local handoff
+			if dst != node {
+				path, ok := topo.Path(node, dst)
+				if !ok {
+					return nil, &UnschedulableError{Reason: fmt.Sprintf(
+						"no route %d -> %d for edge %s->%s", node, dst, e.From, e.To)}
 				}
-				at = txStart + tx + link.Prop
+				at := end // message available after producer finishes
+				depart := sim.Time(-1)
+				for h := 0; h+1 < len(path); h++ {
+					a, b := path[h], path[h+1]
+					link, _ := topo.LinkBetween(a, b)
+					cap := network.ClassCapacity(link.Bandwidth, p.EvidenceShare, network.ClassForeground)
+					tx := network.TxTime(e.Bytes, cap)
+					ls := &sc.links[int(a)*topo.N+int(b)]
+					txStart := ls.earliestGap(at, tx)
+					ls.reserve(id, txStart, txStart+tx)
+					if depart < 0 {
+						depart = txStart
+					}
+					at = txStart + tx + link.Prop
+				}
+				w.Depart, w.Arrive, w.Hops = depart, at, len(path)-1
 			}
-			arrive[e] = at
-			t.Msgs[e] = MsgWindow{
-				Edge: e, From: node, To: dst,
-				Depart: depart, Arrive: at, Hops: len(path) - 1,
+			t.Msgs[k] = w
+			if j := g.Index(e.To); w.Arrive > ready[j] {
+				ready[j] = w.Arrive
 			}
-			if at > g.Period {
+			if w.Arrive > g.Period {
 				return nil, &UnschedulableError{Reason: fmt.Sprintf(
-					"edge %s->%s arrives at %v > period %v", e.From, e.To, at, g.Period)}
+					"edge %s->%s arrives at %v > period %v", e.From, e.To, w.Arrive, g.Period)}
 			}
 		}
 	}
 	// The CPU sets are scratch; the table gets its own copy of them, all
 	// nodes' slots in one backing array.
-	all := make([]Slot, 0, len(g.Tasks))
-	for node, i := range cpus.idx {
+	all := make([]Slot, 0, len(order))
+	for n, cpu := range sc.cpus {
 		from := len(all)
-		all = append(all, cpus.sets[i].iv...)
-		t.Slots[node] = all[from:len(all):len(all)]
+		all = append(all, cpu.iv...)
+		t.Slots[n] = all[from:len(all):len(all)]
 	}
 	return t, nil
 }
@@ -284,8 +263,8 @@ func (v Violation) String() string {
 func (t *Table) CheckDeadlines(g *flow.Graph) []Violation {
 	var vs []Violation
 	for _, id := range g.Sinks() {
-		if t.Finish[id] > g.Tasks[id].Deadline {
-			vs = append(vs, Violation{Sink: id, Finish: t.Finish[id], Deadline: g.Tasks[id].Deadline})
+		if f := t.Finish(id); f > g.Tasks[id].Deadline {
+			vs = append(vs, Violation{Sink: id, Finish: f, Deadline: g.Tasks[id].Deadline})
 		}
 	}
 	return vs
@@ -300,42 +279,40 @@ func (t *Table) NodeUtilization(node network.NodeID) float64 {
 	return float64(busy) / float64(t.Period)
 }
 
-// MaxUtilization returns the highest per-node utilization and its node.
+// MaxUtilization returns the highest per-node utilization and its node,
+// the lowest such node on a tie.
 func (t *Table) MaxUtilization() (network.NodeID, float64) {
 	var worst network.NodeID = -1
 	var max float64 = -1
-	// Deterministic iteration: sort node IDs.
-	var nodes []network.NodeID
 	for n := range t.Slots {
-		nodes = append(nodes, n)
-	}
-	slices.Sort(nodes)
-	for _, n := range nodes {
-		if u := t.NodeUtilization(n); u > max {
-			max, worst = u, n
+		if u := t.NodeUtilization(network.NodeID(n)); u > max {
+			max, worst = u, network.NodeID(n)
 		}
 	}
 	return worst, max
 }
 
 // SlotFor returns the execution slot of task id, if scheduled.
-func (t *Table) SlotFor(id flow.TaskID) (network.NodeID, Slot, bool) {
-	for node, slots := range t.Slots {
-		for _, s := range slots {
-			if s.Task == id {
-				return node, s, true
-			}
-		}
+func (t *Table) SlotFor(id flow.TaskID) (Slot, bool) {
+	if i := t.g.Index(id); i >= 0 {
+		return t.tasks[i], true
 	}
-	return -1, Slot{}, false
+	return Slot{}, false
+}
+
+// Finish returns task id's completion offset, its slot's End (0 if id
+// is not scheduled).
+func (t *Table) Finish(id flow.TaskID) sim.Time {
+	s, _ := t.SlotFor(id)
+	return s.End
 }
 
 // Makespan returns the latest finish offset over all tasks.
 func (t *Table) Makespan() sim.Time {
 	var max sim.Time
-	for _, f := range t.Finish {
-		if f > max {
-			max = f
+	for _, s := range t.tasks {
+		if s.End > max {
+			max = s.End
 		}
 	}
 	return max
@@ -359,17 +336,17 @@ func (t *Table) VerifySanity(g *flow.Graph) error {
 			}
 		}
 	}
-	for e, w := range t.Msgs {
-		if w.Depart < t.Finish[e.From] {
+	for _, w := range t.Msgs {
+		if e := w.Edge; w.Depart < t.Finish(e.From) {
 			return fmt.Errorf("edge %s->%s departs %v before producer finish %v",
-				e.From, e.To, w.Depart, t.Finish[e.From])
+				e.From, e.To, w.Depart, t.Finish(e.From))
 		}
 		if w.Arrive < w.Depart {
-			return fmt.Errorf("edge %s->%s arrives before departing", e.From, e.To)
+			return fmt.Errorf("edge %s->%s arrives before departing", w.Edge.From, w.Edge.To)
 		}
 	}
 	for _, id := range g.TaskIDs() {
-		if _, ok := t.Finish[id]; !ok {
+		if _, ok := t.SlotFor(id); !ok {
 			return fmt.Errorf("task %q missing from table", id)
 		}
 	}
