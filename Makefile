@@ -3,7 +3,7 @@
 # `make ci` is the gate every PR must pass (and exactly what
 # .github/workflows/ci.yml runs): gofmt diff check, vet, build, the full
 # test suite under the race detector, the live wall-clock tests repeated
-# under it, and the benchmark smoke. Two
+# under it, and the benchmark module's vet, tests and smoke. Two
 # questions, one command each: "does it still hold R?" is `make
 # bench-check` (regenerate the campaign verdict bundle and fail on any of
 # its gates); "did it get slower?" is the repository's benchmark,
@@ -14,7 +14,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race race-live bench-smoke profile-allocs ci cover docs-check bench bench-json bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race race-live bench-test bench-smoke profile-allocs ci cover docs-check bench bench-json bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -50,7 +50,8 @@ race-live:
 # Short fuzz pass over the wire codecs and the fault-script text form
 # (the seed corpora always run as part of `go test`; this digs further):
 # the evidence record codec, the in-place evidence parser against the
-# owning one, the membership epoch-record codec, the
+# owning one, the in-place envelope-list view against a slice-based
+# reference, the membership epoch-record codec, the
 # transport H/M/B/G frame codec (the only code between a socket and the
 # budgeted evidence handler), the client request/response (Q) frame
 # codec, and the adversary.Script parser behind `btrlive -faults`.
@@ -58,6 +59,7 @@ race-live:
 fuzz:
 	$(GO) test ./internal/evidence -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/evidence -fuzz=FuzzEvidenceParse -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/evidence -fuzz=FuzzEnvelopeList -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/member -fuzz=FuzzEpochRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz=FuzzQFrameRoundTrip -fuzztime=$(FUZZTIME)
@@ -126,12 +128,15 @@ smoke-client:
 		-fault kill-restart -clients 8 -ops 200
 
 # The repository's benchmark (BENCHMARK.json, benchmark/) is a module of
-# its own, so `./...` above never reaches it: vet it, run its own tests,
-# and run every workload at smoke size (0.3 s each, correctness wired to
-# the exit code), so an internal API change that breaks it fails the
-# gate instead of the next measured PR.
-bench-smoke:
-	cd benchmark && $(GO) vet . && $(GO) test ./... && $(GO) run . -short
+# its own, so `./...` above never reaches it: bench-test vets it and runs
+# its own tests, and bench-smoke runs every workload at smoke size (0.3 s
+# each, correctness wired to the exit code), so an internal API change
+# that breaks it fails the gate instead of the next measured PR.
+bench-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+bench-smoke: bench-test
+	cd benchmark && $(GO) run . -short
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
@@ -139,8 +144,8 @@ bench-smoke:
 # drill-downs, each with its callers and callees: the planner (plan.Build
 # and baseline.MinSpeed, and the sched and network rows of the
 # allocation ledger: sched.Build, Topology.DiameterWithin and
-# PathAvoiding), the record path (a node's emit, onMessage and
-# onEvidenceMessage) and the seal path, the one exact-size buffer each
+# PathAvoiding), the record path (a node's finishTask, emit,
+# acceptRecord, onMessage and onEvidenceMessage) and the seal path, the one exact-size buffer each
 # caller of sig's in-place primitive, sig.(*Registry).SignAppended,
 # allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
 # seal memo's misses, sig.(*Registry).sealPayload). The profiles
@@ -153,10 +158,11 @@ profile-allocs:
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$|sched\.Build$$|network\.\(\*Topology\)\.(DiameterWithin|PathAvoiding)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(finishTask|acceptRecord)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
-ci: fmt-check vet build race race-live bench-smoke
+ci: fmt-check vet build race race-live bench-test bench-smoke
 	@echo "ci: OK"
 
 clean:

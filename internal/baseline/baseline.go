@@ -184,10 +184,11 @@ func fitsAt(p Protocol, g *flow.Graph, topo *network.Topology, f int) func(speed
 	if err != nil {
 		return func(float64) bool { return false }
 	}
+	var sc sched.Scratch // one Build at a time: the bisection's steps
 	return func(speed float64) bool {
 		params := sched.DefaultParams()
 		params.Speed = speed
-		table, err := sched.Build(aug, asn, topo, params)
+		table, err := sched.Build(aug, asn, topo, params, &sc)
 		if err != nil {
 			return false
 		}
@@ -250,7 +251,7 @@ func Utilization(p Protocol, g *flow.Graph, topo *network.Topology, f int) (maxU
 		if err != nil {
 			return 0, 0
 		}
-		table, err := sched.Build(aug, asn, topo, sched.DefaultParams())
+		table, err := sched.Build(aug, asn, topo, sched.DefaultParams(), nil)
 		if err != nil {
 			return 0, 0
 		}

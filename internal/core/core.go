@@ -342,11 +342,11 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 
 	source := cfg.Source
 	if source == nil {
-		source = evidence.SourceValue
+		source = evidence.AppendSourceValue
 	}
 	oracle := cfg.Oracle
 	if oracle == nil {
-		oracle = HashOracle(cfg.Workload, source)
+		oracle = hashOracle(cfg.Workload, source)
 	}
 	d.plant = NewPlant(cfg.Workload, cfg.Horizon, d.Strategy.RNeeded, oracle)
 	rep := d.plant.Report()
@@ -448,26 +448,45 @@ func (s *System) Run() *Report {
 }
 
 // HashOracle builds the default oracle by recursively evaluating the base
-// dataflow graph on the (deterministic) environment samples.
-func HashOracle(g *flow.Graph, source runtime.SourceFunc) Oracle {
+// dataflow graph on the (deterministic) environment samples source
+// returns.
+func HashOracle(g *flow.Graph, source func(task flow.TaskID, period uint64) []byte) Oracle {
+	return hashOracle(g, func(dst []byte, task flow.TaskID, p uint64) []byte {
+		return append(dst, source(task, p)...)
+	})
+}
+
+// hashOracle is HashOracle on the append form of the source. Every value
+// is computed into an arena of its own: a chunk holds many values, each
+// capacity-capped and never written again. One input buffer serves every
+// evaluation, since a task's inputs are evaluated before it is filled.
+func hashOracle(g *flow.Graph, source runtime.SourceFunc) Oracle {
 	memo := map[taskPeriod][]byte{}
+	var ins []evidence.Record
+	var arena []byte
 	var eval func(task flow.TaskID, p uint64) []byte
 	eval = func(task flow.TaskID, p uint64) []byte {
 		k := taskPeriod{task, p}
 		if v, ok := memo[k]; ok {
 			return v
 		}
-		t := g.Tasks[task]
-		var v []byte
-		if t.Source {
-			v = source(task, p)
-		} else {
-			var ins []evidence.Record
-			for _, e := range g.Inputs(task) {
-				ins = append(ins, evidence.Record{Logical: e.From, Value: eval(e.From, p)})
-			}
-			v = evidence.HashCompute(task, p, ins)
+		for _, e := range g.Inputs(task) {
+			eval(e.From, p)
 		}
+		if cap(arena)-len(arena) < 64 {
+			arena = make([]byte, 0, 4096)
+		}
+		from := len(arena)
+		if g.Tasks[task].Source {
+			arena = source(arena, task, p)
+		} else {
+			ins = ins[:0]
+			for _, e := range g.Inputs(task) {
+				ins = append(ins, evidence.Record{Logical: e.From, Value: memo[taskPeriod{e.From, p}]})
+			}
+			arena = evidence.AppendHashCompute(arena, task, p, ins)
+		}
+		v := arena[from:len(arena):len(arena)]
 		memo[k] = v
 		return v
 	}

@@ -18,7 +18,9 @@ import (
 // attributable.
 //
 // It allocates only its 16-byte result: the inputs are ordered through a
-// stack array of pointers and hashed from a pooled buffer.
+// stack array of pointers and hashed from a stack buffer, which an input
+// (task, period, each logical input's ID and value) over 256 bytes
+// outgrows to the heap.
 func HashCompute(task flow.TaskID, period uint64, inputs []Record) []byte {
 	return AppendHashCompute(nil, task, period, inputs)
 }
@@ -38,8 +40,8 @@ func AppendHashCompute(dst []byte, task flow.TaskID, period uint64, inputs []Rec
 		}
 		return cmp.Compare(a.Producer, b.Producer)
 	})
-	sp := scratchPool.Get().(*[]byte)
-	msg := append((*sp)[:0], task...)
+	var mb [256]byte
+	msg := append(mb[:0], task...)
 	msg = binary.LittleEndian.AppendUint64(msg, period)
 	// Deduplicate replicas of the same logical input: replicas carry the
 	// same value when correct, and the consumer computes from one value
@@ -52,19 +54,25 @@ func AppendHashCompute(dst []byte, task flow.TaskID, period uint64, inputs []Rec
 		msg = append(msg, in.Value...)
 	}
 	sum := sha256.Sum256(msg)
-	*sp = msg
-	scratchPool.Put(sp)
 	return append(dst, sum[:16]...)
 }
 
 // SourceValue is the canonical deterministic environment sample: all
 // replicas of a source observe the same physical world, modeled as a hash
-// of "env:", the logical source ID and the period, taken from a stack
-// buffer, so a task ID of up to 52 bytes costs only the 16-byte result.
-// (Plant-backed workloads replace this with real sensor readings.)
+// of "env:", the logical source ID and the period. It allocates only its
+// 16-byte result. (Plant-backed workloads replace this with real sensor
+// readings.)
 func SourceValue(task flow.TaskID, period uint64) []byte {
+	return AppendSourceValue(make([]byte, 0, 16), task, period)
+}
+
+// AppendSourceValue appends SourceValue's sample to dst and returns the
+// extended slice; it is a runtime.SourceFunc. The hash input is built in
+// a stack buffer, so a task ID of up to 52 bytes costs nothing when dst
+// has 16 bytes to spare.
+func AppendSourceValue(dst []byte, task flow.TaskID, period uint64) []byte {
 	var mb [64]byte
 	msg := append(append(mb[:0], "env:"...), task...)
 	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(msg, period))
-	return append(make([]byte, 0, 16), sum[:16]...)
+	return append(dst, sum[:16]...)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // referenceHashCompute is a frozen copy of HashCompute as it was before
-// it hashed from a pooled buffer: a sort.Slice over a heap copy of the
-// inputs and a streaming sha256. The current HashCompute must agree with
+// it hashed from a buffer of its own: a sort.Slice over a heap copy of
+// the inputs and a streaming sha256. The current HashCompute must agree with
 // it on every input, ties between equal (logical, producer) pairs
 // included, since a re-executing validator and the producer must compute
 // the same value.
@@ -48,7 +48,9 @@ func TestHashComputeMatchesReference(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		// Few distinct names so that equal (logical, producer) pairs with
 		// different values are common; up to 40 inputs so that the sort
-		// runs past its insertion-sort cutoff and past the stack buffer.
+		// runs past its insertion-sort cutoff and past the stack array of
+		// pointers, and values long enough that the hash input sometimes
+		// outgrows its 256-byte stack buffer.
 		n := rng.Intn(41)
 		inputs := make([]Record, n)
 		for i := range inputs {
@@ -56,7 +58,7 @@ func TestHashComputeMatchesReference(t *testing.T) {
 			inputs[i] = Record{
 				Logical:  logical,
 				Producer: flow.TaskID(fmt.Sprintf("%s#%d", logical, rng.Intn(3))),
-				Value:    []byte(fmt.Sprintf("v%d", rng.Intn(1000))),
+				Value:    append([]byte(fmt.Sprintf("v%d", rng.Intn(1000))), bytes.Repeat([]byte{'x'}, rng.Intn(120))...),
 			}
 		}
 		task := flow.TaskID(fmt.Sprintf("task%d", rng.Intn(5)))
@@ -84,7 +86,6 @@ func TestHashComputeAllocs(t *testing.T) {
 		{Logical: "a", Producer: "a#0", Value: []byte("first")},
 		{Logical: "b", Producer: "b#0", Value: []byte("second")},
 	}
-	HashCompute("t", 1, inputs) // warm the scratch pool
 	if got := testing.AllocsPerRun(100, func() { _ = HashCompute("t", 7, inputs) }); got > 1 {
 		t.Fatalf("HashCompute allocates %.1f objects per call, want at most 1 (its result)", got)
 	}
@@ -108,7 +109,8 @@ func referenceSourceValue(task flow.TaskID, period uint64) []byte {
 
 // TestSourceValueMatchesReference pins SourceValue's bytes to the
 // streaming form, for task IDs that fit its stack buffer and longer
-// ones, and its allocations at one, the result.
+// ones, and its allocations at one, the result; AppendSourceValue
+// appends the same bytes and allocates nothing into a sized dst.
 func TestSourceValueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 500; trial++ {
@@ -117,8 +119,16 @@ func TestSourceValueMatchesReference(t *testing.T) {
 		if got, want := SourceValue(task, period), referenceSourceValue(task, period); !bytes.Equal(got, want) {
 			t.Fatalf("SourceValue(%q, %d) = %x, reference = %x", task, period, got, want)
 		}
+		if got := AppendSourceValue([]byte("x"), task, period); string(got) != "x"+string(SourceValue(task, period)) {
+			t.Fatalf("AppendSourceValue(%q, %d) = %x", task, period, got)
+		}
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = SourceValue("sensor#0", 7) }); got != 1 {
+	var kept []byte // SourceValue inlines: a discarded result stays on the stack
+	if got := testing.AllocsPerRun(100, func() { kept = SourceValue("sensor#0", 7) }); got != 1 || len(kept) != 16 {
 		t.Fatalf("SourceValue allocates %.1f objects per call, want 1 (its result)", got)
+	}
+	var dst [16]byte
+	if got := testing.AllocsPerRun(100, func() { _ = AppendSourceValue(dst[:0], "sensor#0", 7) }); got != 0 {
+		t.Fatalf("AppendSourceValue into a sized dst allocates %.1f objects per call, want 0", got)
 	}
 }

@@ -77,3 +77,98 @@ func FuzzEvidenceParse(f *testing.F) {
 func sameEnvelope(a, b sig.Envelope) bool {
 	return a.Signer == b.Signer && bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Sig, b.Sig)
 }
+
+// referenceParseEnvelopes is the slice-based list parser EnvelopeList
+// replaced, kept as the reference its view must agree with.
+func referenceParseEnvelopes(b []byte) ([]sig.Envelope, error) {
+	rd := &reader{b: b}
+	n := int(rd.u32())
+	if rd.err != nil {
+		return nil, rd.err
+	}
+	if n > 1<<16 {
+		return nil, errShort
+	}
+	var envs []sig.Envelope
+	for i := 0; i < n; i++ {
+		eb := rd.lenView()
+		if rd.err != nil {
+			return nil, rd.err
+		}
+		e, err := sig.ParseEnvelope(eb)
+		if err != nil {
+			return nil, err
+		}
+		envs = append(envs, e)
+	}
+	if err := rd.done(); err != nil {
+		return nil, err
+	}
+	return envs, nil
+}
+
+// FuzzEnvelopeList checks the in-place list view against the slice-based
+// reference: both accept and reject the same bytes, the view yields the
+// reference's envelopes in order, aliasing the same bytes (All, and
+// Envelopes, the collector ParseEnvelopes returns), an early stop ends the walk, and Digest equals
+// DigestEnvelopes of the parsed list.
+func FuzzEnvelopeList(f *testing.F) {
+	reg := sig.NewRegistry(5, 4)
+	for _, k := range []int{0, 1, 3} {
+		envs := make([]sig.Envelope, k)
+		for i := range envs {
+			envs[i] = reg.Seal(network.NodeID(i), bytes.Repeat([]byte{byte(i)}, i*7))
+		}
+		list := EncodeEnvelopes(envs)
+		f.Add(list)
+		f.Add(list[:len(list)-1])
+		f.Add(append(bytes.Clone(list), 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{0, 0, 1, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := referenceParseEnvelopes(data)
+		l, err := ParseEnvelopeList(data)
+		if (werr == nil) != (err == nil) {
+			t.Fatalf("reference error %v, view error %v", werr, err)
+		}
+		if _, serr := ParseEnvelopes(data); (serr == nil) != (err == nil) {
+			t.Fatalf("ParseEnvelopes error %v, view error %v", serr, err)
+		}
+		if err != nil {
+			return
+		}
+		if l.Len() != len(want) {
+			t.Fatalf("view holds %d envelopes, reference %d", l.Len(), len(want))
+		}
+		i := 0
+		l.All(func(e sig.Envelope) bool {
+			if !sameEnvelope(e, want[i]) || &e.Sig[0] != &want[i].Sig[0] {
+				t.Fatalf("envelope %d: view %+v, reference %+v", i, e, want[i])
+			}
+			i++
+			return true
+		})
+		if i != len(want) {
+			t.Fatalf("All yielded %d envelopes, want %d", i, len(want))
+		}
+		got := l.Envelopes()
+		for i := range want {
+			if !sameEnvelope(got[i], want[i]) {
+				t.Fatalf("Envelopes()[%d] = %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+		if len(want) > 1 {
+			calls := 0
+			l.All(func(sig.Envelope) bool { calls++; return false })
+			if calls != 1 {
+				t.Fatalf("All called yield %d times after it returned false", calls)
+			}
+		}
+		if l.Digest() != DigestEnvelopes(want) {
+			t.Fatal("Digest differs from DigestEnvelopes of the parsed list")
+		}
+	})
+}

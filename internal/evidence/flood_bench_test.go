@@ -137,8 +137,8 @@ func BenchmarkEvidenceFlood(b *testing.B) {
 	})
 }
 
-// BenchmarkDigestEnvelopes measures the pooled-scratch digest (the
-// per-emit and per-arrival commitment computation).
+// BenchmarkDigestEnvelopes measures the streamed digest (the per-emit
+// commitment computation; an arrival hashes its list view in place).
 func BenchmarkDigestEnvelopes(b *testing.B) {
 	reg := sig.NewRegistry(24, 4)
 	envs := []sig.Envelope{

@@ -224,29 +224,18 @@ func ParseRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// scratchPool recycles encoding scratch buffers so steady-state digest
-// and marshaling work allocates nothing (the PR 3 kernel's pooled-record
-// pattern, applied to the codec).
-var scratchPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
-
 // DigestEnvelopes computes the commitment over an ordered set of input
-// envelopes. Envelope encodings are streamed through a pooled scratch
-// buffer; no per-call allocations in steady state.
+// envelopes: each envelope's encoded length and encoding, streamed into
+// the hash field by field, so it allocates nothing.
 func DigestEnvelopes(envs []sig.Envelope) [32]byte {
 	h := sha256.New()
-	sp := scratchPool.Get().(*[]byte)
-	scratch := (*sp)[:0]
+	var head [12]byte
 	for _, e := range envs {
-		var lenb [4]byte
-		binary.LittleEndian.PutUint32(lenb[:], uint32(e.EncodedSize()))
-		h.Write(lenb[:])
-		scratch = e.AppendTo(scratch[:0])
-		h.Write(scratch)
+		binary.LittleEndian.PutUint32(head[0:], uint32(e.EncodedSize()))
+		h.Write(sig.AppendEnvelopeHeader(head[:4], e.Signer, len(e.Body)))
+		h.Write(e.Body)
+		h.Write(e.Sig)
 	}
-	*sp = scratch
-	scratchPool.Put(sp)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
@@ -279,41 +268,87 @@ func EncodeEnvelopes(envs []sig.Envelope) []byte {
 	return AppendEnvelopes(make([]byte, 0, EnvelopesSize(envs)), envs)
 }
 
-// minEnvelopeWire is the smallest encoding of one list entry: length
-// prefix, envelope header, empty body, signature.
-const minEnvelopeWire = 4 + 8 + sig.SignatureSize
+// EnvelopeList is a count-prefixed envelope list read where it lies:
+// ParseEnvelopeList checks its structure once, and every read walks the
+// entries again. Each envelope it yields aliases the list's bytes (see
+// sig.ParseEnvelope), so they must stay unmodified while the list or an
+// envelope taken from it is in use. The list itself allocates nothing.
+type EnvelopeList struct {
+	entries []byte // the encoded entries, after the count
+	n       int
+}
 
-// ParseEnvelopes parses a count-prefixed envelope list in place: every
-// envelope's Body and Sig alias b (see sig.ParseEnvelope), so b must stay
-// unmodified while any of them is in use. An envelope the caller keeps
-// keeps all of b alive.
-func ParseEnvelopes(b []byte) ([]sig.Envelope, error) {
+// ParseEnvelopeList checks a count-prefixed envelope list, as
+// AppendEnvelopes writes it, and returns it as a list view.
+func ParseEnvelopeList(b []byte) (EnvelopeList, error) {
 	rd := &reader{b: b}
 	n := int(rd.u32())
 	if rd.err != nil {
-		return nil, rd.err
+		return EnvelopeList{}, rd.err
 	}
 	if n > 1<<16 {
-		return nil, fmt.Errorf("evidence: implausible envelope count %d", n)
+		return EnvelopeList{}, fmt.Errorf("evidence: implausible envelope count %d", n)
 	}
-	// The count is unauthenticated: reserve only what the remaining bytes
-	// could actually hold.
-	envs := make([]sig.Envelope, 0, min(n, len(rd.b)/minEnvelopeWire))
-	for i := 0; i < n; i++ {
+	l := EnvelopeList{entries: rd.b, n: n}
+	if err := l.walk(func(sig.Envelope) bool { return true }); err != nil {
+		return EnvelopeList{}, err
+	}
+	return l, nil
+}
+
+// walk is the one list walker: it parses the entries in order, handing
+// each envelope to yield until yield returns false, and fails on a
+// malformed entry or on bytes after the last one.
+func (l EnvelopeList) walk(yield func(sig.Envelope) bool) error {
+	rd := &reader{b: l.entries}
+	for i := 0; i < l.n; i++ {
 		eb := rd.lenView()
 		if rd.err != nil {
-			return nil, rd.err
+			return rd.err
 		}
 		e, err := sig.ParseEnvelope(eb)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		envs = append(envs, e)
+		if !yield(e) {
+			return nil
+		}
 	}
-	if err := rd.done(); err != nil {
+	return rd.done()
+}
+
+// Len returns the number of envelopes in the list.
+func (l EnvelopeList) Len() int { return l.n }
+
+// All hands the envelopes to yield in order until yield returns false;
+// l.All is an iter.Seq.
+func (l EnvelopeList) All(yield func(sig.Envelope) bool) { _ = l.walk(yield) }
+
+// Digest returns DigestEnvelopes of the list's envelopes. That digest
+// covers each entry's length prefix and encoding, which are the list's
+// bytes after the count, so it hashes them where they lie.
+func (l EnvelopeList) Digest() [32]byte { return sha256.Sum256(l.entries) }
+
+// Envelopes collects the list's envelopes into a new slice.
+func (l EnvelopeList) Envelopes() []sig.Envelope {
+	envs := make([]sig.Envelope, 0, l.n)
+	l.All(func(e sig.Envelope) bool {
+		envs = append(envs, e)
+		return true
+	})
+	return envs
+}
+
+// ParseEnvelopes parses a count-prefixed envelope list in place into a
+// slice: every envelope's Body and Sig alias b (see ParseEnvelopeList),
+// so b must stay unmodified while any of them is in use. An envelope the
+// caller keeps keeps all of b alive.
+func ParseEnvelopes(b []byte) ([]sig.Envelope, error) {
+	l, err := ParseEnvelopeList(b)
+	if err != nil {
 		return nil, err
 	}
-	return envs, nil
+	return l.Envelopes(), nil
 }
 
 // SameSlot reports whether two records claim the same output slot (same

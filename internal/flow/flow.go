@@ -131,6 +131,15 @@ func (g *Graph) Connect(from, to TaskID, bytes int64) {
 	g.topo, g.outAt = nil, nil
 }
 
+// Reserve sizes task id's input and output lists, before its first
+// Connect, for ins and outs edges, so the Connect calls that add them do
+// not grow the lists one append at a time. One array holds both lists,
+// each capacity-capped.
+func (g *Graph) Reserve(id TaskID, ins, outs int) {
+	l := make([]Edge, ins+outs)
+	g.ins[id], g.outs[id] = l[:0:ins], l[ins:ins:ins+outs]
+}
+
 // Inputs returns the edges feeding id.
 func (g *Graph) Inputs(id TaskID) []Edge { return g.ins[id] }
 

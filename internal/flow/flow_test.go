@@ -292,3 +292,32 @@ func TestTaskIDsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveSizesLists: after Reserve, the Connect calls that fill a
+// task's lists append in place instead of growing them, and a list that
+// outgrows its room moves instead of writing into the other.
+func TestReserveSizesLists(t *testing.T) {
+	g := NewGraph("r", 10*sim.Millisecond)
+	for _, id := range []TaskID{"a", "b", "c", "d"} {
+		g.AddTask(Task{ID: id, WCET: sim.Millisecond})
+	}
+	g.Reserve("a", 0, 3)
+	g.Reserve("b", 2, 0)
+	g.Connect("a", "b", 1)
+	outs, ins := &g.Outputs("a")[0], &g.Inputs("b")[0]
+	g.Connect("a", "c", 2)
+	g.Connect("a", "b", 3)
+	if &g.Outputs("a")[0] != outs || &g.Inputs("b")[0] != ins {
+		t.Fatal("a reserved list grew while Connect filled it")
+	}
+	if in := g.Inputs("b"); len(in) != 2 || in[0].Bytes != 1 || in[1].Bytes != 3 {
+		t.Fatalf("b's inputs %v", in)
+	}
+	g.Reserve("d", 1, 1)
+	g.Connect("b", "d", 4)
+	g.Connect("a", "d", 5) // past d's room for inputs
+	g.Connect("d", "c", 6)
+	if in, out := g.Inputs("d"), g.Outputs("d"); len(in) != 2 || len(out) != 1 || out[0].Bytes != 6 {
+		t.Fatalf("d's inputs %v, outputs %v: an overflowing list wrote into the other", in, out)
+	}
+}

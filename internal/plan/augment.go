@@ -110,22 +110,36 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 	// no sinks of the augmented graph; the runtime keeps actuating
 	// semantics via the logical graph. The checker replicas are the
 	// augmented graph's sinks.
+	// Each replica's edge lists are reserved at their final size: one
+	// bundle per logical edge, plus the audit edges of a sink's first
+	// nonSrcReps replicas.
 	ids := g.TaskIDs()
 	names := make([][]flow.TaskID, len(ids))
 	all := make([]flow.TaskID, 0, max(srcReps, nonSrcReps)*len(ids))
+	edges := len(g.Sinks()) * nonSrcReps * nonSrcReps
 	for k, id := range ids {
 		t, from := g.Tasks[id], len(all)
+		ins, outs := 0, 0
+		for _, e := range g.Inputs(id) {
+			ins += reps(g.Tasks[e.From])
+		}
+		for _, e := range g.Outputs(id) {
+			outs += reps(g.Tasks[e.To])
+		}
+		edges += reps(t) * outs
 		for i := 0; i < reps(t); i++ {
-			rt := *t
+			rt, audits := *t, 0
 			rt.ID = ReplicaID(id, i)
 			if rt.Sink && i < nonSrcReps {
-				rt.Sink, rt.Deadline = false, 0
+				rt.Sink, rt.Deadline, audits = false, 0, nonSrcReps
 			}
 			a.AddTask(rt)
+			a.Reserve(rt.ID, ins, outs+audits)
 			all = append(all, rt.ID)
 		}
 		names[k] = all[from:]
 	}
+	a.Edges = make([]flow.Edge, 0, edges)
 	// Edge bundles.
 	for _, e := range g.Edges {
 		bytes := WireBytes(e.Bytes, g.Inputs(e.From))
@@ -149,6 +163,7 @@ func Augment(g *flow.Graph, o AugmentOptions) *flow.Graph {
 				Sink:       true,
 				Deadline:   g.Period,
 			})
+			a.Reserve(chk[i], nonSrcReps, 0)
 		}
 		bytes := WireBytes(checkerMsgBytes, g.Inputs(s))
 		for _, from := range names[g.Index(s)][:nonSrcReps] {

@@ -285,10 +285,10 @@ func NewStrategyForMembers(base *flow.Graph, topo *network.Topology, opts Option
 // options) triple. It memoizes the fault-set- and speed-independent work
 // — the pruned/augmented graphs per shed set and each augmented graph's
 // replica grouping; hop distances come from the topology's own route
-// table — and owns assign's scratch buffers, so that building many plans
-// (one per fault set during Build, many delta repairs in the incremental
-// engine, or one mode loop per speed in baseline.MinSpeed) does not redo
-// or reallocate it. A Synth is not safe for concurrent use; callers that
+// table — and owns assign's and sched.Build's scratch, so that building
+// many plans (one per fault set during Build, many delta repairs in the
+// incremental engine, or one mode loop per speed in baseline.MinSpeed)
+// does not redo or reallocate it. A Synth is not safe for concurrent use; callers that
 // synthesize from multiple goroutines must serialize (see
 // internal/plan/cache).
 type Synth struct {
@@ -298,6 +298,7 @@ type Synth struct {
 	augs    map[string]synthGraphs
 	sets    []FaultSet // Modes' fault sets, enumerated on first use
 	scratch assignScratch
+	table   sched.Scratch
 }
 
 // synthGraphs is one shed set's memo. The graphs are never mutated after
@@ -381,7 +382,7 @@ func (s *Synth) DeltaPlan(prior *Plan, fs FaultSet) (*Plan, error) {
 	if g := s.graphsFor(prior.ShedSinks); g.aug != nil {
 		asn, err := s.place(g, fs, prior.Assign)
 		if err == nil {
-			table, terr := sched.Build(g.aug, asn, s.topo, s.opts.Sched)
+			table, terr := sched.Build(g.aug, asn, s.topo, s.opts.Sched, &s.table)
 			if terr == nil && deadlinesOK(g.pruned, g.aug, table) == nil {
 				return &Plan{
 					Faults: fs, Pruned: g.pruned, Aug: g.aug,
@@ -409,7 +410,7 @@ func (s *Synth) buildFrom(fs FaultSet, parent Assignment, shed []flow.TaskID) (*
 		asn, err := s.place(g, fs, parent)
 		if err == nil {
 			var table *sched.Table
-			table, err = sched.Build(g.aug, asn, s.topo, s.opts.Sched)
+			table, err = sched.Build(g.aug, asn, s.topo, s.opts.Sched, &s.table)
 			if err == nil {
 				if verr := deadlinesOK(g.pruned, g.aug, table); verr != nil {
 					err = verr

@@ -98,12 +98,12 @@ func (l *Loop) Apply(period uint64, value []byte) {
 }
 
 // Source is the runtime.SourceFunc: every sensor replica reads the
-// period's sample-and-hold value.
-func (l *Loop) Source(task flow.TaskID, period uint64) []byte {
+// period's sample-and-hold value, appended to dst.
+func (l *Loop) Source(dst []byte, task flow.TaskID, period uint64) []byte {
 	if period >= uint64(len(l.samples)) {
-		return EncodeFloat(0)
+		return AppendFloat(dst, 0)
 	}
-	return EncodeFloat(l.samples[period])
+	return AppendFloat(dst, l.samples[period])
 }
 
 // Compute is the runtime.TaskFunc for the control-loop tasks: the

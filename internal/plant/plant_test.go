@@ -202,11 +202,11 @@ func TestLoopSampleAndHold(t *testing.T) {
 	w := NewWaterTank()
 	l := NewLoop(w, 50*sim.Millisecond, 10)
 	// Period 0 sample is the initial state for every replica.
-	v := l.Source("sensor", 0)
+	v := l.Source(nil, "sensor", 0)
 	if DecodeFloat(v) != 5.0 {
 		t.Errorf("sample = %v, want 5.0", DecodeFloat(v))
 	}
-	if string(l.Source("sensor", 0)) != string(v) {
+	if string(l.Source(nil, "sensor", 0)) != string(v) {
 		t.Error("sample-and-hold violated")
 	}
 }
@@ -228,7 +228,7 @@ func TestLoopComputeSemantics(t *testing.T) {
 func TestLoopOracleMatchesCompute(t *testing.T) {
 	w := NewWaterTank()
 	l := NewLoop(w, 50*sim.Millisecond, 10)
-	sensor := l.Source("sensor", 0)
+	sensor := l.Source(nil, "sensor", 0)
 	u := l.Compute(nil, "controller", 0, []evidence.Record{{Logical: "sensor", Value: sensor}})
 	act := l.Compute(nil, "actuator", 0, []evidence.Record{{Logical: "controller", Value: u}})
 	if string(l.Oracle("actuator", 0)) != string(act) {

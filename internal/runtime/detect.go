@@ -62,19 +62,20 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	inputs := take(&n.auditInputs)
 	defer func() { putBack(&n.auditInputs, inputs) }()
 	badInput := false
-	for _, att := range a.atts {
+	a.atts.All(func(att sig.Envelope) bool {
 		if !n.cfg.Registry.Check(att) {
 			badInput = true
-			continue
+			return true
 		}
 		ar, err := evidence.ParseRecord(att.Body)
 		if err != nil || ar.Node != att.Signer {
 			badInput = true
-			continue
+			return true
 		}
 		n.trackEquivocation(att, ar)
 		inputs = append(inputs, ar)
-	}
+		return true
+	})
 
 	// Timing: the claimed send offset must lie inside the producer's
 	// scheduled slot. (A lying claim that stays in-window but arrives
@@ -98,14 +99,15 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	}
 	// Digest must cover the attachments exactly; otherwise a relay may
 	// have tampered and we cannot attribute — treat as non-arrival.
-	if evidence.DigestEnvelopes(a.atts) != rec.InputsDigest {
+	if a.atts.Digest() != rec.InputsDigest {
 		return false
 	}
+	// Only a proof collects the attachments into a slice of their own.
 	if badInput {
 		// The producer committed to a garbage input: bad-input proof.
 		n.raiseEvidence(evidence.Evidence{
 			Kind: evidence.KindBadInput, Accused: rec.Node, Reporter: n.id,
-			DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts,
+			DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts.Envelopes(),
 		})
 		a.audited, a.consistent = true, false
 		return true
@@ -117,7 +119,7 @@ func (n *Node) detectOnArrival(cur *plan.Plan, a *arrival) bool {
 	if !a.consistent {
 		n.raiseEvidence(evidence.Evidence{
 			Kind: evidence.KindWrongOutput, Accused: rec.Node, Reporter: n.id,
-			DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts,
+			DetectedAt: n.cfg.Kernel.Now(), Primary: a.env, Attachments: a.atts.Envelopes(),
 		})
 	}
 	return true
@@ -221,10 +223,22 @@ func (n *Node) raiseEvidence(ev evidence.Evidence) {
 	n.accept(ev)
 }
 
-// accept reports newly accepted evidence, acts on it and floods it.
+// accept reports newly accepted evidence, acts on it and floods it. A
+// path accusation is decoded once, here, into a stack buffer: its path's
+// first node, where the missing record should have come from, is the
+// event's Suspect, and the attributor reads the path.
 func (n *Node) accept(ev evidence.Evidence) {
-	n.observe(Event{Kind: EvidenceAccepted, Evidence: ev,
-		EvidenceKind: ev.Kind, Accused: ev.Accused, Reporter: ev.Reporter})
-	n.actOnEvidence(ev)
+	accepted := Event{Kind: EvidenceAccepted, Evidence: ev,
+		EvidenceKind: ev.Kind, Accused: ev.Accused, Reporter: ev.Reporter}
+	var path [16]network.NodeID
+	var acc evidence.Accusation
+	if ev.Kind == evidence.KindPathAccusation {
+		acc, _ = evidence.DecodeAccusation(ev.Primary.Body, path[:0]) // validated: it decodes
+		if len(acc.Path) > 0 {
+			accepted.Suspect = acc.Path[0]
+		}
+	}
+	n.observe(accepted)
+	n.actOnEvidence(ev, acc)
 	n.forwardEvidence(ev)
 }

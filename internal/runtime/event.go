@@ -46,11 +46,14 @@ type Event struct {
 	// Evidence is the accepted evidence (in process only); EvidenceKind,
 	// Accused and Reporter are its scalars. Accused is also the host of
 	// the producer an expired watchdog waited for, and the signer of a
-	// rejected record.
+	// rejected record. A path accusation accuses no node (Accused -1):
+	// Suspect is its path's first node, the host of the producer whose
+	// record went missing or was outvoted.
 	Evidence     evidence.Evidence `json:"-"`
 	EvidenceKind evidence.Kind     `json:"evidence,omitempty"`
 	Accused      network.NodeID    `json:"accused,omitempty"`
 	Reporter     network.NodeID    `json:"reporter,omitempty"`
+	Suspect      network.NodeID    `json:"suspect,omitempty"`
 
 	Task   flow.TaskID `json:"task,omitempty"`   // watchdog, rejected record
 	Period uint64      `json:"period,omitempty"` // watchdog, rejected record
@@ -75,7 +78,11 @@ func (e Event) String() string {
 	head := fmt.Sprintf("%10v node %d %s", e.At, e.Node, e.Kind)
 	switch e.Kind {
 	case EvidenceAccepted:
-		return fmt.Sprintf("%s %s accused=%d reporter=%d", head, e.EvidenceKind, e.Accused, e.Reporter)
+		head = fmt.Sprintf("%s %s accused=%d reporter=%d", head, e.EvidenceKind, e.Accused, e.Reporter)
+		if e.EvidenceKind == evidence.KindPathAccusation {
+			head = fmt.Sprintf("%s suspect=%d", head, e.Suspect)
+		}
+		return head
 	case ModeSwitch:
 		return fmt.Sprintf("%s %q -> %q", head, e.From, e.To)
 	case EpochProposed:

@@ -19,6 +19,8 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		{Kind: EvidenceAccepted, Node: 2, At: 75*ms + 1, EvidenceKind: evidence.KindWrongOutput, Accused: 0, Reporter: 2,
 			Evidence: evidence.Evidence{Kind: evidence.KindWrongOutput, Reporter: 2}},
 		{Kind: EvidenceAccepted, Node: 4, At: 300 * ms, EvidenceKind: evidence.KindOverBudget, Accused: -1, Reporter: 3},
+		{Kind: EvidenceAccepted, Node: 1, At: 90 * ms, EvidenceKind: evidence.KindPathAccusation, Accused: -1, Reporter: 1, Suspect: 4},
+		{Kind: EvidenceAccepted, Node: 2, At: 91 * ms, EvidenceKind: evidence.KindPathAccusation, Accused: -1, Reporter: 2, Suspect: 0},
 		{Kind: ModeSwitch, Node: 3, At: 99999, From: "", To: "{1}"},
 		{Kind: EpochProposed, Node: -1, At: 75 * ms, Epoch: 1},
 		{Kind: EpochAck, Node: 5, At: 75 * ms, Epoch: 1, Acks: 3},
@@ -52,6 +54,9 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		}
 		if got.String() != ev.String() {
 			t.Errorf("%v: round trip changed the event:\n%s\n%s\nvia %s", ev.Kind, ev.String(), got.String(), line)
+		}
+		if got.Suspect != ev.Suspect {
+			t.Errorf("%v: suspect %d came back as %d via %s", ev.Kind, ev.Suspect, got.Suspect, line)
 		}
 	}
 	for _, k := range []EventKind{EvidenceAccepted, ModeSwitch, EpochProposed, EpochAck, EpochCommitted,

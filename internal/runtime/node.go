@@ -16,10 +16,11 @@ import (
 )
 
 // arrival is one received (or locally produced) record with provenance.
+// Its envelope and attachment list alias the record's data frame.
 type arrival struct {
 	env  sig.Envelope
 	rec  evidence.Record
-	atts []sig.Envelope
+	atts evidence.EnvelopeList
 	at   sim.Time
 	// audited is set once re-execution confirmed the record is
 	// self-consistent (or the producer is a source, where consistency
@@ -103,12 +104,15 @@ type Node struct {
 	// and slotLists the rest of the one inbox slot lists are carved from.
 	arrivals  []arrival
 	slotLists []*arrival
-	// Scratch for the receive path, reused call after call: the arrival
-	// audit's decoded attachments and recomputed value, and the records
-	// a task computes from (see take and putBack).
+	// Scratch reused call after call: the arrival audit's decoded
+	// attachments and recomputed value, and a task's chosen input records
+	// and envelopes (see take and putBack) and computed value, which
+	// sealFrame copies into the frame.
 	auditInputs []evidence.Record
 	auditWant   [64]byte
 	chosenRecs  []evidence.Record
+	chosenAtts  []sig.Envelope
+	value       [64]byte
 	// firstRecord tracks the first record content per (producer replica,
 	// period) for equivocation detection.
 	firstRecord map[producerPeriod]sig.Envelope
@@ -297,10 +301,10 @@ func (n *Node) watchedEdges(cur *plan.Plan) []watchedEdge {
 // chosenInputs picks, for each logical input of task, the record the task
 // will compute with: the first *audited-consistent* arrival, with majority
 // vote among source replicas (sources cannot be audited). It appends the
-// chosen records to recs and returns them with their envelopes in
-// logical-input order, or false if some logical input has no usable
-// record (omission upstream).
-func (n *Node) chosenInputs(recs []evidence.Record, cur *plan.Plan, p uint64, task flow.TaskID) ([]evidence.Record, []sig.Envelope, bool) {
+// chosen records to recs and their envelopes to atts, in logical-input
+// order, or returns false if some logical input has no usable record
+// (omission upstream).
+func (n *Node) chosenInputs(recs []evidence.Record, atts []sig.Envelope, cur *plan.Plan, p uint64, task flow.TaskID) ([]evidence.Record, []sig.Envelope, bool) {
 	var buf [8]flow.TaskID
 	logicals := buf[:0]
 	for _, e := range cur.Aug.Inputs(task) {
@@ -311,7 +315,6 @@ func (n *Node) chosenInputs(recs []evidence.Record, cur *plan.Plan, p uint64, ta
 	}
 	slices.Sort(logicals)
 	perSlot := n.inbox[p]
-	atts := make([]sig.Envelope, 0, len(logicals))
 	for _, logical := range logicals {
 		arr := perSlot[slotKey{task, logical}]
 		var pick *arrival
@@ -331,7 +334,7 @@ func (n *Node) chosenInputs(recs []evidence.Record, cur *plan.Plan, p uint64, ta
 			}
 		}
 		if pick == nil {
-			return recs, nil, false
+			return recs, atts, false
 		}
 		recs = append(recs, pick.rec)
 		atts = append(atts, pick.env)
@@ -380,8 +383,10 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 		return
 	}
 
+	// value and atts are the node's scratch: sealFrame copies both.
 	var value []byte
-	var atts []sig.Envelope // the chosen inputs' envelopes
+	atts := take(&n.chosenAtts)
+	defer func() { putBack(&n.chosenAtts, atts) }()
 	switch {
 	case isChecker:
 		// The per-arrival audit has already re-executed each sink
@@ -390,13 +395,13 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 		// time; silent sink replicas are the arrival watchdogs' to catch.
 		return
 	case lt.Source:
-		value = n.cfg.Source(logical, p)
+		value = n.cfg.Source(n.value[:0], logical, p)
 	default:
 		var recs []evidence.Record
 		var usable bool
-		recs, atts, usable = n.chosenInputs(take(&n.chosenRecs), cur, p, task)
+		recs, atts, usable = n.chosenInputs(take(&n.chosenRecs), atts, cur, p, task)
 		if usable {
-			value = n.cfg.Compute(nil, logical, p, recs)
+			value = n.cfg.Compute(n.value[:0], logical, p, recs)
 		}
 		putBack(&n.chosenRecs, recs)
 		if !usable {
@@ -405,35 +410,29 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 	}
 
 	// Build the signed record committing to the chosen inputs.
-	slotEnd := n.slotEnd(cur, task)
 	rec := evidence.Record{
 		Producer: task, Logical: logical, Node: n.id,
-		Period: p, SendOff: slotEnd, Value: value,
+		Period: p, SendOff: cur.Table.Finish(task), Value: value,
 		InputsDigest: evidence.DigestEnvelopes(atts),
 	}
 
 	// Actuate if this replica implements a logical sink.
 	if lt != nil && lt.Sink {
-		n.actuate(cur, p, logical, rec, atts)
+		n.actuate(p, logical, rec)
 	}
 
 	// Emit one message per output edge. The record is sealed, encoded and
 	// framed once and that one payload goes out on every edge: ed25519 is
 	// deterministic, so it is byte-identical to sealing per edge.
-	var once sealed
+	var frame []byte
 	for _, e := range cur.Aug.Outputs(task) {
-		n.emit(cur, rec, atts, e, &once)
+		n.emit(cur, rec, atts, e, &frame)
 	}
-}
-
-// slotEnd looks up the task's planned completion offset.
-func (n *Node) slotEnd(cur *plan.Plan, task flow.TaskID) sim.Time {
-	return cur.Table.Finish(task)
 }
 
 // actuate delivers the sink command to the physical world (unless the
 // adversary suppresses it).
-func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec evidence.Record, atts []sig.Envelope) {
+func (n *Node) actuate(p uint64, logical flow.TaskID, rec evidence.Record) {
 	if b := n.behavior; b != nil {
 		if b.SkipActuation {
 			return
@@ -445,10 +444,11 @@ func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec eviden
 			}
 			rec = mutated
 			if delay > 0 {
-				at := n.cfg.Kernel.Now() + delay
+				// The value may be scratch the next task overwrites.
+				at, value := n.cfg.Kernel.Now()+delay, bytes.Clone(rec.Value)
 				n.cfg.Kernel.After(delay, func() {
 					if n.cfg.OnActuation != nil {
-						n.cfg.OnActuation(n.id, logical, p, rec.Value, at)
+						n.cfg.OnActuation(n.id, logical, p, value, at)
 					}
 				})
 				return
@@ -460,19 +460,12 @@ func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec eviden
 	}
 }
 
-// sealed is one signed record and the data frame it lies in, built on
-// first use (sealFrame).
-type sealed struct {
-	env     sig.Envelope
-	payload []byte
-}
-
 // emit sends one record instance along edge e, applying the adversary's
-// output hook if installed. An unchanged record goes out as shared's seal
-// and payload; a record the hook changed is sealed for this edge alone.
-func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, e flow.Edge, shared *sealed) {
-	s := shared
-	var own sealed
+// output hook if installed. An unchanged record goes out in the shared
+// frame, sealed on first use; a record the hook changed is sealed for
+// this edge alone.
+func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, e flow.Edge, shared *[]byte) {
+	frame, own := shared, []byte(nil)
 	var extraDelay sim.Time
 	if b := n.behavior; b != nil && b.OnOutput != nil {
 		mutated, delay, send := b.OnOutput(rec, e.To)
@@ -484,26 +477,26 @@ func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, e 
 			// The adversary mutates the record but keeps the committed
 			// attachments (a mismatched digest would be a bad-input proof
 			// instead).
-			rec, s = mutated, &own
+			rec, frame = mutated, &own
 		}
 	}
-	if s.payload == nil {
-		s.env, s.payload = sealFrame(n.cfg.Registry, n.id, rec, atts)
+	if *frame == nil {
+		*frame = sealFrame(n.cfg.Registry, n.id, rec, atts)
 	}
-	dst := cur.Assign[e.To]
-	env, payload := s.env, s.payload
+	dst, payload := cur.Assign[e.To], *frame
 	if extraDelay > 0 {
-		n.cfg.Kernel.After(extraDelay, func() { n.deliver(dst, env, atts, payload) })
+		n.cfg.Kernel.After(extraDelay, func() { n.deliver(dst, payload) })
 		return
 	}
-	n.deliver(dst, env, atts, payload)
+	n.deliver(dst, payload)
 }
 
-// deliver hands a sealed record to the consumer's node: directly when it
-// is this node, as a foreground message otherwise.
-func (n *Node) deliver(dst network.NodeID, env sig.Envelope, atts []sig.Envelope, payload []byte) {
+// deliver hands a sealed data frame to the consumer's node: directly
+// when it is this node, which reads it as it reads a received one, and
+// as a foreground message otherwise.
+func (n *Node) deliver(dst network.NodeID, payload []byte) {
 	if dst == n.id {
-		n.acceptRecord(env, atts, nil)
+		n.acceptRecord(payload)
 		return
 	}
 	n.cfg.Net.Send(n.id, dst, network.ClassForeground, payload)
@@ -519,11 +512,7 @@ func (n *Node) onMessage(m *network.Message) {
 	}
 	switch m.Payload[0] {
 	case msgData:
-		env, atts, err := parseDataPayload(m.Payload)
-		if err != nil {
-			return // malformed frame: MAC-level noise, drop
-		}
-		n.acceptRecord(env, atts, m)
+		n.acceptRecord(m.Payload)
 	case msgEvidence:
 		n.onEvidenceMessage(m)
 	case msgMember:
@@ -588,9 +577,14 @@ func replicasFeeding(cur *plan.Plan, consumer, logical flow.TaskID) int {
 	return c
 }
 
-// acceptRecord ingests a dataflow record (remote or local handoff),
-// running the detector checks.
-func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Message) {
+// acceptRecord ingests a data frame (remote or local handoff), running
+// the detector checks. The frame is parsed in place, and the arrival
+// keeps the frame alive through its envelope.
+func (n *Node) acceptRecord(payload []byte) {
+	env, atts, err := parseDataPayload(payload)
+	if err != nil {
+		return // malformed frame: MAC-level noise, drop
+	}
 	if !n.cfg.Registry.Check(env) {
 		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "bad signature"})
 		return // unsigned garbage: drop
@@ -599,8 +593,8 @@ func (n *Node) acceptRecord(env sig.Envelope, atts []sig.Envelope, m *network.Me
 		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "convicted signer"})
 		return // isolate convicted nodes: their records are ignored
 	}
-	// The record is kept no longer than env, whose body every caller
-	// owns: parse it in place.
+	// The record is kept no longer than env, whose frame is read-only:
+	// parse it in place.
 	rec, err := evidence.ParseRecord(env.Body)
 	if err != nil || rec.Node != env.Signer {
 		n.observe(Event{Kind: RecordRejected, Accused: env.Signer, Reason: "malformed record"})

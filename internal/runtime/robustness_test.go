@@ -36,7 +36,7 @@ func lossyHarness(t *testing.T, seed uint64, lossProb float64) *harness {
 				per = map[uint64][][]byte{}
 				h.actuations[sink] = per
 			}
-			per[period] = append(per[period], value)
+			per[period] = append(per[period], bytes.Clone(value)) // value is the node's scratch
 		},
 		Observer: h.observe,
 	})
@@ -100,7 +100,7 @@ func TestDualBusOmissionAttribution(t *testing.T) {
 				per = map[uint64][][]byte{}
 				h.actuations[sink] = per
 			}
-			per[period] = append(per[period], value)
+			per[period] = append(per[period], bytes.Clone(value)) // value is the node's scratch
 		},
 	})
 	victim := h.nodeOf("c1#0")

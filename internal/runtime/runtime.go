@@ -27,19 +27,24 @@ import (
 // TaskFunc computes a non-source task's output value from its chosen
 // inputs, appends it to dst and returns the extended slice. It must be
 // deterministic: detection relies on re-execution. It must not retain
-// dst or inputs past the call: the arrival audit passes a per-node
-// scratch dst it reuses for the next audit, and inputs alias received
-// payloads. A value the runtime keeps is computed into a nil dst.
+// dst or inputs past the call: the runtime computes into per-node
+// scratch it reuses for the next task or audit (a task's own value is
+// copied into its sealed frame, an audit's is only compared), and inputs
+// alias received payloads.
 type TaskFunc func(dst []byte, task flow.TaskID, period uint64, inputs []evidence.Record) []byte
 
-// SourceFunc samples the environment for a source task. All replicas of a
-// source observe the same value for the same period (sample-and-hold at
-// the period boundary, standard in digital control).
-type SourceFunc func(task flow.TaskID, period uint64) []byte
+// SourceFunc samples the environment for a source task, appends the
+// sample to dst and returns the extended slice; like a TaskFunc it must
+// not retain dst. All replicas of a source observe the same value for
+// the same period (sample-and-hold at the period boundary, standard in
+// digital control).
+type SourceFunc func(dst []byte, task flow.TaskID, period uint64) []byte
 
 // ActuationFunc observes a sink replica delivering its command to the
 // physical world. The monitor (and any physical plant) subscribes here;
 // BTR semantics: the plant acts on the first command per (sink, period).
+// value is the node's scratch, valid only during the call: an observer
+// that keeps it keeps a copy.
 type ActuationFunc func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time)
 
 // PlanSource resolves the plan to activate for a fault set. When set on
@@ -103,7 +108,7 @@ type Config struct {
 	Planner PlanSource
 
 	Compute TaskFunc   // default: evidence.AppendHashCompute
-	Source  SourceFunc // default: evidence.SourceValue
+	Source  SourceFunc // default: evidence.AppendSourceValue
 
 	OnActuation ActuationFunc
 	// Observer, if set, receives every Event: accepted evidence, mode
@@ -145,7 +150,7 @@ func New(cfg Config) *System {
 		cfg.Compute = evidence.AppendHashCompute
 	}
 	if cfg.Source == nil {
-		cfg.Source = evidence.SourceValue
+		cfg.Source = evidence.AppendSourceValue
 	}
 	if cfg.EvidenceRateLimit == 0 {
 		cfg.EvidenceRateLimit = 16
@@ -256,34 +261,34 @@ const (
 
 // sealFrame signs rec as signer and frames it with its attachments in
 // one exact-size allocation: kind byte, envelope length, record envelope
-// (encoded and sealed in place, so the returned envelope aliases the
-// frame), attached input envelopes.
-func sealFrame(reg *sig.Registry, signer network.NodeID, rec evidence.Record, atts []sig.Envelope) (sig.Envelope, []byte) {
+// (encoded and sealed in place), attached input envelopes.
+func sealFrame(reg *sig.Registry, signer network.NodeID, rec evidence.Record, atts []sig.Envelope) []byte {
 	n := rec.EncodedSize()
 	frame := make([]byte, 0, 1+4+sig.EnvelopeSize(n)+evidence.EnvelopesSize(atts))
 	frame = binary.LittleEndian.AppendUint32(append(frame, msgData), uint32(sig.EnvelopeSize(n)))
-	env, frame := reg.SignAppended(rec.AppendTo(sig.AppendEnvelopeHeader(frame, signer, n)), 5)
-	return env, evidence.AppendEnvelopes(frame, atts)
+	_, frame = reg.SignAppended(rec.AppendTo(sig.AppendEnvelopeHeader(frame, signer, n)), 5)
+	return evidence.AppendEnvelopes(frame, atts)
 }
 
 // parseDataPayload reverses sealFrame. It parses in place: the record
-// envelope and every attachment alias b, which no one may modify once
-// sent (network.Transport.Send), so a received record costs no copy.
-func parseDataPayload(b []byte) (sig.Envelope, []sig.Envelope, error) {
+// envelope and the attachment list view alias b, which no one may modify
+// once sent (network.Transport.Send), so a received record costs no copy
+// and no allocation.
+func parseDataPayload(b []byte) (sig.Envelope, evidence.EnvelopeList, error) {
 	if len(b) < 5 || b[0] != msgData {
-		return sig.Envelope{}, nil, fmt.Errorf("runtime: bad data frame")
+		return sig.Envelope{}, evidence.EnvelopeList{}, fmt.Errorf("runtime: bad data frame")
 	}
 	n := int(b[1]) | int(b[2])<<8 | int(b[3])<<16 | int(b[4])<<24
 	if n < 0 || len(b) < 5+n {
-		return sig.Envelope{}, nil, fmt.Errorf("runtime: truncated data frame")
+		return sig.Envelope{}, evidence.EnvelopeList{}, fmt.Errorf("runtime: truncated data frame")
 	}
 	env, err := sig.ParseEnvelope(b[5 : 5+n])
 	if err != nil {
-		return sig.Envelope{}, nil, err
+		return sig.Envelope{}, evidence.EnvelopeList{}, err
 	}
-	atts, err := evidence.ParseEnvelopes(b[5+n:])
+	atts, err := evidence.ParseEnvelopeList(b[5+n:])
 	if err != nil {
-		return sig.Envelope{}, nil, err
+		return sig.Envelope{}, evidence.EnvelopeList{}, err
 	}
 	return env, atts, nil
 }

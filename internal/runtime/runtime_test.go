@@ -79,7 +79,7 @@ func newHarnessOn(t *testing.T, g *flow.Graph, nodes, f int, seed uint64, wrap f
 				per = map[uint64][][]byte{}
 				h.actuations[sink] = per
 			}
-			per[period] = append(per[period], value)
+			per[period] = append(per[period], bytes.Clone(value)) // value is the node's scratch
 		},
 		Observer: h.observe,
 	})
@@ -145,12 +145,16 @@ func TestCrashFaultConvictsAndSwitches(t *testing.T) {
 	})
 	h.run(30)
 
-	// Path accusations must exist, and the victim must be convicted on
+	// Path accusations must exist, each naming the victim as its
+	// suspect in the event stream, and the victim must be convicted on
 	// every correct node.
 	sawAccusation := false
-	for _, ev := range h.evidences {
-		if ev.Kind == evidence.KindPathAccusation {
+	for _, ev := range h.events {
+		if ev.Kind == EvidenceAccepted && ev.EvidenceKind == evidence.KindPathAccusation {
 			sawAccusation = true
+			if ev.Accused != -1 || ev.Suspect != victim {
+				t.Fatalf("path accusation event %v: want accused=-1 suspect=%d", ev, victim)
+			}
 		}
 	}
 	if !sawAccusation {

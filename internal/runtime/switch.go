@@ -20,8 +20,9 @@ import (
 // produce incorrect outputs for a limited time, some brief confusion may
 // even be acceptable.")
 
-// actOnEvidence updates the fault set from validated evidence.
-func (n *Node) actOnEvidence(ev evidence.Evidence) {
+// actOnEvidence updates the fault set from validated evidence; acc is a
+// path accusation's decoded body.
+func (n *Node) actOnEvidence(ev evidence.Evidence, acc evidence.Accusation) {
 	if ev.Kind == evidence.KindOverBudget || ev.Kind == evidence.KindReconciled {
 		// Budget verdicts convict no one: they exist so degradation is a
 		// signed, flooded fact instead of a silent condition. Observers
@@ -32,12 +33,9 @@ func (n *Node) actOnEvidence(ev evidence.Evidence) {
 		n.addFault(ev.Accused, ev.DetectedAt)
 		return
 	}
-	// Path accusation: aggregate; convictions come from the attributor,
-	// which reads the path from a stack buffer.
-	var path [16]network.NodeID
-	acc, err := evidence.DecodeAccusation(ev.Primary.Body, path[:0])
-	if err != nil {
-		return // validated evidence always decodes; defensive
+	// Path accusation: aggregate; convictions come from the attributor.
+	if len(acc.Path) == 0 {
+		return // validated evidence always decodes to a path; defensive
 	}
 	for _, convicted := range n.attributor.Add(acc.Path, acc.Reporter) {
 		if convicted == n.id {

@@ -16,7 +16,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"btr/internal/flow"
 	"btr/internal/network"
@@ -119,47 +118,74 @@ func (s *intervalSet) reserve(task flow.TaskID, start, end sim.Time) {
 	s.iv[i] = Slot{Task: task, Start: start, End: end}
 }
 
-// emptied returns s resized to n empty sets, keeping every set's
-// reserved storage.
-func emptied(s []intervalSet, n int) []intervalSet {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]intervalSet, n-cap(s))...)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i].iv = s[i].iv[:0]
-	}
-	return s
+// Scratch is Build's per-call bookkeeping. Nothing in it outlives the
+// call, so a caller that builds many tables (in a campaign, one per
+// planned fault set) keeps one Scratch for all of them. A Scratch serves
+// one Build at a time; its zero value is ready to use.
+type Scratch struct {
+	// sets holds each node's CPU set, then each directed link's set at
+	// N + from*N + to, carved from slots at the size fill counts.
+	sets  []intervalSet
+	fill  []int
+	slots []Slot
+	ready []sim.Time // by task Index: its latest input arrival
 }
 
-// buildScratch is Build's per-call bookkeeping. Nothing in it outlives
-// the call, so it is pooled and emptied instead of rebuilt: in a
-// campaign Build runs once per planned fault set.
-type buildScratch struct {
-	cpus  []intervalSet // by node
-	links []intervalSet // by directed link from*N + to
-	ready []sim.Time    // by task Index: its latest input arrival
+// size empties sc for a build and carves each set, capacity-capped, from
+// one array at the count of intervals the build reserves in it.
+func (sc *Scratch) size(g *flow.Graph, order []flow.TaskID, assign map[flow.TaskID]network.NodeID, topo *network.Topology) {
+	n := topo.N + topo.N*topo.N
+	if cap(sc.sets) < n {
+		sc.sets, sc.fill = make([]intervalSet, n), make([]int, n)
+	}
+	sc.sets, sc.fill = sc.sets[:n], sc.fill[:n]
+	clear(sc.fill)
+	total := 0
+	for _, id := range order {
+		node := assign[id] // an unassigned task fails the build: any count does
+		sc.fill[node]++
+		total++
+		for _, k := range g.OutputsAt(g.Index(id)) {
+			path, _ := topo.Path(node, assign[g.Edges[k].To])
+			for h := 0; h+1 < len(path); h++ {
+				sc.fill[topo.N+int(path[h])*topo.N+int(path[h+1])]++
+				total++
+			}
+		}
+	}
+	if cap(sc.slots) < total {
+		sc.slots = make([]Slot, total)
+	}
+	off := 0
+	for i, c := range sc.fill {
+		sc.sets[i].iv = sc.slots[off : off : off+c]
+		off += c
+	}
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
-// Build constructs the static table. It returns *UnschedulableError when
-// any task cannot complete within the period or a route is missing.
-func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.Topology, p Params) (*Table, error) {
+// Build constructs the static table, using sc as its scratch (nil: a
+// fresh one). It returns *UnschedulableError when any task cannot
+// complete within the period or a route is missing.
+func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.Topology, p Params, sc *Scratch) (*Table, error) {
 	if p.Speed <= 0 {
 		panic("sched: non-positive speed")
 	}
 	order := g.TopoOrder()
+	// One array holds the slot of each task by Index, then all nodes'
+	// slots in node order.
+	n := len(order)
+	slots := make([]Slot, 2*n)
 	t := &Table{
 		Period: g.Period,
 		Slots:  make([][]Slot, topo.N),
 		Msgs:   make([]MsgWindow, len(g.Edges)),
 		g:      g,
-		tasks:  make([]Slot, len(g.Tasks)),
+		tasks:  slots[:n:n],
 	}
-	sc := scratchPool.Get().(*buildScratch)
-	defer scratchPool.Put(sc)
-	sc.cpus, sc.links = emptied(sc.cpus, topo.N), emptied(sc.links, topo.N*topo.N)
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.size(g, order, assign, topo)
 	if cap(sc.ready) < len(order) {
 		sc.ready = make([]sim.Time, len(order))
 	}
@@ -186,7 +212,7 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 		}
 		// Ready when all inputs have arrived: every producer came earlier
 		// in order and raised ready[i] to its window's Arrive.
-		cpu := &sc.cpus[node]
+		cpu := &sc.sets[node]
 		start := cpu.earliestGap(ready[i], exec)
 		end := start + exec
 		if end > g.Period {
@@ -217,7 +243,7 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 					link, _ := topo.LinkBetween(a, b)
 					cap := network.ClassCapacity(link.Bandwidth, p.EvidenceShare, network.ClassForeground)
 					tx := network.TxTime(e.Bytes, cap)
-					ls := &sc.links[int(a)*topo.N+int(b)]
+					ls := &sc.sets[topo.N+int(a)*topo.N+int(b)]
 					txStart := ls.earliestGap(at, tx)
 					ls.reserve(id, txStart, txStart+tx)
 					if depart < 0 {
@@ -237,13 +263,12 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 			}
 		}
 	}
-	// The CPU sets are scratch; the table gets its own copy of them, all
-	// nodes' slots in one backing array.
-	all := make([]Slot, 0, len(order))
-	for n, cpu := range sc.cpus {
+	// The CPU sets are scratch; the table gets its own copy of them.
+	all := slots[n:n]
+	for node, cpu := range sc.sets[:topo.N] {
 		from := len(all)
 		all = append(all, cpu.iv...)
-		t.Slots[n] = all[from:len(all):len(all)]
+		t.Slots[node] = all[from:len(all):len(all)]
 	}
 	return t, nil
 }
