@@ -82,10 +82,11 @@ docs-check:
 
 # One-iteration benchmark smoke: the kernel-throughput and watchdog
 # benchmarks, the verify/seal memo pairs, the evidence-flood
-# encode-once/legacy pair, the wire batch-frame codec, and the transport
-# coalescing/shedding paths.
+# encode-once/legacy pair, the wire batch-frame codec, the transport
+# coalescing/shedding paths, and one quorum register op against four
+# loopback replicas.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/sim ./internal/sig ./internal/evidence ./internal/network ./internal/wire
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/sim ./internal/sig ./internal/evidence ./internal/network ./internal/wire ./internal/client
 
 # The campaign verdict bundle (BENCH_campaign.json, BENCH_SCHEMA.md):
 # TestEmitCampaignBench runs the full families, writes the bundle, and

@@ -24,6 +24,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -84,16 +85,20 @@ type Config struct {
 }
 
 // Client is one register client: a view, one lazily-dialed connection
-// per replica, and a quorum engine. Safe for concurrent use; ops from
-// one Client to one replica serialize on that replica's connection.
+// and one sender goroutine per replica, and a quorum engine. Safe for
+// concurrent use; ops from one Client to one replica serialize on that
+// replica's sender.
 type Client struct {
 	cfg     Config
 	resolve Resolver
 
-	mu     sync.Mutex
-	view   View
-	conns  map[uint32]*replicaConn
-	closed bool
+	mu      sync.Mutex
+	view    View
+	members []uint32 // view.Members(), sorted once per view
+	conns   map[uint32]*replicaConn
+	senders map[uint32]chan job
+	closed  bool
+	running sync.WaitGroup // one per sender goroutine
 
 	opid atomic.Uint64
 
@@ -144,7 +149,9 @@ func New(cfg Config) (*Client, error) {
 		cfg:     cfg,
 		resolve: cfg.Resolve,
 		view:    cfg.View,
+		members: cfg.View.Members(),
 		conns:   map[uint32]*replicaConn{},
+		senders: map[uint32]chan job{},
 	}, nil
 }
 
@@ -165,17 +172,31 @@ func (c *Client) View() View {
 	return c.view
 }
 
-// Close tears down every replica connection and refuses new dials.
-// In-flight ops fail.
+// current returns the client's view and its sorted member list, which
+// is shared and never written.
+func (c *Client) current() (View, []uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.view, c.members
+}
+
+// Close tears down every replica connection, stops the senders and
+// refuses new dials; it returns once every sender has exited. In-flight
+// ops fail.
 func (c *Client) Close() {
 	c.mu.Lock()
 	conns := c.conns
 	c.conns = map[uint32]*replicaConn{}
+	for m, jobs := range c.senders {
+		close(jobs)
+		delete(c.senders, m)
+	}
 	c.closed = true
 	c.mu.Unlock()
 	for _, rc := range conns {
 		rc.close()
 	}
+	c.running.Wait()
 }
 
 // Read performs a quorum read of key: query n−f replicas, adopt the
@@ -189,11 +210,14 @@ func (c *Client) Read(key string) ([]byte, error) {
 	}
 	deadline := time.Now().Add(c.cfg.OpTimeout)
 	opid := c.opid.Add(1)
+	k := []byte(key)
+	r := newRound()
+	var buf [maxAcks]ack
 	for attempt := 0; ; attempt++ {
-		view := c.View()
-		acks, stale := c.broadcast(view, wire.QRequest{
-			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: []byte(key),
-		}, deadline)
+		view, members := c.current()
+		acks, stale := c.broadcast(view, members, wire.QRequest{
+			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: k,
+		}, true, r, buf[:0], deadline)
 		if len(acks) >= view.Quorum() {
 			best := acks[0]
 			for _, a := range acks[1:] {
@@ -201,7 +225,7 @@ func (c *Client) Read(key string) ([]byte, error) {
 					best = a
 				}
 			}
-			c.repair(view, key, best, acks, deadline)
+			c.repair(view, k, best, acks, deadline)
 			return best.resp.Value, nil
 		}
 		if err := c.retryGate(stale, attempt, deadline); err != nil {
@@ -213,7 +237,9 @@ func (c *Client) Read(key string) ([]byte, error) {
 // Write performs a quorum write of key: query n−f replicas for the
 // largest tag, then store value under (maxts+1, writer) at n−f
 // replicas. A retry — backoff or stale-view — resubmits the SAME tag,
-// which last-writer-wins makes idempotent.
+// which last-writer-wins makes idempotent. Write returns at a quorum,
+// while a laggard replica's request may still be encoding value, so the
+// caller must not modify value afterwards.
 func (c *Client) Write(key string, value []byte) error {
 	if len(key) > wire.MaxQKey {
 		return fmt.Errorf("client: key exceeds %d bytes", wire.MaxQKey)
@@ -223,14 +249,18 @@ func (c *Client) Write(key string, value []byte) error {
 	}
 	deadline := time.Now().Add(c.cfg.OpTimeout)
 	opid := c.opid.Add(1)
+	k := []byte(key)
+	r := newRound()
+	var buf [maxAcks]ack
 
-	// Phase 1: learn the largest committed tag from a quorum.
+	// Phase 1: learn the largest committed tag from a quorum. Only the
+	// tags are read, so the replicas' values are not kept.
 	var ts uint64
 	for attempt := 0; ; attempt++ {
-		view := c.View()
-		acks, stale := c.broadcast(view, wire.QRequest{
-			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: []byte(key),
-		}, deadline)
+		view, members := c.current()
+		acks, stale := c.broadcast(view, members, wire.QRequest{
+			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: k,
+		}, false, r, buf[:0], deadline)
 		if len(acks) >= view.Quorum() {
 			var maxTS uint64
 			for _, a := range acks {
@@ -253,11 +283,11 @@ func (c *Client) Write(key string, value []byte) error {
 	// Phase 2: store under the chosen tag. The tag is fixed across
 	// retries — that is the idempotence.
 	for attempt := 0; ; attempt++ {
-		view := c.View()
-		acks, stale := c.broadcast(view, wire.QRequest{
+		view, members := c.current()
+		acks, stale := c.broadcast(view, members, wire.QRequest{
 			Op: wire.QOpSet, OpID: opid, Epoch: view.Epoch,
-			TS: ts, Writer: c.cfg.Writer, Key: []byte(key), Value: value,
-		}, deadline)
+			TS: ts, Writer: c.cfg.Writer, Key: k, Value: value,
+		}, false, r, buf[:0], deadline)
 		if len(acks) >= view.Quorum() {
 			return nil
 		}
@@ -267,51 +297,146 @@ func (c *Client) Write(key string, value []byte) error {
 	}
 }
 
-// ack is one replica's successful answer.
+// ack is one replica's answer to a job: a response or the error that
+// took its place. broadcast returns the OK responses.
 type ack struct {
 	member uint32
 	resp   wire.QResponse
+	err    error
 }
 
-// broadcast sends req to every member of view concurrently and collects
-// OK acks, returning as soon as a quorum is assembled — a stalled or
-// partitioned replica must cost nothing beyond its missing vote, not
-// drag every op's latency to the IO timeout. Laggard goroutines drain
-// into the buffered channel and exit on their own deadlines. Stale-view
-// rejections adopt the newer view immediately (the retry then runs
-// against it); transport errors drop the replica's connection for
-// redial on the next attempt.
-func (c *Client) broadcast(view View, req wire.QRequest, deadline time.Time) (acks []ack, stale bool) {
-	members := view.Members()
-	type result struct {
-		member uint32
-		resp   wire.QResponse
-		err    error
+// maxAcks sizes the ack buffer an op keeps on its stack and the answers
+// its round holds without growing; a view with more members grows them.
+const maxAcks = 8
+
+// senderQueue bounds the requests waiting for one replica's sender. A
+// healthy replica's queue holds about one request per op in flight on
+// the client; a stalled one's fills, and a broadcast whose request does
+// not fit counts that replica as failed at once, so the backlog a stall
+// leaves is bounded and costs no op more than that replica's vote.
+const senderQueue = 64
+
+// job is one request for a replica's sender. Its answer goes to round,
+// tagged with the round's generation when the job was queued; a nil
+// round (read-repair) waits for no answer.
+type job struct {
+	member   uint32
+	addr     string
+	req      wire.QRequest
+	keep     bool
+	deadline time.Time
+	round    *round
+	gen      uint64
+}
+
+// round collects the answers to an op's current broadcast. An op reuses
+// it for each of its broadcasts: retiring one bumps gen, so the answer
+// of a laggard from an earlier broadcast is dropped when it arrives.
+type round struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	gen     uint64
+	results []ack
+	buf     [maxAcks]ack
+}
+
+func newRound() *round {
+	r := &round{}
+	r.cond.L = &r.mu
+	r.results = r.buf[:0]
+	return r
+}
+
+// deliver adds an answer to generation gen, if that is still current.
+func (r *round) deliver(gen uint64, res ack) {
+	r.mu.Lock()
+	if gen == r.gen {
+		r.results = append(r.results, res)
+		r.cond.Signal()
 	}
-	ch := make(chan result, len(members))
+	r.mu.Unlock()
+}
+
+// enqueue hands j to its replica's sender, starting the sender on first
+// use, and reports whether it fit. c.mu must be held.
+func (c *Client) enqueue(j job) bool {
+	if c.closed {
+		return false
+	}
+	jobs, ok := c.senders[j.member]
+	if !ok {
+		jobs = make(chan job, senderQueue)
+		c.senders[j.member] = jobs
+		c.running.Add(1)
+		go c.send(jobs)
+	}
+	select {
+	case jobs <- j:
+		return true
+	default:
+		return false
+	}
+}
+
+// send is a replica's sender: it runs the replica's jobs in order until
+// the client closes its queue. A job whose op is past its deadline is
+// answered with ErrUnavailable without touching the connection.
+func (c *Client) send(jobs <-chan job) {
+	defer c.running.Done()
+	for j := range jobs {
+		res := ack{member: j.member, err: ErrUnavailable}
+		if time.Now().Before(j.deadline) {
+			res.resp, res.err = c.exchange(j.member, j.addr, j.req, j.keep, j.deadline)
+		}
+		if j.round != nil {
+			j.round.deliver(j.gen, res)
+		}
+	}
+}
+
+// broadcast queues req for every member of view (members, sorted) and
+// appends the OK answers to acks, returning as soon as a quorum is
+// assembled — a stalled or partitioned replica must cost nothing beyond
+// its missing vote, not drag every op's latency to the IO timeout. A
+// laggard's sender finishes the job on its own deadline, and the answer
+// is dropped (r has moved on to its next generation). An ack carries
+// the replica's value only when keep is set. Stale-view rejections
+// adopt the newer view immediately (the retry then runs against it);
+// transport errors drop the replica's connection for redial on the
+// next attempt.
+func (c *Client) broadcast(view View, members []uint32, req wire.QRequest, keep bool, r *round, acks []ack, deadline time.Time) (_ []ack, stale bool) {
+	queued := 0
+	c.mu.Lock()
 	for _, m := range members {
-		m := m
-		go func() {
-			resp, err := c.exchange(m, view.Addrs[m], req, deadline)
-			ch <- result{m, resp, err}
-		}()
+		if c.enqueue(job{member: m, addr: view.Addrs[m], req: req, keep: keep, deadline: deadline, round: r, gen: r.gen}) {
+			queued++
+		}
 	}
+	c.mu.Unlock()
 	var staleEpoch uint64
 	var staleMembers []uint32
-	for received := 0; received < len(members) && len(acks) < view.Quorum(); received++ {
-		r := <-ch
-		if r.err != nil {
+	r.mu.Lock()
+	for i := 0; i < queued && len(acks) < view.Quorum(); i++ {
+		for len(r.results) <= i {
+			r.cond.Wait()
+		}
+		res := &r.results[i]
+		if res.err != nil {
 			continue
 		}
-		switch r.resp.Status {
+		switch res.resp.Status {
 		case wire.QStatusOK:
-			acks = append(acks, ack{r.member, r.resp})
+			acks = append(acks, *res)
 		case wire.QStatusStaleView:
-			if r.resp.Epoch > view.Epoch && r.resp.Epoch > staleEpoch {
-				staleEpoch, staleMembers = r.resp.Epoch, r.resp.Members
+			if res.resp.Epoch > view.Epoch && res.resp.Epoch > staleEpoch {
+				staleEpoch, staleMembers = res.resp.Epoch, res.resp.Members
 			}
 		}
 	}
+	r.gen++
+	clear(r.results)
+	r.results = r.results[:0]
+	r.mu.Unlock()
 	if staleEpoch > 0 {
 		stale = c.adoptView(staleEpoch, staleMembers)
 	}
@@ -320,20 +445,26 @@ func (c *Client) broadcast(view View, req wire.QRequest, deadline time.Time) (ac
 
 // repair writes the winning tag back to every queried replica that
 // returned an older one, so the read's result survives the original
-// writer. Best effort: the read already has its quorum.
-func (c *Client) repair(view View, key string, best ack, acks []ack, deadline time.Time) {
-	req := wire.QRequest{
-		Op: wire.QOpSet, OpID: c.opid.Add(1), Epoch: view.Epoch,
-		TS: best.resp.TS, Writer: best.resp.Writer,
-		Key: []byte(key), Value: best.resp.Value,
-	}
+// writer. Best effort: the read already has its quorum. The write-backs
+// outlive Read, whose caller owns best's value from then on, so they
+// send a copy of it.
+func (c *Client) repair(view View, key []byte, best ack, acks []ack, deadline time.Time) {
+	var req wire.QRequest
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, a := range acks {
 		if a.resp.TS == best.resp.TS && a.resp.Writer == best.resp.Writer {
 			continue
 		}
+		if req.Op == 0 {
+			req = wire.QRequest{
+				Op: wire.QOpSet, OpID: c.opid.Add(1), Epoch: view.Epoch,
+				TS: best.resp.TS, Writer: best.resp.Writer,
+				Key: key, Value: bytes.Clone(best.resp.Value),
+			}
+		}
 		c.repairs.Add(1)
-		a := a
-		go func() { _, _ = c.exchange(a.member, view.Addrs[a.member], req, deadline) }()
+		c.enqueue(job{member: a.member, addr: view.Addrs[a.member], req: req, deadline: deadline})
 	}
 }
 
@@ -398,25 +529,34 @@ func (c *Client) adoptView(epoch uint64, members []uint32) bool {
 		return false
 	}
 	c.view = next
-	// Drop connections to replicas that left the membership.
+	c.members = next.Members()
+	// Drop connections to and senders of replicas that left the
+	// membership.
 	for m, rc := range c.conns {
 		if _, ok := next.Addrs[m]; !ok {
 			rc.close()
 			delete(c.conns, m)
 		}
 	}
+	for m, jobs := range c.senders {
+		if _, ok := next.Addrs[m]; !ok {
+			close(jobs)
+			delete(c.senders, m)
+		}
+	}
 	return true
 }
 
 // exchange performs one request/response with one replica, dialing (or
-// redialing) its connection as needed. A transport error closes the
-// connection so the next attempt redials.
-func (c *Client) exchange(member uint32, addr string, req wire.QRequest, deadline time.Time) (wire.QResponse, error) {
+// redialing) its connection as needed; the response carries its value
+// only when keep is set. A transport error closes the connection so the
+// next attempt redials.
+func (c *Client) exchange(member uint32, addr string, req wire.QRequest, keep bool, deadline time.Time) (wire.QResponse, error) {
 	rc, err := c.conn(member, addr, deadline)
 	if err != nil {
 		return wire.QResponse{}, err
 	}
-	resp, err := rc.roundTrip(req, c.cfg.IOTimeout, deadline)
+	resp, err := rc.roundTrip(req, keep, c.cfg.IOTimeout, deadline)
 	if err != nil {
 		c.dropConn(member, rc)
 		return wire.QResponse{}, err
@@ -430,7 +570,11 @@ func (c *Client) conn(member uint32, addr string, deadline time.Time) (*replicaC
 		c.mu.Unlock()
 		return rc, nil
 	}
+	closed := c.closed
 	c.mu.Unlock()
+	if closed {
+		return nil, ErrUnavailable
+	}
 	dialTO := c.cfg.IOTimeout
 	if remain := time.Until(deadline); remain < dialTO {
 		dialTO = remain
@@ -471,16 +615,22 @@ func (c *Client) dropConn(member uint32, rc *replicaConn) {
 
 // replicaConn is one client→replica TCP connection. Requests from this
 // client serialize on it (lockstep request/response), which keeps the
-// framing trivially unambiguous.
+// framing trivially unambiguous. Its request and response frames are
+// built and read in two buffers that live as long as the connection.
 type replicaConn struct {
 	addr string
 	mu   sync.Mutex
 	nc   net.Conn
 	br   *bufio.Reader
-	buf  []byte
+	buf  []byte // request frames
+	in   []byte // response frames, parsed in place
 }
 
-func (rc *replicaConn) roundTrip(req wire.QRequest, ioTimeout time.Duration, deadline time.Time) (wire.QResponse, error) {
+// roundTrip sends req and returns the response to it. The response is
+// parsed out of rc.in, which the next round trip overwrites, so while
+// rc.mu is held the value is copied when keep is set and dropped
+// otherwise; a member list is decoded into a slice of its own.
+func (rc *replicaConn) roundTrip(req wire.QRequest, keep bool, ioTimeout time.Duration, deadline time.Time) (wire.QResponse, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	to := time.Now().Add(ioTimeout)
@@ -499,7 +649,7 @@ func (rc *replicaConn) roundTrip(req wire.QRequest, ioTimeout time.Duration, dea
 		return wire.QResponse{}, err
 	}
 	for {
-		typ, body, err := wire.ReadFrame(rc.br)
+		typ, body, err := wire.ReadFrameInto(rc.br, &rc.in)
 		if err != nil {
 			return wire.QResponse{}, err
 		}
@@ -514,6 +664,11 @@ func (rc *replicaConn) roundTrip(req wire.QRequest, ioTimeout time.Duration, dea
 			// A response to an earlier, abandoned request (IO timeout left
 			// it in flight); skip until ours arrives.
 			continue
+		}
+		if keep {
+			resp.Value = bytes.Clone(resp.Value)
+		} else {
+			resp.Value = nil
 		}
 		return resp, nil
 	}

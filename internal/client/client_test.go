@@ -18,7 +18,7 @@ type cluster struct {
 	view    View
 }
 
-func newCluster(t *testing.T, n, f int) *cluster {
+func newCluster(t testing.TB, n, f int) *cluster {
 	t.Helper()
 	c := &cluster{view: View{Epoch: 0, F: f, Addrs: map[uint32]string{}}}
 	members := make([]uint32, n)

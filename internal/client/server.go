@@ -89,7 +89,10 @@ func (s *Server) acceptLoop() {
 
 // serveConn handles one client connection: lockstep request/response.
 // A malformed frame — the decode-side guards firing — drops the
-// connection; a well-formed request always gets an answer.
+// connection; a well-formed request always gets an answer. Requests are
+// read into one buffer per connection and parsed in place: a request's
+// bytes live until its answer is written, and the store copies the one
+// thing it keeps, a written value.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -99,12 +102,12 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc.Close()
 	}()
 	br := bufio.NewReader(nc)
-	var out []byte
+	var in, out []byte
 	for {
 		// An idle client keeps the connection; only a dead read deadline
 		// protects against half-open sockets holding goroutines forever.
 		nc.SetReadDeadline(time.Now().Add(5 * time.Minute))
-		typ, body, err := wire.ReadFrame(br)
+		typ, body, err := wire.ReadFrameInto(br, &in)
 		if err != nil {
 			return
 		}
@@ -128,8 +131,8 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 func (s *Server) handle(req wire.QRequest) wire.QResponse {
-	epoch, members := s.view.Current()
-	if req.Epoch != epoch {
+	epoch, members, ok := s.view.check(req.Epoch)
+	if !ok {
 		return wire.QResponse{
 			Status: wire.QStatusStaleView, OpID: req.OpID,
 			Epoch: epoch, Members: members,
@@ -137,13 +140,13 @@ func (s *Server) handle(req wire.QRequest) wire.QResponse {
 	}
 	switch req.Op {
 	case wire.QOpGet:
-		ts, writer, value := s.store.Get(string(req.Key))
+		ts, writer, value := s.store.getKey(req.Key)
 		return wire.QResponse{
 			Status: wire.QStatusOK, OpID: req.OpID, Epoch: epoch,
 			TS: ts, Writer: writer, Value: value,
 		}
 	case wire.QOpSet:
-		s.store.Apply(string(req.Key), req.TS, req.Writer, req.Value)
+		s.store.applyKey(req.Key, req.TS, req.Writer, req.Value)
 		return wire.QResponse{
 			Status: wire.QStatusOK, OpID: req.OpID, Epoch: epoch,
 			TS: req.TS, Writer: req.Writer,

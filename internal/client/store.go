@@ -8,9 +8,14 @@ import "sync"
 // holds (a client's resubmit after a stale-view retry) or an older one
 // changes nothing and still acks, which is exactly what makes the
 // client's retry-same-tag loop safe.
+//
+// A stored value is the store's own copy and is never written again, so
+// Get can hand it out after the lock is released; the server looks keys
+// up straight from a request frame's bytes (getKey, applyKey) without
+// converting them to a string.
 type RegisterStore struct {
 	mu   sync.Mutex
-	regs map[string]register
+	regs map[string]*register
 }
 
 type register struct {
@@ -22,7 +27,7 @@ type register struct {
 
 // NewRegisterStore returns an empty store.
 func NewRegisterStore() *RegisterStore {
-	return &RegisterStore{regs: map[string]register{}}
+	return &RegisterStore{regs: map[string]*register{}}
 }
 
 // Get returns the register's current tag and value (zero tag, nil value
@@ -30,8 +35,14 @@ func NewRegisterStore() *RegisterStore {
 func (s *RegisterStore) Get(key string) (ts uint64, writer uint32, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.regs[key]
-	return r.ts, r.writer, r.value
+	return s.regs[key].tag()
+}
+
+// getKey is Get on a key still in its request frame.
+func (s *RegisterStore) getKey(key []byte) (ts uint64, writer uint32, value []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.regs[string(key)].tag()
 }
 
 // Apply stores value under (ts, writer) if that tag is newer than the
@@ -42,13 +53,43 @@ func (s *RegisterStore) Apply(key string, ts uint64, writer uint32, value []byte
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.regs[key]
-	if !tagLess(r.ts, r.writer, ts, writer) {
+	if r == nil && tagLess(0, 0, ts, writer) {
+		r = &register{}
+		s.regs[key] = r
+	}
+	return r.apply(ts, writer, value)
+}
+
+// applyKey is Apply on a key still in its request frame; the key is
+// converted to a string only when it names a new register.
+func (s *RegisterStore) applyKey(key []byte, ts uint64, writer uint32, value []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.regs[string(key)]
+	if r == nil && tagLess(0, 0, ts, writer) {
+		r = &register{}
+		s.regs[string(key)] = r
+	}
+	return r.apply(ts, writer, value)
+}
+
+// tag reads a register; a nil one is the never-written zero register.
+func (r *register) tag() (ts uint64, writer uint32, value []byte) {
+	if r == nil {
+		return 0, 0, nil
+	}
+	return r.ts, r.writer, r.value
+}
+
+// apply installs a copy of value if (ts, writer) is newer than r's tag.
+// A nil r is only ever offered a tag no newer than the zero one.
+func (r *register) apply(ts uint64, writer uint32, value []byte) bool {
+	if r == nil || !tagLess(r.ts, r.writer, ts, writer) {
 		return false
 	}
 	r.ts, r.writer = ts, writer
 	r.value = append([]byte(nil), value...)
 	r.advances++
-	s.regs[key] = r
 	return true
 }
 
@@ -58,7 +99,10 @@ func (s *RegisterStore) Apply(key string, ts uint64, writer uint32, value []byte
 func (s *RegisterStore) Advances(key string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.regs[key].advances
+	if r := s.regs[key]; r != nil {
+		return r.advances
+	}
+	return 0
 }
 
 // Keys returns how many registers the store holds.
@@ -82,11 +126,16 @@ func NewViewState(epoch uint64, members []uint32) *ViewState {
 	return &ViewState{epoch: epoch, members: append([]uint32(nil), members...)}
 }
 
-// Current returns the active epoch and its members.
-func (v *ViewState) Current() (uint64, []uint32) {
+// check compares a request's epoch with the active one. It returns the
+// active epoch, and a copy of its members only when they differ, which
+// is the one case a response carries them.
+func (v *ViewState) check(epoch uint64) (current uint64, members []uint32, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.epoch, append([]uint32(nil), v.members...)
+	if epoch == v.epoch {
+		return v.epoch, nil, true
+	}
+	return v.epoch, append([]uint32(nil), v.members...), false
 }
 
 // Advance installs a newer epoch; older or equal epochs are ignored

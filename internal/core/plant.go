@@ -16,16 +16,18 @@ type taskPeriod struct {
 	period uint64
 }
 
-// actuation is the command a plant accepted for one (sink, period).
+// actuation is the verdict on the command a plant accepted for one
+// (sink, period): whether it equalled the oracle, and when it came.
 type actuation struct {
-	value []byte
-	at    sim.Time
+	correct bool
+	at      sim.Time
 }
 
 // Plant is the correctness judge of Definition 3.1, shared by every
-// deployment mode: it keeps the first actuation command per (sink,
-// period) and, at each period's deadline, judges it against the oracle
-// into the Report's per-sink correctness timelines.
+// deployment mode: it compares the first actuation command per (sink,
+// period) with the oracle as it takes it, keeping the verdict rather than
+// the bytes, and at each period's deadline records that verdict, or a
+// miss, into the Report's per-sink correctness timelines.
 type Plant struct {
 	oracle Oracle
 	first  map[taskPeriod]actuation
@@ -55,24 +57,25 @@ func NewPlant(g *flow.Graph, horizon uint64, rNeeded sim.Time, oracle Oracle) *P
 // whether the plant took it: only the first command per (sink, period)
 // counts, though every offer counts in Report.Actuations. A nil value
 // stands for a command the plant could not read; it still takes the
-// period and is judged wrong.
+// period and is judged wrong. The value is read only during the call.
 func (p *Plant) Actuate(sink flow.TaskID, period uint64, value []byte, at sim.Time) bool {
 	p.rep.Actuations++
 	k := taskPeriod{sink, period}
 	if _, taken := p.first[k]; taken {
 		return false
 	}
-	p.first[k] = actuation{value: bytes.Clone(value), at: at}
+	correct := value != nil && bytes.Equal(value, p.oracle(sink, period))
+	p.first[k] = actuation{correct: correct, at: at}
 	return true
 }
 
 // Judge rules on one (sink, period) at its deadline: the period is missed
 // when no command was taken or the taken one arrived after latest, wrong
-// when it differs from the oracle, and correct otherwise.
+// when it differed from the oracle, and correct otherwise.
 func (p *Plant) Judge(sink flow.TaskID, period uint64, deadline, latest sim.Time) {
 	a, present := p.first[taskPeriod{sink, period}]
 	present = present && a.at <= latest
-	ok := present && a.value != nil && bytes.Equal(a.value, p.oracle(sink, period))
+	ok := present && a.correct
 	if !present {
 		p.rep.MissedPeriods++
 	} else if !ok {

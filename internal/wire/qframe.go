@@ -22,6 +22,13 @@
 //	            the server's current epoch (on QStatusStaleView the
 //	            member list names the current epoch's active slots so a
 //	            stale client can rebuild its view without a directory).
+//
+// The parsers decode in place: a parsed Key or Value aliases the frame
+// body it came from, capacity-capped so an append to one cannot run
+// into the next, and is valid only as long as that body is. A reader
+// that reuses its frame buffer (ReadFrameInto) must copy whatever it
+// keeps past the next read. Only a qresp's member list is decoded into
+// a slice of its own.
 package wire
 
 import (
@@ -113,10 +120,10 @@ func AppendQRequest(dst []byte, q QRequest) ([]byte, error) {
 	return append(dst, q.Value...), nil
 }
 
-// ParseQRequest decodes a qreq frame body. Strict: a body shorter than
-// the fixed header, a klen or vlen exceeding its cap or the remaining
-// body, or trailing bytes after the value are all errors, raised before
-// any allocation sized by a wire field.
+// ParseQRequest decodes a qreq frame body in place: Key and Value alias
+// body. Strict: a body shorter than the fixed header, a klen or vlen
+// exceeding its cap or the remaining body, or trailing bytes after the
+// value are all errors.
 func ParseQRequest(body []byte) (QRequest, error) {
 	if len(body) < qreqHeaderSize {
 		return QRequest{}, ErrTruncated
@@ -133,7 +140,7 @@ func ParseQRequest(body []byte) (QRequest, error) {
 	if klen > MaxQKey || klen > len(body)-off {
 		return QRequest{}, fmt.Errorf("wire: bad qreq key length %d", klen)
 	}
-	q.Key = append([]byte(nil), body[off:off+klen]...)
+	q.Key = field(body, off, klen)
 	off += klen
 	if len(body)-off < 4 {
 		return QRequest{}, ErrTruncated
@@ -143,7 +150,7 @@ func ParseQRequest(body []byte) (QRequest, error) {
 	if vlen > MaxQValue || vlen > len(body)-off {
 		return QRequest{}, fmt.Errorf("wire: bad qreq value length %d", vlen)
 	}
-	q.Value = append([]byte(nil), body[off:off+vlen]...)
+	q.Value = field(body, off, vlen)
 	off += vlen
 	if off != len(body) {
 		return QRequest{}, fmt.Errorf("wire: %d trailing bytes after qreq", len(body)-off)
@@ -179,8 +186,9 @@ func AppendQResponse(dst []byte, q QResponse) ([]byte, error) {
 
 // ParseQResponse decodes a qresp frame body with the same strictness as
 // ParseQRequest: every wire-supplied length is checked against its cap
-// and the remaining body before allocation, and trailing bytes after
-// the member list are an error.
+// and the remaining body, and trailing bytes after the member list are
+// an error. Value aliases body; Members, when the count is not zero, is
+// a slice of its own, allocated only after the count is checked.
 func ParseQResponse(body []byte) (QResponse, error) {
 	if len(body) < qrespHeaderSize {
 		return QResponse{}, ErrTruncated
@@ -197,7 +205,7 @@ func ParseQResponse(body []byte) (QResponse, error) {
 	if vlen > MaxQValue || vlen > len(body)-off {
 		return QResponse{}, fmt.Errorf("wire: bad qresp value length %d", vlen)
 	}
-	q.Value = append([]byte(nil), body[off:off+vlen]...)
+	q.Value = field(body, off, vlen)
 	off += vlen
 	if len(body)-off < 2 {
 		return QResponse{}, ErrTruncated
@@ -218,4 +226,13 @@ func ParseQResponse(body []byte) (QResponse, error) {
 		return QResponse{}, fmt.Errorf("wire: %d trailing bytes after qresp", len(body)-off)
 	}
 	return q, nil
+}
+
+// field returns body[off:off+n] capacity-capped, or nil when n is 0 (an
+// empty field decodes as absent, as an encoder's nil slice does).
+func field(body []byte, off, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return body[off : off+n : off+n]
 }

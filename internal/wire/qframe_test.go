@@ -210,6 +210,7 @@ func FuzzQFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+		checkReadFrameInto(t, data, typ, body, err)
 		if err != nil {
 			return
 		}
@@ -250,4 +251,63 @@ func FuzzQFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestParseQInPlace pins the in-place parsers: no allocation for a
+// request or for an OK response without members, Key and Value aliasing
+// the body, and each capped so that an append to one cannot overwrite
+// the next.
+func TestParseQInPlace(t *testing.T) {
+	reqFrame, err := AppendQRequest(nil, QRequest{Op: QOpSet, OpID: 1, Epoch: 2, TS: 3, Writer: 4,
+		Key: []byte("key"), Value: []byte("value")})
+	if err != nil {
+		t.Fatalf("AppendQRequest: %v", err)
+	}
+	respFrame, err := AppendQResponse(nil, QResponse{Status: QStatusOK, OpID: 1, Epoch: 2, TS: 3, Writer: 4,
+		Value: []byte("value")})
+	if err != nil {
+		t.Fatalf("AppendQResponse: %v", err)
+	}
+	reqBody, respBody := reqFrame[5:], respFrame[5:]
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseQRequest(reqBody); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseQResponse(respBody); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("parsing a qreq and a member-less qresp allocates %.1f objects, want 0", n)
+	}
+
+	q, err := ParseQRequest(reqBody)
+	if err != nil {
+		t.Fatalf("ParseQRequest: %v", err)
+	}
+	keyOff := qreqHeaderSize - 4
+	valOff := keyOff + len("key") + 4
+	if &q.Key[0] != &reqBody[keyOff] || &q.Value[0] != &reqBody[valOff] {
+		t.Fatal("qreq Key or Value does not alias the body")
+	}
+	if cap(q.Key) != len(q.Key) || cap(q.Value) != len(q.Value) {
+		t.Fatalf("qreq fields not capacity-capped: key cap %d, value cap %d", cap(q.Key), cap(q.Value))
+	}
+	pristine := bytes.Clone(reqFrame)
+	if grown := append(q.Key, "XXXXXXXX"...); string(grown) != "keyXXXXXXXX" {
+		t.Fatalf("append to Key = %q", grown)
+	}
+	if !bytes.Equal(reqFrame, pristine) {
+		t.Fatalf("appending to Key overwrote the frame: value %q", q.Value)
+	}
+
+	r, err := ParseQResponse(respBody)
+	if err != nil {
+		t.Fatalf("ParseQResponse: %v", err)
+	}
+	if &r.Value[0] != &respBody[qrespHeaderSize-2] || cap(r.Value) != len(r.Value) {
+		t.Fatal("qresp Value does not alias the body, capacity-capped")
+	}
+	if r.Members != nil {
+		t.Fatalf("member-less qresp decoded Members %v", r.Members)
+	}
 }

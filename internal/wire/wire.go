@@ -234,22 +234,48 @@ func ParseBatch(body []byte) ([]Msg, error) {
 }
 
 // ReadFrame reads one length-prefixed frame from r, returning its type
-// byte and body. A length prefix outside [1, MaxFrame] is rejected
-// before any body allocation.
+// byte and a body the caller owns, exactly as long as the frame. It is
+// ReadFrameInto with no buffer to reuse.
 func ReadFrame(r *bufio.Reader) (typ byte, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto reads one length-prefixed frame from r into *buf,
+// growing it only when the frame exceeds its capacity, and returns the
+// type byte and the body, which aliases *buf and is valid until the
+// next read into it. A nil buf gets a fresh exact-size frame. A length
+// prefix outside [1, MaxFrame] is rejected before any allocation; a
+// stream that ends at a frame boundary is io.EOF, one that ends inside
+// a frame io.ErrUnexpectedEOF (in the length) or a short-frame error
+// wrapping it (in the body).
+func ReadFrameInto(r *bufio.Reader, buf *[]byte) (typ byte, body []byte, err error) {
+	// Peek leaves the prefix in r's buffer, so nothing is allocated for it.
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if len(prefix) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(prefix)
+	_, _ = r.Discard(4) // cannot fail: the 4 bytes are buffered
 	if n < 1 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var frame []byte
+	switch {
+	case buf == nil:
+		frame = make([]byte, n)
+	case cap(*buf) >= int(n):
+		frame = (*buf)[:n]
+	default:
+		frame = make([]byte, n)
+		*buf = frame
+	}
+	if _, err := io.ReadFull(r, frame); err != nil {
 		return 0, nil, fmt.Errorf("wire: short frame: %w", err)
 	}
-	return buf[0], buf[1:], nil
+	return frame[0], frame[1:], nil
 }
 
 // ParseHello decodes a hello frame body, rejecting wrong magic, version,

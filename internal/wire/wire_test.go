@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"testing"
 )
 
@@ -133,6 +135,99 @@ func TestReadFrameShortBody(t *testing.T) {
 	frame = append(frame, TypeMsg, 1, 2) // 7 bytes missing
 	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Fatal("short frame accepted")
+	}
+}
+
+// checkReadFrameInto reads data's first frame through one dirty buffer
+// three times: too small for most inputs, then grown with garbage past
+// any frame in data, then holding the previous read. Each read must
+// return what ReadFrame returned: type, body and error.
+func checkReadFrameInto(t *testing.T, data []byte, typ byte, body []byte, err error) {
+	t.Helper()
+	buf := bytes.Repeat([]byte{0xa5}, len(data)/2)
+	for round := 0; round < 3; round++ {
+		if round == 1 {
+			buf = append(buf[:cap(buf)], bytes.Repeat([]byte{0x5a}, len(data)+16)...)
+		}
+		typ2, body2, err2 := ReadFrameInto(bufio.NewReader(bytes.NewReader(data)), &buf)
+		if typ2 != typ || !bytes.Equal(body2, body) || fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Fatalf("round %d: ReadFrameInto = (%c, %x, %v), ReadFrame = (%c, %x, %v)",
+				round, typ2, body2, err2, typ, body, err)
+		}
+	}
+}
+
+// TestReadFrameIntoReuses pins the buffered reader: no allocation once
+// the buffer holds the largest frame, a short frame read after a long
+// one into the same array, and ReadFrame's errors on every bad input.
+func TestReadFrameIntoReuses(t *testing.T) {
+	long, err := AppendMsg(nil, Msg{Class: 1, Payload: bytes.Repeat([]byte("L"), 300)})
+	if err != nil {
+		t.Fatalf("AppendMsg: %v", err)
+	}
+	short, err := AppendMsg(nil, Msg{Class: 2, Payload: []byte("s")})
+	if err != nil {
+		t.Fatalf("AppendMsg: %v", err)
+	}
+	stream := append(append([]byte(nil), long...), short...)
+	var rd bytes.Reader
+	br := bufio.NewReader(&rd)
+	var buf []byte
+	read := func() (byte, []byte) {
+		typ, body, err := ReadFrameInto(br, &buf)
+		if err != nil {
+			t.Fatalf("ReadFrameInto: %v", err)
+		}
+		return typ, body
+	}
+
+	rd.Reset(stream)
+	br.Reset(&rd)
+	if _, body := read(); !bytes.Equal(body, long[5:]) {
+		t.Fatal("long frame body mismatch")
+	}
+	grown := &buf[0]
+	if _, body := read(); !bytes.Equal(body, short[5:]) || &buf[0] != grown {
+		t.Fatal("short frame after a long one: wrong body or a new buffer")
+	}
+	if _, _, err := ReadFrameInto(br, &buf); err != io.EOF {
+		t.Fatalf("end of stream at a frame boundary: %v, want io.EOF", err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(stream)
+		br.Reset(&rd)
+		read()
+		read()
+	}); n != 0 {
+		t.Fatalf("reading into a large enough buffer allocates %.1f objects, want 0", n)
+	}
+
+	bad := map[string][]byte{
+		"empty stream":     nil,
+		"zero length":      binary.LittleEndian.AppendUint32(nil, 0),
+		"oversize length":  binary.LittleEndian.AppendUint32(nil, MaxFrame+1),
+		"truncated prefix": {7, 0},
+		"truncated body":   long[:len(long)-1],
+	}
+	for name, data := range bad {
+		_, _, want := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+		if want == nil {
+			t.Fatalf("%s: ReadFrame accepted it", name)
+		}
+		rd.Reset(data)
+		br.Reset(&rd)
+		_, _, got := ReadFrameInto(br, &buf)
+		if got == nil || got.Error() != want.Error() ||
+			errors.Is(got, io.EOF) != errors.Is(want, io.EOF) ||
+			errors.Is(got, io.ErrUnexpectedEOF) != errors.Is(want, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: ReadFrameInto error %v, ReadFrame %v", name, got, want)
+		}
+	}
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(long[:len(long)-1]))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated body: %v, want a wrapped io.ErrUnexpectedEOF", err)
+	}
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader([]byte{7, 0}))); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated prefix: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -321,6 +416,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+		checkReadFrameInto(t, data, typ, body, err)
 		if err != nil {
 			return
 		}
