@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"btr/internal/metrics"
+	"btr/internal/plan"
 	"btr/internal/sim"
 )
 
@@ -55,8 +56,12 @@ type T struct {
 	Scenario string // owning scenario ID
 	Name     string // trial name (stable across runs)
 	Index    int    // trial index within the scenario
-	seed     uint64
-	rng      *sim.RNG
+	// Strategies is the run's strategy memo, one per Run and shared by
+	// all its trials: planning a context the run already planned is a
+	// lookup (plan.Memo).
+	Strategies *plan.Memo
+	seed       uint64
+	rng        *sim.RNG
 }
 
 // TrialSeed returns the trial's split seed: a deterministic function of

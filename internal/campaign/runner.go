@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"btr/internal/metrics"
+	"btr/internal/plan"
 )
 
 // Options configures the runner.
@@ -57,6 +58,7 @@ func Run(scenarios []Scenario, opts Options) []ScenarioResult {
 		workers = len(units)
 	}
 
+	memo := plan.NewMemo()
 	var cursor int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -70,7 +72,7 @@ func Run(scenarios []Scenario, opts Options) []ScenarioResult {
 				}
 				u := units[i]
 				sc := scenarios[u.sIdx]
-				tr := runTrial(sc, p, u)
+				tr := runTrial(sc, p, u, memo)
 				slots[u.sIdx][u.tIdx] = tr
 				if opts.OnTrial != nil {
 					opts.OnTrial(sc.ID, tr)
@@ -100,13 +102,14 @@ func Run(scenarios []Scenario, opts Options) []ScenarioResult {
 
 // runTrial executes one trial, converting panics into trial failures so a
 // bad scenario cannot take the campaign (or its worker) down.
-func runTrial(sc Scenario, p Params, u unit) (res TrialResult) {
+func runTrial(sc Scenario, p Params, u unit, memo *plan.Memo) (res TrialResult) {
 	t := &T{
-		Params:   p,
-		Scenario: sc.ID,
-		Name:     u.spec.Name,
-		Index:    u.tIdx,
-		seed:     splitSeed(p.Seed, sc.ID, u.tIdx),
+		Params:     p,
+		Scenario:   sc.ID,
+		Name:       u.spec.Name,
+		Index:      u.tIdx,
+		Strategies: memo,
+		seed:       splitSeed(p.Seed, sc.ID, u.tIdx),
 	}
 	res = TrialResult{Name: u.spec.Name, Index: u.tIdx}
 	start := time.Now()

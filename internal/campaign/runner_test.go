@@ -9,7 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"btr/internal/flow"
 	"btr/internal/metrics"
+	"btr/internal/network"
+	"btr/internal/plan"
+	"btr/internal/sim"
 )
 
 // rngScenario exercises the split-seed path: every trial draws from its
@@ -268,5 +272,48 @@ func TestBundleShape(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("JSON missing %s:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestStrategyMemoIsRunScoped: every trial of one Run sees the same
+// strategy memo and another Run a fresh one, and K trials planning one
+// context on four workers all get the one strategy a single build made
+// (each plan.Build returns a new *Strategy).
+func TestStrategyMemoIsRunScoped(t *testing.T) {
+	const k = 12
+	type seen struct {
+		memo *plan.Memo
+		s    *plan.Strategy
+	}
+	sc := Scenario{
+		ID: "M", Family: "test", Claim: "one strategy per context per run",
+		Trials: func(Params) []TrialSpec {
+			specs := make([]TrialSpec, k)
+			for i := range specs {
+				specs[i] = TrialSpec{Name: fmt.Sprint(i), Run: func(t *T) (any, error) {
+					s, err := t.Strategies.Build(flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
+						network.FullMesh(4, 20_000_000, 50*sim.Microsecond), plan.DefaultOptions(1, 500*sim.Millisecond))
+					return seen{t.Strategies, s}, err
+				}}
+			}
+			return specs
+		},
+		Aggregate: func(Params, []TrialResult) []*metrics.Table { return nil },
+	}
+	run := func() seen {
+		res := Run([]Scenario{sc}, Options{Workers: 4})
+		first, ok := Value[seen](res[0].Trials[0])
+		if !ok || first.memo == nil || first.s == nil {
+			t.Fatalf("trial 0: %v", res[0].Trials[0].Err)
+		}
+		for _, tr := range res[0].Trials[1:] {
+			if v, _ := Value[seen](tr); v != first {
+				t.Fatalf("trial %s saw memo %p strategy %p, trial 0 %p %p", tr.Name, v.memo, v.s, first.memo, first.s)
+			}
+		}
+		return first
+	}
+	if a, b := run(), run(); a.memo == b.memo || a.s == b.s {
+		t.Error("two runs shared a strategy memo")
 	}
 }

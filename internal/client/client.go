@@ -97,7 +97,7 @@ type Client struct {
 	members []uint32 // view.Members(), sorted once per view
 	conns   map[uint32]*replicaConn
 	senders map[uint32]chan job
-	closed  bool
+	closed  atomic.Bool    // set once, under mu
 	running sync.WaitGroup // one per sender goroutine
 
 	opid atomic.Uint64
@@ -191,7 +191,7 @@ func (c *Client) Close() {
 		close(jobs)
 		delete(c.senders, m)
 	}
-	c.closed = true
+	c.closed.Store(true)
 	c.mu.Unlock()
 	for _, rc := range conns {
 		rc.close()
@@ -360,7 +360,7 @@ func (r *round) deliver(gen uint64, res ack) {
 // enqueue hands j to its replica's sender, starting the sender on first
 // use, and reports whether it fit. c.mu must be held.
 func (c *Client) enqueue(j job) bool {
-	if c.closed {
+	if c.closed.Load() {
 		return false
 	}
 	jobs, ok := c.senders[j.member]
@@ -471,9 +471,12 @@ func (c *Client) repair(view View, key []byte, best ack, acks []ack, deadline ti
 // retryGate decides whether a failed round retries: inside the deadline
 // it sleeps the bounded exponential backoff (skipping the sleep when a
 // newer view was just adopted — the retry is not futile repetition, it
-// is the stale-view resubmit) and returns nil; past the deadline it
-// returns ErrUnavailable.
+// is the stale-view resubmit) and returns nil; past the deadline, or
+// once the client is closed, it returns ErrUnavailable.
 func (c *Client) retryGate(stale bool, attempt int, deadline time.Time) error {
+	if c.closed.Load() {
+		return fmt.Errorf("%w (client closed)", ErrUnavailable)
+	}
 	if !time.Now().Before(deadline) {
 		return fmt.Errorf("%w (deadline after %d attempts)", ErrUnavailable, attempt+1)
 	}
@@ -570,9 +573,8 @@ func (c *Client) conn(member uint32, addr string, deadline time.Time) (*replicaC
 		c.mu.Unlock()
 		return rc, nil
 	}
-	closed := c.closed
 	c.mu.Unlock()
-	if closed {
+	if c.closed.Load() {
 		return nil, ErrUnavailable
 	}
 	dialTO := c.cfg.IOTimeout
@@ -589,7 +591,7 @@ func (c *Client) conn(member uint32, addr string, deadline time.Time) (*replicaC
 	rc := &replicaConn{addr: addr, nc: nc, br: bufio.NewReader(nc)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		go nc.Close()
 		return nil, ErrUnavailable
 	}

@@ -112,6 +112,28 @@ func TestOpFailsWithoutQuorum(t *testing.T) {
 	}
 }
 
+// TestClosedClientFailsFast: an op on a closed client fails at once
+// instead of backing off until its deadline.
+func TestClosedClientFailsFast(t *testing.T) {
+	c := newCluster(t, 3, 1)
+	cl, err := New(Config{View: c.view, Writer: 1, OpTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	cl.Close()
+	before := cl.Stats().Retries
+	start := time.Now()
+	if _, err := cl.Read("k"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Read after Close = %v, want ErrUnavailable", err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("Read after Close took %v, want < 1s", d)
+	}
+	if got := cl.Stats().Retries; got != before {
+		t.Errorf("Read after Close retried: Stats.Retries %d -> %d", before, got)
+	}
+}
+
 // TestReadRepairConvergesStragglers: a value written while one replica
 // was down must propagate to it via read-repair once it is back — the
 // reader writes the winning tag back to disagreeing replicas.

@@ -50,6 +50,12 @@ type Config struct {
 	// the engine into the runtime so node failover consults the cache
 	// before any synthesis.
 	PlanCache *cache.Cache
+	// Strategies, when PlanCache and Members are unset, builds the
+	// strategy through a run-scoped memo: deployments of one planning
+	// context share one plan.Build result, the very plans a fresh build
+	// makes. PlanCache instead shares plans across contexts by symmetry
+	// relabeling and serves failover and epochs (C4, C6, membership).
+	Strategies *plan.Memo
 
 	// Members, when non-nil, enables online membership reconfiguration:
 	// Topology becomes the slot *universe*, the listed slots form the
@@ -333,7 +339,7 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 		}
 		planner = d.PlanEngine.Resolve
 	default:
-		if d.Strategy, err = plan.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts); err != nil {
+		if d.Strategy, err = cfg.Strategies.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts); err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
 	}

@@ -23,25 +23,21 @@ import (
 
 	"btr/internal/adversary"
 	"btr/internal/campaign"
-	"btr/internal/core"
 	"btr/internal/evidence"
 	"btr/internal/faultrate"
 	"btr/internal/flow"
 	"btr/internal/live"
 	"btr/internal/metrics"
-	"btr/internal/plan"
-	"btr/internal/sim"
 )
 
-// c10Victims extends c8Victims with each victim's hosted sink logicals:
+// addSinks adds each victim's hosted sink logicals to c8Victims' list:
 // the sink-bound behaviors (corrupt-sink, skip-actuation) draw their
 // target from Victim.Sinks.
-func c10Victims(s *core.System, workload *flow.Graph) []faultrate.Victim {
+func addSinks(victims []faultrate.Victim, workload *flow.Graph) {
 	isSink := map[flow.TaskID]bool{}
 	for _, sk := range workload.Sinks() {
 		isSink[sk] = true
 	}
-	victims := c8Victims(s)
 	for i := range victims {
 		for _, l := range victims[i].Logicals {
 			if isSink[l] {
@@ -49,62 +45,6 @@ func c10Victims(s *core.System, workload *flow.Graph) []faultrate.Victim {
 			}
 		}
 	}
-	return victims
-}
-
-// runC10Sweep executes one (topology, λ) deployment exactly like
-// runC8Case, but with the arrival process drawing the extended
-// catalog behaviors.
-func runC10Sweep(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, error) {
-	const period = 25 * sim.Millisecond
-	horizon := uint64(160)
-	if quick {
-		horizon = 80
-	}
-	heal, forgive, bound := c8Timing(period)
-	workload := flow.Chain(3, period, sim.Millisecond, 64, flow.CritA)
-	s, err := core.NewSystem(core.Config{
-		Seed:         seed,
-		Workload:     workload,
-		Topology:     c.mk(),
-		PlanOpts:     plan.DefaultOptions(c.f, 500*sim.Millisecond),
-		Horizon:      horizon,
-		ForgiveAfter: forgive,
-	})
-	if err != nil {
-		return C8Row{}, err
-	}
-	// Arrivals stop one reconcile bound before the horizon: the extended
-	// behaviors convict on watchdog pace (a delay's damage IS lateness,
-	// so conviction trails injection by up to hold + margin), and an
-	// episode whose detect-and-reconcile lifecycle is cut off by the end
-	// of the run would be judged on damage whose flagging never had time
-	// to arrive.
-	arrivals := faultrate.Schedule(faultrate.Params{
-		Lambda: lambda, Heal: heal, Forgive: forgive, Period: period,
-		Start: 4 * period, Horizon: sim.Time(horizon)*period - bound,
-		F: c.f, Seed: seed,
-		Behaviors: faultrate.ExtendedCatalog(),
-	}, c10Victims(s, workload))
-	if err := faultrate.Script(arrivals).Install(s, period); err != nil {
-		return C8Row{}, err
-	}
-	rep := s.Run()
-	slack := rep.RNeeded + period
-	out := faultrate.Classify(rep, arrivals, c.f, slack, slack)
-	row := C8Row{
-		Topology: c.kind, Lambda: lambda, Arrivals: len(arrivals),
-		Periods: out.Periods, Tolerated: out.Tolerated,
-		Detected: out.Detected, Untolerated: out.Untolerated,
-		Windows: len(out.Windows), WorstWindow: out.WorstWindow,
-		Bound: bound, Reconciled: out.WorstWindow <= bound,
-	}
-	for _, a := range arrivals {
-		if a.ActiveAtArrival > row.PeakActive {
-			row.PeakActive = a.ActiveAtArrival
-		}
-	}
-	return row, nil
 }
 
 // c10Storm is one scripted concurrent process-fault storm.
@@ -198,50 +138,10 @@ func runC10Storm(st c10Storm, seed uint64) (C10StormRow, error) {
 	return row, nil
 }
 
-// c10SweepSpecs builds the deterministic sweep half's trial specs.
-func c10SweepSpecs(p campaign.Params) []campaign.TrialSpec {
-	var specs []campaign.TrialSpec
-	for _, c := range c8Cases(p) {
-		for _, lambda := range c8Lambdas(p) {
-			c, lambda := c, lambda
-			specs = append(specs, campaign.TrialSpec{
-				Name: fmt.Sprintf("sweep/%s/lambda=%g", c.kind, lambda),
-				Run: func(t *campaign.T) (any, error) {
-					return runC10Sweep(c, lambda, t.TrialSeed(), p.Quick)
-				},
-			})
-		}
-	}
-	return specs
-}
-
-// c10SweepTable aggregates the sweep trials (aligned with c10SweepSpecs)
-// into the C8-shaped table plus knee notes.
+// c10SweepTable aggregates the sweep trials into the C8-shaped table.
 func c10SweepTable(p campaign.Params, trials []campaign.TrialResult) *metrics.Table {
-	t := metrics.NewTable("C10: multifault sweep (Poisson arrivals drawing corrupt-sink / delay / skip-actuation)",
-		"topology", "λ/s", "arrivals", "peak active", "periods", "tolerated", "detected", "untolerated", "windows", "worst window", "bound", "reconciled")
-	byTopo := map[string][]C8Row{}
-	i := 0
-	for _, c := range c8Cases(p) {
-		for _, lambda := range c8Lambdas(p) {
-			row, ok := campaign.Value[C8Row](trials[i])
-			i++
-			if !ok {
-				t.AddRow(failedRow(c.kind), fmt.Sprintf("%g", lambda), "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
-				continue
-			}
-			byTopo[c.kind] = append(byTopo[c.kind], row)
-			t.AddRow(row.Topology, fmt.Sprintf("%g", row.Lambda), row.Arrivals, row.PeakActive,
-				row.Periods, row.Tolerated, row.Detected, row.Untolerated,
-				row.Windows, row.WorstWindow, row.Bound, boolMark(row.Reconciled))
-		}
-	}
-	for _, c := range c8Cases(p) {
-		t.Note("%s: knee λ = %g/s (largest swept rate with zero untolerated periods and every degraded window within the reconcile bound at and below it)",
-			c.kind, C8Knee(byTopo[c.kind]))
-	}
-	t.Note("corrupt-sink and skip-actuation target hosted sink replicas (judged at the plant); delay holds outputs 4 periods past the transport boundary; skip-actuation is masked by sink replication and consumes no fault budget (it never convicts)")
-	return t
+	return sweepTable(p, trials, "C10: multifault sweep (Poisson arrivals drawing corrupt-sink / delay / skip-actuation)", false,
+		"corrupt-sink and skip-actuation target hosted sink replicas (judged at the plant); delay holds outputs 4 periods past the transport boundary; skip-actuation is masked by sink replication and consumes no fault budget (it never convicts)")
 }
 
 // C10Scenario returns the multifault scenario: the deterministic
@@ -253,7 +153,7 @@ func C10Scenario() campaign.Scenario {
 		Family: "multifault",
 		Claim:  "the non-catalog behaviors sweep clean to a positive knee, and concurrent > f process-fault storms are flagged over-budget, confined to the fault window, and heal with every link re-established",
 		Trials: func(p campaign.Params) []campaign.TrialSpec {
-			specs := c10SweepSpecs(p)
+			specs := sweepSpecs(p, "sweep", true)
 			for _, st := range c10Storms(p) {
 				st := st
 				specs = append(specs, campaign.TrialSpec{
@@ -268,7 +168,7 @@ func C10Scenario() campaign.Scenario {
 			return specs
 		},
 		Aggregate: func(p campaign.Params, trials []campaign.TrialResult) []*metrics.Table {
-			nSweep := len(c10SweepSpecs(p))
+			nSweep := len(sweepSpecs(p, "sweep", true))
 			sweep := c10SweepTable(p, trials[:nSweep])
 			if note := campaign.FailNote(trials); note != "" {
 				sweep.Note("%s", note)
@@ -303,7 +203,7 @@ func c10SweepOnlyScenario() campaign.Scenario {
 		ID:     "C10-sweep",
 		Family: "multifault",
 		Claim:  "non-catalog behavior sweep, deterministic half only",
-		Trials: func(p campaign.Params) []campaign.TrialSpec { return c10SweepSpecs(p) },
+		Trials: func(p campaign.Params) []campaign.TrialSpec { return sweepSpecs(p, "sweep", true) },
 		Aggregate: func(p campaign.Params, trials []campaign.TrialResult) []*metrics.Table {
 			return []*metrics.Table{c10SweepTable(p, trials)}
 		},
@@ -320,12 +220,7 @@ func MultiFaultLambdas() []float64 { return FaultRateLambdas() }
 // RunMultiFaultBench runs one (topology, λ) C10 sweep case standalone
 // (the bundle emitter's entry point).
 func RunMultiFaultBench(kind string, lambda float64, seed uint64) (C8Row, error) {
-	for _, c := range c8Cases(campaign.Params{}) {
-		if c.kind == kind {
-			return runC10Sweep(c, lambda, seed, false)
-		}
-	}
-	return C8Row{}, fmt.Errorf("exp: unknown multifault topology %q", kind)
+	return runSweepBench(kind, lambda, seed, true)
 }
 
 // MultiFaultStorms lists the scripted storm names (full set).

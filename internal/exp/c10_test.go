@@ -53,7 +53,7 @@ func TestC10SweepDrawsExtendedCatalogOnly(t *testing.T) {
 	for _, b := range faultrate.ExtendedCatalog() {
 		extended[b] = true
 	}
-	row, err := runC10Sweep(c8Cases(campaign.Params{Quick: true})[0], 8, 5, true)
+	row, err := runC8Case(nil, c8Cases(campaign.Params{Quick: true})[0], 8, 5, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestC10SweepDrawsExtendedCatalogOnly(t *testing.T) {
 // behaviors must be absorbed silently — no silent misses, every
 // degraded window (if any) reconciled.
 func TestC10CleanBelowKnee(t *testing.T) {
-	row, err := runC10Sweep(c8Cases(campaign.Params{Quick: true})[0], 0.5, 5, true)
+	row, err := runC8Case(nil, c8Cases(campaign.Params{Quick: true})[0], 0.5, 5, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func c4PlanCache() campaign.Scenario {
 						opts := plan.DefaultOptions(c.f, 500*sim.Millisecond)
 						eng := cache.NewEngine(g, topo, opts, nil)
 						s, err := eng.BuildStrategy()
-						ref, refErr := plan.Build(g, topo, opts)
+						ref, refErr := t.Strategies.Build(g, topo, opts)
 						if (err == nil) != (refErr == nil) {
 							return nil, fmt.Errorf("feasibility disagrees: engine=%v build=%v", err, refErr)
 						}

@@ -117,8 +117,9 @@ func c8Victims(s *core.System) []faultrate.Victim {
 
 // runC8Case executes one (topology, λ) deployment: schedule the arrival
 // process, run it against a parole-enabled deployment, classify every
-// bad sink-period.
-func runC8Case(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, error) {
+// bad sink-period. extended draws the extended catalog behaviors (the
+// C10 sweep) instead of the classic ones.
+func runC8Case(memo *plan.Memo, c c8Case, lambda float64, seed uint64, quick, extended bool) (C8Row, error) {
 	const period = 25 * sim.Millisecond
 	horizon := uint64(160)
 	if quick {
@@ -132,15 +133,29 @@ func runC8Case(c c8Case, lambda float64, seed uint64, quick bool) (C8Row, error)
 		PlanOpts:     plan.DefaultOptions(c.f, 500*sim.Millisecond),
 		Horizon:      horizon,
 		ForgiveAfter: forgive,
+		Strategies:   memo,
 	})
 	if err != nil {
 		return C8Row{}, err
 	}
-	arrivals := faultrate.Schedule(faultrate.Params{
+	ap := faultrate.Params{
 		Lambda: lambda, Heal: heal, Forgive: forgive, Period: period,
 		Start: 4 * period, Horizon: sim.Time(horizon) * period,
 		F: c.f, Seed: seed,
-	}, c8Victims(s))
+	}
+	victims := c8Victims(s)
+	if extended {
+		// Arrivals stop one reconcile bound before the horizon: the
+		// extended behaviors convict on watchdog pace (a delay's damage
+		// IS lateness, so conviction trails injection by up to hold +
+		// margin), and an episode whose detect-and-reconcile lifecycle
+		// is cut off by the end of the run would be judged on damage
+		// whose flagging never had time to arrive.
+		ap.Horizon -= bound
+		ap.Behaviors = faultrate.ExtendedCatalog()
+		addSinks(victims, s.Cfg.Workload)
+	}
+	arrivals := faultrate.Schedule(ap, victims)
 	if err := faultrate.Script(arrivals).Install(s, period); err != nil {
 		return C8Row{}, err
 	}
@@ -189,51 +204,63 @@ func C8Scenario() campaign.Scenario {
 		ID:     "C8",
 		Family: "faultrate",
 		Claim:  "continuous fault arrivals at rate λ never produce a silent miss at or below the knee: every bad period is tolerated (within R) or flagged over-budget and reconciled within a bounded window",
-		Trials: func(p campaign.Params) []campaign.TrialSpec {
-			var specs []campaign.TrialSpec
-			for _, c := range c8Cases(p) {
-				for _, lambda := range c8Lambdas(p) {
-					c, lambda := c, lambda
-					specs = append(specs, campaign.TrialSpec{
-						Name: fmt.Sprintf("rate/%s/lambda=%g", c.kind, lambda),
-						Run: func(t *campaign.T) (any, error) {
-							return runC8Case(c, lambda, t.TrialSeed(), p.Quick)
-						},
-					})
-				}
-			}
-			return specs
-		},
+		Trials: func(p campaign.Params) []campaign.TrialSpec { return sweepSpecs(p, "rate", false) },
 		Aggregate: func(p campaign.Params, trials []campaign.TrialResult) []*metrics.Table {
-			t := metrics.NewTable("C8: high-fault-rate sweep (Poisson arrivals at rate λ, parole-clock convictions)",
-				"topology", "λ/s", "arrivals", "peak active", "periods", "tolerated", "detected", "untolerated", "windows", "worst window", "bound", "reconciled")
-			byTopo := map[string][]C8Row{}
-			i := 0
-			for _, c := range c8Cases(p) {
-				for _, lambda := range c8Lambdas(p) {
-					row, ok := campaign.Value[C8Row](trials[i])
-					i++
-					if !ok {
-						t.AddRow(failedRow(c.kind), fmt.Sprintf("%g", lambda), "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
-						continue
-					}
-					byTopo[c.kind] = append(byTopo[c.kind], row)
-					t.AddRow(row.Topology, fmt.Sprintf("%g", row.Lambda), row.Arrivals, row.PeakActive,
-						row.Periods, row.Tolerated, row.Detected, row.Untolerated,
-						row.Windows, row.WorstWindow, row.Bound, boolMark(row.Reconciled))
-				}
-			}
-			if note := campaign.FailNote(trials); note != "" {
-				t.Note("%s", note)
-			}
-			for _, c := range c8Cases(p) {
-				t.Note("%s: knee λ = %g/s (largest swept rate with zero untolerated periods and every degraded window within the reconcile bound at and below it)",
-					c.kind, C8Knee(byTopo[c.kind]))
-			}
-			t.Note("'tolerated' = bad period within R of a within-budget fault; 'detected' = bad period inside a signed over-budget window (suspended but flagged, never silent); 'untolerated' = silent miss — gated at zero at and below the knee")
-			return []*metrics.Table{t}
+			return []*metrics.Table{sweepTable(p, trials, "C8: high-fault-rate sweep (Poisson arrivals at rate λ, parole-clock convictions)", true,
+				"'tolerated' = bad period within R of a within-budget fault; 'detected' = bad period inside a signed over-budget window (suspended but flagged, never silent); 'untolerated' = silent miss — gated at zero at and below the knee")}
 		},
 	}
+}
+
+// sweepSpecs builds the (topology, λ) sweep's trial specs, named
+// name/<topology>/lambda=<λ>: C8's, or with extended C10's sweep half.
+func sweepSpecs(p campaign.Params, name string, extended bool) []campaign.TrialSpec {
+	var specs []campaign.TrialSpec
+	for _, c := range c8Cases(p) {
+		for _, lambda := range c8Lambdas(p) {
+			c, lambda := c, lambda
+			specs = append(specs, campaign.TrialSpec{
+				Name: fmt.Sprintf("%s/%s/lambda=%g", name, c.kind, lambda),
+				Run: func(t *campaign.T) (any, error) {
+					return runC8Case(t.Strategies, c, lambda, t.TrialSeed(), p.Quick, extended)
+				},
+			})
+		}
+	}
+	return specs
+}
+
+// sweepTable folds the sweep trials (aligned with sweepSpecs) into one
+// row per case, then notes the failed trials (with failNote), each
+// topology's knee and last.
+func sweepTable(p campaign.Params, trials []campaign.TrialResult, title string, failNote bool, last string) *metrics.Table {
+	t := metrics.NewTable(title,
+		"topology", "λ/s", "arrivals", "peak active", "periods", "tolerated", "detected", "untolerated", "windows", "worst window", "bound", "reconciled")
+	byTopo := map[string][]C8Row{}
+	i := 0
+	for _, c := range c8Cases(p) {
+		for _, lambda := range c8Lambdas(p) {
+			row, ok := campaign.Value[C8Row](trials[i])
+			i++
+			if !ok {
+				t.AddRow(failedRow(c.kind), fmt.Sprintf("%g", lambda), "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
+				continue
+			}
+			byTopo[c.kind] = append(byTopo[c.kind], row)
+			t.AddRow(row.Topology, fmt.Sprintf("%g", row.Lambda), row.Arrivals, row.PeakActive,
+				row.Periods, row.Tolerated, row.Detected, row.Untolerated,
+				row.Windows, row.WorstWindow, row.Bound, boolMark(row.Reconciled))
+		}
+	}
+	if note := campaign.FailNote(trials); failNote && note != "" {
+		t.Note("%s", note)
+	}
+	for _, c := range c8Cases(p) {
+		t.Note("%s: knee λ = %g/s (largest swept rate with zero untolerated periods and every degraded window within the reconcile bound at and below it)",
+			c.kind, C8Knee(byTopo[c.kind]))
+	}
+	t.Note("%s", last)
+	return t
 }
 
 // FaultRateKinds lists the C8 topology families (the full, non-quick
@@ -252,10 +279,16 @@ func FaultRateLambdas() []float64 { return c8Lambdas(campaign.Params{}) }
 // RunFaultRateBench runs one (topology, λ) C8 case standalone (the
 // bundle emitter's entry point).
 func RunFaultRateBench(kind string, lambda float64, seed uint64) (C8Row, error) {
+	return runSweepBench(kind, lambda, seed, false)
+}
+
+// runSweepBench runs one full-size (topology, λ) case of the C8 sweep,
+// or with extended of the C10 one.
+func runSweepBench(kind string, lambda float64, seed uint64, extended bool) (C8Row, error) {
 	for _, c := range c8Cases(campaign.Params{}) {
 		if c.kind == kind {
-			return runC8Case(c, lambda, seed, false)
+			return runC8Case(nil, c, lambda, seed, false, extended)
 		}
 	}
-	return C8Row{}, fmt.Errorf("exp: unknown faultrate topology %q", kind)
+	return C8Row{}, fmt.Errorf("exp: unknown sweep topology %q", kind)
 }

@@ -61,7 +61,7 @@ func TestC8DeterministicAcrossWorkers(t *testing.T) {
 // periods. The seed is pinned; the classification numbers are a pure
 // function of it.
 func TestC8SustainedBeyondKneeFlaggedNotSilent(t *testing.T) {
-	row, err := runC8Case(c8Cases(campaign.Params{Quick: true})[0], 8, 5, true)
+	row, err := runC8Case(nil, c8Cases(campaign.Params{Quick: true})[0], 8, 5, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestC8SustainedBeyondKneeFlaggedNotSilent(t *testing.T) {
 // and every degraded window (if the process ever stacked two episodes)
 // reconciles within the bound.
 func TestC8WithinBudgetRateIsClean(t *testing.T) {
-	row, err := runC8Case(c8Cases(campaign.Params{Quick: true})[0], 1, 5, true)
+	row, err := runC8Case(nil, c8Cases(campaign.Params{Quick: true})[0], 1, 5, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

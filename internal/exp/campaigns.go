@@ -61,7 +61,7 @@ func c1Colluding() campaign.Scenario {
 					specs = append(specs, campaign.TrialSpec{
 						Name: fmt.Sprintf("collude/k=%d/rep=%d", k, rep),
 						Run: func(t *campaign.T) (any, error) {
-							s, err := chainSystem(t.TrialSeed(), f, nodes, uint64(30+25*k))
+							s, err := chainSystem(t, t.TrialSeed(), f, nodes, uint64(30+25*k))
 							if err != nil {
 								return nil, err
 							}
@@ -241,11 +241,12 @@ func c2Topology() campaign.Scenario {
 					Name: fmt.Sprintf("topo/%s/n=%d", c.kind, c.n),
 					Run: func(t *campaign.T) (any, error) {
 						sys, err := core.NewSystem(core.Config{
-							Seed:     p.Seed,
-							Workload: flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
-							Topology: c.mk(c.n),
-							PlanOpts: plan.DefaultOptions(c.f, 500*sim.Millisecond),
-							Horizon:  horizon,
+							Seed:       p.Seed,
+							Workload:   flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
+							Topology:   c.mk(c.n),
+							PlanOpts:   plan.DefaultOptions(c.f, 500*sim.Millisecond),
+							Horizon:    horizon,
+							Strategies: t.Strategies,
 						})
 						if err != nil {
 							// Unschedulable is a sweep result, not a failure.

@@ -67,7 +67,7 @@ func e1Scenario() campaign.Scenario {
 			for i, sc := range e1Cases() {
 				i, sc := i, sc
 				specs = append(specs, campaign.TrialSpec{Name: sc.name, Run: func(t *campaign.T) (any, error) {
-					s, err := chainSystem(p.Seed+uint64(i), 1, 6, horizon)
+					s, err := chainSystem(t, p.Seed+uint64(i), 1, 6, horizon)
 					if err != nil {
 						return nil, err
 					}
@@ -133,7 +133,7 @@ func e4Scenario() campaign.Scenario {
 			for _, k := range ks {
 				k := k
 				specs = append(specs, campaign.TrialSpec{Name: fmt.Sprintf("k=%d", k), Run: func(t *campaign.T) (any, error) {
-					s, err := chainSystem(p.Seed, f, 10, uint64(30+25*k))
+					s, err := chainSystem(t, p.Seed, f, 10, uint64(30+25*k))
 					if err != nil {
 						return nil, err
 					}

@@ -184,7 +184,7 @@ func e5Scenario() campaign.Scenario {
 				{Name: "planner-degradation", Run: func(t *campaign.T) (any, error) {
 					g := flow.Avionics(25 * sim.Millisecond)
 					topo := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
-					strategy, err := plan.Build(g, topo, plan.DefaultOptions(2, sim.Second))
+					strategy, err := t.Strategies.Build(g, topo, plan.DefaultOptions(2, sim.Second))
 					if err != nil {
 						return nil, err
 					}
@@ -227,6 +227,7 @@ func e5Scenario() campaign.Scenario {
 						Seed: p.Seed, Workload: g,
 						Topology: network.FullMesh(8, 20_000_000, 50*sim.Microsecond),
 						PlanOpts: plan.DefaultOptions(2, sim.Second), Horizon: 30,
+						Strategies: t.Strategies,
 					})
 					if err != nil {
 						return nil, err

@@ -71,6 +71,7 @@ func e6Scenario() campaign.Scenario {
 							Seed: p.Seed, Workload: g,
 							Topology: network.FullMesh(8, 20_000_000, 50*sim.Microsecond),
 							PlanOpts: opts, Net: netCfg, Horizon: 45,
+							Strategies: t.Strategies,
 						})
 						if err != nil {
 							return nil, err
@@ -174,7 +175,7 @@ func e7Scenario() campaign.Scenario {
 					Run: func(t *campaign.T) (any, error) {
 						g := flow.Chain(c.tasks, 30*sim.Millisecond, 800*sim.Microsecond, 64, flow.CritB)
 						topo := network.FullMesh(c.nodes, 20_000_000, 50*sim.Microsecond)
-						s, err := plan.Build(g, topo, plan.DefaultOptions(c.f, sim.Second))
+						s, err := t.Strategies.Build(g, topo, plan.DefaultOptions(c.f, sim.Second))
 						if err != nil {
 							return e7Row{Err: err.Error()}, nil
 						}
@@ -199,7 +200,7 @@ func e7Scenario() campaign.Scenario {
 					topo := network.FullMesh(6, 20_000_000, 50*sim.Microsecond)
 					opts := plan.DefaultOptions(1, sim.Second)
 					opts.MinimalDiff = minimal
-					s, err := plan.Build(g, topo, opts)
+					s, err := t.Strategies.Build(g, topo, opts)
 					if err != nil {
 						return nil, err
 					}
@@ -308,7 +309,7 @@ func e8Scenario() campaign.Scenario {
 			for i, sc := range e8Cases(p) {
 				i, sc := i, sc
 				specs = append(specs, campaign.TrialSpec{Name: sc.name, Run: func(t *campaign.T) (any, error) {
-					s, err := chainSystem(p.Seed+uint64(i), 1, 6, 40)
+					s, err := chainSystem(t, p.Seed+uint64(i), 1, 6, 40)
 					if err != nil {
 						return nil, err
 					}

@@ -92,7 +92,7 @@ func e9Scenario() campaign.Scenario {
 					Topology: network.FullMesh(6, 20_000_000, 50*sim.Microsecond),
 					PlanOpts: plan.DefaultOptions(1, sim.Second),
 					Compute:  loop.Compute, Source: loop.Source, Oracle: loop.Oracle,
-					Horizon: horizon,
+					Horizon: horizon, Strategies: t.Strategies,
 					OnActuation: func(node network.NodeID, sink flow.TaskID, pp uint64, value []byte, at sim.Time) {
 						loop.Apply(pp, value)
 					},
@@ -258,7 +258,7 @@ func e10Scenario() campaign.Scenario {
 			for i := 0; i < e10Runs(p); i++ {
 				i := i
 				specs = append(specs, campaign.TrialSpec{Name: fmt.Sprintf("btr/run-%d", i), Run: func(t *campaign.T) (any, error) {
-					sys, err := chainSystem(p.Seed+uint64(100+i), 1, 8, 40)
+					sys, err := chainSystem(t, p.Seed+uint64(100+i), 1, 8, 40)
 					if err != nil {
 						return nil, err
 					}

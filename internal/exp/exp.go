@@ -104,13 +104,14 @@ func WriteResult(w io.Writer, r campaign.ScenarioResult) {
 // --- shared fixtures --------------------------------------------------------
 
 // chainSystem builds the standard 3-task chain deployment.
-func chainSystem(seed uint64, f, nodes int, horizon uint64) (*core.System, error) {
+func chainSystem(t *campaign.T, seed uint64, f, nodes int, horizon uint64) (*core.System, error) {
 	return core.NewSystem(core.Config{
-		Seed:     seed,
-		Workload: flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
-		Topology: network.FullMesh(nodes, 20_000_000, 50*sim.Microsecond),
-		PlanOpts: plan.DefaultOptions(f, 500*sim.Millisecond),
-		Horizon:  horizon,
+		Seed:       seed,
+		Strategies: t.Strategies,
+		Workload:   flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA),
+		Topology:   network.FullMesh(nodes, 20_000_000, 50*sim.Microsecond),
+		PlanOpts:   plan.DefaultOptions(f, 500*sim.Millisecond),
+		Horizon:    horizon,
 	})
 }
 

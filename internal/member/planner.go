@@ -82,7 +82,7 @@ func NewPlanner(base *flow.Graph, opts plan.Options, c *cache.Cache) *Planner {
 
 // engineFor returns (building on demand) the engine for a wiring.
 // Wirings are compared by identity: the Log hands out one Topology per
-// epoch, and the cache keys embed a full topology fingerprint anyway,
+// epoch, and the cache keys embed the full topology encoding anyway,
 // so a duplicate engine costs only its construction.
 func (p *Planner) engineFor(wiring *network.Topology) *cache.Engine {
 	p.mu.Lock()

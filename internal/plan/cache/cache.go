@@ -2,6 +2,7 @@ package cache
 
 import (
 	"hash/fnv"
+	"strconv"
 	"sync"
 
 	"btr/internal/plan"
@@ -13,14 +14,17 @@ import (
 const shardCount = 16
 
 // Cache is a sharded, concurrency-safe memo of solved plans, keyed by
-// content-addressed strings (context fingerprint + canonical fault key —
-// see Engine). There is no invalidation: a key pins everything the plan
+// content-addressed strings (context prefix + canonical fault key — see
+// Engine). There is no invalidation: a key pins everything the plan
 // depends on (workload, topology, options, fault set), so entries can
 // never go stale, and one Cache may safely back engines for many
 // deployments at once. Stored plans are immutable by convention; callers
 // must never mutate a returned plan.
 type Cache struct {
 	shards [shardCount]cacheShard
+
+	ctxMu sync.Mutex
+	ctxs  map[string]string // plan.AppendKey context -> its key prefix
 }
 
 type cacheShard struct {
@@ -30,11 +34,25 @@ type cacheShard struct {
 
 // New returns an empty cache.
 func New() *Cache {
-	c := &Cache{}
+	c := &Cache{ctxs: map[string]string{}}
 	for i := range c.shards {
 		c.shards[i].m = map[string]*plan.Plan{}
 	}
 	return c
+}
+
+// prefix returns the key prefix standing for one exact planning context
+// (plan.AppendKey): one per distinct context, so entries of different
+// contexts never collide, and short, so lookup keys stay short.
+func (c *Cache) prefix(ctx []byte) string {
+	c.ctxMu.Lock()
+	defer c.ctxMu.Unlock()
+	p, ok := c.ctxs[string(ctx)]
+	if !ok {
+		p = strconv.Itoa(len(c.ctxs))
+		c.ctxs[string(ctx)] = p
+	}
+	return p
 }
 
 func (c *Cache) shard(key string) *cacheShard {

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -34,9 +33,9 @@ type Engine struct {
 	topo *network.Topology
 	opts plan.Options
 
-	cache *Cache
-	sym   *Symmetry
-	fp    string
+	cache  *Cache
+	sym    *Symmetry
+	prefix string // the cache's key prefix for this context (Cache.prefix)
 
 	mu  sync.Mutex // serializes synthesis (plan.Synth is single-threaded)
 	syn *plan.Synth
@@ -58,47 +57,29 @@ type Engine struct {
 
 // NewEngine builds an engine backed by the given cache; a nil cache gets
 // a private one. The cache may be shared across engines (and across
-// deployments): keys embed a fingerprint of everything a plan depends
-// on, so entries are never stale and never collide.
+// deployments): keys start with the cache's prefix for plan.AppendKey's
+// exact encoding of everything a plan depends on, so entries are never
+// stale and never collide.
 func NewEngine(base *flow.Graph, topo *network.Topology, opts plan.Options, c *Cache) *Engine {
 	if c == nil {
 		c = New()
 	}
 	opts = opts.Normalized()
+	var ctx [2048]byte
 	return &Engine{
-		base:  base,
-		topo:  topo,
-		opts:  opts,
-		cache: c,
-		sym:   NewSymmetry(topo),
-		fp:    fingerprint(base, topo, opts),
-		syn:   plan.NewSynth(base, topo, opts),
-		trans: map[string]plan.Transition{},
+		base:   base,
+		topo:   topo,
+		opts:   opts,
+		cache:  c,
+		sym:    NewSymmetry(topo),
+		prefix: c.prefix(plan.AppendKey(ctx[:0], base, topo, opts)),
+		syn:    plan.NewSynth(base, topo, opts),
+		trans:  map[string]plan.Transition{},
 	}
 }
 
-// fingerprint hashes the full planning context. Two engines share cache
-// entries iff workload, topology (including link attributes), and
-// normalized options all coincide.
-func fingerprint(base *flow.Graph, topo *network.Topology, opts plan.Options) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "w:%s/%d;", base.Name, int64(base.Period))
-	for _, id := range base.TaskIDs() {
-		fmt.Fprintf(h, "t:%+v;", *base.Tasks[id])
-		for _, e := range base.Outputs(id) {
-			fmt.Fprintf(h, "e:%s>%s/%d;", e.From, e.To, e.Bytes)
-		}
-	}
-	fmt.Fprintf(h, "n:%d;", topo.N)
-	for _, l := range topo.Links {
-		fmt.Fprintf(h, "l:%d-%d/%d/%d;", l.A, l.B, l.Bandwidth, int64(l.Prop))
-	}
-	fmt.Fprintf(h, "o:%+v", opts)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func (e *Engine) exactKey(fs plan.FaultSet) string { return e.fp + "|x|" + fs.Key() }
-func (e *Engine) canonKey(c Canon) string          { return e.fp + "|" + c.Key }
+func (e *Engine) exactKey(fs plan.FaultSet) string { return e.prefix + "|x|" + fs.Key() }
+func (e *Engine) canonKey(c Canon) string          { return e.prefix + "|" + c.Key }
 
 // PlanFor returns the plan for the given fault set, synthesizing (and
 // memoizing) it if needed. The error mirrors plan.Build's: a fault set

@@ -123,6 +123,28 @@ func TestEngineWarmColdByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSharedCacheKeepsContextsApart: engines whose contexts differ only
+// in link bandwidth, which fault keys and orbits cannot tell apart, share
+// one cache and still each get the strategy a private cache gives.
+func TestSharedCacheKeepsContextsApart(t *testing.T) {
+	g, opts := chainWorkload(), plan.DefaultOptions(1, 500*sim.Millisecond)
+	shared := New()
+	for _, bw := range []int64{testBW, testBW / 4, testBW} {
+		topo := network.FullMesh(6, bw, testProp)
+		got, err := NewEngine(g, topo, opts, shared).BuildStrategy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEngine(g, topo, opts, nil).BuildStrategy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderStrategy(got) != renderStrategy(want) {
+			t.Errorf("bandwidth %d: the shared cache served another context's plans", bw)
+		}
+	}
+}
+
 // TestEngineEquivalentToBuild compares the engine against plain
 // plan.Build on several deployments: same feasibility, same plan count,
 // same shed sets, and every engine plan passes the full validity checks
