@@ -141,16 +141,19 @@ bench-smoke: bench-test
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects, then three
+# one table of the top 25 sites by allocated objects, then four
 # drill-downs, each with its callers and callees: the planner (plan.Build
 # and baseline.MinSpeed, and the sched and network rows of the
-# allocation ledger: sched.Build, Topology.DiameterWithin and
-# PathAvoiding), the record path (a node's finishTask, emit,
-# acceptRecord, onMessage and onEvidenceMessage) and the seal path, the one exact-size buffer each
+# allocation ledger: sched.Build and Topology.DiameterWithin), the
+# record path (a node's finishTask, emit, acceptRecord, onMessage and
+# onEvidenceMessage), the seal path, the one exact-size buffer each
 # caller of sig's in-place primitive, sig.(*Registry).SignAppended,
 # allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
-# seal memo's misses, sig.(*Registry).sealPayload). The profiles
-# (alloc-*.pprof) are gitignored and removed by `make clean`.
+# seal memo's misses, sig.(*Registry).sealPayload), and the fault path
+# (a node's schedulePeriod and checkArrived, the attributor's Add and a
+# relay's forward, which reads its detour row while a node is down).
+# The profiles (alloc-*.pprof) are gitignored and removed by
+# `make clean`.
 PROFILE_FAMILIES = paper campaign churn faultrate
 profile-allocs:
 	@for f in $(PROFILE_FAMILIES); do \
@@ -158,10 +161,11 @@ profile-allocs:
 			-memprofile alloc-$$f.pprof > /dev/null || exit 1; \
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
-	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$|sched\.Build$$|network\.\(\*Topology\)\.(DiameterWithin|PathAvoiding)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$|sched\.Build$$|network\.\(\*Topology\)\.DiameterWithin$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(finishTask|acceptRecord)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(schedulePeriod|checkArrived)$$|evidence\.\(\*Attributor\)\.Add$$|network\.\(\*plane\)\.forward$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
 ci: fmt-check vet build race race-live bench-test bench-smoke
 	@echo "ci: OK"

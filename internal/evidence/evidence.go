@@ -638,32 +638,35 @@ func NewAttributor(threshold int) *Attributor {
 	}
 }
 
-// pathKey canonicalizes a (path set, reporter) pair for dedup: the
-// reporter, then the path's nodes in ascending order, each as a
-// little-endian u32. Paths of up to 16 nodes are sorted and encoded in
-// stack arrays, so the key string is the only allocation.
-func pathKey(path []network.NodeID, reporter network.NodeID) string {
+// pathKey appends the canonical key of a (path set, reporter) pair for
+// dedup to dst: the reporter, then the path's nodes in ascending order,
+// each as a little-endian u32. Paths of up to 16 nodes are sorted in a
+// stack array, so a key built in a stack buffer and only looked up
+// allocates nothing.
+func pathKey(dst []byte, path []network.NodeID, reporter network.NodeID) []byte {
 	var nodes [16]network.NodeID
 	s := append(nodes[:0], path...)
 	slices.Sort(s)
-	var key [4 + 4*len(nodes)]byte
-	k := binary.LittleEndian.AppendUint32(key[:0], uint32(reporter))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(reporter))
 	for _, n := range s {
-		k = binary.LittleEndian.AppendUint32(k, uint32(n))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	}
-	return string(k)
+	return dst
 }
 
 // Add records an accusation and returns any nodes newly convicted by it
 // (sorted). Duplicate (path, reporter) pairs are ignored, as is the
 // reporter's own presence on the path (a receiver is always an endpoint of
-// the paths it reports; counting it would punish honest reporting).
+// the paths it reports; counting it would punish honest reporting). A
+// duplicate, the common case (a reporter accuses the same path every
+// period), allocates nothing: the key becomes a string only on insert.
 func (a *Attributor) Add(path []network.NodeID, reporter network.NodeID) []network.NodeID {
-	key := pathKey(path, reporter)
-	if a.seen[key] {
+	var buf [4 + 4*16]byte
+	key := pathKey(buf[:0], path, reporter)
+	if a.seen[string(key)] {
 		return nil
 	}
-	a.seen[key] = true
+	a.seen[string(key)] = true
 	var newly []network.NodeID
 	for _, n := range path {
 		if n == reporter {

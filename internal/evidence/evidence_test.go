@@ -378,6 +378,26 @@ func TestAttributorDedupsPathReporterPairs(t *testing.T) {
 	}
 }
 
+// TestAttributorDuplicateAllocatesNothing: a repeated accusation, the
+// common case (a reporter accuses the same path every period), is looked
+// up in a stack buffer and allocates nothing; the key is the reporter,
+// then the sorted path, each a little-endian u32.
+func TestAttributorDuplicateAllocatesNothing(t *testing.T) {
+	a := NewAttributor(2)
+	path := []network.NodeID{5, 1, 3}
+	a.Add(path, 1)
+	if got := testing.AllocsPerRun(100, func() { a.Add(path, 1) }); got != 0 {
+		t.Errorf("a duplicate accusation allocates %.0f per call", got)
+	}
+	want := []byte{1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0}
+	if k := pathKey(nil, path, 1); !bytes.Equal(k, want) {
+		t.Errorf("pathKey = %v, want %v", k, want)
+	}
+	if len(a.seen) != 1 || !a.seen[string(want)] {
+		t.Errorf("dedup set %v, want the one key %v", a.seen, want)
+	}
+}
+
 func TestAttributorSingleReporterCannotConvict(t *testing.T) {
 	// One reporter spamming different paths against node 5 never convicts
 	// at threshold 2: it could be fabricating.

@@ -3,6 +3,7 @@ package network
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"btr/internal/sim"
 )
@@ -37,6 +38,12 @@ type plane struct {
 	handlers []Handler
 	filters  []ForwardFilter
 	down     []bool // down nodes neither send, receive, nor forward
+	// detours[relay] is relay's next-hop row around the down set
+	// (Topology.hopsAround), nil until a relay needs it while a node is
+	// down. SetDown and setTopology drop every row under the write lock;
+	// forward builds one under the read lock, where racing builders
+	// compute the same row and the first one published wins.
+	detours []atomic.Pointer[[]NodeID]
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -60,6 +67,7 @@ func (p *plane) init(sched sim.Scheduler, topo *Topology, lossProb float64, hop 
 	p.handlers = make([]Handler, topo.N)
 	p.filters = make([]ForwardFilter, topo.N)
 	p.down = make([]bool, topo.N)
+	p.detours = make([]atomic.Pointer[[]NodeID], topo.N)
 	p.rng = sched.RNG().Fork()
 }
 
@@ -78,6 +86,15 @@ func (p *plane) setTopology(t *Topology) {
 		panic("network: SetWiring must keep the node-slot count")
 	}
 	p.topo = t
+	p.dropDetours()
+}
+
+// dropDetours forgets every relay's detour row; call it with stateMu
+// held for writing.
+func (p *plane) dropDetours() {
+	for i := range p.detours {
+		p.detours[i].Store(nil)
+	}
 }
 
 // Handle installs the delivery handler for node id.
@@ -99,7 +116,10 @@ func (p *plane) SetForwardFilter(id NodeID, f ForwardFilter) {
 // it silences self or steers forwarding around a peer believed down.
 func (p *plane) SetDown(id NodeID, down bool) {
 	p.stateMu.Lock()
-	p.down[id] = down
+	if p.down[id] != down {
+		p.down[id] = down
+		p.dropDetours()
+	}
 	p.stateMu.Unlock()
 }
 
@@ -250,22 +270,31 @@ func (p *plane) arrive(m *Message) {
 
 // forward advances m one hop along the current shortest path from relay,
 // avoiding known-down intermediates when an alternative exists. With no
-// node down that is the route table's hop: an all-false filter walks the
-// same search as the table's row.
+// node down that is the route table's hop, else relay's detour row's.
 func (p *plane) forward(relay NodeID, m *Message) {
 	p.stateMu.RLock()
 	var next NodeID
-	ok := false
 	if !slices.Contains(p.down, true) {
-		next, ok = p.topo.NextHop(relay, m.Dst)
-	} else if path, found := p.topo.PathAvoiding(relay, m.Dst, func(x NodeID) bool { return p.down[x] }); found && len(path) >= 2 {
-		next, ok = path[1], true
+		next, _ = p.topo.NextHop(relay, m.Dst)
+	} else {
+		next = p.detour(relay)[m.Dst]
 	}
 	p.stateMu.RUnlock()
-	if !ok {
+	if next < 0 {
 		p.countDropped(m.Class)
 		return
 	}
 	m.From, m.To = relay, next
 	p.transmit(m)
+}
+
+// detour returns relay's next-hop row around the current down set,
+// building it on first use; call it with stateMu held for reading.
+func (p *plane) detour(relay NodeID) []NodeID {
+	if r := p.detours[relay].Load(); r != nil {
+		return *r
+	}
+	row := p.topo.hopsAround(relay, p.down)
+	p.detours[relay].CompareAndSwap(nil, &row)
+	return *p.detours[relay].Load()
 }

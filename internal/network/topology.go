@@ -38,12 +38,12 @@ type Link struct {
 // is answered from one all-pairs route table that is filled lazily, one
 // source row on first use, and is safe for concurrent use. Path and
 // Neighbors return slices shared with the topology; callers must not
-// mutate them. Only PathAvoiding and DiameterWithin, whose answers depend
-// on a caller-supplied filter (run-time node health, epoch membership),
-// search the graph afresh: PathAvoiding on every call, DiameterWithin
+// mutate them. Only hopsAround and DiameterWithin, whose answers depend
+// on run-time node health or epoch membership, search the graph afresh:
+// hopsAround once per call for one relay's whole row, DiameterWithin
 // from each member in turn, in one set of buffers per call. A relay with
 // no node down takes its hop from the route table (NextHop), which is the
-// hop an all-false filter would find.
+// hop hopsAround finds with no node down.
 type Topology struct {
 	N     int
 	Links []Link
@@ -213,22 +213,40 @@ func (t *Topology) NextHop(a, b NodeID) (next NodeID, ok bool) {
 // exists.
 func (t *Topology) Hops(a, b NodeID) int { return len(t.row(a)[b]) - 1 }
 
-// PathAvoiding is Path but refuses to route through nodes for which avoid
-// returns true (the endpoints are always allowed). It searches afresh on
-// every call and returns a slice the caller owns.
-func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID, bool) {
-	if a == b {
-		return []NodeID{a}, true
+// hopsAround returns src's next hop towards every destination on a
+// shortest path that relays through no node down marks (-1 where no such
+// path exists, and at src). It is one search from src in which a down
+// node is reached, so it can still be a destination, but never
+// expanded; the first hop towards each node is inherited from its BFS
+// parent, so it is the hop of the path Path would trace in the graph
+// without the down nodes, the destination put back. down has length N.
+func (t *Topology) hopsAround(src NodeID, down []bool) []NodeID {
+	buf := make([]NodeID, 2*t.N)
+	hops, queue := buf[:t.N:t.N], buf[t.N:t.N]
+	for i := range hops {
+		hops[i] = -1
 	}
-	skip := func(n NodeID) bool { return avoid != nil && n != b && avoid(n) }
-	dist, parent, queue := t.bfsBuffers()
-	t.bfsFrom(a, skip, dist, parent, queue)
-	if dist[b] == -1 {
-		return nil, false
+	hops[src] = src // marks src reached until the search is done
+	queue = append(queue, src)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		if v != src && down[v] {
+			continue
+		}
+		for _, w := range t.adj[v] { // sorted ⇒ deterministic hops
+			if hops[w] != -1 {
+				continue
+			}
+			if v == src {
+				hops[w] = w
+			} else {
+				hops[w] = hops[v]
+			}
+			queue = append(queue, w)
+		}
 	}
-	path := make([]NodeID, dist[b]+1)
-	tracePath(path, parent, b)
-	return path, true
+	hops[src] = -1
+	return hops
 }
 
 // tracePath fills path, whose length is dst's hop count plus one, with

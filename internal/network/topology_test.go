@@ -108,6 +108,24 @@ func TestRandomConnectedIsConnected(t *testing.T) {
 	}
 }
 
+// PathAvoiding is Path but refuses to route through nodes for which avoid
+// returns true (the endpoints are always allowed). It searches afresh on
+// every call: the reference the relays' detour rows are checked against.
+func (t *Topology) PathAvoiding(a, b NodeID, avoid func(NodeID) bool) ([]NodeID, bool) {
+	if a == b {
+		return []NodeID{a}, true
+	}
+	skip := func(n NodeID) bool { return avoid != nil && n != b && avoid(n) }
+	dist, parent, queue := t.bfsBuffers()
+	t.bfsFrom(a, skip, dist, parent, queue)
+	if dist[b] == -1 {
+		return nil, false
+	}
+	path := make([]NodeID, dist[b]+1)
+	tracePath(path, parent, b)
+	return path, true
+}
+
 func TestPathAvoiding(t *testing.T) {
 	// Ring: avoid one direction's intermediate, path must go the long way.
 	topo := Ring(5, 1000, 0)
@@ -498,4 +516,113 @@ func TestForwardWithNoNodeDownAllocatesNothing(t *testing.T) {
 	if p.forward(4, m); sent != 7 {
 		t.Errorf("with node 5 down, forward sent to %d, want 7", sent)
 	}
+}
+
+// TestDetourMatchesPathAvoiding: while nodes are down, a relay forwards
+// on the hop its detour row holds. For every down set of up to two
+// nodes, every up relay and every destination, that hop is PathAvoiding's
+// second node, or the message is dropped exactly when PathAvoiding finds
+// no route; once the row is built a hop allocates nothing.
+func TestDetourMatchesPathAvoiding(t *testing.T) {
+	for name, topo := range map[string]*Topology{
+		"full-mesh/5": FullMesh(5, 1000, 0),
+		"ring/6":      Ring(6, 1000, 0),
+		"grid-3x3":    Grid(3, 3, 1000, 0),
+	} {
+		var p plane
+		sent := NodeID(-1)
+		p.init(sim.NewKernel(1), topo, 0, func(m *Message) bool { sent = m.To; return true })
+		sets := [][]NodeID{nil}
+		for a := NodeID(0); int(a) < topo.N; a++ {
+			sets = append(sets, []NodeID{a})
+			for b := a + 1; int(b) < topo.N; b++ {
+				sets = append(sets, []NodeID{a, b})
+			}
+		}
+		for _, set := range sets {
+			for _, id := range set {
+				p.SetDown(id, true)
+			}
+			avoid := func(x NodeID) bool { return slices.Contains(set, x) }
+			for relay := NodeID(0); int(relay) < topo.N; relay++ {
+				if avoid(relay) {
+					continue // a down relay receives nothing to forward
+				}
+				for dst := NodeID(0); int(dst) < topo.N; dst++ {
+					if dst == relay {
+						continue
+					}
+					path, found := topo.PathAvoiding(relay, dst, avoid)
+					m := &Message{Src: relay, Dst: dst}
+					sent = -1
+					dropped := p.Snapshot().MsgsDropped[ClassForeground]
+					p.forward(relay, m)
+					if found && sent != path[1] {
+						t.Fatalf("%s, down %v: %d->%d forwarded to %d, PathAvoiding %v", name, set, relay, dst, sent, path)
+					}
+					if !found && (sent != -1 || p.Snapshot().MsgsDropped[ClassForeground] != dropped+1) {
+						t.Fatalf("%s, down %v: %d->%d forwarded to %d, PathAvoiding finds no route", name, set, relay, dst, sent)
+					}
+					if got := testing.AllocsPerRun(5, func() { p.forward(relay, m) }); got != 0 {
+						t.Fatalf("%s, down %v: a hop %d->%d allocates %.0f once the row is built", name, set, relay, dst, got)
+					}
+				}
+			}
+			for _, id := range set {
+				p.SetDown(id, false)
+			}
+		}
+	}
+}
+
+// TestDetourRowsConcurrent: relays on several goroutines build and read
+// detour rows while another goroutine keeps changing the down set; run
+// it under -race. Every hop taken is a neighbor of its relay.
+func TestDetourRowsConcurrent(t *testing.T) {
+	topo := Grid(3, 3, 1000, 0)
+	var p plane
+	p.init(sim.NewKernel(1), topo, 0, func(*Message) bool { return true })
+	p.SetDown(4, true)
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				p.SetDown(5, i%2 == 0)
+			}
+		}
+	}()
+	var relays sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		relays.Add(1)
+		go func() {
+			defer relays.Done()
+			for i := 0; i < 200; i++ {
+				for relay := NodeID(0); int(relay) < topo.N; relay++ {
+					if relay == 4 || relay == 5 {
+						continue
+					}
+					for dst := NodeID(0); int(dst) < topo.N; dst++ {
+						if dst == relay {
+							continue
+						}
+						m := &Message{Src: relay, Dst: dst, To: -1}
+						p.forward(relay, m)
+						if _, ok := topo.LinkBetween(relay, m.To); m.To != -1 && !ok {
+							t.Errorf("%d->%d forwarded to %d, not a neighbor", relay, dst, m.To)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	relays.Wait()
+	close(stop)
+	toggler.Wait()
 }

@@ -441,9 +441,8 @@ func (n *Node) activateEpoch(rec member.Record) {
 	// plan — including every edge from or to a retired node — must not
 	// fire into the new epoch. The first period under the new plan
 	// re-arms its own.
-	for wk, h := range n.watchdogs {
-		n.cfg.Kernel.Cancel(h)
-		delete(n.watchdogs, wk)
+	for wk, w := range n.watchdogs {
+		n.disarm(wk, w)
 	}
 	if next := n.planFor(n.faults); next != nil && next.Key() != n.cur.Key() {
 		n.cur = next

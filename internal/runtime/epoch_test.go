@@ -25,6 +25,13 @@ type epochHarness struct {
 
 func newEpochHarness(t *testing.T, seed uint64) *epochHarness {
 	t.Helper()
+	return newEpochHarnessOn(t, seed, nil)
+}
+
+// newEpochHarnessOn is newEpochHarness with the runtime's scheduler
+// wrapped by wrap (nil: the kernel itself).
+func newEpochHarnessOn(t *testing.T, seed uint64, wrap func(*sim.Kernel) sim.Scheduler) *epochHarness {
+	t.Helper()
 	g := flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
 	universe := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
 	opts := plan.DefaultOptions(1, 500*sim.Millisecond)
@@ -42,8 +49,12 @@ func newEpochHarness(t *testing.T, seed uint64) *epochHarness {
 		t.Fatal(err)
 	}
 	h := &epochHarness{k: k, net: nw, reg: reg}
+	var sched sim.Scheduler = k
+	if wrap != nil {
+		sched = wrap(k)
+	}
 	h.sys = New(Config{
-		Kernel: k, Net: nw, Registry: reg,
+		Kernel: sched, Net: nw, Registry: reg,
 		Strategy: ep0.Strategy, Planner: PlanSource(ep0.Resolve),
 		Observer: func(ev Event) { h.events = append(h.events, ev) },
 		Epochs: &EpochConfig{

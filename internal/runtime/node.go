@@ -125,12 +125,15 @@ type Node struct {
 	evBudget map[network.NodeID]int
 	// accusedSlots dedups locally-generated accusations.
 	accusedSlots map[accusedKey]bool
-	// watchdogs holds the armed arrival-watchdog handles. When the
-	// awaited record arrives, the watchdog is cancelled immediately —
-	// dead watchdogs no longer sit in the event heap until their
-	// timestamp drains (they used to dominate the pending set: one per
-	// consumed edge per period, almost all of them no-ops).
-	watchdogs map[watchKey]sim.Handle
+	// watchdogs holds the armed arrival watchdogs. When the awaited
+	// record arrives, the watchdog is cancelled immediately — dead
+	// watchdogs no longer sit in the event heap until their timestamp
+	// drains (they used to dominate the pending set: one per consumed
+	// edge per period, almost all of them no-ops).
+	watchdogs map[watchKey]armedWatch
+	// spareArenas is the free list of period arenas none of whose events
+	// is still pending (see schedulePeriod).
+	spareArenas []*periodArena
 	// val is the lazily built, node-lifetime evidence validator (see
 	// validator() in detect.go).
 	val *evidence.Validator
@@ -155,7 +158,7 @@ func newNode(id network.NodeID, cfg *Config) *Node {
 		attributor:   evidence.NewAttributor(cfg.Strategy.Opts.OmissionThreshold),
 		evBudget:     map[network.NodeID]int{},
 		accusedSlots: map[accusedKey]bool{},
-		watchdogs:    map[watchKey]sim.Handle{},
+		watchdogs:    map[watchKey]armedWatch{},
 	}
 }
 
@@ -176,8 +179,13 @@ func (n *Node) periodStart(p uint64) sim.Time {
 // schedulePeriod sets up all of this node's slot executions and watchdogs
 // for period p, then re-arms for p+1. A node that is not a member of the
 // current epoch (dormant or retired) schedules nothing — retirement ends
-// the chain here. All of the period's events live in one slice, so a
-// period costs one allocation however many slots and edges it has.
+// the chain here. All of the period's events live in one arena taken
+// from the node's free list, so a node-period allocates nothing once a
+// node has as many arenas as it has periods in flight (two or three);
+// an arena grows only when a plan needs more events than it holds. An
+// event retires when it has fired and its step has run, or when a Cancel
+// of it succeeds; the arena goes back on the free list when its last
+// event retires, because the scheduler keeps an event only until then.
 func (n *Node) schedulePeriod(p uint64) {
 	if n.crashed || !n.memberNow {
 		n.chainArmed = false
@@ -198,10 +206,12 @@ func (n *Node) schedulePeriod(p uint64) {
 
 	slots := cur.Table.Slots[n.id]
 	watched := n.watchedEdges(cur)
-	evs := make([]periodEvent, 0, len(slots)+len(watched)+1)
+	a := n.takeArena(len(slots) + len(watched) + 1)
 	at := func(t sim.Time, ev periodEvent) sim.Handle {
-		evs = append(evs, ev)
-		return k.AtEvent(t, &evs[len(evs)-1])
+		ev.arena = a
+		a.evs = append(a.evs, ev) // within capacity: earlier events stay put
+		a.live++
+		return k.AtEvent(t, &a.evs[len(a.evs)-1])
 	}
 	// Execute this node's slots: a task's output is computed and sent at
 	// its slot end (the table accounts for the WCET before it).
@@ -216,7 +226,7 @@ func (n *Node) schedulePeriod(p uint64) {
 	for i := range watched {
 		we := &watched[i]
 		h := at(base+we.w.Arrive+margin, periodEvent{n: n, cur: cur, p: p, kind: stepWatch, watch: we})
-		n.watchdogs[watchKey{p, we.e.From, we.e.To}] = h
+		n.watchdogs[watchKey{p, we.e.From, we.e.To}] = armedWatch{h, a}
 	}
 	// Garbage-collect old inbox periods (keep two), keeping the dropped
 	// period's map, emptied, for the next period to fill.
@@ -242,6 +252,7 @@ const (
 // periodEvent is one scheduled step of one node-period.
 type periodEvent struct {
 	n     *Node
+	arena *periodArena
 	cur   *plan.Plan
 	p     uint64
 	task  flow.TaskID  // stepFinish
@@ -249,7 +260,7 @@ type periodEvent struct {
 	kind  periodStep
 }
 
-// Fire runs the step.
+// Fire runs the step, then retires the event from its arena.
 func (ev *periodEvent) Fire() {
 	switch ev.kind {
 	case stepFinish:
@@ -259,6 +270,59 @@ func (ev *periodEvent) Fire() {
 	default:
 		ev.n.schedulePeriod(ev.p + 1)
 	}
+	ev.n.retire(ev.arena)
+}
+
+// periodArena holds one node-period's events; live counts those that
+// have neither fired nor been cancelled.
+type periodArena struct {
+	evs  []periodEvent
+	live int
+}
+
+// armedWatch is one armed watchdog: its handle and the arena its event
+// lives in.
+type armedWatch struct {
+	h     sim.Handle
+	arena *periodArena
+}
+
+// takeArena returns an empty arena with room for size events: a spare
+// one if the free list has one, else a new one.
+func (n *Node) takeArena(size int) *periodArena {
+	var a *periodArena
+	if k := len(n.spareArenas); k > 0 {
+		a = n.spareArenas[k-1]
+		n.spareArenas = n.spareArenas[:k-1]
+	} else {
+		a = &periodArena{}
+	}
+	if cap(a.evs) < size {
+		a.evs = make([]periodEvent, 0, size)
+	}
+	a.evs = a.evs[:0]
+	return a
+}
+
+// retire counts one of a's events as fired or cancelled; the last one
+// puts a back on the free list, cleared so it pins no plan.
+func (n *Node) retire(a *periodArena) {
+	a.live--
+	if a.live == 0 {
+		clear(a.evs)
+		n.spareArenas = append(n.spareArenas, a)
+	}
+}
+
+// disarm cancels the armed watchdog wk. Only a Cancel that succeeds
+// retires the event: one the scheduler has already popped (it is due at
+// this very instant, later in the same dispatch batch) still fires, and
+// its Fire retires it.
+func (n *Node) disarm(wk watchKey, w armedWatch) {
+	if n.cfg.Kernel.Cancel(w.h) {
+		n.retire(w.arena)
+	}
+	delete(n.watchdogs, wk)
 }
 
 // watchedEdge is one edge whose record this node awaits every period.
@@ -648,9 +712,8 @@ func (n *Node) acceptRecord(payload []byte) {
 		// of letting a dead watchdog fire later (checkArrived would only
 		// have found the arrival and returned).
 		wk := watchKey{rec.Period, rec.Producer, c}
-		if h, ok := n.watchdogs[wk]; ok {
-			n.cfg.Kernel.Cancel(h)
-			delete(n.watchdogs, wk)
+		if w, ok := n.watchdogs[wk]; ok {
+			n.disarm(wk, w)
 		}
 	}
 }
