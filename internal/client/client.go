@@ -3,8 +3,9 @@
 // node processes. The replication protocol is client-driven, ABD-style
 // (the freestore lineage): servers hold a passive tagged register store
 // and never talk to each other; a client reads by querying a quorum and
-// adopting the largest (ts, writer) tag it sees — writing the winner
-// back to any replica that disagreed (read-repair) — and writes by
+// adopting the largest (ts, writer) tag it sees — storing the winner at
+// a quorum before returning when any queried replica disagreed
+// (read-repair) — and writes by
 // querying a quorum for the largest tag, then storing its value under a
 // strictly larger one. With n replicas and at most f crashed or
 // partitioned, every n−f quorum intersects every other in at least one
@@ -78,8 +79,8 @@ type Config struct {
 	// IOTimeout bounds one request/response exchange with one replica
 	// (default 2s).
 	IOTimeout time.Duration
-	// BackoffBase/BackoffCap bound the exponential retry backoff
-	// (defaults 2ms, 250ms).
+	// BackoffBase/BackoffCap bound the exponential backoff of op retries
+	// and of redials to a down replica (defaults 2ms, 250ms).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 }
@@ -117,7 +118,7 @@ type Client struct {
 type Stats struct {
 	Retries      uint64 // op-level retries (backoff rounds)
 	StaleRetries uint64 // retries caused by a stale-view rejection
-	Repairs      uint64 // read-repair write-backs issued
+	Repairs      uint64 // replicas a read found holding an older tag
 }
 
 // ErrUnavailable is returned when an operation exhausts its deadline
@@ -199,11 +200,11 @@ func (c *Client) Close() {
 	c.running.Wait()
 }
 
-// Read performs a quorum read of key: query n−f replicas, adopt the
-// largest (ts, writer) tag, and write the winner back to any queried
-// replica that returned an older tag before returning (read-repair), so
-// a value once read stays readable even if its original writer crashed
-// mid-write.
+// Read performs a quorum read of key: query n−f replicas and adopt the
+// largest (ts, writer) tag. When a queried replica returned an older
+// tag, Read first stores the winner at a quorum, as a write's store
+// phase does (read-repair), so no later read can return an older value,
+// even if the winner's writer crashed mid-write.
 func (c *Client) Read(key string) ([]byte, error) {
 	if len(key) > wire.MaxQKey {
 		return nil, fmt.Errorf("client: key exceeds %d bytes", wire.MaxQKey)
@@ -211,27 +212,31 @@ func (c *Client) Read(key string) ([]byte, error) {
 	deadline := time.Now().Add(c.cfg.OpTimeout)
 	opid := c.opid.Add(1)
 	k := []byte(key)
-	r := newRound()
+	r := newRound(true)
 	var buf [maxAcks]ack
-	for attempt := 0; ; attempt++ {
-		view, members := c.current()
-		acks, stale := c.broadcast(view, members, wire.QRequest{
-			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: k,
-		}, true, r, buf[:0], deadline)
-		if len(acks) >= view.Quorum() {
-			best := acks[0]
-			for _, a := range acks[1:] {
-				if tagLess(best.resp.TS, best.resp.Writer, a.resp.TS, a.resp.Writer) {
-					best = a
-				}
-			}
-			c.repair(view, k, best, acks, deadline)
-			return best.resp.Value, nil
+	acks, err := c.phase(wire.QRequest{Op: wire.QOpGet, OpID: opid, Key: k}, r, buf[:0], deadline)
+	if err != nil {
+		return nil, err
+	}
+	older := 0
+	for _, a := range acks {
+		if tagLess(a.resp.TS, a.resp.Writer, r.ts, r.writer) {
+			older++
 		}
-		if err := c.retryGate(stale, attempt, deadline); err != nil {
+	}
+	if older > 0 {
+		c.repairs.Add(uint64(older))
+		// A laggard may still be encoding the write-back's value after
+		// Read returns r.value to the caller, so it sends a copy, and
+		// the write-back's acks must not overwrite r.value.
+		r.keep = false
+		if _, err := c.phase(wire.QRequest{
+			Op: wire.QOpSet, OpID: opid, TS: r.ts, Writer: r.writer, Key: k, Value: bytes.Clone(r.value),
+		}, r, buf[:0], deadline); err != nil {
 			return nil, err
 		}
 	}
+	return r.value, nil
 }
 
 // Write performs a quorum write of key: query n−f replicas for the
@@ -250,49 +255,36 @@ func (c *Client) Write(key string, value []byte) error {
 	deadline := time.Now().Add(c.cfg.OpTimeout)
 	opid := c.opid.Add(1)
 	k := []byte(key)
-	r := newRound()
+	r := newRound(false)
 	var buf [maxAcks]ack
-
 	// Phase 1: learn the largest committed tag from a quorum. Only the
-	// tags are read, so the replicas' values are not kept.
-	var ts uint64
-	for attempt := 0; ; attempt++ {
-		view, members := c.current()
-		acks, stale := c.broadcast(view, members, wire.QRequest{
-			Op: wire.QOpGet, OpID: opid, Epoch: view.Epoch, Key: k,
-		}, false, r, buf[:0], deadline)
-		if len(acks) >= view.Quorum() {
-			var maxTS uint64
-			for _, a := range acks {
-				if a.resp.TS > maxTS {
-					maxTS = a.resp.TS
-				}
-			}
-			ts = maxTS + 1
-			break
-		}
-		if err := c.retryGate(stale, attempt, deadline); err != nil {
-			return err
-		}
+	// tags are read, so the round keeps no value.
+	if _, err := c.phase(wire.QRequest{Op: wire.QOpGet, OpID: opid, Key: k}, r, buf[:0], deadline); err != nil {
+		return err
 	}
-
 	if c.afterWriteQuery != nil {
 		c.afterWriteQuery()
 	}
+	// Phase 2: store under the chosen tag.
+	_, err := c.phase(wire.QRequest{
+		Op: wire.QOpSet, OpID: opid, TS: r.ts + 1, Writer: c.cfg.Writer, Key: k, Value: value,
+	}, r, buf[:0], deadline)
+	return err
+}
 
-	// Phase 2: store under the chosen tag. The tag is fixed across
-	// retries — that is the idempotence.
+// phase broadcasts req, under the current view's epoch, until n−f
+// replicas answer OK, and returns those answers in acks. req is the same
+// in every retry, tag included — that is the idempotence.
+func (c *Client) phase(req wire.QRequest, r *round, acks []ack, deadline time.Time) ([]ack, error) {
 	for attempt := 0; ; attempt++ {
 		view, members := c.current()
-		acks, stale := c.broadcast(view, members, wire.QRequest{
-			Op: wire.QOpSet, OpID: opid, Epoch: view.Epoch,
-			TS: ts, Writer: c.cfg.Writer, Key: k, Value: value,
-		}, false, r, buf[:0], deadline)
-		if len(acks) >= view.Quorum() {
-			return nil
+		req.Epoch = view.Epoch
+		got, stale := c.broadcast(view, members, req, r, acks[:0], deadline)
+		if len(got) >= view.Quorum() {
+			return got, nil
 		}
 		if err := c.retryGate(stale, attempt, deadline); err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
@@ -300,9 +292,8 @@ func (c *Client) Write(key string, value []byte) error {
 // ack is one replica's answer to a job: a response or the error that
 // took its place. broadcast returns the OK responses.
 type ack struct {
-	member uint32
-	resp   wire.QResponse
-	err    error
+	resp wire.QResponse
+	err  error
 }
 
 // maxAcks sizes the ack buffer an op keeps on its stack and the answers
@@ -317,13 +308,11 @@ const maxAcks = 8
 const senderQueue = 64
 
 // job is one request for a replica's sender. Its answer goes to round,
-// tagged with the round's generation when the job was queued; a nil
-// round (read-repair) waits for no answer.
+// tagged with the round's generation when the job was queued.
 type job struct {
 	member   uint32
 	addr     string
 	req      wire.QRequest
-	keep     bool
 	deadline time.Time
 	round    *round
 	gen      uint64
@@ -332,16 +321,27 @@ type job struct {
 // round collects the answers to an op's current broadcast. An op reuses
 // it for each of its broadcasts: retiring one bumps gen, so the answer
 // of a laggard from an earlier broadcast is dropped when it arrives.
+//
+// Of a generation's OK answers, the round keeps the largest tag and, if
+// keep is set, that answer's value in one buffer per op, copied in
+// deliver: until deliver returns, a value aliases its sender's
+// connection buffer. Both stay readable once the broadcast returns.
 type round struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	gen     uint64
 	results []ack
 	buf     [maxAcks]ack
+
+	keep   bool
+	seen   bool // an OK answer of the current generation was delivered
+	writer uint32
+	ts     uint64
+	value  []byte
 }
 
-func newRound() *round {
-	r := &round{}
+func newRound(keep bool) *round {
+	r := &round{keep: keep}
 	r.cond.L = &r.mu
 	r.results = r.buf[:0]
 	return r
@@ -351,6 +351,14 @@ func newRound() *round {
 func (r *round) deliver(gen uint64, res ack) {
 	r.mu.Lock()
 	if gen == r.gen {
+		if res.err == nil && res.resp.Status == wire.QStatusOK &&
+			(!r.seen || tagLess(r.ts, r.writer, res.resp.TS, res.resp.Writer)) {
+			r.seen, r.ts, r.writer = true, res.resp.TS, res.resp.Writer
+			if r.keep {
+				r.value = append(r.value[:0], res.resp.Value...)
+			}
+		}
+		res.resp.Value = nil
 		r.results = append(r.results, res)
 		r.cond.Signal()
 	}
@@ -384,13 +392,11 @@ func (c *Client) enqueue(j job) bool {
 func (c *Client) send(jobs <-chan job) {
 	defer c.running.Done()
 	for j := range jobs {
-		res := ack{member: j.member, err: ErrUnavailable}
+		res := ack{err: ErrUnavailable}
 		if time.Now().Before(j.deadline) {
-			res.resp, res.err = c.exchange(j.member, j.addr, j.req, j.keep, j.deadline)
+			res.resp, res.err = c.exchange(j.member, j.addr, j.req, j.deadline)
 		}
-		if j.round != nil {
-			j.round.deliver(j.gen, res)
-		}
+		j.round.deliver(j.gen, res)
 	}
 }
 
@@ -399,16 +405,16 @@ func (c *Client) send(jobs <-chan job) {
 // assembled — a stalled or partitioned replica must cost nothing beyond
 // its missing vote, not drag every op's latency to the IO timeout. A
 // laggard's sender finishes the job on its own deadline, and the answer
-// is dropped (r has moved on to its next generation). An ack carries
-// the replica's value only when keep is set. Stale-view rejections
-// adopt the newer view immediately (the retry then runs against it);
-// transport errors drop the replica's connection for redial on the
-// next attempt.
-func (c *Client) broadcast(view View, members []uint32, req wire.QRequest, keep bool, r *round, acks []ack, deadline time.Time) (_ []ack, stale bool) {
+// is dropped (r has moved on to its next generation). The acks carry no
+// value; r holds the largest tag and its value (see round). Stale-view
+// rejections adopt the newer view immediately (the retry then runs
+// against it); transport errors drop the replica's connection for a
+// redial (see conn).
+func (c *Client) broadcast(view View, members []uint32, req wire.QRequest, r *round, acks []ack, deadline time.Time) (_ []ack, stale bool) {
 	queued := 0
 	c.mu.Lock()
 	for _, m := range members {
-		if c.enqueue(job{member: m, addr: view.Addrs[m], req: req, keep: keep, deadline: deadline, round: r, gen: r.gen}) {
+		if c.enqueue(job{member: m, addr: view.Addrs[m], req: req, deadline: deadline, round: r, gen: r.gen}) {
 			queued++
 		}
 	}
@@ -434,6 +440,7 @@ func (c *Client) broadcast(view View, members []uint32, req wire.QRequest, keep 
 		}
 	}
 	r.gen++
+	r.seen = false
 	clear(r.results)
 	r.results = r.results[:0]
 	r.mu.Unlock()
@@ -441,31 +448,6 @@ func (c *Client) broadcast(view View, members []uint32, req wire.QRequest, keep 
 		stale = c.adoptView(staleEpoch, staleMembers)
 	}
 	return acks, stale
-}
-
-// repair writes the winning tag back to every queried replica that
-// returned an older one, so the read's result survives the original
-// writer. Best effort: the read already has its quorum. The write-backs
-// outlive Read, whose caller owns best's value from then on, so they
-// send a copy of it.
-func (c *Client) repair(view View, key []byte, best ack, acks []ack, deadline time.Time) {
-	var req wire.QRequest
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range acks {
-		if a.resp.TS == best.resp.TS && a.resp.Writer == best.resp.Writer {
-			continue
-		}
-		if req.Op == 0 {
-			req = wire.QRequest{
-				Op: wire.QOpSet, OpID: c.opid.Add(1), Epoch: view.Epoch,
-				TS: best.resp.TS, Writer: best.resp.Writer,
-				Key: key, Value: bytes.Clone(best.resp.Value),
-			}
-		}
-		c.repairs.Add(1)
-		c.enqueue(job{member: a.member, addr: view.Addrs[a.member], req: req, deadline: deadline})
-	}
 }
 
 // retryGate decides whether a failed round retries: inside the deadline
@@ -485,15 +467,18 @@ func (c *Client) retryGate(stale bool, attempt int, deadline time.Time) error {
 		c.staleRetries.Add(1)
 		return nil
 	}
-	d := c.cfg.BackoffBase << uint(attempt)
+	time.Sleep(min(c.backoff(attempt), time.Until(deadline)))
+	return nil
+}
+
+// backoff is the wait after n consecutive failures: BackoffBase << n,
+// capped at BackoffCap.
+func (c *Client) backoff(n int) time.Duration {
+	d := c.cfg.BackoffBase << uint(n)
 	if d > c.cfg.BackoffCap || d <= 0 {
 		d = c.cfg.BackoffCap
 	}
-	if remain := time.Until(deadline); d > remain {
-		d = remain
-	}
-	time.Sleep(d)
-	return nil
+	return d
 }
 
 // adoptView installs the newer epoch's view. With a Resolver the view
@@ -533,7 +518,7 @@ func (c *Client) adoptView(epoch uint64, members []uint32) bool {
 	}
 	c.view = next
 	c.members = next.Members()
-	// Drop connections to and senders of replicas that left the
+	// Drop the connection slots and senders of replicas that left the
 	// membership.
 	for m, rc := range c.conns {
 		if _, ok := next.Addrs[m]; !ok {
@@ -551,65 +536,90 @@ func (c *Client) adoptView(epoch uint64, members []uint32) bool {
 }
 
 // exchange performs one request/response with one replica, dialing (or
-// redialing) its connection as needed; the response carries its value
-// only when keep is set. A transport error closes the connection so the
-// next attempt redials.
-func (c *Client) exchange(member uint32, addr string, req wire.QRequest, keep bool, deadline time.Time) (wire.QResponse, error) {
+// redialing) its connection as needed. The response's value aliases the
+// connection's buffer until the replica's next exchange. A transport
+// error closes the connection so the next attempt redials.
+func (c *Client) exchange(member uint32, addr string, req wire.QRequest, deadline time.Time) (wire.QResponse, error) {
 	rc, err := c.conn(member, addr, deadline)
 	if err != nil {
 		return wire.QResponse{}, err
 	}
-	resp, err := rc.roundTrip(req, keep, c.cfg.IOTimeout, deadline)
+	resp, err := rc.roundTrip(req, c.cfg.IOTimeout, deadline)
 	if err != nil {
 		c.dropConn(member, rc)
 		return wire.QResponse{}, err
 	}
+	rc.proven.Store(true)
 	return resp, nil
 }
 
+// conn returns member's connection at addr, dialing one if there is
+// none. A failed dial, or a failed first exchange on a fresh connection,
+// leaves a connection slot without a net.Conn in its place (backOff),
+// which fails the replica's jobs without a syscall until its redial
+// time; the schedule resets at the first successful exchange.
 func (c *Client) conn(member uint32, addr string, deadline time.Time) (*replicaConn, error) {
 	c.mu.Lock()
-	if rc, ok := c.conns[member]; ok && rc.addr == addr {
-		c.mu.Unlock()
-		return rc, nil
-	}
+	rc, ok := c.conns[member]
 	c.mu.Unlock()
+	fails := 0
+	if ok && rc.addr == addr {
+		if rc.nc != nil {
+			return rc, nil
+		}
+		if time.Now().Before(rc.redial) {
+			return nil, ErrUnavailable
+		}
+		fails = rc.fails
+	}
 	if c.closed.Load() {
 		return nil, ErrUnavailable
 	}
-	dialTO := c.cfg.IOTimeout
-	if remain := time.Until(deadline); remain < dialTO {
-		dialTO = remain
-	}
+	dialTO := min(c.cfg.IOTimeout, time.Until(deadline))
 	if dialTO <= 0 {
 		return nil, ErrUnavailable
 	}
 	nc, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return nil, err
-	}
-	rc := &replicaConn{addr: addr, nc: nc, br: bufio.NewReader(nc)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err != nil {
+		c.backOff(member, addr, fails)
+		return nil, err
+	}
 	if c.closed.Load() {
 		go nc.Close()
 		return nil, ErrUnavailable
 	}
-	if old, ok := c.conns[member]; ok && old.addr == addr {
+	if old, ok := c.conns[member]; ok && old.addr == addr && old.nc != nil {
 		// Lost the dial race; use the established connection.
 		go nc.Close()
 		return old, nil
 	} else if ok {
 		old.close()
 	}
+	rc = &replicaConn{addr: addr, fails: fails, nc: nc, br: bufio.NewReader(nc)}
 	c.conns[member] = rc
 	return rc, nil
 }
 
+// backOff replaces member's connection slot with its redial time at
+// addr, after fails earlier failures. c.mu must be held.
+func (c *Client) backOff(member uint32, addr string, fails int) {
+	if old, ok := c.conns[member]; ok {
+		old.close()
+	}
+	c.conns[member] = &replicaConn{addr: addr, fails: fails + 1, redial: time.Now().Add(c.backoff(fails))}
+}
+
+// dropConn forgets a connection whose exchange failed, backing its
+// replica off if no exchange on it succeeded.
 func (c *Client) dropConn(member uint32, rc *replicaConn) {
 	c.mu.Lock()
 	if cur, ok := c.conns[member]; ok && cur == rc {
 		delete(c.conns, member)
+		if !rc.proven.Load() {
+			c.backOff(member, rc.addr, rc.fails)
+		}
 	}
 	c.mu.Unlock()
 	rc.close()
@@ -619,20 +629,24 @@ func (c *Client) dropConn(member uint32, rc *replicaConn) {
 // client serialize on it (lockstep request/response), which keeps the
 // framing trivially unambiguous. Its request and response frames are
 // built and read in two buffers that live as long as the connection.
+// Without a net.Conn it holds a down replica's redial time.
 type replicaConn struct {
-	addr string
-	mu   sync.Mutex
-	nc   net.Conn
-	br   *bufio.Reader
-	buf  []byte // request frames
-	in   []byte // response frames, parsed in place
+	addr   string
+	fails  int         // failed dials and first exchanges before this one
+	redial time.Time   // no dial before then, if nc is nil
+	proven atomic.Bool // an exchange on it succeeded
+	mu     sync.Mutex
+	nc     net.Conn
+	br     *bufio.Reader
+	buf    []byte // request frames
+	in     []byte // response frames, parsed in place
 }
 
 // roundTrip sends req and returns the response to it. The response is
-// parsed out of rc.in, which the next round trip overwrites, so while
-// rc.mu is held the value is copied when keep is set and dropped
-// otherwise; a member list is decoded into a slice of its own.
-func (rc *replicaConn) roundTrip(req wire.QRequest, keep bool, ioTimeout time.Duration, deadline time.Time) (wire.QResponse, error) {
+// parsed out of rc.in, which the next round trip overwrites, so its
+// value is valid only until then; a member list is decoded into a slice
+// of its own.
+func (rc *replicaConn) roundTrip(req wire.QRequest, ioTimeout time.Duration, deadline time.Time) (wire.QResponse, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	to := time.Now().Add(ioTimeout)
@@ -650,34 +664,26 @@ func (rc *replicaConn) roundTrip(req wire.QRequest, keep bool, ioTimeout time.Du
 	if _, err := rc.nc.Write(frame); err != nil {
 		return wire.QResponse{}, err
 	}
-	for {
-		typ, body, err := wire.ReadFrameInto(rc.br, &rc.in)
-		if err != nil {
-			return wire.QResponse{}, err
-		}
-		if typ != wire.TypeQResponse {
-			return wire.QResponse{}, fmt.Errorf("client: unexpected frame type %c", typ)
-		}
-		resp, err := wire.ParseQResponse(body)
-		if err != nil {
-			return wire.QResponse{}, err
-		}
-		if resp.OpID != req.OpID {
-			// A response to an earlier, abandoned request (IO timeout left
-			// it in flight); skip until ours arrives.
-			continue
-		}
-		if keep {
-			resp.Value = bytes.Clone(resp.Value)
-		} else {
-			resp.Value = nil
-		}
-		return resp, nil
+	typ, body, err := wire.ReadFrameInto(rc.br, &rc.in)
+	if err != nil {
+		return wire.QResponse{}, err
 	}
+	if typ != wire.TypeQResponse {
+		return wire.QResponse{}, fmt.Errorf("client: unexpected frame type %c", typ)
+	}
+	resp, err := wire.ParseQResponse(body)
+	if err == nil && resp.OpID != req.OpID {
+		// A failed round trip closes its connection, so no answer to an
+		// earlier request can be in flight.
+		err = fmt.Errorf("client: answer to op %d, want %d", resp.OpID, req.OpID)
+	}
+	return resp, err
 }
 
 func (rc *replicaConn) close() {
-	rc.nc.Close()
+	if rc.nc != nil {
+		rc.nc.Close()
+	}
 }
 
 // tagLess orders register tags: (ts, writer) lexicographically.

@@ -92,7 +92,8 @@ func (s *Server) acceptLoop() {
 // connection; a well-formed request always gets an answer. Requests are
 // read into one buffer per connection and parsed in place: a request's
 // bytes live until its answer is written, and the store copies the one
-// thing it keeps, a written value.
+// thing it keeps, a written value. The store copies a read value into
+// another buffer of the connection's.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -102,7 +103,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc.Close()
 	}()
 	br := bufio.NewReader(nc)
-	var in, out []byte
+	var in, out, val []byte
 	for {
 		// An idle client keeps the connection; only a dead read deadline
 		// protects against half-open sockets holding goroutines forever.
@@ -118,7 +119,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.handle(req)
+		resp := s.respond(req, &val)
 		out, err = wire.AppendQResponse(out[:0], resp)
 		if err != nil {
 			return
@@ -130,7 +131,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-func (s *Server) handle(req wire.QRequest) wire.QResponse {
+// respond answers req; a read's value is appended to *val.
+func (s *Server) respond(req wire.QRequest, val *[]byte) wire.QResponse {
 	epoch, members, ok := s.view.check(req.Epoch)
 	if !ok {
 		return wire.QResponse{
@@ -140,7 +142,8 @@ func (s *Server) handle(req wire.QRequest) wire.QResponse {
 	}
 	switch req.Op {
 	case wire.QOpGet:
-		ts, writer, value := s.store.getKey(req.Key)
+		ts, writer, value := s.store.getKey(req.Key, *val)
+		*val = value
 		return wire.QResponse{
 			Status: wire.QStatusOK, OpID: req.OpID, Epoch: epoch,
 			TS: ts, Writer: writer, Value: value,

@@ -9,9 +9,11 @@ import "sync"
 // changes nothing and still acks, which is exactly what makes the
 // client's retry-same-tag loop safe.
 //
-// A stored value is the store's own copy and is never written again, so
-// Get can hand it out after the lock is released; the server looks keys
-// up straight from a request frame's bytes (getKey, applyKey) without
+// A stored value is the store's own copy, and a newer write overwrites
+// it in place when it fits, so a value leaves the store only as a copy
+// made under the lock: Get returns a fresh one, and the server's getKey
+// appends into its connection's buffer. The server looks keys up
+// straight from a request frame's bytes (getKey, applyKey) without
 // converting them to a string.
 type RegisterStore struct {
 	mu   sync.Mutex
@@ -30,19 +32,22 @@ func NewRegisterStore() *RegisterStore {
 	return &RegisterStore{regs: map[string]*register{}}
 }
 
-// Get returns the register's current tag and value (zero tag, nil value
-// when the key was never written).
+// Get returns the register's current tag and a copy of its value (zero
+// tag, nil value when the key was never written).
 func (s *RegisterStore) Get(key string) (ts uint64, writer uint32, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.regs[key].tag()
+	return s.getKey([]byte(key), nil)
 }
 
-// getKey is Get on a key still in its request frame.
-func (s *RegisterStore) getKey(key []byte) (ts uint64, writer uint32, value []byte) {
+// getKey is Get on a key still in its request frame, appending the
+// value to buf[:0].
+func (s *RegisterStore) getKey(key, buf []byte) (ts uint64, writer uint32, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.regs[string(key)].tag()
+	r := s.regs[string(key)]
+	if r == nil {
+		return 0, 0, buf[:0]
+	}
+	return r.ts, r.writer, append(buf[:0], r.value...)
 }
 
 // Apply stores value under (ts, writer) if that tag is newer than the
@@ -50,14 +55,7 @@ func (s *RegisterStore) getKey(key []byte) (ts uint64, writer uint32, value []by
 // equal or older tag is a no-op that still counts as success at the
 // protocol level — the caller acks either way.
 func (s *RegisterStore) Apply(key string, ts uint64, writer uint32, value []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.regs[key]
-	if r == nil && tagLess(0, 0, ts, writer) {
-		r = &register{}
-		s.regs[key] = r
-	}
-	return r.apply(ts, writer, value)
+	return s.applyKey([]byte(key), ts, writer, value)
 }
 
 // applyKey is Apply on a key still in its request frame; the key is
@@ -73,22 +71,14 @@ func (s *RegisterStore) applyKey(key []byte, ts uint64, writer uint32, value []b
 	return r.apply(ts, writer, value)
 }
 
-// tag reads a register; a nil one is the never-written zero register.
-func (r *register) tag() (ts uint64, writer uint32, value []byte) {
-	if r == nil {
-		return 0, 0, nil
-	}
-	return r.ts, r.writer, r.value
-}
-
-// apply installs a copy of value if (ts, writer) is newer than r's tag.
-// A nil r is only ever offered a tag no newer than the zero one.
+// apply copies value into r's buffer if (ts, writer) is newer than r's
+// tag. A nil r is only ever offered a tag no newer than the zero one.
 func (r *register) apply(ts uint64, writer uint32, value []byte) bool {
 	if r == nil || !tagLess(r.ts, r.writer, ts, writer) {
 		return false
 	}
 	r.ts, r.writer = ts, writer
-	r.value = append([]byte(nil), value...)
+	r.value = append(r.value[:0], value...)
 	r.advances++
 	return true
 }
