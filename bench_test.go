@@ -12,6 +12,7 @@ package btr
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"regexp"
@@ -19,11 +20,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"btr/internal/campaign"
 	"btr/internal/exp"
 	"btr/internal/live"
 	"btr/internal/plan/cache"
+	"btr/internal/sim"
 )
 
 // TestMain lets this test binary double as the node-process binary: the
@@ -83,8 +86,8 @@ type campaignBench struct {
 	// against a shared plan cache: the warm replay must re-plan nothing.
 	Churn []churnBenchRow `json:"churn"`
 
-	// Scenarios are the deterministic campaign scenarios the bundle run
-	// covers (E1–E10, C4, C6, C8) and how many of their trials failed.
+	// Scenarios are the scenarios of the bundle run (E1–E10, C4–C11) and
+	// how many of their trials failed.
 	Scenarios []campaignBenchScenario `json:"scenarios"`
 }
 
@@ -383,19 +386,10 @@ func TestEmitCampaignBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := campaign.Params{Seed: 1}
-	bench := campaignBench{
-		Schema: benchSchema, Seed: p.Seed, Quick: p.Quick,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		HostCores:  runtime.NumCPU(),
-		Live:       measureLiveSoak(p),
-		LiveProc:   measureLiveProc(p),
-		Churn:      measureChurn(t),
-		FaultRate:  measureSweep(t, exp.FaultRateKinds(), exp.FaultRateLambdas(), exp.RunFaultRateBench),
-		Saturation: measureSaturation(t),
-		MultiFault: measureMultiFault(t),
-		ClientSLO:  measureClientSLO(t),
-		Scenarios:  measureScenarios(p),
-	}
+	bench := foldBench(campaign.Run(benchScenarios(), campaign.Options{Workers: 1, Params: p}))
+	bench.Schema, bench.Seed, bench.Quick = benchSchema, p.Seed, p.Quick
+	bench.GOMAXPROCS, bench.HostCores = runtime.GOMAXPROCS(0), runtime.NumCPU()
+	bench.Churn = measureChurn(t)
 	b, err := json.MarshalIndent(bench, "", "  ")
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -427,33 +421,69 @@ func loadBench(path string) (*campaignBench, error) {
 	return &b, nil
 }
 
-// measureScenarios runs the deterministic scenarios the bundle covers —
-// the paper reproductions plus the C4 plan-cache, C6 churn and C8
-// fault-rate sweeps — on one worker.
-func measureScenarios(p campaign.Params) []campaignBenchScenario {
-	var scens []campaign.Scenario
+// benchScenarios are the scenarios the bundle run covers: every one but
+// the C1–C3 Monte Carlo sweeps.
+func benchScenarios() []campaign.Scenario {
+	var out []campaign.Scenario
 	for _, sc := range exp.Scenarios() {
-		if sc.Family == "paper" || sc.ID == "C4" || sc.ID == "C6" || sc.ID == "C8" {
-			scens = append(scens, sc)
+		if !slices.Contains([]string{"C1", "C2", "C3"}, sc.ID) {
+			out = append(out, sc)
 		}
-	}
-	var out []campaignBenchScenario
-	for _, r := range campaign.Run(scens, campaign.Options{Workers: 1, Params: p}) {
-		out = append(out, campaignBenchScenario{ID: r.ID, Trials: len(r.Trials), Failed: r.Failed})
 	}
 	return out
 }
 
-// measureLiveSoak runs the C5 live wall-clock scenario and folds its
-// per-run rows into per-topology bundle entries.
-func measureLiveSoak(p campaign.Params) []liveBenchRow {
-	res := campaign.Run([]campaign.Scenario{exp.C5Scenario()}, campaign.Options{Workers: 1, Params: p})
-	var out []liveBenchRow
-	for _, tr := range res[0].Trials {
-		row, ok := campaign.Value[exp.C5Row](tr)
-		if !ok {
-			continue
+// foldBench folds one campaign run into the bundle's sections: each
+// section reads its scenario's trial rows, and scenarios lists every
+// scenario of the run with its failed-trial count. A failed trial has
+// no row; it shows as scenarios[id].failed.
+func foldBench(results []campaign.ScenarioResult) campaignBench {
+	var b campaignBench
+	for _, r := range results {
+		b.Scenarios = append(b.Scenarios, campaignBenchScenario{ID: r.ID, Trials: len(r.Trials), Failed: r.Failed})
+		switch r.ID {
+		case "C5":
+			b.Live = foldLive(trialRows[exp.C5Row](r))
+		case "C7":
+			b.LiveProc = foldRows(trialRows[exp.C7Row](r), liveProcRow)
+		case "C8":
+			b.FaultRate = foldSweep(trialRows[exp.C8Row](r))
+		case "C9":
+			b.Saturation.Rows = foldRows(trialRows[exp.C9Row](r), saturationRow)
+		case "C10":
+			b.MultiFault = multifaultBench{foldSweep(trialRows[exp.C8Row](r)), foldRows(trialRows[exp.C10StormRow](r), stormRow)}
+		case "C11":
+			b.ClientSLO = foldRows(trialRows[exp.C11Row](r), clientSLORow)
 		}
+	}
+	return b
+}
+
+// trialRows returns the R payloads of a scenario's trials, in trial order.
+func trialRows[R any](r campaign.ScenarioResult) []R {
+	var out []R
+	for _, tr := range r.Trials {
+		if v, ok := campaign.Value[R](tr); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// foldRows converts each row into its bundle entry.
+func foldRows[R, B any](in []R, conv func(R) B) []B {
+	var out []B
+	for _, r := range in {
+		out = append(out, conv(r))
+	}
+	return out
+}
+
+// foldLive folds the C5 per-run rows into per-topology entries: the
+// worst recovery, within R only if every run was.
+func foldLive(in []exp.C5Row) []liveBenchRow {
+	var out []liveBenchRow
+	for _, row := range in {
 		i := slices.IndexFunc(out, func(r liveBenchRow) bool { return r.Topology == row.Topology && r.Nodes == row.Nodes })
 		if i < 0 {
 			out = append(out, liveBenchRow{Topology: row.Topology, Nodes: row.Nodes, F: row.F, WithinR: true})
@@ -468,143 +498,67 @@ func measureLiveSoak(p campaign.Params) []liveBenchRow {
 	return out
 }
 
-// measureLiveProc runs the C7 multi-process deployment scenario — one OS
-// process per node over real TCP sockets — and copies its per-run rows
-// into bundle entries.
-func measureLiveProc(p campaign.Params) []liveProcBenchRow {
-	res := campaign.Run([]campaign.Scenario{exp.C7Scenario()}, campaign.Options{Workers: 1, Params: p})
-	var out []liveProcBenchRow
-	for _, tr := range res[0].Trials {
-		row, ok := campaign.Value[exp.C7Row](tr)
-		if !ok {
-			continue
-		}
-		r := liveProcBenchRow{
-			Topology: row.Topology, Nodes: row.Nodes, F: row.F, Fault: row.Fault,
-			RecoveryMS: row.Recovery.Millis(), BoundMS: row.Bound.Millis(),
-			WithinR: row.Recovery <= row.Bound,
-		}
-		if row.ReconnectChecked {
-			r.Reconnected = &row.Reconnected
-		}
-		out = append(out, r)
+func liveProcRow(row exp.C7Row) liveProcBenchRow {
+	r := liveProcBenchRow{
+		Topology: row.Topology, Nodes: row.Nodes, F: row.F, Fault: row.Fault,
+		RecoveryMS: row.Recovery.Millis(), BoundMS: row.Bound.Millis(),
+		WithinR: row.Recovery <= row.Bound,
 	}
-	return out
+	if row.ReconnectChecked {
+		r.Reconnected = &row.Reconnected
+	}
+	return r
 }
 
-// measureSaturation runs the full C9 probe per topology.
-func measureSaturation(t *testing.T) saturationBench {
-	var out saturationBench
-	for _, kind := range exp.SaturationKinds() {
-		row, err := exp.RunSaturationBench(kind, 1)
-		if err != nil {
-			t.Fatalf("saturation bench %s: %v", kind, err)
-		}
-		out.Rows = append(out.Rows, saturationBenchRow{
-			Topology:       row.Topology,
-			Nodes:          row.Nodes,
-			F:              row.F,
-			SustainableEPS: row.SustainableEPS,
-			LoadEPS:        row.LoadEPS,
-			LoadFraction:   row.LoadFraction,
-			RecoveryMS:     row.Recovery.Millis(),
-			BoundMS:        row.Bound.Millis(),
-			WithinR:        row.WithinR,
-			Delivered:      row.Delivered,
-			Dropped:        row.Dropped,
-			Shed:           row.Shed,
-		})
-	}
-	return out
-}
-
-// measureSweep runs a C8-shaped sweep — every topology at every swept λ,
-// full horizon — and records each row's classification plus the knee each
-// topology sustains.
-func measureSweep(t *testing.T, kinds []string, lambdas []float64, run func(string, float64, uint64) (exp.C8Row, error)) faultrateBench {
+// foldSweep copies a C8-shaped sweep's rows (topology by topology, λ
+// ascending) and adds each topology's knee, as the scenario's table
+// notes it.
+func foldSweep(in []exp.C8Row) faultrateBench {
 	var out faultrateBench
-	for _, kind := range kinds {
-		var rows []exp.C8Row
-		for _, lambda := range lambdas {
-			row, err := run(kind, lambda, 1)
-			if err != nil {
-				t.Fatalf("sweep %s λ=%g: %v", kind, lambda, err)
-			}
-			rows = append(rows, row)
+	for start := 0; start < len(in); {
+		end := start
+		for end < len(in) && in[end].Topology == in[start].Topology {
+			row := in[end]
 			out.Rows = append(out.Rows, faultrateBenchRow{
-				Topology:      row.Topology,
-				LambdaPerSec:  row.Lambda,
-				Arrivals:      row.Arrivals,
-				Tolerated:     row.Tolerated,
-				Detected:      row.Detected,
-				Untolerated:   row.Untolerated,
-				Windows:       row.Windows,
-				WorstWindowMS: row.WorstWindow.Millis(),
-				BoundWindowMS: row.Bound.Millis(),
-				Reconciled:    row.Reconciled,
+				Topology: row.Topology, LambdaPerSec: row.Lambda, Arrivals: row.Arrivals,
+				Tolerated: row.Tolerated, Detected: row.Detected, Untolerated: row.Untolerated,
+				Windows: row.Windows, WorstWindowMS: row.WorstWindow.Millis(), BoundWindowMS: row.Bound.Millis(),
+				Reconciled: row.Reconciled,
 			})
+			end++
 		}
-		out.Knees = append(out.Knees, faultrateKnee{Topology: kind, KneeLambdaPerSec: exp.C8Knee(rows)})
+		out.Knees = append(out.Knees, faultrateKnee{Topology: in[start].Topology, KneeLambdaPerSec: exp.C8Knee(in[start:end])})
+		start = end
 	}
 	return out
 }
 
-// measureMultiFault runs the full C10 sweep with the extended catalog plus
-// every scripted storm against real processes.
-func measureMultiFault(t *testing.T) multifaultBench {
-	out := multifaultBench{faultrateBench: measureSweep(t, exp.MultiFaultKinds(), exp.MultiFaultLambdas(), exp.RunMultiFaultBench)}
-	for _, name := range exp.MultiFaultStorms() {
-		row, err := exp.RunMultiFaultStormBench(name, 1)
-		if err != nil {
-			t.Fatalf("multifault storm bench %s: %v", name, err)
-		}
-		out.Storms = append(out.Storms, multifaultStormRow{
-			Name:             row.Name,
-			Topology:         row.Topology,
-			Nodes:            row.Nodes,
-			F:                row.F,
-			Faults:           row.Faults,
-			OverBudget:       row.OverBudget,
-			Reconciled:       row.Reconciled,
-			Flagged:          row.Flagged,
-			Confined:         row.Confined,
-			ReconnectChecked: row.ReconnectChecked,
-			Reconnected:      row.Reconnected,
-		})
+func saturationRow(row exp.C9Row) saturationBenchRow {
+	return saturationBenchRow{
+		Topology: row.Topology, Nodes: row.Nodes, F: row.F,
+		SustainableEPS: row.SustainableEPS, LoadEPS: row.LoadEPS, LoadFraction: row.LoadFraction,
+		RecoveryMS: row.Recovery.Millis(), BoundMS: row.Bound.Millis(), WithinR: row.WithinR,
+		Delivered: row.Delivered, Dropped: row.Dropped, Shed: row.Shed,
 	}
-	return out
 }
 
-// measureClientSLO runs every C11 case — steady state plus each ≤ f
-// process fault — against real multi-process deployments with client
-// load attached.
-func measureClientSLO(t *testing.T) []clientsloBenchRow {
-	var out []clientsloBenchRow
-	for _, name := range exp.ClientSLOCases() {
-		row, err := exp.RunClientSLOBench(name, 1)
-		if err != nil {
-			t.Fatalf("clientslo bench %s: %v", name, err)
-		}
-		out = append(out, clientsloBenchRow{
-			Name:         row.Name,
-			Topology:     row.Topology,
-			Nodes:        row.Nodes,
-			F:            row.F,
-			Fault:        row.Fault,
-			Sessions:     row.Sessions,
-			Ops:          row.Ops,
-			Errors:       row.Errors,
-			Retries:      row.Retries,
-			StaleRetries: row.StaleRetries,
-			P50MS:        float64(row.P50.Microseconds()) / 1000,
-			P99MS:        float64(row.P99.Microseconds()) / 1000,
-			P999MS:       float64(row.P999.Microseconds()) / 1000,
-			MaxUnavailMS: float64(row.MaxUnavail.Microseconds()) / 1000,
-			BoundMS:      float64(row.Bound.Microseconds()) / 1000,
-			Within:       row.Within,
-		})
+func stormRow(row exp.C10StormRow) multifaultStormRow {
+	return multifaultStormRow{
+		Name: row.Name, Topology: row.Topology, Nodes: row.Nodes, F: row.F, Faults: row.Faults,
+		OverBudget: row.OverBudget, Reconciled: row.Reconciled, Flagged: row.Flagged, Confined: row.Confined,
+		ReconnectChecked: row.ReconnectChecked, Reconnected: row.Reconnected,
 	}
-	return out
+}
+
+func clientSLORow(row exp.C11Row) clientsloBenchRow {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return clientsloBenchRow{
+		Name: row.Name, Topology: row.Topology, Nodes: row.Nodes, F: row.F, Fault: row.Fault,
+		Sessions: row.Sessions, Ops: row.Ops, Errors: row.Errors,
+		Retries: row.Retries, StaleRetries: row.StaleRetries,
+		P50MS: ms(row.P50), P99MS: ms(row.P99), P999MS: ms(row.P999),
+		MaxUnavailMS: ms(row.MaxUnavail), BoundMS: ms(row.Bound), Within: row.Within,
+	}
 }
 
 // measureChurn runs every C6 churn topology twice against a shared plan
@@ -637,6 +591,50 @@ func measureChurn(t *testing.T) []churnBenchRow {
 }
 
 // --- gate tests -------------------------------------------------------------
+
+// TestFoldBench: the folds read one campaign run. A failed C5 trial
+// leaves no live row behind but shows as scenarios[C5].failed, which
+// judge reports; each sweep topology's knee is C8Knee of its rows, and
+// C10's trials split into sweep rows and storms.
+func TestFoldBench(t *testing.T) {
+	ok := func(v any) campaign.TrialResult { return campaign.TrialResult{Value: v} }
+	sweep := []campaign.TrialResult{
+		ok(exp.C8Row{Topology: "full-mesh", Lambda: 1, Reconciled: true}),
+		ok(exp.C8Row{Topology: "full-mesh", Lambda: 2, Untolerated: 1}),
+		ok(exp.C8Row{Topology: "ring", Lambda: 1, Reconciled: true}),
+	}
+	results := []campaign.ScenarioResult{
+		{ID: "E1", Trials: []campaign.TrialResult{ok(nil)}},
+		{ID: "C5", Failed: 1, Trials: []campaign.TrialResult{
+			ok(exp.C5Row{Topology: "ring", Nodes: 6, F: 1, Recovery: 100 * sim.Millisecond, Bound: 600 * sim.Millisecond}),
+			{Err: errors.New("deploy: timed out")},
+			ok(exp.C5Row{Topology: "ring", Nodes: 6, F: 1, Recovery: 300 * sim.Millisecond, Bound: 600 * sim.Millisecond}),
+		}},
+		{ID: "C8", Trials: sweep},
+		{ID: "C10", Trials: append(slices.Clone(sweep), ok(exp.C10StormRow{Name: "kill+stop", Flagged: true}))},
+	}
+	b := foldBench(results)
+	wantScenarios := []campaignBenchScenario{{"E1", 1, 0}, {"C5", 3, 1}, {"C8", 3, 0}, {"C10", 4, 0}}
+	if !slices.Equal(b.Scenarios, wantScenarios) {
+		t.Errorf("scenarios = %v, want %v", b.Scenarios, wantScenarios)
+	}
+	wantLive := []liveBenchRow{{Topology: "ring", Nodes: 6, F: 1, Runs: 2, WorstRecoverMS: 300, BoundMS: 600, WithinR: true}}
+	if !slices.Equal(b.Live, wantLive) {
+		t.Errorf("live = %v, want %v", b.Live, wantLive)
+	}
+	wantKnees := []faultrateKnee{{"full-mesh", 1}, {"ring", 1}}
+	for name, s := range map[string]faultrateBench{"faultrate": b.FaultRate, "multifault": b.MultiFault.faultrateBench} {
+		if len(s.Rows) != 3 || !slices.Equal(s.Knees, wantKnees) {
+			t.Errorf("%s: %d rows, knees %v; want 3 rows, knees %v", name, len(s.Rows), s.Knees, wantKnees)
+		}
+	}
+	if len(b.MultiFault.Storms) != 1 || b.MultiFault.Storms[0].Name != "kill+stop" {
+		t.Errorf("multifault storms = %v, want the one kill+stop storm", b.MultiFault.Storms)
+	}
+	if fails := judge(&b, &b); !slices.Contains(fails, "scenarios[C5].failed: want == 0") {
+		t.Errorf("judge does not report the failed C5 trial: %v", fails)
+	}
+}
 
 // healthyBench is a synthetic bundle every gate passes. It carries the
 // cases a gate must not fire on: a liveproc row with no reconnect

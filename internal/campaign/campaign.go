@@ -168,20 +168,6 @@ func CountFailed(trials []TrialResult) int {
 	return n
 }
 
-// MergeSeries folds per-trial series into one metrics.Series, visiting
-// trials in index order (the deterministic shard reduction). pick may
-// return nil to skip a trial; failed trials are skipped.
-func MergeSeries(name string, trials []TrialResult, pick func(TrialResult) *metrics.Series) *metrics.Series {
-	out := metrics.NewSeries(name)
-	for _, tr := range trials {
-		if tr.Err != nil {
-			continue
-		}
-		out.Merge(pick(tr))
-	}
-	return out
-}
-
 // FailNote renders a short per-scenario failure summary suitable for a
 // table note, or "" when nothing failed.
 func FailNote(trials []TrialResult) string {

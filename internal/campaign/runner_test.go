@@ -230,29 +230,6 @@ func TestEmptyCampaign(t *testing.T) {
 	}
 }
 
-func TestMergeSeriesSkipsFailures(t *testing.T) {
-	mk := func(v float64) *metrics.Series {
-		s := metrics.NewSeries("x")
-		s.Add(v)
-		return s
-	}
-	trials := []TrialResult{
-		{Name: "a", Value: 1.0},
-		{Name: "b", Err: errors.New("boom")},
-		{Name: "c", Value: 3.0},
-	}
-	s := MergeSeries("merged", trials, func(tr TrialResult) *metrics.Series {
-		v, _ := Value[float64](tr)
-		return mk(v)
-	})
-	if s.N() != 2 {
-		t.Errorf("merged N = %d, want 2", s.N())
-	}
-	if got := s.Mean(); got != 2.0 {
-		t.Errorf("merged mean = %v, want 2", got)
-	}
-}
-
 func TestBundleShape(t *testing.T) {
 	scens := []Scenario{rngScenario("S1", 3)}
 	opts := Options{Workers: 2, Params: Params{Seed: 9, Trials: 2}}

@@ -144,10 +144,9 @@ func c10SweepTable(p campaign.Params, trials []campaign.TrialResult) *metrics.Ta
 		"corrupt-sink and skip-actuation target hosted sink replicas (judged at the plant); delay holds outputs 4 periods past the transport boundary; skip-actuation is masked by sink replication and consumes no fault budget (it never convicts)")
 }
 
-// C10Scenario returns the multifault scenario: the deterministic
-// non-catalog sweep plus the wall-clock concurrent storms. Exported so
-// the bundle emitter can run it standalone.
-func C10Scenario() campaign.Scenario {
+// c10Scenario returns the multifault scenario: the deterministic
+// non-catalog sweep plus the wall-clock concurrent storms.
+func c10Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C10",
 		Family: "multifault",
@@ -208,38 +207,4 @@ func c10SweepOnlyScenario() campaign.Scenario {
 			return []*metrics.Table{c10SweepTable(p, trials)}
 		},
 	}
-}
-
-// MultiFaultKinds lists the C10 sweep topology families (the full,
-// non-quick set), for standalone benchmarking.
-func MultiFaultKinds() []string { return FaultRateKinds() }
-
-// MultiFaultLambdas lists the full swept λ grid, ascending.
-func MultiFaultLambdas() []float64 { return FaultRateLambdas() }
-
-// RunMultiFaultBench runs one (topology, λ) C10 sweep case standalone
-// (the bundle emitter's entry point).
-func RunMultiFaultBench(kind string, lambda float64, seed uint64) (C8Row, error) {
-	return runSweepBench(kind, lambda, seed, true)
-}
-
-// MultiFaultStorms lists the scripted storm names (full set).
-func MultiFaultStorms() []string {
-	var out []string
-	for _, st := range c10Storms(campaign.Params{}) {
-		out = append(out, st.name)
-	}
-	return out
-}
-
-// RunMultiFaultStormBench runs one scripted storm standalone. The caller
-// must serialize wall-clock runs (the campaign path holds liveGate; a
-// bench harness is naturally serial).
-func RunMultiFaultStormBench(name string, seed uint64) (C10StormRow, error) {
-	for _, st := range c10Storms(campaign.Params{}) {
-		if st.name == name {
-			return runC10Storm(st, seed)
-		}
-	}
-	return C10StormRow{}, fmt.Errorf("exp: unknown multifault storm %q", name)
 }

@@ -102,9 +102,8 @@ func runC11Case(c c11Case, seed uint64) (C11Row, error) {
 	}, nil
 }
 
-// C11Scenario returns the client-SLO soak. Exported (like C7Scenario)
-// so the bundle emitter can run it standalone.
-func C11Scenario() campaign.Scenario {
+// c11Scenario returns the client-SLO soak.
+func c11Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C11",
 		Family: "clientslo",
@@ -144,27 +143,4 @@ func C11Scenario() campaign.Scenario {
 			return []*metrics.Table{t}
 		},
 	}
-}
-
-// ClientSLOCases lists the C11 case names (full, non-quick set), for
-// standalone benchmarking.
-func ClientSLOCases() []string {
-	var out []string
-	for _, c := range c11Cases(campaign.Params{}) {
-		out = append(out, c.name)
-	}
-	return out
-}
-
-// RunClientSLOBench runs one C11 case standalone (the bundle
-// emitter's entry point). The caller must serialize wall-clock runs
-// (the campaign path holds liveGate; a bench harness is naturally
-// serial).
-func RunClientSLOBench(name string, seed uint64) (C11Row, error) {
-	for _, c := range c11Cases(campaign.Params{}) {
-		if c.name == name {
-			return runC11Case(c, seed)
-		}
-	}
-	return C11Row{}, fmt.Errorf("exp: unknown clientslo case %q", name)
 }

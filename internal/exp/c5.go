@@ -86,9 +86,8 @@ type C5Row struct {
 	Switches int
 }
 
-// C5Scenario returns the live soak scenario. Exported (unlike the
-// simulated families) so the bundle emitter can run it standalone.
-func C5Scenario() campaign.Scenario {
+// c5Scenario returns the live soak scenario.
+func c5Scenario() campaign.Scenario {
 	horizon := func(p campaign.Params) uint64 {
 		if p.Quick {
 			return 10

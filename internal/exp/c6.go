@@ -134,9 +134,8 @@ func without(members []network.NodeID, x network.NodeID) []network.NodeID {
 	return out
 }
 
-// C6Scenario returns the churn scenario. Exported so the bundle
-// emitter can run it standalone.
-func C6Scenario() campaign.Scenario {
+// c6Scenario returns the churn scenario.
+func c6Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C6",
 		Family: "churn",
@@ -304,7 +303,7 @@ func runChurnCase(c c6Case, seed uint64, pc *cache.Cache) (C6Row, error) {
 }
 
 // ChurnKinds lists the churn topology families (the full, non-quick
-// set), for standalone benchmarking.
+// set), for the bundle's churn replay.
 func ChurnKinds() []string {
 	var out []string
 	for _, c := range c6Cases(campaign.Params{}) {
@@ -313,9 +312,9 @@ func ChurnKinds() []string {
 	return out
 }
 
-// RunChurnBench runs one churn topology family standalone (the perf-
-// bundle emitter's entry point). pc may be shared across calls to
-// measure warm-churn replans.
+// RunChurnBench runs one churn topology family outside a campaign, for
+// the bundle's churn section: pc may be shared across calls to measure
+// warm-churn replans, which no C6 trial does.
 func RunChurnBench(kind string, seed uint64, pc *cache.Cache) (C6Row, error) {
 	for _, c := range c6Cases(campaign.Params{}) {
 		if c.kind == kind {

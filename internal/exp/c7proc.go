@@ -98,9 +98,8 @@ func procFault(fault string) adversary.Script {
 	return adversary.Script{{Behavior: fault, Node: -1, At: 3 * c7Period, Heal: 3 * c7Period}}
 }
 
-// C7Scenario returns the multi-process deployment soak. Exported (like
-// C5Scenario) so the bundle emitter can run it standalone.
-func C7Scenario() campaign.Scenario {
+// c7Scenario returns the multi-process deployment soak.
+func c7Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C7",
 		Family: "liveproc",

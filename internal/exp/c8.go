@@ -197,9 +197,8 @@ func C8Knee(rows []C8Row) float64 {
 	return knee
 }
 
-// C8Scenario returns the high-fault-rate scenario. Exported so the
-// bundle emitter can run it standalone.
-func C8Scenario() campaign.Scenario {
+// c8Scenario returns the high-fault-rate scenario.
+func c8Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C8",
 		Family: "faultrate",
@@ -261,34 +260,4 @@ func sweepTable(p campaign.Params, trials []campaign.TrialResult, title string, 
 	}
 	t.Note("%s", last)
 	return t
-}
-
-// FaultRateKinds lists the C8 topology families (the full, non-quick
-// set), for standalone benchmarking.
-func FaultRateKinds() []string {
-	var out []string
-	for _, c := range c8Cases(campaign.Params{}) {
-		out = append(out, c.kind)
-	}
-	return out
-}
-
-// FaultRateLambdas lists the full swept λ grid, ascending.
-func FaultRateLambdas() []float64 { return c8Lambdas(campaign.Params{}) }
-
-// RunFaultRateBench runs one (topology, λ) C8 case standalone (the
-// bundle emitter's entry point).
-func RunFaultRateBench(kind string, lambda float64, seed uint64) (C8Row, error) {
-	return runSweepBench(kind, lambda, seed, false)
-}
-
-// runSweepBench runs one full-size (topology, λ) case of the C8 sweep,
-// or with extended of the C10 one.
-func runSweepBench(kind string, lambda float64, seed uint64, extended bool) (C8Row, error) {
-	for _, c := range c8Cases(campaign.Params{}) {
-		if c.kind == kind {
-			return runC8Case(nil, c, lambda, seed, false, extended)
-		}
-	}
-	return C8Row{}, fmt.Errorf("exp: unknown sweep topology %q", kind)
 }

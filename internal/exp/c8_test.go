@@ -11,7 +11,7 @@ import (
 // renders its tables.
 func renderC8(t *testing.T, seed uint64, workers int) string {
 	t.Helper()
-	res := campaign.Run([]campaign.Scenario{C8Scenario()}, campaign.Options{
+	res := campaign.Run([]campaign.Scenario{c8Scenario()}, campaign.Options{
 		Workers: workers,
 		Params:  campaign.Params{Seed: seed, Quick: true},
 	})

@@ -66,7 +66,7 @@ func c9Ladder(p campaign.Params) []int {
 	return []int{8, 64, 256, 768, 3072}
 }
 
-// C9Point is one ladder rung (exported for the bundle emitter).
+// C9Point is one ladder rung.
 type C9Point struct {
 	PerPeriod    int
 	OfferedEPS   float64
@@ -135,9 +135,8 @@ func runC9Case(c c9Case, ladder []int, seed uint64) (C9Row, error) {
 	return row, nil
 }
 
-// C9Scenario returns the saturation campaign family. Exported so the
-// bundle emitter can run it standalone.
-func C9Scenario() campaign.Scenario {
+// c9Scenario returns the saturation campaign family.
+func c9Scenario() campaign.Scenario {
 	return campaign.Scenario{
 		ID:     "C9",
 		Family: "saturation",
@@ -186,25 +185,4 @@ func C9Scenario() campaign.Scenario {
 			return []*metrics.Table{ladder, rec}
 		},
 	}
-}
-
-// SaturationKinds lists the C9 topology families, for standalone
-// benchmarking.
-func SaturationKinds() []string {
-	var out []string
-	for _, c := range c9Cases(campaign.Params{}) {
-		out = append(out, c.kind)
-	}
-	return out
-}
-
-// RunSaturationBench runs one C9 case standalone with the full ladder
-// (the bundle emitter's entry point).
-func RunSaturationBench(kind string, seed uint64) (C9Row, error) {
-	for _, c := range c9Cases(campaign.Params{}) {
-		if c.kind == kind {
-			return runC9Case(c, c9Ladder(campaign.Params{}), seed)
-		}
-	}
-	return C9Row{}, fmt.Errorf("exp: unknown saturation topology %q", kind)
 }

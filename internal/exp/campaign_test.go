@@ -131,7 +131,7 @@ func TestC5LiveSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live wall-clock soak in -short mode")
 	}
-	results := campaign.Run([]campaign.Scenario{C5Scenario()}, campaign.Options{
+	results := campaign.Run([]campaign.Scenario{c5Scenario()}, campaign.Options{
 		Workers: 2,
 		Params:  campaign.Params{Seed: 1, Quick: true, Trials: 1},
 	})
@@ -157,7 +157,7 @@ func TestC7ProcSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process wall-clock soak in -short mode")
 	}
-	results := campaign.Run([]campaign.Scenario{C7Scenario()}, campaign.Options{
+	results := campaign.Run([]campaign.Scenario{c7Scenario()}, campaign.Options{
 		Workers: 1,
 		Params:  campaign.Params{Seed: 1, Quick: true, Trials: 1},
 	})
@@ -194,7 +194,7 @@ func TestC9SaturationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation wall-clock probe in -short mode")
 	}
-	results := campaign.Run([]campaign.Scenario{C9Scenario()}, campaign.Options{
+	results := campaign.Run([]campaign.Scenario{c9Scenario()}, campaign.Options{
 		Workers: 1,
 		Params:  campaign.Params{Seed: 1, Quick: true, Trials: 1},
 	})
@@ -228,7 +228,7 @@ func TestC9SaturationSmoke(t *testing.T) {
 // every epoch activates, recovery stays within the per-epoch bound
 // across every epoch boundary, and churn alone produces no bad output.
 func TestC6ChurnHoldsBounds(t *testing.T) {
-	results := campaign.Run([]campaign.Scenario{C6Scenario()}, campaign.Options{
+	results := campaign.Run([]campaign.Scenario{c6Scenario()}, campaign.Options{
 		Workers: 4,
 		Params:  campaign.Params{Seed: 1, Quick: false, Trials: 1},
 	})

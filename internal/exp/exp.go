@@ -54,13 +54,13 @@ func Scenarios() []campaign.Scenario {
 		c2Topology(),
 		c3ClockSkew(),
 		c4PlanCache(),
-		C5Scenario(),
-		C6Scenario(),
-		C7Scenario(),
-		C8Scenario(),
-		C9Scenario(),
-		C10Scenario(),
-		C11Scenario(),
+		c5Scenario(),
+		c6Scenario(),
+		c7Scenario(),
+		c8Scenario(),
+		c9Scenario(),
+		c10Scenario(),
+		c11Scenario(),
 	}
 }
 

@@ -332,40 +332,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// TotalWCET sums per-period execution demand over all tasks.
-func (g *Graph) TotalWCET() sim.Time {
-	var sum sim.Time
-	for _, t := range g.Tasks {
-		sum += t.WCET
-	}
-	return sum
-}
-
-// TasksAtOrAbove returns IDs with criticality c or more critical, sorted.
-func (g *Graph) TasksAtOrAbove(c Criticality) []TaskID {
-	return g.filter(func(t *Task) bool { return t.Crit <= c })
-}
-
-// CritPath returns the longest WCET-weighted path (ignoring network
-// delays); a quick lower bound on achievable end-to-end latency.
-func (g *Graph) CritPath() sim.Time {
-	longest := map[TaskID]sim.Time{}
-	var max sim.Time
-	for _, id := range g.TopoOrder() {
-		best := sim.Time(0)
-		for _, e := range g.ins[id] {
-			if longest[e.From] > best {
-				best = longest[e.From]
-			}
-		}
-		longest[id] = best + g.Tasks[id].WCET
-		if longest[id] > max {
-			max = longest[id]
-		}
-	}
-	return max
-}
-
 // SinkOf returns, for each task, the set of sinks reachable from it. The
 // planner uses this to propagate deadlines and to decide which sink
 // outputs a fault on a given task can corrupt.

@@ -205,38 +205,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestTotalWCETAndCritPath(t *testing.T) {
-	g := Chain(4, 10*sim.Millisecond, sim.Millisecond, 8, CritA)
-	if got := g.TotalWCET(); got != 4*sim.Millisecond {
-		t.Errorf("TotalWCET = %v, want 4ms", got)
-	}
-	if got := g.CritPath(); got != 4*sim.Millisecond {
-		t.Errorf("CritPath = %v, want 4ms", got)
-	}
-	// Fork-join: crit path is src+w+join+sink = 4 tasks deep, not total.
-	fj := ForkJoin(5, 20*sim.Millisecond, sim.Millisecond, 8, CritA)
-	if got := fj.CritPath(); got != 4*sim.Millisecond {
-		t.Errorf("fork-join CritPath = %v, want 4ms", got)
-	}
-}
-
-func TestTasksAtOrAbove(t *testing.T) {
-	g := Avionics(20 * sim.Millisecond)
-	all := g.TasksAtOrAbove(CritD)
-	if len(all) != len(g.Tasks) {
-		t.Errorf("TasksAtOrAbove(D) = %d tasks, want all %d", len(all), len(g.Tasks))
-	}
-	aOnly := g.TasksAtOrAbove(CritA)
-	for _, id := range aOnly {
-		if g.Tasks[id].Crit != CritA {
-			t.Errorf("task %q in A-set has crit %v", id, g.Tasks[id].Crit)
-		}
-	}
-	if len(aOnly) == 0 || len(aOnly) >= len(all) {
-		t.Errorf("A-set size %d implausible vs %d", len(aOnly), len(all))
-	}
-}
-
 func TestSinkOf(t *testing.T) {
 	g := Avionics(20 * sim.Millisecond)
 	so := g.SinkOf()

@@ -80,27 +80,6 @@ func (tl *Timeline) initialState() bool {
 	return !tl.state
 }
 
-// LongestFalse returns the longest false interval up to horizon (zero
-// Interval if none).
-func (tl *Timeline) LongestFalse(horizon sim.Time) Interval {
-	var worst Interval
-	for _, iv := range tl.FalseIntervals(horizon) {
-		if iv.Duration() > worst.Duration() {
-			worst = iv
-		}
-	}
-	return worst
-}
-
-// TotalFalse sums all false time up to horizon.
-func (tl *Timeline) TotalFalse(horizon sim.Time) sim.Time {
-	var sum sim.Time
-	for _, iv := range tl.FalseIntervals(horizon) {
-		sum += iv.Duration()
-	}
-	return sum
-}
-
 // Recovery describes one fault-to-recovery episode.
 type Recovery struct {
 	FaultAt   sim.Time
@@ -147,18 +126,6 @@ func NewSeries(name string) *Series { return &Series{name: name} }
 
 // Add appends a sample.
 func (s *Series) Add(v float64) { s.samples = append(s.samples, v) }
-
-// Merge appends every sample of other (in other's insertion order). It is
-// the deterministic reduction step for sharded collection: merging
-// per-shard series in a fixed shard order yields the same multiset — and,
-// since all statistics here are order-insensitive, the same statistics —
-// regardless of how samples were distributed across shards.
-func (s *Series) Merge(other *Series) {
-	if other == nil {
-		return
-	}
-	s.samples = append(s.samples, other.samples...)
-}
 
 // AddTime appends a sim.Time sample in milliseconds.
 func (s *Series) AddTime(t sim.Time) { s.Add(t.Millis()) }

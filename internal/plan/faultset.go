@@ -94,16 +94,6 @@ func (f FaultSet) Without(n network.NodeID) FaultSet {
 	return FaultSet{nodes: out}
 }
 
-// SubsetOf reports whether every member of f is in g.
-func (f FaultSet) SubsetOf(g FaultSet) bool {
-	for _, n := range f.nodes {
-		if !g.Contains(n) {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports set equality.
 func (f FaultSet) Equal(g FaultSet) bool {
 	if len(f.nodes) != len(g.nodes) {

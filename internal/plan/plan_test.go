@@ -41,9 +41,6 @@ func TestFaultSetOps(t *testing.T) {
 	if b.Without(2).Key() != "1,3" {
 		t.Error("Without failed")
 	}
-	if !a.SubsetOf(b) || b.SubsetOf(a) {
-		t.Error("SubsetOf wrong")
-	}
 	if !a.Equal(NewFaultSet(2, 1)) {
 		t.Error("Equal wrong")
 	}

@@ -283,12 +283,3 @@ func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Pending returns the number of events waiting in the queue.
 func (k *Kernel) Pending() int { return k.q.len() }
-
-// NextEventTime returns the time of the earliest pending event, or Never if
-// the queue is empty.
-func (k *Kernel) NextEventTime() Time {
-	if k.q.len() == 0 {
-		return Never
-	}
-	return k.q.topAt()
-}

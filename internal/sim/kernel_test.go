@@ -96,9 +96,6 @@ func TestKernelRunUntil(t *testing.T) {
 	if k.Pending() != 2 {
 		t.Errorf("Pending() = %d, want 2", k.Pending())
 	}
-	if k.NextEventTime() != 15 {
-		t.Errorf("NextEventTime() = %v, want 15", k.NextEventTime())
-	}
 }
 
 func TestKernelStop(t *testing.T) {
@@ -139,13 +136,6 @@ func TestKernelNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	k.After(-1, func() {})
-}
-
-func TestKernelEmptyNextEventTime(t *testing.T) {
-	k := NewKernel(1)
-	if k.NextEventTime() != Never {
-		t.Errorf("NextEventTime on empty queue = %v, want Never", k.NextEventTime())
-	}
 }
 
 func TestKernelDeterminism(t *testing.T) {

@@ -25,7 +25,7 @@ import (
 // profile-allocs` is the drill-down behind a row.
 
 // ledgerBudgets is the committed budget file: one "layer objects/trial"
-// line per row, # comments allowed.
+// line per row.
 const ledgerBudgets = "testdata/allocs.txt"
 
 // A row fails above budget + slack(budget). The slack is more than twice
@@ -102,7 +102,7 @@ func TestAllocationLedger(t *testing.T) {
 		}
 	}
 
-	budgets := readLedgerBudgets(t)
+	budgets := readBudgets(t, ledgerBudgets)
 	layers := make([]string, 0, len(objects))
 	for l := range objects {
 		layers = append(layers, l)
@@ -175,10 +175,11 @@ func layerOf(stack []uintptr) string {
 	}
 }
 
-// readLedgerBudgets parses the budget file.
-func readLedgerBudgets(t *testing.T) map[string]float64 {
+// readBudgets parses a budget file: one "row value" line per row, #
+// comments allowed.
+func readBudgets(t *testing.T, path string) map[string]float64 {
 	t.Helper()
-	f, err := os.Open(ledgerBudgets)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func readLedgerBudgets(t *testing.T) map[string]float64 {
 		}
 		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 		if len(fields) != 2 || err != nil {
-			t.Fatalf("%s: malformed line %q", ledgerBudgets, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		budgets[fields[0]] = v
 	}
@@ -201,4 +202,39 @@ func readLedgerBudgets(t *testing.T) map[string]float64 {
 		t.Fatal(err)
 	}
 	return budgets
+}
+
+// The line ledger: the non-test Go lines of each package of the module
+// (benchmark/, a module of its own, is not counted), checked against its
+// row in testdata/lines.txt. A change that grows a package raises its row
+// in the same commit and says why; one that shrinks it lowers the row.
+const lineBudgets = "testdata/lines.txt"
+
+// TestLineLedger fails when a package has more non-test lines than its
+// row, or has no row; a row naming no package must go.
+func TestLineLedger(t *testing.T) {
+	fset, pkgs := moduleSources(t)
+	budgets := readBudgets(t, lineBudgets)
+	total := 0
+	for _, pkg := range pkgs {
+		lines := 0
+		for _, f := range pkg.Files {
+			lines += fset.File(f.FileStart).LineCount()
+		}
+		total += lines
+		budget, ok := budgets[pkg.Dir]
+		delete(budgets, pkg.Dir)
+		switch {
+		case !ok:
+			t.Errorf("package %s: %d lines and no row in %s", pkg.Dir, lines, lineBudgets)
+		case float64(lines) > budget:
+			t.Errorf("package %s: %d lines, over its row %g", pkg.Dir, lines, budget)
+		case float64(lines) < budget:
+			t.Logf("package %s: %d lines, under its row %g: lower the row", pkg.Dir, lines, budget)
+		}
+	}
+	for dir := range budgets {
+		t.Errorf("%s: row %s names no package", lineBudgets, dir)
+	}
+	t.Logf("%d non-test lines in %d packages", total, len(pkgs))
 }
