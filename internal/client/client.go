@@ -58,18 +58,11 @@ func (v View) Members() []uint32 {
 // Quorum returns the view's read/write quorum size, n−f.
 func (v View) Quorum() int { return len(v.Addrs) - v.F }
 
-// Resolver maps a server-announced newer view (epoch + member slots) to
-// a full View with addresses. Deployments with a fixed slot universe —
-// the orchestrated cluster — implement it as a table lookup.
-type Resolver func(epoch uint64, members []uint32) (View, error)
-
 // Config parameterizes one client.
 type Config struct {
-	// View is the initial (possibly stale) view.
+	// View is the initial (possibly stale) view. The client follows
+	// newer epochs whose members all appear in its address table.
 	View View
-	// Resolve maps newer epochs to views; nil clients can still follow
-	// epochs whose members all appear in the current view's address table.
-	Resolve Resolver
 	// Writer tags this client's writes (must be unique per writer for
 	// the (ts, writer) order to be total).
 	Writer uint32
@@ -90,8 +83,7 @@ type Config struct {
 // concurrent use; ops from one Client to one replica serialize on that
 // replica's sender.
 type Client struct {
-	cfg     Config
-	resolve Resolver
+	cfg Config
 
 	mu      sync.Mutex
 	view    View
@@ -148,7 +140,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg:     cfg,
-		resolve: cfg.Resolve,
 		view:    cfg.View,
 		members: cfg.View.Members(),
 		conns:   map[uint32]*replicaConn{},
@@ -481,33 +472,23 @@ func (c *Client) backoff(n int) time.Duration {
 	return d
 }
 
-// adoptView installs the newer epoch's view. With a Resolver the view
-// comes from it; without one the client keeps its address table and
-// restricts it to the announced members (enough when the slot universe
-// is fixed). Returns true if the view advanced.
+// adoptView installs the newer epoch's view: the client keeps its
+// address table and restricts it to the announced members (the slot
+// universe is fixed). Returns true if the view advanced.
 func (c *Client) adoptView(epoch uint64, members []uint32) bool {
-	var next View
-	if c.resolve != nil {
-		v, err := c.resolve(epoch, members)
-		if err != nil {
-			return false
+	addrs := map[uint32]string{}
+	c.mu.Lock()
+	for _, m := range members {
+		if a, ok := c.view.Addrs[m]; ok {
+			addrs[m] = a
 		}
-		next = v
-	} else {
-		addrs := map[uint32]string{}
-		c.mu.Lock()
-		for _, m := range members {
-			if a, ok := c.view.Addrs[m]; ok {
-				addrs[m] = a
-			}
-		}
-		f := c.view.F
-		c.mu.Unlock()
-		if len(addrs) != len(members) || len(addrs) == 0 {
-			return false
-		}
-		next = View{Epoch: epoch, F: f, Addrs: addrs}
 	}
+	f := c.view.F
+	c.mu.Unlock()
+	if len(addrs) != len(members) || len(addrs) == 0 {
+		return false
+	}
+	next := View{Epoch: epoch, F: f, Addrs: addrs}
 	if next.Quorum() <= len(next.Addrs)/2 {
 		return false
 	}

@@ -44,17 +44,16 @@ type Config struct {
 	PlanOpts plan.Options
 	Net      network.Config
 
-	// PlanCache, when set, builds the strategy through the incremental
-	// plan engine instead of plan.Build — solved plans are memoized in
-	// (and reused from) the given cache across deployments — and wires
-	// the engine into the runtime so node failover consults the cache
-	// before any synthesis.
+	// PlanCache, when set with Members, is the epoch planner's plan
+	// cache: deployments that share it reuse each other's solved epoch
+	// plans (C6's warm churn replans nothing). Without Members it is
+	// unused.
 	PlanCache *cache.Cache
-	// Strategies, when PlanCache and Members are unset, builds the
-	// strategy through a run-scoped memo: deployments of one planning
-	// context share one plan.Build result, the very plans a fresh build
-	// makes. PlanCache instead shares plans across contexts by symmetry
-	// relabeling and serves failover and epochs (C4, C6, membership).
+	// Strategies, when Members is unset, builds the strategy through a
+	// run-scoped memo: deployments of one planning context share one
+	// plan.Build result, the very plans a fresh build makes. Either way
+	// every node maps its fault set to a plan through the strategy's
+	// PlanFor.
 	Strategies *plan.Memo
 
 	// Members, when non-nil, enables online membership reconfiguration:
@@ -100,10 +99,6 @@ type Deployment struct {
 	Registry *sig.Registry
 	Strategy *plan.Strategy
 	Runtime  *runtime.System
-	// PlanEngine is the incremental plan engine backing this deployment
-	// (nil unless Config.PlanCache was set); tests and tools read its
-	// Stats.
-	PlanEngine *cache.Engine
 	// MemberPlanner is the epoch planner backing this deployment (nil
 	// unless Config.Members was set).
 	MemberPlanner *member.Planner
@@ -313,11 +308,8 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 		cfg.Net = network.DefaultConfig()
 	}
 	d := &Deployment{Cfg: cfg}
-	var planner runtime.PlanSource
 	var epochCfg *runtime.EpochConfig
-	var err error
-	switch {
-	case cfg.Members != nil:
+	if cfg.Members != nil {
 		// Membership epochs: all planning goes through the epoch planner
 		// (which shares PlanCache when provided).
 		d.MemberPlanner = member.NewPlanner(cfg.Workload, cfg.PlanOpts, cfg.PlanCache)
@@ -330,15 +322,10 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 		if err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
-		d.Strategy, planner = ep0.Strategy, ep0.Resolve
-		epochCfg = &runtime.EpochConfig{Genesis: genesis, Resolve: runtime.PlannerResolve(d.MemberPlanner)}
-	case cfg.PlanCache != nil:
-		d.PlanEngine = cache.NewEngine(cfg.Workload, cfg.Topology, cfg.PlanOpts, cfg.PlanCache)
-		if d.Strategy, err = d.PlanEngine.BuildStrategy(); err != nil {
-			return nil, fmt.Errorf("core: planning failed: %w", err)
-		}
-		planner = d.PlanEngine.Resolve
-	default:
+		d.Strategy = ep0.Strategy
+		epochCfg = &runtime.EpochConfig{Genesis: genesis, Planner: d.MemberPlanner}
+	} else {
+		var err error
 		if d.Strategy, err = cfg.Strategies.Build(cfg.Workload, cfg.Topology, cfg.PlanOpts); err != nil {
 			return nil, fmt.Errorf("core: planning failed: %w", err)
 		}
@@ -357,7 +344,7 @@ func Assemble(cfg Config, exec func(Config) (sim.Scheduler, network.Transport)) 
 	d.plant = NewPlant(cfg.Workload, cfg.Horizon, d.Strategy.RNeeded, oracle)
 	rep := d.plant.Report()
 	d.Runtime = runtime.New(runtime.Config{
-		Kernel: d.sched, Net: d.net, Registry: d.Registry, Strategy: d.Strategy, Planner: planner, Epochs: epochCfg,
+		Kernel: d.sched, Net: d.net, Registry: d.Registry, Strategy: d.Strategy, Epochs: epochCfg,
 		Compute: cfg.Compute, Source: source,
 		EvidenceRateLimit: cfg.EvidenceRateLimit,
 		ForgiveAfter:      cfg.ForgiveAfter,

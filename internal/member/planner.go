@@ -11,22 +11,18 @@ import (
 )
 
 // EpochPlan is everything the runtime needs to execute one epoch: the
-// committed record, the active wiring, and the per-epoch strategy plus
-// fault resolver (plans cover member fault patterns up to F, each plan
-// additionally excluding the dormant slots).
+// committed record, the active wiring, and the per-epoch strategy (plans
+// cover member fault patterns up to F, each plan additionally excluding
+// the dormant slots; its PlanFor ignores dormant-slot convictions).
 type EpochPlan struct {
-	Record   Record
-	Members  []network.NodeID
-	Excluded plan.FaultSet
+	Record  Record
+	Members []network.NodeID
 	// Wiring is the epoch's *active* wiring: the administrative link
 	// state restricted to links among members. Transports carry exactly
 	// this — dormant slots get no links, traffic never routes through
 	// them, and retiring a node removes its links at activation.
 	Wiring   *network.Topology
 	Strategy *plan.Strategy
-	// Resolve is the epoch-aware runtime.PlanSource: member faults union
-	// the epoch's exclusions, with the engine's bounded fallback.
-	Resolve func(plan.FaultSet) *plan.Plan
 }
 
 // activeWiring restricts an administrative wiring to the links whose
@@ -114,10 +110,8 @@ func (p *Planner) ForEpoch(rec Record, wiring *network.Topology) (*EpochPlan, er
 	ep := &EpochPlan{
 		Record:   rec,
 		Members:  view.Members(),
-		Excluded: view.Excluded(),
 		Wiring:   activeWiring(wiring, rec.Members),
 		Strategy: strat,
-		Resolve:  view.Resolve,
 	}
 	p.mu.Lock()
 	p.epochs[id] = ep

@@ -27,8 +27,8 @@ func TestPlannerForEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("genesis epoch: %v", err)
 	}
-	if ep.Excluded.Key() != "6,7" {
-		t.Fatalf("excluded = %q, want 6,7", ep.Excluded.Key())
+	if got := plan.NewFaultSet(ep.Members...).Key(); got != "0,1,2,3,4,5" {
+		t.Fatalf("members = %q, want 0,1,2,3,4,5", got)
 	}
 	if !ep.Strategy.RFeasible() {
 		t.Fatalf("genesis epoch infeasible: R needed %v", ep.Strategy.RNeeded)
@@ -41,9 +41,9 @@ func TestPlannerForEpoch(t *testing.T) {
 		}
 	}
 	// Member fault resolution excludes the dormant slots too.
-	fp := ep.Resolve(plan.NewFaultSet(3))
+	fp := ep.Strategy.PlanFor(plan.NewFaultSet(3))
 	if fp == nil {
-		t.Fatal("member-fault resolve failed")
+		t.Fatal("member-fault lookup failed")
 	}
 	for id, node := range fp.Assign {
 		if node == 3 || node == 6 || node == 7 {

@@ -46,13 +46,12 @@ type Engine struct {
 	// Resolution-level counters: every PlanFor resolves to exactly one
 	// of exactHits / symHits / misses (misses = resolutions that had to
 	// synthesize, including recursive predecessor resolutions).
-	exactHits    atomic.Uint64
-	symHits      atomic.Uint64
-	misses       atomic.Uint64
-	deltaBuilds  atomic.Uint64
-	fullBuilds   atomic.Uint64
-	canonExact   atomic.Uint64
-	resolveTrims atomic.Uint64
+	exactHits   atomic.Uint64
+	symHits     atomic.Uint64
+	misses      atomic.Uint64
+	deltaBuilds atomic.Uint64
+	fullBuilds  atomic.Uint64
+	canonExact  atomic.Uint64
 }
 
 // NewEngine builds an engine backed by the given cache; a nil cache gets
@@ -159,32 +158,6 @@ func (e *Engine) synthesizeRep(rep plan.FaultSet) (*plan.Plan, error) {
 	return e.syn.BuildPlan(rep, nil)
 }
 
-// Resolve is the runtime-facing lookup (see runtime.PlanSource): it
-// consults the cache/engine and applies the same bounded fallback as
-// Strategy.PlanFor — a fault set beyond F (the guarantee is void there)
-// or an unschedulable one falls back to the largest covered subset, so
-// the node always gets *some* valid plan within at most F+1 synthesis
-// attempts. Returns nil only if even the empty fault set is
-// unschedulable, which a deployed system has already ruled out.
-func (e *Engine) Resolve(fs plan.FaultSet) *plan.Plan {
-	nodes := fs.Nodes()
-	if len(nodes) > e.opts.F {
-		nodes = nodes[:e.opts.F]
-		e.resolveTrims.Add(1)
-	}
-	for {
-		p, err := e.PlanFor(plan.NewFaultSet(nodes...))
-		if err == nil {
-			return p
-		}
-		if len(nodes) == 0 {
-			return nil
-		}
-		nodes = nodes[:len(nodes)-1]
-		e.resolveTrims.Add(1)
-	}
-}
-
 // BuildStrategy assembles the full offline strategy through the cache:
 // the drop-in, incremental equivalent of plan.Build. A cold call
 // populates the cache (one synthesis per symmetry orbit instead of one
@@ -237,7 +210,6 @@ type Stats struct {
 	DeltaBuilds  uint64 `json:"delta_builds"`
 	FullBuilds   uint64 `json:"full_builds"`
 	CanonExact   uint64 `json:"canon_budget_fallbacks"`
-	ResolveTrims uint64 `json:"resolve_fallbacks"`
 }
 
 // Stats returns the current counters.
@@ -250,6 +222,5 @@ func (e *Engine) Stats() Stats {
 		DeltaBuilds:  e.deltaBuilds.Load(),
 		FullBuilds:   e.fullBuilds.Load(),
 		CanonExact:   e.canonExact.Load(),
-		ResolveTrims: e.resolveTrims.Load(),
 	}
 }

@@ -334,22 +334,3 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		t.Errorf("warm cache not >=5x faster: cold %v vs warm %v", cold, warm)
 	}
 }
-
-// TestResolveBoundedFallback: fault sets beyond F resolve to the
-// largest covered subset instead of failing — the runtime must always
-// get a plan.
-func TestResolveBoundedFallback(t *testing.T) {
-	g := chainWorkload()
-	topo := network.FullMesh(6, testBW, testProp)
-	eng := NewEngine(g, topo, plan.DefaultOptions(1, 500*sim.Millisecond), nil)
-	p := eng.Resolve(plan.NewFaultSet(0, 1, 2))
-	if p == nil {
-		t.Fatal("Resolve returned nil for an over-F fault set")
-	}
-	if p.Faults.Len() != 1 {
-		t.Errorf("expected fallback to a 1-fault plan, got %v", p.Faults)
-	}
-	if eng.Stats().ResolveTrims == 0 {
-		t.Errorf("expected resolve fallbacks to be counted")
-	}
-}

@@ -59,10 +59,6 @@ func (e *Engine) View(members []network.NodeID) *EpochView {
 // mutate).
 func (v *EpochView) Members() []network.NodeID { return v.members }
 
-// Excluded returns the dormant-slot set the view folds into every
-// query.
-func (v *EpochView) Excluded() plan.FaultSet { return v.excluded }
-
 // effective unions a member fault set with the epoch's exclusions.
 func (v *EpochView) effective(fs plan.FaultSet) plan.FaultSet {
 	if fs.Len() == 0 {
@@ -77,35 +73,6 @@ func (v *EpochView) effective(fs plan.FaultSet) plan.FaultSet {
 // needed.
 func (v *EpochView) PlanFor(fs plan.FaultSet) (*plan.Plan, error) {
 	return v.eng.PlanFor(v.effective(fs))
-}
-
-// Resolve is the runtime-facing lookup for this epoch (see
-// runtime.PlanSource): convictions of dormant slots are ignored (they
-// are already excluded), member faults beyond F are trimmed — the
-// guarantee is void there — and unschedulable sets fall back to the
-// largest covered subset, exactly like Engine.Resolve.
-func (v *EpochView) Resolve(fs plan.FaultSet) *plan.Plan {
-	var mf []network.NodeID
-	for _, n := range fs.Nodes() {
-		if !v.excluded.Contains(n) {
-			mf = append(mf, n)
-		}
-	}
-	if len(mf) > v.eng.opts.F {
-		mf = mf[:v.eng.opts.F]
-		v.eng.resolveTrims.Add(1)
-	}
-	for {
-		p, err := v.PlanFor(plan.NewFaultSet(mf...))
-		if err == nil {
-			return p
-		}
-		if len(mf) == 0 {
-			return nil
-		}
-		mf = mf[:len(mf)-1]
-		v.eng.resolveTrims.Add(1)
-	}
 }
 
 // BuildStrategy assembles the epoch's offline strategy: one plan per

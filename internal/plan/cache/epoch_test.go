@@ -178,27 +178,31 @@ func TestEpochViewWarmChurnReplansNothing(t *testing.T) {
 	}
 }
 
-// TestEpochViewResolveIgnoresDormantConvictions: convictions of dormant
-// slots are already excluded and must not consume the F-trim budget.
+// TestEpochViewResolveIgnoresDormantConvictions: the strategy an epoch
+// view builds maps a fault set to its plan with convictions of dormant
+// slots ignored (every plan already excludes them), so a dormant
+// conviction never takes a member fault's place in PlanFor's F-trim,
+// wherever the dormant slot sorts.
 func TestEpochViewResolveIgnoresDormantConvictions(t *testing.T) {
-	eng, _, _ := epochFixture()
-	v := eng.View([]network.NodeID{0, 1, 2, 3, 4, 5}) // 6,7 dormant
-	base := v.Resolve(plan.NewFaultSet())
-	if base == nil {
-		t.Fatal("base resolve failed")
-	}
-	// Convicting dormant slot 6 changes nothing.
-	if p := v.Resolve(plan.NewFaultSet(6)); p == nil || p.Key() != base.Key() {
-		t.Fatalf("dormant conviction changed the plan: %v", p)
-	}
-	// A member conviction plus a dormant conviction resolves to the
-	// member-fault plan (dormant one folded into the exclusions, member
-	// one within the F=1 budget).
-	want, err := v.PlanFor(plan.NewFaultSet(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := v.Resolve(plan.NewFaultSet(2, 6)); p == nil || p.Key() != want.Key() {
-		t.Fatalf("member+dormant conviction resolved to %v, want %v", p.Key(), want.Key())
+	for _, c := range []struct {
+		name            string
+		slots           int
+		members, faults []network.NodeID
+		want            string // the plan's key: dormant slots plus member faults
+	}{
+		{"none", 8, []network.NodeID{0, 1, 2, 3, 4, 5}, nil, "6,7"},
+		{"dormant", 8, []network.NodeID{0, 1, 2, 3, 4, 5}, []network.NodeID{6}, "6,7"},
+		{"member below dormant", 8, []network.NodeID{0, 1, 2, 3, 4, 5}, []network.NodeID{2, 6}, "2,6,7"},
+		{"dormant below member", 6, []network.NodeID{1, 2, 3, 4, 5}, []network.NodeID{0, 3}, "0,3"},
+	} {
+		topo := network.FullMesh(c.slots, testBW, testProp)
+		eng := NewEngine(chainWorkload(), topo, plan.DefaultOptions(1, 500*sim.Millisecond), nil)
+		s, err := eng.View(c.members).BuildStrategy()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p := s.PlanFor(plan.NewFaultSet(c.faults...)); p.Key() != c.want {
+			t.Errorf("%s: faults %v resolved to %v, want the plan keyed %q", c.name, c.faults, p.Key(), c.want)
+		}
 	}
 }

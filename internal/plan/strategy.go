@@ -641,15 +641,22 @@ func (s *Strategy) maxEvidenceBytes() int64 {
 		int64(maxIn)*(maxBytes+recordOverhead+2*envelopeOverhead) + 64
 }
 
-// PlanFor returns the plan for the given fault set. If the exact set is
-// not covered (more than F faults suspected), it falls back to the largest
-// covered subset — the BTR guarantee is void beyond F faults, but the
-// system should still do something sensible.
+// PlanFor returns the plan for the given fault set. A membership epoch's
+// strategy ignores convictions of slots outside Members (every plan
+// excludes them). If the exact set is not covered (more than F faults
+// suspected), it falls back to the largest covered subset — the BTR
+// guarantee is void beyond F faults, but the system should still do
+// something sensible.
 func (s *Strategy) PlanFor(fs FaultSet) *Plan {
 	if p, ok := s.Plans[fs.Key()]; ok {
 		return p
 	}
 	nodes := fs.Nodes()
+	if s.Members != nil {
+		nodes = slices.DeleteFunc(slices.Clone(nodes), func(n network.NodeID) bool {
+			return !slices.Contains(s.Members, n)
+		})
+	}
 	for len(nodes) > s.Opts.F {
 		nodes = nodes[:len(nodes)-1]
 	}

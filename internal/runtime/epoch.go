@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"btr/internal/member"
 	"btr/internal/network"
@@ -34,16 +35,17 @@ import (
 // commit to its log and schedules activation.
 //
 // Activation: at the recorded instant every correct node atomically
-// swaps strategy, plan source, and plan; disarms every armed watchdog
-// (the new period re-arms under the new plan — watchdogs guarding
-// retired producers must not fire); retiring nodes schedule no further
-// periods; joining nodes schedule their first; and the operator swaps
-// the transport wiring, removing retired links and adding links toward
-// joiners. In-flight evidence stays valid: node
-// identities and keys are never reassigned across epochs, so a
-// signature attributes the same physical signer in every epoch, and
-// local fault sets remain append-only through any number of
-// reconfigurations.
+// swaps to the epoch's strategy and to the plan that strategy's PlanFor
+// gives for the node's fault set (the lookup a fault switch makes,
+// which ignores convictions of dormant slots); disarms every armed
+// watchdog (the new period re-arms under the new plan — watchdogs
+// guarding retired producers must not fire); retiring nodes schedule no
+// further periods; joining nodes schedule their first; and the operator
+// swaps the transport wiring, removing retired links and adding links
+// toward joiners. In-flight evidence stays valid: node identities and
+// keys are never reassigned across epochs, so a signature attributes
+// the same physical signer in every epoch, and local fault sets remain
+// append-only through any number of reconfigurations.
 //
 // Why correct nodes converge: commits are operator-signed (the
 // adversary cannot forge or alter them), logs accept exactly the next
@@ -54,51 +56,16 @@ import (
 // argument §4.4 makes for fault-mode switches.
 
 // EpochConfig enables online membership reconfiguration on a runtime
-// System. Strategy/Planner in the enclosing Config must describe the
-// genesis epoch (the harness builds them through member.Planner).
+// System. The Strategy in the enclosing Config must be the genesis
+// epoch's (the harness builds it through Planner).
 type EpochConfig struct {
 	// Genesis is the epoch-0 record (initial membership, no link delta).
 	Genesis member.Record
-	// Resolve produces the per-epoch planning artifacts for a record
-	// under the wiring the record activates (the operator's log computes
-	// it). Called once per epoch and memoized; must be a pure function
-	// of (record, wiring) — the plan cache makes warm calls cheap.
-	Resolve func(rec member.Record, wiring *network.Topology) (*EpochInfo, error)
-}
-
-// EpochInfo is everything the runtime needs to execute one epoch.
-// Harnesses build it from member.EpochPlan.
-type EpochInfo struct {
-	Record   member.Record
-	Members  []network.NodeID
-	Wiring   *network.Topology
-	Strategy *plan.Strategy
-	Planner  PlanSource
-}
-
-// memberOf reports whether id is active in this epoch.
-func (i *EpochInfo) memberOf(id network.NodeID) bool {
-	for _, m := range i.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
-// PlannerResolve adapts a member.Planner into the EpochConfig.Resolve
-// seam — the one-liner every harness (core, live, tests) needs.
-func PlannerResolve(p *member.Planner) func(member.Record, *network.Topology) (*EpochInfo, error) {
-	return func(rec member.Record, wiring *network.Topology) (*EpochInfo, error) {
-		ep, err := p.ForEpoch(rec, wiring)
-		if err != nil {
-			return nil, err
-		}
-		return &EpochInfo{
-			Record: rec, Members: ep.Members, Wiring: ep.Wiring, Strategy: ep.Strategy,
-			Planner: PlanSource(ep.Resolve),
-		}, nil
-	}
+	// Planner produces each epoch's plan under the wiring the record
+	// activates (the operator's log computes it). The operator asks once
+	// per record; the planner is a pure function of (record, wiring), and
+	// its plan cache makes warm epochs cheap.
+	Planner *member.Planner
 }
 
 // epochFrame wire framing: kind byte 'M', then a phase byte, then the
@@ -119,7 +86,7 @@ func epochPayload(phase byte, sealed []byte) []byte {
 type operator struct {
 	sys   *System
 	log   *member.Log // the authoritative chain the operator proposes from
-	infos map[[16]byte]*EpochInfo
+	plans map[[16]byte]*member.EpochPlan
 
 	queue    []member.Delta
 	pending  *pendingEpoch
@@ -146,8 +113,8 @@ func (s *System) initEpochs() {
 		}
 		return l
 	}
-	s.op = &operator{sys: s, log: mkLog(), infos: map[[16]byte]*EpochInfo{}}
-	genesis, err := s.op.resolveInfo(ec.Genesis)
+	s.op = &operator{sys: s, log: mkLog(), plans: map[[16]byte]*member.EpochPlan{}}
+	genesis, err := s.op.epochPlan(ec.Genesis)
 	if err != nil {
 		panic(fmt.Sprintf("runtime: genesis epoch unplannable: %v", err))
 	}
@@ -155,7 +122,7 @@ func (s *System) initEpochs() {
 	for _, nd := range s.nodes {
 		nd.elog = mkLog()
 		nd.seenEpoch = map[[16]byte]bool{}
-		nd.memberNow = genesis.memberOf(nd.id)
+		nd.memberNow = slices.Contains(genesis.Members, nd.id)
 		if !nd.memberNow {
 			s.cfg.Net.SetDown(nd.id, true) // dormant slot: no links serve it anyway
 		}
@@ -203,13 +170,13 @@ func (s *System) Members() []network.NodeID {
 // id (teardown tests).
 func (s *System) WatchdogCount(id network.NodeID) int { return len(s.nodes[int(id)].watchdogs) }
 
-// resolveInfo memoizes EpochConfig.Resolve by record ID, computing the
+// epochPlan memoizes the planner's EpochPlan by record ID, computing the
 // record's wiring from the operator's log (the current record's own
 // wiring, or a validated preview for the next one).
-func (op *operator) resolveInfo(rec member.Record) (*EpochInfo, error) {
+func (op *operator) epochPlan(rec member.Record) (*member.EpochPlan, error) {
 	id := rec.ID()
-	if info, ok := op.infos[id]; ok {
-		return info, nil
+	if ep, ok := op.plans[id]; ok {
+		return ep, nil
 	}
 	var wiring *network.Topology
 	if rec.Num == op.log.Epoch() && id == op.log.Current().ID() {
@@ -220,12 +187,12 @@ func (op *operator) resolveInfo(rec member.Record) (*EpochInfo, error) {
 			return nil, err
 		}
 	}
-	info, err := op.sys.cfg.Epochs.Resolve(rec, wiring)
+	ep, err := op.sys.cfg.Epochs.Planner.ForEpoch(rec, wiring)
 	if err != nil {
 		return nil, err
 	}
-	op.infos[id] = info
-	return info, nil
+	op.plans[id] = ep
+	return ep, nil
 }
 
 // maybePropose starts the prepare phase for the next queued delta, if
@@ -275,7 +242,7 @@ func (op *operator) onAck(from network.NodeID, id [16]byte) {
 func (op *operator) commit() {
 	p := op.pending
 	now := op.sys.cfg.Kernel.Now()
-	tmp, err := op.resolveInfo(p.rec)
+	tmp, err := op.epochPlan(p.rec)
 	if err != nil {
 		op.sys.observe(Event{Kind: EpochRejected, Node: -1, Epoch: p.rec.Num, Err: err.Error()})
 		op.pending = nil
@@ -293,9 +260,9 @@ func (op *operator) commit() {
 	period := curStrat.Base.Period
 	activateAt := ((now+delta)/period+1)*period - 1
 	final := p.rec.WithActivation(activateAt)
-	info := *tmp
-	info.Record = final
-	op.infos[final.ID()] = &info
+	ep := *tmp
+	ep.Record = final
+	op.plans[final.ID()] = &ep
 	if err := op.log.Append(final); err != nil {
 		panic(fmt.Sprintf("runtime: operator log rejected its own record: %v", err))
 	}
@@ -303,7 +270,7 @@ func (op *operator) commit() {
 	// Operator-side activation runs before any node's (inserted first at
 	// the same instant): wiring changes are visible the moment
 	// nodes start their first period under the new epoch.
-	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(&info) })
+	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(&ep) })
 	payload := epochPayload(epochPhaseCommit, member.Seal(op.sys.cfg.Registry, final))
 	for _, nd := range op.sys.nodes {
 		nd.onEpochFrame(payload, nil)
@@ -315,8 +282,8 @@ func (op *operator) commit() {
 // curStrategy returns the newest activated-or-committed epoch's
 // strategy (falls back to the genesis strategy).
 func (op *operator) curStrategy() *plan.Strategy {
-	if info, ok := op.infos[op.log.Current().ID()]; ok {
-		return info.Strategy
+	if ep, ok := op.plans[op.log.Current().ID()]; ok {
+		return ep.Strategy
 	}
 	return op.sys.cfg.Strategy
 }
@@ -324,15 +291,15 @@ func (op *operator) curStrategy() *plan.Strategy {
 // applyActivation swaps the transport to the new epoch's wiring and
 // up/down state. Node crash state always wins: a crashed member stays
 // down.
-func (op *operator) applyActivation(info *EpochInfo) {
+func (op *operator) applyActivation(ep *member.EpochPlan) {
 	net := op.sys.cfg.Net
-	net.SetWiring(info.Wiring)
+	net.SetWiring(ep.Wiring)
 	for _, nd := range op.sys.nodes {
-		net.SetDown(nd.id, nd.crashed || !info.memberOf(nd.id))
+		net.SetDown(nd.id, nd.crashed || !slices.Contains(ep.Members, nd.id))
 	}
 	op.awaiting = false
-	op.sys.observe(Event{Kind: EpochActivated, Node: -1, Epoch: info.Record.Num,
-		Members: plan.NewFaultSet(info.Members...).String(), R: info.Strategy.RNeeded})
+	op.sys.observe(Event{Kind: EpochActivated, Node: -1, Epoch: ep.Record.Num,
+		Members: plan.NewFaultSet(ep.Members...).String(), R: ep.Strategy.RNeeded})
 	op.maybePropose()
 }
 
@@ -428,14 +395,13 @@ func (n *Node) activateEpoch(rec member.Record) {
 	if n.crashed {
 		return
 	}
-	info, err := n.sys.op.resolveInfo(rec)
+	ep, err := n.sys.op.epochPlan(rec)
 	if err != nil {
 		return // the operator rejected the epoch before commit; unreachable for committed records
 	}
 	wasMember := n.memberNow
-	n.memberNow = info.memberOf(n.id)
-	n.strat = info.Strategy
-	n.planner = info.Planner
+	n.memberNow = slices.Contains(ep.Members, n.id)
+	n.strat = ep.Strategy
 	n.activeEpoch = rec.Num
 	// Disarm every armed watchdog: edges guarded under the old epoch's
 	// plan — including every edge from or to a retired node — must not
@@ -444,7 +410,7 @@ func (n *Node) activateEpoch(rec member.Record) {
 	for wk, w := range n.watchdogs {
 		n.disarm(wk, w)
 	}
-	if next := n.planFor(n.faults); next != nil && next.Key() != n.cur.Key() {
+	if next := n.strat.PlanFor(n.faults); next != nil && next.Key() != n.cur.Key() {
 		n.cur = next
 	}
 	if n.memberNow && !wasMember {

@@ -55,12 +55,9 @@ func newEpochHarnessOn(t *testing.T, seed uint64, wrap func(*sim.Kernel) sim.Sch
 	}
 	h.sys = New(Config{
 		Kernel: sched, Net: nw, Registry: reg,
-		Strategy: ep0.Strategy, Planner: PlanSource(ep0.Resolve),
+		Strategy: ep0.Strategy,
 		Observer: func(ev Event) { h.events = append(h.events, ev) },
-		Epochs: &EpochConfig{
-			Genesis: genesis,
-			Resolve: PlannerResolve(mp),
-		},
+		Epochs:   &EpochConfig{Genesis: genesis, Planner: mp},
 	})
 	return h
 }

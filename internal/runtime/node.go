@@ -72,12 +72,10 @@ type Node struct {
 	// up with two concurrent chains.
 	chainArmed bool
 
-	// strat and planner are the node's *current epoch's* strategy and
-	// plan source. Without membership epochs they alias cfg.Strategy /
-	// cfg.Planner forever; an epoch activation swaps both atomically
-	// with the plan.
-	strat   *plan.Strategy
-	planner PlanSource
+	// strat is the node's *current epoch's* strategy. Without membership
+	// epochs it aliases cfg.Strategy forever; an epoch activation swaps
+	// it atomically with the plan.
+	strat *plan.Strategy
 	// memberNow reports whether this node is an active member of the
 	// current epoch. Dormant slots (not yet joined, or retired) keep
 	// their runtime but schedule no periods, emit nothing, and flood
@@ -148,7 +146,6 @@ func newNode(id network.NodeID, cfg *Config) *Node {
 		id:           id,
 		cfg:          cfg,
 		strat:        cfg.Strategy,
-		planner:      cfg.Planner,
 		memberNow:    true,
 		cur:          cfg.Strategy.Plans[""],
 		faults:       plan.NewFaultSet(),

@@ -47,17 +47,6 @@ type SourceFunc func(dst []byte, task flow.TaskID, period uint64) []byte
 // that keeps it keeps a copy.
 type ActuationFunc func(node network.NodeID, sink flow.TaskID, period uint64, value []byte, at sim.Time)
 
-// PlanSource resolves the plan to activate for a fault set. When set on
-// Config, node failover consults it before falling back to the
-// precomputed Strategy.PlanFor table — this is how the incremental plan
-// engine (internal/plan/cache, Engine.Resolve) plugs in: cached or
-// delta-synthesized plans with a bounded fallback to full synthesis.
-// Returning nil defers to the strategy table. Implementations must be
-// safe for concurrent use and must return plans valid for the given
-// fault set (or a covered subset of it, per the Strategy.PlanFor
-// fallback contract).
-type PlanSource func(fs plan.FaultSet) *plan.Plan
-
 // Behavior is the adversary's hook on a compromised node. Fields are
 // optional; zero value = correct behavior (useful for "compromised but
 // currently dormant" nodes).
@@ -101,11 +90,10 @@ type Config struct {
 	Kernel   sim.Scheduler
 	Net      network.Transport
 	Registry *sig.Registry
+	// Strategy maps every fault set to its plan (Strategy.PlanFor) and
+	// carries the derived timing constants (Delta, period, watchdog
+	// margin).
 	Strategy *plan.Strategy
-	// Planner optionally overrides plan resolution at failover time (see
-	// PlanSource). Strategy is still required for the derived timing
-	// constants (Delta, period, watchdog margin).
-	Planner PlanSource
 
 	Compute TaskFunc   // default: evidence.AppendHashCompute
 	Source  SourceFunc // default: evidence.AppendSourceValue
@@ -131,7 +119,7 @@ type Config struct {
 	ForgiveAfter sim.Time
 
 	// Epochs enables online membership reconfiguration (see epoch.go).
-	// When set, Strategy and Planner must describe the genesis epoch.
+	// When set, Strategy must be the genesis epoch's.
 	Epochs *EpochConfig
 }
 

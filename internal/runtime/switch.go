@@ -3,7 +3,6 @@ package runtime
 import (
 	"btr/internal/evidence"
 	"btr/internal/network"
-	"btr/internal/plan"
 	"btr/internal/sim"
 )
 
@@ -117,24 +116,12 @@ func (n *Node) raiseBudgetVerdict(kind evidence.Kind) {
 	n.raiseEvidence(evidence.Sealed(n.cfg.Registry, kind, n.id, n.cfg.Kernel.Now(), bv))
 }
 
-// planFor resolves the plan for a fault set: the current epoch's
-// PlanSource (the incremental plan engine, when wired) first, the
-// epoch's precomputed strategy table as the fallback.
-func (n *Node) planFor(fs plan.FaultSet) *plan.Plan {
-	if n.planner != nil {
-		if p := n.planner(fs); p != nil {
-			return p
-		}
-	}
-	return n.strat.PlanFor(fs)
-}
-
 // activate swaps to the plan for the current fault set.
 func (n *Node) activate() {
 	if n.crashed {
 		return
 	}
-	next := n.planFor(n.faults)
+	next := n.strat.PlanFor(n.faults)
 	if next == nil || next.Key() == n.cur.Key() {
 		return
 	}

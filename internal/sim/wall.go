@@ -286,31 +286,6 @@ func (w *WallScheduler) loop() {
 	}
 }
 
-// WaitUntil blocks the calling goroutine until the wall clock reaches t
-// (events keep dispatching meanwhile). It is how drivers express "run the
-// deployment for this horizon".
-func (w *WallScheduler) WaitUntil(t Time) {
-	for {
-		w.mu.Lock()
-		now := w.nowLocked()
-		started := w.started
-		w.mu.Unlock()
-		if !started {
-			panic("sim: WaitUntil before Start")
-		}
-		if now >= t {
-			return
-		}
-		d := time.Duration(t-now) * time.Microsecond
-		select {
-		case <-time.After(d):
-			return
-		case <-w.quit:
-			return
-		}
-	}
-}
-
 // Stop halts dispatch: no further callbacks run after the in-flight one
 // returns. Safe to call from any goroutine, from callbacks, and more than
 // once.

@@ -124,20 +124,6 @@ func TestWallSchedulerCallbacksNeverOverlap(t *testing.T) {
 	}
 }
 
-func TestWallSchedulerWaitUntil(t *testing.T) {
-	w := NewWallScheduler(1)
-	w.Start()
-	defer w.Close()
-	start := time.Now()
-	w.WaitUntil(20 * Millisecond)
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("WaitUntil returned after %v, want >=20ms-ish", elapsed)
-	}
-	if now := w.Now(); now < 15*Millisecond {
-		t.Errorf("Now() = %v after WaitUntil(20ms)", now)
-	}
-}
-
 func TestWallSchedulerCloseIsLeakFreeAndIdempotent(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// Close with pending events, double Close, Close before Start.
