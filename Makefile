@@ -141,11 +141,13 @@ bench-smoke: bench-test
 
 # Where sim_campaign's allocations come from: one quick serial pass of each
 # deterministic campaign family with every allocation sampled, merged into
-# one table of the top 25 sites by allocated objects, then four
+# one table of the top 25 sites by allocated objects, then the
 # drill-downs, each with its callers and callees: the planner (plan.Build
 # and baseline.MinSpeed, and the sched and network rows of the
 # allocation ledger: sched.Build and Topology.DiameterWithin), the
-# record path (a node's finishTask, emit, acceptRecord, onMessage and
+# fault-set canonicalizer (cache.(*Symmetry).Canonicalize, the plan/cache
+# row: one scratch and the result per cold call), the record path (a
+# node's finishTask, emit, acceptRecord, onMessage and
 # onEvidenceMessage), the seal path, the one exact-size buffer each
 # caller of sig's in-place primitive, sig.(*Registry).SignAppended,
 # allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
@@ -162,6 +164,7 @@ profile-allocs:
 	done
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'plan\.Build$$|baseline\.MinSpeed$$|sched\.Build$$|network\.\(\*Topology\)\.DiameterWithin$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'cache\.\(\*Symmetry\)\.Canonicalize$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(finishTask|acceptRecord)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)

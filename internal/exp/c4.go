@@ -91,7 +91,7 @@ func c4PlanCache() campaign.Scenario {
 							return nil, fmt.Errorf("warm rebuild: %v", err)
 						}
 						warm := eng.Stats()
-						sym := cache.NewSymmetry(topo)
+						sym := eng.Symmetry()
 						orbits := map[string]bool{}
 						for _, fs := range plan.EnumerateFaultSets(topo.N, c.f) {
 							orbits[sym.Canonicalize(fs).Key] = true

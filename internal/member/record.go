@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"btr/internal/network"
 	"btr/internal/sig"
@@ -222,9 +223,15 @@ func DecodeRecord(b []byte) (Record, error) {
 // canonical encoding followed by the operator's ed25519 signature over
 // it. Only the configuration authority can produce it; every node can
 // check it.
-func Seal(reg *sig.Registry, r Record) []byte {
-	body := r.Encode()
-	return append(body, reg.OperatorSign(body)...)
+func Seal(reg *sig.Registry, r Record) []byte { return AppendSeal(nil, reg, r) }
+
+// AppendSeal appends Seal's wire form to dst, growing dst at most once:
+// a dst with r.EncodedSize()+sig.SignatureSize bytes of room costs no
+// allocation.
+func AppendSeal(dst []byte, reg *sig.Registry, r Record) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, r.EncodedSize()+sig.SignatureSize)
+	return reg.OperatorSignAppended(r.AppendTo(dst), at)
 }
 
 // Open verifies an operator-sealed record and decodes it. Bit-flipped

@@ -16,7 +16,7 @@ package cache
 
 import (
 	"cmp"
-	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -53,8 +53,9 @@ type Canon struct {
 // (bandwidth, propagation delay): only then is a relabeled plan
 // timing-identical to the original (see plan.Plan.Relabel). All search
 // and refinement order is sorted, so canonical keys are deterministic.
-// A Symmetry is safe for concurrent use; results are memoized per fault
-// set.
+// A Symmetry is safe for concurrent use: it is read-only after
+// NewSymmetry except for its locked memo, and each Canonicalize call
+// searches on a scratch of its own.
 type Symmetry struct {
 	topo *network.Topology
 	n    int
@@ -78,6 +79,7 @@ func NewSymmetry(topo *network.Topology) *Symmetry {
 		topo: topo,
 		n:    topo.N,
 		lc:   make([]int32, topo.N*topo.N),
+		base: make([]int, topo.N), // all zero while refinement computes it
 		memo: map[string]Canon{},
 	}
 	type attr struct {
@@ -95,112 +97,134 @@ func NewSymmetry(topo *network.Topology) *Symmetry {
 		s.lc[int(l.A)*s.n+int(l.B)] = cls
 		s.lc[int(l.B)*s.n+int(l.A)] = cls
 	}
-	s.base, _ = s.refinePair(nil, nil)
+	sc := s.newScratch(0)
+	copy(s.base, sc.refine(s.n))
 	return s
 }
 
-// linkClass returns the equivalence class of the (possibly absent) link
-// between two nodes; equal classes mean "same adjacency and same link
-// attributes".
-func (s *Symmetry) linkClass(a, b network.NodeID) int32 {
-	return s.lc[int(a)*s.n+int(b)]
+// scratch is one Canonicalize call's working memory, carved from a
+// single allocation. Refinement runs over "virtual nodes": j < n is node
+// j marked by the fault set (side A), j >= n is node j-n marked by the
+// candidate image (side B), so one interning pass numbers both sides'
+// colors comparably.
+type scratch struct {
+	s      *Symmetry
+	budget int // backtracking steps left, shared by every candidate
+
+	mark        []int // per virtual node: 1 if marked on its side
+	col, nxt    []int // colors per virtual node, this round and next
+	sig, off    []int // signatures: virtual node j's is sig[off[j]:off[j+1]]
+	first       []int // first[id]: the first virtual node given color id
+	bits        []int // bitmap of the colors one side uses
+	want, tmp   []int // sorted color multisets
+	size        []int // refined class size per color
+	order, perm []int // binding order of the search, and its mapping
+	used        []int // 1 where a node is already some node's image
+	ca, cb      []int // refined colors of sides A and B
 }
 
-// refinePair refines two markings of the same topology in lockstep
-// through a shared signature table, so the returned color IDs are
-// directly comparable between the two markings; cb is meaningless when
-// marksB is nil. Signatures are byte-encoded (own color, then the
-// sorted multiset of (neighbor color, link class) pairs) — this runs in
-// the engine's cold path, so no fmt in sight.
-func (s *Symmetry) refinePair(marksA, marksB []bool) (ca, cb []int) {
-	mark := func(m []bool, i int) uint32 {
-		if m != nil && m[i] {
-			return 1
-		}
-		return 0
+func (s *Symmetry) newScratch(k int) scratch {
+	n, words := s.n, 0
+	for i := 0; i < n; i++ {
+		words += 1 + len(s.topo.Neighbors(network.NodeID(i)))
 	}
-	ca = make([]int, s.n)
-	cb = make([]int, s.n)
-	pair := marksB != nil
+	nbits := (2*n + bits.UintSize - 1) / bits.UintSize
+	buf := make([]int, 2*max(words, 2*n)+1+nbits+k+17*n)
+	take := func(l int) []int {
+		p := buf[:l:l]
+		buf = buf[l:]
+		return p
+	}
+	return scratch{
+		s: s, budget: searchBudget,
+		mark: take(2 * n), col: take(2 * n), nxt: take(2 * n),
+		sig: take(2 * max(words, 2*n)), off: take(2*n + 1), first: take(2 * n),
+		bits: take(nbits), want: take(k), tmp: take(2 * n), size: take(2 * n),
+		order: take(n), perm: take(n), used: take(n),
+	}
+}
 
-	ids := map[string]int{}
-	var buf []byte
-	intern := func(b []byte) int {
-		if v, ok := ids[string(b)]; ok {
-			return v
+// refine colors the first m virtual nodes (n: side A alone; 2n: both
+// sides in lockstep) by iterated refinement and returns the colors. A
+// color is the first-seen index of a signature: (base color, mark)
+// initially, then (own color, sorted multiset of (neighbor color, link
+// class) pairs) each round, until no side gains a class.
+func (sc *scratch) refine(m int) []int {
+	s, n := sc.s, sc.s.n
+	sig := sc.sig[:0]
+	for j := 0; j < m; j++ {
+		sc.off[j] = len(sig)
+		sig = append(sig, s.base[j%n], sc.mark[j])
+	}
+	sc.off[m] = len(sig)
+	cur, nxt := sc.col[:m], sc.nxt[:m]
+	sc.intern(m, cur)
+	lcs := len(s.topo.Links) + 1 // pair (c, l) encodes as c*lcs + l
+	for round := 0; round < n; round++ {
+		sig = sig[:0]
+		for j := 0; j < m; j++ {
+			side, i := j-j%n, j%n
+			sc.off[j] = len(sig)
+			sig = append(sig, cur[j])
+			at := len(sig)
+			for _, nb := range s.topo.Neighbors(network.NodeID(i)) {
+				sig = append(sig, cur[side+int(nb)]*lcs+int(s.lc[i*n+int(nb)]))
+			}
+			slices.Sort(sig[at:])
 		}
-		v := len(ids)
-		ids[string(b)] = v
-		return v
+		sc.off[m] = len(sig)
+		sc.intern(m, nxt)
+		before := sc.classes(cur[:n]) + sc.classes(cur[n:])
+		cur, nxt = nxt, cur
+		if sc.classes(cur[:n])+sc.classes(cur[n:]) == before {
+			break
+		}
 	}
-	u32 := func(b []byte, v uint32) []byte {
-		return binary.LittleEndian.AppendUint32(b, v)
-	}
+	return cur
+}
 
-	baseOf := func(i int) uint32 {
-		if s.base != nil {
-			return uint32(s.base[i])
-		}
-		return 0
-	}
-	for i := 0; i < s.n; i++ {
-		buf = u32(buf[:0], baseOf(i))
-		buf = u32(buf, mark(marksA, i))
-		ca[i] = intern(buf)
-	}
-	if pair {
-		for i := 0; i < s.n; i++ {
-			buf = u32(buf[:0], baseOf(i))
-			buf = u32(buf, mark(marksB, i))
-			cb[i] = intern(buf)
-		}
-	}
-
-	var pairs []uint64 // (neighbor color << 32) | link class, sorted
-	sig := func(c []int, i int) []byte {
-		pairs = pairs[:0]
-		for _, nb := range s.topo.Neighbors(network.NodeID(i)) {
-			pairs = append(pairs, uint64(c[nb])<<32|uint64(uint32(s.linkClass(network.NodeID(i), nb))))
-		}
-		slices.Sort(pairs)
-		buf = u32(buf[:0], uint32(c[i]))
-		for _, p := range pairs {
-			buf = binary.LittleEndian.AppendUint64(buf, p)
-		}
-		return buf
-	}
-	for round := 0; round < s.n; round++ {
-		ids = map[string]int{}
-		na := make([]int, s.n)
-		nb := make([]int, s.n)
-		for i := 0; i < s.n; i++ {
-			na[i] = intern(sig(ca, i))
-		}
-		if pair {
-			for i := 0; i < s.n; i++ {
-				nb[i] = intern(sig(cb, i))
+// intern gives each of the first m virtual nodes the index of its
+// signature among the distinct signatures in first-seen order.
+func (sc *scratch) intern(m int, col []int) {
+	ids := 0
+	for j := 0; j < m; j++ {
+		sj := sc.sig[sc.off[j]:sc.off[j+1]]
+		id := 0
+		for ; id < ids; id++ {
+			f := sc.first[id]
+			if slices.Equal(sc.sig[sc.off[f]:sc.off[f+1]], sj) {
+				break
 			}
 		}
-		if classCount(na)+classCount(nb) == classCount(ca)+classCount(cb) {
-			return na, nb
+		if id == ids {
+			sc.first[ids] = j
+			ids++
 		}
-		ca = na
-		if pair {
-			cb = nb
-		}
+		col[j] = id
 	}
-	if !pair {
-		cb = nil
-	}
-	return ca, cb
 }
 
-func classCount(c []int) int {
-	seen := map[int]bool{}
+// classes counts the distinct colors in c.
+func (sc *scratch) classes(c []int) int {
+	clear(sc.bits)
+	k := 0
 	for _, v := range c {
-		seen[v] = true
+		w, b := v/bits.UintSize, uint(v%bits.UintSize)
+		if sc.bits[w]>>b&1 == 0 {
+			sc.bits[w] |= 1 << b
+			k++
+		}
 	}
-	return len(seen)
+	return k
+}
+
+// sortedColors writes the sorted colors of nodes into dst.
+func sortedColors(dst, colors []int, nodes []network.NodeID) []int {
+	for i, v := range nodes {
+		dst[i] = colors[v]
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // Canonicalize returns the canonical form of fs: the lexicographically
@@ -222,43 +246,42 @@ func (s *Symmetry) Canonicalize(fs plan.FaultSet) Canon {
 	if ok {
 		return c
 	}
-	c = s.canonicalize(fs)
+	c = s.canonicalize(fs, memoKey)
 	s.memoMu.Lock()
 	s.memo[memoKey] = c
 	s.memoMu.Unlock()
 	return c
 }
 
-func (s *Symmetry) canonicalize(fs plan.FaultSet) Canon {
-	k := fs.Len()
-	budget := searchBudget
+func (s *Symmetry) canonicalize(fs plan.FaultSet, key string) Canon {
 	src := fs.Nodes()
-	marksA := make([]bool, s.n)
-	for _, v := range src {
-		if int(v) >= s.n {
-			// Out-of-range fault sets (defensive): exact key only.
-			return s.exact(fs)
-		}
-		marksA[v] = true
+	k := len(src)
+	if int(src[k-1]) >= s.n {
+		// Out-of-range fault sets (defensive): exact key only.
+		return exact(fs, key)
 	}
-	wantBase := s.colorMultiset(s.base, src)
+	sc := s.newScratch(k)
+	for _, v := range src {
+		sc.mark[v] = 1
+	}
+	want := sortedColors(sc.want, s.base, src)
 
-	comb := make([]network.NodeID, k)
-	for i := range comb {
-		comb[i] = network.NodeID(i)
+	var buf [8]network.NodeID // sets of up to 8 nodes enumerate on the stack
+	comb := buf[:0]
+	for i := 0; i < k; i++ {
+		comb = append(comb, network.NodeID(i))
 	}
 	for {
-		if s.colorMultiset(s.base, comb) == wantBase {
-			if perm, ok := s.findAutomorphism(marksA, comb, &budget); ok {
-				rep := plan.NewFaultSet(comb...)
-				c := Canon{Key: "c:" + rep.Key(), Rep: rep}
-				if !isIdentity(perm) {
-					c.FromRep = invert(perm)
+		if slices.Equal(sortedColors(sc.tmp[:k], s.base, comb), want) {
+			if sc.findAutomorphism(comb) {
+				if fromRep := inverse(sc.perm); fromRep != nil {
+					rep := plan.NewFaultSet(comb...)
+					return Canon{Key: "c:" + rep.Key(), Rep: rep, FromRep: fromRep}
 				}
-				return c
+				return Canon{Key: "c:" + key, Rep: fs}
 			}
-			if budget <= 0 {
-				return s.exact(fs)
+			if sc.budget <= 0 {
+				return exact(fs, key)
 			}
 		}
 		if !nextCombination(comb, s.n) || less(src, comb) {
@@ -267,143 +290,108 @@ func (s *Symmetry) canonicalize(fs plan.FaultSet) Canon {
 	}
 	// The identity candidate (comb == fs) either matched above or blew
 	// the budget; fall back to the exact key.
-	return s.exact(fs)
+	return exact(fs, key)
 }
 
-func (s *Symmetry) exact(fs plan.FaultSet) Canon {
-	return Canon{Key: "x:" + fs.Key(), Rep: fs, Exact: true}
-}
-
-// colorMultiset encodes the sorted color multiset of a node subset.
-func (s *Symmetry) colorMultiset(colors []int, nodes []network.NodeID) string {
-	cs := make([]int, len(nodes))
-	for i, v := range nodes {
-		cs[i] = colors[v]
-	}
-	slices.Sort(cs)
-	buf := make([]byte, 0, 4*len(cs))
-	for _, c := range cs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-	}
-	return string(buf)
+func exact(fs plan.FaultSet, key string) Canon {
+	return Canon{Key: "x:" + key, Rep: fs, Exact: true}
 }
 
 // findAutomorphism searches for a full automorphism mapping the marked
-// source nodes (marksA) onto the target set, extending to all nodes.
-// Every returned mapping is verified pairwise (adjacency + link
-// attributes), so refinement pruning cannot compromise soundness.
-func (s *Symmetry) findAutomorphism(marksA []bool, target []network.NodeID, budget *int) ([]network.NodeID, bool) {
-	marksB := make([]bool, s.n)
+// source nodes (side A) onto the target set, extending to all nodes;
+// on success sc.perm holds it. Every mapping is verified pairwise
+// (adjacency + link attributes), so refinement pruning cannot
+// compromise soundness.
+func (sc *scratch) findAutomorphism(target []network.NodeID) bool {
+	n := sc.s.n
+	clear(sc.mark[n:])
 	for _, v := range target {
-		marksB[v] = true
+		sc.mark[n+int(v)] = 1
 	}
-	ca, cb := s.refinePair(marksA, marksB)
-	if s.colorMultiset(ca, allNodes(s.n)) != s.colorMultiset(cb, allNodes(s.n)) {
-		return nil, false
+	c := sc.refine(2 * n)
+	ca, cb := c[:n], c[n:]
+	msA, msB := sc.tmp[:n], sc.tmp[n:]
+	copy(msA, ca)
+	copy(msB, cb)
+	slices.Sort(msA)
+	slices.Sort(msB)
+	if !slices.Equal(msA, msB) {
+		return false
 	}
 	// Process marked sources first (ascending), then the rest by
 	// (refined class size, color, id): rare classes bind early.
-	classSize := map[int]int{}
-	for _, c := range ca {
-		classSize[c]++
+	size := sc.size
+	clear(size)
+	for _, v := range ca {
+		size[v]++
 	}
-	var order []network.NodeID
-	for i := 0; i < s.n; i++ {
-		if marksA[i] {
-			order = append(order, network.NodeID(i))
-		}
-	}
-	var rest []network.NodeID
-	for i := 0; i < s.n; i++ {
-		if !marksA[i] {
-			rest = append(rest, network.NodeID(i))
+	order := sc.order[:0]
+	for i := 0; i < n; i++ {
+		if sc.mark[i] == 1 {
+			order = append(order, i)
 		}
 	}
-	slices.SortStableFunc(rest, func(a, b network.NodeID) int {
-		if classSize[ca[a]] != classSize[ca[b]] {
-			return cmp.Compare(classSize[ca[a]], classSize[ca[b]])
+	marked := len(order)
+	for i := 0; i < n; i++ {
+		if sc.mark[i] == 0 {
+			order = append(order, i)
 		}
-		if ca[a] != ca[b] {
-			return cmp.Compare(ca[a], ca[b])
-		}
-		return cmp.Compare(a, b)
-	})
-	order = append(order, rest...)
+	}
+	rank := func(v int) int { return (size[ca[v]]*2*n+ca[v])*n + v } // colors < 2n
+	slices.SortFunc(order[marked:], func(a, b int) int { return cmp.Compare(rank(a), rank(b)) })
+	sc.ca, sc.cb = ca, cb
+	clear(sc.used)
+	return sc.extend(0)
+}
 
-	perm := make([]network.NodeID, s.n)
-	used := make([]bool, s.n)
-	for i := range perm {
-		perm[i] = -1
+// extend binds order[i:] one node at a time, trying images in ascending
+// order; a binding must match its refined color and relate to every
+// earlier binding as its source does. Each try spends one budget step.
+func (sc *scratch) extend(i int) bool {
+	if i == len(sc.order) {
+		return true
 	}
-	mapped := make([]network.NodeID, 0, s.n)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(order) {
+	n, lc := sc.s.n, sc.s.lc
+	v := sc.order[i]
+next:
+	for w := 0; w < n; w++ {
+		sc.budget--
+		if sc.budget <= 0 {
+			return false
+		}
+		if sc.used[w] == 1 || sc.cb[w] != sc.ca[v] {
+			continue
+		}
+		for _, u := range sc.order[:i] {
+			if lc[v*n+u] != lc[w*n+sc.perm[u]] {
+				continue next
+			}
+		}
+		sc.perm[v] = w
+		sc.used[w] = 1
+		if sc.extend(i + 1) {
 			return true
 		}
-		v := order[i]
-		for w := 0; w < s.n; w++ {
-			*budget--
-			if *budget <= 0 {
-				return false
-			}
-			if used[w] || cb[w] != ca[v] {
-				continue
-			}
-			ok := true
-			for _, u := range mapped {
-				if s.linkClass(v, u) != s.linkClass(network.NodeID(w), perm[u]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			perm[v] = network.NodeID(w)
-			used[w] = true
-			mapped = append(mapped, v)
-			if rec(i + 1) {
-				return true
-			}
-			mapped = mapped[:len(mapped)-1]
-			used[w] = false
-			perm[v] = -1
-			if *budget <= 0 {
-				return false
-			}
-		}
-		return false
-	}
-	if !rec(0) {
-		return nil, false
-	}
-	return perm, true
-}
-
-func allNodes(n int) []network.NodeID {
-	out := make([]network.NodeID, n)
-	for i := range out {
-		out[i] = network.NodeID(i)
-	}
-	return out
-}
-
-func isIdentity(perm []network.NodeID) bool {
-	for i, v := range perm {
-		if int(v) != i {
+		sc.used[w] = 0
+		if sc.budget <= 0 {
 			return false
 		}
 	}
-	return true
+	return false
 }
 
-func invert(perm []network.NodeID) []network.NodeID {
-	inv := make([]network.NodeID, len(perm))
+// inverse returns the inverse of perm, or nil when perm is the identity.
+func inverse(perm []int) []network.NodeID {
 	for i, v := range perm {
-		inv[v] = network.NodeID(i)
+		if v != i {
+			inv := make([]network.NodeID, len(perm))
+			for i, v := range perm {
+				inv[v] = network.NodeID(i)
+			}
+			return inv
+		}
 	}
-	return inv
+	return nil
 }
 
 // nextCombination advances a sorted k-combination over [0, n) to its

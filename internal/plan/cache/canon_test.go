@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"testing"
@@ -239,4 +241,92 @@ func boundsProfile(p *plan.Plan) string {
 	_, maxU := p.Table.MaxUtilization()
 	return fmt.Sprintf("makespan=%v finishes=%v shed=%v maxU=%.6f",
 		p.Table.Makespan(), finishes, p.ShedSinks, maxU)
+}
+
+// pinnedCanonDigest is the SHA-256 of every canonicalization
+// TestCanonicalizeMatchesPinnedDigest enumerates, captured from the
+// map-and-string search this package used before its scratch rewrite.
+// Color numbering, candidate order and budget accounting all feed the
+// found automorphism, so any drift in them moves FromRep and this sum.
+const pinnedCanonDigest = "e92ab7e2a38b9eb7d60bcd62cdf7fa32b60ee5aeb96d8f0787d6c146feacca84"
+
+// TestCanonicalizeMatchesPinnedDigest hashes Key, Rep, FromRep and Exact
+// for every fault set of size 1 to f+1 on the C4 sweep's topologies and
+// on the slow-link ring of TestCanonicalizeLinkAttributesBreakSymmetry.
+func TestCanonicalizeMatchesPinnedDigest(t *testing.T) {
+	cases := []struct {
+		topo *network.Topology
+		f    int
+	}{
+		{network.FullMesh(8, testBW, testProp), 2},
+		{network.FullMesh(12, testBW, testProp), 2},
+		{network.Ring(8, testBW, testProp), 1},
+		{network.Ring(10, testBW, testProp), 2},
+		{network.Grid(3, 3, testBW, testProp), 2},
+		{network.DualBus(8, testBW, testProp), 2},
+		{network.Star(8, testBW, testProp), 1},
+		{network.NewTopology(4, []network.Link{
+			{A: 0, B: 1, Bandwidth: testBW / 2, Prop: testProp},
+			{A: 1, B: 2, Bandwidth: testBW, Prop: testProp},
+			{A: 2, B: 3, Bandwidth: testBW, Prop: testProp},
+			{A: 3, B: 0, Bandwidth: testBW, Prop: testProp},
+		}), 2},
+	}
+	h := sha256.New()
+	sets, exact := 0, 0
+	for _, tc := range cases {
+		sym := NewSymmetry(tc.topo)
+		for _, fs := range plan.EnumerateFaultSets(tc.topo.N, tc.f+1) {
+			if fs.Len() == 0 {
+				continue
+			}
+			c := sym.Canonicalize(fs)
+			fmt.Fprintf(h, "%d|%s|%s|%s|%v|%v\n", tc.topo.N, fs.Key(), c.Key, c.Rep.Key(), c.FromRep, c.Exact)
+			sets++
+			if c.Exact {
+				exact++
+			}
+		}
+	}
+	if exact != 0 {
+		t.Logf("%d of %d fault sets fell back to the exact key", exact, sets)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedCanonDigest {
+		t.Fatalf("canonicalization digest over %d fault sets = %s, want %s", sets, got, pinnedCanonDigest)
+	}
+}
+
+// TestCanonicalizeAllocs pins what one Canonicalize costs in heap
+// objects. A cold call allocates the memo key (fs.Key), its one scratch
+// and the result: Key (the "c:" concatenation plus rep.Key's string),
+// Rep and FromRep when the mapping is not the identity. A memo hit
+// allocates only the memo key.
+func TestCanonicalizeAllocs(t *testing.T) {
+	const coldPin, hitPin = 6, 1
+	for _, tc := range []struct {
+		name string
+		topo *network.Topology
+		f    int
+	}{
+		{"full-mesh/12", network.FullMesh(12, testBW, testProp), 2},
+		{"ring/10", network.Ring(10, testBW, testProp), 2},
+		{"grid-3x3", network.Grid(3, 3, testBW, testProp), 2},
+	} {
+		sym := NewSymmetry(tc.topo)
+		for _, fs := range plan.EnumerateFaultSets(tc.topo.N, tc.f+1) {
+			if fs.Len() == 0 {
+				continue
+			}
+			cold := testing.AllocsPerRun(10, func() {
+				clear(sym.memo) // keeps the map's buckets: the insert allocates nothing
+				sym.Canonicalize(fs)
+			})
+			if cold > coldPin {
+				t.Errorf("%s: cold Canonicalize(%v) allocates %.0f objects, pin %d", tc.name, fs, cold, coldPin)
+			}
+			if hit := testing.AllocsPerRun(10, func() { sym.Canonicalize(fs) }); hit > hitPin {
+				t.Errorf("%s: memo hit Canonicalize(%v) allocates %.0f objects, pin %d", tc.name, fs, hit, hitPin)
+			}
+		}
+	}
 }

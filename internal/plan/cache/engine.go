@@ -77,6 +77,10 @@ func NewEngine(base *flow.Graph, topo *network.Topology, opts plan.Options, c *C
 	}
 }
 
+// Symmetry returns the canonicalizer the engine resolves through; its
+// memo holds every fault set the engine has looked up.
+func (e *Engine) Symmetry() *Symmetry { return e.sym }
+
 func (e *Engine) exactKey(fs plan.FaultSet) string { return e.prefix + "|x|" + fs.Key() }
 func (e *Engine) canonKey(c Canon) string          { return e.prefix + "|" + c.Key }
 

@@ -7,6 +7,7 @@ import (
 	"btr/internal/member"
 	"btr/internal/network"
 	"btr/internal/plan"
+	"btr/internal/sig"
 	"btr/internal/sim"
 )
 
@@ -76,9 +77,11 @@ const (
 	epochPhaseCommit  = 'C'
 )
 
-func epochPayload(phase byte, sealed []byte) []byte {
-	out := make([]byte, 0, 2+len(sealed))
-	return append(append(out, msgMember, phase), sealed...)
+// epochFrame seals rec straight into its frame, in one allocation.
+func epochFrame(phase byte, reg *sig.Registry, rec member.Record) []byte {
+	frame := make([]byte, 2, 2+rec.EncodedSize()+sig.SignatureSize)
+	frame[0], frame[1] = msgMember, phase
+	return member.AppendSeal(frame, reg, rec)
 }
 
 // operator drives reconfigurations for one System. All methods run in
@@ -94,9 +97,8 @@ type operator struct {
 }
 
 type pendingEpoch struct {
-	rec    member.Record
-	sealed []byte
-	acks   map[network.NodeID]bool
+	rec  member.Record
+	acks map[network.NodeID]bool
 }
 
 // initEpochs wires the epoch machinery into a freshly built System:
@@ -209,15 +211,11 @@ func (op *operator) maybePropose() {
 		op.maybePropose()
 		return
 	}
-	op.pending = &pendingEpoch{
-		rec:    rec,
-		sealed: member.Seal(op.sys.cfg.Registry, rec),
-		acks:   map[network.NodeID]bool{},
-	}
+	op.pending = &pendingEpoch{rec: rec, acks: map[network.NodeID]bool{}}
 	op.sys.observe(Event{Kind: EpochProposed, Node: -1, Epoch: rec.Num})
 	// Console-deliver the prepare to every current member; each also
 	// floods it in-band.
-	payload := epochPayload(epochPhasePrepare, op.pending.sealed)
+	payload := epochFrame(epochPhasePrepare, op.sys.cfg.Registry, rec)
 	for _, m := range op.log.Members() {
 		op.sys.nodes[int(m)].onEpochFrame(payload, nil)
 	}
@@ -271,7 +269,7 @@ func (op *operator) commit() {
 	// the same instant): wiring changes are visible the moment
 	// nodes start their first period under the new epoch.
 	op.sys.cfg.Kernel.At(activateAt, func() { op.applyActivation(&ep) })
-	payload := epochPayload(epochPhaseCommit, member.Seal(op.sys.cfg.Registry, final))
+	payload := epochFrame(epochPhaseCommit, op.sys.cfg.Registry, final)
 	for _, nd := range op.sys.nodes {
 		nd.onEpochFrame(payload, nil)
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -106,6 +107,47 @@ func TestEpochRejectsIllegalProposal(t *testing.T) {
 	}
 	if k[EpochActivated] != 1 || !h.sys.IsMember(6) {
 		t.Fatalf("legal proposal after a rejection did not activate: %v", k)
+	}
+}
+
+// epochPayload frames already-sealed bytes the way epoch frames were
+// built before sealing moved into the frame: msgMember, the phase, then
+// a copy of the sealed record. Tests use it for reference bytes and for
+// frames no operator would seal.
+func epochPayload(phase byte, sealed []byte) []byte {
+	out := make([]byte, 0, 2+len(sealed))
+	return append(append(out, msgMember, phase), sealed...)
+}
+
+// TestEpochFrameMatchesSealedPayload: a record sealed straight into its
+// frame yields the bytes of framing member.Seal's output, for a prepare
+// and a commit record, and the frame is the call's one allocation.
+func TestEpochFrameMatchesSealedPayload(t *testing.T) {
+	reg := sig.NewRegistry(3, 8)
+	universe := network.FullMesh(8, 20_000_000, 50*sim.Microsecond)
+	log, err := member.NewLog(universe, member.Genesis([]network.NodeID{0, 1, 2, 3, 4, 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare, err := log.Propose(member.Delta{Join: []network.NodeID{6}, Retire: []network.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := prepare.WithActivation(7*epochTestPeriod - 1)
+	for _, tc := range []struct {
+		phase byte
+		rec   member.Record
+	}{{epochPhasePrepare, prepare}, {epochPhaseCommit, commit}} {
+		got := epochFrame(tc.phase, reg, tc.rec)
+		if want := epochPayload(tc.phase, member.Seal(reg, tc.rec)); !bytes.Equal(got, want) {
+			t.Errorf("phase %c: frame\n%x\nwant\n%x", tc.phase, got, want)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("phase %c: frame len %d, cap %d: not sized exactly", tc.phase, len(got), cap(got))
+		}
+		if n := testing.AllocsPerRun(20, func() { epochFrame(tc.phase, reg, tc.rec) }); n != 1 {
+			t.Errorf("phase %c: epoch frame costs %.0f allocations, want 1", tc.phase, n)
+		}
 	}
 }
 

@@ -100,11 +100,12 @@ func NewRegistry(seed uint64, n int) *Registry {
 	return r
 }
 
-// OperatorSign returns the operator key's signature over msg. Only the
-// deployment harness (the configuration authority proposing membership
-// epochs) calls this; nodes hold the public half only.
-func (r *Registry) OperatorSign(msg []byte) []byte {
-	return ed25519.Sign(r.opPriv, msg)
+// OperatorSignAppended appends the operator key's signature over
+// dst[at:] to dst, sealing the body where it lies. Only the deployment
+// harness (the configuration authority proposing membership epochs)
+// calls this; nodes hold the public half only.
+func (r *Registry) OperatorSignAppended(dst []byte, at int) []byte {
+	return append(dst, ed25519.Sign(r.opPriv, dst[at:])...)
 }
 
 // OperatorVerify reports whether sig is the operator's valid signature

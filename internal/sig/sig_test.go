@@ -167,10 +167,15 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
+// operatorSign returns the operator's signature over msg.
+func operatorSign(r *Registry, msg []byte) []byte {
+	return r.OperatorSignAppended(append([]byte(nil), msg...), 0)[len(msg):]
+}
+
 func TestOperatorSignVerify(t *testing.T) {
 	r := NewRegistry(1, 4)
 	msg := []byte("epoch 3: members 0,1,2,5")
-	s := r.OperatorSign(msg)
+	s := operatorSign(r, msg)
 	if !r.OperatorVerify(msg, s) {
 		t.Fatal("valid operator signature rejected")
 	}
@@ -192,7 +197,7 @@ func TestOperatorSignVerify(t *testing.T) {
 func TestOperatorKeyDeterministicAndNodeKeysUnchanged(t *testing.T) {
 	a, b := NewRegistry(7, 3), NewRegistry(7, 3)
 	msg := []byte("m")
-	if !b.OperatorVerify(msg, a.OperatorSign(msg)) {
+	if !b.OperatorVerify(msg, operatorSign(a, msg)) {
 		t.Fatal("same-seed registries derived different operator keys")
 	}
 	// A different node count shifts the rng draws, so the operator key
