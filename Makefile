@@ -81,7 +81,7 @@ docs-check:
 	$(GO) run ./cmd/btrfaultmodel -links README.md ROADMAP.md FAULT_MODEL.md BENCH_SCHEMA.md
 
 # One-iteration benchmark smoke: the kernel-throughput and watchdog
-# benchmarks, the verify/seal memo pairs, the evidence-flood
+# benchmarks, the verify memo pair and the seal path, the evidence-flood
 # encode-once/legacy pair, the wire batch-frame codec, the transport
 # coalescing/shedding paths, and one quorum register op against four
 # loopback replicas.
@@ -151,7 +151,7 @@ bench-smoke: bench-test
 # onEvidenceMessage), the seal path, the one exact-size buffer each
 # caller of sig's in-place primitive, sig.(*Registry).SignAppended,
 # allocates (runtime.sealFrame and bogusFrame, evidence.Sealed, and the
-# seal memo's misses, sig.(*Registry).sealPayload), and the fault path
+# evidence endorsements, sig.(*Registry).SealedPayload), and the fault path
 # (a node's schedulePeriod and checkArrived, the attributor's Add and a
 # relay's forward, which reads its detour row while a node is down).
 # The profiles (alloc-*.pprof) are gitignored and removed by
@@ -167,7 +167,7 @@ profile-allocs:
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'cache\.\(\*Symmetry\)\.Canonicalize$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(finishTask|acceptRecord)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(emit|onMessage|onEvidenceMessage)$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
-	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.sealPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.(sealFrame|bogusFrame)$$|evidence\.Sealed\[|sig\.\(\*Registry\)\.SealedPayload$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 	$(GO) tool pprof -sample_index=alloc_objects -peek 'runtime\.\(\*Node\)\.(schedulePeriod|checkArrived)$$|evidence\.\(\*Attributor\)\.Add$$|network\.\(\*plane\)\.forward$$' $(PROFILE_FAMILIES:%=alloc-%.pprof)
 
 ci: fmt-check vet build race race-live bench-test bench-smoke

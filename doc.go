@@ -42,12 +42,12 @@
 // Every tolerated/detected cell cites the test or bench gate proving
 // it, and cmd/btrfaultmodel verifies the citations in CI.
 //
-// Host-side crypto cost is amortized by the internal/sig memo fast path:
-// verification and sealing are deterministic, so they are memoized
-// (positive entries only, full-triple keys) and evidence blobs are
-// encoded once and forwarded by slice reuse — campaign wall clock drops
-// >2x while every simulated-time result, including the virtual
-// sig.CostModel charges, stays byte-identical.
+// Host-side crypto cost is amortized by the internal/sig verify memo:
+// verification is deterministic, so it is memoized (positive entries
+// only, full-triple keys), and evidence blobs are encoded once and
+// forwarded by slice reuse — campaign wall clock drops >2x while every
+// simulated-time result, including the virtual sig.CostModel charges,
+// stays byte-identical.
 //
 // Start with README.md, the runnable examples under examples/, or the
 // experiment harness:

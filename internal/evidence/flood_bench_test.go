@@ -67,8 +67,8 @@ func legacyEncodeEvidence(e Evidence) []byte {
 	return w.b
 }
 
-// forwardHop is the steady-state encode-once forwarding path: retained
-// wire reuse plus a memoized seal+frame. This is what BTR's evidence
+// forwardHop is the encode-once forwarding path: the retained wire,
+// sealed in place into one exact-size frame. This is what BTR's evidence
 // distributor executes per hop (internal/runtime.forwardEvidence).
 func forwardHop(reg *sig.Registry, forwarder network.NodeID, ev Evidence) []byte {
 	return reg.SealedPayload(forwarder, msgEvidence, ev.Encode())
@@ -82,59 +82,49 @@ func legacyHop(reg *sig.Registry, forwarder network.NodeID, ev Evidence) []byte 
 }
 
 // TestForwardHopMatchesLegacy pins the fast path to the frozen one: both
-// produce byte-identical frames.
+// produce byte-identical frames, on a second pass as on the first.
 func TestForwardHopMatchesLegacy(t *testing.T) {
 	reg := sig.NewRegistry(21, 4)
-	reg.UseMemos(sig.NewVerifyMemo(), sig.NewSealMemo())
-	plain := sig.NewRegistry(21, 4)
-	plain.UseMemos(nil, nil)
 	ev := floodEvidence(t, reg)
-	for i := 0; i < 2; i++ { // second pass hits the seal memo
-		if !bytes.Equal(forwardHop(reg, 3, ev), legacyHop(plain, 3, ev)) {
+	for i := 0; i < 2; i++ {
+		if !bytes.Equal(forwardHop(reg, 3, ev), legacyHop(reg, 3, ev)) {
 			t.Fatalf("pass %d: fast forwarding frame diverges from legacy", i)
 		}
 	}
 }
 
-// TestEvidenceFloodZeroAlloc asserts the acceptance criterion directly:
-// the steady-state encode-once forwarding path allocates nothing.
-func TestEvidenceFloodZeroAlloc(t *testing.T) {
+// TestEvidenceFloodOneAlloc pins a forwarding hop at exactly one
+// allocation, its frame: the retained wire costs nothing, so a hop that
+// re-encodes the blob fails at two. A node endorses each blob once
+// (runtime's seenEvidence), so every hop in a deployment takes this path.
+func TestEvidenceFloodOneAlloc(t *testing.T) {
 	reg := sig.NewRegistry(22, 4)
-	reg.UseMemos(sig.NewVerifyMemo(), sig.NewSealMemo())
 	ev := floodEvidence(t, reg)
-	forwardHop(reg, 1, ev) // warm the seal memo
 	if allocs := testing.AllocsPerRun(200, func() {
 		forwardHop(reg, 1, ev)
-	}); allocs != 0 {
-		t.Fatalf("steady-state flood hop allocates %.1f objects/op, want 0", allocs)
+	}); allocs != 1 {
+		t.Fatalf("flood hop allocates %.1f objects/op, want 1 (the frame)", allocs)
 	}
 }
 
 // BenchmarkEvidenceFlood compares one evidence-flood hop on the
-// encode-once fast path (retained wire + seal memo; 0 allocs/op steady
-// state) against the frozen legacy path (full re-encode + fresh seal).
+// encode-once fast path (retained wire sealed in place; 1 alloc/op)
+// against the frozen legacy path (full re-encode + fresh seal).
 func BenchmarkEvidenceFlood(b *testing.B) {
-	b.Run("encode-once", func(b *testing.B) {
-		reg := sig.NewRegistry(23, 4)
-		reg.UseMemos(sig.NewVerifyMemo(), sig.NewSealMemo())
-		ev := floodEvidence(b, reg)
-		forwardHop(reg, 1, ev) // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			forwardHop(reg, 1, ev)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		reg := sig.NewRegistry(23, 4)
-		reg.UseMemos(nil, nil)
-		ev := floodEvidence(b, reg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			legacyHop(reg, 1, ev)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		hop  func(*sig.Registry, network.NodeID, Evidence) []byte
+	}{{"encode-once", forwardHop}, {"legacy", legacyHop}} {
+		b.Run(c.name, func(b *testing.B) {
+			reg := sig.NewRegistry(23, 4)
+			ev := floodEvidence(b, reg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.hop(reg, 1, ev)
+			}
+		})
+	}
 }
 
 // BenchmarkDigestEnvelopes measures the streamed digest (the per-emit

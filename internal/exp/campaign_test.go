@@ -69,8 +69,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 
 // TestMemosChangeNoOutputByte is the memo soundness check: the quick
 // paper scenarios render byte-identical tables whether every registry
-// verifies and seals through the process-shared memos or recomputes
-// every signature.
+// verifies through the process-shared verify memo or recomputes every
+// verification.
 func TestMemosChangeNoOutputByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two paper campaigns in -short mode")

@@ -30,7 +30,7 @@ func TestFloodVerificationBudgetedLive(t *testing.T) {
 			t.Fatalf("deployment: %v", err)
 		}
 		memo := sig.NewVerifyMemo()
-		d.Registry.UseMemos(memo, nil)
+		d.Registry.UseMemos(memo)
 		flooder := floodNode(d)
 		if flood {
 			adversary.FloodBogus(flooder, perPeriod, cfg.Period).Install(d)

@@ -16,12 +16,10 @@ import (
 
 // forwardEvidence floods ev to all neighbors, endorsed by this node.
 //
-// This is the encode-once fast path: decoded (or locally sealed)
-// evidence returns its retained wire bytes from Encode, and the
-// endorsement frame comes from the registry's seal memo — so re-flooding
-// a blob this node (or a same-seed trial anywhere in the process) has
-// endorsed before allocates nothing and performs no signing. A miss is
-// sealed in place in one exact-size allocation, like every envelope.
+// Decoded (or locally sealed) evidence returns its retained wire bytes
+// from Encode, and the endorsement is sealed around them in place, in one
+// exact-size allocation, like every envelope. A node endorses each blob
+// once (seenEvidence), so there is nothing to reuse across calls.
 func (n *Node) forwardEvidence(ev evidence.Evidence) {
 	if b := n.behavior; b != nil && b.SuppressForwarding {
 		return
@@ -33,12 +31,9 @@ func (n *Node) forwardEvidence(ev evidence.Evidence) {
 }
 
 // floodBogus implements the DoS adversary: invalid evidence blobs signed
-// by this node, sprayed at every neighbor. The "re-sent identical
-// payload" amortization is local: the junk is sealed and framed once and
-// sprayed count x neighbors times. It deliberately does NOT go through
-// the seal memo — every period's junk is fresh random bytes, so each
-// entry would be dead weight whose only effect is churning honest cached
-// seals out of the capped shards. The attacker pays for its own spray.
+// by this node, sprayed at every neighbor. The junk is sealed and framed
+// once and sprayed count x neighbors times; every period's junk is fresh
+// random bytes. The attacker pays for its own spray.
 func (n *Node) floodBogus(count int) {
 	payload := bogusFrame(n.cfg.Registry, n.id, n.cfg.Kernel.RNG())
 	for i := 0; i < count; i++ {

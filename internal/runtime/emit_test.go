@@ -131,7 +131,7 @@ const steadyStateAllocsPerPeriod = 29
 
 func TestSteadyStateAllocsPerPeriod(t *testing.T) {
 	h := newHarness(t, flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA), 4, 1, 3)
-	h.sys.cfg.Registry.UseMemos(sig.NewVerifyMemo(), sig.NewSealMemo()) // independent of other tests
+	h.sys.cfg.Registry.UseMemos(sig.NewVerifyMemo()) // independent of other tests
 	period := h.strategy.Base.Period
 	h.sys.Start()
 	h.k.Run(10 * period) // warm up: inbox maps, pools
@@ -184,7 +184,7 @@ func TestFinishTaskOneAllocationPerRecord(t *testing.T) {
 			log = &dropLog{Network: nw}
 			return log
 		})
-	h.sys.cfg.Registry.UseMemos(sig.NewVerifyMemo(), sig.NewSealMemo()) // independent of other tests
+	h.sys.cfg.Registry.UseMemos(sig.NewVerifyMemo()) // independent of other tests
 	h.sys.Start()
 	h.k.Run(10 * h.strategy.Base.Period)
 	h.sys.Node(0).cfg.OnActuation = nil // the harness keeps a copy of every command

@@ -218,20 +218,8 @@ func TestSealPathMatchesLegacyRoutes(t *testing.T) {
 	}
 
 	ev := statements[0].got
-	want := legacyFrame(reg, msgEvidence, 1, ev.Encode())
-	seals := sig.NewSealMemo()
-	for _, memo := range []string{"miss", "hit", "off"} {
-		if memo == "off" {
-			reg.UseMemos(nil, nil)
-		} else {
-			reg.UseMemos(sig.NewVerifyMemo(), seals)
-		}
-		if got := reg.SealedPayload(1, msgEvidence, ev.Encode()); !bytes.Equal(got, want) {
-			t.Errorf("evidence-flood frame (memo %s): %x, want %x", memo, got, want)
-		}
-	}
-	if hits, misses := seals.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("seal memo saw %d hits and %d misses, want 1 and 1", hits, misses)
+	if got, want := reg.SealedPayload(1, msgEvidence, ev.Encode()), legacyFrame(reg, msgEvidence, 1, ev.Encode()); !bytes.Equal(got, want) {
+		t.Errorf("evidence-flood frame: %x, want %x", got, want)
 	}
 
 	junk := make([]byte, bogusJunk)
@@ -266,25 +254,68 @@ func TestMajoritySelection(t *testing.T) {
 }
 
 // hashLog wraps the simulated network and keeps every payload handed to
-// Send or SendDirect with its digest at the time of sending.
+// Send or SendDirect with its route, class and digest at the time of
+// sending.
 type hashLog struct {
 	*network.Network
 	sent []hashedPayload
 }
 
 type hashedPayload struct {
-	payload []byte
-	sum     [sha256.Size]byte
+	from, to network.NodeID
+	class    network.Class
+	payload  []byte
+	sum      [sha256.Size]byte
 }
 
 func (l *hashLog) Send(src, dst network.NodeID, class network.Class, payload []byte) bool {
-	l.sent = append(l.sent, hashedPayload{payload, sha256.Sum256(payload)})
+	l.sent = append(l.sent, hashedPayload{src, dst, class, payload, sha256.Sum256(payload)})
 	return l.Network.Send(src, dst, class, payload)
 }
 
 func (l *hashLog) SendDirect(from, to network.NodeID, class network.Class, payload []byte) bool {
-	l.sent = append(l.sent, hashedPayload{payload, sha256.Sum256(payload)})
+	l.sent = append(l.sent, hashedPayload{from, to, class, payload, sha256.Sum256(payload)})
 	return l.Network.SendDirect(from, to, class, payload)
+}
+
+// loggedBehaviors are the runs loggedRun is driven through: none, a
+// corrupt task, an equivocating one and a bogus evidence flood.
+var loggedBehaviors = []struct {
+	name     string
+	behavior *Behavior
+}{
+	{"fault-free", nil},
+	{"corrupt-task", &Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+		if rec.Logical == "c1" {
+			rec.Value = []byte("corrupted!")
+		}
+		return rec, 0, true
+	}}},
+	{"equivocate", &Behavior{OnOutput: func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
+		if _, idx := plan.SplitReplica(consumer); rec.Logical == "c1" && idx%2 == 0 {
+			rec.Value = append([]byte("fork:"), rec.Value...)
+		}
+		return rec, 0, true
+	}}},
+	{"bogus-flood", &Behavior{BogusEvidencePerPeriod: 4}},
+}
+
+// loggedRun runs a chain of three on a full mesh of six, f = 1, for 20
+// periods through a hashLog, with behavior (if any) installed on c1#0's
+// host from period 4. It returns the harness, that victim and the log.
+func loggedRun(t *testing.T, behavior *Behavior) (*harness, network.NodeID, *hashLog) {
+	var log *hashLog
+	g := flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
+	h := newHarnessOn(t, g, 6, 1, 11, func(nw *network.Network) network.Transport {
+		log = &hashLog{Network: nw}
+		return log
+	})
+	victim := h.nodeOf("c1#0")
+	if behavior != nil {
+		h.k.At(4*h.strategy.Base.Period-1, func() { h.sys.SetBehavior(victim, behavior) })
+	}
+	h.run(20)
+	return h, victim, log
 }
 
 // TestReceiversNeverWritePayloads checks the read-only payload contract
@@ -296,39 +327,9 @@ func (l *hashLog) SendDirect(from, to network.NodeID, class network.Class, paylo
 // evidence flood, every payload sent must still hash as it did when it
 // was sent.
 func TestReceiversNeverWritePayloads(t *testing.T) {
-	corrupt := func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-		if rec.Logical == "c1" {
-			rec.Value = []byte("corrupted!")
-		}
-		return rec, 0, true
-	}
-	equivocate := func(rec evidence.Record, consumer flow.TaskID) (evidence.Record, sim.Time, bool) {
-		if _, idx := plan.SplitReplica(consumer); rec.Logical == "c1" && idx%2 == 0 {
-			rec.Value = append([]byte("fork:"), rec.Value...)
-		}
-		return rec, 0, true
-	}
-	for _, tc := range []struct {
-		name     string
-		behavior *Behavior
-	}{
-		{"fault-free", nil},
-		{"corrupt-task", &Behavior{OnOutput: corrupt}},
-		{"equivocate", &Behavior{OnOutput: equivocate}},
-		{"bogus-flood", &Behavior{BogusEvidencePerPeriod: 4}},
-	} {
+	for _, tc := range loggedBehaviors {
 		t.Run(tc.name, func(t *testing.T) {
-			var log *hashLog
-			g := flow.Chain(3, 25*sim.Millisecond, sim.Millisecond, 64, flow.CritA)
-			h := newHarnessOn(t, g, 6, 1, 11, func(nw *network.Network) network.Transport {
-				log = &hashLog{Network: nw}
-				return log
-			})
-			if tc.behavior != nil {
-				victim := h.nodeOf("c1#0")
-				h.k.At(4*h.strategy.Base.Period-1, func() { h.sys.SetBehavior(victim, tc.behavior) })
-			}
-			h.run(20)
+			h, _, log := loggedRun(t, tc.behavior)
 			kinds := map[byte]int{}
 			for i, s := range log.sent {
 				if sha256.Sum256(s.payload) != s.sum {
@@ -339,6 +340,39 @@ func TestReceiversNeverWritePayloads(t *testing.T) {
 			if kinds[msgData] == 0 || (tc.behavior != nil && (kinds[msgEvidence] == 0 || len(h.evidences) == 0)) {
 				t.Fatalf("sent %d data and %d evidence frames, %d pieces of evidence: the check is vacuous",
 					kinds[msgData], kinds[msgEvidence], len(h.evidences))
+			}
+		})
+	}
+}
+
+// TestEvidenceEndorsedOncePerNode pins what lets every endorsement be
+// sealed afresh: a correct node endorses each evidence blob once
+// (seenEvidence), so it never sends the same evidence frame to the same
+// neighbor twice, however many neighbors flood the blob back to it.
+func TestEvidenceEndorsedOncePerNode(t *testing.T) {
+	for _, tc := range loggedBehaviors {
+		t.Run(tc.name, func(t *testing.T) {
+			h, victim, log := loggedRun(t, tc.behavior)
+			type route struct {
+				from, to network.NodeID
+				sum      [sha256.Size]byte
+			}
+			seen := map[route]bool{}
+			frames := 0
+			for _, s := range log.sent {
+				if s.class != network.ClassEvidence || s.from == victim {
+					continue
+				}
+				r := route{s.from, s.to, s.sum}
+				if seen[r] {
+					t.Fatalf("node %d sent the same evidence frame to %d twice", s.from, s.to)
+				}
+				seen[r] = true
+				frames++
+			}
+			if tc.behavior != nil && (frames == 0 || len(h.evidences) == 0) {
+				t.Fatalf("correct nodes sent %d evidence frames, %d pieces of evidence: the check is vacuous",
+					frames, len(h.evidences))
 			}
 		})
 	}

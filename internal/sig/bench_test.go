@@ -23,7 +23,7 @@ func benchEnvelopes(n int) (*Registry, []Envelope) {
 // the first). Compare with BenchmarkVerifyUncached.
 func BenchmarkVerifyMemo(b *testing.B) {
 	r, envs := benchEnvelopes(64)
-	r.UseMemos(NewVerifyMemo(), nil)
+	r.UseMemos(NewVerifyMemo())
 	for _, e := range envs { // warm
 		r.Check(e)
 	}
@@ -40,7 +40,7 @@ func BenchmarkVerifyMemo(b *testing.B) {
 // verification on every call, through a registry with no memos.
 func BenchmarkVerifyUncached(b *testing.B) {
 	r, envs := benchEnvelopes(64)
-	r.UseMemos(nil, nil)
+	r.UseMemos(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := envs[i%len(envs)]
@@ -50,28 +50,10 @@ func BenchmarkVerifyUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkSealedPayload measures the seal-memo steady state: re-sealing
-// an already-sealed body (re-sent evidence, bogus floods, replayed
-// trials) is a shared-slice lookup.
+// BenchmarkSealedPayload measures the one seal path: a fresh signature
+// sealed in place into one exact-size frame per call.
 func BenchmarkSealedPayload(b *testing.B) {
 	r, _ := benchEnvelopes(1)
-	r.UseMemos(nil, NewSealMemo())
-	bodies := make([][]byte, 16)
-	for i := range bodies {
-		bodies[i] = []byte(fmt.Sprintf("evidence blob %d with some realistic length padding", i))
-		r.SealedPayload(network.NodeID(i%8), 'E', bodies[i]) // warm
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.SealedPayload(network.NodeID(i%8), 'E', bodies[i%len(bodies)])
-	}
-}
-
-// BenchmarkSealUncached is the frozen baseline for the seal path.
-func BenchmarkSealUncached(b *testing.B) {
-	r, _ := benchEnvelopes(1)
-	r.UseMemos(nil, nil)
 	body := []byte("evidence blob with some realistic length padding")
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,13 +1,12 @@
 package sig
 
-// Verification and seal memoization — the crypto fast path.
+// Verification memoization — the crypto fast path.
 //
-// Soundness. ed25519 is deterministic in both directions: for a fixed
-// (public key, message, signature) triple, Verify always returns the same
-// boolean, and for a fixed (private key, message) pair, Sign always
-// returns the same signature. Memoizing these pure functions therefore
-// cannot change any result — only the host CPU time spent recomputing
-// them. Two further rules keep the memo sound under adversarial input:
+// Soundness. ed25519 verification is deterministic: for a fixed (public
+// key, message, signature) triple, Verify always returns the same
+// boolean. Memoizing this pure function therefore cannot change any
+// result — only the host CPU time spent recomputing it. Two further rules
+// keep the memo sound under adversarial input:
 //
 //   - Positive entries only. A cache hit asserts "this exact triple
 //     verified before". Failures are never cached, so garbage signatures
@@ -28,7 +27,10 @@ package sig
 //     what lets campaign trials replaying the same seeded deployment reuse
 //     each other's verification work.
 //
-// The memos are sharded maps behind per-shard RW mutexes — safe for
+// Signing is not memoized: a node endorses each evidence blob once
+// (its seenEvidence set), so within a deployment a seal never repeats.
+//
+// The memo is a sharded map behind per-shard RW mutexes — safe for
 // concurrent campaign workers — and bounded: a shard that reaches its cap
 // is cleared (sound, because entries only ever accelerate).
 
@@ -37,15 +39,12 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
-
-	"btr/internal/network"
 )
 
 const (
 	memoShards     = 64 // power of two; shard = first digest byte & mask
 	memoShardMask  = memoShards - 1
 	verifyShardCap = 2048 // ~128B/key -> <=16MiB worst case across shards
-	sealShardCap   = 256  // entries carry payload bytes; keep small
 )
 
 // verifyKey is the full verification triple: signer public key, message
@@ -116,84 +115,17 @@ func (m *VerifyMemo) Stats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
 
-// sealKey identifies a deterministic seal: signer public key, payload
-// prefix byte, and message digest.
-type sealKey struct {
-	pub    [ed25519.PublicKeySize]byte
-	prefix byte
-	dig    [sha256.Size]byte
-}
-
-type sealShard struct {
-	mu sync.RWMutex
-	m  map[sealKey][]byte
-}
-
-// SealMemo caches the fully framed wire bytes of deterministic seals:
-// prefix || Envelope{signer, body, Sign(body)}.Encode(). Because ed25519
-// signing is deterministic, re-sealing an identical body always yields
-// identical bytes, so re-sent payloads (evidence re-floods, replayed
-// campaign trials) become a shared-slice lookup; a miss is sealed in
-// place like every other envelope. Callers must treat returned slices as
-// immutable — they are shared.
-type SealMemo struct {
-	shards [memoShards]sealShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// NewSealMemo returns an empty memo.
-func NewSealMemo() *SealMemo {
-	m := &SealMemo{}
-	for i := range m.shards {
-		m.shards[i].m = make(map[sealKey][]byte)
-	}
-	return m
-}
-
-// payload consults the memo for r's framed seal of body by signer; on a
-// miss it seals in place (Registry.sealPayload) and caches the frame.
-// The returned slice is shared and must not be mutated.
-func (m *SealMemo) payload(r *Registry, signer network.NodeID, prefix byte, body []byte) []byte {
-	var k sealKey
-	copy(k.pub[:], r.pubs[signer])
-	k.prefix = prefix
-	k.dig = sha256.Sum256(body)
-	sh := &m.shards[k.dig[0]&memoShardMask]
-	sh.mu.RLock()
-	p, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		m.hits.Add(1)
-		return p
-	}
-	m.misses.Add(1)
-	p = r.sealPayload(signer, prefix, body)
-	sh.mu.Lock()
-	if len(sh.m) >= sealShardCap {
-		clear(sh.m)
-	}
-	sh.m[k] = p
-	sh.mu.Unlock()
-	return p
-}
-
-// Stats returns the cumulative hit/miss counters.
-func (m *SealMemo) Stats() (hits, misses uint64) {
-	return m.hits.Load(), m.misses.Load()
-}
-
-// --- process-shared instances ----------------------------------------------
+// --- process-shared instance ---------------------------------------------
 
 var (
 	sharedVerify = NewVerifyMemo()
-	sharedSeal   = NewSealMemo()
 	memosEnabled atomic.Bool
+	sealCount    atomic.Uint64 // SealedPayload calls, for MemoStats
 )
 
 func init() { memosEnabled.Store(true) }
 
-// ResetMemos drops every entry from the shared memos (the hit/miss
+// ResetMemos drops every entry from the shared verify memo (the hit/miss
 // counters keep accumulating). It is a measurement hook — timed runs
 // that must start cold call it so one run's warmth cannot leak into the
 // next — and is not safe to call concurrently with a benchmark being
@@ -205,25 +137,19 @@ func ResetMemos() {
 		clear(sh.m)
 		sh.mu.Unlock()
 	}
-	for i := range sharedSeal.shards {
-		sh := &sharedSeal.shards[i]
-		sh.mu.Lock()
-		clear(sh.m)
-		sh.mu.Unlock()
-	}
 }
 
-// SetMemos enables or disables memo attachment for subsequently
+// SetMemos enables or disables verify-memo attachment for subsequently
 // constructed registries and returns the previous setting. Existing
 // registries are unaffected. This is a test and measurement hook, not a
 // tuning knob: results are identical either way, which
 // TestMemosChangeNoOutputByte in internal/exp pins.
 func SetMemos(enabled bool) bool { return memosEnabled.Swap(enabled) }
 
-// MemoStats sums the shared memos' counters: verification and seal
-// hit/miss totals since process start.
+// MemoStats returns the shared verify memo's hit/miss totals since
+// process start, and the number of SealedPayload calls as seal misses.
+// Seals are never memoized, so sealHits is always 0.
 func MemoStats() (verifyHits, verifyMisses, sealHits, sealMisses uint64) {
 	verifyHits, verifyMisses = sharedVerify.Stats()
-	sealHits, sealMisses = sharedSeal.Stats()
-	return verifyHits, verifyMisses, sealHits, sealMisses
+	return verifyHits, verifyMisses, 0, sealCount.Load()
 }

@@ -16,9 +16,9 @@ import (
 func twoRegistries(t *testing.T, seed uint64, n int) (memoized, plain *Registry) {
 	t.Helper()
 	memoized = NewRegistry(seed, n)
-	memoized.UseMemos(NewVerifyMemo(), NewSealMemo())
+	memoized.UseMemos(NewVerifyMemo())
 	plain = NewRegistry(seed, n)
-	plain.UseMemos(nil, nil)
+	plain.UseMemos(nil)
 	return memoized, plain
 }
 
@@ -66,28 +66,24 @@ func TestVerifyMemoDifferential(t *testing.T) {
 	}
 }
 
-// TestSealedPayloadDeterministic: the seal memo returns byte-identical
-// payloads to a fresh seal+frame, across repeats and across same-seed
-// registries (the campaign-worker sharing case).
+// TestSealedPayloadDeterministic: SealedPayload is prefix ||
+// Seal(signer, body).Encode() for every prefix, sealed in one allocation
+// per call, and the frame round-trips as a well-formed envelope.
 func TestSealedPayloadDeterministic(t *testing.T) {
-	memoized, plain := twoRegistries(t, 11, 3)
+	r := NewRegistry(11, 3)
 	body := []byte("some evidence blob")
-	want := append([]byte{0xE5}, plain.Seal(1, body).Encode()...)
-	for i := 0; i < 3; i++ {
-		got := memoized.SealedPayload(1, 0xE5, body)
-		if string(got) != string(want) {
-			t.Fatalf("pass %d: SealedPayload diverges from fresh seal+frame", i)
+	for _, prefix := range []byte{0xE5, 0xD7, 'E', 0} {
+		want := append([]byte{prefix}, r.Seal(1, body).Encode()...)
+		if got := r.SealedPayload(1, prefix, body); string(got) != string(want) {
+			t.Fatalf("prefix %#x: SealedPayload diverges from fresh seal+frame", prefix)
 		}
-	}
-	// A different prefix must not collide with the cached entry.
-	got := memoized.SealedPayload(1, 0xD7, body)
-	if got[0] != 0xD7 || string(got[1:]) != string(want[1:]) {
-		t.Fatal("prefix not honored by seal memo")
-	}
-	// The payload round-trips as a well-formed envelope.
-	env, err := ParseEnvelope(want[1:])
-	if err != nil || !plain.Check(env) || env.Signer != 1 {
-		t.Fatalf("framed seal does not round-trip: %v", err)
+		if allocs := testing.AllocsPerRun(20, func() { r.SealedPayload(1, prefix, body) }); allocs != 1 {
+			t.Fatalf("prefix %#x: SealedPayload allocates %.1f objects/call, want 1", prefix, allocs)
+		}
+		env, err := ParseEnvelope(want[1:])
+		if err != nil || !r.Check(env) || env.Signer != 1 {
+			t.Fatalf("prefix %#x: framed seal does not round-trip: %v", prefix, err)
+		}
 	}
 }
 
@@ -96,7 +92,7 @@ func TestSealedPayloadDeterministic(t *testing.T) {
 func TestVerifyMemoPositiveOnly(t *testing.T) {
 	r := NewRegistry(3, 2)
 	m := NewVerifyMemo()
-	r.UseMemos(m, nil)
+	r.UseMemos(m)
 	msg := []byte("m")
 	bad := make([]byte, ed25519.SignatureSize)
 	for i := 0; i < 10; i++ {
@@ -120,7 +116,7 @@ func TestVerifyMemoPositiveOnly(t *testing.T) {
 func TestVerifyMemoBounded(t *testing.T) {
 	r := NewRegistry(5, 1)
 	m := NewVerifyMemo()
-	r.UseMemos(m, nil)
+	r.UseMemos(m)
 	msg := make([]byte, 8)
 	for i := 0; i < 3*verifyShardCap; i++ {
 		for j := 0; j < 8; j++ {
@@ -139,8 +135,8 @@ func TestVerifyMemoBounded(t *testing.T) {
 
 // TestSharedMemoConcurrentWorkers is the -race stress test of the shared
 // memo under concurrent campaign workers: several goroutines, each with
-// its own same-seed registry (as campaign trials have), hammer one memo
-// pair with overlapping valid and invalid triples; every decision must
+// its own same-seed registry (as campaign trials have), hammer one verify
+// memo with overlapping valid and invalid triples; every decision must
 // match the memo-free path.
 func TestSharedMemoConcurrentWorkers(t *testing.T) {
 	const (
@@ -148,7 +144,7 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 		nodes   = 4
 		msgs    = 200
 	)
-	vm, sm := NewVerifyMemo(), NewSealMemo()
+	vm := NewVerifyMemo()
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
@@ -157,9 +153,9 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			reg := NewRegistry(99, nodes) // same seed: shared keys on purpose
-			reg.UseMemos(vm, sm)
+			reg.UseMemos(vm)
 			plain := NewRegistry(99, nodes)
-			plain.UseMemos(nil, nil)
+			plain.UseMemos(nil)
 			msg := make([]byte, 16)
 			for i := 0; i < msgs; i++ {
 				msg[0], msg[1], msg[2] = byte(i), byte(i>>8), byte(w%2) // overlap across workers
@@ -170,11 +166,6 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 				}
 				if got, want := reg.Verify(id, msg, s), plain.Verify(id, msg, s); got != want {
 					errs <- "memoized verify diverged under concurrency"
-					return
-				}
-				p := reg.SealedPayload(id, 'E', msg)
-				if env, err := ParseEnvelope(p[1:]); err != nil || !plain.Check(env) {
-					errs <- "concurrent sealed payload malformed"
 					return
 				}
 			}
@@ -192,7 +183,7 @@ func TestSharedMemoConcurrentWorkers(t *testing.T) {
 func TestResetMemos(t *testing.T) {
 	prev := SetMemos(true)
 	defer SetMemos(prev)
-	r := NewRegistry(13, 2) // attaches the shared memos
+	r := NewRegistry(13, 2) // attaches the shared verify memo
 	env := r.Seal(0, []byte("payload"))
 	if !r.Check(env) || !r.Check(env) {
 		t.Fatal("valid envelope rejected")
@@ -231,7 +222,7 @@ const batchTestNodes = 8
 // hit counts are not disturbed by other tests sharing the process memo.
 func batchTestRegistry() *Registry {
 	r := NewRegistry(0xba7c4, batchTestNodes)
-	r.UseMemos(NewVerifyMemo(), nil)
+	r.UseMemos(NewVerifyMemo())
 	return r
 }
 
@@ -275,7 +266,7 @@ func corruptBatch(envs []Envelope, i int, class uint8, bit uint16) {
 // just primed does not change the verdict.
 func TestQuickBatchEquivalentToSequential(t *testing.T) {
 	ref := batchTestRegistry()
-	ref.UseMemos(nil, nil)
+	ref.UseMemos(nil)
 	property := func(n uint8, corrupt []uint32) bool {
 		size := 1 + int(n)%48
 		r := batchTestRegistry()
@@ -392,21 +383,17 @@ func TestConcurrentBatchIngest(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSetMemos: registries built while memos are disabled run uncached
-// (and still verify correctly).
+// TestSetMemos: registries built while the verify memo is disabled run
+// uncached (and still verify correctly).
 func TestSetMemos(t *testing.T) {
 	prev := SetMemos(false)
 	defer SetMemos(prev)
 	r := NewRegistry(1, 2)
-	if r.memo != nil || r.seals != nil {
-		t.Fatal("memos attached while disabled")
+	if r.memo != nil {
+		t.Fatal("verify memo attached while disabled")
 	}
 	env := r.Seal(0, []byte("x"))
 	if !r.Check(env) {
 		t.Fatal("uncached registry rejects its own seal")
-	}
-	p := r.SealedPayload(0, 'E', []byte("x"))
-	if env2, err := ParseEnvelope(p[1:]); err != nil || !r.Check(env2) {
-		t.Fatal("uncached SealedPayload malformed")
 	}
 }

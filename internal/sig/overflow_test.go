@@ -59,12 +59,11 @@ func TestDecodeEnvelopeRejectsOversizeLength(t *testing.T) {
 	}
 }
 
-// TestSealedPayloadGuardsBody pins the same invariant on the seal path,
-// memoized or not: a MaxBody body seals in place and verifies, one more
-// byte panics, and so does a body that outgrows its header.
+// TestSealedPayloadGuardsBody pins the same invariant on the seal path:
+// a MaxBody body seals in place and verifies, one more byte panics, and
+// so does a body that outgrows its header.
 func TestSealedPayloadGuardsBody(t *testing.T) {
 	r := NewRegistry(1, 2)
-	r.UseMemos(nil, nil) // force the in-place seal on every call
 	env, p := r.SignAppended(append(AppendEnvelopeHeader(nil, 1, MaxBody), make([]byte, MaxBody)...), 0)
 	got, err := ParseEnvelope(p)
 	if err != nil || len(got.Body) != MaxBody || !r.Check(env) || &got.Sig[0] != &env.Sig[0] {

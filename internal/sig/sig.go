@@ -8,8 +8,8 @@
 // Because BTR schedules crypto alongside the workload ("there are no extra
 // resources for BTR", §4.1), the package also exposes a CostModel charging
 // virtual CPU time for sign/verify operations. The CostModel is the
-// simulated price and never changes; the *host* price is cut by the
-// verification/seal memos in memo.go, which exploit ed25519's determinism
+// simulated price and never changes; the *host* price of verification is
+// cut by the verify memo in memo.go, which exploits ed25519's determinism
 // to make Verify a memoized pure function (see memo.go for the soundness
 // argument: positive-only entries keyed by the full signer/digest/signature
 // triple).
@@ -57,11 +57,10 @@ type Registry struct {
 	privs []ed25519.PrivateKey
 	pubs  []ed25519.PublicKey
 	Costs CostModel
-	// memo / seals are the crypto fast path (nil = always recompute).
-	// They default to the process-shared instances so concurrent campaign
+	// memo is the verification fast path (nil = always recompute). It
+	// defaults to the process-shared instance so concurrent campaign
 	// workers replaying same-seed deployments reuse each other's work.
-	memo  *VerifyMemo
-	seals *SealMemo
+	memo *VerifyMemo
 	// opPriv/opPub is the operator (configuration-authority) keypair:
 	// membership epoch records (internal/member) are signed with it, so
 	// compromised nodes cannot forge reconfigurations. The adversary
@@ -78,7 +77,7 @@ func NewRegistry(seed uint64, n int) *Registry {
 		Costs: DefaultCosts(),
 	}
 	if memosEnabled.Load() {
-		r.memo, r.seals = sharedVerify, sharedSeal
+		r.memo = sharedVerify
 	}
 	rng := sim.NewRNG(seed ^ 0x5167_5167_5167_5167)
 	for i := 0; i < n; i++ {
@@ -121,11 +120,11 @@ func (r *Registry) OperatorVerify(msg, sig []byte) bool {
 	return ed25519.Verify(r.opPub, msg, sig)
 }
 
-// UseMemos overrides the registry's memos (nil disables caching). Tests
-// and benchmarks use it to isolate or freeze the cache; production code
-// keeps the shared defaults.
-func (r *Registry) UseMemos(v *VerifyMemo, s *SealMemo) {
-	r.memo, r.seals = v, s
+// UseMemos overrides the registry's verify memo (nil disables caching).
+// Tests and benchmarks use it to isolate or freeze the cache; production
+// code keeps the shared default.
+func (r *Registry) UseMemos(v *VerifyMemo) {
+	r.memo = v
 }
 
 // Verify reports whether sig is id's valid signature over msg. Repeated
@@ -178,19 +177,10 @@ func (r *Registry) CheckBatch(envs []Envelope) (int, bool) {
 }
 
 // SealedPayload returns prefix || Seal(signer, body).Encode() — the framed
-// wire form transport code sends — through the seal memo: re-sealing an
-// identical (signer, prefix, body) yields the same cached slice with zero
-// allocations. The returned slice is shared; callers must not mutate it.
+// wire form transport code sends — sealed in place in one exact-size
+// allocation.
 func (r *Registry) SealedPayload(signer network.NodeID, prefix byte, body []byte) []byte {
-	if r.seals != nil {
-		return r.seals.payload(r, signer, prefix, body)
-	}
-	return r.sealPayload(signer, prefix, body)
-}
-
-// sealPayload builds prefix || Seal(signer, body).Encode() in one
-// exact-size allocation.
-func (r *Registry) sealPayload(signer network.NodeID, prefix byte, body []byte) []byte {
+	sealCount.Add(1)
 	p := append(make([]byte, 0, 1+EnvelopeSize(len(body))), prefix)
 	_, p = r.SignAppended(append(AppendEnvelopeHeader(p, signer, len(body)), body...), 1)
 	return p
